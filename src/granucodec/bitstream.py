@@ -81,10 +81,17 @@ class BitReader:
 
 @dataclass(frozen=True)
 class HuffmanCode:
-    """Canonical prefix code: lengths plus (length, symbol)-ordered words."""
+    """Canonical prefix code: lengths, (length, symbol)-ordered codewords, and
+    the decode tables both are derived from."""
 
     lengths: np.ndarray  # (k,) int32
     codewords: np.ndarray  # (k,) int64
+    order: tuple[int, ...]  # symbols in (length, symbol) order
+    # indexed by code length 0..max_len: first codeword, its position in
+    # `order`, and the number of symbols of that length
+    first_code: tuple[int, ...]
+    first_index: tuple[int, ...]
+    count_by_len: tuple[int, ...]
 
     @property
     def k(self) -> int:
@@ -118,28 +125,38 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     return lengths
 
 
+def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
+    """Assign codewords by (length, symbol index) and build the decode tables."""
+    lengths = np.asarray(lengths, dtype=np.int32)
+    order = np.argsort(lengths, kind="stable")
+    count_by_len = np.bincount(lengths, minlength=int(lengths.max(initial=0)) + 1).tolist()
+    first_code, first_index = [0], [0]
+    code = index = 0
+    for length in range(1, len(count_by_len)):
+        first_code.append(code)
+        first_index.append(index)
+        code = (code + count_by_len[length]) << 1
+        index += count_by_len[length]
+    sorted_len = lengths[order]
+    codewords = np.zeros(lengths.shape[0], dtype=np.int64)
+    codewords[order] = (np.array(first_code, dtype=np.int64)[sorted_len]
+                        + np.arange(lengths.shape[0])
+                        - np.array(first_index)[sorted_len])
+    return HuffmanCode(lengths, codewords, tuple(order.tolist()), tuple(first_code),
+                       tuple(first_index), tuple(count_by_len))
+
+
 def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
     """Assign codewords by (length, symbol index)."""
-    order = sorted(range(lengths.shape[0]), key=lambda s: (lengths[s], s))
-    codewords = np.zeros(lengths.shape[0], dtype=np.int64)
-    code = 0
-    prev_len = 0
-    for s in order:
-        length = int(lengths[s])
-        code <<= length - prev_len
-        codewords[s] = code
-        code += 1
-        prev_len = length
-    return codewords
+    return _canonical_code(lengths).codewords
 
 
-def build_huffman(counts: np.ndarray, smoothed: bool = True) -> HuffmanCode:
+def build_huffman(counts: np.ndarray) -> HuffmanCode:
     """Optimal prefix code for the finalized frequency counts."""
     counts = np.asarray(counts, dtype=np.uint64)
-    if not smoothed or (counts.size and counts.min() < 1):
+    if counts.size and counts.min() < 1:
         raise BitstreamError("frequency table must be finalized (all counts >= 1)")
-    lengths = _huffman_lengths(counts)
-    return HuffmanCode(lengths, canonical_codewords(lengths))
+    return _canonical_code(_huffman_lengths(counts))
 
 
 def kraft_sum(code: HuffmanCode) -> float:
@@ -175,20 +192,9 @@ def encode_indices(stream: np.ndarray, code: HuffmanCode, writer: BitWriter) -> 
 
 def decode_indices(reader: BitReader, count: int, code: HuffmanCode) -> np.ndarray:
     """Read `count` symbols via a canonical prefix walk."""
-    # first-code/first-symbol tables per length, standard canonical decode
-    k = code.k
-    order = sorted(range(k), key=lambda s: (code.lengths[s], s))
-    max_len = int(code.lengths.max())
-    first_code = {}
-    first_index = {}
-    counts_by_len = np.bincount(code.lengths, minlength=max_len + 1)
-    c = 0
-    i = 0
-    for length in range(1, max_len + 1):
-        first_code[length] = c
-        first_index[length] = i
-        c = (c + int(counts_by_len[length])) << 1
-        i += int(counts_by_len[length])
+    order, first_code = code.order, code.first_code
+    first_index, count_by_len = code.first_index, code.count_by_len
+    max_len = len(count_by_len) - 1
     out = np.empty(count, dtype=np.int32)
     for n in range(count):
         value = 0
@@ -199,7 +205,7 @@ def decode_indices(reader: BitReader, count: int, code: HuffmanCode) -> np.ndarr
             if length > max_len:
                 raise BitstreamError("invalid prefix walk")
             offset = value - first_code[length]
-            if 0 <= offset < int(counts_by_len[length]):
+            if 0 <= offset < count_by_len[length]:
                 out[n] = order[first_index[length] + offset]
                 break
     return out
@@ -299,6 +305,9 @@ def parse_container(data: bytes) -> Container:
         raise BitstreamError("padding exceeds one block")
     if p1 + p2 + p3 != 10000:
         raise BitstreamError("ratio fields do not sum to 1")
+    blocks = padded_w * padded_h // 256
+    if not blocks <= map_bits <= 2 * blocks:  # 1 or 2 bits per block label
+        raise BitstreamError(f"map bit length {map_bits} impossible for {blocks} blocks")
     payload = data[_HEADER_SIZE:]
     total_bits = map_bits + bits_f + bits_m + bits_c
     if len(payload) != (total_bits + 7) // 8:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bitstream, granularity, imaging, pipeline, training, vq
 from .granularity import RatioTriple
-from .spatial_entropy import EntropyConfig, entropy_map
+from .spatial_entropy import entropy_map
 
 CONFIG_FILE = "granucodec.conf"
 
@@ -104,9 +104,9 @@ def cmd_stats(args) -> int:
     ratios = (_parse_ratios(args.ratios) if args.ratios
               else granularity.ratios_for_target(session.rate_table, args.bpp))
     container = pipeline.encode_image(session, img, ratios=ratios)
-    recon = pipeline.decode_image(session, container)
+    gmap, streams = pipeline.decode_streams(session, container)
+    recon = pipeline.reconstruct(session, container, gmap, streams)
     total, payload = bitstream.measure_rate(container)
-    gmap, _ = pipeline.decode_streams(session, container)
     counts = granularity.label_counts(gmap)
     quality = imaging.psnr(img, recon)
     stats = {
@@ -139,8 +139,8 @@ def cmd_rate_table(args) -> int:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("r1,r2,r3,bpp\n")
-        for ratios, bpp in table.rows:
-            out.write(f"{ratios.r1:.6f},{ratios.r2:.6f},{ratios.r3:.6f},{bpp:.6f}\n")
+        for (r1, r2, r3), bpp in zip(table.ratios, table.bpp):
+            out.write(f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}\n")
     finally:
         if args.out:
             out.close()
@@ -180,7 +180,6 @@ def build_parser(conf: dict[str, str]) -> argparse.ArgumentParser:
     p = sub.add_parser("train-codebook", help="k-means codebook + frequency table")
     p.add_argument("--corpus", required=True, help="directory of .ppm images")
     p.add_argument("--k", type=int, default=_conf_default(conf, "k", 1024, int))
-    p.add_argument("--d", type=int, default=4, help="feature channels (fixed recipe: 4)")
     p.add_argument("--seed", type=int, default=_conf_default(conf, "seed", 0, int))
     p.add_argument("--iters", type=int, default=_conf_default(conf, "iters", 25, int))
     p.add_argument("--max-samples", type=int, default=200_000,

@@ -92,30 +92,28 @@ def map_ratios(gmap: np.ndarray) -> RatioTriple:
     return RatioTriple(counts[FINE] / n, counts[MEDIUM] / n, counts[COARSE] / n)
 
 
-def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
-    """Closed-form bpp: index cost plus the mask-side accounting term."""
+def _rate(r1, r2, r3, mean_code_len: float):
+    """The closed-form bpp, elementwise over floats or arrays."""
     if mean_code_len <= 0:
         raise ValueError("mean code length must be positive")
-    r1, r2, r3 = ratios.as_tuple()
     indices = mean_code_len / 256.0 * (16.0 * r1 + 4.0 * r2 + r3)
     mask = (4.0 * r1 + r2) / 256.0
     return indices + mask
 
 
+def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
+    """Closed-form bpp: index cost plus the mask-side accounting term."""
+    return _rate(*ratios.as_tuple(), mean_code_len)
+
+
 @dataclass(frozen=True)
 class RateQueryTable:
-    """Rows of (RatioTriple, theoretical bpp) sorted by bpp ascending."""
+    """The ratio simplex lattice as columns, rows sorted by bpp ascending
+    (stable, so equal-bpp rows keep lattice order)."""
 
-    rows: tuple[tuple[RatioTriple, float], ...]
+    ratios: np.ndarray  # (n, 3) float64: r1, r2, r3
+    bpp: np.ndarray  # (n,) float64
     mean_code_len: float
-
-    @property
-    def min_bpp(self) -> float:
-        return self.rows[0][1]
-
-    @property
-    def max_bpp(self) -> float:
-        return self.rows[-1][1]
 
 
 def build_rate_table(mean_code_len: float, step: float = 0.01) -> RateQueryTable:
@@ -123,16 +121,20 @@ def build_rate_table(mean_code_len: float, step: float = 0.01) -> RateQueryTable
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     n = round(1.0 / step)
-    rows = []
-    for i in range(n + 1):  # i/n = r1
-        for j in range(n + 1 - i):  # j/n = r2
-            r = RatioTriple(i / n, j / n, (n - i - j) / n)
-            rows.append((r, theoretical_bpp(r, mean_code_len)))
-    rows.sort(key=lambda row: row[1])
-    return RateQueryTable(tuple(rows), mean_code_len)
+    i, j = np.mgrid[0:n + 1, 0:n + 1].reshape(2, -1)  # i/n = r1, j/n = r2
+    keep = i + j <= n
+    ratios = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1) / n
+    bpp = _rate(ratios[:, 0], ratios[:, 1], ratios[:, 2], mean_code_len)
+    order = np.argsort(bpp, kind="stable")
+    return RateQueryTable(ratios[order], bpp[order], mean_code_len)
 
 
 def ratios_for_target(table: RateQueryTable, target_bpp: float) -> RatioTriple:
-    """Closest-bpp row; ties resolved toward larger r1 (quality-favoring)."""
-    best = min(table.rows, key=lambda row: (abs(row[1] - target_bpp), -row[0].r1))
-    return best[0]
+    """Closest-bpp row; ties resolved toward larger r1 (quality-favoring),
+    then toward the first row."""
+    if math.isnan(target_bpp):
+        raise ValueError("target bpp is not a number")
+    gap = np.abs(table.bpp - target_bpp)
+    closest = np.flatnonzero(gap == gap.min())
+    best = closest[np.argmax(table.ratios[closest, 0])]  # argmax: first of equals
+    return RatioTriple(*table.ratios[best].tolist())

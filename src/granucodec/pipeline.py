@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bitstream, granularity, reconstruction, vq
-from .analysis import AnalysisTransform, DEFAULT_TRANSFORM
+from . import analysis, bitstream, granularity, reconstruction, vq
 from .bitstream import BitReader, BitWriter, BitstreamError, Container, HuffmanCode
-from .granularity import COARSE, FINE, MEDIUM, MaskSet, RatioTriple, RateQueryTable
+from .granularity import (
+    COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, MaskSet, RatioTriple, RateQueryTable)
 from .imaging import BLOCK, ImagePlane
-from .reconstruction import DEFAULT_SYNTHESIS, SynthesisSpec
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, FrequencyTable
 
@@ -28,10 +27,7 @@ class CodecSession:
     frequencies: FrequencyTable
     huffman: HuffmanCode = field(init=False)
     rate_table: RateQueryTable = field(init=False)
-    entropy_cfg: EntropyConfig = EntropyConfig()
-    transform: AnalysisTransform = DEFAULT_TRANSFORM
-    synthesis: SynthesisSpec = DEFAULT_SYNTHESIS
-    table_step: float = 0.01
+    entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
     def __post_init__(self):
         if not self.frequencies.smoothed:
@@ -40,34 +36,23 @@ class CodecSession:
             raise ValueError("frequency table size does not match codebook")
         self.huffman = bitstream.build_huffman(self.frequencies.counts)
         self.rate_table = granularity.build_rate_table(
-            bitstream.mean_code_length(self.huffman), self.table_step)
+            bitstream.mean_code_length(self.huffman))
 
     @property
     def mean_code_len(self) -> float:
         return self.rate_table.mean_code_len
 
     @classmethod
-    def from_file(cls, path, **kwargs) -> "CodecSession":
+    def from_file(cls, path) -> "CodecSession":
         cb, tbl = vq.load_codebook(path)
-        return cls(cb, tbl, **kwargs)
-
-
-def _masked_cells(grid: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Cells where mask == 1, raster order."""
-    return grid[mask.astype(bool)]
+        return cls(cb, tbl)
 
 
 def quantize_streams(session: CodecSession, img: ImagePlane,
                      gmap: np.ndarray) -> tuple[MaskSet, list[np.ndarray]]:
     """Quantize only the mask-retained cells at each scale."""
     masks = granularity.masks_from_map(gmap)
-    z1, z2, z3 = session.transform.pyramid(img)
-    streams = []
-    for grid, mask in ((z1, masks.m1), (z2, masks.m2), (z3, masks.m3)):
-        cells = _masked_cells(grid, mask)
-        idx, _ = vq.quantize(cells, session.codebook)
-        streams.append(idx.astype(np.int32))
-    return masks, streams
+    return masks, vq.quantize_masked(analysis.pyramid(img), masks, session.codebook)
 
 
 def encode_with_map(session: CodecSession, img: ImagePlane,
@@ -116,7 +101,7 @@ def decode_streams(session: CodecSession,
     if reader.pos != container.map_bits:
         raise BitstreamError("granularity map bit length mismatch")
     counts = granularity.label_counts(gmap)
-    expected = (16 * counts[FINE], 4 * counts[MEDIUM], counts[COARSE])
+    expected = [INDICES_PER_BLOCK[lbl] * counts[lbl] for lbl in (FINE, MEDIUM, COARSE)]
     streams = []
     for n_symbols, declared in zip(expected, container.index_bits):
         start = reader.pos
@@ -136,9 +121,8 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
         grid[mask.astype(bool)] = vq.lookup(idx, session.codebook)
         grids.append(grid)
     z_hat = reconstruction.assemble_hybrid(grids[0], grids[1], grids[2], masks)
-    y3 = reconstruction.conditional_decode(z_hat, masks, session.synthesis)
-    return reconstruction.synthesize_image(
-        y3, container.true_h, container.true_w, session.synthesis)
+    y3 = reconstruction.conditional_decode(z_hat, masks)
+    return reconstruction.synthesize_image(y3, container.true_h, container.true_w)
 
 
 def decode_image(session: CodecSession, container: Container) -> ImagePlane:

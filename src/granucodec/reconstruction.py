@@ -9,7 +9,7 @@ positions stay bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,13 +30,12 @@ def _mean_rgb_painter(y3: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """Pluggable decoder layers: d1, d2 upscale x2; painter maps the fine
-    feature grid to pixels."""
+    """Decoder layers: d1, d2 upscale x2; painter maps the fine feature grid
+    to pixels. Tests substitute layers to check replacement exactness."""
 
     d1: Callable[[np.ndarray], np.ndarray] = _up2
     d2: Callable[[np.ndarray], np.ndarray] = _up2
     painter: Callable[[np.ndarray], np.ndarray] = _mean_rgb_painter
-    descriptor: str = "nn-meanrgb-v1"
 
 
 DEFAULT_SYNTHESIS = SynthesisSpec()

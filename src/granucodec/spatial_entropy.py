@@ -8,7 +8,7 @@ entropy in bits is taken. High entropy marks information-dense blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +41,24 @@ class EntropyConfig:
         return -1.0 + 2.0 * np.arange(n, dtype=np.float64) / (n - 1)
 
 
+def _affinity(values: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
+    """Unnormalized Gaussian affinity of each value to every bin center,
+    on a new trailing bin axis."""
+    sigma = cfg.effective_sigma
+    return np.exp(-((values[..., None] - cfg.bin_centers) ** 2) / (2.0 * sigma * sigma))
+
+
+def _entropy_bits(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
+    """Entropy (bits) of each sample set along the last axis of `samples`."""
+    mass = _affinity(samples, cfg).mean(axis=-2)
+    dist = mass / mass.sum(axis=-1, keepdims=True)
+    terms = dist * np.log2(np.where(dist > 0, dist, 1.0))  # 0*log0 := 0
+    return -terms.sum(axis=-1)
+
+
 def bin_affinity(pixel_value: float, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
     """Unnormalized Gaussian affinity of one value to every bin center."""
-    centers = cfg.bin_centers
-    sigma = cfg.effective_sigma
-    return np.exp(-((pixel_value - centers) ** 2) / (2.0 * sigma * sigma))
+    return _affinity(np.asarray(pixel_value, dtype=np.float64), cfg)
 
 
 def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> float:
@@ -53,13 +66,7 @@ def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> fl
     values = np.asarray(patch, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("empty patch")
-    centers = cfg.bin_centers
-    sigma = cfg.effective_sigma
-    aff = np.exp(-((values[:, None] - centers[None, :]) ** 2) / (2.0 * sigma * sigma))
-    mass = aff.mean(axis=0)
-    dist = mass / mass.sum()
-    nz = dist[dist > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(_entropy_bits(values, cfg))
 
 
 def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
@@ -76,16 +83,7 @@ def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.nda
         .reshape(by, bx, -1)
         .astype(np.float64)
     )
-    centers = cfg.bin_centers
-    sigma = cfg.effective_sigma
     out = np.empty((by, bx), dtype=np.float64)
     for row in range(by):  # row-at-a-time keeps the affinity tensor small
-        aff = np.exp(
-            -((patches[row][:, :, None] - centers[None, None, :]) ** 2)
-            / (2.0 * sigma * sigma)
-        )
-        mass = aff.mean(axis=1)
-        dist = mass / mass.sum(axis=1, keepdims=True)
-        terms = dist * np.log2(np.where(dist > 0, dist, 1.0))  # 0*log0 := 0
-        out[row] = -terms.sum(axis=1)
+        out[row] = _entropy_bits(patches[row], cfg)
     return out

@@ -10,34 +10,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import granularity, vq
-from .analysis import AnalysisTransform, DEFAULT_TRANSFORM
+from . import analysis, granularity, vq
 from .imaging import ImagePlane
-from .spatial_entropy import EntropyConfig, entropy_map
+from .spatial_entropy import entropy_map
 from .vq import Codebook, FrequencyTable
 
 # Default allocation used while gathering usage statistics.
 DEFAULT_FREQ_RATIOS = granularity.RatioTriple(0.5, 0.4, 0.1)
 
 
-def corpus_cells(images: list[ImagePlane],
-                 transform: AnalysisTransform = DEFAULT_TRANSFORM) -> np.ndarray:
+def _stack_cells(pyramids) -> np.ndarray:
+    return np.concatenate([grid.reshape(-1, grid.shape[-1])
+                           for grids in pyramids for grid in grids], axis=0)
+
+
+def corpus_cells(images: list[ImagePlane]) -> np.ndarray:
     """All pyramid cells of all images, as one (n, d) array."""
-    parts = []
-    for img in images:
-        for grid in transform.pyramid(img):
-            parts.append(grid.reshape(-1, grid.shape[-1]))
-    return np.concatenate(parts, axis=0)
+    return _stack_cells([analysis.pyramid(img) for img in images])
 
 
 def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
                    iters: int = 25, max_samples: int | None = 200_000,
                    freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
-                   entropy_cfg: EntropyConfig = EntropyConfig(),
-                   transform: AnalysisTransform = DEFAULT_TRANSFORM,
                    ) -> tuple[Codebook, FrequencyTable]:
     """Train a codebook and its finalized usage-frequency table."""
-    cells = corpus_cells(images, transform)
+    if k > vq.MAX_K:
+        raise ValueError(f"k={k} exceeds the codebook format's limit of {vq.MAX_K}")
+    pyramids = [analysis.pyramid(img) for img in images]
+    cells = _stack_cells(pyramids)
     if max_samples is not None and cells.shape[0] > max_samples:
         rng = np.random.default_rng(seed)
         pick = rng.choice(cells.shape[0], size=max_samples, replace=False)
@@ -47,12 +47,9 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
     cb = vq.train_codebook(sample, k=k, iters=iters, seed=seed)
 
     tbl = FrequencyTable.zeros(k)
-    for img in images:
-        emap = entropy_map(img, entropy_cfg)
-        gmap = granularity.plan_granularity(emap, freq_ratios)
+    for img, grids in zip(images, pyramids):
+        gmap = granularity.plan_granularity(entropy_map(img), freq_ratios)
         masks = granularity.masks_from_map(gmap)
-        for grid, mask in zip(transform.pyramid(img),
-                              (masks.m1, masks.m2, masks.m3)):
-            idx, _ = vq.quantize(grid[mask.astype(bool)], cb)
+        for idx in vq.quantize_masked(grids, masks, cb):
             vq.accumulate_frequencies(idx, tbl)
     return cb, vq.finalize_frequencies(tbl)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .granularity import MaskSet
+
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
+MAX_K = 0xFFFF  # the file stores k (and d) as uint16
 
 _QUANT_CHUNK = 4096  # cells per distance-matrix chunk
 
@@ -69,15 +72,21 @@ class FrequencyTable:
         return self.counts.shape[0]
 
 
-def quantize(grid: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-code index per cell plus the quantized grid."""
+def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
+    """Nearest-code index per cell, shaped like the grid without its last axis."""
     grid = np.asarray(grid)
     if grid.shape[-1] != cb.d:
         raise CodebookError(f"cell dim {grid.shape[-1]} != codebook dim {cb.d}")
     cells = grid.reshape(-1, cb.d).astype(np.float64)
     idx, _ = _assign(cells, cb.codes.astype(np.float64))  # argmin ties -> lowest
-    idx = idx.reshape(grid.shape[:-1])
-    return idx, lookup(idx, cb)
+    return idx.reshape(grid.shape[:-1])
+
+
+def quantize_masked(grids, masks: MaskSet, cb: Codebook) -> list[np.ndarray]:
+    """int32 index streams of the cells each scale's mask keeps, raster
+    order: fine, medium, coarse."""
+    return [quantize(grid[mask.astype(bool)], cb)
+            for grid, mask in zip(grids, (masks.m1, masks.m2, masks.m3))]
 
 
 def lookup(idx: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -166,6 +175,9 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
     """Write the CGCB container: codes, frequency counts, content hash."""
     if tbl.k != cb.k:
         raise CodebookError("frequency table size does not match codebook")
+    if cb.k > MAX_K or cb.d > MAX_K:
+        raise CodebookError(f"k={cb.k}, d={cb.d}: the format stores each in 16 bits "
+                            f"(at most {MAX_K})")
     with open(path, "wb") as f:
         f.write(CODEBOOK_MAGIC)
         f.write(struct.pack("<BHH", CODEBOOK_VERSION, cb.k, cb.d))

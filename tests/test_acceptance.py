@@ -137,7 +137,7 @@ def test_5_losslessness_and_corruption():
         cb = vq.Codebook(rng.standard_normal((k, 4)).astype(np.float32))
         tbl = vq.FrequencyTable(
             rng.integers(1, 200, size=k).astype(np.uint64), smoothed=True)
-        session = pipeline.CodecSession(cb, tbl, table_step=0.25)
+        session = pipeline.CodecSession(cb, tbl)
         h = int(rng.integers(10, 49))
         w = int(rng.integers(10, 49))
         img = imaging.from_raw(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))

@@ -85,6 +85,22 @@ class TestHuffman:
         for a, b in itertools.permutations(words, 2):
             assert not b.startswith(a)
 
+    def test_codewords_match_reference_loop(self):
+        # codewords assigned one symbol at a time in sorted (length, symbol) order
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            k = int(rng.integers(1, 300))
+            code = build_huffman(rng.integers(1, 1000, size=k).astype(np.uint64))
+            want = np.zeros(k, dtype=np.int64)
+            word = prev_len = 0
+            for s in sorted(range(k), key=lambda s: (code.lengths[s], s)):
+                word <<= int(code.lengths[s]) - prev_len
+                want[s] = word
+                word += 1
+                prev_len = int(code.lengths[s])
+            assert np.array_equal(code.codewords, want)
+            assert np.array_equal(canonical_codewords(code.lengths), want)
+
     def test_canonical_ordering(self):
         lengths = np.array([3, 1, 3, 2], dtype=np.int32)
         words = canonical_codewords(lengths)
@@ -164,7 +180,7 @@ def _container(payload_bits=12):
         true_w=30, true_h=17, padded_w=32, padded_h=32,
         codebook_hash=0x0123456789ABCDEF,
         ratios=RatioTriple(0.25, 0.5, 0.25),
-        index_bits=(5, 4, 0), map_bits=3,
+        index_bits=(4, 4, 0), map_bits=4,  # 4 blocks: 1 bit each
         payload=w.getvalue(),
     )
 
@@ -184,6 +200,26 @@ class TestContainer:
                 corrupt[pos] ^= flip
                 with pytest.raises(BitstreamError):
                     parse_container(bytes(corrupt))
+
+    @staticmethod
+    def _map_only(padded, map_bits):
+        return Container(true_w=padded, true_h=padded, padded_w=padded, padded_h=padded,
+                         codebook_hash=0, ratios=RatioTriple(0, 0, 1),
+                         index_bits=(0, 0, 0), map_bits=map_bits,
+                         payload=bytes((map_bits + 7) // 8))
+
+    @pytest.mark.parametrize("padded,map_bits", [
+        (32, 3), (32, 9), (32, 0),  # 4 blocks need 4..8 map bits
+        (4294967280, 8),  # ~7.2e16 blocks declared by a one-byte payload
+    ])
+    def test_map_bits_outside_block_bounds_rejected(self, padded, map_bits):
+        with pytest.raises(BitstreamError, match="map bit length"):
+            parse_container(serialize_container(self._map_only(padded, map_bits)))
+
+    @pytest.mark.parametrize("map_bits", [4, 8])
+    def test_map_bits_at_block_bounds_accepted(self, map_bits):
+        c = self._map_only(32, map_bits)
+        assert parse_container(serialize_container(c)) == c
 
     def test_nonzero_padding_rejected(self):
         data = bytearray(serialize_container(_container()))

@@ -113,38 +113,64 @@ class TestRateModel:
             prev = bpp
 
 
+def reference_rows(mean_code_len, step):
+    """The rate table as a plain loop over the simplex lattice, sorted by bpp
+    with Python's stable sort."""
+    n = round(1.0 / step)
+    rows = [(RatioTriple(i / n, j / n, (n - i - j) / n),) for i in range(n + 1)
+            for j in range(n + 1 - i)]
+    rows = [(r, theoretical_bpp(r, mean_code_len)) for (r,) in rows]
+    rows.sort(key=lambda row: row[1])
+    return rows
+
+
+def reference_lookup(table, target_bpp):
+    """Closest bpp, then larger r1, then the first row: a linear scan."""
+    best = min(range(len(table.bpp)),
+               key=lambda i: (abs(float(table.bpp[i]) - target_bpp),
+                              -float(table.ratios[i, 0])))
+    return RatioTriple(*table.ratios[best].tolist())
+
+
 class TestRateTable:
     def test_step_half_gives_six_rows(self):
-        assert len(build_rate_table(L_REFERENCE, 0.5).rows) == 6
+        assert len(build_rate_table(L_REFERENCE, 0.5).bpp) == 6
 
     def test_extreme_rows(self):
         table = build_rate_table(L_REFERENCE, 0.25)
-        lo_ratio, lo_bpp = table.rows[0]
-        hi_ratio, hi_bpp = table.rows[-1]
-        assert lo_ratio.as_tuple() == (0, 0, 1)
+        lo_ratio, lo_bpp = table.ratios[0], table.bpp[0]
+        hi_ratio, hi_bpp = table.ratios[-1], table.bpp[-1]
+        assert tuple(lo_ratio) == (0, 0, 1)
         assert lo_bpp == pytest.approx(L_REFERENCE / 256)
-        assert hi_ratio.as_tuple() == (1, 0, 0)
+        assert tuple(hi_ratio) == (1, 0, 0)
         assert hi_bpp == pytest.approx((16 * L_REFERENCE + 4) / 256)
 
     def test_sorted_ascending(self):
-        bpps = [b for _, b in build_rate_table(L_REFERENCE, 0.1).rows]
+        bpps = list(build_rate_table(L_REFERENCE, 0.1).bpp)
         assert bpps == sorted(bpps)
+
+    @pytest.mark.parametrize("mean_code_len", [1.0, 6.5, L_REFERENCE, 13.0])
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
+    def test_matches_reference_loop(self, mean_code_len, step):
+        table = build_rate_table(mean_code_len, step)
+        rows = reference_rows(mean_code_len, step)
+        assert [tuple(r) for r in table.ratios.tolist()] == [r.as_tuple() for r, _ in rows]
+        assert table.bpp.tolist() == [b for _, b in rows]
 
 
 class TestTargetLookup:
     def test_exact_value(self):
         table = build_rate_table(L_REFERENCE, 0.1)
-        r, bpp = table.rows[17]
-        assert ratios_for_target(table, bpp) == r
+        r, bpp = table.ratios[17], table.bpp[17]
+        assert ratios_for_target(table, bpp).as_tuple() == tuple(r)
 
     def test_published_partial_table_lookup(self):
         # against the five published rows, 0.187 selects the second one
         from granucodec.granularity import RateQueryTable
         triples = [(0, 0.23, 0.77), (0.10, 0.67, 0.23), (0.37, 0.46, 0.17),
                    (0.61, 0.30, 0.09), (0.90, 0.10, 0)]
-        rows = tuple((RatioTriple(*t), theoretical_bpp(RatioTriple(*t), L_REFERENCE))
-                     for t in triples)
-        table = RateQueryTable(rows, L_REFERENCE)
+        bpps = [theoretical_bpp(RatioTriple(*t), L_REFERENCE) for t in triples]
+        table = RateQueryTable(np.array(triples), np.array(bpps), L_REFERENCE)
         assert ratios_for_target(table, 0.187).as_tuple() == (0.10, 0.67, 0.23)
 
     def test_below_minimum_clamps_to_coarse(self):
@@ -153,8 +179,27 @@ class TestTargetLookup:
 
     def test_tie_prefers_fine(self):
         from granucodec.granularity import RateQueryTable
-        table = RateQueryTable(rows=(
-            (RatioTriple(0.0, 0.0, 1.0), 0.25),
-            (RatioTriple(0.5, 0.5, 0.0), 0.75),
-        ), mean_code_len=L_REFERENCE)
+        table = RateQueryTable(
+            ratios=np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
+            bpp=np.array([0.25, 0.75]), mean_code_len=L_REFERENCE)
         assert ratios_for_target(table, 0.5).r1 == 0.5  # exact tie
+
+    @pytest.mark.parametrize("step", [0.25, 0.1, 0.05, 0.01])
+    def test_matches_linear_scan(self, step):
+        rng = np.random.default_rng(12)
+        for mean_code_len in (2.0, L_REFERENCE, 12.75):
+            table = build_rate_table(mean_code_len, step)
+            bpp = table.bpp
+            rows = rng.choice(bpp.size - 1, size=min(bpp.size - 1, 60), replace=False)
+            targets = np.concatenate([
+                bpp[rows],  # exact row values
+                (bpp[rows] + bpp[rows + 1]) / 2,  # midpoints: two rows equally close
+                rng.uniform(bpp[0] - 0.05, bpp[-1] + 0.05, size=60),
+                [-1.0, 0.0, bpp[-1] + 1.0, np.inf, -np.inf],
+            ])
+            for t in targets.tolist():
+                assert ratios_for_target(table, t) == reference_lookup(table, t), t
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError):
+            ratios_for_target(build_rate_table(L_REFERENCE, 0.1), float("nan"))

@@ -64,7 +64,7 @@ class TestEncodeDecode:
             g[mask.astype(bool)] = vq.lookup(idx, small_session.codebook)
             grids.append(g)
         z = assemble_hybrid(*grids, masks)
-        y3 = conditional_decode(z, masks, small_session.synthesis)
+        y3 = conditional_decode(z, masks)
         m1 = masks.m1[..., None]
         m2 = masks.m2[..., None]
         m3 = masks.m3[..., None]
@@ -172,6 +172,24 @@ class TestCli:
         res = run_cli("encode", "--codebook", cb, "--input", ppm,
                       "--out", tmp_path / "x.cgic")  # neither ratios nor bpp
         assert res.returncode != 0
+
+    def test_decode_huge_declared_dims_exits_cleanly(self, cli_env, tmp_path):
+        # CRC-valid header for the right codebook declaring 4294967280^2
+        # padded pixels, with map_bits=8 and a one-byte payload
+        _, cb, _ = cli_env
+        dim = 4294967280
+        c = bitstream.Container(
+            true_w=dim, true_h=dim, padded_w=dim, padded_h=dim,
+            codebook_hash=vq.load_codebook(cb)[0].id_hash,
+            ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, 0), map_bits=8,
+            payload=bytes(1))
+        hostile = tmp_path / "huge.cgic"
+        hostile.write_bytes(serialize_container(c))
+        res = run_cli("decode", "--codebook", cb, "--input", hostile,
+                      "--out", tmp_path / "x.ppm")
+        assert res.returncode == 1
+        assert "error" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_config_file_defaults(self, cli_env, tmp_path):
         root, cb, _ = cli_env

@@ -17,19 +17,19 @@ def cb16():
 class TestQuantize:
     def test_exact_match(self, cb16):
         grid = cb16.codes[7].reshape(1, 1, 4)
-        idx, quant = quantize(grid, cb16)
+        idx = quantize(grid, cb16)
         assert idx[0, 0] == 7
-        assert np.array_equal(quant, grid)
+        assert np.array_equal(lookup(idx, cb16), grid)
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(np.array([[0.0], [1.0]], dtype=np.float32))
-        idx, _ = quantize(np.array([[[0.5]]], dtype=np.float32), cb)
+        idx = quantize(np.array([[[0.5]]], dtype=np.float32), cb)
         assert idx[0, 0] == 0
 
     def test_matches_brute_force_scan(self, cb16):
         rng = np.random.default_rng(1)
         cells = rng.standard_normal((6, 5, 4)).astype(np.float32)
-        idx, _ = quantize(cells, cb16)
+        idx = quantize(cells, cb16)
         for pos in np.ndindex(6, 5):
             dists = [np.sum((cells[pos].astype(np.float64) - c) ** 2)
                      for c in cb16.codes.astype(np.float64)]
@@ -38,8 +38,8 @@ class TestQuantize:
     def test_never_beaten_by_other_code(self, cb16):
         rng = np.random.default_rng(2)
         cells = rng.standard_normal((10, 4)).astype(np.float32)
-        idx, quant = quantize(cells, cb16)
-        for z, chosen in zip(cells, quant):
+        idx = quantize(cells, cb16)
+        for z, chosen in zip(cells, lookup(idx, cb16)):
             d_chosen = np.sum((z - chosen) ** 2)
             for c in cb16.codes:
                 assert d_chosen <= np.sum((z - c) ** 2) + 1e-12
@@ -62,7 +62,7 @@ class TestLookup:
     def test_roundtrip_idempotent(self, cb16):
         rng = np.random.default_rng(4)
         idx = rng.integers(0, 16, size=(5, 7))
-        again, _ = quantize(lookup(idx, cb16), cb16)
+        again = quantize(lookup(idx, cb16), cb16)
         assert np.array_equal(again, idx)
 
     def test_out_of_range_rejected(self, cb16):
@@ -154,6 +154,14 @@ class TestCodebookFile:
         assert np.array_equal(cb2.codes, cb16.codes)
         assert np.array_equal(tbl2.counts, tbl.counts)
         assert cb2.id_hash == cb16.id_hash
+
+    def test_k_above_uint16_rejected_before_writing(self, tmp_path):
+        k = 65536
+        cb = Codebook(np.zeros((k, 1), dtype=np.float32))
+        path = tmp_path / "big.cgcb"
+        with pytest.raises(CodebookError):
+            save_codebook(cb, FrequencyTable(np.ones(k, dtype=np.uint64), smoothed=True), path)
+        assert not path.exists()
 
     def test_corruption_detected(self, tmp_path, cb16):
         tbl = finalize_frequencies(FrequencyTable.zeros(16))
