@@ -22,6 +22,9 @@ from .granularity import COARSE, FINE, MEDIUM, RatioTriple
 CONTAINER_MAGIC = b"CGIC"
 CONTAINER_VERSION = 1
 
+# Codewords are held in int64, so no code may be longer than this.
+MAX_CODE_LEN = 63
+
 # Fixed prefix code for granularity labels, cheapest symbol on coarse.
 _MAP_CODE = {COARSE: (1, 0b0), MEDIUM: (2, 0b10), FINE: (2, 0b11)}
 
@@ -153,10 +156,18 @@ def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
 
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
     """Optimal prefix code for the finalized frequency counts."""
-    counts = np.asarray(counts, dtype=np.uint64)
+    try:
+        counts = np.asarray(counts, dtype=np.uint64)
+    except OverflowError as exc:
+        raise BitstreamError("frequency counts must fit in 64 unsigned bits") from exc
     if counts.size and counts.min() < 1:
         raise BitstreamError("frequency table must be finalized (all counts >= 1)")
-    return _canonical_code(_huffman_lengths(counts))
+    lengths = _huffman_lengths(counts)
+    if lengths.max(initial=0) > MAX_CODE_LEN:
+        raise BitstreamError(
+            f"skewed frequency table: a {lengths.max()}-bit code exceeds the "
+            f"{MAX_CODE_LEN}-bit codeword limit")
+    return _canonical_code(lengths)
 
 
 def kraft_sum(code: HuffmanCode) -> float:

@@ -8,6 +8,8 @@ results are deterministic across platforms. PSNR is reported on de-normalized
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +111,14 @@ def load_ppm(path) -> ImagePlane:
             raise ImageError(f"{path}: bad dimensions {w}x{h}")
         if maxval != 255:
             raise ImageError(f"{path}: unsupported maxval {maxval} (only 255)")
-        data = f.read(w * h * 3)
-        if len(data) != w * h * 3:
+        size = w * h * 3
+        # checked before reading, so a hostile header cannot ask for more
+        # memory than the file holds (a pipe has no size to check against)
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and size > st.st_size - f.tell():
+            raise ImageError(f"{path}: truncated pixel data")
+        data = f.read(size)
+        if len(data) != size:
             raise ImageError(f"{path}: truncated pixel data")
     raw = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
     return from_raw(raw)

@@ -64,6 +64,17 @@ class TestHuffman:
         with pytest.raises(BitstreamError):
             build_huffman(np.array([3, 0, 1], dtype=np.uint64))
 
+    def test_skewed_table_beyond_63_bits_rejected(self):
+        fib = [1, 1]
+        while len(fib) < 100:
+            fib.append(fib[-1] + fib[-2])
+        # each Fibonacci count nests one level deeper: k symbols, k-1 bits
+        assert build_huffman(np.array(fib[:64], dtype=np.uint64)).lengths.max() == 63
+        with pytest.raises(BitstreamError):
+            build_huffman(np.array(fib[:93], dtype=np.uint64))  # largest in uint64
+        with pytest.raises(BitstreamError):
+            build_huffman(fib)
+
     def test_kraft_equality_random_tables(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

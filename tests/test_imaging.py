@@ -50,6 +50,7 @@ class TestLoad:
         b"P6\n2 2\n65535\n" + bytes(24),     # unsupported depth
         b"P6\nx 2\n255\n" + bytes(12),       # malformed dims
         b"P6\n4 4\n255\n" + bytes(10),       # truncated data
+        b"P6\n1000000000 1000000000\n255\n" + bytes(12),  # more than the file
     ])
     def test_malformed_rejected(self, tmp_path, payload):
         p = tmp_path / "bad.ppm"

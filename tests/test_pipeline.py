@@ -191,6 +191,33 @@ class TestCli:
         assert "error" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_encode_huge_declared_ppm_exits_cleanly(self, cli_env, tmp_path):
+        _, cb, _ = cli_env
+        hostile = tmp_path / "huge.ppm"
+        hostile.write_bytes(b"P6\n1000000000 1000000000\n255\n" + bytes(12))
+        res = run_cli("encode", "--codebook", cb, "--input", hostile,
+                      "--out", tmp_path / "x.cgic", "--bpp", "0.2")
+        assert res.returncode == 1
+        assert "error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_encode_skewed_codebook_exits_cleanly(self, cli_env, tmp_path):
+        # Fibonacci counts give a 92-bit Huffman code for the last symbols
+        _, cb, ppm = cli_env
+        fib = [1, 1]
+        while len(fib) < 93:
+            fib.append(fib[-1] + fib[-2])
+        d = vq.load_codebook(cb)[0].d
+        skewed = tmp_path / "skewed.cgcb"
+        vq.save_codebook(
+            vq.Codebook(np.arange(93 * d, dtype=np.float32).reshape(93, d)),
+            vq.FrequencyTable(np.array(fib, dtype=np.uint64), smoothed=True), skewed)
+        res = run_cli("encode", "--codebook", skewed, "--input", ppm,
+                      "--out", tmp_path / "x.cgic", "--bpp", "0.2")
+        assert res.returncode == 1
+        assert "error" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_config_file_defaults(self, cli_env, tmp_path):
         root, cb, _ = cli_env
         conf = tmp_path / "granucodec.conf"

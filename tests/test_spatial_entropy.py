@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from granucodec import imaging
+from granucodec import imaging, spatial_entropy
 from granucodec.spatial_entropy import EntropyConfig, bin_affinity, entropy_map, patch_entropy
 
 from conftest import make_image
@@ -83,12 +83,34 @@ class TestPatchEntropy:
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def only_path(monkeypatch, path):
+    """Make entropy_map fail unless it takes `path`: the per-block level
+    histogram ("histogram") or the per-sample kernel ("row")."""
+    histogram_mass = spatial_entropy._histogram_mass
+
+    def checked(samples, cfg):
+        mass = histogram_mass(samples, cfg)
+        assert (mass is not None) == (path == "histogram"), f"left the {path} path"
+        return mass
+    monkeypatch.setattr(spatial_entropy, "_histogram_mass", checked)
+
+
 class TestEntropyMap:
     def test_uniform_image_all_equal(self):
         img = imaging.from_raw(np.full((32, 48, 3), 77, dtype=np.uint8))
         emap = entropy_map(img)
         assert emap.shape == (2, 3)
         assert np.allclose(emap, emap[0, 0], atol=1e-12)
+
+    def test_permuted_blocks_exactly_equal(self, monkeypatch):
+        # a seed whose two orders differ in the last bits on the row path
+        rng = np.random.default_rng(13)
+        block = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
+        shuffled = rng.permutation(block.ravel()).reshape(block.shape)
+        img = imaging.from_raw(np.concatenate([block, shuffled], axis=1))
+        only_path(monkeypatch, "histogram")
+        emap = entropy_map(img)
+        assert emap[0, 0] == emap[0, 1]
 
     def test_textured_quadrant_ranks_highest(self):
         rng = np.random.default_rng(7)
@@ -103,10 +125,29 @@ class TestEntropyMap:
         img = make_image("photo", 512, 768, seed=8)
         assert entropy_map(img).shape == (32, 48)
 
-    def test_matches_patch_entropy(self):
-        img = make_image("waves", 32, 32, seed=9)
+    @pytest.mark.parametrize("kind", ["noise", "gradient", "blocky", "photo", "waves"])
+    def test_histogram_path_matches_row_path(self, kind, monkeypatch):
+        img = make_image(kind, 200, 136, seed=11)  # padded to 208 x 144 (blocky
+        # rounds its own size down to 192 x 128)
+        row = spatial_entropy._row_entropy(img.samples, EntropyConfig())
+        only_path(monkeypatch, "histogram")
         emap = entropy_map(img)
-        for by in range(2):
-            for bx in range(2):
-                patch = img.samples[by * 16:(by + 1) * 16, bx * 16:(bx + 1) * 16]
-                assert emap[by, bx] == pytest.approx(patch_entropy(patch), abs=1e-9)
+        assert emap.shape == row.shape
+        assert np.abs(emap - row).max() <= 1e-12
+        assert np.array_equal(np.argsort(emap, axis=None, kind="stable"),
+                              np.argsort(row, axis=None, kind="stable"))
+
+    def test_matches_patch_entropy(self, monkeypatch):
+        lattice = make_image("waves", 32, 32, seed=9).samples
+        shifted = lattice + np.float32(1e-4)  # every sample off the 8-bit levels
+        one_off = lattice.copy()
+        one_off[-1, -1, -1] += np.float32(1e-4)  # only the last sample
+        for path, samples in [("histogram", lattice), ("row", shifted), ("row", one_off)]:
+            img = imaging.ImagePlane(samples, 32, 32)
+            with monkeypatch.context() as m:
+                only_path(m, path)
+                emap = entropy_map(img)
+            for by in range(2):
+                for bx in range(2):
+                    patch = samples[by * 16:(by + 1) * 16, bx * 16:(bx + 1) * 16]
+                    assert emap[by, bx] == pytest.approx(patch_entropy(patch), abs=1e-9)
