@@ -1,11 +1,15 @@
-"""Canonical Huffman coding of VQ indices, granularity-map serialization,
-the .cgic container format, and rate measurement.
+"""Canonical prefix coding of the payload, the .cgic container format, and
+rate measurement.
 
-The code is canonical: only the per-symbol lengths matter, codewords are
-assigned in (length, symbol) order, so encoder and decoder agree given the
-shared frequency table. The container header carries everything needed to
-slice the single concatenated bit payload back into the granularity map and
-the three index streams; a CRC32 over the header makes corruption loud.
+The payload is one bit array: the granularity map, then the fine, medium and
+coarse index streams. One canonical prefix encoder and one decoder serve all
+four segments. The index streams use the Huffman code of the shared
+frequency table; the map uses `MAP_CODE`, a fixed canonical code with
+lengths (1, 2, 2) over `COARSE - label`. A canonical code depends only on its
+per-symbol lengths: codewords are assigned in (length, symbol) order, so
+encoder and decoder agree given the lengths. The container header carries
+the bit length of each segment; a CRC32 over the header makes corruption
+loud.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .granularity import COARSE, FINE, MEDIUM, RatioTriple
+from .granularity import RatioTriple
 
 CONTAINER_MAGIC = b"CGIC"
 CONTAINER_VERSION = 1
@@ -25,58 +29,9 @@ CONTAINER_VERSION = 1
 # Codewords are held in int64, so no code may be longer than this.
 MAX_CODE_LEN = 63
 
-# Fixed prefix code for granularity labels, cheapest symbol on coarse.
-_MAP_CODE = {COARSE: (1, 0b0), MEDIUM: (2, 0b10), FINE: (2, 0b11)}
-
 
 class BitstreamError(Exception):
     """Corrupt container, truncated payload or invalid prefix walk."""
-
-
-# ---------------------------------------------------------------------------
-# bit packing
-
-class BitWriter:
-    """MSB-first bit accumulator."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self.bit_length = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        self.bit_length += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._bytes.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        """Flush, zero-padding the final partial byte."""
-        out = bytes(self._bytes)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return out
-
-
-class BitReader:
-    """MSB-first bit cursor over a byte string."""
-
-    def __init__(self, data: bytes, bit_length: int | None = None):
-        self._data = data
-        self.pos = 0
-        self.limit = len(data) * 8 if bit_length is None else bit_length
-
-    def read_bit(self) -> int:
-        if self.pos >= self.limit:
-            raise BitstreamError("read past end of bit payload")
-        byte = self._data[self.pos >> 3]
-        bit = (byte >> (7 - (self.pos & 7))) & 1
-        self.pos += 1
-        return bit
 
 
 # ---------------------------------------------------------------------------
@@ -189,58 +144,48 @@ def weighted_total_bits(code: HuffmanCode, counts: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # payload coding
 
-def encode_indices(stream: np.ndarray, code: HuffmanCode, writer: BitWriter) -> int:
-    """Append one index stream to the writer; returns its bit length."""
-    start = writer.bit_length
-    lengths, words = code.lengths, code.codewords
-    for sym in np.asarray(stream).ravel():
-        s = int(sym)
-        if not 0 <= s < code.k:
-            raise BitstreamError(f"symbol {s} outside alphabet of size {code.k}")
-        writer.write(int(words[s]), int(lengths[s]))
-    return writer.bit_length - start
+# The granularity map's fixed canonical code over `COARSE - label`: lengths
+# (1, 2, 2) give coarse 0, medium 10 and fine 11.
+MAP_CODE = _canonical_code(np.array([1, 2, 2]))
 
 
-def decode_indices(reader: BitReader, count: int, code: HuffmanCode) -> np.ndarray:
-    """Read `count` symbols via a canonical prefix walk."""
+def prefix_encode(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
+    """Codewords of `symbols` in order, as a uint8 array of 0/1 bits."""
+    symbols = np.asarray(symbols, dtype=np.int64).ravel()
+    bad = symbols[(symbols < 0) | (symbols >= code.k)]
+    if bad.size:
+        raise BitstreamError(f"symbol {bad[0]} outside alphabet of size {code.k}")
+    # 64 bits per symbol, MSB first; keep the last `length` of each row
+    bits = np.unpackbits(code.codewords[symbols].astype(">u8").view(np.uint8))
+    keep = np.arange(64) >= 64 - code.lengths[symbols, None]
+    return bits.reshape(-1, 64)[keep]
+
+
+def prefix_decode(bits: list[int], pos: int, count: int,
+                  code: HuffmanCode) -> tuple[np.ndarray, int]:
+    """Read `count` symbols from `bits[pos:]` via a canonical prefix walk;
+    returns them and the position after the last one."""
     order, first_code = code.order, code.first_code
     first_index, count_by_len = code.first_index, code.count_by_len
     max_len = len(count_by_len) - 1
     out = np.empty(count, dtype=np.int32)
-    for n in range(count):
-        value = 0
-        length = 0
-        while True:
-            value = (value << 1) | reader.read_bit()
-            length += 1
-            if length > max_len:
-                raise BitstreamError("invalid prefix walk")
-            offset = value - first_code[length]
-            if 0 <= offset < count_by_len[length]:
-                out[n] = order[first_index[length] + offset]
-                break
-    return out
-
-
-def encode_granularity_map(gmap: np.ndarray, writer: BitWriter) -> int:
-    """Raster-order prefix coding of block labels; returns bit length."""
-    start = writer.bit_length
-    for label in np.asarray(gmap).ravel():
-        nbits, word = _MAP_CODE[int(label)]
-        writer.write(word, nbits)
-    return writer.bit_length - start
-
-
-def decode_granularity_map(reader: BitReader, blocks_y: int, blocks_x: int) -> np.ndarray:
-    labels = np.empty(blocks_y * blocks_x, dtype=np.uint8)
-    for n in range(labels.size):
-        if reader.read_bit() == 0:
-            labels[n] = COARSE
-        elif reader.read_bit() == 0:
-            labels[n] = MEDIUM
-        else:
-            labels[n] = FINE
-    return labels.reshape(blocks_y, blocks_x)
+    try:
+        for n in range(count):
+            value = 0
+            length = 0
+            while True:
+                value = (value << 1) | bits[pos]
+                pos += 1
+                length += 1
+                if length > max_len:
+                    raise BitstreamError("invalid prefix walk")
+                offset = value - first_code[length]
+                if 0 <= offset < count_by_len[length]:
+                    out[n] = order[first_index[length] + offset]
+                    break
+    except IndexError:
+        raise BitstreamError("read past end of bit payload") from None
+    return out, pos
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, bitstream, granularity, reconstruction, vq
-from .bitstream import BitReader, BitWriter, BitstreamError, Container, HuffmanCode
+from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
 from .granularity import (
     COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, MaskSet, RatioTriple, RateQueryTable)
 from .imaging import BLOCK, ImagePlane
@@ -63,17 +63,15 @@ def encode_with_map(session: CodecSession, img: ImagePlane,
     if gmap.shape != (by, bx):
         raise ValueError(f"granularity map shape {gmap.shape} != {(by, bx)}")
     _, streams = quantize_streams(session, img, gmap)
-    writer = BitWriter()
-    map_bits = bitstream.encode_granularity_map(gmap, writer)
-    index_bits = tuple(
-        bitstream.encode_indices(s, session.huffman, writer) for s in streams)
+    map_seg = bitstream.prefix_encode(COARSE - gmap.astype(np.int64), MAP_CODE)
+    index_segs = [bitstream.prefix_encode(s, session.huffman) for s in streams]
     return Container(
         true_w=img.true_w, true_h=img.true_h,
         padded_w=img.width, padded_h=img.height,
         codebook_hash=session.codebook.id_hash,
         ratios=granularity.map_ratios(gmap),
-        index_bits=index_bits, map_bits=map_bits,
-        payload=writer.getvalue(),
+        index_bits=tuple(seg.size for seg in index_segs), map_bits=map_seg.size,
+        payload=np.packbits(np.concatenate([map_seg, *index_segs])).tobytes(),
     )
 
 
@@ -96,18 +94,21 @@ def decode_streams(session: CodecSession,
         raise BitstreamError("container was encoded with a different codebook")
     by = container.padded_h // BLOCK
     bx = container.padded_w // BLOCK
-    reader = BitReader(container.payload, container.payload_bit_length)
-    gmap = bitstream.decode_granularity_map(reader, by, bx)
-    if reader.pos != container.map_bits:
+    bits = np.unpackbits(np.frombuffer(container.payload, dtype=np.uint8),
+                         count=container.payload_bit_length).tolist()
+    labels, pos = bitstream.prefix_decode(bits, 0, by * bx, MAP_CODE)
+    if pos != container.map_bits:
         raise BitstreamError("granularity map bit length mismatch")
+    gmap = (COARSE - labels).astype(np.uint8).reshape(by, bx)
     counts = granularity.label_counts(gmap)
     expected = [INDICES_PER_BLOCK[lbl] * counts[lbl] for lbl in (FINE, MEDIUM, COARSE)]
     streams = []
     for n_symbols, declared in zip(expected, container.index_bits):
-        start = reader.pos
-        streams.append(bitstream.decode_indices(reader, n_symbols, session.huffman))
-        if reader.pos - start != declared:
+        stream, end = bitstream.prefix_decode(bits, pos, n_symbols, session.huffman)
+        if end - pos != declared:
             raise BitstreamError("index segment bit length mismatch")
+        streams.append(stream)
+        pos = end
     return gmap, streams
 
 

@@ -94,12 +94,15 @@ def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> fl
 
 
 def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
-    """One entropy value per non-overlapping block, raster order (by, bx)."""
+    """One entropy value per non-overlapping block, raster order (by, bx).
+    Raises ValueError for a plane holding NaN or infinite samples."""
     b = cfg.block
     if img.height % b or img.width % b:
         raise ValueError("image not padded to block multiples")
     mass = _histogram_mass(img.samples, cfg)
     if mass is None:
+        if not np.isfinite(img.samples).all():
+            raise ValueError("image holds non-finite samples")
         return _row_entropy(img.samples, cfg)
     return _mass_entropy(mass)
 
@@ -116,7 +119,8 @@ def _histogram_mass(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray | Non
     mass = np.empty((by, bx, cfg.n_bins), dtype=np.float64)
     for row in range(by):  # one block row at a time keeps the keys in cache
         band = samples[row * b:(row + 1) * b]
-        codes = denormalize(band)
+        with np.errstate(invalid="ignore"):  # NaN fails the test below
+            codes = denormalize(band)
         if not np.array_equal(_LEVELS[codes], band):
             return None
         counts = np.bincount((block_key | codes).ravel(), minlength=bx * 256)

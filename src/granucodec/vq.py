@@ -189,12 +189,14 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
 def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
     with open(path, "rb") as f:
         data = f.read()
+    off = 4 + 5  # magic, then version, k and d
     if data[:4] != CODEBOOK_MAGIC:
         raise CodebookError(f"{path}: not a codebook file")
+    if len(data) < off:
+        raise CodebookError(f"{path}: truncated header ({len(data)} bytes)")
     version, k, d = struct.unpack_from("<BHH", data, 4)
     if version != CODEBOOK_VERSION:
         raise CodebookError(f"{path}: unsupported version {version}")
-    off = 4 + 5
     need = off + 4 * k * d + 8 * k + 8
     if len(data) != need:
         raise CodebookError(f"{path}: expected {need} bytes, got {len(data)}")

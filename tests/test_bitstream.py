@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from granucodec.bitstream import (
-    BitReader, BitWriter, BitstreamError, Container, build_huffman,
-    canonical_codewords, decode_granularity_map, decode_indices,
-    encode_granularity_map, encode_indices, kraft_sum, mean_code_length,
-    measure_rate, parse_container, serialize_container, weighted_total_bits,
+    MAP_CODE, BitstreamError, Container, build_huffman, canonical_codewords,
+    kraft_sum, mean_code_length, measure_rate, parse_container, prefix_decode,
+    prefix_encode, serialize_container, weighted_total_bits,
 )
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
@@ -122,17 +121,29 @@ class TestHuffman:
         assert words[2] == 0b111
 
 
+def bit_string_oracle(symbols, code):
+    """The codewords of `symbols` written out one at a time as a '0'/'1' string."""
+    return "".join(format(int(code.codewords[s]), f"0{int(code.lengths[s])}b")
+                   for s in symbols)
+
+
+def encode_map(gmap):
+    return prefix_encode(COARSE - np.asarray(gmap, dtype=np.int64), MAP_CODE)
+
+
+def decode_map(bits, by, bx):
+    labels, end = prefix_decode(bits, 0, by * bx, MAP_CODE)
+    return (COARSE - labels).astype(np.uint8).reshape(by, bx), end
+
+
 class TestIndexCoding:
     def test_empty_stream(self):
         code = build_huffman(np.ones(16, dtype=np.uint64))
-        w = BitWriter()
-        assert encode_indices(np.array([], dtype=np.int32), code, w) == 0
+        assert prefix_encode(np.array([], dtype=np.int32), code).size == 0
 
     def test_uniform_code_bit_count(self):
         code = build_huffman(np.ones(1024, dtype=np.uint64))
-        w = BitWriter()
-        bits = encode_indices(np.arange(16), code, w)
-        assert bits == 160
+        assert prefix_encode(np.arange(16), code).size == 160
 
     def test_roundtrip_random_streams(self):
         rng = np.random.default_rng(2)
@@ -141,58 +152,75 @@ class TestIndexCoding:
             counts = rng.integers(1, 100, size=k).astype(np.uint64)
             code = build_huffman(counts)
             stream = rng.integers(0, k, size=rng.integers(0, 500))
-            w = BitWriter()
-            encode_indices(stream, code, w)
-            r = BitReader(w.getvalue(), w.bit_length)
-            decoded = decode_indices(r, stream.size, code)
+            bits = prefix_encode(stream, code).tolist()
+            decoded, end = prefix_decode(bits, 0, stream.size, code)
             assert np.array_equal(decoded, stream)
+            assert end == len(bits)
+
+    def test_matches_bit_string_oracle(self):
+        rng = np.random.default_rng(4)
+        fib = [1, 1]
+        while len(fib) < 64:
+            fib.append(fib[-1] + fib[-2])
+        codes = [build_huffman(rng.integers(1, 1000, size=int(rng.integers(1, 300)))
+                               .astype(np.uint64)) for _ in range(20)]
+        codes.append(build_huffman(np.array(fib, dtype=np.uint64)))  # lengths 1..63
+        for code in codes:
+            stream = rng.integers(0, code.k, size=int(rng.integers(0, 400)))
+            stream = np.concatenate([stream, np.argsort(-code.lengths)[:3]])
+            bits = prefix_encode(stream, code)
+            assert bits.dtype == np.uint8
+            assert "".join(map(str, bits.tolist())) == bit_string_oracle(stream, code)
+        assert codes[-1].lengths.max() == 63
 
     def test_symbol_out_of_range(self):
         code = build_huffman(np.ones(4, dtype=np.uint64))
-        with pytest.raises(BitstreamError):
-            encode_indices(np.array([4]), code, BitWriter())
+        for bad in (4, -1):
+            with pytest.raises(BitstreamError):
+                prefix_encode(np.array([0, bad]), code)
 
     def test_truncated_payload(self):
         code = build_huffman(np.ones(16, dtype=np.uint64))
-        w = BitWriter()
-        encode_indices(np.array([1, 2, 3]), code, w)
-        r = BitReader(w.getvalue(), w.bit_length - 2)
-        with pytest.raises(BitstreamError):
-            decode_indices(r, 3, code)
+        bits = prefix_encode(np.array([1, 2, 3]), code).tolist()
+        with pytest.raises(BitstreamError, match="past end"):
+            prefix_decode(bits[:-2], 0, 3, code)
 
 
 class TestMapCoding:
+    def test_map_code_codewords(self):
+        # symbol COARSE - label: coarse 0, medium 10, fine 11
+        words = [format(int(w), f"0{int(l)}b")
+                 for w, l in zip(MAP_CODE.codewords, MAP_CODE.lengths)]
+        assert words == ["0", "10", "11"]
+        assert encode_map([[COARSE, MEDIUM, FINE]]).tolist() == [0, 1, 0, 1, 1]
+
     def test_all_coarse_one_bit_per_block(self):
         gmap = np.full((4, 4), COARSE, dtype=np.uint8)
-        w = BitWriter()
-        assert encode_granularity_map(gmap, w) == 16
+        assert encode_map(gmap).size == 16
 
     def test_fine_coarse_bits(self):
-        w = BitWriter()
-        encode_granularity_map(np.array([[FINE, COARSE]], dtype=np.uint8), w)
-        assert w.bit_length == 3
-        assert w.getvalue() == bytes([0b11000000])
+        bits = encode_map(np.array([[FINE, COARSE]], dtype=np.uint8))
+        assert bits.size == 3
+        assert np.packbits(bits).tobytes() == bytes([0b11000000])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             by, bx = rng.integers(1, 9, size=2)
             gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
-            w = BitWriter()
-            encode_granularity_map(gmap, w)
-            r = BitReader(w.getvalue(), w.bit_length)
-            assert np.array_equal(decode_granularity_map(r, by, bx), gmap)
+            bits = encode_map(gmap).tolist()
+            decoded, end = decode_map(bits, by, bx)
+            assert np.array_equal(decoded, gmap)
+            assert end == len(bits)
 
 
-def _container(payload_bits=12):
-    w = BitWriter()
-    w.write(0b1011_0110_1101, payload_bits)
+def _container():
     return Container(
         true_w=30, true_h=17, padded_w=32, padded_h=32,
         codebook_hash=0x0123456789ABCDEF,
         ratios=RatioTriple(0.25, 0.5, 0.25),
         index_bits=(4, 4, 0), map_bits=4,  # 4 blocks: 1 bit each
-        payload=w.getvalue(),
+        payload=bytes([0b1011_0110, 0b1101_0000]),  # 12 bits, zero-padded
     )
 
 

@@ -218,6 +218,20 @@ class TestCli:
         assert "error" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_decode_truncated_codebook_exits_cleanly(self, cli_env, tmp_path):
+        root, cb, ppm = cli_env
+        cgic = root / "trunc.cgic"
+        res = run_cli("encode", "--codebook", cb, "--input", ppm,
+                      "--out", cgic, "--ratios", "0.4,0.4,0.2")
+        assert res.returncode == 0, res.stderr
+        cut = tmp_path / "cut.cgcb"
+        cut.write_bytes(cb.read_bytes()[:6])  # magic passes, header does not
+        res = run_cli("decode", "--codebook", cut, "--input", cgic,
+                      "--out", tmp_path / "x.ppm")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
     def test_config_file_defaults(self, cli_env, tmp_path):
         root, cb, _ = cli_env
         conf = tmp_path / "granucodec.conf"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +152,12 @@ class TestEntropyMap:
                 for bx in range(2):
                     patch = samples[by * 16:(by + 1) * 16, bx * 16:(bx + 1) * 16]
                     assert emap[by, bx] == pytest.approx(patch_entropy(patch), abs=1e-9)
+
+    def test_non_finite_samples_rejected_without_warning(self):
+        samples = make_image("waves", 32, 32, seed=9).samples.copy()
+        for bad in (np.nan, np.inf):
+            samples[5, 7, 1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    entropy_map(imaging.ImagePlane(samples, 32, 32))

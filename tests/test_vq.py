@@ -172,3 +172,13 @@ class TestCodebookFile:
         path.write_bytes(bytes(data))
         with pytest.raises(CodebookError):
             load_codebook(path)
+
+    def test_truncated_header_rejected(self, tmp_path, cb16):
+        path = tmp_path / "cb.cgcb"
+        save_codebook(cb16, finalize_frequencies(FrequencyTable.zeros(16)), path)
+        data = path.read_bytes()
+        for n in range(9):  # shorter than magic + version + k + d
+            cut = tmp_path / f"cut{n}.cgcb"
+            cut.write_bytes(data[:n])
+            with pytest.raises(CodebookError):
+                load_codebook(cut)
