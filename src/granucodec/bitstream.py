@@ -6,10 +6,12 @@ coarse index streams. One canonical prefix encoder and one decoder serve all
 four segments. The index streams use the Huffman code of the shared
 frequency table; the map uses `MAP_CODE`, a fixed canonical code with
 lengths (1, 2, 2) over `COARSE - label`. A canonical code depends only on its
-per-symbol lengths: codewords are assigned in (length, symbol) order, so
-encoder and decoder agree given the lengths. The container header carries
-the bit length of each segment; a CRC32 over the header makes corruption
-loud.
+per-symbol lengths, so encoder and decoder agree given the lengths: in
+(length, symbol) order, each codeword is the Kraft sum of the codewords
+before it, scaled to its own length. Decoding extends a candidate codeword
+one bit at a time and looks it up in the code's codeword-to-symbol map. The
+container header carries the bit length of each segment; a CRC32 over the
+header makes corruption loud.
 """
 
 from __future__ import annotations
@@ -39,17 +41,12 @@ class BitstreamError(Exception):
 
 @dataclass(frozen=True)
 class HuffmanCode:
-    """Canonical prefix code: lengths, (length, symbol)-ordered codewords, and
-    the decode tables both are derived from."""
+    """Canonical prefix code: per-symbol lengths and codewords, and their
+    inverse."""
 
     lengths: np.ndarray  # (k,) int32
     codewords: np.ndarray  # (k,) int64
-    order: tuple[int, ...]  # symbols in (length, symbol) order
-    # indexed by code length 0..max_len: first codeword, its position in
-    # `order`, and the number of symbols of that length
-    first_code: tuple[int, ...]
-    first_index: tuple[int, ...]
-    count_by_len: tuple[int, ...]
+    symbols: dict[int, int]  # 1 << length | codeword -> symbol
 
     @property
     def k(self) -> int:
@@ -60,48 +57,34 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     k = counts.shape[0]
     if k == 1:
         return np.ones(1, dtype=np.int32)  # degenerate alphabet, 1 explicit bit
-    # heap entries: (weight, lowest contained symbol, node); merging prefers
-    # low aggregate symbol index on equal weight for determinism
-    heap = [(int(counts[s]), s, s) for s in range(k)]
+    # heap entries: (weight, lowest member symbol, members); merging prefers
+    # low aggregate symbol index on equal weight for determinism. The lowest
+    # symbol is unique among live nodes, so member lists are never compared.
+    heap = [(w, s, [s]) for s, w in enumerate(counts.tolist())]
     heapq.heapify(heap)
-    parent: dict[int, int] = {}
-    next_node = k
+    lengths = [0] * k
     while len(heap) > 1:
-        w1, m1, n1 = heapq.heappop(heap)
-        w2, m2, n2 = heapq.heappop(heap)
-        parent[n1] = next_node
-        parent[n2] = next_node
-        heapq.heappush(heap, (w1 + w2, min(m1, m2), next_node))
-        next_node += 1
-    lengths = np.zeros(k, dtype=np.int32)
-    for s in range(k):
-        node, depth = s, 0
-        while node in parent:
-            node = parent[node]
-            depth += 1
-        lengths[s] = depth
-    return lengths
+        w1, m1, members1 = heapq.heappop(heap)
+        w2, m2, members2 = heapq.heappop(heap)
+        members = members1 + members2
+        for s in members:  # every member moves one level deeper
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, min(m1, m2), members))
+    return np.array(lengths, dtype=np.int32)
 
 
 def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
-    """Assign codewords by (length, symbol index) and build the decode tables."""
+    """Assign codewords by (length, symbol index): each codeword is the Kraft
+    sum of the codewords before it, scaled to its own length."""
     lengths = np.asarray(lengths, dtype=np.int32)
-    order = np.argsort(lengths, kind="stable")
-    count_by_len = np.bincount(lengths, minlength=int(lengths.max(initial=0)) + 1).tolist()
-    first_code, first_index = [0], [0]
-    code = index = 0
-    for length in range(1, len(count_by_len)):
-        first_code.append(code)
-        first_index.append(index)
-        code = (code + count_by_len[length]) << 1
-        index += count_by_len[length]
-    sorted_len = lengths[order]
-    codewords = np.zeros(lengths.shape[0], dtype=np.int64)
-    codewords[order] = (np.array(first_code, dtype=np.int64)[sorted_len]
-                        + np.arange(lengths.shape[0])
-                        - np.array(first_index)[sorted_len])
-    return HuffmanCode(lengths, codewords, tuple(order.tolist()), tuple(first_code),
-                       tuple(first_index), tuple(count_by_len))
+    k = lengths.shape[0]
+    by_length = np.argsort(lengths, kind="stable")
+    shift = (int(lengths.max(initial=0)) - lengths[by_length]).astype(np.uint64)
+    step = np.uint64(1) << shift  # 2^-length in units of 2^-max_len
+    codewords = np.empty(k, dtype=np.int64)
+    codewords[by_length] = (np.cumsum(step, dtype=np.uint64) - step) >> shift
+    keys = (np.uint64(1) << lengths.astype(np.uint64)) | codewords.astype(np.uint64)
+    return HuffmanCode(lengths, codewords, dict(zip(keys.tolist(), range(k))))
 
 
 def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
@@ -163,26 +146,24 @@ def prefix_encode(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
 
 def prefix_decode(bits: list[int], pos: int, count: int,
                   code: HuffmanCode) -> tuple[np.ndarray, int]:
-    """Read `count` symbols from `bits[pos:]` via a canonical prefix walk;
-    returns them and the position after the last one."""
-    order, first_code = code.order, code.first_code
-    first_index, count_by_len = code.first_index, code.count_by_len
-    max_len = len(count_by_len) - 1
+    """Read `count` symbols from `bits[pos:]`, extending each codeword one bit
+    at a time until it is one of the code's; returns them and the position
+    after the last one."""
+    symbols = code.symbols
+    limit = 1 << int(code.lengths.max())
     out = np.empty(count, dtype=np.int32)
     try:
         for n in range(count):
-            value = 0
-            length = 0
+            key = 1  # sentinel bit: keeps the codeword's length in the key
             while True:
-                value = (value << 1) | bits[pos]
+                key = (key << 1) | bits[pos]
                 pos += 1
-                length += 1
-                if length > max_len:
-                    raise BitstreamError("invalid prefix walk")
-                offset = value - first_code[length]
-                if 0 <= offset < count_by_len[length]:
-                    out[n] = order[first_index[length] + offset]
+                symbol = symbols.get(key)
+                if symbol is not None:
+                    out[n] = symbol
                     break
+                if key >= limit:
+                    raise BitstreamError("invalid prefix walk")
     except IndexError:
         raise BitstreamError("read past end of bit payload") from None
     return out, pos
@@ -191,8 +172,10 @@ def prefix_decode(bits: list[int], pos: int, count: int,
 # ---------------------------------------------------------------------------
 # container
 
-_HEADER_FMT = "<4sB4I Q 3H 4I I"  # magic..map bits, then crc32
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT.replace(" ", ""))
+# magic, version, true and padded w/h, codebook hash, ratio parts p1..p3,
+# fine/medium/coarse/map bit lengths; the CRC32 of these bytes follows
+_HEADER = struct.Struct("<4sB4IQ3H4I")
+_HEADER_SIZE = _HEADER.size + 4
 
 
 @dataclass(frozen=True)
@@ -228,30 +211,27 @@ def _ratio_parts(ratios: RatioTriple) -> tuple[int, int, int]:
 
 def serialize_container(c: Container) -> bytes:
     p1, p2, p3 = _ratio_parts(c.ratios)
-    header = struct.pack(
-        "<4sB4IQ3H4I",
+    header = _HEADER.pack(
         CONTAINER_MAGIC, CONTAINER_VERSION,
         c.true_w, c.true_h, c.padded_w, c.padded_h,
         c.codebook_hash, p1, p2, p3,
         c.index_bits[0], c.index_bits[1], c.index_bits[2], c.map_bits,
     )
-    header += struct.pack("<I", zlib.crc32(header))
+    header += zlib.crc32(header).to_bytes(4, "little")
     return header + c.payload
 
 
 def parse_container(data: bytes) -> Container:
     if len(data) < _HEADER_SIZE:
         raise BitstreamError("container shorter than header")
-    base = _HEADER_SIZE - 4
     (magic, version, true_w, true_h, padded_w, padded_h, cb_hash,
-     p1, p2, p3, bits_f, bits_m, bits_c, map_bits) = struct.unpack_from(
-        "<4sB4IQ3H4I", data, 0)
-    (crc,) = struct.unpack_from("<I", data, base)
+     p1, p2, p3, bits_f, bits_m, bits_c, map_bits) = _HEADER.unpack_from(data)
+    crc = int.from_bytes(data[_HEADER.size:_HEADER_SIZE], "little")
     if magic != CONTAINER_MAGIC:
         raise BitstreamError(f"bad magic {magic!r}")
     if version != CONTAINER_VERSION:
         raise BitstreamError(f"unsupported version {version}")
-    if crc != zlib.crc32(data[:base]):
+    if crc != zlib.crc32(data[:_HEADER.size]):
         raise BitstreamError("header CRC mismatch")
     if padded_w % 16 or padded_h % 16:
         raise BitstreamError("padded dims not multiples of 16")

@@ -25,19 +25,30 @@ def _load_config(path: str | None) -> dict[str, str]:
     path = path or CONFIG_FILE
     conf: dict[str, str] = {}
     if os.path.exists(path):
-        with open(path) as f:
-            for line in f:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise SystemExit(f"{path}: bad config line {line!r}")
-                key, value = line.split("=", 1)
-                conf[key.strip()] = value.strip()
+        with open(path, encoding="utf-8") as f:
+            try:
+                lines = f.readlines()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}: bad config line {line!r}")
+            key, value = line.split("=", 1)
+            conf[key.strip()] = value.strip()
     return conf
 
+
 def _conf_default(conf: dict[str, str], key: str, fallback, cast=str):
-    return cast(conf[key]) if key in conf else fallback
+    if key not in conf:
+        return fallback
+    try:
+        return cast(conf[key])
+    except ValueError:
+        raise ValueError(f"config key {key}={conf[key]!r} is not a valid "
+                         f"{cast.__name__}") from None
 
 
 def _parse_ratios(text: str) -> RatioTriple:
@@ -235,9 +246,8 @@ def main(argv: list[str] | None = None) -> int:
             config_path = argv[i + 1]
         elif arg.startswith("--config="):
             config_path = arg.split("=", 1)[1]
-    conf = _load_config(config_path)
-    args = build_parser(conf).parse_args(argv)
     try:
+        args = build_parser(_load_config(config_path)).parse_args(argv)
         return args.func(args)
     except (imaging.ImageError, vq.CodebookError, bitstream.BitstreamError,
             ValueError, OSError) as exc:

@@ -43,7 +43,6 @@ def _default_sigma(n_bins: int) -> float:
 class EntropyConfig:
     n_bins: int = 32
     sigma: float | None = None  # None -> bin spacing 2/(n-1)
-    block: int = BLOCK
 
     def __post_init__(self):
         if self.n_bins < 2:
@@ -96,8 +95,7 @@ def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> fl
 def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
     """One entropy value per non-overlapping block, raster order (by, bx).
     Raises ValueError for a plane holding NaN or infinite samples."""
-    b = cfg.block
-    if img.height % b or img.width % b:
+    if img.height % BLOCK or img.width % BLOCK:
         raise ValueError("image not padded to block multiples")
     mass = _histogram_mass(img.samples, cfg)
     if mass is None:
@@ -111,7 +109,7 @@ def _histogram_mass(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray | Non
     """(by, bx, n_bins) bin mass of each block of a padded (H, W, C) plane
     from its 8-bit level counts, or None if any sample is not exactly one of
     the 256 levels."""
-    b = cfg.block
+    b = BLOCK
     h, w, c = samples.shape
     by, bx = h // b, w // b
     table = _affinity(_LEVELS.astype(np.float64), cfg)  # (256, n_bins)
@@ -130,7 +128,7 @@ def _histogram_mass(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray | Non
 
 def _row_entropy(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     """Entropy map of any padded (H, W, C) plane, kernel evaluated per sample."""
-    b = cfg.block
+    b = BLOCK
     h, w = samples.shape[:2]
     by, bx = h // b, w // b
     # (by, bx, b*b*channels): each row is one patch's pooled sample set

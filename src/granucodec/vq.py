@@ -124,16 +124,25 @@ def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -
         d2 = np.minimum(d2, ((corpus - centers[i]) ** 2).sum(axis=1))
 
     for _ in range(iters):
-        assign, d2 = _assign(corpus, centers)
-        for i in range(k):
-            members = assign == i
-            if members.any():
-                centers[i] = corpus[members].mean(axis=0)
-            else:
-                far = int(d2.argmax())
-                centers[i] = corpus[far]
-                d2[far] = 0.0
+        _update_centers(corpus, *_assign(corpus, centers), centers)
     return Codebook(centers.astype(np.float32))
+
+
+def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,
+                    centers: np.ndarray) -> None:
+    """One Lloyd update, in place: each center moves to the mean of its
+    members; empty clusters, in ascending order, each take the point then
+    farthest from its center, whose distance is then zeroed."""
+    k = centers.shape[0]
+    sizes = np.bincount(assign, minlength=k)
+    live = sizes > 0
+    for j in range(corpus.shape[1]):  # sums in corpus order, as mean() adds them
+        sums = np.bincount(assign, weights=corpus[:, j], minlength=k)
+        centers[live, j] = sums[live] / sizes[live]
+    for i in np.flatnonzero(~live):
+        far = int(d2.argmax())
+        centers[i] = corpus[far]
+        d2[far] = 0.0
 
 
 def _assign(points: np.ndarray, centers: np.ndarray):

@@ -55,6 +55,26 @@ class TestHuffman:
         assert weighted_total_bits(code, [5, 2, 1, 1]) == 15
         assert mean_code_length(code) == 2.25
 
+    @pytest.mark.parametrize("counts,words", [
+        ([1] * 5, ["110", "111", "00", "01", "10"]),
+        ([1] * 6, ["100", "101", "110", "111", "00", "01"]),
+        ([1] * 7, ["010", "011", "100", "101", "110", "111", "00"]),
+        ([1] * 100, [format(w, "07b") for w in range(56, 128)]
+         + [format(w, "06b") for w in range(28)]),
+        ([1, 1, 2, 2, 4, 4], ["1110", "1111", "110", "00", "01", "10"]),
+        ([2, 1, 1, 2, 1, 1], ["00", "100", "101", "01", "110", "111"]),
+        ([3, 3, 1, 1, 2, 2, 5, 5],
+         ["100", "101", "11110", "11111", "1110", "110", "00", "01"]),
+        ([1, 2, 1, 1], ["110", "0", "111", "10"]),  # a merged node's lowest
+        ([2, 2, 3, 1], ["110", "10", "0", "111"]),  # symbol breaks the tie
+    ])
+    def test_tie_heavy_tables_pinned(self, counts, words):
+        # equal weights merge the node holding the lowest symbol first; these
+        # per-symbol lengths and codewords are the container format's
+        code = build_huffman(np.array(counts, dtype=np.uint64))
+        assert [format(int(w), f"0{int(l)}b")
+                for w, l in zip(code.codewords, code.lengths)] == words
+
     def test_single_symbol_length_one(self):
         code = build_huffman(np.array([42], dtype=np.uint64))
         assert code.lengths.tolist() == [1]
@@ -178,6 +198,12 @@ class TestIndexCoding:
         for bad in (4, -1):
             with pytest.raises(BitstreamError):
                 prefix_encode(np.array([0, bad]), code)
+
+    @pytest.mark.parametrize("bits", [[1], [1, 0]])
+    def test_invalid_prefix_walk(self, bits):
+        code = build_huffman(np.array([42], dtype=np.uint64))  # one codeword: 0
+        with pytest.raises(BitstreamError, match="invalid prefix walk"):
+            prefix_decode(bits, 0, 1, code)
 
     def test_truncated_payload(self):
         code = build_huffman(np.ones(16, dtype=np.uint64))

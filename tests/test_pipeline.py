@@ -241,6 +241,22 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert len(out.read_text().strip().splitlines()) == 1 + 6
 
+    @pytest.mark.parametrize("content", [
+        b"k=abc\n",  # a value its option cannot take
+        b"step=0.5\nk=\xff\xfe\n",  # not UTF-8
+        None,  # --config names a directory
+    ], ids=["bad_value", "not_utf8", "directory"])
+    def test_bad_config_exits_cleanly(self, tmp_path, content):
+        conf = tmp_path / "granucodec.conf"
+        if content is None:
+            conf.mkdir()
+        else:
+            conf.write_bytes(content)
+        res = run_cli("--config", conf, "inspect", "--input", tmp_path / "x.cgic")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
     def test_determinism_across_runs(self, cli_env):
         root, cb, ppm = cli_env
         a, b = root / "a.cgic", root / "b.cgic"

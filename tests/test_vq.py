@@ -4,7 +4,7 @@ import pytest
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, accumulate_frequencies,
     finalize_frequencies, kmeans_distortion, load_codebook, lookup, quantize,
-    save_codebook, train_codebook,
+    _assign, _update_centers, save_codebook, train_codebook,
 )
 
 
@@ -101,6 +101,28 @@ class TestTraining:
             d = kmeans_distortion(corpus, train_codebook(corpus, k=8, iters=iters, seed=9))
             assert d <= prev + 1e-9
             prev = d
+
+    def test_update_matches_per_cluster_loop(self):
+        # 3000 draws from 200 points; every third center starts far away, so
+        # those clusters are empty and reseeded
+        rng = np.random.default_rng(8)
+        corpus = rng.standard_normal((200, 4))[rng.integers(0, 200, size=3000)]
+        for _ in range(5):
+            centers = corpus[rng.choice(3000, size=24, replace=False)].copy()
+            centers[::3] += 1e3
+            assign, d2 = _assign(corpus, centers)
+            want, want_d2 = centers.copy(), d2.copy()
+            for i in range(24):
+                members = assign == i
+                if members.any():
+                    want[i] = corpus[members].mean(axis=0)
+                else:
+                    far = int(want_d2.argmax())
+                    want[i] = corpus[far]
+                    want_d2[far] = 0.0
+            _update_centers(corpus, assign, d2, centers)
+            assert np.array_equal(centers, want)
+            assert np.array_equal(d2, want_d2)
 
     def test_corpus_too_small(self):
         with pytest.raises(ValueError):
