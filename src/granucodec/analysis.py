@@ -15,8 +15,8 @@ from .imaging import ImagePlane, avg_pool
 
 def pyramid(img: ImagePlane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a padded image to its (z1, z2, z3) float32 feature grids."""
-    px = img.samples.astype(np.float64)
-    lum = px.mean(axis=2)
+    # float64 accumulators add the float32 samples exactly: no float64 copy
+    lum = img.samples.mean(axis=2, dtype=np.float64)
 
     def grid(scale: int, means: np.ndarray) -> np.ndarray:
         h, w = lum.shape
@@ -28,7 +28,7 @@ def pyramid(img: ImagePlane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     # Means at medium/coarse are pooled from the fine means so the
     # cross-scale pooling identity holds bit-exactly.
-    m1 = avg_pool(px, 4).astype(np.float32)
+    m1 = avg_pool(img.samples, 4)
     z1 = grid(4, m1)
     z2 = grid(8, avg_pool(m1, 2))
     z3 = grid(16, avg_pool(m1, 4))

@@ -31,6 +31,12 @@ CONTAINER_VERSION = 1
 # Codewords are held in int64, so no code may be longer than this.
 MAX_CODE_LEN = 63
 
+# Largest padded image, in pixels, a container may declare: 8192^2. Decoding
+# peaks near 19 bytes per padded pixel, about 1.3 GB at the cap, so a small
+# hostile header cannot ask for more (Pillow's MAX_IMAGE_PIXELS plays this
+# role for its decoders).
+MAX_PIXELS = 1 << 26
+
 
 class BitstreamError(Exception):
     """Corrupt container, truncated payload or invalid prefix walk."""
@@ -244,6 +250,9 @@ def parse_container(data: bytes) -> Container:
     blocks = padded_w * padded_h // 256
     if not blocks <= map_bits <= 2 * blocks:  # 1 or 2 bits per block label
         raise BitstreamError(f"map bit length {map_bits} impossible for {blocks} blocks")
+    if padded_w * padded_h > MAX_PIXELS:
+        raise BitstreamError(f"{padded_w}x{padded_h} padded pixels exceed the "
+                             f"{MAX_PIXELS}-pixel limit")
     payload = data[_HEADER_SIZE:]
     total_bits = map_bits + bits_f + bits_m + bits_c
     if len(payload) != (total_bits + 7) // 8:

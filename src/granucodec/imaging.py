@@ -146,8 +146,7 @@ def avg_pool(grid: np.ndarray, factor: int) -> np.ndarray:
 
 def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
     """Duplicate each cell into a factor x factor block (nearest neighbor)."""
-    up = np.repeat(np.repeat(grid, factor, axis=0), factor, axis=1)
-    return up
+    return np.repeat(grid, factor, axis=1).repeat(factor, axis=0)
 
 
 def psnr(a: ImagePlane, b: ImagePlane) -> float:

@@ -55,10 +55,18 @@ def quantize_streams(session: CodecSession, img: ImagePlane,
     return masks, vq.quantize_masked(analysis.pyramid(img), masks, session.codebook)
 
 
+def _check_decodable(img: ImagePlane) -> None:
+    """Refuse a plane whose container no decoder would read."""
+    if img.height * img.width > bitstream.MAX_PIXELS:
+        raise ValueError(f"{img.width}x{img.height} padded pixels exceed the "
+                         f"{bitstream.MAX_PIXELS}-pixel limit")
+
+
 def encode_with_map(session: CodecSession, img: ImagePlane,
                     gmap: np.ndarray) -> Container:
     """Encode with an explicit granularity map (the planner normally
     supplies it; tests and manual overrides can too)."""
+    _check_decodable(img)
     by, bx = img.height // BLOCK, img.width // BLOCK
     if gmap.shape != (by, bx):
         raise ValueError(f"granularity map shape {gmap.shape} != {(by, bx)}")
@@ -80,6 +88,7 @@ def encode_image(session: CodecSession, img: ImagePlane,
                  target_bpp: float | None = None) -> Container:
     if (ratios is None) == (target_bpp is None):
         raise ValueError("give exactly one of ratios or target_bpp")
+    _check_decodable(img)
     if ratios is None:
         ratios = granularity.ratios_for_target(session.rate_table, target_bpp)
     emap = entropy_map(img, session.entropy_cfg)

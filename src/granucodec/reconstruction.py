@@ -22,20 +22,13 @@ def _up2(grid: np.ndarray) -> np.ndarray:
     return nn_upsample(grid, 2)
 
 
-def _mean_rgb_painter(y3: np.ndarray) -> np.ndarray:
-    """Fill each 4x4 pixel block with the cell's mean-RGB channels."""
-    rgb = np.clip(y3[..., :3], -1.0, 1.0)
-    return nn_upsample(rgb, 4).astype(np.float32)
-
-
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """Decoder layers: d1, d2 upscale x2; painter maps the fine feature grid
-    to pixels. Tests substitute layers to check replacement exactness."""
+    """Decoder layers: d1, d2 upscale x2. Tests substitute layers to check
+    replacement exactness."""
 
     d1: Callable[[np.ndarray], np.ndarray] = _up2
     d2: Callable[[np.ndarray], np.ndarray] = _up2
-    painter: Callable[[np.ndarray], np.ndarray] = _mean_rgb_painter
 
 
 DEFAULT_SYNTHESIS = SynthesisSpec()
@@ -68,8 +61,9 @@ def conditional_decode(z_hat: np.ndarray, masks: MaskSet,
     return y3
 
 
-def synthesize_image(y3: np.ndarray, true_h: int, true_w: int,
-                     spec: SynthesisSpec = DEFAULT_SYNTHESIS) -> ImagePlane:
-    """Paint pixels from the fine feature grid; samples stay in [-1, 1]."""
-    pixels = np.clip(spec.painter(y3), -1.0, 1.0).astype(np.float32)
-    return ImagePlane(pixels, true_h=true_h, true_w=true_w)
+def synthesize_image(y3: np.ndarray, true_h: int, true_w: int) -> ImagePlane:
+    """Fill each 4x4 pixel block with its fine cell's mean-RGB channels,
+    clamped to [-1, 1]. Clamping and casting on the fine grid leaves one
+    full-size allocation, the upsampled output."""
+    rgb = np.clip(y3[..., :3], -1.0, 1.0).astype(np.float32, copy=False)
+    return ImagePlane(nn_upsample(rgb, 4), true_h=true_h, true_w=true_w)

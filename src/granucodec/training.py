@@ -34,8 +34,8 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
                    freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
                    ) -> tuple[Codebook, FrequencyTable]:
     """Train a codebook and its finalized usage-frequency table."""
-    if k > vq.MAX_K:
-        raise ValueError(f"k={k} exceeds the codebook format's limit of {vq.MAX_K}")
+    if not 1 <= k <= vq.MAX_K:
+        raise ValueError(f"k={k} is outside 1..{vq.MAX_K}, the codebook format's range")
     pyramids = [analysis.pyramid(img) for img in images]
     cells = _stack_cells(pyramids)
     if max_samples is not None and cells.shape[0] > max_samples:

@@ -151,7 +151,10 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     c2 = (centers ** 2).sum(axis=1)
     for start in range(0, points.shape[0], _QUANT_CHUNK):
         chunk = points[start:start + _QUANT_CHUNK]
-        dists = (chunk ** 2).sum(axis=1)[:, None] - 2.0 * chunk @ centers.T + c2[None, :]
+        # x^2 - 2x.c + c^2, evaluated in the GEMM's own output
+        dists = 2.0 * chunk @ centers.T
+        np.subtract((chunk ** 2).sum(axis=1)[:, None], dists, out=dists)
+        dists += c2
         assign[start:start + _QUANT_CHUNK] = dists.argmin(axis=1)
         best[start:start + _QUANT_CHUNK] = dists.min(axis=1)
     return assign, np.maximum(best, 0.0)

@@ -1,5 +1,7 @@
 """Shared fixtures: synthetic desk images and a trained codec session."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
 
 def make_image(kind: str, h: int, w: int, seed: int) -> imaging.ImagePlane:
     return imaging.from_raw(make_raw(kind, h, w, seed))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated (numpy buffers included) while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def desk_corpus(n: int = 20, size: int = 512) -> list:

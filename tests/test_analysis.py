@@ -4,7 +4,7 @@ import pytest
 from granucodec.analysis import pyramid
 from granucodec.imaging import avg_pool, from_raw
 
-from conftest import make_image
+from conftest import make_image, traced_peak
 
 
 @pytest.fixture
@@ -53,3 +53,9 @@ class TestPyramid:
         b = pyramid(photo)
         for ga, gb in zip(a, b):
             assert np.array_equal(ga, gb)
+
+    def test_peak_memory_per_pixel(self):
+        # luminance and 4x4 means accumulate in float64 from the float32
+        # samples; a float64 copy of the image alone would be 24 B/px
+        img = make_image("photo", 512, 512, seed=12)
+        assert traced_peak(pyramid, img) <= 20 * 512 * 512

@@ -9,7 +9,24 @@ from granucodec import bitstream, granularity, imaging, pipeline, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
 from granucodec.granularity import COARSE, FINE, RatioTriple
 
-from conftest import make_image, make_raw
+from conftest import make_image, make_raw, traced_peak
+
+
+def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
+    """A CRC-valid, self-consistent all-coarse container one block row over
+    the pixel cap (8208x8192), and the k=1 codebook it decodes with: every
+    map label and every index is the one-bit codeword 0, so the payload is
+    all zero bytes."""
+    cb = vq.Codebook(np.zeros((1, 4), dtype=np.float32))
+    tbl = vq.finalize_frequencies(vq.FrequencyTable.zeros(1))
+    h, w = 8208, 8192
+    assert h * w > bitstream.MAX_PIXELS >= (h - 16) * w
+    blocks = h * w // 256
+    c = bitstream.Container(
+        true_w=w, true_h=h, padded_w=w, padded_h=h, codebook_hash=cb.id_hash,
+        ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, blocks), map_bits=blocks,
+        payload=bytes(2 * blocks // 8))
+    return serialize_container(c), cb, tbl
 
 
 class TestEncodeDecode:
@@ -80,6 +97,37 @@ class TestEncodeDecode:
             vq.FrequencyTable(small_session.frequencies.counts.copy(), smoothed=True))
         with pytest.raises(BitstreamError):
             pipeline.decode_image(other, c)
+
+    @pytest.mark.parametrize("size, ratios", [
+        (512, RatioTriple(0.70, 0.25, 0.05)),  # the benchmark's hirate ratios
+        (1024, RatioTriple(0, 0, 1)),
+    ], ids=["hirate_512", "coarse_1024"])
+    def test_decode_peak_memory_per_pixel(self, small_session, size, ratios):
+        # the float32 output is 12 B/px; the rest is the column-repeat
+        # intermediate and the fine-grid feature arrays
+        img = make_image("photo", size, size, seed=46)
+        c = pipeline.encode_image(small_session, img, ratios=ratios)
+        peak = traced_peak(pipeline.decode_image, small_session, c)
+        assert peak <= 20 * size * size
+
+    def test_container_over_pixel_cap_rejected(self):
+        data, _, _ = over_cap_container()
+
+        def rejected():
+            with pytest.raises(BitstreamError, match="limit"):
+                parse_container(data)
+
+        assert traced_peak(rejected) < 2 * len(data)
+
+    def test_encode_over_pixel_cap_rejected(self, small_session):
+        # broadcast_to allocates nothing: the plane must be refused unread
+        samples = np.broadcast_to(np.float32(0), (8208, 8192, 3))
+        img = imaging.ImagePlane(samples, true_h=8208, true_w=8192)
+        with pytest.raises(ValueError, match="limit"):
+            pipeline.encode_image(small_session, img, ratios=RatioTriple(0, 0, 1))
+        with pytest.raises(ValueError, match="limit"):
+            pipeline.encode_with_map(small_session, img,
+                                     np.full((513, 512), COARSE, dtype=np.uint8))
 
     def test_constant_image_exact_roundtrip(self):
         from granucodec import training
@@ -189,6 +237,25 @@ class TestCli:
                       "--out", tmp_path / "x.ppm")
         assert res.returncode == 1
         assert "error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_decode_over_pixel_cap_exits_cleanly(self, tmp_path):
+        data, cb, tbl = over_cap_container()
+        cb_path, cgic = tmp_path / "k1.cgcb", tmp_path / "big.cgic"
+        vq.save_codebook(cb, tbl, cb_path)
+        cgic.write_bytes(data)
+        res = run_cli("decode", "--codebook", cb_path, "--input", cgic,
+                      "--out", tmp_path / "x.ppm")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    def test_train_codebook_k_zero_exits_cleanly(self, cli_env, tmp_path):
+        root, _, _ = cli_env
+        res = run_cli("train-codebook", "--corpus", root / "corpus", "--k", 0,
+                      "--out", tmp_path / "k0.cgcb")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
 
     def test_encode_huge_declared_ppm_exits_cleanly(self, cli_env, tmp_path):

@@ -28,3 +28,9 @@ def test_pyramid_built_once_per_image(images, monkeypatch):
 def test_k_above_codebook_format_limit_rejected(images):
     with pytest.raises(ValueError, match="65535"):
         training.train_codebook(images, k=65536)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(images, k):
+    with pytest.raises(ValueError, match=r"outside 1\.\.65535"):
+        training.train_codebook(images, k=k)
