@@ -15,12 +15,12 @@ from .imaging import ImagePlane, avg_pool
 
 def pyramid(img: ImagePlane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a padded image to its (z1, z2, z3) float32 feature grids."""
-    # float64 accumulators add the float32 samples exactly: no float64 copy
-    lum = img.samples.mean(axis=2, dtype=np.float64)
+    # R + G + B in float64, in the order mean(axis=2) adds them: no float64 copy
+    r, g, b = np.moveaxis(img.samples, 2, 0)
+    lum = (r.astype(np.float64) + g + b) / 3
 
     def grid(scale: int, means: np.ndarray) -> np.ndarray:
-        h, w = lum.shape
-        blocks = lum.reshape(h // scale, scale, w // scale, scale)
+        blocks = lum.reshape(lum.shape[0] // scale, scale, -1, scale)
         mu = blocks.mean(axis=(1, 3))
         var = ((blocks - mu[:, None, :, None]) ** 2).mean(axis=(1, 3))
         std = np.sqrt(var)

@@ -51,12 +51,12 @@ def _conf_default(conf: dict[str, str], key: str, fallback, cast=str):
                          f"{cast.__name__}") from None
 
 
-def _parse_ratios(text: str) -> RatioTriple:
+def _parse_ratios(text: str, flag: str = "--ratios") -> RatioTriple:
     try:
         r1, r2, r3 = (float(p) for p in text.split(","))
         return RatioTriple(r1, r2, r3)
     except ValueError as exc:
-        raise SystemExit(f"bad --ratios {text!r}: {exc}")
+        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def _session(args) -> pipeline.CodecSession:
@@ -64,16 +64,16 @@ def _session(args) -> pipeline.CodecSession:
 
 
 def cmd_train_codebook(args) -> int:
+    freq_ratios = _parse_ratios(args.freq_ratios, "--freq-ratios")
     paths = sorted(
         os.path.join(args.corpus, n) for n in os.listdir(args.corpus)
         if n.lower().endswith(".ppm"))
     if not paths:
-        raise SystemExit(f"no .ppm files in {args.corpus}")
+        raise ValueError(f"no .ppm files in {args.corpus}")
     images = [imaging.load_ppm(p) for p in paths]
     cb, tbl = training.train_codebook(
         images, k=args.k, seed=args.seed, iters=args.iters,
-        max_samples=args.max_samples,
-        freq_ratios=_parse_ratios(args.freq_ratios))
+        max_samples=args.max_samples, freq_ratios=freq_ratios)
     vq.save_codebook(cb, tbl, args.out)
     print(f"trained k={cb.k} d={cb.d} codebook from {len(images)} images -> {args.out}")
     return 0
@@ -83,7 +83,7 @@ def cmd_encode(args) -> int:
     session = _session(args)
     img = imaging.load_ppm(args.input)
     if (args.ratios is None) == (args.bpp is None):
-        raise SystemExit("give exactly one of --ratios or --bpp")
+        raise ValueError("give exactly one of --ratios or --bpp")
     container = pipeline.encode_image(
         session, img,
         ratios=_parse_ratios(args.ratios) if args.ratios else None,
@@ -111,7 +111,7 @@ def cmd_stats(args) -> int:
     session = _session(args)
     img = imaging.load_ppm(args.input)
     if (args.ratios is None) == (args.bpp is None):
-        raise SystemExit("give exactly one of --ratios or --bpp")
+        raise ValueError("give exactly one of --ratios or --bpp")
     ratios = (_parse_ratios(args.ratios) if args.ratios
               else granularity.ratios_for_target(session.rate_table, args.bpp))
     container = pipeline.encode_image(session, img, ratios=ratios)

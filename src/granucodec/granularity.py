@@ -25,6 +25,9 @@ LABEL_NAMES = {FINE: "fine", MEDIUM: "medium", COARSE: "coarse"}
 # Indices per 16x16 block at each granularity.
 INDICES_PER_BLOCK = {FINE: 16, MEDIUM: 4, COARSE: 1}
 
+# Finest rate-table lattice, 1/step: a 16 MB index grid and 501,501 rows.
+MAX_RATE_STEPS = 1000
+
 
 @dataclass(frozen=True)
 class RatioTriple:
@@ -121,6 +124,8 @@ def build_rate_table(mean_code_len: float, step: float = 0.01) -> RateQueryTable
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     n = round(1.0 / step)
+    if n > MAX_RATE_STEPS:
+        raise ValueError(f"step {step} is finer than 1/{MAX_RATE_STEPS}")
     i, j = np.mgrid[0:n + 1, 0:n + 1].reshape(2, -1)  # i/n = r1, j/n = r2
     keep = i + j <= n
     ratios = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1) / n

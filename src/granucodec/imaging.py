@@ -1,8 +1,9 @@
 """Image I/O, normalization, padding and the pooling primitives used everywhere.
 
-Pixels live in [-1, 1] as float32; all pooling sums accumulate in float64 so
-results are deterministic across platforms. PSNR is reported on de-normalized
-0-255 values with peak 255, cropped to the true (pre-padding) dimensions.
+Pixels live in [-1, 1] as float32; pooling sums them in float64 in an order
+written in the code, not left to numpy's iterator, so results are
+deterministic across platforms. PSNR is reported on de-normalized 0-255
+values with peak 255, cropped to the true (pre-padding) dimensions.
 """
 
 from __future__ import annotations
@@ -133,15 +134,20 @@ def save_ppm(img: ImagePlane, path) -> None:
 
 
 def avg_pool(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Mean over factor x factor cells, per channel. Exact for constants."""
+    """Mean over factor x factor cells, per channel. Exact for constants.
+
+    Each cell's samples are added into a float64 total from +0.0 in row-major
+    order, then divided by factor**2. The order is written here, not left to
+    numpy's iterator; for float32 grids of several channels it is the order
+    in which mean(axis=(1, 3), dtype=float64) over a 5-D cell view adds them
+    (for one channel numpy sums each cell row pairwise first)."""
     h, w = grid.shape[:2]
     if h % factor or w % factor:
         raise ValueError(f"dims {h}x{w} not divisible by {factor}")
-    shaped = grid.reshape(h // factor, factor, w // factor, factor, -1)
-    pooled = shaped.mean(axis=(1, 3), dtype=np.float64)
-    if grid.ndim == 2:
-        pooled = pooled[..., 0]
-    return pooled.astype(grid.dtype)
+    total = np.zeros_like(grid[::factor, ::factor], dtype=np.float64)
+    for i, j in np.ndindex(factor, factor):
+        total += grid[i::factor, j::factor]
+    return (total / factor ** 2).astype(grid.dtype)
 
 
 def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:

@@ -21,7 +21,7 @@ CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
 MAX_K = 0xFFFF  # the file stores k (and d) as uint16
 
-_QUANT_CHUNK = 4096  # cells per distance-matrix chunk
+_DIST_BLOCK_BYTES = 2 << 20  # size of one block of cell-to-code distances
 
 
 class CodebookError(Exception):
@@ -149,14 +149,15 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     assign = np.empty(points.shape[0], dtype=np.int32)
     best = np.empty(points.shape[0], dtype=np.float64)
     c2 = (centers ** 2).sum(axis=1)
-    for start in range(0, points.shape[0], _QUANT_CHUNK):
-        chunk = points[start:start + _QUANT_CHUNK]
+    step = max(1, _DIST_BLOCK_BYTES // c2.nbytes)  # cells per distance block
+    for start in range(0, points.shape[0], step):
+        chunk = points[start:start + step]
         # x^2 - 2x.c + c^2, evaluated in the GEMM's own output
         dists = 2.0 * chunk @ centers.T
         np.subtract((chunk ** 2).sum(axis=1)[:, None], dists, out=dists)
         dists += c2
-        assign[start:start + _QUANT_CHUNK] = dists.argmin(axis=1)
-        best[start:start + _QUANT_CHUNK] = dists.min(axis=1)
+        near = assign[start:start + step] = dists.argmin(axis=1)
+        best[start:start + step] = np.take_along_axis(dists, near[:, None], 1)[:, 0]
     return assign, np.maximum(best, 0.0)
 
 

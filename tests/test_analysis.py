@@ -2,9 +2,26 @@ import numpy as np
 import pytest
 
 from granucodec.analysis import pyramid
-from granucodec.imaging import avg_pool, from_raw
+from granucodec.imaging import ImagePlane, avg_pool, from_raw
 
-from conftest import make_image, traced_peak
+from conftest import make_image, reshape_mean_pool, traced_peak
+
+
+def reference_pyramid(img):
+    """The pyramid with numpy choosing every summation order: luminance by
+    mean(axis=2), 4x4 means by mean over a 5-D cell view."""
+    lum = img.samples.mean(axis=2, dtype=np.float64)
+
+    def grid(scale, means):
+        h, w = lum.shape
+        blocks = lum.reshape(h // scale, scale, w // scale, scale)
+        mu = blocks.mean(axis=(1, 3))
+        var = ((blocks - mu[:, None, :, None]) ** 2).mean(axis=(1, 3))
+        return np.concatenate([means, np.sqrt(var)[..., None]], axis=2).astype(np.float32)
+
+    m1 = reshape_mean_pool(img.samples, 4)
+    return (grid(4, m1), grid(8, reshape_mean_pool(m1, 2)),
+            grid(16, reshape_mean_pool(m1, 4)))
 
 
 @pytest.fixture
@@ -47,6 +64,22 @@ class TestPyramid:
         for z in pyramid(photo):
             assert z[..., :3].min() >= -1.0 and z[..., :3].max() <= 1.0
             assert z[..., 3].min() >= 0.0 and z[..., 3].max() <= 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_equal_numpy_ordered_reference(self, seed):
+        # off the 8-bit lattice: R and G cancel exactly and B is tiny (down
+        # to 2^-60, some -0.0), so luminance keeps B's low bits only when R
+        # and G are added first
+        rng = np.random.default_rng(seed)
+        samples = np.empty((64, 96, 3), dtype=np.float32)
+        samples[..., 0] = rng.uniform(-1.0, 1.0, (64, 96))
+        samples[..., 1] = -samples[..., 0]
+        samples[..., 2] = (rng.choice([-1.0, 1.0], (64, 96)) * rng.uniform(0.5, 1.0, (64, 96))
+                           * np.exp2(-rng.integers(20, 61, (64, 96))))
+        samples[rng.random((64, 96, 3)) < 0.1] = -0.0
+        img = ImagePlane(samples, 64, 96)
+        for z, ref in zip(pyramid(img), reference_pyramid(img)):
+            assert z.tobytes() == ref.tobytes()
 
     def test_deterministic(self, photo):
         a = pyramid(photo)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from granucodec.granularity import (
-    COARSE, FINE, MEDIUM, RatioTriple, build_rate_table, label_counts,
-    masks_from_map, plan_granularity, ratios_for_target, theoretical_bpp,
+    COARSE, FINE, MAX_RATE_STEPS, MEDIUM, RatioTriple, build_rate_table,
+    label_counts, masks_from_map, plan_granularity, ratios_for_target,
+    theoretical_bpp,
 )
 from granucodec.imaging import nn_upsample
 
@@ -144,6 +145,15 @@ class TestRateTable:
         assert lo_bpp == pytest.approx(L_REFERENCE / 256)
         assert tuple(hi_ratio) == (1, 0, 0)
         assert hi_bpp == pytest.approx((16 * L_REFERENCE + 4) / 256)
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-5])
+    def test_step_finer_than_limit_rejected(self, step):
+        with pytest.raises(ValueError, match="finer"):
+            build_rate_table(L_REFERENCE, step)
+
+    def test_finest_step_allowed(self):
+        n = MAX_RATE_STEPS
+        assert len(build_rate_table(L_REFERENCE, 1 / n).bpp) == (n + 1) * (n + 2) // 2
 
     def test_sorted_ascending(self):
         bpps = list(build_rate_table(L_REFERENCE, 0.1).bpp)

@@ -9,7 +9,22 @@ from granucodec.imaging import (
     psnr, save_ppm,
 )
 
-from conftest import make_raw
+from conftest import make_raw, reshape_mean_pool
+
+
+def off_lattice(shape, seed: int) -> np.ndarray:
+    """float32 samples in [-1, 1] that no 8-bit image produces. Even columns
+    hold large values that cancel in row pairs, odd columns tiny ones down
+    to 2^-60, and about a tenth of all samples are -0.0. Whether a float64
+    cell sum keeps the tiny values' low bits then depends on the order in
+    which it adds the samples."""
+    rng = np.random.default_rng(seed)
+    tiny = rng.uniform(0.5, 1.0, shape) * np.exp2(-rng.integers(20, 61, shape))
+    samples = (rng.choice([-1.0, 1.0], shape) * tiny).astype(np.float32)
+    samples[::2, ::2] = rng.uniform(0.25, 1.0, shape)[::2, ::2]
+    samples[1::2, ::2] = -samples[::2, ::2]
+    samples[rng.random(shape) < 0.1] = -0.0
+    return samples
 
 
 def write_ppm(path, raw):
@@ -113,6 +128,27 @@ class TestPooling:
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
             avg_pool(np.zeros((3, 4, 1), dtype=np.float32), 2)
+
+    @pytest.mark.parametrize("factor", [2, 4, 8, 16])
+    @pytest.mark.parametrize("shape", [(64, 96, 3), (32, 48, 4)])
+    def test_bits_equal_reshape_mean(self, shape, factor):
+        # every codec caller pools a float32 grid of 3 or 4 channels
+        g = off_lattice(shape, seed=factor)
+        g[:factor, :factor] = -0.0  # one cell of nothing but -0.0
+        pooled = avg_pool(g, factor)
+        ref = reshape_mean_pool(g, factor)
+        assert pooled.dtype == ref.dtype and pooled.shape == ref.shape
+        assert pooled.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("factor", [2, 4, 8, 16])
+    def test_plane_adds_in_the_same_order(self, factor):
+        # numpy's mean adds a single-channel cell row by row, pairwise;
+        # avg_pool keeps one written order whatever the channel count
+        g = off_lattice((64, 96), seed=factor)
+        g[:factor, :factor] = -0.0
+        pooled = avg_pool(g, factor)
+        assert pooled.shape == (64 // factor, 96 // factor)
+        assert pooled.tobytes() == avg_pool(g[..., None], factor)[..., 0].tobytes()
 
 
 class TestPsnr:

@@ -110,6 +110,14 @@ class TestEncodeDecode:
         peak = traced_peak(pipeline.decode_image, small_session, c)
         assert peak <= 20 * size * size
 
+    def test_encode_peak_memory_per_pixel(self, session):
+        # the fixture codebook has k=1024; at the benchmark's hirate ratios
+        # the nearest-code search must not outgrow the feature pyramid
+        img = make_image("photo", 512, 512, seed=47)
+        peak = traced_peak(pipeline.encode_image, session, img,
+                           RatioTriple(0.70, 0.25, 0.05))
+        assert peak <= 24 * 512 * 512
+
     def test_container_over_pixel_cap_rejected(self):
         data, _, _ = over_cap_container()
 
@@ -256,6 +264,33 @@ class TestCli:
                       "--out", tmp_path / "k0.cgcb")
         assert res.returncode == 1
         assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("encode", ["--ratios", "1,2"], "--ratios"),
+        ("stats", ["--ratios", "0.5,0.7,0"], "--ratios"),
+        ("encode", [], "--ratios or --bpp"),
+        ("stats", ["--ratios", "1,0,0", "--bpp", "0.2"], "--ratios or --bpp"),
+        ("train-codebook", ["--freq-ratios", "1,2"], "--freq-ratios"),
+        ("train-codebook", ["--corpus", "EMPTY"], ".ppm"),
+        ("rate-table", ["--step", "0.00001"], "step"),
+    ], ids=["encode_ratios", "stats_ratios", "encode_no_rate", "stats_two_rates",
+            "freq_ratios", "empty_corpus", "rate_table_step"])
+    def test_usage_errors_exit_cleanly(self, cli_env, tmp_path, command, extra, named):
+        root, cb, ppm = cli_env
+        base = {
+            "encode": ["--codebook", cb, "--input", ppm, "--out", tmp_path / "x.cgic"],
+            "stats": ["--codebook", cb, "--input", ppm],
+            "train-codebook": ["--corpus", root / "corpus", "--k", 4, "--iters", 1,
+                               "--out", tmp_path / "x.cgcb"],
+            "rate-table": ["--codebook", cb, "--out", tmp_path / "x.csv"],
+        }[command]
+        (tmp_path / "empty").mkdir()
+        extra = [tmp_path / "empty" if a == "EMPTY" else a for a in extra]
+        res = run_cli(command, *base, *extra)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert named in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_encode_huge_declared_ppm_exits_cleanly(self, cli_env, tmp_path):

@@ -7,6 +7,8 @@ from granucodec.vq import (
     _assign, _update_centers, save_codebook, train_codebook,
 )
 
+from conftest import traced_peak
+
 
 @pytest.fixture
 def cb16():
@@ -47,6 +49,27 @@ class TestQuantize:
     def test_dim_mismatch(self, cb16):
         with pytest.raises(CodebookError):
             quantize(np.zeros((2, 2, 3), dtype=np.float32), cb16)
+
+    def test_blocks_equal_one_block(self):
+        # 3,000 cells at k=1024 span twelve distance blocks; one block over
+        # all of them must give the same indices and the same distances
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((3000, 4))
+        centers = rng.standard_normal((1024, 4))
+        dists = 2.0 * points @ centers.T
+        np.subtract((points ** 2).sum(axis=1)[:, None], dists, out=dists)
+        dists += (centers ** 2).sum(axis=1)
+        idx, best = _assign(points, centers)
+        assert np.array_equal(idx, dists.argmin(axis=1))
+        assert best.tobytes() == np.maximum(dists.min(axis=1), 0.0).tobytes()
+
+    def test_peak_memory_large_codebook(self):
+        # the distance block is sized in bytes, not cells: 1,024 cells
+        # against 8,192 codes would need 64 MiB in one block
+        rng = np.random.default_rng(5)
+        cb = Codebook(rng.standard_normal((8192, 4)).astype(np.float32))
+        cells = rng.standard_normal((1024, 4)).astype(np.float32)
+        assert traced_peak(quantize, cells, cb) < 8 << 20
 
 
 class TestLookup:
