@@ -86,7 +86,7 @@ def cmd_encode(args) -> int:
         raise ValueError("give exactly one of --ratios or --bpp")
     container = pipeline.encode_image(
         session, img,
-        ratios=_parse_ratios(args.ratios) if args.ratios else None,
+        ratios=_parse_ratios(args.ratios) if args.ratios is not None else None,
         target_bpp=args.bpp)
     with open(args.out, "wb") as f:
         f.write(bitstream.serialize_container(container))
@@ -112,7 +112,7 @@ def cmd_stats(args) -> int:
     img = imaging.load_ppm(args.input)
     if (args.ratios is None) == (args.bpp is None):
         raise ValueError("give exactly one of --ratios or --bpp")
-    ratios = (_parse_ratios(args.ratios) if args.ratios
+    ratios = (_parse_ratios(args.ratios) if args.ratios is not None
               else granularity.ratios_for_target(session.rate_table, args.bpp))
     container = pipeline.encode_image(session, img, ratios=ratios)
     gmap, streams = pipeline.decode_streams(session, container)

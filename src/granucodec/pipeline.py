@@ -4,6 +4,12 @@ A session bundles the codebook, its finalized frequency table, the Huffman
 code built from it, and the rate query table keyed by that code's mean
 length. Encoder and decoder must load the same codebook file; the container
 header pins its content hash.
+
+The decoder paints each 4x4 pixel cell with the clamped RGB of the code sent
+for it. That is the paper's conditional-replacement decoder here: its
+synthesis layers are nearest-neighbour upsamplers, and every fine-grid cell
+is sent at exactly one scale, so replacing the known positions after each
+layer returns the stitched grid of transmitted codes bit for bit.
 """
 
 from __future__ import annotations
@@ -12,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, bitstream, granularity, reconstruction, vq
+from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
 from .granularity import (
     COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, MaskSet, RatioTriple, RateQueryTable)
-from .imaging import BLOCK, ImagePlane
+from .imaging import BLOCK, ImagePlane, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, FrequencyTable
 
@@ -57,6 +63,8 @@ def quantize_streams(session: CodecSession, img: ImagePlane,
 
 def _check_decodable(img: ImagePlane) -> None:
     """Refuse a plane whose container no decoder would read."""
+    if img.true_h == 0 or img.true_w == 0:
+        raise ValueError(f"empty image ({img.true_w}x{img.true_h})")
     if img.height * img.width > bitstream.MAX_PIXELS:
         raise ValueError(f"{img.width}x{img.height} padded pixels exceed the "
                          f"{bitstream.MAX_PIXELS}-pixel limit")
@@ -123,16 +131,19 @@ def decode_streams(session: CodecSession,
 
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
                 streams: list[np.ndarray]) -> ImagePlane:
+    """Paint each 4x4 pixel cell with the clamped RGB of its transmitted code."""
     masks = granularity.masks_from_map(gmap)
-    d = session.codebook.d
-    grids = []
-    for idx, mask in zip(streams, (masks.m1, masks.m2, masks.m3)):
-        grid = np.zeros(mask.shape + (d,), dtype=np.float32)
-        grid[mask.astype(bool)] = vq.lookup(idx, session.codebook)
-        grids.append(grid)
-    z_hat = reconstruction.assemble_hybrid(grids[0], grids[1], grids[2], masks)
-    y3 = reconstruction.conditional_decode(z_hat, masks)
-    return reconstruction.synthesize_image(y3, container.true_h, container.true_w)
+    # the masks cover the fine grid disjointly, so the sum is each cell's index;
+    # the dtype holds every stream value, so lookup sees any out-of-range one
+    codes = np.zeros(masks.m1.shape, dtype=np.result_type(np.int32, *streams))
+    for idx, mask, factor in zip(streams, (masks.m1, masks.m2, masks.m3), (1, 2, 4)):
+        grid = np.zeros(mask.shape, dtype=codes.dtype)
+        grid[mask.astype(bool)] = idx
+        codes += nn_upsample(grid, factor)
+    rgb = np.clip(vq.lookup(codes, session.codebook)[..., :3], -1.0, 1.0)
+    rgb += 0.0  # -0.0 -> +0.0, as the replacement chain's masked sums give
+    return ImagePlane(nn_upsample(rgb, 4), true_h=container.true_h,
+                      true_w=container.true_w)
 
 
 def decode_image(session: CodecSession, container: Container) -> ImagePlane:

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from granucodec import imaging, pipeline, training
+from granucodec import bitstream, granularity, imaging, pipeline, training, vq
+from granucodec.imaging import nn_upsample
 
 
 def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
@@ -77,6 +78,34 @@ def reshape_mean_pool(grid: np.ndarray, factor: int) -> np.ndarray:
     pooled = grid.reshape(h // factor, factor, w // factor, factor, -1).mean(
         axis=(1, 3), dtype=np.float64)
     return pooled.reshape(pooled.shape[:2] + grid.shape[2:]).astype(grid.dtype)
+
+
+def codes_session(codes) -> pipeline.CodecSession:
+    """A session over the given (k, d) codes with a flat frequency table."""
+    cb = vq.Codebook(np.asarray(codes, dtype=np.float32))
+    return pipeline.CodecSession(
+        cb, vq.finalize_frequencies(vq.FrequencyTable.zeros(cb.k)))
+
+
+def map_container(session, gmap: np.ndarray) -> bitstream.Container:
+    """An unpadded container header for a granularity map, with an empty
+    payload: what reconstruct needs besides the map and the streams."""
+    by, bx = gmap.shape
+    return bitstream.Container(
+        true_w=16 * bx, true_h=16 * by, padded_w=16 * bx, padded_h=16 * by,
+        codebook_hash=session.codebook.id_hash, ratios=granularity.map_ratios(gmap),
+        index_bits=(0, 0, 0), map_bits=0, payload=b"")
+
+
+def assert_painted(out: np.ndarray, mask: np.ndarray, stream: np.ndarray,
+                   cb: vq.Codebook, factor: int) -> None:
+    """Every pixel of each cell that a scale's mask keeps equals the clamped
+    RGB of that cell's code in the scale's raster-order stream; a cell covers
+    factor x factor pixels."""
+    expected = np.zeros(mask.shape + (3,), dtype=np.float32)
+    expected[mask.astype(bool)] = np.clip(vq.lookup(stream, cb)[:, :3], -1.0, 1.0)
+    support = nn_upsample(mask.astype(bool), factor)
+    assert np.array_equal(out[support], nn_upsample(expected, factor)[support])
 
 
 def desk_corpus(n: int = 20, size: int = 512) -> list:

@@ -12,10 +12,9 @@ from granucodec import granularity as gr
 from granucodec import imaging, pipeline, training, vq
 from granucodec.granularity import FINE, MEDIUM, RatioTriple
 from granucodec.imaging import avg_pool, nn_upsample
-from granucodec.reconstruction import assemble_hybrid, conditional_decode
 from granucodec.spatial_entropy import entropy_map, patch_entropy
 
-from conftest import make_image
+from conftest import assert_painted, codes_session, make_image, map_container
 from test_bitstream import brute_force_optimum
 from test_spatial_entropy import entropy_oracle
 
@@ -204,12 +203,15 @@ def test_7_replacement_exactness():
         q1 = rng.standard_normal((by * 4, bx * 4, 4)).astype(np.float32)
         q2 = rng.standard_normal((by * 2, bx * 2, 4)).astype(np.float32)
         q3 = rng.standard_normal((by, bx, 4)).astype(np.float32)
-        z = assemble_hybrid(q1, q2, q3, masks)
-        y3 = conditional_decode(z, masks)
-        m1, m2 = masks.m1[..., None], masks.m2[..., None]
-        assert np.array_equal(y3 * m1, z * m1)
-        y2_known = avg_pool(z, 2) * m2
-        assert np.array_equal(q2 * m2, y2_known)
+        # one code per cell of each scale; each stream sends its kept cells
+        session = codes_session(np.concatenate([q.reshape(-1, 4) for q in (q1, q2, q3)]))
+        offsets = np.cumsum([0, q1[..., 0].size, q2[..., 0].size])
+        streams = [off + np.flatnonzero(m).astype(np.int32)
+                   for off, m in zip(offsets, (masks.m1, masks.m2, masks.m3))]
+        out = pipeline.reconstruct(session, map_container(session, gmap), gmap,
+                                   streams).samples
+        for m, stream, factor in zip((masks.m1, masks.m2, masks.m3), streams, (4, 8, 16)):
+            assert_painted(out, m, stream, session.codebook, factor)
         # the pooling/upsampling operators invert exactly
         for factor in (2, 4):
             g = rng.standard_normal((4, 4, 4)).astype(np.float32)

@@ -9,7 +9,7 @@ from granucodec import bitstream, granularity, imaging, pipeline, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
 from granucodec.granularity import COARSE, FINE, RatioTriple
 
-from conftest import make_image, make_raw, traced_peak
+from conftest import assert_painted, make_image, make_raw, traced_peak
 
 
 def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
@@ -66,28 +66,17 @@ class TestEncodeDecode:
         assert imaging.psnr(img, a) > 0
 
     def test_replacement_chain_losslessness(self, small_session):
-        # decoder-side y3/y2/y1 agree with encoder-side quantized features
-        from granucodec.imaging import avg_pool
-        from granucodec.reconstruction import assemble_hybrid, conditional_decode
-        img = make_image("waves", 64, 64, seed=44)
+        # each decoded cell is the encoder's quantized feature at its scale
         from granucodec.spatial_entropy import entropy_map
+        img = make_image("waves", 64, 64, seed=44)
         emap = entropy_map(img, small_session.entropy_cfg)
         gmap = granularity.plan_granularity(emap, RatioTriple(0.4, 0.4, 0.2))
         masks, streams = pipeline.quantize_streams(small_session, img, gmap)
-        d = small_session.codebook.d
-        grids = []
-        for idx, mask in zip(streams, (masks.m1, masks.m2, masks.m3)):
-            g = np.zeros(mask.shape + (d,), dtype=np.float32)
-            g[mask.astype(bool)] = vq.lookup(idx, small_session.codebook)
-            grids.append(g)
-        z = assemble_hybrid(*grids, masks)
-        y3 = conditional_decode(z, masks)
-        m1 = masks.m1[..., None]
-        m2 = masks.m2[..., None]
-        m3 = masks.m3[..., None]
-        assert np.array_equal(y3 * m1, grids[0] * m1)
-        assert np.array_equal(avg_pool(z, 2) * m2, grids[1] * m2)
-        assert np.array_equal(avg_pool(z, 4) * m3, grids[2] * m3)
+        c = pipeline.encode_with_map(small_session, img, gmap)
+        out = pipeline.decode_image(small_session, c).samples
+        for m, stream, factor in zip((masks.m1, masks.m2, masks.m3), streams, (4, 8, 16)):
+            assert stream.size > 0
+            assert_painted(out, m, stream, small_session.codebook, factor)
 
     def test_wrong_codebook_rejected(self, small_session):
         img = make_image("photo", 32, 32, seed=45)
@@ -103,12 +92,12 @@ class TestEncodeDecode:
         (1024, RatioTriple(0, 0, 1)),
     ], ids=["hirate_512", "coarse_1024"])
     def test_decode_peak_memory_per_pixel(self, small_session, size, ratios):
-        # the float32 output is 12 B/px; the rest is the column-repeat
-        # intermediate and the fine-grid feature arrays
+        # the float32 output is 12 B/px and its column-repeat intermediate
+        # 3 B/px; the rest is the fine grid's code indices and clamped RGB
         img = make_image("photo", size, size, seed=46)
         c = pipeline.encode_image(small_session, img, ratios=ratios)
         peak = traced_peak(pipeline.decode_image, small_session, c)
-        assert peak <= 20 * size * size
+        assert peak <= 17 * size * size
 
     def test_encode_peak_memory_per_pixel(self, session):
         # the fixture codebook has k=1024; at the benchmark's hirate ratios
@@ -136,6 +125,15 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="limit"):
             pipeline.encode_with_map(small_session, img,
                                      np.full((513, 512), COARSE, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(20, 0, 3), (0, 20, 3)])
+    def test_encode_empty_image_rejected(self, small_session, shape):
+        img = imaging.from_raw(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match="empty"):
+            pipeline.encode_image(small_session, img, ratios=RatioTriple(0, 0, 1))
+        gmap = np.full((img.height // 16, img.width // 16), COARSE, dtype=np.uint8)
+        with pytest.raises(ValueError, match="empty"):
+            pipeline.encode_with_map(small_session, img, gmap)
 
     def test_constant_image_exact_roundtrip(self):
         from granucodec import training
@@ -274,8 +272,11 @@ class TestCli:
         ("train-codebook", ["--freq-ratios", "1,2"], "--freq-ratios"),
         ("train-codebook", ["--corpus", "EMPTY"], ".ppm"),
         ("rate-table", ["--step", "0.00001"], "step"),
+        ("encode", ["--ratios", ""], "bad --ratios ''"),
+        ("stats", ["--ratios", ""], "bad --ratios ''"),
     ], ids=["encode_ratios", "stats_ratios", "encode_no_rate", "stats_two_rates",
-            "freq_ratios", "empty_corpus", "rate_table_step"])
+            "freq_ratios", "empty_corpus", "rate_table_step", "encode_empty_ratios",
+            "stats_empty_ratios"])
     def test_usage_errors_exit_cleanly(self, cli_env, tmp_path, command, extra, named):
         root, cb, ppm = cli_env
         base = {

@@ -1,128 +1,189 @@
 import numpy as np
 import pytest
 
-from granucodec.granularity import (
-    COARSE, FINE, MEDIUM, RatioTriple, masks_from_map, plan_granularity,
-)
+from granucodec import pipeline, vq
+from granucodec.granularity import COARSE, FINE, RatioTriple, masks_from_map
 from granucodec.imaging import avg_pool, from_raw, nn_upsample, psnr
-from granucodec.reconstruction import (
-    SynthesisSpec, assemble_hybrid, conditional_decode, synthesize_image,
-)
 
-from conftest import make_image
+from conftest import assert_painted, codes_session, make_image, map_container
 
 
-def random_setup(rng, by=3, bx=4, d=4):
-    gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
+def random_streams(rng, gmap: np.ndarray, k: int) -> list[np.ndarray]:
+    """int32 fine, medium and coarse streams of indices below k for gmap."""
     masks = masks_from_map(gmap)
-    q1 = rng.standard_normal((by * 4, bx * 4, d)).astype(np.float32)
-    q2 = rng.standard_normal((by * 2, bx * 2, d)).astype(np.float32)
-    q3 = rng.standard_normal((by, bx, d)).astype(np.float32)
-    return masks, q1, q2, q3
+    return [rng.integers(0, k, size=int(m.sum()), dtype=np.int32)
+            for m in (masks.m1, masks.m2, masks.m3)]
+
+
+def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
+                      streams: list[np.ndarray]) -> np.ndarray:
+    """The conditional-replacement decoder, as the oracle that
+    pipeline.reconstruct must equal byte for byte. Each stream is scattered
+    into its scale's mask and the three grids are stitched onto the fine grid
+    (z). Two x2 nearest-neighbour layers rebuild the medium and fine grids
+    from the coarse one, and after each the positions a mask marks as known
+    are replaced by the pooled z. The RGB channels are clamped and painted
+    onto 4x4 pixel cells. Returns the padded samples."""
+    masks = masks_from_map(gmap)
+    m1, m2, m3 = (m[..., None].astype(np.float32) for m in (masks.m1, masks.m2, masks.m3))
+    q = []
+    for idx, m in zip(streams, (m1, m2, m3)):
+        grid = np.zeros(m.shape[:2] + (cb.d,), dtype=np.float32)
+        grid[m[..., 0].astype(bool)] = vq.lookup(idx, cb)
+        q.append(grid * m)
+    z = q[0] + nn_upsample(q[1], 2) + nn_upsample(q[2], 4)
+    y2 = nn_upsample(avg_pool(z, 4), 2) * (1 - m2) + avg_pool(z, 2) * m2
+    y3 = nn_upsample(y2, 2) * (1 - m1) + z * m1
+    return nn_upsample(np.clip(y3[..., :3], -1.0, 1.0), 4)
+
+
+def decode(session, gmap, streams) -> np.ndarray:
+    """pipeline.reconstruct's padded samples for a map and its streams."""
+    return pipeline.reconstruct(session, map_container(session, gmap), gmap,
+                                streams).samples
+
+
+def painted(session, stream, factor: int, shape) -> np.ndarray:
+    """The clamped RGB of each code in a raster-order stream covering a grid
+    of `shape` cells, each cell painted as a factor x factor pixel block."""
+    rgb = np.clip(session.codebook.codes[stream, :3], -1.0, 1.0)
+    return nn_upsample(rgb.reshape(shape + (3,)), factor)
+
+
+def random_setup(rng, by=3, bx=4, k=16):
+    session = codes_session(rng.standard_normal((k, 4)))
+    gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
+    return session, gmap, random_streams(rng, gmap, k)
 
 
 class TestAssemble:
     def test_all_coarse(self):
         rng = np.random.default_rng(0)
-        masks = masks_from_map(np.full((2, 2), COARSE, dtype=np.uint8))
-        q3 = rng.standard_normal((2, 2, 4)).astype(np.float32)
-        zeros1 = np.zeros((8, 8, 4), dtype=np.float32)
-        zeros2 = np.zeros((4, 4, 4), dtype=np.float32)
-        assert np.array_equal(assemble_hybrid(zeros1, zeros2, q3, masks),
-                              nn_upsample(q3, 4))
+        session = codes_session(rng.standard_normal((4, 4)))
+        gmap = np.full((2, 2), COARSE, dtype=np.uint8)
+        stream = np.array([2, 0, 3, 3], dtype=np.int32)
+        out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [stream])
+        assert np.array_equal(out, painted(session, stream, 16, (2, 2)))
 
     def test_all_fine(self):
         rng = np.random.default_rng(1)
-        masks = masks_from_map(np.full((2, 2), FINE, dtype=np.uint8))
-        q1 = rng.standard_normal((8, 8, 4)).astype(np.float32)
-        z = assemble_hybrid(q1, np.zeros((4, 4, 4), np.float32),
-                            np.zeros((2, 2, 4), np.float32), masks)
-        assert np.array_equal(z, q1)
+        session = codes_session(rng.standard_normal((64, 4)))
+        gmap = np.full((2, 2), FINE, dtype=np.uint8)
+        stream = rng.permutation(64).astype(np.int32)
+        out = decode(session, gmap, [stream] + [np.zeros(0, np.int32)] * 2)
+        assert np.array_equal(out, painted(session, stream, 4, (8, 8)))
 
     def test_pool_recovers_coarse_support(self):
         rng = np.random.default_rng(2)
-        masks, q1, q2, q3 = random_setup(rng)
-        z = assemble_hybrid(q1, q2, q3, masks)
-        pooled = avg_pool(z, 4)
-        m3 = masks.m3[..., None].astype(np.float32)
-        assert np.array_equal(pooled * m3, q3 * m3)
+        session, gmap, streams = random_setup(rng)
+        pooled = avg_pool(decode(session, gmap, streams), 16)
+        coarse = masks_from_map(gmap).m3
+        assert_painted(pooled, coarse, streams[2], session.codebook, 1)
 
     def test_scale_mismatch_rejected(self):
+        # a stream whose length differs from its scale's mask count
         rng = np.random.default_rng(3)
-        masks, q1, q2, q3 = random_setup(rng)
-        with pytest.raises(ValueError):
-            assemble_hybrid(q2, q2, q3, masks)
+        session, gmap, (s1, s2, s3) = random_setup(rng)
+        assert s1.size > 1 and s3.size > 0
+        for streams in ([s1[:-1], s2, s3], [s1, s2, np.append(s3, 0)], [s3, s2, s1]):
+            with pytest.raises(ValueError):
+                decode(session, gmap, streams)
+
+    def test_out_of_range_index_rejected(self):
+        # index values must reach the codebook check unwrapped, whatever
+        # their integer type
+        rng = np.random.default_rng(3)
+        session, gmap, streams = random_setup(rng)
+        for bad in (16, -1, 2 ** 32):
+            wide = [s.astype(np.int64) for s in streams]
+            wide[0][0] = bad
+            with pytest.raises(vq.CodebookError):
+                decode(session, gmap, wide)
 
     def test_linear_over_mask_support(self):
+        # a fine stream changes the output on the fine support only
         rng = np.random.default_rng(4)
-        masks, q1, q2, q3 = random_setup(rng)
-        a = assemble_hybrid(q1, q2, q3, masks)
-        b = assemble_hybrid(2 * q1, q2, q3, masks)
-        m1 = masks.m1[..., None].astype(np.float32)
-        assert np.allclose((b - a), q1 * m1, atol=1e-6)
+        session, gmap, streams = random_setup(rng)
+        other = random_streams(rng, gmap, 16)[0]
+        a = decode(session, gmap, streams)
+        b = decode(session, gmap, [other] + streams[1:])
+        m1 = masks_from_map(gmap).m1
+        fine = nn_upsample(m1.astype(bool), 4)
+        assert np.array_equal(a[~fine], b[~fine])
+        assert_painted(b, m1, other, session.codebook, 4)
 
 
 class TestConditionalDecode:
     def test_replacement_exactness(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            masks, q1, q2, q3 = random_setup(rng)
-            z = assemble_hybrid(q1, q2, q3, masks)
-            y3 = conditional_decode(z, masks)
-            m1 = masks.m1[..., None]
-            assert np.array_equal(y3 * m1, z * m1)
+            session, gmap, streams = random_setup(rng)
+            out = decode(session, gmap, streams)
+            assert_painted(out, masks_from_map(gmap).m1, streams[0], session.codebook, 4)
 
-    def test_medium_replacement_any_layers(self):
-        # garbage layers cannot disturb the replaced positions
-        weird = SynthesisSpec(
-            d1=lambda g: nn_upsample(g * -3 + 1, 2),
-            d2=lambda g: nn_upsample(np.tanh(g), 2),
-        )
+    def test_medium_replacement_exact(self):
         rng = np.random.default_rng(6)
-        masks, q1, q2, q3 = random_setup(rng)
-        z = assemble_hybrid(q1, q2, q3, masks)
-        y1 = avg_pool(z, 4)
-        y2 = weird.d1(y1) * (1 - masks.m2[..., None]) \
-            + avg_pool(z, 2) * masks.m2[..., None]
-        m2 = masks.m2[..., None]
-        assert np.array_equal(y2 * m2, avg_pool(z, 2) * m2)
-        y3 = conditional_decode(z, masks, weird)
-        m1 = masks.m1[..., None]
-        assert np.array_equal(y3 * m1, z * m1)
+        session, gmap, streams = random_setup(rng)
+        out = decode(session, gmap, streams)
+        assert_painted(out, masks_from_map(gmap).m2, streams[1], session.codebook, 8)
 
     def test_all_coarse_identity_chain(self):
         rng = np.random.default_rng(7)
-        masks = masks_from_map(np.full((2, 3), COARSE, dtype=np.uint8))
-        q3 = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        z = nn_upsample(q3, 4)
-        y3 = conditional_decode(z, masks)
-        assert np.array_equal(y3, z)  # default layers duplicate, pool inverts
+        session = codes_session(rng.standard_normal((6, 4)))
+        gmap = np.full((2, 3), COARSE, dtype=np.uint8)
+        streams = [np.zeros(0, np.int32)] * 2 + [rng.permutation(6).astype(np.int32)]
+        out = decode(session, gmap, streams)
+        assert np.array_equal(out, painted(session, streams[2], 16, (2, 3)))
+        assert out.tobytes() == replacement_chain(session.codebook, gmap, streams).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    def test_matches_replacement_chain(self, k):
+        # byte for byte, signed zeros included: the chain's masked sums turn
+        # a -0.0 code into +0.0
+        rng = np.random.default_rng(k)
+        special = np.array([-0.0, 0.0, 1e-30, -1e-30, 1.5e-30, 9.0, -9.0, 1.0, -1.0],
+                           dtype=np.float32)
+        for _ in range(40):
+            codes = (2 * rng.standard_normal((k, 4))).astype(np.float32)
+            pick = rng.random(codes.shape) < 0.5
+            codes[pick] = rng.choice(special, size=int(pick.sum()))
+            codes[0, :3] = (-0.0, 0.0, 1e-30)
+            session = codes_session(codes)
+            by, bx = rng.integers(1, 9, size=2)
+            gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
+            streams = random_streams(rng, gmap, k)
+            out = decode(session, gmap, streams)
+            oracle = replacement_chain(session.codebook, gmap, streams)
+            assert out.dtype == oracle.dtype and out.shape == oracle.shape
+            assert out.tobytes() == oracle.tobytes()
 
 
 class TestSynthesize:
     def test_constant_image_exact(self):
         img = from_raw(np.full((32, 32, 3), 150, dtype=np.uint8))
-        y3 = np.zeros((8, 8, 4), dtype=np.float32)
-        y3[..., :3] = img.samples[0, 0]
-        out = synthesize_image(y3, 32, 32)
-        assert np.array_equal(out.samples, img.samples)
+        session = codes_session(np.append(img.samples[0, 0], 0.0)[None])
+        gmap = np.full((2, 2), COARSE, dtype=np.uint8)
+        out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [np.zeros(4, np.int32)])
+        assert out.tobytes() == img.samples.tobytes()
 
     def test_block_mean_painting(self):
         img = make_image("photo", 32, 32, seed=8)
         means = avg_pool(img.samples, 4)
-        y3 = np.concatenate([means, np.zeros(means.shape[:2] + (1,), np.float32)], axis=2)
-        out = synthesize_image(y3, 32, 32)
-        assert np.array_equal(out.samples, nn_upsample(means, 4))
+        session = codes_session(np.append(means.reshape(64, 3), np.zeros((64, 1)), axis=1))
+        gmap = np.full((2, 2), FINE, dtype=np.uint8)
+        out = decode(session, gmap, [np.arange(64, dtype=np.int32)]
+                     + [np.zeros(0, np.int32)] * 2)
+        assert np.array_equal(out, nn_upsample(means, 4))
 
     def test_output_clamped(self):
-        y3 = np.full((4, 4, 4), 9.0, dtype=np.float32)
-        out = synthesize_image(y3, 16, 16)
-        assert out.samples.max() <= 1.0 and out.samples.min() >= -1.0
+        session = codes_session([[9.0] * 4, [-9.0] * 4])
+        gmap = np.full((1, 2), COARSE, dtype=np.uint8)
+        out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [np.array([0, 1], np.int32)])
+        assert np.all(out[:, :16] == 1.0) and np.all(out[:, 16:] == -1.0)
 
 
 class TestGranularityMonotonicity:
     def test_fine_beats_coarse_on_corpus(self, small_session):
-        from granucodec import pipeline
         images = [make_image(k, 48, 48, seed=30 + i)
                   for i, k in enumerate(["photo", "waves", "blocky", "gradient"] * 5)]
         def mean_psnr(ratios):
