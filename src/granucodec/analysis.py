@@ -12,6 +12,8 @@ import numpy as np
 
 from .imaging import ImagePlane, avg_pool
 
+FEATURES = 4  # channels per cell: mean R, G, B and luminance std
+
 
 def pyramid(img: ImagePlane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a padded image to its (z1, z2, z3) float32 feature grids."""

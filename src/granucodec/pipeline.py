@@ -24,7 +24,7 @@ from .granularity import (
     COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, MaskSet, RatioTriple, RateQueryTable)
 from .imaging import BLOCK, ImagePlane, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
-from .vq import Codebook, FrequencyTable
+from .vq import Codebook, CodebookError, FrequencyTable
 
 
 @dataclass
@@ -36,6 +36,9 @@ class CodecSession:
     entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
     def __post_init__(self):
+        if self.codebook.d != analysis.FEATURES:
+            raise CodebookError(f"codebook has {self.codebook.d} features per code; "
+                                f"the analysis transform makes {analysis.FEATURES}")
         if not self.frequencies.smoothed:
             raise ValueError("session requires a finalized frequency table")
         if self.frequencies.k != self.codebook.k:
@@ -137,8 +140,12 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
     # the dtype holds every stream value, so lookup sees any out-of-range one
     codes = np.zeros(masks.m1.shape, dtype=np.result_type(np.int32, *streams))
     for idx, mask, factor in zip(streams, (masks.m1, masks.m2, masks.m3), (1, 2, 4)):
+        kept = mask.astype(bool)
+        if np.size(idx) != np.count_nonzero(kept):  # numpy would broadcast one index
+            raise ValueError(f"stream of {np.size(idx)} indices for "
+                             f"{np.count_nonzero(kept)} cells")
         grid = np.zeros(mask.shape, dtype=codes.dtype)
-        grid[mask.astype(bool)] = idx
+        grid[kept] = idx
         codes += nn_upsample(grid, factor)
     rgb = np.clip(vq.lookup(codes, session.codebook)[..., :3], -1.0, 1.0)
     rgb += 0.0  # -0.0 -> +0.0, as the replacement chain's masked sums give

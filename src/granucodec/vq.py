@@ -2,14 +2,21 @@
 index usage statistics.
 
 Quantization picks the code minimizing squared Euclidean distance, ties to
-the lowest index, so streams are bit-reproducible. The frequency table
-counts how often each index is emitted over a corpus; add-one smoothing at
-finalization keeps every symbol codeable.
+the lowest index. Each distance is the float64 sum of (x_j - c_j)**2 added
+in coordinate order, with no BLAS call, so the chosen index and its
+distance are the same on every machine. The search bins the codes on a grid
+over their first three coordinates and scans only the codes near each cell;
+a cell it cannot settle that way goes to a scan of all k codes. Both give
+what the full scan gives, bit for bit, and k-means uses the same search.
+The frequency table counts how often each index is emitted over a corpus;
+add-one smoothing at finalization keeps every symbol codeable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -39,7 +46,7 @@ class Codebook:
 
     def __post_init__(self):
         codes = np.ascontiguousarray(self.codes, dtype=np.float32)
-        if codes.ndim != 2 or codes.shape[0] < 1:
+        if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise CodebookError(f"bad codebook shape {codes.shape}")
         if not np.all(np.isfinite(codes)):
             raise CodebookError("codebook contains non-finite values")
@@ -78,15 +85,15 @@ def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
     if grid.shape[-1] != cb.d:
         raise CodebookError(f"cell dim {grid.shape[-1]} != codebook dim {cb.d}")
     cells = grid.reshape(-1, cb.d).astype(np.float64)
-    idx, _ = _assign(cells, cb.codes.astype(np.float64))  # argmin ties -> lowest
+    idx, _ = _assign(cells, cb.codes.astype(np.float64))  # ties -> lowest index
     return idx.reshape(grid.shape[:-1])
 
 
 def quantize_masked(grids, masks: MaskSet, cb: Codebook) -> list[np.ndarray]:
     """int32 index streams of the cells each scale's mask keeps, raster
-    order: fine, medium, coarse."""
-    return [quantize(grid[mask.astype(bool)], cb)
-            for grid, mask in zip(grids, (masks.m1, masks.m2, masks.m3))]
+    order: fine, medium, coarse. One search covers all three."""
+    kept = [grid[mask.astype(bool)] for grid, mask in zip(grids, (masks.m1, masks.m2, masks.m3))]
+    return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
 
 
 def lookup(idx: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -146,19 +153,132 @@ def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,
 
 
 def _assign(points: np.ndarray, centers: np.ndarray):
-    assign = np.empty(points.shape[0], dtype=np.int32)
-    best = np.empty(points.shape[0], dtype=np.float64)
-    c2 = (centers ** 2).sum(axis=1)
-    step = max(1, _DIST_BLOCK_BYTES // c2.nbytes)  # cells per distance block
-    for start in range(0, points.shape[0], step):
+    """Nearest center of each point and its squared distance, ties to the
+    lowest index: what `_full_scan` gives, found by scanning only the
+    centers near each point.
+
+    The centers are binned on a grid over their first g = min(3, d)
+    coordinates, about k^(1/g) bins a side, so a bin holds about one center.
+    Each point scans the centers of its bin's 3^g neighbourhood, in index
+    order. Every center outside that neighbourhood is at least m away in one
+    binned coordinate, where m is the distance from the point to the nearest
+    face of the neighbourhood (infinite where the grid ends). So when the
+    best distance found is below m**2, no center outside can beat or tie it.
+    The points this does not settle go to the full scan.
+    """
+    n, d = points.shape
+    k = centers.shape[0]
+    xs = [points[:, j] for j in range(d)]
+    cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
+    g = min(3, d)
+    edges = [_grid_edges(c, max(1, round(k ** (1 / g)))) for c in cs[:g]]
+    shape = tuple(e.size for e in edges)
+    members, starts = _neighbour_lists([_bin(c, e) for c, e in zip(cs, edges)], shape)
+    flat, margin = _locate(xs, edges)
+
+    # longest lists first, so the points still scanning at rank r are a prefix
+    lengths = starts[flat + 1] - starts[flat]
+    order = np.argsort(-lengths)
+    pos = starts[flat[order]]
+    rank_xs = [x[order] for x in xs]
+    near = np.zeros(n, dtype=np.int32)
+    near_d2 = np.full(n, np.inf)
+    dist, term = np.empty(n), np.empty(n)
+    for m in n - np.cumsum(np.bincount(lengths)[:-1]):  # points with over r codes
+        code = members[pos[:m]]
+        _sq_dist(((x[:m], c[code]) for x, c in zip(rank_xs, cs)), dist[:m], term[:m])
+        closer = dist[:m] < near_d2[:m]  # strict: the lower index keeps a tie
+        np.copyto(near_d2[:m], dist[:m], where=closer)
+        np.copyto(near[:m], code, where=closer)
+        pos[:m] += 1
+    assign, best = np.empty_like(near), np.empty_like(near_d2)
+    assign[order], best[order] = near, near_d2
+
+    # An outside center lies at or beyond the edge a margin is measured to,
+    # and it was binned against that same float edge. Rounding is monotone,
+    # and so is each step of _sq_dist (a difference, a square, a sum of
+    # non-negative terms), so its computed distance is at least
+    # margin * margin as computed here: no rounding slack is needed.
+    unsettled = np.flatnonzero(~(best < margin * margin))
+    if unsettled.size:
+        assign[unsettled], best[unsettled] = _full_scan(points[unsettled], centers)
+    return assign, best
+
+
+def _locate(xs: list[np.ndarray], edges: list[np.ndarray]):
+    """Each point's flat bin, and its distance in the binned coordinates to
+    the nearest face of that bin's 3^g neighbourhood (infinite where the
+    grid ends)."""
+    bins = [_bin(x, e) for x, e in zip(xs, edges)]
+    margin = np.full(xs[0].size, np.inf)
+    for x, b, e in zip(xs, bins, edges):
+        below = np.full(e.size, -np.inf)  # bins 0 and 1 have nothing below
+        below[2:] = e[1:-1]
+        above = np.full(e.size, np.inf)  # nor the last two anything above
+        above[:-2] = e[2:]
+        np.minimum(margin, x - below[b], out=margin)
+        np.minimum(margin, above[b] - x, out=margin)
+    return np.ravel_multi_index(bins, tuple(e.size for e in edges)), margin
+
+
+def _grid_edges(values: np.ndarray, bins: int) -> np.ndarray:
+    """Lower edges of equal bins spanning the values; one bin if they are
+    all equal."""
+    lo, hi = values.min(), values.max()
+    return lo + (hi - lo) * (np.arange(bins if hi > lo else 1) / bins)
+
+
+def _bin(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin b holds [edges[b], edges[b + 1]); the end bins reach to infinity."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 1)
+
+
+def _neighbour_lists(code_bins: list[np.ndarray], shape: tuple[int, ...]):
+    """CSR lists: the codes of bin i's 3^g neighbourhood are
+    members[starts[i]:starts[i + 1]], in ascending index order."""
+    k = code_bins[0].size
+    keys = []  # neighbour bin * k + code, for each neighbour of each code
+    for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
+        near = [b + o for b, o in zip(code_bins, offset)]
+        inside = np.logical_and.reduce([(b >= 0) & (b < s) for b, s in zip(near, shape)])
+        keys.append(np.ravel_multi_index([b[inside] for b in near], shape) * k
+                    + np.flatnonzero(inside))
+    keys = np.concatenate(keys)
+    keys.sort()
+    starts = np.searchsorted(keys, np.arange(math.prod(shape) + 1) * k)
+    return (keys % k).astype(np.int32), starts
+
+
+def _full_scan(points: np.ndarray, centers: np.ndarray):
+    """Nearest center of each point from all k distances, in blocks of
+    _DIST_BLOCK_BYTES; argmin gives a tie to the lowest index."""
+    n, d = points.shape
+    k = centers.shape[0]
+    assign = np.empty(n, dtype=np.int32)
+    best = np.empty(n, dtype=np.float64)
+    step = max(1, _DIST_BLOCK_BYTES // (8 * k))  # points per block
+    # allocated once: fresh blocks would overlap the last ones while rebinding
+    dist, term = np.empty((min(step, n), k)), np.empty((min(step, n), k))
+    for start in range(0, n, step):
         chunk = points[start:start + step]
-        # x^2 - 2x.c + c^2, evaluated in the GEMM's own output
-        dists = 2.0 * chunk @ centers.T
-        np.subtract((chunk ** 2).sum(axis=1)[:, None], dists, out=dists)
-        dists += c2
-        near = assign[start:start + step] = dists.argmin(axis=1)
-        best[start:start + step] = np.take_along_axis(dists, near[:, None], 1)[:, 0]
-    return assign, np.maximum(best, 0.0)
+        rows = chunk.shape[0]
+        _sq_dist(((chunk[:, j, None], centers[:, j]) for j in range(d)),
+                 dist[:rows], term[:rows])
+        near = assign[start:start + step] = dist[:rows].argmin(axis=1)
+        best[start:start + step] = np.take_along_axis(dist[:rows], near[:, None], 1)[:, 0]
+    return assign, best
+
+
+def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
+    """out = the sum, in order, of (x - c)**2 over the (x, c) coordinate
+    pairs, broadcast. The search and the full scan share it, so their
+    distances agree bit for bit."""
+    for j, (x, c) in enumerate(pairs):
+        diff = term if j else out
+        np.subtract(x, c, out=diff)
+        np.multiply(diff, diff, out=diff)
+        if j:
+            out += term
 
 
 def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:

@@ -3,10 +3,12 @@
 Every "bit-identical" claim about a codec change rests on this test. It pins
 the `small_session` codebook, the serialized containers of fixed encodes and
 the decoded samples. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
-OpenBLAS 0.3.31 running its Haswell kernel. The nearest-code search computes
-distances with a BLAS GEMM, so a BLAS that rounds differently may flip a
-near-tie and change them: the pins hold on that BLAS until the search stops
-using it (ROADMAP item 2).
+OpenBLAS 0.3.31 running its Haswell kernel. The nearest-code search sums its
+distances elementwise in a fixed order, so no BLAS decides an index or a
+codebook. One BLAS call is left: `spatial_entropy._histogram_mass` forms
+block bin masses with a float64 matmul, so a BLAS that rounds differently
+could still swap the granularity ranks of two blocks whose entropies nearly
+tie, and change the pins.
 """
 
 import hashlib

@@ -135,6 +135,14 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="empty"):
             pipeline.encode_with_map(small_session, img, gmap)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_codebook_of_other_feature_count_rejected(self, d):
+        # the analysis transform makes 4 features per cell; a d=2 session
+        # used to decode into a 2-channel plane that save_ppm wrote short
+        cb = vq.Codebook(np.zeros((2, d), dtype=np.float32))
+        with pytest.raises(vq.CodebookError):
+            pipeline.CodecSession(cb, vq.finalize_frequencies(vq.FrequencyTable.zeros(2)))
+
     def test_constant_image_exact_roundtrip(self):
         from granucodec import training
         flat = imaging.from_raw(np.full((32, 32, 3), 90, dtype=np.uint8))
@@ -226,6 +234,31 @@ class TestCli:
         res = run_cli("encode", "--codebook", cb, "--input", ppm,
                       "--out", tmp_path / "x.cgic")  # neither ratios nor bpp
         assert res.returncode != 0
+
+    def test_two_feature_codebook_exits_cleanly(self, cli_env, tmp_path):
+        # a d=2 codebook and a hand-made one-block container that names it
+        _, _, ppm = cli_env
+        flat = vq.finalize_frequencies(vq.FrequencyTable.zeros(4))
+        cb = vq.Codebook(np.eye(4, 2, dtype=np.float32))
+        d2 = tmp_path / "d2.cgcb"
+        vq.save_codebook(cb, flat, d2)
+        map_seg = bitstream.prefix_encode(np.zeros(1, np.int64), bitstream.MAP_CODE)
+        idx_seg = bitstream.prefix_encode(np.zeros(1, np.int64),
+                                          bitstream.build_huffman(flat.counts))
+        cgic = tmp_path / "d2.cgic"
+        cgic.write_bytes(serialize_container(bitstream.Container(
+            true_w=16, true_h=16, padded_w=16, padded_h=16, codebook_hash=cb.id_hash,
+            ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, idx_seg.size),
+            map_bits=map_seg.size,
+            payload=np.packbits(np.concatenate([map_seg, idx_seg])).tobytes())))
+        for args in (("encode", "--input", ppm, "--out", tmp_path / "x.cgic",
+                      "--bpp", "0.2"),
+                     ("decode", "--input", cgic, "--out", tmp_path / "x.ppm")):
+            res = run_cli(*args, "--codebook", d2)
+            assert res.returncode == 1
+            assert res.stderr.startswith("error:")
+            assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.ppm").exists()
 
     def test_decode_huge_declared_dims_exits_cleanly(self, cli_env, tmp_path):
         # CRC-valid header for the right codebook declaring 4294967280^2

@@ -89,6 +89,14 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 decode(session, gmap, streams)
 
+    def test_one_index_for_several_cells_rejected(self):
+        # numpy would broadcast a one-index stream over every kept cell
+        session = codes_session(np.random.default_rng(5).standard_normal((4, 4)))
+        gmap = np.full((1, 2), COARSE, dtype=np.uint8)
+        empty = np.zeros(0, np.int32)
+        with pytest.raises(ValueError):
+            decode(session, gmap, [empty, empty, np.array([1], np.int32)])
+
     def test_out_of_range_index_rejected(self):
         # index values must reach the codebook check unwrapped, whatever
         # their integer type

@@ -1,13 +1,78 @@
+import struct
+
 import numpy as np
 import pytest
 
+from granucodec import pipeline, vq
+from granucodec.granularity import RatioTriple, masks_from_map
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, accumulate_frequencies,
     finalize_frequencies, kmeans_distortion, load_codebook, lookup, quantize,
-    _assign, _update_centers, save_codebook, train_codebook,
+    quantize_masked, _assign, _codes_hash, _full_scan, _update_centers, save_codebook,
+    train_codebook,
 )
 
-from conftest import traced_peak
+from conftest import make_image, traced_peak
+
+
+def elementwise_oracle(points, centers):
+    """Nearest center from every distance in one block: the sum over j, in
+    order, of (x_j - c_j)**2; argmin gives a tie to the lowest index."""
+    dists = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        dists += (points[:, j, None] - centers[:, j]) ** 2
+    idx = dists.argmin(axis=1)
+    return idx, dists[np.arange(idx.size), idx]
+
+
+def assert_matches_oracle(got, want):
+    (idx, best), (want_idx, want_best) = got, want
+    assert idx.dtype == np.int32
+    assert np.array_equal(idx, want_idx)
+    assert best.tobytes() == want_best.tobytes()
+
+
+def search_case(case, rng):
+    """(points, centers) that stress the pruned search."""
+    if case == "duplicates":
+        # every center twice, and points on them: distance-0 ties
+        centers = rng.standard_normal((64, 4))
+        centers[32:] = centers[:32]
+        points = centers[rng.integers(0, 64, size=300)]
+        points[::2] += rng.normal(0, 0.05, size=points[::2].shape)
+        return points, centers
+    if case == "bin_edges":
+        # an 8x8x8 lattice of centers and 64 more on bin edges: with k=576
+        # the grid has 8 bins of 0.875 a side, so each multiple of 0.875 in
+        # [0, 7) is a bin edge; points sit on edges, some of them outside
+        lattice = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), -1)
+        on_edges = 0.875 * rng.integers(0, 9, size=(64, 3))
+        centers = np.concatenate([lattice.reshape(-1, 3), on_edges])
+        centers = np.concatenate([centers, np.zeros((576, 1))], axis=1)
+        assert np.array_equal(vq._grid_edges(centers[:, 0], 8), 0.875 * np.arange(8))
+        points = 0.875 * rng.integers(-1, 10, size=(2000, 4)).astype(np.float64)
+        points[:, 3] = rng.choice([0.0, 0.5], size=2000)
+        return points, centers
+    if case == "tie_on_margin":
+        # 1-D, k=8 over [0, 8]: bins 1 wide. The point 2.5 scans bins 1-3
+        # and finds 1.0 at 1.5; center 0, at 4.0 on the far face of that
+        # neighbourhood, ties it from outside and must win
+        centers = np.array([[4.0], [0.0], [8.0], [1.0], [6.0], [7.0], [5.5], [6.5]])
+        return np.array([[2.5], [5.0], [0.5]]), centers
+    if case == "one_bin_and_outlier":
+        centers = np.concatenate([rng.normal(0, 0.01, size=(300, 4)), [[1e3] * 4]])
+        points = np.concatenate([rng.normal(0, 1, size=(300, 4)),
+                                 rng.normal(1e3, 1, size=(20, 4)),
+                                 rng.normal(500, 300, size=(20, 4))])
+        return points, centers
+    if case == "outside_hull":
+        # just outside in one coordinate (the search settles most), and far
+        # outside in all (the full scan settles them)
+        centers = rng.uniform(0, 1, size=(256, 4))
+        near = rng.uniform(0, 1, size=(1000, 4))
+        near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([-0.05, 1.05], 1000)
+        return np.concatenate([near, rng.uniform(-5, 6, size=(200, 4))]), centers
+    raise ValueError(case)
 
 
 @pytest.fixture
@@ -50,18 +115,62 @@ class TestQuantize:
         with pytest.raises(CodebookError):
             quantize(np.zeros((2, 2, 3), dtype=np.float32), cb16)
 
-    def test_blocks_equal_one_block(self):
-        # 3,000 cells at k=1024 span twelve distance blocks; one block over
-        # all of them must give the same indices and the same distances
+    def test_matches_elementwise_oracle(self):
+        # 3,000 cells at k=1024: the full scan runs twelve distance blocks;
+        # it and the search must equal one elementwise block byte for byte
         rng = np.random.default_rng(4)
         points = rng.standard_normal((3000, 4))
         centers = rng.standard_normal((1024, 4))
-        dists = 2.0 * points @ centers.T
-        np.subtract((points ** 2).sum(axis=1)[:, None], dists, out=dists)
-        dists += (centers ** 2).sum(axis=1)
-        idx, best = _assign(points, centers)
-        assert np.array_equal(idx, dists.argmin(axis=1))
-        assert best.tobytes() == np.maximum(dists.min(axis=1), 0.0).tobytes()
+        want = elementwise_oracle(points, centers)
+        assert_matches_oracle(_full_scan(points, centers), want)
+        assert_matches_oracle(_assign(points, centers), want)
+
+    @pytest.mark.parametrize("case", ["duplicates", "bin_edges", "tie_on_margin",
+                                      "one_bin_and_outlier", "outside_hull"])
+    def test_search_matches_oracle(self, case):
+        points, centers = search_case(case, np.random.default_rng(11))
+        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 9, 300])
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_search_matches_oracle_shapes(self, d, k, n):
+        rng = np.random.default_rng(100 * d + k + n)
+        points = rng.standard_normal((n, d)) * 1.5
+        centers = rng.standard_normal((k, d))
+        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+
+    def test_masked_equals_per_stream(self):
+        # one search over the three scales' kept cells, split per scale
+        rng = np.random.default_rng(12)
+        cb = Codebook(rng.standard_normal((128, 4)).astype(np.float32))
+        gmap = rng.integers(0, 3, size=(5, 6)).astype(np.uint8)
+        grids = [rng.standard_normal((5 * s, 6 * s, 4)).astype(np.float32) for s in (4, 2, 1)]
+        masks = masks_from_map(gmap)
+        got = quantize_masked(grids, masks, cb)
+        for stream, grid, mask in zip(got, grids, (masks.m1, masks.m2, masks.m3)):
+            assert stream.dtype == np.int32 and stream.size > 0
+            assert np.array_equal(stream, quantize(grid[mask.astype(bool)], cb))
+
+    def test_full_scan_is_rare_on_codec_cells(self, session, monkeypatch):
+        # the search settles all but a few cells without the full scan, at
+        # the benchmark's hirate ratios; no timing, so no slack for the host
+        counted = {"search": 0, "full": 0}
+
+        def counting(name, fn):
+            def wrapped(points, centers):
+                counted[name] += points.shape[0]
+                return fn(points, centers)
+            return wrapped
+
+        monkeypatch.setattr(vq, "_assign", counting("search", vq._assign))
+        monkeypatch.setattr(vq, "_full_scan", counting("full", vq._full_scan))
+        for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
+            counted.update(search=0, full=0)
+            pipeline.encode_image(session, make_image(kind, 512, 512, seed=80 + i),
+                                  ratios=RatioTriple(0.70, 0.25, 0.05))
+            assert counted["search"] > 10_000
+            assert counted["full"] < 0.01 * counted["search"], kind
 
     def test_peak_memory_large_codebook(self):
         # the distance block is sized in bytes, not cells: 1,024 cells
@@ -215,6 +324,16 @@ class TestCodebookFile:
         data = bytearray(path.read_bytes())
         data[20] ^= 0xFF  # inside the code vectors
         path.write_bytes(bytes(data))
+        with pytest.raises(CodebookError):
+            load_codebook(path)
+
+    def test_zero_dimensional_codes_rejected(self, tmp_path):
+        with pytest.raises(CodebookError):
+            Codebook(np.zeros((4, 0), dtype=np.float32))
+        # a file declaring d=0, consistent in size and hash
+        path = tmp_path / "d0.cgcb"
+        path.write_bytes(b"CGCB" + struct.pack("<BHH", 1, 4, 0) + bytes(8 * 4)
+                         + struct.pack("<Q", _codes_hash(np.zeros((4, 0)))))
         with pytest.raises(CodebookError):
             load_codebook(path)
 
