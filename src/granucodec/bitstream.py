@@ -32,7 +32,7 @@ CONTAINER_VERSION = 1
 MAX_CODE_LEN = 63
 
 # Largest padded image, in pixels, a container may declare: 8192^2. Decoding
-# peaks near 19 bytes per padded pixel, about 1.3 GB at the cap, so a small
+# peaks near 16 bytes per padded pixel, about 1.1 GB at the cap, so a small
 # hostile header cannot ask for more (Pillow's MAX_IMAGE_PIXELS plays this
 # role for its decoders).
 MAX_PIXELS = 1 << 26

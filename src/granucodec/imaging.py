@@ -9,13 +9,14 @@ values with peak 255, cropped to the true (pre-padding) dimensions.
 from __future__ import annotations
 
 import math
-import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
 
 BLOCK = 16
+
+#: Largest read load_ppm makes at once: a 2048 x 2048 image in one read.
+_READ_CHUNK = 1 << 24
 
 #: Sentinel returned by psnr() when the two images are identical.
 LOSSLESS = math.inf
@@ -113,15 +114,15 @@ def load_ppm(path) -> ImagePlane:
         if maxval != 255:
             raise ImageError(f"{path}: unsupported maxval {maxval} (only 255)")
         size = w * h * 3
-        # checked before reading, so a hostile header cannot ask for more
-        # memory than the file holds (a pipe has no size to check against)
-        st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode) and size > st.st_size - f.tell():
+        # read in bounded chunks, so a hostile header cannot make us allocate
+        # more memory than the input holds, file or pipe
+        chunks, left = [], size
+        while left and (chunk := f.read(min(left, _READ_CHUNK))):
+            chunks.append(chunk)
+            left -= len(chunk)
+        if left:
             raise ImageError(f"{path}: truncated pixel data")
-        data = f.read(size)
-        if len(data) != size:
-            raise ImageError(f"{path}: truncated pixel data")
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+    raw = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(h, w, 3)
     return from_raw(raw)
 
 

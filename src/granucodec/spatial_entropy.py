@@ -5,22 +5,14 @@ unnormalized Gaussian kernel; bin masses are averaged over a patch (all
 three channels pooled into one sample set), normalized, and the Shannon
 entropy in bits is taken. High entropy marks information-dense blocks.
 
-`entropy_map` has two paths that compute the same masses, chosen from the
-samples alone:
-
-- Histogram path. A plane read through `imaging.from_raw` holds only the
-  256 `normalize()` levels. When `levels[denormalize(samples)] == samples`
-  holds exactly for every sample, each block's bin mass is its 256-level
-  histogram (one `np.bincount` over (block, level) keys per block row) times
-  a (256, n_bins) table of level-to-bin affinities, so `exp` runs
-  256 * n_bins times per call instead of once per sample per bin. Blocks
-  holding the same samples in any order get bit-identical entropies.
-- Exact path. Any other plane (a decoded image, or samples off the 8-bit
-  lattice) evaluates the kernel for every sample, one block row at a time.
-  The paths agree to a few ulps: they differ only in summation order.
-
-`patch_entropy` evaluates the kernel per sample like the exact path; it is
-the oracle the tests hold both paths to.
+`entropy_map` works one block row at a time. Samples on the 256 `normalize()`
+levels (all of a plane read through `imaging.from_raw`) are counted per
+block with one `np.bincount` over (block, level) keys, and the counts are
+multiplied by a (256, n_bins) table of level-to-bin affinities, so blocks
+holding the same samples in any order get bit-identical entropies. A block
+row holding samples off those levels also evaluates the kernel per sample,
+and adds the masses of the off samples alone. `patch_entropy` evaluates the
+kernel for every sample; it is the oracle the tests hold `entropy_map` to.
 """
 
 from __future__ import annotations
@@ -64,7 +56,13 @@ def _affinity(values: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     """Unnormalized Gaussian affinity of each value to every bin center,
     on a new trailing bin axis."""
     sigma = cfg.effective_sigma
-    return np.exp(-((values[..., None] - cfg.bin_centers) ** 2) / (2.0 * sigma * sigma))
+    # exp(-(d ** 2) / (2 sigma^2)): the same operations in the same order, in
+    # one buffer instead of a new temporary for each
+    d = values[..., None] - cfg.bin_centers
+    np.square(d, out=d)
+    np.negative(d, out=d)
+    d /= 2.0 * sigma * sigma
+    return np.exp(d, out=d)
 
 
 def _mass_entropy(mass: np.ndarray) -> np.ndarray:
@@ -72,11 +70,6 @@ def _mass_entropy(mass: np.ndarray) -> np.ndarray:
     dist = mass / mass.sum(axis=-1, keepdims=True)
     terms = dist * np.log2(np.where(dist > 0, dist, 1.0))  # 0*log0 := 0
     return -terms.sum(axis=-1)
-
-
-def _entropy_bits(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
-    """Entropy (bits) of each sample set along the last axis of `samples`."""
-    return _mass_entropy(_affinity(samples, cfg).mean(axis=-2))
 
 
 def bin_affinity(pixel_value: float, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
@@ -89,56 +82,36 @@ def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> fl
     values = np.asarray(patch, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("empty patch")
-    return float(_entropy_bits(values, cfg))
+    return float(_mass_entropy(_affinity(values, cfg).mean(axis=0)))
 
 
 def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
     """One entropy value per non-overlapping block, raster order (by, bx).
     Raises ValueError for a plane holding NaN or infinite samples."""
-    if img.height % BLOCK or img.width % BLOCK:
-        raise ValueError("image not padded to block multiples")
-    mass = _histogram_mass(img.samples, cfg)
-    if mass is None:
-        if not np.isfinite(img.samples).all():
-            raise ValueError("image holds non-finite samples")
-        return _row_entropy(img.samples, cfg)
-    return _mass_entropy(mass)
-
-
-def _histogram_mass(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray | None:
-    """(by, bx, n_bins) bin mass of each block of a padded (H, W, C) plane
-    from its 8-bit level counts, or None if any sample is not exactly one of
-    the 256 levels."""
     b = BLOCK
-    h, w, c = samples.shape
+    h, w, c = img.samples.shape
+    if h % b or w % b:
+        raise ValueError("image not padded to block multiples")
     by, bx = h // b, w // b
     table = _affinity(_LEVELS.astype(np.float64), cfg)  # (256, n_bins)
     block_key = (np.arange(w) // b << 8)[:, None]  # (W, 1): block column * 256
-    mass = np.empty((by, bx, cfg.n_bins), dtype=np.float64)
+    spare = bx * 256  # the bin off-lattice samples are counted in, then dropped
+    mass = np.zeros((by, bx, cfg.n_bins), dtype=np.float64)
     for row in range(by):  # one block row at a time keeps the keys in cache
-        band = samples[row * b:(row + 1) * b]
-        with np.errstate(invalid="ignore"):  # NaN fails the test below
+        band = img.samples[row * b:(row + 1) * b]
+        with np.errstate(invalid="ignore"):  # NaN is off the levels, checked below
             codes = denormalize(band)
-        if not np.array_equal(_LEVELS[codes], band):
-            return None
-        counts = np.bincount((block_key | codes).ravel(), minlength=bx * 256)
-        mass[row] = counts.reshape(bx, 256).astype(np.float64) @ table
-    return mass / (b * b * c)
-
-
-def _row_entropy(samples: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
-    """Entropy map of any padded (H, W, C) plane, kernel evaluated per sample."""
-    b = BLOCK
-    h, w = samples.shape[:2]
-    by, bx = h // b, w // b
-    # (by, bx, b*b*channels): each row is one patch's pooled sample set
-    patches = (
-        samples.reshape(by, b, bx, b, -1)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(by, bx, -1)
-        .astype(np.float64)
-    )
-    out = np.empty((by, bx), dtype=np.float64)
-    for row in range(by):  # row-at-a-time keeps the affinity tensor small
-        out[row] = _entropy_bits(patches[row], cfg)
-    return out
+        keys = block_key | codes
+        off = _LEVELS[codes] != band
+        if off.any():
+            if not np.isfinite(band).all():
+                raise ValueError("image holds non-finite samples")
+            keys[off] = spare
+            # lattice samples, counted below, move to +inf, where the kernel is 0
+            spread = np.where(off, band.astype(np.float64), np.inf)
+            # (bx, b*b*c): each row is one patch's pooled sample set
+            patches = spread.reshape(b, bx, -1).transpose(1, 0, 2).reshape(bx, -1)
+            mass[row] = _affinity(patches, cfg).sum(axis=1)
+        counts = np.bincount(keys.ravel(), minlength=spare + 1)[:spare]
+        mass[row] += counts.reshape(bx, 256).astype(np.float64) @ table
+    return _mass_entropy(mass / (b * b * c))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,10 +156,16 @@ class TestEncodeDecode:
             assert imaging.psnr(flat, rec) == imaging.LOSSLESS
 
 
-def run_cli(*args, cwd=None):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, cwd=None, stdin=None):
+    """Run the CLI in a child that imports granucodec from this tree."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "granucodec.cli", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd)
+        capture_output=True, text=True, cwd=cwd, input=stdin,
+        env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +343,15 @@ class TestCli:
                       "--out", tmp_path / "x.cgic", "--bpp", "0.2")
         assert res.returncode == 1
         assert "error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_encode_huge_declared_ppm_on_a_pipe_exits_cleanly(self, cli_env, tmp_path):
+        _, cb, _ = cli_env
+        res = run_cli("encode", "--codebook", cb, "--input", "/dev/stdin",
+                      "--out", tmp_path / "x.cgic", "--bpp", "0.2",
+                      stdin="P6\n1000000000 1000000000\n255\nabc")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
 
     def test_encode_skewed_codebook_exits_cleanly(self, cli_env, tmp_path):

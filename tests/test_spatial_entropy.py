@@ -84,16 +84,11 @@ class TestPatchEntropy:
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def only_path(monkeypatch, path):
-    """Make entropy_map fail unless it takes `path`: the per-block level
-    histogram ("histogram") or the per-sample kernel ("row")."""
-    histogram_mass = spatial_entropy._histogram_mass
-
-    def checked(samples, cfg):
-        mass = histogram_mass(samples, cfg)
-        assert (mass is not None) == (path == "histogram"), f"left the {path} path"
-        return mass
-    monkeypatch.setattr(spatial_entropy, "_histogram_mass", checked)
+def block_entropies(samples):
+    """patch_entropy of each 16x16 block of a padded (H, W, C) plane."""
+    by, bx = samples.shape[0] // 16, samples.shape[1] // 16
+    return np.array([[patch_entropy(samples[y * 16:(y + 1) * 16, x * 16:(x + 1) * 16])
+                      for x in range(bx)] for y in range(by)])
 
 
 class TestEntropyMap:
@@ -103,13 +98,12 @@ class TestEntropyMap:
         assert emap.shape == (2, 3)
         assert np.allclose(emap, emap[0, 0], atol=1e-12)
 
-    def test_permuted_blocks_exactly_equal(self, monkeypatch):
-        # a seed whose two orders differ in the last bits on the row path
+    def test_permuted_blocks_exactly_equal(self):
+        # a seed whose two orders differ in the last bits under patch_entropy
         rng = np.random.default_rng(13)
         block = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         shuffled = rng.permutation(block.ravel()).reshape(block.shape)
         img = imaging.from_raw(np.concatenate([block, shuffled], axis=1))
-        only_path(monkeypatch, "histogram")
         emap = entropy_map(img)
         assert emap[0, 0] == emap[0, 1]
 
@@ -127,31 +121,56 @@ class TestEntropyMap:
         assert entropy_map(img).shape == (32, 48)
 
     @pytest.mark.parametrize("kind", ["noise", "gradient", "blocky", "photo", "waves"])
-    def test_histogram_path_matches_row_path(self, kind, monkeypatch):
+    def test_histogram_path_matches_row_path(self, kind):
+        # level counts (shift 0) and the per-sample kernel (shift 1e-4 puts
+        # every sample off the 8-bit levels) both match per-block patch_entropy
         img = make_image(kind, 200, 136, seed=11)  # padded to 208 x 144 (blocky
         # rounds its own size down to 192 x 128)
-        row = spatial_entropy._row_entropy(img.samples, EntropyConfig())
-        only_path(monkeypatch, "histogram")
-        emap = entropy_map(img)
-        assert emap.shape == row.shape
-        assert np.abs(emap - row).max() <= 1e-12
-        assert np.array_equal(np.argsort(emap, axis=None, kind="stable"),
-                              np.argsort(row, axis=None, kind="stable"))
+        for shift in (0.0, 1e-4):
+            samples = img.samples + np.float32(shift)
+            emap = entropy_map(imaging.ImagePlane(samples, img.true_h, img.true_w))
+            oracle = block_entropies(samples)
+            assert emap.shape == oracle.shape
+            assert np.abs(emap - oracle).max() <= 1e-12
+            assert np.array_equal(np.argsort(emap, axis=None, kind="stable"),
+                                  np.argsort(oracle, axis=None, kind="stable"))
 
-    def test_matches_patch_entropy(self, monkeypatch):
+    def test_matches_patch_entropy(self):
         lattice = make_image("waves", 32, 32, seed=9).samples
         shifted = lattice + np.float32(1e-4)  # every sample off the 8-bit levels
         one_off = lattice.copy()
         one_off[-1, -1, -1] += np.float32(1e-4)  # only the last sample
-        for path, samples in [("histogram", lattice), ("row", shifted), ("row", one_off)]:
-            img = imaging.ImagePlane(samples, 32, 32)
-            with monkeypatch.context() as m:
-                only_path(m, path)
-                emap = entropy_map(img)
+        for samples in (lattice, shifted, one_off):
+            emap = entropy_map(imaging.ImagePlane(samples, 32, 32))
             for by in range(2):
                 for bx in range(2):
                     patch = samples[by * 16:(by + 1) * 16, bx * 16:(bx + 1) * 16]
                     assert emap[by, bx] == pytest.approx(patch_entropy(patch), abs=1e-9)
+
+    def test_off_lattice_block_leaves_the_others_alone(self):
+        img = make_image("photo", 64, 64, seed=12)
+        samples = img.samples.copy()
+        samples[16:32, 32:48] += np.float32(1e-4)  # block (1, 2) off the levels
+        emap = entropy_map(imaging.ImagePlane(samples, 64, 64))
+        others = np.ones(emap.shape, dtype=bool)
+        others[1, 2] = False
+        assert np.array_equal(emap[others], entropy_map(img)[others])
+        assert emap[1, 2] == pytest.approx(
+            patch_entropy(samples[16:32, 32:48]), abs=1e-12)
+
+    def test_stray_sample_evaluates_one_block_row(self, monkeypatch):
+        evaluated = []
+        affinity = spatial_entropy._affinity
+
+        def counted(values, cfg):
+            evaluated.append(np.size(values))
+            return affinity(values, cfg)
+        monkeypatch.setattr(spatial_entropy, "_affinity", counted)
+        samples = make_image("waves", 64, 64, seed=9).samples.copy()
+        samples[40, 20, 2] += np.float32(1e-4)
+        entropy_map(imaging.ImagePlane(samples, 64, 64))
+        # the 256-level table, then the kernel of one 16 x 64 x 3 block row
+        assert sum(evaluated) <= 256 + 16 * 64 * 3
 
     def test_non_finite_samples_rejected_without_warning(self):
         samples = make_image("waves", 32, 32, seed=9).samples.copy()
