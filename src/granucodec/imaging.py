@@ -18,6 +18,9 @@ BLOCK = 16
 #: Largest read load_ppm makes at once: a 2048 x 2048 image in one read.
 _READ_CHUNK = 1 << 24
 
+#: Longest PPM header token accepted; 2**64 has 20 digits.
+_MAX_TOKEN = 20
+
 #: Sentinel returned by psnr() when the two images are identical.
 LOSSLESS = math.inf
 
@@ -94,6 +97,8 @@ def _read_ppm_token(f) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == _MAX_TOKEN:
+            raise ImageError(f"PPM header token longer than {_MAX_TOKEN} bytes")
         token += c
 
 

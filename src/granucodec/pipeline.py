@@ -5,11 +5,13 @@ code built from it, and the rate query table keyed by that code's mean
 length. Encoder and decoder must load the same codebook file; the container
 header pins its content hash.
 
-The decoder paints each 4x4 pixel cell with the clamped RGB of the code sent
-for it. That is the paper's conditional-replacement decoder here: its
-synthesis layers are nearest-neighbour upsamplers, and every fine-grid cell
-is sent at exactly one scale, so replacing the known positions after each
-layer returns the stitched grid of transmitted codes bit for bit.
+A code is a cell's mean colour (analysis.FEATURES = 3), and a session
+refuses a codebook of any other width. The decoder paints each 4x4 pixel
+cell with the clamped colour of the code sent for it. That is the paper's
+conditional-replacement decoder here: its synthesis layers are
+nearest-neighbour upsamplers, and every fine-grid cell is sent at exactly one
+scale, so replacing the known positions after each layer returns the
+stitched grid of transmitted codes bit for bit.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def decode_streams(session: CodecSession,
 
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
                 streams: list[np.ndarray]) -> ImagePlane:
-    """Paint each 4x4 pixel cell with the clamped RGB of its transmitted code."""
+    """Paint each 4x4 pixel cell with the clamped colour of its transmitted code."""
     masks = granularity.masks_from_map(gmap)
     # the masks cover the fine grid disjointly, so the sum is each cell's index;
     # the dtype holds every stream value, so lookup sees any out-of-range one
@@ -147,7 +149,7 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
         grid = np.zeros(mask.shape, dtype=codes.dtype)
         grid[kept] = idx
         codes += nn_upsample(grid, factor)
-    rgb = np.clip(vq.lookup(codes, session.codebook)[..., :3], -1.0, 1.0)
+    rgb = np.clip(vq.lookup(codes, session.codebook), -1.0, 1.0)
     rgb += 0.0  # -0.0 -> +0.0, as the replacement chain's masked sums give
     return ImagePlane(nn_upsample(rgb, 4), true_h=container.true_h,
                       true_w=container.true_w)

@@ -133,7 +133,7 @@ def test_5_losslessness_and_corruption():
     rng = np.random.default_rng(99)
     for trial in range(1000):
         k = int(rng.integers(4, 64))
-        cb = vq.Codebook(rng.standard_normal((k, 4)).astype(np.float32))
+        cb = vq.Codebook(rng.standard_normal((k, 3)).astype(np.float32))
         tbl = vq.FrequencyTable(
             rng.integers(1, 200, size=k).astype(np.uint64), smoothed=True)
         session = pipeline.CodecSession(cb, tbl)
@@ -200,11 +200,11 @@ def test_7_replacement_exactness():
         by, bx = rng.integers(1, 7, size=2)
         gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
         masks = gr.masks_from_map(gmap)
-        q1 = rng.standard_normal((by * 4, bx * 4, 4)).astype(np.float32)
-        q2 = rng.standard_normal((by * 2, bx * 2, 4)).astype(np.float32)
-        q3 = rng.standard_normal((by, bx, 4)).astype(np.float32)
+        q1 = rng.standard_normal((by * 4, bx * 4, 3)).astype(np.float32)
+        q2 = rng.standard_normal((by * 2, bx * 2, 3)).astype(np.float32)
+        q3 = rng.standard_normal((by, bx, 3)).astype(np.float32)
         # one code per cell of each scale; each stream sends its kept cells
-        session = codes_session(np.concatenate([q.reshape(-1, 4) for q in (q1, q2, q3)]))
+        session = codes_session(np.concatenate([q.reshape(-1, 3) for q in (q1, q2, q3)]))
         offsets = np.cumsum([0, q1[..., 0].size, q2[..., 0].size])
         streams = [off + np.flatnonzero(m).astype(np.int32)
                    for off, m in zip(offsets, (masks.m1, masks.m2, masks.m3))]

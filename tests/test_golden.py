@@ -3,12 +3,13 @@
 Every "bit-identical" claim about a codec change rests on this test. It pins
 the `small_session` codebook, the serialized containers of fixed encodes and
 the decoded samples. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
-OpenBLAS 0.3.31 running its Haswell kernel. The nearest-code search sums its
-distances elementwise in a fixed order, so no BLAS decides an index or a
-codebook. One BLAS call is left: `spatial_entropy._histogram_mass` forms
-block bin masses with a float64 matmul, so a BLAS that rounds differently
-could still swap the granularity ranks of two blocks whose entropies nearly
-tie, and change the pins.
+OpenBLAS 0.3.31 running its Haswell kernel, with the three-feature (mean
+colour) analysis transform. The nearest-code search sums its distances
+elementwise in a fixed order, so no BLAS decides an index or a codebook. One
+BLAS call is left: `spatial_entropy.entropy_map` adds each block row's bin
+masses as a float64 `counts @ table` matmul, so a BLAS that rounds
+differently could still swap the granularity ranks of two blocks whose
+entropies nearly tie, and change the pins.
 """
 
 import hashlib
@@ -18,9 +19,9 @@ from granucodec.granularity import RatioTriple
 
 from conftest import make_image
 
-SMALL_SESSION_ID_HASH = 0xC82578901C6A974A
-CONTAINERS_SHA256 = "e4299aaa4e08e5beed4bcba8956c49fef8ba8b317889174e2c44075b5756dd45"
-SAMPLES_SHA256 = "e57a96b36ffadcfb84e60a5ebe880c0791465d550fec89282aca3e653c83ce88"
+SMALL_SESSION_ID_HASH = 0x61AECBF56643D62A
+CONTAINERS_SHA256 = "bf64a286a616ebadc510cfb20139348e43b2b922c301f5af570c320651ec36b6"
+SAMPLES_SHA256 = "3242c9bd72a19b6b15f49d62f0f571e7b9c0e2ebdc22904bd9926c8e5b880ebc"
 
 
 def test_golden_bytes(small_session):

@@ -66,6 +66,8 @@ class TestLoad:
         b"P6\nx 2\n255\n" + bytes(12),       # malformed dims
         b"P6\n4 4\n255\n" + bytes(10),       # truncated data
         b"P6\n1000000000 1000000000\n255\n" + bytes(12),  # more than the file
+        pytest.param(b"P6\n" + b"9" * 400_000 + b" 2\n255\n" + bytes(12),
+                     id="400000-digit-width"),
     ])
     def test_malformed_rejected(self, tmp_path, payload):
         p = tmp_path / "bad.ppm"

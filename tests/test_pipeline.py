@@ -19,7 +19,7 @@ def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
     the pixel cap (8208x8192), and the k=1 codebook it decodes with: every
     map label and every index is the one-bit codeword 0, so the payload is
     all zero bytes."""
-    cb = vq.Codebook(np.zeros((1, 4), dtype=np.float32))
+    cb = vq.Codebook(np.zeros((1, 3), dtype=np.float32))
     tbl = vq.finalize_frequencies(vq.FrequencyTable.zeros(1))
     h, w = 8208, 8192
     assert h * w > bitstream.MAX_PIXELS >= (h - 16) * w
@@ -137,10 +137,11 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="empty"):
             pipeline.encode_with_map(small_session, img, gmap)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 4, 5])
     def test_codebook_of_other_feature_count_rejected(self, d):
-        # the analysis transform makes 4 features per cell; a d=2 session
-        # used to decode into a 2-channel plane that save_ppm wrote short
+        # the analysis transform makes 3 features per cell; a d=2 session
+        # used to decode into a 2-channel plane that save_ppm wrote short,
+        # and d=4 is the layout that also held a luminance std
         cb = vq.Codebook(np.zeros((2, d), dtype=np.float32))
         with pytest.raises(vq.CodebookError):
             pipeline.CodecSession(cb, vq.finalize_frequencies(vq.FrequencyTable.zeros(2)))

@@ -22,8 +22,8 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
     into its scale's mask and the three grids are stitched onto the fine grid
     (z). Two x2 nearest-neighbour layers rebuild the medium and fine grids
     from the coarse one, and after each the positions a mask marks as known
-    are replaced by the pooled z. The RGB channels are clamped and painted
-    onto 4x4 pixel cells. Returns the padded samples."""
+    are replaced by the pooled z. The colours are clamped and painted onto
+    4x4 pixel cells. Returns the padded samples."""
     masks = masks_from_map(gmap)
     m1, m2, m3 = (m[..., None].astype(np.float32) for m in (masks.m1, masks.m2, masks.m3))
     q = []
@@ -34,7 +34,7 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
     z = q[0] + nn_upsample(q[1], 2) + nn_upsample(q[2], 4)
     y2 = nn_upsample(avg_pool(z, 4), 2) * (1 - m2) + avg_pool(z, 2) * m2
     y3 = nn_upsample(y2, 2) * (1 - m1) + z * m1
-    return nn_upsample(np.clip(y3[..., :3], -1.0, 1.0), 4)
+    return nn_upsample(np.clip(y3, -1.0, 1.0), 4)
 
 
 def decode(session, gmap, streams) -> np.ndarray:
@@ -44,14 +44,14 @@ def decode(session, gmap, streams) -> np.ndarray:
 
 
 def painted(session, stream, factor: int, shape) -> np.ndarray:
-    """The clamped RGB of each code in a raster-order stream covering a grid
-    of `shape` cells, each cell painted as a factor x factor pixel block."""
-    rgb = np.clip(session.codebook.codes[stream, :3], -1.0, 1.0)
+    """The clamped colour of each code in a raster-order stream covering a
+    grid of `shape` cells, each cell painted as a factor x factor pixel block."""
+    rgb = np.clip(session.codebook.codes[stream], -1.0, 1.0)
     return nn_upsample(rgb.reshape(shape + (3,)), factor)
 
 
 def random_setup(rng, by=3, bx=4, k=16):
-    session = codes_session(rng.standard_normal((k, 4)))
+    session = codes_session(rng.standard_normal((k, 3)))
     gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
     return session, gmap, random_streams(rng, gmap, k)
 
@@ -59,7 +59,7 @@ def random_setup(rng, by=3, bx=4, k=16):
 class TestAssemble:
     def test_all_coarse(self):
         rng = np.random.default_rng(0)
-        session = codes_session(rng.standard_normal((4, 4)))
+        session = codes_session(rng.standard_normal((4, 3)))
         gmap = np.full((2, 2), COARSE, dtype=np.uint8)
         stream = np.array([2, 0, 3, 3], dtype=np.int32)
         out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [stream])
@@ -67,7 +67,7 @@ class TestAssemble:
 
     def test_all_fine(self):
         rng = np.random.default_rng(1)
-        session = codes_session(rng.standard_normal((64, 4)))
+        session = codes_session(rng.standard_normal((64, 3)))
         gmap = np.full((2, 2), FINE, dtype=np.uint8)
         stream = rng.permutation(64).astype(np.int32)
         out = decode(session, gmap, [stream] + [np.zeros(0, np.int32)] * 2)
@@ -91,7 +91,7 @@ class TestAssemble:
 
     def test_one_index_for_several_cells_rejected(self):
         # numpy would broadcast a one-index stream over every kept cell
-        session = codes_session(np.random.default_rng(5).standard_normal((4, 4)))
+        session = codes_session(np.random.default_rng(5).standard_normal((4, 3)))
         gmap = np.full((1, 2), COARSE, dtype=np.uint8)
         empty = np.zeros(0, np.int32)
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestConditionalDecode:
 
     def test_all_coarse_identity_chain(self):
         rng = np.random.default_rng(7)
-        session = codes_session(rng.standard_normal((6, 4)))
+        session = codes_session(rng.standard_normal((6, 3)))
         gmap = np.full((2, 3), COARSE, dtype=np.uint8)
         streams = [np.zeros(0, np.int32)] * 2 + [rng.permutation(6).astype(np.int32)]
         out = decode(session, gmap, streams)
@@ -152,10 +152,10 @@ class TestConditionalDecode:
         special = np.array([-0.0, 0.0, 1e-30, -1e-30, 1.5e-30, 9.0, -9.0, 1.0, -1.0],
                            dtype=np.float32)
         for _ in range(40):
-            codes = (2 * rng.standard_normal((k, 4))).astype(np.float32)
+            codes = (2 * rng.standard_normal((k, 3))).astype(np.float32)
             pick = rng.random(codes.shape) < 0.5
             codes[pick] = rng.choice(special, size=int(pick.sum()))
-            codes[0, :3] = (-0.0, 0.0, 1e-30)
+            codes[0] = (-0.0, 0.0, 1e-30)
             session = codes_session(codes)
             by, bx = rng.integers(1, 9, size=2)
             gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
@@ -169,7 +169,7 @@ class TestConditionalDecode:
 class TestSynthesize:
     def test_constant_image_exact(self):
         img = from_raw(np.full((32, 32, 3), 150, dtype=np.uint8))
-        session = codes_session(np.append(img.samples[0, 0], 0.0)[None])
+        session = codes_session(img.samples[0, 0][None])
         gmap = np.full((2, 2), COARSE, dtype=np.uint8)
         out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [np.zeros(4, np.int32)])
         assert out.tobytes() == img.samples.tobytes()
@@ -177,14 +177,14 @@ class TestSynthesize:
     def test_block_mean_painting(self):
         img = make_image("photo", 32, 32, seed=8)
         means = avg_pool(img.samples, 4)
-        session = codes_session(np.append(means.reshape(64, 3), np.zeros((64, 1)), axis=1))
+        session = codes_session(means.reshape(64, 3))
         gmap = np.full((2, 2), FINE, dtype=np.uint8)
         out = decode(session, gmap, [np.arange(64, dtype=np.int32)]
                      + [np.zeros(0, np.int32)] * 2)
         assert np.array_equal(out, nn_upsample(means, 4))
 
     def test_output_clamped(self):
-        session = codes_session([[9.0] * 4, [-9.0] * 4])
+        session = codes_session([[9.0] * 3, [-9.0] * 3])
         gmap = np.full((1, 2), COARSE, dtype=np.uint8)
         out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [np.array([0, 1], np.int32)])
         assert np.all(out[:, :16] == 1.0) and np.all(out[:, 16:] == -1.0)
