@@ -125,6 +125,11 @@ def cmd_stats(args) -> int:
         "theoretical_bpp": granularity.theoretical_bpp(ratios, session.mean_code_len),
         "actual_bpp": total,
         "payload_bpp": payload,
+        # as the benchmark defines it: against the model at the plan's ratios
+        "rate_gap_bpp": abs(payload - granularity.theoretical_bpp(
+            container.ratios, session.mean_code_len)),
+        "stream_bits": dict(zip(("map", "fine", "medium", "coarse"),
+                                (container.map_bits, *container.index_bits))),
         "psnr_db": None if quality == imaging.LOSSLESS else quality,
         "lossless": quality == imaging.LOSSLESS,
         "blocks": {granularity.LABEL_NAMES[k]: v for k, v in counts.items()},

@@ -1,9 +1,15 @@
 """Image I/O, normalization, padding and the pooling primitives used everywhere.
 
-Pixels live in [-1, 1] as float32; pooling sums them in float64 in an order
-written in the code, not left to numpy's iterator, so results are
-deterministic across platforms. PSNR is reported on de-normalized 0-255
-values with peak 255, cropped to the true (pre-padding) dimensions.
+Pixels live in [-1, 1] as float32. An 8-bit byte becomes a sample through
+one table, `_LEVELS`: the 256 values b / 255 * 2 - 1, computed once in
+float64 and rounded to float32. `normalize` is a lookup in it, and
+`spatial_entropy.entropy_map` inverts it in float32 (s * 127.5 + 127.5 is
+exactly the byte of each of the 256 levels). `denormalize` keeps the float64
+formula, with rounding and a clip, for samples off those levels, such as
+decoded ones. Pooling sums samples in float64 in an order written in the code, not
+left to numpy's iterator, so results are deterministic across platforms.
+PSNR is reported on de-normalized 0-255 values with peak 255, cropped to
+the true (pre-padding) dimensions.
 """
 
 from __future__ import annotations
@@ -54,9 +60,13 @@ def _ceil_to(n: int, multiple: int) -> int:
     return ((n + multiple - 1) // multiple) * multiple
 
 
+#: The sample value of each byte 0..255, indexed by byte.
+_LEVELS = (np.arange(256, dtype=np.float64) / 255.0 * 2.0 - 1.0).astype(np.float32)
+
+
 def normalize(raw: np.ndarray) -> np.ndarray:
-    """Map 8-bit samples 0..255 linearly onto [-1, 1]."""
-    return (raw.astype(np.float64) / 255.0 * 2.0 - 1.0).astype(np.float32)
+    """Map uint8 samples 0..255 linearly onto [-1, 1], as float32."""
+    return np.take(_LEVELS, raw)
 
 
 def denormalize(samples: np.ndarray) -> np.ndarray:
@@ -76,6 +86,8 @@ def pad_to_block(samples: np.ndarray, block: int = BLOCK) -> np.ndarray:
 
 def from_raw(raw: np.ndarray) -> ImagePlane:
     """Build a padded ImagePlane from an (h, w, 3) uint8 array."""
+    if raw.dtype != np.uint8:  # take() would wrap a negative index
+        raise ImageError(f"expected uint8 samples, got {raw.dtype}")
     if raw.ndim != 3 or raw.shape[2] != 3:
         raise ImageError(f"expected (h, w, 3) samples, got shape {raw.shape}")
     h, w = raw.shape[:2]

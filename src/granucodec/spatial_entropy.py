@@ -5,14 +5,19 @@ unnormalized Gaussian kernel; bin masses are averaged over a patch (all
 three channels pooled into one sample set), normalized, and the Shannon
 entropy in bits is taken. High entropy marks information-dense blocks.
 
-`entropy_map` works one block row at a time. Samples on the 256 `normalize()`
-levels (all of a plane read through `imaging.from_raw`) are counted per
-block with one `np.bincount` over (block, level) keys, and the counts are
-multiplied by a (256, n_bins) table of level-to-bin affinities, so blocks
-holding the same samples in any order get bit-identical entropies. A block
-row holding samples off those levels also evaluates the kernel per sample,
-and adds the masses of the off samples alone. `patch_entropy` evaluates the
-kernel for every sample; it is the oracle the tests hold `entropy_map` to.
+`entropy_map` works one block row at a time. Samples on the 256 levels of
+`imaging._LEVELS` (all of a plane read through `imaging.from_raw`) are
+counted per block with one `np.bincount` over (block, level) keys, and the
+counts are multiplied by a (256, n_bins) table of level-to-bin affinities.
+A sample's byte is s * 127.5 + 127.5 in float32, which is exact for every
+level, and a sample that is not the `_LEVELS` entry at its byte is off the
+levels. A block row holding
+such samples also evaluates the kernel per sample, and adds the masses of
+the off samples alone. Every affinity is rounded to a whole number of 2**-43
+units, so a block's mass is an exact integer count of units whatever order
+it is summed in: blocks holding the same samples in any order, on any BLAS
+kernel, get bit-identical entropies. `patch_entropy` evaluates the kernel
+for every sample, unrounded; it is the oracle the tests hold `entropy_map` to.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BLOCK, ImagePlane, denormalize, normalize
+from .imaging import _LEVELS, BLOCK, ImagePlane
 
-#: The 256 sample values an 8-bit image normalizes to, indexed by byte.
-_LEVELS = normalize(np.arange(256, dtype=np.uint8))
+#: Block masses are counted in units of 2**-_MASS_EXP (see `_units`).
+_MASS_EXP = 43
 
 
 def _default_sigma(n_bins: int) -> float:
@@ -65,6 +70,26 @@ def _affinity(values: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     return np.exp(d, out=d)
 
 
+def _units(affinity: np.ndarray) -> np.ndarray:
+    """Affinities in whole units of 2**-_MASS_EXP, in place. Every sum of a
+    block's (at most 768) unit masses is an integer below 2**53, so it is
+    exact in float64 whatever order a BLAS kernel adds it in."""
+    np.ldexp(affinity, _MASS_EXP, out=affinity)
+    return np.rint(affinity, out=affinity)
+
+
+def _level_bytes(samples: np.ndarray, scaled: np.ndarray, codes: np.ndarray) -> None:
+    """codes = the byte of each sample that is one of the 256 `_LEVELS`.
+    s * 127.5 + 127.5 in float32 is exactly the byte of every level, so the
+    cast needs no rounding. Any other sample (NaN and inf included) gets some
+    byte whose level it is not, so the caller finds it off the levels; no
+    clip is needed. `scaled` is a float32 buffer of the samples' shape."""
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf, out of range
+        np.multiply(samples, np.float32(127.5), out=scaled)
+        scaled += np.float32(127.5)
+        np.copyto(codes, scaled, casting="unsafe")
+
+
 def _mass_entropy(mass: np.ndarray) -> np.ndarray:
     """Entropy (bits) of the bin masses along the last axis."""
     dist = mass / mass.sum(axis=-1, keepdims=True)
@@ -93,16 +118,22 @@ def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.nda
     if h % b or w % b:
         raise ValueError("image not padded to block multiples")
     by, bx = h // b, w // b
-    table = _affinity(_LEVELS.astype(np.float64), cfg)  # (256, n_bins)
-    block_key = (np.arange(w) // b << 8)[:, None]  # (W, 1): block column * 256
+    table = _units(_affinity(_LEVELS.astype(np.float64), cfg))  # (256, n_bins)
+    block_key = np.arange(w * c) // (b * c) << 8  # per band column: block column * 256
     spare = bx * 256  # the bin off-lattice samples are counted in, then dropped
+    # one block row's buffers, reused for every row
+    scaled = np.empty((b, w * c), dtype=np.float32)
+    codes = np.empty((b, w * c), dtype=np.uint8)
+    levels = np.empty((b, w * c), dtype=np.float32)
+    keys = np.empty((b, w * c), dtype=np.intp)
+    off = np.empty((b, w * c), dtype=bool)
     mass = np.zeros((by, bx, cfg.n_bins), dtype=np.float64)
     for row in range(by):  # one block row at a time keeps the keys in cache
-        band = img.samples[row * b:(row + 1) * b]
-        with np.errstate(invalid="ignore"):  # NaN is off the levels, checked below
-            codes = denormalize(band)
-        keys = block_key | codes
-        off = _LEVELS[codes] != band
+        band = img.samples[row * b:(row + 1) * b].reshape(b, w * c)
+        _level_bytes(band, scaled, codes)
+        np.take(_LEVELS, codes, out=levels)
+        np.not_equal(levels, band, out=off)
+        np.add(block_key, codes, out=keys)
         if off.any():
             if not np.isfinite(band).all():
                 raise ValueError("image holds non-finite samples")
@@ -111,7 +142,7 @@ def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.nda
             spread = np.where(off, band.astype(np.float64), np.inf)
             # (bx, b*b*c): each row is one patch's pooled sample set
             patches = spread.reshape(b, bx, -1).transpose(1, 0, 2).reshape(bx, -1)
-            mass[row] = _affinity(patches, cfg).sum(axis=1)
+            mass[row] = _units(_affinity(patches, cfg)).sum(axis=1)
         counts = np.bincount(keys.ravel(), minlength=spare + 1)[:spare]
         mass[row] += counts.reshape(bx, 256).astype(np.float64) @ table
-    return _mass_entropy(mass / (b * b * c))
+    return _mass_entropy(mass)  # normalizing makes the unit and the count cancel

@@ -116,23 +116,40 @@ def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -
     n = corpus.shape[0]
     if n < k:
         raise ValueError(f"corpus size {n} smaller than k={k}")
-    rng = np.random.default_rng(seed)
+    centers = _seed_centers(corpus, k, np.random.default_rng(seed))
+    for _ in range(iters):
+        _update_centers(corpus, *_assign(corpus, centers), centers)
+    return Codebook(centers.astype(np.float32))
 
-    # k-means++ init
-    centers = np.empty((k, corpus.shape[1]), dtype=np.float64)
+
+def _seed_centers(corpus: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each next center is drawn with probability
+    proportional to its squared distance from the nearest center so far.
+
+    A draw runs the steps `rng.choice(n, p=d2 / d2.sum())` runs (divide,
+    cumsum, divide by the last value, search one `rng.random()`) on one
+    buffer, without choice's validation and fresh arrays, so it picks the
+    same point. Distances add the d coordinate columns in order, as numpy's
+    `.sum(axis=1)` of an (n, d) array does for d < 8.
+    """
+    n, d = corpus.shape
+    cols = [np.ascontiguousarray(corpus[:, j]) for j in range(d)]
+    centers = np.empty((k, d), dtype=np.float64)
+    d2, dist, buf = np.empty(n), np.empty(n), np.empty(n)
     centers[0] = corpus[rng.integers(n)]
-    d2 = ((corpus - centers[0]) ** 2).sum(axis=1)
+    _sq_dist(zip(cols, centers[0]), d2, buf)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[i] = corpus[rng.integers(n)]
         else:
-            centers[i] = corpus[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((corpus - centers[i]) ** 2).sum(axis=1))
-
-    for _ in range(iters):
-        _update_centers(corpus, *_assign(corpus, centers), centers)
-    return Codebook(centers.astype(np.float32))
+            np.divide(d2, total, out=buf)
+            np.cumsum(buf, out=buf)
+            buf /= buf[-1]
+            centers[i] = corpus[buf.searchsorted(rng.random(), side="right")]
+        _sq_dist(zip(cols, centers[i]), dist, buf)
+        np.minimum(d2, dist, out=d2)
+    return centers
 
 
 def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,

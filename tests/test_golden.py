@@ -5,11 +5,10 @@ the `small_session` codebook, the serialized containers of fixed encodes and
 the decoded samples. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
 OpenBLAS 0.3.31 running its Haswell kernel, with the three-feature (mean
 colour) analysis transform. The nearest-code search sums its distances
-elementwise in a fixed order, so no BLAS decides an index or a codebook. One
-BLAS call is left: `spatial_entropy.entropy_map` adds each block row's bin
-masses as a float64 `counts @ table` matmul, so a BLAS that rounds
-differently could still swap the granularity ranks of two blocks whose
-entropies nearly tie, and change the pins.
+elementwise in a fixed order, so no BLAS decides an index or a codebook. The
+one BLAS call left, `spatial_entropy.entropy_map`'s `counts @ table`, adds
+whole numbers of 2**-43 units below 2**53, so every BLAS kernel gives the
+same block masses.
 """
 
 import hashlib

@@ -83,6 +83,20 @@ class TestLoad:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestNormalize:
+    def test_levels_equal_float64_formula(self):
+        raw = np.arange(256, dtype=np.uint8)
+        want = (raw.astype(np.float64) / 255.0 * 2.0 - 1.0).astype(np.float32)
+        got = imaging.normalize(raw)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_from_raw_rejects_other_dtypes(self, dtype):
+        with pytest.raises(imaging.ImageError, match="uint8"):
+            from_raw(np.zeros((4, 4, 3), dtype=dtype))
+
+
 class TestPad:
     def test_multiple_of_16_unchanged(self):
         samples = np.zeros((768, 512, 3), dtype=np.float32)

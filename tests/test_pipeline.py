@@ -209,6 +209,26 @@ class TestCli:
         assert s["actual_bpp"] == pytest.approx(i["actual_bpp"])
         assert s["psnr_db"] is None or s["psnr_db"] > 0
 
+    def test_stats_stream_bits_and_rate_gap(self, cli_env):
+        _, cb, ppm = cli_env
+        res = run_cli("stats", "--codebook", cb, "--input", ppm,
+                      "--ratios", "0.3,0.3,0.4", "--json")
+        assert res.returncode == 0, res.stderr
+        s = json.loads(res.stdout)
+        assert list(s) == ["ratios", "theoretical_bpp", "actual_bpp", "payload_bpp",
+                           "rate_gap_bpp", "stream_bits", "psnr_db", "lossless",
+                           "blocks", "mean_code_length"]
+        assert list(s["stream_bits"]) == ["map", "fine", "medium", "coarse"]
+        session = pipeline.CodecSession.from_file(cb)
+        c = pipeline.encode_image(session, imaging.load_ppm(ppm),
+                                  ratios=RatioTriple(0.3, 0.3, 0.4))
+        assert s["stream_bits"] == {"map": c.map_bits, "fine": c.index_bits[0],
+                                    "medium": c.index_bits[1], "coarse": c.index_bits[2]}
+        assert sum(s["stream_bits"].values()) == c.payload_bit_length
+        # the benchmark's definition: the model at the plan's ratios
+        theory = granularity.theoretical_bpp(c.ratios, session.mean_code_len)
+        assert s["rate_gap_bpp"] == abs(s["payload_bpp"] - theory)
+
     def test_target_bpp_flag(self, cli_env):
         root, cb, ppm = cli_env
         res = run_cli("encode", "--codebook", cb, "--input", ppm,

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from granucodec import imaging, spatial_entropy
+from granucodec import granularity, imaging, spatial_entropy
 from granucodec.spatial_entropy import EntropyConfig, bin_affinity, entropy_map, patch_entropy
 
-from conftest import make_image
+from conftest import make_image, make_raw
 
 
 def entropy_oracle(values, n=32, sigma=None):
@@ -180,3 +184,110 @@ class TestEntropyMap:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):
                     entropy_map(imaging.ImagePlane(samples, 32, 32))
+
+
+def denormalize_keyed_map(samples):
+    """entropy_map with each sample's level found by imaging.denormalize (a
+    float64 scale, rint and clip), as it was before the float32 step; the
+    rest, masses in 2**-43 units included, is entropy_map's own arithmetic.
+    Finite samples only."""
+    b, cfg = 16, EntropyConfig()
+    h, w, c = samples.shape
+    by, bx = h // b, w // b
+    units = spatial_entropy._units
+    table = units(spatial_entropy._affinity(imaging._LEVELS.astype(np.float64), cfg))
+    block_key = (np.arange(w) // b << 8)[:, None]
+    spare = bx * 256
+    mass = np.zeros((by, bx, cfg.n_bins))
+    for row in range(by):
+        band = samples[row * b:(row + 1) * b]
+        codes = imaging.denormalize(band)
+        keys = block_key | codes
+        off = imaging._LEVELS[codes] != band
+        if off.any():
+            keys[off] = spare
+            spread = np.where(off, band.astype(np.float64), np.inf)
+            patches = spread.reshape(b, bx, -1).transpose(1, 0, 2).reshape(bx, -1)
+            mass[row] = units(spatial_entropy._affinity(patches, cfg)).sum(axis=1)
+        counts = np.bincount(keys.ravel(), minlength=spare + 1)[:spare]
+        mass[row] += counts.reshape(bx, 256).astype(np.float64) @ table
+    return spatial_entropy._mass_entropy(mass)
+
+
+class TestLevelStep:
+    def test_every_level_gives_back_its_byte(self):
+        levels = imaging._LEVELS
+        scaled, codes = np.empty(256, dtype=np.float32), np.empty(256, dtype=np.uint8)
+        spatial_entropy._level_bytes(levels, scaled, codes)
+        assert np.array_equal(scaled, np.arange(256))  # exact, so the cast rounds nothing
+        assert np.array_equal(codes, np.arange(256))
+        assert np.array_equal(imaging.denormalize(levels), np.arange(256))
+
+    @pytest.mark.parametrize("kind", ["noise", "gradient", "blocky", "photo", "waves"])
+    def test_equals_denormalize_keys_without_the_kernel(self, kind, monkeypatch):
+        # a lattice sample marked off gives the same map bytes through the
+        # kernel, so only the kernel's work shows a step that misses one
+        evaluated = []
+        affinity = spatial_entropy._affinity
+
+        def counted(values, cfg):
+            evaluated.append(np.size(values))
+            return affinity(values, cfg)
+        monkeypatch.setattr(spatial_entropy, "_affinity", counted)
+        img = make_image(kind, 200, 136, seed=11)
+        emap = entropy_map(img)
+        assert evaluated == [256]  # the level table alone
+        assert emap.tobytes() == denormalize_keyed_map(img.samples).tobytes()
+
+    def test_equals_denormalize_keys_off_the_levels(self):
+        samples = make_image("photo", 64, 80, seed=14).samples.copy()
+        flat = samples.reshape(-1)
+        rng = np.random.default_rng(15)
+        at = rng.choice(flat.size, size=40, replace=False)
+        up, down = np.float32(2), np.float32(-2)
+        flat[at[:10]] = np.nextafter(flat[at[:10]], up)  # +1 ulp of a level
+        flat[at[10:20]] = np.nextafter(flat[at[10:20]], down)  # -1 ulp
+        flat[at[20:25]] = np.nextafter(np.float32(1), up)  # just above the top level
+        flat[at[25:30]] = np.float32(1.5)
+        flat[at[30:35]] = np.float32(-7.0)
+        flat[at[35:]] = np.float32(-0.0)
+        emap = entropy_map(imaging.ImagePlane(samples, 64, 80))
+        assert emap.tobytes() == denormalize_keyed_map(samples).tobytes()
+        untouched = entropy_map(make_image("photo", 64, 80, seed=14))
+        assert not np.array_equal(emap, untouched)
+
+
+def repeated_tile_plans(seeds=(0, 1, 2), h=256, w=1008) -> str:
+    """Plan bytes, as hex, of photos whose blocks are 60% permuted copies of
+    one 16x16 tile, at ratios 0.3/0.3/0.4. The copies tie in entropy, so the
+    plan ranks them by raster order only if every copy gets the same value."""
+    plans = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        raw = make_raw("photo", h, w, seed)
+        tile = raw[:16, :16].reshape(-1)
+        ny, nx = h // 16, w // 16
+        for blk in rng.permutation(ny * nx)[:int(0.6 * ny * nx)]:
+            y, x = divmod(int(blk), nx)
+            raw[y * 16:(y + 1) * 16, x * 16:(x + 1) * 16] = \
+                rng.permutation(tile).reshape(16, 16, 3)
+        emap = entropy_map(imaging.from_raw(raw))
+        plans.append(granularity.plan_granularity(
+            emap, granularity.RatioTriple(0.3, 0.3, 0.4)).tobytes().hex())
+    return "\n".join(plans)
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_plans_do_not_depend_on_the_blas_kernel(core):
+    # a DYNAMIC_ARCH OpenBLAS picks its matmul kernel from OPENBLAS_CORETYPE
+    # at load time, so each kernel needs a process of its own
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "from test_spatial_entropy import repeated_tile_plans; "
+                               "print(repeated_tile_plans(), end='')"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == repeated_tile_plans()

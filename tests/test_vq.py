@@ -8,8 +8,8 @@ from granucodec.granularity import RatioTriple, masks_from_map
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, accumulate_frequencies,
     finalize_frequencies, kmeans_distortion, load_codebook, lookup, quantize,
-    quantize_masked, _assign, _codes_hash, _full_scan, _update_centers, save_codebook,
-    train_codebook,
+    quantize_masked, _assign, _codes_hash, _full_scan, _seed_centers, _update_centers,
+    save_codebook, train_codebook,
 )
 
 from conftest import make_image, traced_peak
@@ -259,6 +259,31 @@ class TestTraining:
     def test_corpus_too_small(self):
         with pytest.raises(ValueError):
             train_codebook(np.zeros((3, 4)), k=8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_seeding_draws_what_choice_draws(self, d):
+        def choice_seeding(corpus, k, rng):
+            n = corpus.shape[0]
+            centers = np.empty((k, corpus.shape[1]))
+            centers[0] = corpus[rng.integers(n)]
+            d2 = ((corpus - centers[0]) ** 2).sum(axis=1)
+            for i in range(1, k):
+                total = d2.sum()
+                if total <= 0:
+                    centers[i] = corpus[rng.integers(n)]
+                else:
+                    centers[i] = corpus[rng.choice(n, p=d2 / total)]
+                d2 = np.minimum(d2, ((corpus - centers[i]) ** 2).sum(axis=1))
+            return centers
+
+        data = np.random.default_rng(20 + d)
+        for seed, (n, k) in enumerate([(40, 40), (500, 16), (3000, 64)]):
+            corpus = data.standard_normal((n, d))
+            if seed == 1:  # few distinct points: the distances reach 0
+                corpus = np.round(corpus)
+            want = choice_seeding(corpus, k, np.random.default_rng(seed))
+            got = _seed_centers(corpus, k, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFrequencies:
