@@ -144,10 +144,12 @@ def prefix_encode(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
     bad = symbols[(symbols < 0) | (symbols >= code.k)]
     if bad.size:
         raise BitstreamError(f"symbol {bad[0]} outside alphabet of size {code.k}")
-    # 64 bits per symbol, MSB first; keep the last `length` of each row
-    bits = np.unpackbits(code.codewords[symbols].astype(">u8").view(np.uint8))
-    keep = np.arange(64) >= 64 - code.lengths[symbols, None]
-    return bits.reshape(-1, 64)[keep]
+    # `width` bits per symbol, MSB first, for the narrowest word that holds
+    # the longest codeword; keep the last `length` of each row
+    width = next(w for w in (8, 16, 32, 64) if w >= code.lengths.max())
+    bits = np.unpackbits(code.codewords[symbols].astype(f">u{width // 8}").view(np.uint8))
+    keep = np.arange(width) >= width - code.lengths[symbols, None]
+    return bits.reshape(-1, width)[keep]
 
 
 def prefix_decode(bits: list[int], pos: int, count: int,

@@ -75,23 +75,24 @@ def denormalize(samples: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
 
 
-def pad_to_block(samples: np.ndarray, block: int = BLOCK) -> np.ndarray:
-    """Edge-replicate pad so both spatial dims are multiples of `block`."""
-    h, w = samples.shape[:2]
-    ph, pw = _ceil_to(h, block), _ceil_to(w, block)
-    if (ph, pw) == (h, w):
-        return samples
-    return np.pad(samples, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
-
-
 def from_raw(raw: np.ndarray) -> ImagePlane:
-    """Build a padded ImagePlane from an (h, w, 3) uint8 array."""
+    """Build a padded ImagePlane from an (h, w, 3) uint8 array.
+
+    The padded plane is allocated once and filled one block row of bytes at
+    a time, so the lookup's index temporary stays one block row in size;
+    the padding then replicates the last column and row in place."""
     if raw.dtype != np.uint8:  # take() would wrap a negative index
         raise ImageError(f"expected uint8 samples, got {raw.dtype}")
     if raw.ndim != 3 or raw.shape[2] != 3:
         raise ImageError(f"expected (h, w, 3) samples, got shape {raw.shape}")
     h, w = raw.shape[:2]
-    return ImagePlane(pad_to_block(normalize(raw)), true_h=h, true_w=w)
+    samples = np.empty((_ceil_to(h, BLOCK), _ceil_to(w, BLOCK), 3), dtype=np.float32)
+    for top in range(0, h, BLOCK):
+        rows = raw[top:top + BLOCK]
+        samples[top:top + len(rows), :w] = normalize(rows)
+    samples[:h, w:] = samples[:h, w - 1:w]
+    samples[h:] = samples[h - 1:h]
+    return ImagePlane(samples, true_h=h, true_w=w)
 
 
 def _read_ppm_token(f) -> bytes:

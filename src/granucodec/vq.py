@@ -8,6 +8,10 @@ distance are the same on every machine. The search bins the codes on a grid
 over their first three coordinates and scans only the codes near each cell;
 a cell it cannot settle that way goes to a scan of all k codes. Both give
 what the full scan gives, bit for bit, and k-means uses the same search.
+Every (cell, code) pair the search looks at costs a few elementwise numpy
+passes: one list position at a time over all cells, the best distance kept
+with a minimum and the best position with an arithmetic select, and each
+bin counted against the same float edges for cells and codes alike.
 The frequency table counts how often each index is emitted over a corpus;
 add-one smoothing at finalization keeps every symbol codeable.
 """
@@ -182,10 +186,19 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     face of the neighbourhood (infinite where the grid ends). So when the
     best distance found is below m**2, no center outside can beat or tie it.
     The points this does not settle go to the full scan.
+
+    The scan runs over list positions r, not points: with the points ranked
+    by list length, those with more than r codes are a prefix, and each step
+    gathers the r-th code of their lists and compares it with all of them at
+    once. The best distance is kept with np.minimum and the best position r
+    with an arithmetic select (a maximum of closer * r, as positions only
+    grow); positions become codes once, after the loop. A NaN or infinite
+    point gets a NaN or infinite best distance and margin, which settle
+    nothing, so the full scan gives it its answer.
     """
     n, d = points.shape
     k = centers.shape[0]
-    xs = [points[:, j] for j in range(d)]
+    xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
     cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
     g = min(3, d)
     edges = [_grid_edges(c, max(1, round(k ** (1 / g)))) for c in cs[:g]]
@@ -196,20 +209,27 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     # longest lists first, so the points still scanning at rank r are a prefix
     lengths = starts[flat + 1] - starts[flat]
     order = np.argsort(-lengths)
-    pos = starts[flat[order]]
+    first = starts[flat[order]]
     rank_xs = [x[order] for x in xs]
-    near = np.zeros(n, dtype=np.int32)
+    # list position of each point's best code so far, in the smallest type
+    best_r = np.zeros(n, dtype=np.min_scalar_type(lengths.max(initial=0)))
     near_d2 = np.full(n, np.inf)
-    dist, term = np.empty(n), np.empty(n)
-    for m in n - np.cumsum(np.bincount(lengths)[:-1]):  # points with over r codes
-        code = members[pos[:m]]
-        _sq_dist(((x[:m], c[code]) for x, c in zip(rank_xs, cs)), dist[:m], term[:m])
-        closer = dist[:m] < near_d2[:m]  # strict: the lower index keeps a tie
-        np.copyto(near_d2[:m], dist[:m], where=closer)
-        np.copyto(near[:m], code, where=closer)
-        pos[:m] += 1
-    assign, best = np.empty_like(near), np.empty_like(near_d2)
-    assign[order], best[order] = near, near_d2
+    code, dist, term, coord = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n), np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    for r, m in enumerate(n - np.cumsum(np.bincount(lengths)[:-1])):  # points with over r codes
+        # the r-th code of each list; every index is in range, so no take
+        # needs the checked, buffered "raise" mode
+        np.take(members[r:], first[:m], out=code[:m], mode="clip")
+        # each coordinate is gathered after the last one is used
+        _sq_dist(((x[:m], np.take(c, code[:m], out=coord[:m], mode="clip"))
+                  for x, c in zip(rank_xs, cs)), dist[:m], term[:m])
+        np.less(dist[:m], near_d2[:m], out=closer[:m])  # strict: the lower index keeps a tie
+        np.minimum(near_d2[:m], dist[:m], out=near_d2[:m])
+        # positions only grow, so the largest closer one is the latest
+        np.maximum(best_r[:m], closer[:m] * best_r.dtype.type(r), out=best_r[:m])
+    first += best_r
+    assign, best = np.empty(n, dtype=np.int32), np.empty_like(near_d2)
+    assign[order], best[order] = members[first], near_d2
 
     # An outside center lies at or beyond the edge a margin is measured to,
     # and it was binned against that same float edge. Rounding is monotone,
@@ -233,8 +253,12 @@ def _locate(xs: list[np.ndarray], edges: list[np.ndarray]):
         below[2:] = e[1:-1]
         above = np.full(e.size, np.inf)  # nor the last two anything above
         above[:-2] = e[2:]
-        np.minimum(margin, x - below[b], out=margin)
-        np.minimum(margin, above[b] - x, out=margin)
+        b = b.astype(np.intp)  # numpy gathers fastest through intp indices
+        # an infinite x less the grid's infinite end is NaN, and a NaN margin
+        # settles nothing: such a point goes to the full scan
+        with np.errstate(invalid="ignore"):
+            np.minimum(margin, x - below[b], out=margin)
+            np.minimum(margin, above[b] - x, out=margin)
     return np.ravel_multi_index(bins, tuple(e.size for e in edges)), margin
 
 
@@ -246,14 +270,22 @@ def _grid_edges(values: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _bin(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin b holds [edges[b], edges[b + 1]); the end bins reach to infinity."""
-    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.size - 1)
+    """Bin b holds [edges[b], edges[b + 1]); the end bins reach to infinity.
+    A value's bin is the count of inner edges at or below it (none for a
+    NaN), in the smallest unsigned type that holds the last bin: for a
+    finite value, the bin a search of the sorted edges finds."""
+    bins = np.zeros(values.shape, dtype=np.min_scalar_type(edges.size - 1))
+    above = np.empty(values.shape, dtype=bool)
+    for e in edges[1:]:
+        bins += np.greater_equal(values, e, out=above)
+    return bins
 
 
 def _neighbour_lists(code_bins: list[np.ndarray], shape: tuple[int, ...]):
     """CSR lists: the codes of bin i's 3^g neighbourhood are
     members[starts[i]:starts[i + 1]], in ascending index order."""
     k = code_bins[0].size
+    code_bins = [b.astype(np.intp) for b in code_bins]  # signed: bin -1 is outside
     keys = []  # neighbour bin * k + code, for each neighbour of each code
     for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
         near = [b + o for b, o in zip(code_bins, offset)]
@@ -263,7 +295,8 @@ def _neighbour_lists(code_bins: list[np.ndarray], shape: tuple[int, ...]):
     keys = np.concatenate(keys)
     keys.sort()
     starts = np.searchsorted(keys, np.arange(math.prod(shape) + 1) * k)
-    return (keys % k).astype(np.int32), starts
+    # a last entry past the lists, so an empty list's first position is valid
+    return np.append(keys % k, 0), starts
 
 
 def _full_scan(points: np.ndarray, centers: np.ndarray):

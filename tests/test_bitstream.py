@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from granucodec.bitstream import (
-    MAP_CODE, BitstreamError, Container, build_huffman, canonical_codewords,
+    MAP_CODE, BitstreamError, Container, _canonical_code, build_huffman, canonical_codewords,
     kraft_sum, mean_code_length, measure_rate, parse_container, prefix_decode,
     prefix_encode, serialize_container, weighted_total_bits,
 )
@@ -147,6 +147,14 @@ def bit_string_oracle(symbols, code):
                    for s in symbols)
 
 
+def unpack64_oracle(symbols, code):
+    """Each codeword as 64 bits, MSB first, keeping the last `length` of each."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    bits = np.unpackbits(code.codewords[symbols].astype(">u8").view(np.uint8))
+    keep = np.arange(64) >= 64 - code.lengths[symbols, None]
+    return bits.reshape(-1, 64)[keep]
+
+
 def encode_map(gmap):
     return prefix_encode(COARSE - np.asarray(gmap, dtype=np.int64), MAP_CODE)
 
@@ -192,6 +200,24 @@ class TestIndexCoding:
             assert bits.dtype == np.uint8
             assert "".join(map(str, bits.tolist())) == bit_string_oracle(stream, code)
         assert codes[-1].lengths.max() == 63
+
+    @pytest.mark.parametrize("max_len", [1, 8, 9, 16, 17, 32, 33, 63])
+    def test_every_word_width_matches_64_bit_unpack(self, max_len):
+        # lengths 1, 2, ..., max_len - 1, max_len, max_len: a full code whose
+        # longest words just fill, or just overflow, an 8/16/32/64-bit word
+        lengths = np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
+        code = _canonical_code(lengths)
+        assert code.lengths.max() == max_len and kraft_sum(code) == 1.0
+        rng = np.random.default_rng(max_len)
+        stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
+        bits = prefix_encode(stream, code)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, unpack64_oracle(stream, code))
+
+    def test_map_code_matches_64_bit_unpack(self):
+        stream = np.random.default_rng(3).integers(0, 3, size=500)
+        assert np.array_equal(prefix_encode(stream, MAP_CODE),
+                              unpack64_oracle(stream, MAP_CODE))
 
     def test_symbol_out_of_range(self):
         code = build_huffman(np.ones(4, dtype=np.uint64))

@@ -5,11 +5,10 @@ import pytest
 
 from granucodec import imaging
 from granucodec.imaging import (
-    ImagePlane, avg_pool, from_raw, load_ppm, nn_upsample, pad_to_block,
-    psnr, save_ppm,
+    ImagePlane, avg_pool, from_raw, load_ppm, nn_upsample, psnr, save_ppm,
 )
 
-from conftest import make_raw, reshape_mean_pool
+from conftest import make_raw, reshape_mean_pool, traced_peak
 
 
 def off_lattice(shape, seed: int) -> np.ndarray:
@@ -99,8 +98,22 @@ class TestNormalize:
 
 class TestPad:
     def test_multiple_of_16_unchanged(self):
-        samples = np.zeros((768, 512, 3), dtype=np.float32)
-        assert pad_to_block(samples) is samples
+        raw = make_raw("noise", 768, 512, seed=3)
+        img = from_raw(raw)
+        assert img.samples.shape == (768, 512, 3)
+        assert np.array_equal(img.samples, imaging.normalize(raw))
+
+    @pytest.mark.parametrize("h, w", [(1024, 1024), (744, 1000)])
+    def test_peak_memory_per_padded_pixel(self, tmp_path, h, w):
+        # the padded float32 plane (12 B/px) is allocated once and filled one
+        # block row at a time: no full-size index temporary, no padded copy;
+        # load_ppm also holds the file's 3 bytes per true pixel
+        raw = make_raw("photo", h, w, seed=6)
+        p = tmp_path / "big.ppm"
+        write_ppm(p, raw)
+        padded = from_raw(raw).samples[..., 0].size
+        assert traced_peak(from_raw, raw) < 13 * padded
+        assert traced_peak(load_ppm, p) < 3 * h * w + 13 * padded
 
     def test_replicates_edge_column(self):
         raw = make_raw("noise", 16, 17, seed=1)

@@ -137,6 +137,20 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="empty"):
             pipeline.encode_with_map(small_session, img, gmap)
 
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "inf-and--inf-in-one-cell"])
+    def test_encode_non_finite_rejected(self, small_session, values):
+        # both entry points refuse the plane, with no numpy warning on the way
+        samples = make_image("photo", 32, 48, seed=43).samples.copy()
+        samples[21, 37:37 + len(values), 1] = values
+        img = imaging.ImagePlane(samples, true_h=32, true_w=48)
+        with pytest.raises(ValueError, match="non-finite"):
+            pipeline.encode_image(small_session, img, ratios=RatioTriple(0.3, 0.4, 0.3))
+        for label in (FINE, COARSE):
+            with pytest.raises(ValueError, match="non-finite"):
+                pipeline.encode_with_map(small_session, img,
+                                         np.full((2, 3), label, dtype=np.uint8))
+
     @pytest.mark.parametrize("d", [1, 2, 4, 5])
     def test_codebook_of_other_feature_count_rejected(self, d):
         # the analysis transform makes 3 features per cell; a d=2 session

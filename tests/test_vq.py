@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -72,6 +73,18 @@ def search_case(case, rng):
         near = rng.uniform(0, 1, size=(1000, 4))
         near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([-0.05, 1.05], 1000)
         return np.concatenate([near, rng.uniform(-5, 6, size=(200, 4))]), centers
+    if case == "non_finite":
+        # NaN, +inf and -inf in one coordinate, in all, and mixed, among
+        # finite points: every distance of such a point is NaN or inf, and
+        # the oracle gives it index 0 with that distance
+        centers = rng.standard_normal((300, 3))
+        points = rng.standard_normal((400, 3))
+        odd = [np.nan, np.inf, -np.inf]
+        for i, (j, v) in enumerate(itertools.product(range(3), odd)):
+            points[10 * i, j] = v
+        for i, v in enumerate(itertools.product(odd, repeat=3)):
+            points[10 * i + 5] = v
+        return points, centers
     raise ValueError(case)
 
 
@@ -130,6 +143,19 @@ class TestQuantize:
     def test_search_matches_oracle(self, case):
         points, centers = search_case(case, np.random.default_rng(11))
         assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+
+    def test_non_finite_points_match_oracle(self):
+        # the search keeps its best distance with np.minimum, which carries a
+        # NaN where a masked copy kept inf: such points must still come out
+        # as the full scan gives them, bit for bit
+        points, centers = search_case("non_finite", np.random.default_rng(13))
+        want = elementwise_oracle(points, centers)
+        assert np.isnan(want[1]).any() and np.isinf(want[1]).any()
+        assert_matches_oracle(_assign(points, centers), want)
+        cb = Codebook(centers.astype(np.float32))
+        cells = points.astype(np.float32)
+        want_idx, _ = elementwise_oracle(cells.astype(np.float64), cb.codes.astype(np.float64))
+        assert np.array_equal(quantize(cells, cb), want_idx)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 9, 300])
