@@ -63,20 +63,25 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     k = counts.shape[0]
     if k == 1:
         return np.ones(1, dtype=np.int32)  # degenerate alphabet, 1 explicit bit
-    # heap entries: (weight, lowest member symbol, members); merging prefers
-    # low aggregate symbol index on equal weight for determinism. The lowest
-    # symbol is unique among live nodes, so member lists are never compared.
-    heap = [(w, s, [s]) for s, w in enumerate(counts.tolist())]
+    # heap entries: (weight, lowest member symbol, node); merging prefers low
+    # aggregate symbol index on equal weight for determinism. The lowest
+    # symbol is unique among live nodes, so node ids are never compared.
+    # Nodes 0..k-1 are the symbols and each merge makes the next id, so a
+    # node's parent always has a higher id and the root is the last one.
+    heap = [(w, s, s) for s, w in enumerate(counts.tolist())]
     heapq.heapify(heap)
-    lengths = [0] * k
+    parent = [0] * (2 * k - 1)
+    node = k
     while len(heap) > 1:
-        w1, m1, members1 = heapq.heappop(heap)
-        w2, m2, members2 = heapq.heappop(heap)
-        members = members1 + members2
-        for s in members:  # every member moves one level deeper
-            lengths[s] += 1
-        heapq.heappush(heap, (w1 + w2, min(m1, m2), members))
-    return np.array(lengths, dtype=np.int32)
+        w1, m1, n1 = heapq.heappop(heap)
+        w2, m2, n2 = heapq.heappop(heap)
+        parent[n1] = parent[n2] = node
+        heapq.heappush(heap, (w1 + w2, min(m1, m2), node))
+        node += 1
+    depth = [0] * (2 * k - 1)
+    for n in range(2 * k - 3, -1, -1):  # parents before children
+        depth[n] = depth[parent[n]] + 1
+    return np.array(depth[:k], dtype=np.int32)
 
 
 def _canonical_code(lengths: np.ndarray) -> HuffmanCode:

@@ -63,6 +63,12 @@ def _session(args) -> pipeline.CodecSession:
     return pipeline.CodecSession.from_file(args.codebook)
 
 
+def _check_rate_flags(args) -> None:
+    """Refuse a usage error before any file is read."""
+    if (args.ratios is None) == (args.bpp is None):
+        raise ValueError("give exactly one of --ratios or --bpp")
+
+
 def cmd_train_codebook(args) -> int:
     freq_ratios = _parse_ratios(args.freq_ratios, "--freq-ratios")
     paths = sorted(
@@ -80,10 +86,9 @@ def cmd_train_codebook(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _check_rate_flags(args)
     session = _session(args)
     img = imaging.load_ppm(args.input)
-    if (args.ratios is None) == (args.bpp is None):
-        raise ValueError("give exactly one of --ratios or --bpp")
     container = pipeline.encode_image(
         session, img,
         ratios=_parse_ratios(args.ratios) if args.ratios is not None else None,
@@ -108,10 +113,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_rate_flags(args)
     session = _session(args)
     img = imaging.load_ppm(args.input)
-    if (args.ratios is None) == (args.bpp is None):
-        raise ValueError("give exactly one of --ratios or --bpp")
     ratios = (_parse_ratios(args.ratios) if args.ratios is not None
               else granularity.ratios_for_target(session.rate_table, args.bpp))
     container = pipeline.encode_image(session, img, ratios=ratios)

@@ -1,10 +1,11 @@
 """Image I/O, normalization, padding and the pooling primitives used everywhere.
 
-Pixels live in [-1, 1] as float32. An 8-bit byte becomes a sample through
-one table, `_LEVELS`: the 256 values b / 255 * 2 - 1, computed once in
-float64 and rounded to float32. `normalize` is a lookup in it, and
-`spatial_entropy.entropy_map` inverts it in float32 (s * 127.5 + 127.5 is
-exactly the byte of each of the 256 levels). `denormalize` keeps the float64
+Pixels live in [-1, 1] as float32. A byte b becomes the sample
+(b - 127.5) / 127.5, subtracted and divided in float32 (`normalize`). For
+every byte this is bit for bit the float64 value b / 255 * 2 - 1 rounded to
+float32; b * float32(2 / 255) - 1 is not (it differs from b = 48 on).
+`spatial_entropy.entropy_map` inverts it in float32: s * 127.5 + 127.5 is
+exactly the byte of each of the 256 levels. `denormalize` keeps the float64
 formula, with rounding and a clip, for samples off those levels, such as
 decoded ones. Pooling sums samples in float64 in an order written in the code, not
 left to numpy's iterator, so results are deterministic across platforms.
@@ -60,13 +61,15 @@ def _ceil_to(n: int, multiple: int) -> int:
     return ((n + multiple - 1) // multiple) * multiple
 
 
-#: The sample value of each byte 0..255, indexed by byte.
-_LEVELS = (np.arange(256, dtype=np.float64) / 255.0 * 2.0 - 1.0).astype(np.float32)
+#: Half the byte range: byte b is the sample (b - HALF_RANGE) / HALF_RANGE.
+HALF_RANGE = np.float32(127.5)
 
 
-def normalize(raw: np.ndarray) -> np.ndarray:
-    """Map uint8 samples 0..255 linearly onto [-1, 1], as float32."""
-    return np.take(_LEVELS, raw)
+def normalize(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map byte values 0..255 linearly onto [-1, 1] as float32, into `out`
+    when given. `raw` may hold the bytes in any numeric type."""
+    out = np.subtract(raw, HALF_RANGE, out=out, dtype=np.float32)
+    return np.divide(out, HALF_RANGE, out=out)
 
 
 def denormalize(samples: np.ndarray) -> np.ndarray:
@@ -78,18 +81,16 @@ def denormalize(samples: np.ndarray) -> np.ndarray:
 def from_raw(raw: np.ndarray) -> ImagePlane:
     """Build a padded ImagePlane from an (h, w, 3) uint8 array.
 
-    The padded plane is allocated once and filled one block row of bytes at
-    a time, so the lookup's index temporary stays one block row in size;
-    the padding then replicates the last column and row in place."""
-    if raw.dtype != np.uint8:  # take() would wrap a negative index
+    The padded plane is allocated once, the bytes are normalized straight
+    into its true window, and the padding then replicates the last column
+    and row in place."""
+    if raw.dtype != np.uint8:
         raise ImageError(f"expected uint8 samples, got {raw.dtype}")
     if raw.ndim != 3 or raw.shape[2] != 3:
         raise ImageError(f"expected (h, w, 3) samples, got shape {raw.shape}")
     h, w = raw.shape[:2]
     samples = np.empty((_ceil_to(h, BLOCK), _ceil_to(w, BLOCK), 3), dtype=np.float32)
-    for top in range(0, h, BLOCK):
-        rows = raw[top:top + BLOCK]
-        samples[top:top + len(rows), :w] = normalize(rows)
+    normalize(raw, out=samples[:h, :w])
     samples[:h, w:] = samples[:h, w - 1:w]
     samples[h:] = samples[h - 1:h]
     return ImagePlane(samples, true_h=h, true_w=w)

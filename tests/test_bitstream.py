@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import numpy as np
@@ -43,6 +44,25 @@ def brute_force_optimum(counts):
     return best
 
 
+def member_list_lengths(counts):
+    """Huffman code lengths from a heap of (weight, lowest symbol, members):
+    each merge moves every member one level deeper (the former builder,
+    kept as the oracle)."""
+    counts = [int(c) for c in counts]
+    if len(counts) == 1:
+        return [1]
+    heap = [(w, s, [s]) for s, w in enumerate(counts)]
+    heapq.heapify(heap)
+    lengths = [0] * len(counts)
+    while len(heap) > 1:
+        w1, m1, members1 = heapq.heappop(heap)
+        w2, m2, members2 = heapq.heappop(heap)
+        for s in members1 + members2:
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, min(m1, m2), members1 + members2))
+    return lengths
+
+
 class TestHuffman:
     def test_uniform_1024_all_length_10(self):
         code = build_huffman(np.ones(1024, dtype=np.uint64))
@@ -74,6 +94,21 @@ class TestHuffman:
         code = build_huffman(np.array(counts, dtype=np.uint64))
         assert [format(int(w), f"0{int(l)}b")
                 for w, l in zip(code.codewords, code.lengths)] == words
+
+    def test_lengths_match_member_list_oracle(self):
+        rng = np.random.default_rng(21)
+        tables = [[42], [3, 5], [5, 3], [7, 7], [1] * 1024, [9] * 17, [2, 1, 1, 2, 1]]
+        for _ in range(300):
+            k = int(rng.integers(1, 400))
+            high = int(rng.choice([3, 1000, 1 << 40]))  # many ties, few, none
+            tables.append(rng.integers(1, high, size=k).tolist())
+        for counts in tables:
+            code = build_huffman(np.array(counts, dtype=np.uint64))
+            assert code.lengths.tolist() == member_list_lengths(counts), counts
+
+    def test_session_lengths_match_member_list_oracle(self, session):
+        counts = session.frequencies.counts
+        assert session.huffman.lengths.tolist() == member_list_lengths(counts)
 
     def test_single_symbol_length_one(self):
         code = build_huffman(np.array([42], dtype=np.uint64))

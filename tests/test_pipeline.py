@@ -278,6 +278,16 @@ class TestCli:
                       "--out", tmp_path / "x.cgic")  # neither ratios nor bpp
         assert res.returncode != 0
 
+    @pytest.mark.parametrize("command", ["encode", "stats"])
+    def test_rate_flags_checked_before_any_file(self, command, tmp_path):
+        # neither --ratios nor --bpp: the usage error comes first, though
+        # neither the codebook nor the input exists
+        extra = ("--out", tmp_path / "x.cgic") if command == "encode" else ()
+        res = run_cli(command, "--codebook", tmp_path / "missing.cgcb",
+                      "--input", tmp_path / "missing.ppm", *extra)
+        assert res.returncode == 1
+        assert res.stderr == "error: give exactly one of --ratios or --bpp\n"
+
     def test_two_feature_codebook_exits_cleanly(self, cli_env, tmp_path):
         # a d=2 codebook and a hand-made one-block container that names it
         _, _, ppm = cli_env

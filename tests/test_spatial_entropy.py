@@ -186,16 +186,20 @@ class TestEntropyMap:
                     entropy_map(imaging.ImagePlane(samples, 32, 32))
 
 
+#: The sample of each byte, from the float64 formula b / 255 * 2 - 1.
+LEVELS = (np.arange(256, dtype=np.float64) / 255.0 * 2.0 - 1.0).astype(np.float32)
+
+
 def denormalize_keyed_map(samples):
     """entropy_map with each sample's level found by imaging.denormalize (a
-    float64 scale, rint and clip), as it was before the float32 step; the
-    rest, masses in 2**-43 units included, is entropy_map's own arithmetic.
-    Finite samples only."""
+    float64 scale, rint and clip) and looked up in `LEVELS`, as it was before
+    the float32 step; the rest, masses in 2**-43 units included, is
+    entropy_map's own arithmetic. Finite samples only."""
     b, cfg = 16, EntropyConfig()
     h, w, c = samples.shape
     by, bx = h // b, w // b
     units = spatial_entropy._units
-    table = units(spatial_entropy._affinity(imaging._LEVELS.astype(np.float64), cfg))
+    table = units(spatial_entropy._affinity(LEVELS.astype(np.float64), cfg))
     block_key = (np.arange(w) // b << 8)[:, None]
     spare = bx * 256
     mass = np.zeros((by, bx, cfg.n_bins))
@@ -203,7 +207,7 @@ def denormalize_keyed_map(samples):
         band = samples[row * b:(row + 1) * b]
         codes = imaging.denormalize(band)
         keys = block_key | codes
-        off = imaging._LEVELS[codes] != band
+        off = LEVELS[codes] != band
         if off.any():
             keys[off] = spare
             spread = np.where(off, band.astype(np.float64), np.inf)
@@ -216,12 +220,13 @@ def denormalize_keyed_map(samples):
 
 class TestLevelStep:
     def test_every_level_gives_back_its_byte(self):
-        levels = imaging._LEVELS
-        scaled, codes = np.empty(256, dtype=np.float32), np.empty(256, dtype=np.uint8)
-        spatial_entropy._level_bytes(levels, scaled, codes)
-        assert np.array_equal(scaled, np.arange(256))  # exact, so the cast rounds nothing
-        assert np.array_equal(codes, np.arange(256))
-        assert np.array_equal(imaging.denormalize(levels), np.arange(256))
+        assert imaging.normalize(np.arange(256, dtype=np.uint8)).tobytes() == LEVELS.tobytes()
+        half = imaging.HALF_RANGE
+        scaled = LEVELS * half + half  # entropy_map's step, in float32
+        assert scaled.dtype == np.float32
+        assert np.array_equal(scaled, np.arange(256))  # exact, so trunc changes nothing
+        assert imaging.normalize(scaled).tobytes() == LEVELS.tobytes()
+        assert np.array_equal(imaging.denormalize(LEVELS), np.arange(256))
 
     @pytest.mark.parametrize("kind", ["noise", "gradient", "blocky", "photo", "waves"])
     def test_equals_denormalize_keys_without_the_kernel(self, kind, monkeypatch):
@@ -244,13 +249,18 @@ class TestLevelStep:
         flat = samples.reshape(-1)
         rng = np.random.default_rng(15)
         at = rng.choice(flat.size, size=40, replace=False)
+        at = np.concatenate([at, rng.permutation(np.setdiff1d(np.arange(flat.size), at))[:20]])
         up, down = np.float32(2), np.float32(-2)
         flat[at[:10]] = np.nextafter(flat[at[:10]], up)  # +1 ulp of a level
         flat[at[10:20]] = np.nextafter(flat[at[10:20]], down)  # -1 ulp
         flat[at[20:25]] = np.nextafter(np.float32(1), up)  # just above the top level
         flat[at[25:30]] = np.float32(1.5)
-        flat[at[30:35]] = np.float32(-7.0)
-        flat[at[35:]] = np.float32(-0.0)
+        flat[at[30:35]] = np.float32(-7.0)  # byte -765 if unclamped, whose level is -7.0
+        flat[at[35:40]] = np.float32(-0.0)
+        flat[at[40:45]] = np.float32(3.0)  # byte 510 if unclamped, whose level is 3.0
+        flat[at[45:50]] = np.float32(3e38)  # s * 127.5 overflows to +inf
+        flat[at[50:55]] = np.float32(-3e38)  # and to -inf
+        flat[at[55:]] = np.float32(1e-40)  # subnormal
         emap = entropy_map(imaging.ImagePlane(samples, 64, 80))
         assert emap.tobytes() == denormalize_keyed_map(samples).tobytes()
         untouched = entropy_map(make_image("photo", 64, 80, seed=14))
