@@ -19,7 +19,6 @@ add-one smoothing at finalization keeps every symbol codeable.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -283,16 +282,22 @@ def _bin(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def _neighbour_lists(code_bins: list[np.ndarray], shape: tuple[int, ...]):
     """CSR lists: the codes of bin i's 3^g neighbourhood are
-    members[starts[i]:starts[i + 1]], in ascending index order."""
+    members[starts[i]:starts[i + 1]], in ascending index order.
+
+    Code c lies in the neighbourhood of each in-range bin that is within one
+    step of its own on every axis. The (3,) * g + (k,) array of keys
+    neighbour bin * k + c is built by broadcasting one (3, k) term per axis,
+    and one sort of the in-range keys lists them by bin, then code."""
     k = code_bins[0].size
-    code_bins = [b.astype(np.intp) for b in code_bins]  # signed: bin -1 is outside
-    keys = []  # neighbour bin * k + code, for each neighbour of each code
-    for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
-        near = [b + o for b, o in zip(code_bins, offset)]
-        inside = np.logical_and.reduce([(b >= 0) & (b < s) for b, s in zip(near, shape)])
-        keys.append(np.ravel_multi_index([b[inside] for b in near], shape) * k
-                    + np.flatnonzero(inside))
-    keys = np.concatenate(keys)
+    steps = np.arange(-1, 2)
+    keys, inside, stride = np.arange(k), np.ones(k, dtype=bool), k
+    for axis in reversed(range(len(shape))):  # the last axis varies fastest
+        # signed, so bin -1 is outside; the steps vary along this axis
+        near = code_bins[axis].astype(np.intp) + steps.reshape(-1, *[1] * (len(shape) - axis))
+        keys = keys + near * stride
+        inside = inside & (near >= 0) & (near < shape[axis])
+        stride *= shape[axis]
+    keys = keys[inside]
     keys.sort()
     starts = np.searchsorted(keys, np.arange(math.prod(shape) + 1) * k)
     # a last entry past the lists, so an empty list's first position is valid

@@ -26,6 +26,24 @@ def off_lattice(shape, seed: int) -> np.ndarray:
     return samples
 
 
+#: The padded 1000x744 bench image: at every factor its cell rows fill
+#: several pooling bands and then part of one more.
+PADDED_1000X744 = (752, 1008, 3)
+
+#: Two cell rows, each at least a pooling band of input on its own.
+ONE_ROW_BANDS = "one-row-bands"
+
+
+def band_shape(shape, factor: int, *channels: int) -> tuple[int, ...]:
+    """`shape`, or for ONE_ROW_BANDS the shape of float32 grids with the
+    given trailing channels whose every pooling band is one cell row."""
+    if shape != ONE_ROW_BANDS:
+        return shape
+    cell_column = factor * math.prod(channels) * 4  # input bytes
+    width = -(-imaging._POOL_BAND_BYTES // cell_column)
+    return (2 * factor, -(-width // factor) * factor, *channels)
+
+
 def write_ppm(path, raw):
     h, w = raw.shape[:2]
     with open(path, "wb") as f:
@@ -159,25 +177,30 @@ class TestPooling:
             avg_pool(np.zeros((3, 4, 1), dtype=np.float32), 2)
 
     @pytest.mark.parametrize("factor", [2, 4, 8, 16])
-    @pytest.mark.parametrize("shape", [(64, 96, 3), (32, 48, 4)])
+    @pytest.mark.parametrize("shape", [(64, 96, 3), (32, 48, 4), PADDED_1000X744, ONE_ROW_BANDS])
     def test_bits_equal_reshape_mean(self, shape, factor):
         # every codec caller pools a float32 grid of 3 or 4 channels
-        g = off_lattice(shape, seed=factor)
+        g = off_lattice(band_shape(shape, factor, 3), seed=factor)
         g[:factor, :factor] = -0.0  # one cell of nothing but -0.0
         pooled = avg_pool(g, factor)
         ref = reshape_mean_pool(g, factor)
         assert pooled.dtype == ref.dtype and pooled.shape == ref.shape
         assert pooled.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("factor", [2, 4, 8, 16])
-    def test_plane_adds_in_the_same_order(self, factor):
+    @pytest.mark.parametrize("shape, factor", [
+        pytest.param(shape, factor, id=f"{name}{factor}")
+        for name, shape in [("", (64, 96)), ("padded-1000x744-", PADDED_1000X744[:2]),
+                            ("one-row-bands-", ONE_ROW_BANDS)]
+        for factor in [2, 4, 8, 16]])
+    def test_plane_adds_in_the_same_order(self, shape, factor):
         # numpy's mean adds a single-channel cell row by row, pairwise;
-        # avg_pool keeps one written order whatever the channel count
-        g = off_lattice((64, 96), seed=factor)
+        # avg_pool keeps the order numpy gives several channels
+        g = off_lattice(band_shape(shape, factor), seed=factor)
         g[:factor, :factor] = -0.0
         pooled = avg_pool(g, factor)
-        assert pooled.shape == (64 // factor, 96 // factor)
-        assert pooled.tobytes() == avg_pool(g[..., None], factor)[..., 0].tobytes()
+        assert pooled.shape == (g.shape[0] // factor, g.shape[1] // factor)
+        ref = reshape_mean_pool(np.repeat(g[..., None], 3, axis=2), factor)[..., 0]
+        assert pooled.tobytes() == ref.tobytes()
 
 
 class TestPsnr:

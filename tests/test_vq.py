@@ -1,4 +1,5 @@
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -165,6 +166,33 @@ class TestQuantize:
         points = rng.standard_normal((n, d)) * 1.5
         centers = rng.standard_normal((k, d))
         assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+
+    @pytest.mark.parametrize("case", ["g1", "g2", "g3", "k1", "equal_codes", "one_bin_of_many"])
+    def test_neighbour_lists_match_oracle(self, case):
+        # for each bin, the codes whose bin is within one step of it in every
+        # binned coordinate, in ascending index order
+        rng = np.random.default_rng(21)
+        if case == "one_bin_of_many":
+            shape = (4, 5)
+            code_bins = [np.full(30, 2, dtype=np.uint8), np.full(30, 3, dtype=np.uint8)]
+        else:
+            k, g = {"g1": (50, 1), "g2": (200, 2), "g3": (1024, 3),
+                    "k1": (1, 3), "equal_codes": (40, 3)}[case]
+            codes = rng.standard_normal((k, g))
+            if case == "equal_codes":
+                codes[:] = codes[0]
+            # binned as _assign bins them
+            cols = [np.ascontiguousarray(codes[:, j]) for j in range(g)]
+            edges = [vq._grid_edges(c, max(1, round(k ** (1 / g)))) for c in cols]
+            shape = tuple(e.size for e in edges)
+            code_bins = [vq._bin(c, e) for c, e in zip(cols, edges)]
+        members, starts = vq._neighbour_lists(code_bins, shape)
+        assert starts.size == math.prod(shape) + 1 and starts[0] == 0
+        assert starts[-1] == members.size - 1  # and one entry past the lists
+        for i, at in enumerate(np.ndindex(*shape)):
+            near = np.logical_and.reduce(
+                [np.abs(b.astype(int) - a) <= 1 for b, a in zip(code_bins, at)])
+            assert np.array_equal(members[starts[i]:starts[i + 1]], np.flatnonzero(near))
 
     def test_masked_equals_per_stream(self):
         # one search over the three scales' kept cells, split per scale
