@@ -32,7 +32,7 @@ CONTAINER_VERSION = 1
 MAX_CODE_LEN = 63
 
 # Largest padded image, in pixels, a container may declare: 8192^2. Decoding
-# peaks near 16 bytes per padded pixel, about 1.1 GB at the cap, so a small
+# peaks near 4.5 bytes per padded pixel, about 0.3 GB at the cap, so a small
 # hostile header cannot ask for more (Pillow's MAX_IMAGE_PIXELS plays this
 # role for its decoders).
 MAX_PIXELS = 1 << 26
@@ -98,11 +98,6 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     return HuffmanCode(lengths, codewords, dict(zip(keys.tolist(), range(k))))
 
 
-def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
-    """Assign codewords by (length, symbol index)."""
-    return _canonical_code(lengths).codewords
-
-
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
     """Optimal prefix code for the finalized frequency counts."""
     try:
@@ -119,20 +114,9 @@ def build_huffman(counts: np.ndarray) -> HuffmanCode:
     return _canonical_code(lengths)
 
 
-def kraft_sum(code: HuffmanCode) -> float:
-    """Sum of 2^-len; exactly 1.0 for a full prefix code (exact arithmetic)."""
-    max_len = int(code.lengths.max())
-    total = sum(1 << (max_len - int(l)) for l in code.lengths)
-    return total / (1 << max_len)
-
-
 def mean_code_length(code: HuffmanCode) -> float:
     """Unweighted mean of the per-symbol code lengths (the rate model's L)."""
     return float(code.lengths.mean(dtype=np.float64))
-
-
-def weighted_total_bits(code: HuffmanCode, counts: np.ndarray) -> int:
-    return int((code.lengths.astype(np.int64) * np.asarray(counts, dtype=np.int64)).sum())
 
 
 # ---------------------------------------------------------------------------

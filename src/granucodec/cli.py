@@ -118,7 +118,10 @@ def cmd_stats(args) -> int:
     img = imaging.load_ppm(args.input)
     ratios = (_parse_ratios(args.ratios) if args.ratios is not None
               else granularity.ratios_for_target(session.rate_table, args.bpp))
-    container = pipeline.encode_image(session, img, ratios=ratios)
+    # plan as encode_image does, keeping the entropy map for --entropy-csv
+    emap = entropy_map(img, session.entropy_cfg)
+    container = pipeline.encode_with_map(
+        session, img, granularity.plan_granularity(emap, ratios))
     gmap, streams = pipeline.decode_streams(session, container)
     recon = pipeline.reconstruct(session, container, gmap, streams)
     total, payload = bitstream.measure_rate(container)
@@ -145,7 +148,6 @@ def cmd_stats(args) -> int:
         for key, value in stats.items():
             print(f"{key}: {value}")
     if args.entropy_csv:
-        emap = entropy_map(img, session.entropy_cfg)
         with open(args.entropy_csv, "w") as f:
             f.write("row,col,entropy\n")
             for (row, col), h in np.ndenumerate(emap):

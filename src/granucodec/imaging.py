@@ -1,20 +1,14 @@
 """Image I/O, normalization, padding and the pooling primitives used everywhere.
 
-Pixels live in [-1, 1] as float32. A byte b becomes the sample
-(b - 127.5) / 127.5, subtracted and divided in float32 (`normalize`). For
-every byte this is bit for bit the float64 value b / 255 * 2 - 1 rounded to
-float32; b * float32(2 / 255) - 1 is not (it differs from b = 48 on).
-`spatial_entropy.entropy_map` inverts it in float32: s * 127.5 + 127.5 is
-exactly the byte of each of the 256 levels. `denormalize` keeps the float64
-formula, with rounding and a clip, for samples off those levels, such as
-decoded ones. Pooling sums samples in float64 in an order written in the code, not
-left to numpy's iterator, so results are deterministic across platforms. It
-adds into a channel-planar total, so numpy's inner loop runs along a row of
-cells rather than over three channels, one cache-sized band of cell rows at
-a time; a cell still gets its samples one at a time in row-major order, so
-neither the layout nor the banding changes a bit.
-PSNR is reported on de-normalized 0-255 values with peak 255, cropped to
-the true (pre-padding) dimensions.
+An image is a padded plane of 8-bit RGB pixels. Floats live only in the
+analysis transform and the codebook: a byte b becomes the sample
+(b - 127.5) / 127.5, subtracted and divided in float32 (`normalize`), which
+for every byte is bit for bit the float64 value b / 255 * 2 - 1 rounded to
+float32. `denormalize` maps samples back to bytes with rounding and a clip.
+Pooling sums samples in float64 in an order written in the code, not left to
+numpy's iterator, so results are deterministic across platforms. PSNR is
+reported on 0-255 values with peak 255, cropped to the true (pre-padding)
+dimensions.
 """
 
 from __future__ import annotations
@@ -32,10 +26,6 @@ _READ_CHUNK = 1 << 24
 #: Longest PPM header token accepted; 2**64 has 20 digits.
 _MAX_TOKEN = 20
 
-#: Input bytes avg_pool reads per band of cell rows: about one L2 cache.
-#: Smaller bands lose more to the call overhead of their factor**2 adds.
-_POOL_BAND_BYTES = 1 << 20
-
 #: Sentinel returned by psnr() when the two images are identical.
 LOSSLESS = math.inf
 
@@ -46,23 +36,37 @@ class ImageError(Exception):
 
 @dataclass(frozen=True)
 class ImagePlane:
-    """An H x W x 3 grid of samples in [-1, 1], padded to multiples of 16.
+    """An H x W x 3 plane of 8-bit RGB pixels, padded to multiples of 16.
 
-    true_h / true_w are the pre-padding dimensions; samples inside that
-    window are the real image, the rest is edge replication.
+    true_h / true_w are the pre-padding dimensions; pixels inside that
+    window are the real image, the rest is edge replication. Construction
+    checks the dtype and shape only and reads no pixel.
     """
 
-    samples: np.ndarray  # (H, W, 3) float32
+    pixels: np.ndarray  # (H, W, 3) uint8
     true_h: int
     true_w: int
 
+    def __post_init__(self):
+        if self.pixels.dtype != np.uint8:
+            raise TypeError(f"an ImagePlane holds uint8 pixels, not {self.pixels.dtype}")
+        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
+            raise ValueError(f"expected (H, W, 3) pixels, got shape {self.pixels.shape}")
+
     @property
     def height(self) -> int:
-        return self.samples.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.samples.shape[1]
+        return self.pixels.shape[1]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The pixels normalized to [-1, 1], as a new read-only float32 array."""
+        samples = normalize(self.pixels)
+        samples.flags.writeable = False
+        return samples
 
 
 def _ceil_to(n: int, multiple: int) -> int:
@@ -87,21 +91,19 @@ def denormalize(samples: np.ndarray) -> np.ndarray:
 
 
 def from_raw(raw: np.ndarray) -> ImagePlane:
-    """Build a padded ImagePlane from an (h, w, 3) uint8 array.
-
-    The padded plane is allocated once, the bytes are normalized straight
-    into its true window, and the padding then replicates the last column
-    and row in place."""
+    """Build a padded ImagePlane from an (h, w, 3) uint8 array: the bytes are
+    copied into the true window and the padding replicates the last column
+    and row."""
     if raw.dtype != np.uint8:
         raise ImageError(f"expected uint8 samples, got {raw.dtype}")
     if raw.ndim != 3 or raw.shape[2] != 3:
         raise ImageError(f"expected (h, w, 3) samples, got shape {raw.shape}")
     h, w = raw.shape[:2]
-    samples = np.empty((_ceil_to(h, BLOCK), _ceil_to(w, BLOCK), 3), dtype=np.float32)
-    normalize(raw, out=samples[:h, :w])
-    samples[:h, w:] = samples[:h, w - 1:w]
-    samples[h:] = samples[h - 1:h]
-    return ImagePlane(samples, true_h=h, true_w=w)
+    pixels = np.empty((_ceil_to(h, BLOCK), _ceil_to(w, BLOCK), 3), dtype=np.uint8)
+    pixels[:h, :w] = raw
+    pixels[:h, w:] = pixels[:h, w - 1:w]
+    pixels[h:] = pixels[h - 1:h]
+    return ImagePlane(pixels, true_h=h, true_w=w)
 
 
 def _read_ppm_token(f) -> bytes:
@@ -125,7 +127,7 @@ def _read_ppm_token(f) -> bytes:
 
 
 def load_ppm(path) -> ImagePlane:
-    """Read a binary (P6) PPM with maxval 255, normalized and padded."""
+    """Read a binary (P6) PPM with maxval 255, padded."""
     with open(path, "rb") as f:
         magic = f.read(2)
         if magic != b"P6":
@@ -155,10 +157,9 @@ def load_ppm(path) -> ImagePlane:
 
 def save_ppm(img: ImagePlane, path) -> None:
     """Write the true-dimension window as a binary PPM, maxval 255."""
-    raw = denormalize(img.samples[: img.true_h, : img.true_w])
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (img.true_w, img.true_h))
-        f.write(raw.tobytes())
+        f.write(img.pixels[: img.true_h, : img.true_w].tobytes())
 
 
 def avg_pool(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -168,26 +169,17 @@ def avg_pool(grid: np.ndarray, factor: int) -> np.ndarray:
     order, then divided by factor**2. The order is written here, not left to
     numpy's iterator; for float32 grids of several channels it is the order
     in which mean(axis=(1, 3), dtype=float64) over a 5-D cell view adds them
-    (for one channel numpy sums each cell row pairwise first).
-
-    The total is channel-planar, (channels, h / factor, w / factor), so each
-    add runs along a row of cells, and it is filled one band of cell rows at
-    a time, about _POOL_BAND_BYTES of input each, so a band's factor**2
-    strided reads hit cache. A cell lies in one band and gets its samples in
-    the same (i, j) order, so neither changes a bit of the result. The
-    result has the input's shape and dtype; its memory stays channel-planar."""
+    (for one channel numpy sums each cell row pairwise first). The total is
+    channel-planar, (channels, h / factor, w / factor), so each add runs
+    along a row of cells. The result has the input's shape and dtype; its
+    memory stays channel-planar."""
     h, w = grid.shape[:2]
     if h % factor or w % factor:
         raise ValueError(f"dims {h}x{w} not divisible by {factor}")
     planes = np.moveaxis(grid.reshape(h, w, math.prod(grid.shape[2:])), -1, 0)
     total = np.zeros((planes.shape[0], h // factor, w // factor))
-    cell_row_bytes = factor * w * planes.shape[0] * grid.itemsize
-    step = max(1, _POOL_BAND_BYTES // max(1, cell_row_bytes))  # cell rows a band
-    for top in range(0, h // factor, step):
-        band = total[:, top:top + step]
-        rows = planes[:, top * factor:(top + step) * factor]
-        for i, j in np.ndindex(factor, factor):
-            band += rows[:, i::factor, j::factor]
+    for i, j in np.ndindex(factor, factor):
+        total += planes[:, i::factor, j::factor]
     total /= factor ** 2
     return np.moveaxis(total.astype(grid.dtype), 0, -1).reshape(
         h // factor, w // factor, *grid.shape[2:])
@@ -202,8 +194,8 @@ def psnr(a: ImagePlane, b: ImagePlane) -> float:
     """PSNR in dB on 0-255 values over true dims; LOSSLESS if identical."""
     if (a.true_h, a.true_w) != (b.true_h, b.true_w):
         raise ValueError("true dimensions differ")
-    ra = denormalize(a.samples[: a.true_h, : a.true_w]).astype(np.float64)
-    rb = denormalize(b.samples[: b.true_h, : b.true_w]).astype(np.float64)
+    ra = a.pixels[: a.true_h, : a.true_w].astype(np.float64)
+    rb = b.pixels[: b.true_h, : b.true_w].astype(np.float64)
     mse = np.mean((ra - rb) ** 2)
     if mse == 0.0:
         return LOSSLESS

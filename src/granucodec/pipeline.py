@@ -7,8 +7,8 @@ header pins its content hash.
 
 A code is a cell's mean colour (analysis.FEATURES = 3), and a session
 refuses a codebook of any other width. The decoder paints each 4x4 pixel
-cell with the clamped colour of the code sent for it. That is the paper's
-conditional-replacement decoder here: its synthesis layers are
+cell with the bytes of the clamped colour of the code sent for it. That is
+the paper's conditional-replacement decoder here: its synthesis layers are
 nearest-neighbour upsamplers, and every fine-grid cell is sent at exactly one
 scale, so replacing the known positions after each layer returns the
 stitched grid of transmitted codes bit for bit.
@@ -24,7 +24,7 @@ from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
 from .granularity import (
     COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, MaskSet, RatioTriple, RateQueryTable)
-from .imaging import BLOCK, ImagePlane, nn_upsample
+from .imaging import BLOCK, ImagePlane, denormalize, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
 
@@ -139,7 +139,7 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
     """Paint each 4x4 pixel cell with the clamped colour of its transmitted code."""
     masks = granularity.masks_from_map(gmap)
     # the masks cover the fine grid disjointly, so the sum is each cell's index;
-    # the dtype holds every stream value, so lookup sees any out-of-range one
+    # the dtype holds every stream value, so the range check sees any bad one
     codes = np.zeros(masks.m1.shape, dtype=np.result_type(np.int32, *streams))
     for idx, mask, factor in zip(streams, (masks.m1, masks.m2, masks.m3), (1, 2, 4)):
         kept = mask.astype(bool)
@@ -149,9 +149,10 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
         grid = np.zeros(mask.shape, dtype=codes.dtype)
         grid[kept] = idx
         codes += nn_upsample(grid, factor)
-    rgb = np.clip(vq.lookup(codes, session.codebook), -1.0, 1.0)
-    rgb += 0.0  # -0.0 -> +0.0, as the replacement chain's masked sums give
-    return ImagePlane(nn_upsample(rgb, 4), true_h=container.true_h,
+    colours = denormalize(np.clip(session.codebook.codes, -1.0, 1.0))  # (k, 3) bytes
+    if codes.size and (codes.min() < 0 or codes.max() >= len(colours)):
+        raise CodebookError("index out of codebook range")
+    return ImagePlane(nn_upsample(colours[codes], 4), true_h=container.true_h,
                       true_w=container.true_w)
 
 

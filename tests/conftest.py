@@ -99,13 +99,15 @@ def map_container(session, gmap: np.ndarray) -> bitstream.Container:
 
 def assert_painted(out: np.ndarray, mask: np.ndarray, stream: np.ndarray,
                    cb: vq.Codebook, factor: int) -> None:
-    """Every pixel of each cell that a scale's mask keeps equals the clamped
-    colour of that cell's code in the scale's raster-order stream; a cell covers
-    factor x factor pixels."""
+    """Every pixel of each cell that a scale's mask keeps holds the bytes of
+    the clamped colour of that cell's code in the scale's raster-order stream;
+    a cell covers factor x factor pixels."""
     expected = np.zeros(mask.shape + (3,), dtype=np.float32)
     expected[mask.astype(bool)] = np.clip(vq.lookup(stream, cb), -1.0, 1.0)
     support = nn_upsample(mask.astype(bool), factor)
-    assert np.array_equal(out[support], nn_upsample(expected, factor)[support])
+    assert out.dtype == np.uint8
+    assert np.array_equal(out[support],
+                          imaging.denormalize(nn_upsample(expected, factor)[support]))
 
 
 def desk_corpus(n: int = 20, size: int = 512) -> list:

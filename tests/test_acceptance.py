@@ -15,7 +15,7 @@ from granucodec.imaging import avg_pool, nn_upsample
 from granucodec.spatial_entropy import entropy_map, patch_entropy
 
 from conftest import assert_painted, codes_session, make_image, map_container
-from test_bitstream import brute_force_optimum
+from test_bitstream import brute_force_optimum, kraft_sum, weighted_total_bits
 from test_spatial_entropy import entropy_oracle
 
 L_PUBLISHED = 10.3875
@@ -173,7 +173,7 @@ def test_6_huffman_optimality_exhaustive():
         for counts in itertools.combinations_with_replacement(range(1, 7), k):
             arr = np.array(counts, dtype=np.uint64)
             code = bs.build_huffman(arr)
-            got = bs.weighted_total_bits(code, arr)
+            got = weighted_total_bits(code, arr)
             if k == 1:
                 assert got == counts[0]  # single symbol, one explicit bit
             else:
@@ -183,13 +183,13 @@ def test_6_huffman_optimality_exhaustive():
     for k in range(2, 5):
         for counts in itertools.product(range(1, 7), repeat=k):
             arr = np.array(counts, dtype=np.uint64)
-            assert bs.weighted_total_bits(bs.build_huffman(arr), arr) \
+            assert weighted_total_bits(bs.build_huffman(arr), arr) \
                 == brute_force_optimum(arr)
     # Kraft equality on large random tables
     rng = np.random.default_rng(5)
     for _ in range(5):
         counts = rng.integers(1, 10_000, size=1024).astype(np.uint64)
-        assert bs.kraft_sum(bs.build_huffman(counts)) == 1.0
+        assert kraft_sum(bs.build_huffman(counts)) == 1.0
     print(f"\nACCEPTANCE 6 Huffman optimality ({checked} multisets exhaustive, "
           "Kraft at k=1024): PASS")
 
@@ -200,16 +200,18 @@ def test_7_replacement_exactness():
         by, bx = rng.integers(1, 7, size=2)
         gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
         masks = gr.masks_from_map(gmap)
-        q1 = rng.standard_normal((by * 4, bx * 4, 3)).astype(np.float32)
-        q2 = rng.standard_normal((by * 2, bx * 2, 3)).astype(np.float32)
-        q3 = rng.standard_normal((by, bx, 3)).astype(np.float32)
-        # one code per cell of each scale; each stream sends its kept cells
-        session = codes_session(np.concatenate([q.reshape(-1, 3) for q in (q1, q2, q3)]))
-        offsets = np.cumsum([0, q1[..., 0].size, q2[..., 0].size])
+        # one code per cell of each scale, each on the 8-bit levels with a
+        # colour no other code has, so a cell painted with another cell's
+        # code cannot pass; each stream sends its kept cells
+        cells = [by * bx * 16, by * bx * 4, by * bx]
+        rgb = rng.choice(1 << 24, size=sum(cells), replace=False)
+        colours = (rgb[:, None] >> np.array([16, 8, 0]) & 255).astype(np.uint8)
+        session = codes_session(imaging.normalize(colours))
+        offsets = np.cumsum([0, *cells[:2]])
         streams = [off + np.flatnonzero(m).astype(np.int32)
                    for off, m in zip(offsets, (masks.m1, masks.m2, masks.m3))]
         out = pipeline.reconstruct(session, map_container(session, gmap), gmap,
-                                   streams).samples
+                                   streams).pixels
         for m, stream, factor in zip((masks.m1, masks.m2, masks.m3), streams, (4, 8, 16)):
             assert_painted(out, m, stream, session.codebook, factor)
         # the pooling/upsampling operators invert exactly

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from granucodec import imaging
+from granucodec import analysis, imaging
 from granucodec.analysis import pyramid
 from granucodec.imaging import ImagePlane, avg_pool, from_raw
 
@@ -9,15 +9,11 @@ from conftest import make_image, reshape_mean_pool, traced_peak
 
 
 def reference_pyramid(img):
-    """The pyramid with numpy choosing every summation order: 4x4 means by
-    mean over a 5-D cell view, medium and coarse pooled from them."""
-    m1 = reshape_mean_pool(img.samples, 4)
+    """The pyramid of the whole normalized plane at once, with numpy choosing
+    every summation order: 4x4 means by mean over a 5-D cell view, medium
+    and coarse pooled from them."""
+    m1 = reshape_mean_pool(imaging.normalize(img.pixels), 4)
     return m1, reshape_mean_pool(m1, 2), reshape_mean_pool(m1, 4)
-
-
-#: A width, a multiple of 16, at which one row of 4x4 cells (48 input
-#: bytes per pixel column) is a whole pooling band.
-ONE_ROW_BAND_WIDTH = 16 * -(-imaging._POOL_BAND_BYTES // (16 * 48))
 
 
 @pytest.fixture
@@ -47,24 +43,15 @@ class TestPyramid:
 
     @pytest.mark.parametrize("seed, shape", [
         *(pytest.param(seed, (64, 96), id=str(seed)) for seed in [0, 1, 2]),
-        # the padded 1000x744 bench image, whose 4x4 cell rows fill several
-        # pooling bands and part of one more
+        # the padded 1000x744 bench image: 23 whole bands and a half one
         pytest.param(3, (752, 1008), id="padded-1000x744"),
-        # a plane so wide that each band is one cell row
-        pytest.param(4, (32, ONE_ROW_BAND_WIDTH), id="one-row-bands"),
+        # one band and a half
+        pytest.param(4, (analysis._BAND_ROWS * 3 // 2, 96), id="band-and-a-half"),
     ])
     def test_bits_equal_numpy_ordered_reference(self, seed, shape):
-        # off the 8-bit lattice: R and G cancel exactly and B is tiny (down
-        # to 2^-60, some -0.0), so a cell's B sum keeps its low bits only
-        # when its samples are added in numpy's order
+        # random bytes: every level occurs, in every channel and band
         rng = np.random.default_rng(seed)
-        samples = np.empty((*shape, 3), dtype=np.float32)
-        samples[..., 0] = rng.uniform(-1.0, 1.0, shape)
-        samples[..., 1] = -samples[..., 0]
-        samples[..., 2] = (rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.0, shape)
-                           * np.exp2(-rng.integers(20, 61, shape)))
-        samples[rng.random((*shape, 3)) < 0.1] = -0.0
-        img = ImagePlane(samples, *shape)
+        img = ImagePlane(rng.integers(0, 256, (*shape, 3), dtype=np.uint8), *shape)
         for z, ref in zip(pyramid(img), reference_pyramid(img)):
             assert z.tobytes() == ref.tobytes()
 
@@ -75,8 +62,9 @@ class TestPyramid:
             assert np.array_equal(ga, gb)
 
     def test_peak_memory_per_pixel(self):
-        # the 4x4 means accumulate in a float64 total of 3 * 8 / 16 = 1.5
-        # B/px, divided in place, and the float32 cast adds 0.75 B/px:
-        # 2.25 B/px; a float64 copy of the image alone would be 24 B/px
+        # z1 is 0.75 B/px and, at 512 px wide, the float32 band buffer
+        # another 0.75 B/px; pooling z2 from z1 adds a float64 total of
+        # 0.375 B/px and its float32 cast, 0.19 B/px: 2.14 B/px measured.
+        # A float32 copy of the image alone would be 12 B/px
         img = make_image("photo", 512, 512, seed=12)
         assert traced_peak(pyramid, img) <= 2.5 * 512 * 512

@@ -5,11 +5,27 @@ import numpy as np
 import pytest
 
 from granucodec.bitstream import (
-    MAP_CODE, BitstreamError, Container, _canonical_code, build_huffman, canonical_codewords,
-    kraft_sum, mean_code_length, measure_rate, parse_container, prefix_decode,
-    prefix_encode, serialize_container, weighted_total_bits,
+    MAP_CODE, BitstreamError, Container, HuffmanCode, _canonical_code, build_huffman,
+    mean_code_length, measure_rate, parse_container, prefix_decode, prefix_encode,
+    serialize_container,
 )
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
+
+
+def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
+    """Assign codewords by (length, symbol index)."""
+    return _canonical_code(lengths).codewords
+
+
+def kraft_sum(code: HuffmanCode) -> float:
+    """Sum of 2^-len; exactly 1.0 for a full prefix code (exact arithmetic)."""
+    max_len = int(code.lengths.max())
+    total = sum(1 << (max_len - int(l)) for l in code.lengths)
+    return total / (1 << max_len)
+
+
+def weighted_total_bits(code: HuffmanCode, counts: np.ndarray) -> int:
+    return int((code.lengths.astype(np.int64) * np.asarray(counts, dtype=np.int64)).sum())
 
 
 def kraft_length_profiles(k):

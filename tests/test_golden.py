@@ -2,7 +2,7 @@
 
 Every "bit-identical" claim about a codec change rests on this test. It pins
 the `small_session` codebook, the serialized containers of fixed encodes and
-the decoded samples. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
+the decoded pixels. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
 OpenBLAS 0.3.31 running its Haswell kernel, with the three-feature (mean
 colour) analysis transform. The nearest-code search sums its distances
 elementwise in a fixed order, so no BLAS decides an index or a codebook. The
@@ -20,17 +20,17 @@ from conftest import make_image
 
 SMALL_SESSION_ID_HASH = 0x61AECBF56643D62A
 CONTAINERS_SHA256 = "bf64a286a616ebadc510cfb20139348e43b2b922c301f5af570c320651ec36b6"
-SAMPLES_SHA256 = "3242c9bd72a19b6b15f49d62f0f571e7b9c0e2ebdc22904bd9926c8e5b880ebc"
+PIXELS_SHA256 = "9e4eab4e378fb2f8893f87dd0e6cf168bf58bc0c382ff97a942562ae0c271724"
 
 
 def test_golden_bytes(small_session):
     assert small_session.codebook.id_hash == SMALL_SESSION_ID_HASH
-    containers, samples = hashlib.sha256(), hashlib.sha256()
+    containers, pixels = hashlib.sha256(), hashlib.sha256()
     for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
         img = make_image(kind, 120, 104, seed=70 + i)  # padded to 128x112
         for mode in ({"ratios": RatioTriple(0.37, 0.46, 0.17)}, {"target_bpp": 0.2}):
             c = pipeline.encode_image(small_session, img, **mode)
             containers.update(bitstream.serialize_container(c))
-            samples.update(pipeline.decode_image(small_session, c).samples.tobytes())
+            pixels.update(pipeline.decode_image(small_session, c).pixels.tobytes())
     assert containers.hexdigest() == CONTAINERS_SHA256
-    assert samples.hexdigest() == SAMPLES_SHA256
+    assert pixels.hexdigest() == PIXELS_SHA256

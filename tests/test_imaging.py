@@ -26,21 +26,20 @@ def off_lattice(shape, seed: int) -> np.ndarray:
     return samples
 
 
-#: The padded 1000x744 bench image: at every factor its cell rows fill
-#: several pooling bands and then part of one more.
+#: The padded 1000x744 bench image.
 PADDED_1000X744 = (752, 1008, 3)
 
-#: Two cell rows, each at least a pooling band of input on its own.
+#: Two cell rows, each holding at least 1 MiB of input.
 ONE_ROW_BANDS = "one-row-bands"
 
 
 def band_shape(shape, factor: int, *channels: int) -> tuple[int, ...]:
     """`shape`, or for ONE_ROW_BANDS the shape of float32 grids with the
-    given trailing channels whose every pooling band is one cell row."""
+    given trailing channels whose every cell row holds at least 1 MiB."""
     if shape != ONE_ROW_BANDS:
         return shape
     cell_column = factor * math.prod(channels) * 4  # input bytes
-    width = -(-imaging._POOL_BAND_BYTES // cell_column)
+    width = -(-(1 << 20) // cell_column)
     return (2 * factor, -(-width // factor) * factor, *channels)
 
 
@@ -113,32 +112,48 @@ class TestNormalize:
         with pytest.raises(imaging.ImageError, match="uint8"):
             from_raw(np.zeros((4, 4, 3), dtype=dtype))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int8, np.uint16])
+    def test_plane_of_other_dtype_rejected(self, dtype):
+        with pytest.raises(TypeError, match="uint8"):
+            ImagePlane(np.zeros((16, 16, 3), dtype=dtype), true_h=16, true_w=16)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 16, 4)])
+    def test_plane_of_other_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="3"):
+            ImagePlane(np.zeros(shape, dtype=np.uint8), true_h=16, true_w=16)
+
+    def test_samples_are_the_normalized_pixels(self):
+        raw = make_raw("photo", 16, 32, seed=4)
+        img = from_raw(raw)
+        assert img.samples.tobytes() == imaging.normalize(raw).tobytes()
+        assert not img.samples.flags.writeable
+
 
 class TestPad:
     def test_multiple_of_16_unchanged(self):
         raw = make_raw("noise", 768, 512, seed=3)
         img = from_raw(raw)
-        assert img.samples.shape == (768, 512, 3)
-        assert np.array_equal(img.samples, imaging.normalize(raw))
+        assert img.pixels.shape == (768, 512, 3)
+        assert np.array_equal(img.pixels, raw)
 
     @pytest.mark.parametrize("h, w", [(1024, 1024), (744, 1000)])
     def test_peak_memory_per_padded_pixel(self, tmp_path, h, w):
-        # the padded float32 plane (12 B/px) is allocated once and the bytes
-        # are normalized straight into it: no full-size temporary, no padded
+        # the padded 8-bit plane (3 B/px) is allocated once and the bytes
+        # are copied straight into it: no full-size temporary, no padded
         # copy; load_ppm also holds the file's 3 bytes per true pixel
         raw = make_raw("photo", h, w, seed=6)
         p = tmp_path / "big.ppm"
         write_ppm(p, raw)
-        padded = from_raw(raw).samples[..., 0].size
-        assert traced_peak(from_raw, raw) < 12.25 * padded
-        assert traced_peak(load_ppm, p) < 3 * h * w + 13 * padded
+        padded = from_raw(raw).pixels[..., 0].size
+        assert traced_peak(from_raw, raw) < 3.25 * padded
+        assert traced_peak(load_ppm, p) < 3 * h * w + 3.25 * padded
 
     def test_replicates_edge_column(self):
         raw = make_raw("noise", 16, 17, seed=1)
         img = from_raw(raw)
         assert (img.height, img.width) == (16, 32)
         for col in range(17, 32):
-            assert np.array_equal(img.samples[:, col], img.samples[:, 16])
+            assert np.array_equal(img.pixels[:, col], img.pixels[:, 16])
 
     def test_ceiling_to_multiple(self):
         img = from_raw(np.zeros((514, 770, 3), dtype=np.uint8))
@@ -147,8 +162,7 @@ class TestPad:
     def test_true_window_untouched(self):
         raw = make_raw("photo", 50, 43, seed=2)
         img = from_raw(raw)
-        unpadded = imaging.normalize(raw)
-        assert np.array_equal(img.samples[:50, :43], unpadded)
+        assert np.array_equal(img.pixels[:50, :43], raw)
 
 
 class TestPooling:

@@ -64,7 +64,7 @@ class TestEncodeDecode:
         c = pipeline.encode_image(small_session, img, ratios=RatioTriple(0.5, 0.3, 0.2))
         a = pipeline.decode_image(small_session, c)
         b = pipeline.decode_image(small_session, c)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.pixels, b.pixels)
         assert imaging.psnr(img, a) > 0
 
     def test_replacement_chain_losslessness(self, small_session):
@@ -75,7 +75,7 @@ class TestEncodeDecode:
         gmap = granularity.plan_granularity(emap, RatioTriple(0.4, 0.4, 0.2))
         masks, streams = pipeline.quantize_streams(small_session, img, gmap)
         c = pipeline.encode_with_map(small_session, img, gmap)
-        out = pipeline.decode_image(small_session, c).samples
+        out = pipeline.decode_image(small_session, c).pixels
         for m, stream, factor in zip((masks.m1, masks.m2, masks.m3), streams, (4, 8, 16)):
             assert stream.size > 0
             assert_painted(out, m, stream, small_session.codebook, factor)
@@ -94,12 +94,13 @@ class TestEncodeDecode:
         (1024, RatioTriple(0, 0, 1)),
     ], ids=["hirate_512", "coarse_1024"])
     def test_decode_peak_memory_per_pixel(self, small_session, size, ratios):
-        # the float32 output is 12 B/px and its column-repeat intermediate
-        # 3 B/px; the rest is the fine grid's code indices and clamped RGB
+        # the 8-bit output is 3 B/px and its column-repeat intermediate
+        # 0.75 B/px; the rest is the fine grid's code indices and colours:
+        # 4.3-4.5 B/px
         img = make_image("photo", size, size, seed=46)
         c = pipeline.encode_image(small_session, img, ratios=ratios)
         peak = traced_peak(pipeline.decode_image, small_session, c)
-        assert peak <= 17 * size * size
+        assert peak <= 5 * size * size
 
     def test_encode_peak_memory_per_pixel(self, session):
         # the fixture codebook has k=1024; at the benchmark's hirate ratios
@@ -120,8 +121,8 @@ class TestEncodeDecode:
 
     def test_encode_over_pixel_cap_rejected(self, small_session):
         # broadcast_to allocates nothing: the plane must be refused unread
-        samples = np.broadcast_to(np.float32(0), (8208, 8192, 3))
-        img = imaging.ImagePlane(samples, true_h=8208, true_w=8192)
+        pixels = np.broadcast_to(np.uint8(0), (8208, 8192, 3))
+        img = imaging.ImagePlane(pixels, true_h=8208, true_w=8192)
         with pytest.raises(ValueError, match="limit"):
             pipeline.encode_image(small_session, img, ratios=RatioTriple(0, 0, 1))
         with pytest.raises(ValueError, match="limit"):
@@ -140,16 +141,12 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
                              ids=["nan", "inf", "-inf", "inf-and--inf-in-one-cell"])
     def test_encode_non_finite_rejected(self, small_session, values):
-        # both entry points refuse the plane, with no numpy warning on the way
+        # an image is bytes: a plane of float samples, finite or not, is
+        # refused before it can reach either entry point
         samples = make_image("photo", 32, 48, seed=43).samples.copy()
         samples[21, 37:37 + len(values), 1] = values
-        img = imaging.ImagePlane(samples, true_h=32, true_w=48)
-        with pytest.raises(ValueError, match="non-finite"):
-            pipeline.encode_image(small_session, img, ratios=RatioTriple(0.3, 0.4, 0.3))
-        for label in (FINE, COARSE):
-            with pytest.raises(ValueError, match="non-finite"):
-                pipeline.encode_with_map(small_session, img,
-                                         np.full((2, 3), label, dtype=np.uint8))
+        with pytest.raises(TypeError, match="uint8"):
+            imaging.ImagePlane(samples, true_h=32, true_w=48)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 5])
     def test_codebook_of_other_feature_count_rejected(self, d):
@@ -267,6 +264,31 @@ class TestCli:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "row,col,entropy"
         assert len(lines) == 1 + (96 // 16) * (80 // 16)
+
+    def test_entropy_csv_reuses_the_planned_map(self, cli_env, monkeypatch, capsys):
+        # stats plans from one entropy map and writes the CSV from that map
+        from granucodec import cli, spatial_entropy
+        root, cb, ppm = cli_env
+        maps = []
+
+        def counted(*args, **kwargs):
+            maps.append(spatial_entropy.entropy_map(*args, **kwargs))
+            return maps[-1]
+        monkeypatch.setattr(cli, "entropy_map", counted)
+        monkeypatch.setattr(pipeline, "entropy_map", counted)
+        csv = root / "entropy-once.csv"
+        assert cli.main(["stats", "--codebook", str(cb), "--input", str(ppm),
+                         "--ratios", "0.3,0.3,0.4", "--json",
+                         "--entropy-csv", str(csv)]) == 0
+        assert len(maps) == 1
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [f"{h:.9f}" for h in maps[0].ravel()] == [r[2] for r in rows]
+        session = pipeline.CodecSession.from_file(cb)
+        c = pipeline.encode_image(session, imaging.load_ppm(ppm),
+                                  ratios=RatioTriple(0.3, 0.3, 0.4))
+        s = json.loads(capsys.readouterr().out)
+        assert s["stream_bits"] == {"map": c.map_bits, "fine": c.index_bits[0],
+                                    "medium": c.index_bits[1], "coarse": c.index_bits[2]}
 
     def test_errors_exit_nonzero(self, cli_env, tmp_path):
         root, cb, ppm = cli_env

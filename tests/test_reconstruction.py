@@ -3,7 +3,7 @@ import pytest
 
 from granucodec import pipeline, vq
 from granucodec.granularity import COARSE, FINE, RatioTriple, masks_from_map
-from granucodec.imaging import avg_pool, from_raw, nn_upsample, psnr
+from granucodec.imaging import avg_pool, denormalize, from_raw, nn_upsample, psnr
 
 from conftest import assert_painted, codes_session, make_image, map_container
 
@@ -23,7 +23,7 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
     (z). Two x2 nearest-neighbour layers rebuild the medium and fine grids
     from the coarse one, and after each the positions a mask marks as known
     are replaced by the pooled z. The colours are clamped and painted onto
-    4x4 pixel cells. Returns the padded samples."""
+    4x4 pixel cells. Returns the padded samples, in [-1, 1]."""
     masks = masks_from_map(gmap)
     m1, m2, m3 = (m[..., None].astype(np.float32) for m in (masks.m1, masks.m2, masks.m3))
     q = []
@@ -38,15 +38,16 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
 
 
 def decode(session, gmap, streams) -> np.ndarray:
-    """pipeline.reconstruct's padded samples for a map and its streams."""
+    """pipeline.reconstruct's padded pixels for a map and its streams."""
     return pipeline.reconstruct(session, map_container(session, gmap), gmap,
-                                streams).samples
+                                streams).pixels
 
 
 def painted(session, stream, factor: int, shape) -> np.ndarray:
-    """The clamped colour of each code in a raster-order stream covering a
-    grid of `shape` cells, each cell painted as a factor x factor pixel block."""
-    rgb = np.clip(session.codebook.codes[stream], -1.0, 1.0)
+    """The bytes of the clamped colour of each code in a raster-order stream
+    covering a grid of `shape` cells, each cell painted as a factor x factor
+    pixel block."""
+    rgb = denormalize(np.clip(session.codebook.codes[stream], -1.0, 1.0))
     return nn_upsample(rgb.reshape(shape + (3,)), factor)
 
 
@@ -142,12 +143,13 @@ class TestConditionalDecode:
         streams = [np.zeros(0, np.int32)] * 2 + [rng.permutation(6).astype(np.int32)]
         out = decode(session, gmap, streams)
         assert np.array_equal(out, painted(session, streams[2], 16, (2, 3)))
-        assert out.tobytes() == replacement_chain(session.codebook, gmap, streams).tobytes()
+        oracle = replacement_chain(session.codebook, gmap, streams)
+        assert out.tobytes() == denormalize(oracle).tobytes()
 
     @pytest.mark.parametrize("k", [1, 7, 300])
     def test_matches_replacement_chain(self, k):
-        # byte for byte, signed zeros included: the chain's masked sums turn
-        # a -0.0 code into +0.0
+        # byte for byte, for codes outside [-1, 1], signed zeros and tiny
+        # values included
         rng = np.random.default_rng(k)
         special = np.array([-0.0, 0.0, 1e-30, -1e-30, 1.5e-30, 9.0, -9.0, 1.0, -1.0],
                            dtype=np.float32)
@@ -161,7 +163,7 @@ class TestConditionalDecode:
             gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
             streams = random_streams(rng, gmap, k)
             out = decode(session, gmap, streams)
-            oracle = replacement_chain(session.codebook, gmap, streams)
+            oracle = denormalize(replacement_chain(session.codebook, gmap, streams))
             assert out.dtype == oracle.dtype and out.shape == oracle.shape
             assert out.tobytes() == oracle.tobytes()
 
@@ -172,7 +174,7 @@ class TestSynthesize:
         session = codes_session(img.samples[0, 0][None])
         gmap = np.full((2, 2), COARSE, dtype=np.uint8)
         out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [np.zeros(4, np.int32)])
-        assert out.tobytes() == img.samples.tobytes()
+        assert out.tobytes() == img.pixels.tobytes()
 
     def test_block_mean_painting(self):
         img = make_image("photo", 32, 32, seed=8)
@@ -181,13 +183,13 @@ class TestSynthesize:
         gmap = np.full((2, 2), FINE, dtype=np.uint8)
         out = decode(session, gmap, [np.arange(64, dtype=np.int32)]
                      + [np.zeros(0, np.int32)] * 2)
-        assert np.array_equal(out, nn_upsample(means, 4))
+        assert np.array_equal(out, denormalize(nn_upsample(means, 4)))
 
     def test_output_clamped(self):
         session = codes_session([[9.0] * 3, [-9.0] * 3])
         gmap = np.full((1, 2), COARSE, dtype=np.uint8)
         out = decode(session, gmap, [np.zeros(0, np.int32)] * 2 + [np.array([0, 1], np.int32)])
-        assert np.all(out[:, :16] == 1.0) and np.all(out[:, 16:] == -1.0)
+        assert np.all(out[:, :16] == 255) and np.all(out[:, 16:] == 0)
 
 
 class TestGranularityMonotonicity:
