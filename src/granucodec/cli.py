@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Subcommands: train-codebook, encode, decode, stats, rate-table, inspect.
-Flags override keys of an optional plain-text `granucodec.conf`
-(key=value per line, '#' comments); see --help of each subcommand.
+Subcommands: train-codebook, encode, decode, stats, rate-table, inspect;
+see --help of each subcommand.
 """
 
 from __future__ import annotations
@@ -18,49 +17,12 @@ from . import bitstream, granularity, imaging, pipeline, training, vq
 from .granularity import RatioTriple
 from .spatial_entropy import entropy_map
 
-CONFIG_FILE = "granucodec.conf"
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    path = path or CONFIG_FILE
-    conf: dict[str, str] = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as f:
-            try:
-                lines = f.readlines()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        for line in lines:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: bad config line {line!r}")
-            key, value = line.split("=", 1)
-            conf[key.strip()] = value.strip()
-    return conf
-
-
-def _conf_default(conf: dict[str, str], key: str, fallback, cast=str):
-    if key not in conf:
-        return fallback
-    try:
-        return cast(conf[key])
-    except ValueError:
-        raise ValueError(f"config key {key}={conf[key]!r} is not a valid "
-                         f"{cast.__name__}") from None
-
-
 def _parse_ratios(text: str, flag: str = "--ratios") -> RatioTriple:
     try:
         r1, r2, r3 = (float(p) for p in text.split(","))
         return RatioTriple(r1, r2, r3)
     except ValueError as exc:
         raise ValueError(f"bad {flag} {text!r}: {exc}") from None
-
-
-def _session(args) -> pipeline.CodecSession:
-    return pipeline.CodecSession.from_file(args.codebook)
 
 
 def _check_rate_flags(args) -> None:
@@ -87,7 +49,7 @@ def cmd_train_codebook(args) -> int:
 
 def cmd_encode(args) -> int:
     _check_rate_flags(args)
-    session = _session(args)
+    session = pipeline.CodecSession.from_file(args.codebook)
     img = imaging.load_ppm(args.input)
     container = pipeline.encode_image(
         session, img,
@@ -103,7 +65,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    session = _session(args)
+    session = pipeline.CodecSession.from_file(args.codebook)
     with open(args.input, "rb") as f:
         container = bitstream.parse_container(f.read())
     img = pipeline.decode_image(session, container)
@@ -114,7 +76,7 @@ def cmd_decode(args) -> int:
 
 def cmd_stats(args) -> int:
     _check_rate_flags(args)
-    session = _session(args)
+    session = pipeline.CodecSession.from_file(args.codebook)
     img = imaging.load_ppm(args.input)
     ratios = (_parse_ratios(args.ratios) if args.ratios is not None
               else granularity.ratios_for_target(session.rate_table, args.bpp))
@@ -156,7 +118,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rate_table(args) -> int:
-    session = _session(args)
+    session = pipeline.CodecSession.from_file(args.codebook)
     table = granularity.build_rate_table(session.mean_code_len, args.step)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -192,21 +154,20 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def build_parser(conf: dict[str, str]) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="granucodec",
         description="Variable-rate block-granularity VQ image codec")
-    parser.add_argument("--config", help="config file (default granucodec.conf)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-codebook", help="k-means codebook + frequency table")
     p.add_argument("--corpus", required=True, help="directory of .ppm images")
-    p.add_argument("--k", type=int, default=_conf_default(conf, "k", 1024, int))
-    p.add_argument("--seed", type=int, default=_conf_default(conf, "seed", 0, int))
-    p.add_argument("--iters", type=int, default=_conf_default(conf, "iters", 25, int))
+    p.add_argument("--k", type=int, default=1024)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=25)
     p.add_argument("--max-samples", type=int, default=200_000,
                    help="subsample cap for k-means input")
-    p.add_argument("--freq-ratios", default=_conf_default(conf, "freq_ratios", "0.5,0.4,0.1"),
+    p.add_argument("--freq-ratios", default="0.5,0.4,0.1",
                    help="granularity ratios used for the frequency pass")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_codebook)
@@ -237,7 +198,7 @@ def build_parser(conf: dict[str, str]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate-table", help="dump the ratio->bpp query table")
     p.add_argument("--codebook", required=True)
-    p.add_argument("--step", type=float, default=_conf_default(conf, "step", 0.01, float))
+    p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rate_table)
 
@@ -249,16 +210,8 @@ def build_parser(conf: dict[str, str]) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # peek at --config before building defaults from it
-    config_path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif arg.startswith("--config="):
-            config_path = arg.split("=", 1)[1]
     try:
-        args = build_parser(_load_config(config_path)).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (imaging.ImageError, vq.CodebookError, bitstream.BitstreamError,
             ValueError, OSError) as exc:

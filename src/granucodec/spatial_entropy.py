@@ -29,24 +29,17 @@ from .imaging import BLOCK, ImagePlane, normalize
 _MASS_EXP = 43
 
 
-def _default_sigma(n_bins: int) -> float:
-    return 2.0 / (n_bins - 1)  # one bin spacing
-
-
 @dataclass(frozen=True)
 class EntropyConfig:
     n_bins: int = 32
-    sigma: float | None = None  # None -> bin spacing 2/(n-1)
 
     def __post_init__(self):
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
     @property
-    def effective_sigma(self) -> float:
-        return self.sigma if self.sigma is not None else _default_sigma(self.n_bins)
+    def sigma(self) -> float:
+        return 2.0 / (self.n_bins - 1)  # one bin spacing
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -57,7 +50,7 @@ class EntropyConfig:
 def _affinity(values: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     """Unnormalized Gaussian affinity of each value to every bin center,
     on a new trailing bin axis."""
-    sigma = cfg.effective_sigma
+    sigma = cfg.sigma
     # exp(-(d ** 2) / (2 sigma^2)): the same operations in the same order, in
     # one buffer instead of a new temporary for each
     d = values[..., None] - cfg.bin_centers

@@ -30,7 +30,7 @@ def corpus_cells(images: list[ImagePlane]) -> np.ndarray:
 
 
 def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
-                   iters: int = 25, max_samples: int | None = 200_000,
+                   iters: int = 25, max_samples: int = 200_000,
                    freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
                    ) -> tuple[Codebook, FrequencyTable]:
     """Train a codebook and its finalized usage-frequency table."""
@@ -38,7 +38,7 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
         raise ValueError(f"k={k} is outside 1..{vq.MAX_K}, the codebook format's range")
     pyramids = [analysis.pyramid(img) for img in images]
     cells = _stack_cells(pyramids)
-    if max_samples is not None and cells.shape[0] > max_samples:
+    if cells.shape[0] > max_samples:
         rng = np.random.default_rng(seed)
         pick = rng.choice(cells.shape[0], size=max_samples, replace=False)
         sample = cells[np.sort(pick)]

@@ -99,14 +99,6 @@ def quantize_masked(grids, masks: MaskSet, cb: Codebook) -> list[np.ndarray]:
     return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
 
 
-def lookup(idx: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Replace each index with its code vector."""
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= cb.k):
-        raise CodebookError("index out of codebook range")
-    return cb.codes[idx]
-
-
 def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> Codebook:
     """Seeded k-means++ followed by a fixed number of Lloyd iterations.
 

@@ -97,13 +97,21 @@ def map_container(session, gmap: np.ndarray) -> bitstream.Container:
         index_bits=(0, 0, 0), map_bits=0, payload=b"")
 
 
+def lookup(idx: np.ndarray, cb: vq.Codebook) -> np.ndarray:
+    """Replace each index with its code vector."""
+    idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= cb.k):
+        raise vq.CodebookError("index out of codebook range")
+    return cb.codes[idx]
+
+
 def assert_painted(out: np.ndarray, mask: np.ndarray, stream: np.ndarray,
                    cb: vq.Codebook, factor: int) -> None:
     """Every pixel of each cell that a scale's mask keeps holds the bytes of
     the clamped colour of that cell's code in the scale's raster-order stream;
     a cell covers factor x factor pixels."""
     expected = np.zeros(mask.shape + (3,), dtype=np.float32)
-    expected[mask.astype(bool)] = np.clip(vq.lookup(stream, cb), -1.0, 1.0)
+    expected[mask.astype(bool)] = np.clip(lookup(stream, cb), -1.0, 1.0)
     support = nn_upsample(mask.astype(bool), factor)
     assert out.dtype == np.uint8
     assert np.array_equal(out[support],

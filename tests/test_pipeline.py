@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from granucodec import bitstream, granularity, imaging, pipeline, vq
+from granucodec import bitstream, cli, granularity, imaging, pipeline, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
 from granucodec.granularity import COARSE, FINE, RatioTriple
 
@@ -452,30 +454,17 @@ class TestCli:
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
 
-    def test_config_file_defaults(self, cli_env, tmp_path):
+    @pytest.mark.parametrize("content", ["k=abc\n", "step=0.5\n"],
+                             ids=["bad_value", "coarse_step"])
+    def test_conf_file_in_cwd_is_not_read(self, cli_env, tmp_path, content):
+        # the CLI reads only its command line: a granucodec.conf beside it,
+        # valid or not, changes no default
         root, cb, _ = cli_env
-        conf = tmp_path / "granucodec.conf"
-        conf.write_text("step=0.5\n")
+        (tmp_path / "granucodec.conf").write_text(content)
         out = tmp_path / "table.csv"
-        res = run_cli("--config", conf, "rate-table", "--codebook", cb, "--out", out)
+        res = run_cli("rate-table", "--codebook", cb, "--out", out, cwd=tmp_path)
         assert res.returncode == 0, res.stderr
-        assert len(out.read_text().strip().splitlines()) == 1 + 6
-
-    @pytest.mark.parametrize("content", [
-        b"k=abc\n",  # a value its option cannot take
-        b"step=0.5\nk=\xff\xfe\n",  # not UTF-8
-        None,  # --config names a directory
-    ], ids=["bad_value", "not_utf8", "directory"])
-    def test_bad_config_exits_cleanly(self, tmp_path, content):
-        conf = tmp_path / "granucodec.conf"
-        if content is None:
-            conf.mkdir()
-        else:
-            conf.write_bytes(content)
-        res = run_cli("--config", conf, "inspect", "--input", tmp_path / "x.cgic")
-        assert res.returncode == 1
-        assert res.stderr.startswith("error:")
-        assert "Traceback" not in res.stderr
+        assert len(out.read_text().strip().splitlines()) == 1 + 5151
 
     def test_determinism_across_runs(self, cli_env):
         root, cb, ppm = cli_env
@@ -485,3 +474,15 @@ class TestCli:
                           "--out", out, "--ratios", "0.6,0.3,0.1")
             assert res.returncode == 0, res.stderr
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_cli_commands_parse():
+    # every `granucodec ...` line of README's CLI block parses, so a flag
+    # renamed or deleted in the parser cannot stay in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", readme, re.S).group(1)
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command
+                for line in block.splitlines() if line.startswith("granucodec ")}
+    assert commands == {"train-codebook", "encode", "decode", "stats",
+                        "rate-table", "inspect"}

@@ -5,7 +5,7 @@ from granucodec import pipeline, vq
 from granucodec.granularity import COARSE, FINE, RatioTriple, masks_from_map
 from granucodec.imaging import avg_pool, denormalize, from_raw, nn_upsample, psnr
 
-from conftest import assert_painted, codes_session, make_image, map_container
+from conftest import assert_painted, codes_session, lookup, make_image, map_container
 
 
 def random_streams(rng, gmap: np.ndarray, k: int) -> list[np.ndarray]:
@@ -29,7 +29,7 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
     q = []
     for idx, m in zip(streams, (m1, m2, m3)):
         grid = np.zeros(m.shape[:2] + (cb.d,), dtype=np.float32)
-        grid[m[..., 0].astype(bool)] = vq.lookup(idx, cb)
+        grid[m[..., 0].astype(bool)] = lookup(idx, cb)
         q.append(grid * m)
     z = q[0] + nn_upsample(q[1], 2) + nn_upsample(q[2], 4)
     y2 = nn_upsample(avg_pool(z, 4), 2) * (1 - m2) + avg_pool(z, 2) * m2

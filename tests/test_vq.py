@@ -9,12 +9,12 @@ from granucodec import pipeline, vq
 from granucodec.granularity import RatioTriple, masks_from_map
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, accumulate_frequencies,
-    finalize_frequencies, kmeans_distortion, load_codebook, lookup, quantize,
+    finalize_frequencies, kmeans_distortion, load_codebook, quantize,
     quantize_masked, _assign, _codes_hash, _full_scan, _seed_centers, _update_centers,
     save_codebook, train_codebook,
 )
 
-from conftest import make_image, traced_peak
+from conftest import lookup, make_image, traced_peak
 
 
 def elementwise_oracle(points, centers):
