@@ -22,9 +22,6 @@ from .imaging import nn_upsample
 FINE, MEDIUM, COARSE = 0, 1, 2
 LABEL_NAMES = {FINE: "fine", MEDIUM: "medium", COARSE: "coarse"}
 
-# Indices per 16x16 block at each granularity.
-INDICES_PER_BLOCK = {FINE: 16, MEDIUM: 4, COARSE: 1}
-
 # Finest rate-table lattice, 1/step: a 16 MB index grid and 501,501 rows.
 MAX_RATE_STEPS = 1000
 
@@ -46,16 +43,6 @@ class RatioTriple:
         return (self.r1, self.r2, self.r3)
 
 
-@dataclass(frozen=True)
-class MaskSet:
-    """Binary masks at the three feature scales; a disjoint cover of the
-    fine grid: m1 + up(m2, 2) + up(m3, 4) == 1 everywhere."""
-
-    m1: np.ndarray  # (H/4,  W/4)  uint8
-    m2: np.ndarray  # (H/8,  W/8)  uint8
-    m3: np.ndarray  # (H/16, W/16) uint8
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -73,14 +60,13 @@ def plan_granularity(entropy: np.ndarray, ratios: RatioTriple) -> np.ndarray:
     return labels.reshape(entropy.shape)
 
 
-def masks_from_map(gmap: np.ndarray) -> MaskSet:
-    """Expand block labels into the per-scale binary masks."""
+def masks_from_map(gmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bool masks of the cells each scale sends, in stream order: fine
+    (H/4, W/4), medium (H/8, W/8), coarse (H/16, W/16). They are a disjoint
+    cover of the fine grid: fine + up(medium, 2) + up(coarse, 4) == 1 in
+    every cell, so a fine, medium or coarse block sends 16, 4 or 1 indices."""
     gmap = np.asarray(gmap)
-    return MaskSet(
-        m1=nn_upsample((gmap == FINE).astype(np.uint8), 4),
-        m2=nn_upsample((gmap == MEDIUM).astype(np.uint8), 2),
-        m3=(gmap == COARSE).astype(np.uint8),
-    )
+    return (nn_upsample(gmap == FINE, 4), nn_upsample(gmap == MEDIUM, 2), gmap == COARSE)
 
 
 def label_counts(gmap: np.ndarray) -> dict[int, int]:

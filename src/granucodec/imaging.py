@@ -40,7 +40,8 @@ class ImagePlane:
 
     true_h / true_w are the pre-padding dimensions; pixels inside that
     window are the real image, the rest is edge replication. Construction
-    checks the dtype and shape only and reads no pixel.
+    checks the dtype, the shape and that each side pads its true size by
+    less than one block, as a container header must; it reads no pixel.
     """
 
     pixels: np.ndarray  # (H, W, 3) uint8
@@ -52,6 +53,11 @@ class ImagePlane:
             raise TypeError(f"an ImagePlane holds uint8 pixels, not {self.pixels.dtype}")
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) pixels, got shape {self.pixels.shape}")
+        for side, true in ((self.height, self.true_h), (self.width, self.true_w)):
+            if side % BLOCK or not 0 <= true <= side < true + BLOCK:
+                raise ValueError(f"side {side} for true size {true}: a side must be a "
+                                 f"multiple of {BLOCK} padding a true size >= 0 by less "
+                                 f"than {BLOCK}")
 
     @property
     def height(self) -> int:

@@ -1,6 +1,6 @@
 """End-to-end encode/decode orchestration around a shared codec session.
 
-A session bundles the codebook, its finalized frequency table, the Huffman
+A session bundles the codebook, its smoothed frequency table, the Huffman
 code built from it, and the rate query table keyed by that code's mean
 length. Encoder and decoder must load the same codebook file; the container
 header pins its content hash.
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
-from .granularity import (
-    COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, MaskSet, RatioTriple, RateQueryTable)
+from .granularity import COARSE, RatioTriple, RateQueryTable
 from .imaging import BLOCK, ImagePlane, denormalize, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
@@ -42,7 +41,7 @@ class CodecSession:
             raise CodebookError(f"codebook has {self.codebook.d} features per code; "
                                 f"the analysis transform makes {analysis.FEATURES}")
         if not self.frequencies.smoothed:
-            raise ValueError("session requires a finalized frequency table")
+            raise ValueError("session requires a smoothed frequency table")
         if self.frequencies.k != self.codebook.k:
             raise ValueError("frequency table size does not match codebook")
         self.huffman = bitstream.build_huffman(self.frequencies.counts)
@@ -60,7 +59,7 @@ class CodecSession:
 
 
 def quantize_streams(session: CodecSession, img: ImagePlane,
-                     gmap: np.ndarray) -> tuple[MaskSet, list[np.ndarray]]:
+                     gmap: np.ndarray) -> tuple[tuple, list[np.ndarray]]:
     """Quantize only the mask-retained cells at each scale."""
     masks = granularity.masks_from_map(gmap)
     return masks, vq.quantize_masked(analysis.pyramid(img), masks, session.codebook)
@@ -122,11 +121,10 @@ def decode_streams(session: CodecSession,
     if pos != container.map_bits:
         raise BitstreamError("granularity map bit length mismatch")
     gmap = (COARSE - labels).astype(np.uint8).reshape(by, bx)
-    counts = granularity.label_counts(gmap)
-    expected = [INDICES_PER_BLOCK[lbl] * counts[lbl] for lbl in (FINE, MEDIUM, COARSE)]
     streams = []
-    for n_symbols, declared in zip(expected, container.index_bits):
-        stream, end = bitstream.prefix_decode(bits, pos, n_symbols, session.huffman)
+    for mask, declared in zip(granularity.masks_from_map(gmap), container.index_bits):
+        stream, end = bitstream.prefix_decode(bits, pos, np.count_nonzero(mask),
+                                              session.huffman)
         if end - pos != declared:
             raise BitstreamError("index segment bit length mismatch")
         streams.append(stream)
@@ -140,14 +138,13 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
     masks = granularity.masks_from_map(gmap)
     # the masks cover the fine grid disjointly, so the sum is each cell's index;
     # the dtype holds every stream value, so the range check sees any bad one
-    codes = np.zeros(masks.m1.shape, dtype=np.result_type(np.int32, *streams))
-    for idx, mask, factor in zip(streams, (masks.m1, masks.m2, masks.m3), (1, 2, 4)):
-        kept = mask.astype(bool)
-        if np.size(idx) != np.count_nonzero(kept):  # numpy would broadcast one index
+    codes = np.zeros(masks[0].shape, dtype=np.result_type(np.int32, *streams))
+    for idx, mask, factor in zip(streams, masks, (1, 2, 4)):
+        if np.size(idx) != np.count_nonzero(mask):  # numpy would broadcast one index
             raise ValueError(f"stream of {np.size(idx)} indices for "
-                             f"{np.count_nonzero(kept)} cells")
+                             f"{np.count_nonzero(mask)} cells")
         grid = np.zeros(mask.shape, dtype=codes.dtype)
-        grid[kept] = idx
+        grid[mask] = idx
         codes += nn_upsample(grid, factor)
     colours = denormalize(np.clip(session.codebook.codes, -1.0, 1.0))  # (k, 3) bytes
     if codes.size and (codes.min() < 0 or codes.max() >= len(colours)):

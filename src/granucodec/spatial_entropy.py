@@ -87,8 +87,6 @@ def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.nda
     """One entropy value per non-overlapping block, raster order (by, bx)."""
     b = BLOCK
     h, w, c = img.pixels.shape
-    if h % b or w % b:
-        raise ValueError("image not padded to block multiples")
     by, bx = h // b, w // b
     lattice = normalize(np.arange(256, dtype=np.uint8)).astype(np.float64)
     table = _units(_affinity(lattice, cfg))  # (256, n_bins)

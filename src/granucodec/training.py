@@ -3,7 +3,8 @@
 k-means runs on feature cells pooled from all three pyramid scales; the
 usage-frequency pass then replays the real encoding path (entropy map,
 granularity plan, masked quantization) so the statistics match what
-encoding will actually emit.
+encoding will actually emit. The frequency table counts how often each index
+is emitted over the corpus, plus one, so every symbol stays codeable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
                    iters: int = 25, max_samples: int = 200_000,
                    freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
                    ) -> tuple[Codebook, FrequencyTable]:
-    """Train a codebook and its finalized usage-frequency table."""
+    """Train a codebook and its smoothed usage-frequency table."""
     if not 1 <= k <= vq.MAX_K:
         raise ValueError(f"k={k} is outside 1..{vq.MAX_K}, the codebook format's range")
     pyramids = [analysis.pyramid(img) for img in images]
@@ -46,10 +47,10 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
         sample = cells
     cb = vq.train_codebook(sample, k=k, iters=iters, seed=seed)
 
-    tbl = FrequencyTable.zeros(k)
+    counts = np.ones(k, dtype=np.uint64)
     for img, grids in zip(images, pyramids):
         gmap = granularity.plan_granularity(entropy_map(img), freq_ratios)
         masks = granularity.masks_from_map(gmap)
         for idx in vq.quantize_masked(grids, masks, cb):
-            vq.accumulate_frequencies(idx, tbl)
-    return cb, vq.finalize_frequencies(tbl)
+            counts += np.bincount(idx, minlength=k).astype(np.uint64)
+    return cb, FrequencyTable(counts, smoothed=True)

@@ -1,5 +1,4 @@
-"""Codebook storage, nearest-neighbor quantization, k-means training and
-index usage statistics.
+"""Codebook storage, nearest-neighbor quantization and k-means training.
 
 Quantization picks the code minimizing squared Euclidean distance, ties to
 the lowest index. Each distance is the float64 sum of (x_j - c_j)**2 added
@@ -12,8 +11,6 @@ Every (cell, code) pair the search looks at costs a few elementwise numpy
 passes: one list position at a time over all cells, the best distance kept
 with a minimum and the best position with an arithmetic select, and each
 bin counted against the same float edges for cells and codes alike.
-The frequency table counts how often each index is emitted over a corpus;
-add-one smoothing at finalization keeps every symbol codeable.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .granularity import MaskSet
 
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
@@ -68,14 +63,10 @@ class Codebook:
         return _codes_hash(self.codes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyTable:
     counts: np.ndarray  # (k,) uint64
     smoothed: bool = False
-
-    @classmethod
-    def zeros(cls, k: int) -> "FrequencyTable":
-        return cls(np.zeros(k, dtype=np.uint64))
 
     @property
     def k(self) -> int:
@@ -92,10 +83,10 @@ def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
     return idx.reshape(grid.shape[:-1])
 
 
-def quantize_masked(grids, masks: MaskSet, cb: Codebook) -> list[np.ndarray]:
-    """int32 index streams of the cells each scale's mask keeps, raster
+def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
+    """int32 index streams of the cells each scale's bool mask keeps, raster
     order: fine, medium, coarse. One search covers all three."""
-    kept = [grid[mask.astype(bool)] for grid, mask in zip(grids, (masks.m1, masks.m2, masks.m3))]
+    kept = [grid[mask] for grid, mask in zip(grids, masks)]
     return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
 
 
@@ -331,24 +322,6 @@ def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
 def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
     _, d2 = _assign(np.asarray(corpus, dtype=np.float64), cb.codes.astype(np.float64))
     return float(d2.sum())
-
-
-def accumulate_frequencies(idx: np.ndarray, tbl: FrequencyTable) -> FrequencyTable:
-    """Count each emitted index once. In-place; returns tbl for chaining."""
-    if tbl.smoothed:
-        raise ValueError("frequency table already finalized")
-    flat = np.asarray(idx).ravel()
-    if flat.size:
-        tbl.counts += np.bincount(flat, minlength=tbl.k).astype(np.uint64)
-    return tbl
-
-
-def finalize_frequencies(tbl: FrequencyTable) -> FrequencyTable:
-    """Apply add-one smoothing and mark the table finalized."""
-    if not tbl.smoothed:
-        tbl.counts = tbl.counts + np.uint64(1)
-        tbl.smoothed = True
-    return tbl
 
 
 def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:

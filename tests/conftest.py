@@ -80,11 +80,15 @@ def reshape_mean_pool(grid: np.ndarray, factor: int) -> np.ndarray:
     return pooled.reshape(pooled.shape[:2] + grid.shape[2:]).astype(grid.dtype)
 
 
+def flat_frequencies(k: int) -> vq.FrequencyTable:
+    """The smoothed table of a corpus that emitted nothing: every count 1."""
+    return vq.FrequencyTable(np.ones(k, dtype=np.uint64), smoothed=True)
+
+
 def codes_session(codes) -> pipeline.CodecSession:
     """A session over the given (k, d) codes with a flat frequency table."""
     cb = vq.Codebook(np.asarray(codes, dtype=np.float32))
-    return pipeline.CodecSession(
-        cb, vq.finalize_frequencies(vq.FrequencyTable.zeros(cb.k)))
+    return pipeline.CodecSession(cb, flat_frequencies(cb.k))
 
 
 def map_container(session, gmap: np.ndarray) -> bitstream.Container:
@@ -111,8 +115,8 @@ def assert_painted(out: np.ndarray, mask: np.ndarray, stream: np.ndarray,
     the clamped colour of that cell's code in the scale's raster-order stream;
     a cell covers factor x factor pixels."""
     expected = np.zeros(mask.shape + (3,), dtype=np.float32)
-    expected[mask.astype(bool)] = np.clip(lookup(stream, cb), -1.0, 1.0)
-    support = nn_upsample(mask.astype(bool), factor)
+    expected[mask] = np.clip(lookup(stream, cb), -1.0, 1.0)
+    support = nn_upsample(mask, factor)
     assert out.dtype == np.uint8
     assert np.array_equal(out[support],
                           imaging.denormalize(nn_upsample(expected, factor)[support]))

@@ -209,10 +209,10 @@ def test_7_replacement_exactness():
         session = codes_session(imaging.normalize(colours))
         offsets = np.cumsum([0, *cells[:2]])
         streams = [off + np.flatnonzero(m).astype(np.int32)
-                   for off, m in zip(offsets, (masks.m1, masks.m2, masks.m3))]
+                   for off, m in zip(offsets, masks)]
         out = pipeline.reconstruct(session, map_container(session, gmap), gmap,
                                    streams).pixels
-        for m, stream, factor in zip((masks.m1, masks.m2, masks.m3), streams, (4, 8, 16)):
+        for m, stream, factor in zip(masks, streams, (4, 8, 16)):
             assert_painted(out, m, stream, session.codebook, factor)
         # the pooling/upsampling operators invert exactly
         for factor in (2, 4):

@@ -14,7 +14,9 @@ L_REFERENCE = 10.3875
 
 
 def cover_sum(masks):
-    return (masks.m1 + nn_upsample(masks.m2, 2) + nn_upsample(masks.m3, 4))
+    # int, not bool: a bool sum is an OR, and would hide a cell sent twice
+    fine, medium, coarse = (m.astype(int) for m in masks)
+    return fine + nn_upsample(medium, 2) + nn_upsample(coarse, 4)
 
 
 class TestRatioTriple:
@@ -65,13 +67,13 @@ class TestPlan:
 
 class TestMasks:
     def test_single_coarse_block(self):
-        masks = masks_from_map(np.array([[COARSE]]))
-        assert masks.m3.tolist() == [[1]]
-        assert not masks.m1.any() and not masks.m2.any()
+        fine, medium, coarse = masks_from_map(np.array([[COARSE]]))
+        assert coarse.tolist() == [[True]]
+        assert not fine.any() and not medium.any()
 
     def test_single_fine_block(self):
-        masks = masks_from_map(np.array([[FINE]]))
-        assert masks.m1.shape == (4, 4) and masks.m1.all()
+        fine, _, _ = masks_from_map(np.array([[FINE]]))
+        assert fine.shape == (4, 4) and fine.all()
 
     def test_disjoint_cover_exhaustive_2x2(self):
         # all 81 label assignments of a 2x2 map
@@ -82,11 +84,11 @@ class TestMasks:
     def test_blockwise_constant(self):
         rng = np.random.default_rng(2)
         gmap = rng.integers(0, 3, size=(3, 5))
-        masks = masks_from_map(gmap)
+        fine = masks_from_map(gmap)[0]
         for by in range(3):
             for bx in range(5):
-                assert masks.m1[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].min() \
-                    == masks.m1[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].max()
+                assert fine[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].min() \
+                    == fine[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].max()
 
 
 class TestRateModel:

@@ -122,6 +122,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match="3"):
             ImagePlane(np.zeros(shape, dtype=np.uint8), true_h=16, true_w=16)
 
+    @pytest.mark.parametrize("shape, true_hw", [
+        ((32, 32, 3), (8, 8)),  # padded by more than one block
+        ((16, 16, 3), (100, 100)),  # true dims beyond the padded ones
+        ((20, 16, 3), (20, 16)),  # a side that is not a multiple of 16
+        ((0, 16, 3), (-5, 16)),  # a negative true size
+    ], ids=["padding-over-a-block", "true-beyond-padded", "unpadded-side", "negative-true"])
+    def test_plane_no_container_could_hold_rejected(self, shape, true_hw):
+        # parse_container refuses a header of such dimensions, so no such
+        # plane may reach the encoder
+        with pytest.raises(ValueError, match="multiple of 16"):
+            ImagePlane(np.zeros(shape, dtype=np.uint8), *true_hw)
+
     def test_samples_are_the_normalized_pixels(self):
         raw = make_raw("photo", 16, 32, seed=4)
         img = from_raw(raw)

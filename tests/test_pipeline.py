@@ -13,7 +13,7 @@ from granucodec import bitstream, cli, granularity, imaging, pipeline, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
 from granucodec.granularity import COARSE, FINE, RatioTriple
 
-from conftest import assert_painted, make_image, make_raw, traced_peak
+from conftest import assert_painted, flat_frequencies, make_image, make_raw, traced_peak
 
 
 def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
@@ -22,7 +22,7 @@ def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
     map label and every index is the one-bit codeword 0, so the payload is
     all zero bytes."""
     cb = vq.Codebook(np.zeros((1, 3), dtype=np.float32))
-    tbl = vq.finalize_frequencies(vq.FrequencyTable.zeros(1))
+    tbl = flat_frequencies(1)
     h, w = 8208, 8192
     assert h * w > bitstream.MAX_PIXELS >= (h - 16) * w
     blocks = h * w // 256
@@ -78,7 +78,7 @@ class TestEncodeDecode:
         masks, streams = pipeline.quantize_streams(small_session, img, gmap)
         c = pipeline.encode_with_map(small_session, img, gmap)
         out = pipeline.decode_image(small_session, c).pixels
-        for m, stream, factor in zip((masks.m1, masks.m2, masks.m3), streams, (4, 8, 16)):
+        for m, stream, factor in zip(masks, streams, (4, 8, 16)):
             assert stream.size > 0
             assert_painted(out, m, stream, small_session.codebook, factor)
 
@@ -157,7 +157,13 @@ class TestEncodeDecode:
         # and d=4 is the layout that also held a luminance std
         cb = vq.Codebook(np.zeros((2, d), dtype=np.float32))
         with pytest.raises(vq.CodebookError):
-            pipeline.CodecSession(cb, vq.finalize_frequencies(vq.FrequencyTable.zeros(2)))
+            pipeline.CodecSession(cb, flat_frequencies(2))
+
+    def test_unsmoothed_frequency_table_rejected(self, small_session):
+        # raw counts may hold zeros, which no Huffman code can give a codeword
+        counts = small_session.frequencies.counts.copy()
+        with pytest.raises(ValueError, match="smoothed"):
+            pipeline.CodecSession(small_session.codebook, vq.FrequencyTable(counts))
 
     def test_constant_image_exact_roundtrip(self):
         from granucodec import training
@@ -315,7 +321,7 @@ class TestCli:
     def test_two_feature_codebook_exits_cleanly(self, cli_env, tmp_path):
         # a d=2 codebook and a hand-made one-block container that names it
         _, _, ppm = cli_env
-        flat = vq.finalize_frequencies(vq.FrequencyTable.zeros(4))
+        flat = flat_frequencies(4)
         cb = vq.Codebook(np.eye(4, 2, dtype=np.float32))
         d2 = tmp_path / "d2.cgcb"
         vq.save_codebook(cb, flat, d2)

@@ -10,9 +10,8 @@ from conftest import assert_painted, codes_session, lookup, make_image, map_cont
 
 def random_streams(rng, gmap: np.ndarray, k: int) -> list[np.ndarray]:
     """int32 fine, medium and coarse streams of indices below k for gmap."""
-    masks = masks_from_map(gmap)
-    return [rng.integers(0, k, size=int(m.sum()), dtype=np.int32)
-            for m in (masks.m1, masks.m2, masks.m3)]
+    return [rng.integers(0, k, size=np.count_nonzero(m), dtype=np.int32)
+            for m in masks_from_map(gmap)]
 
 
 def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
@@ -25,11 +24,11 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
     are replaced by the pooled z. The colours are clamped and painted onto
     4x4 pixel cells. Returns the padded samples, in [-1, 1]."""
     masks = masks_from_map(gmap)
-    m1, m2, m3 = (m[..., None].astype(np.float32) for m in (masks.m1, masks.m2, masks.m3))
+    m1, m2, m3 = (m[..., None].astype(np.float32) for m in masks)
     q = []
-    for idx, m in zip(streams, (m1, m2, m3)):
-        grid = np.zeros(m.shape[:2] + (cb.d,), dtype=np.float32)
-        grid[m[..., 0].astype(bool)] = lookup(idx, cb)
+    for idx, mask, m in zip(streams, masks, (m1, m2, m3)):
+        grid = np.zeros(mask.shape + (cb.d,), dtype=np.float32)
+        grid[mask] = lookup(idx, cb)
         q.append(grid * m)
     z = q[0] + nn_upsample(q[1], 2) + nn_upsample(q[2], 4)
     y2 = nn_upsample(avg_pool(z, 4), 2) * (1 - m2) + avg_pool(z, 2) * m2
@@ -78,7 +77,7 @@ class TestAssemble:
         rng = np.random.default_rng(2)
         session, gmap, streams = random_setup(rng)
         pooled = avg_pool(decode(session, gmap, streams), 16)
-        coarse = masks_from_map(gmap).m3
+        coarse = masks_from_map(gmap)[2]
         assert_painted(pooled, coarse, streams[2], session.codebook, 1)
 
     def test_scale_mismatch_rejected(self):
@@ -116,8 +115,8 @@ class TestAssemble:
         other = random_streams(rng, gmap, 16)[0]
         a = decode(session, gmap, streams)
         b = decode(session, gmap, [other] + streams[1:])
-        m1 = masks_from_map(gmap).m1
-        fine = nn_upsample(m1.astype(bool), 4)
+        m1 = masks_from_map(gmap)[0]
+        fine = nn_upsample(m1, 4)
         assert np.array_equal(a[~fine], b[~fine])
         assert_painted(b, m1, other, session.codebook, 4)
 
@@ -128,13 +127,13 @@ class TestConditionalDecode:
         for _ in range(10):
             session, gmap, streams = random_setup(rng)
             out = decode(session, gmap, streams)
-            assert_painted(out, masks_from_map(gmap).m1, streams[0], session.codebook, 4)
+            assert_painted(out, masks_from_map(gmap)[0], streams[0], session.codebook, 4)
 
     def test_medium_replacement_exact(self):
         rng = np.random.default_rng(6)
         session, gmap, streams = random_setup(rng)
         out = decode(session, gmap, streams)
-        assert_painted(out, masks_from_map(gmap).m2, streams[1], session.codebook, 8)
+        assert_painted(out, masks_from_map(gmap)[1], streams[1], session.codebook, 8)
 
     def test_all_coarse_identity_chain(self):
         rng = np.random.default_rng(7)

@@ -5,16 +5,16 @@ import struct
 import numpy as np
 import pytest
 
-from granucodec import pipeline, vq
-from granucodec.granularity import RatioTriple, masks_from_map
+from granucodec import analysis, pipeline, training, vq
+from granucodec.granularity import RatioTriple, masks_from_map, plan_granularity
+from granucodec.spatial_entropy import entropy_map
 from granucodec.vq import (
-    Codebook, CodebookError, FrequencyTable, accumulate_frequencies,
-    finalize_frequencies, kmeans_distortion, load_codebook, quantize,
+    Codebook, CodebookError, FrequencyTable, kmeans_distortion, load_codebook, quantize,
     quantize_masked, _assign, _codes_hash, _full_scan, _seed_centers, _update_centers,
     save_codebook, train_codebook,
 )
 
-from conftest import lookup, make_image, traced_peak
+from conftest import flat_frequencies, lookup, make_image, traced_peak
 
 
 def elementwise_oracle(points, centers):
@@ -202,9 +202,9 @@ class TestQuantize:
         grids = [rng.standard_normal((5 * s, 6 * s, 4)).astype(np.float32) for s in (4, 2, 1)]
         masks = masks_from_map(gmap)
         got = quantize_masked(grids, masks, cb)
-        for stream, grid, mask in zip(got, grids, (masks.m1, masks.m2, masks.m3)):
+        for stream, grid, mask in zip(got, grids, masks):
             assert stream.dtype == np.int32 and stream.size > 0
-            assert np.array_equal(stream, quantize(grid[mask.astype(bool)], cb))
+            assert np.array_equal(stream, quantize(grid[mask], cb))
 
     def test_full_scan_is_rare_on_codec_cells(self, session, monkeypatch):
         # the search settles all but a few cells without the full scan, at
@@ -341,46 +341,28 @@ class TestTraining:
 
 
 class TestFrequencies:
-    def test_empty_grid_unchanged(self):
-        tbl = FrequencyTable.zeros(8)
-        accumulate_frequencies(np.empty((0,), dtype=np.int32), tbl)
-        assert tbl.counts.sum() == 0
-
-    def test_counting(self):
-        tbl = FrequencyTable.zeros(8)
-        accumulate_frequencies(np.array([3, 3, 5]), tbl)
-        assert tbl.counts[3] == 2 and tbl.counts[5] == 1
-
-    def test_totals_conserved(self):
-        rng = np.random.default_rng(8)
-        tbl = FrequencyTable.zeros(32)
-        total = 0
-        for _ in range(5):
-            idx = rng.integers(0, 32, size=rng.integers(1, 100))
-            accumulate_frequencies(idx, tbl)
-            total += idx.size
-        assert tbl.counts.sum() == total
-        finalize_frequencies(tbl)
-        assert tbl.counts.sum() == total + 32
-
-    def test_smoothing_floor(self):
-        tbl = finalize_frequencies(FrequencyTable.zeros(4))
-        assert tbl.smoothed and np.all(tbl.counts == 1)
-
-    def test_add_one(self):
-        tbl = FrequencyTable(np.array([0, 9], dtype=np.uint64))
-        finalize_frequencies(tbl)
-        assert tbl.counts.tolist() == [1, 10]
-
-    def test_accumulate_after_finalize_rejected(self):
-        tbl = finalize_frequencies(FrequencyTable.zeros(4))
-        with pytest.raises(ValueError):
-            accumulate_frequencies(np.array([0]), tbl)
+    # all-coarse leaves the fine and medium streams of every image empty
+    @pytest.mark.parametrize("ratios", [training.DEFAULT_FREQ_RATIOS, RatioTriple(0, 0, 1)],
+                             ids=["default", "all-coarse"])
+    def test_training_counts_each_emitted_index_plus_one(self, ratios):
+        images = [make_image(kind, 32, 48, seed=80 + i)
+                  for i, kind in enumerate(["photo", "noise", "blocky"])]
+        k = 32
+        cb, tbl = training.train_codebook(images, k=k, seed=2, iters=2, freq_ratios=ratios)
+        streams = [s for img in images for s in quantize_masked(
+            analysis.pyramid(img),
+            masks_from_map(plan_granularity(entropy_map(img), ratios)), cb)]
+        assert tbl.smoothed and tbl.counts.dtype == np.uint64
+        want = 1 + sum(np.bincount(s, minlength=k) for s in streams)
+        assert tbl.counts.tolist() == want.tolist()
+        # every emitted index counted once, and one more for each code
+        assert tbl.counts.sum() == sum(s.size for s in streams) + k
+        assert tbl.counts.min() == 1  # an unused code keeps a codeword
 
 
 class TestCodebookFile:
     def test_roundtrip(self, tmp_path, cb16):
-        tbl = finalize_frequencies(FrequencyTable(np.arange(16, dtype=np.uint64)))
+        tbl = FrequencyTable(np.arange(1, 17, dtype=np.uint64), smoothed=True)
         path = tmp_path / "cb.cgcb"
         save_codebook(cb16, tbl, path)
         cb2, tbl2 = load_codebook(path)
@@ -393,11 +375,11 @@ class TestCodebookFile:
         cb = Codebook(np.zeros((k, 1), dtype=np.float32))
         path = tmp_path / "big.cgcb"
         with pytest.raises(CodebookError):
-            save_codebook(cb, FrequencyTable(np.ones(k, dtype=np.uint64), smoothed=True), path)
+            save_codebook(cb, flat_frequencies(k), path)
         assert not path.exists()
 
     def test_corruption_detected(self, tmp_path, cb16):
-        tbl = finalize_frequencies(FrequencyTable.zeros(16))
+        tbl = flat_frequencies(16)
         path = tmp_path / "cb.cgcb"
         save_codebook(cb16, tbl, path)
         data = bytearray(path.read_bytes())
@@ -418,7 +400,7 @@ class TestCodebookFile:
 
     def test_truncated_header_rejected(self, tmp_path, cb16):
         path = tmp_path / "cb.cgcb"
-        save_codebook(cb16, finalize_frequencies(FrequencyTable.zeros(16)), path)
+        save_codebook(cb16, flat_frequencies(16), path)
         data = path.read_bytes()
         for n in range(9):  # shorter than magic + version + k + d
             cut = tmp_path / f"cut{n}.cgcb"
