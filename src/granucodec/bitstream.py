@@ -6,17 +6,17 @@ coarse index streams. One canonical prefix encoder and one decoder serve all
 four segments. The index streams use the Huffman code of the shared
 frequency table; the map uses `MAP_CODE`, a fixed canonical code with
 lengths (1, 2, 2) over `COARSE - label`. A canonical code depends only on its
-per-symbol lengths, so encoder and decoder agree given the lengths: in
-(length, symbol) order, each codeword is the Kraft sum of the codewords
-before it, scaled to its own length. Decoding extends a candidate codeword
-one bit at a time and looks it up in the code's codeword-to-symbol map. The
-container header carries the bit length of each segment; a CRC32 over the
-header makes corruption loud.
+per-symbol lengths: in (length, symbol) order, each codeword is the Kraft sum
+of the codewords before it, scaled to its own length. So the decoder builds
+its table of windows of up to 16 bits from the lengths alone (Moffat & Turpin
+1997), reads the code length at every bit position from it, and hops from
+symbol to symbol. The container header carries the bit length of each
+segment; a CRC32 over the header makes corruption loud.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -47,12 +47,10 @@ class BitstreamError(Exception):
 
 @dataclass(frozen=True)
 class HuffmanCode:
-    """Canonical prefix code: per-symbol lengths and codewords, and their
-    inverse."""
+    """Canonical prefix code: per-symbol lengths and codewords."""
 
     lengths: np.ndarray  # (k,) int32
     codewords: np.ndarray  # (k,) int64
-    symbols: dict[int, int]  # 1 << length | codeword -> symbol
 
     @property
     def k(self) -> int:
@@ -63,25 +61,38 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     k = counts.shape[0]
     if k == 1:
         return np.ones(1, dtype=np.int32)  # degenerate alphabet, 1 explicit bit
-    # heap entries: (weight, lowest member symbol, node); merging prefers low
-    # aggregate symbol index on equal weight for determinism. The lowest
-    # symbol is unique among live nodes, so node ids are never compared.
-    # Nodes 0..k-1 are the symbols and each merge makes the next id, so a
-    # node's parent always has a higher id and the root is the last one.
-    heap = [(w, s, s) for s, w in enumerate(counts.tolist())]
-    heapq.heapify(heap)
-    parent = [0] * (2 * k - 1)
-    node = k
-    while len(heap) > 1:
-        w1, m1, n1 = heapq.heappop(heap)
-        w2, m2, n2 = heapq.heappop(heap)
-        parent[n1] = parent[n2] = node
-        heapq.heappush(heap, (w1 + w2, min(m1, m2), node))
-        node += 1
-    depth = [0] * (2 * k - 1)
-    for n in range(2 * k - 3, -1, -1):  # parents before children
+    # Two-queue merge (van Leeuwen 1976) on keys weight << b | lowest member
+    # symbol. keys[:k - 1] holds the merged nodes in the order they are made,
+    # keys[k:] the leaves sorted stably by count; inf marks the nodes not yet
+    # made and the queue ends. Every count is >= 1, so a merged node outweighs
+    # both nodes it pops and the popped keys never decrease. Two nodes made
+    # one after the other weigh the same only if all four popped keys do, and
+    # then their lowest symbols ascend. So merged nodes are made in increasing
+    # key order, the two smallest fronts are the two smallest keys, and every
+    # merge is the one a heap of the keys would make: ties go to the node
+    # holding the lowest symbol.
+    b = (k - 1).bit_length()  # not 16: the alphabet size has no cap
+    low = (1 << b) - 1
+    order = np.argsort(counts, kind="stable")
+    leaves = [w << b | s for w, s in zip(counts[order].tolist(), order.tolist())]
+    keys = [math.inf] * k + leaves + [math.inf] * 2
+    parent = [0] * 2 * k
+    i, j = 0, k  # queue fronts
+    for n in range(k - 1):
+        if keys[i + 1] < keys[j]:
+            x, y, i = i, i + 1, i + 2
+        elif keys[j + 1] < keys[i]:
+            x, y, j = j, j + 1, j + 2
+        else:
+            x, y, i, j = i, j, i + 1, j + 1
+        parent[x] = parent[y] = n
+        keys[n] = ((keys[x] >> b) + (keys[y] >> b)) << b | min(keys[x] & low, keys[y] & low)
+    depth = [0] * (k - 1)  # of the merged nodes; the root is made last
+    for n in range(k - 3, -1, -1):
         depth[n] = depth[parent[n]] + 1
-    return np.array(depth[:k], dtype=np.int32)
+    lengths = np.empty(k, dtype=np.int32)
+    lengths[order] = np.take(depth, parent[k:]) + 1
+    return lengths
 
 
 def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
@@ -94,18 +105,18 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     step = np.uint64(1) << shift  # 2^-length in units of 2^-max_len
     codewords = np.empty(k, dtype=np.int64)
     codewords[by_length] = (np.cumsum(step, dtype=np.uint64) - step) >> shift
-    keys = (np.uint64(1) << lengths.astype(np.uint64)) | codewords.astype(np.uint64)
-    return HuffmanCode(lengths, codewords, dict(zip(keys.tolist(), range(k))))
+    return HuffmanCode(lengths, codewords)
 
 
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
-    """Optimal prefix code for the finalized frequency counts."""
+    """Optimal prefix code for frequency counts that are all >= 1, as in a
+    smoothed table."""
     try:
         counts = np.asarray(counts, dtype=np.uint64)
     except OverflowError as exc:
         raise BitstreamError("frequency counts must fit in 64 unsigned bits") from exc
     if counts.size and counts.min() < 1:
-        raise BitstreamError("frequency table must be finalized (all counts >= 1)")
+        raise BitstreamError("every frequency count must be >= 1, as in a smoothed table")
     lengths = _huffman_lengths(counts)
     if lengths.max(initial=0) > MAX_CODE_LEN:
         raise BitstreamError(
@@ -141,29 +152,73 @@ def prefix_encode(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
     return bits.reshape(-1, width)[keep]
 
 
-def prefix_decode(bits: list[int], pos: int, count: int,
-                  code: HuffmanCode) -> tuple[np.ndarray, int]:
-    """Read `count` symbols from `bits[pos:]`, extending each codeword one bit
-    at a time until it is one of the code's; returns them and the position
-    after the last one."""
-    symbols = code.symbols
-    limit = 1 << int(code.lengths.max())
-    out = np.empty(count, dtype=np.int32)
+def _long_rank(data: np.ndarray, at: np.ndarray, code: HuffmanCode,
+               order: np.ndarray) -> np.ndarray:
+    """Canonical rank of the codeword starting at each bit position `at` of
+    the bytes `data`, found on a 64-bit window among the left-aligned
+    codewords in canonical `order`; code.k where none starts. `data` runs
+    at least 9 bytes past the byte of every position."""
+    spare = (64 - code.lengths[order]).astype(np.uint64)
+    left = code.codewords[order].astype(np.uint64) << spare
+    byte, shift = at >> 3, (at & 7).astype(np.uint64)
+    eight = np.lib.stride_tricks.sliding_window_view(data, 8)[byte].view(">u8")[:, 0]
+    wide = eight << shift | data[byte + 8] >> (8 - shift)
+    rank = np.searchsorted(left, wide, side="right") - 1
+    return np.where(wide - left[rank] < np.uint64(1) << spare[rank], rank, code.k)
+
+
+def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
+                  code: HuffmanCode) -> tuple[list[np.ndarray], list[int]]:
+    """Read consecutive segments of symbols from the bits of `payload`, from
+    bit `pos` on, each `count` symbols none of which ends past bit `stop` or
+    the payload. Returns each segment's symbols and the position after its
+    last one."""
+    counts, stops = zip(*segments)
+    stops = np.minimum(stops, 8 * len(payload))
+    lengths = code.lengths
+    max_len = int(lengths.max())
+    width = min(max_len, 16)
+    # In canonical order the codewords of length l <= width tile the window
+    # table from 0, each owning the 2^(width - l) windows it starts.
+    order = np.argsort(lengths, kind="stable")
+    short = order[lengths[order] <= width]
+    owned = np.repeat(short, 1 << (width - lengths[short])).astype(np.int32)
+    table = np.pad(owned, (0, (1 << width) - owned.size), constant_values=code.k)
+    table_len = np.append(lengths, 0).astype(np.uint8)[table]
+    # The width-bit window at every bit position up to the last stop, read
+    # from three bytes (zeros past it, where no symbol ends in its segment).
+    # An unowned window starts a longer codeword or, for a k = 1 code only,
+    # none; blocks of them at a time bound the memory a hostile payload of
+    # such windows takes.
+    n = int(stops.max()) + 7 >> 3
+    data = np.pad(np.frombuffer(payload, dtype=np.uint8)[:n], (0, 9))
+    three = (data[:n].astype(np.uint32) << 8 | data[1:n + 1]) << 8 | data[2:n + 2]
+    step = np.empty(8 * n, dtype=np.uint8)
+    for r in range(8):
+        step[r::8] = np.take(table_len, three >> (24 - width - r) & (1 << width) - 1)
+    for lo in range(0, step.size, 1 << 16):
+        at = lo + np.flatnonzero(step[lo:lo + (1 << 16)] == 0)
+        step[at] = np.append(lengths[order], 0)[_long_rank(data, at, code, order)]
+    # the chain: one index and one add per symbol
+    steps, p = step.tobytes(), pos
     try:
-        for n in range(count):
-            key = 1  # sentinel bit: keeps the codeword's length in the key
-            while True:
-                key = (key << 1) | bits[pos]
-                pos += 1
-                symbol = symbols.get(key)
-                if symbol is not None:
-                    out[n] = symbol
-                    break
-                if key >= limit:
-                    raise BitstreamError("invalid prefix walk")
+        chain = np.array([pos] + [p := p + steps[p] for _ in range(sum(counts))],
+                         dtype=np.int64)
     except IndexError:
         raise BitstreamError("read past end of bit payload") from None
-    return out, pos
+    starts = chain[:-1]
+    symbols = table[three[starts >> 3] >> (24 - width - (starts & 7)) & (1 << width) - 1]
+    hit = np.flatnonzero(symbols == code.k)
+    symbols[hit] = np.append(order, 0)[_long_rank(data, starts[hit], code, order)]
+    # the first bad symbol raises the walk's error
+    stops = np.repeat(stops, counts)
+    bad = np.flatnonzero((chain[1:] > stops) | (step[starts] == 0))
+    if bad.size:
+        at, stop = starts[bad[0]], stops[bad[0]]
+        raise BitstreamError("invalid prefix walk" if step[at] == 0 and at + max_len <= stop
+                             else "read past end of bit payload")
+    bounds = np.cumsum(counts)
+    return np.split(symbols, bounds[:-1]), chain[bounds].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -115,20 +115,17 @@ def decode_streams(session: CodecSession,
         raise BitstreamError("container was encoded with a different codebook")
     by = container.padded_h // BLOCK
     bx = container.padded_w // BLOCK
-    bits = np.unpackbits(np.frombuffer(container.payload, dtype=np.uint8),
-                         count=container.payload_bit_length).tolist()
-    labels, pos = bitstream.prefix_decode(bits, 0, by * bx, MAP_CODE)
-    if pos != container.map_bits:
+    payload, pos = container.payload, container.map_bits
+    (labels,), ends = bitstream.prefix_decode(payload, 0, [(by * bx, pos)], MAP_CODE)
+    if ends != [pos]:
         raise BitstreamError("granularity map bit length mismatch")
     gmap = (COARSE - labels).astype(np.uint8).reshape(by, bx)
-    streams = []
-    for mask, declared in zip(granularity.masks_from_map(gmap), container.index_bits):
-        stream, end = bitstream.prefix_decode(bits, pos, np.count_nonzero(mask),
-                                              session.huffman)
-        if end - pos != declared:
-            raise BitstreamError("index segment bit length mismatch")
-        streams.append(stream)
-        pos = end
+    stops = np.cumsum([pos, *container.index_bits])[1:].tolist()
+    counts = [np.count_nonzero(mask) for mask in granularity.masks_from_map(gmap)]
+    streams, ends = bitstream.prefix_decode(payload, pos, list(zip(counts, stops)),
+                                            session.huffman)
+    if ends != stops:
+        raise BitstreamError("index segment bit length mismatch")
     return gmap, streams
 
 

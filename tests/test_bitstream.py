@@ -4,12 +4,16 @@ import itertools
 import numpy as np
 import pytest
 
+from granucodec import bitstream, pipeline
 from granucodec.bitstream import (
     MAP_CODE, BitstreamError, Container, HuffmanCode, _canonical_code, build_huffman,
     mean_code_length, measure_rate, parse_container, prefix_decode, prefix_encode,
     serialize_container,
 )
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
+
+from conftest import make_image
+from test_fuzz import _bit_flips, _resizes, _rewrite_field
 
 
 def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
@@ -79,6 +83,59 @@ def member_list_lengths(counts):
     return lengths
 
 
+def walk_decode(bits, pos, count, code):
+    """Read `count` symbols from `bits[pos:]`, extending each codeword one bit
+    at a time until it is one of the code's (the former decoder, kept as the
+    oracle); returns them and the position after the last one."""
+    symbols = {1 << int(l) | int(w): s
+               for s, (l, w) in enumerate(zip(code.lengths, code.codewords))}
+    limit = 1 << int(code.lengths.max())
+    out = np.empty(count, dtype=np.int32)
+    try:
+        for n in range(count):
+            key = 1  # sentinel bit: keeps the codeword's length in the key
+            while True:
+                key = (key << 1) | bits[pos]
+                pos += 1
+                symbol = symbols.get(key)
+                if symbol is not None:
+                    out[n] = symbol
+                    break
+                if key >= limit:
+                    raise BitstreamError("invalid prefix walk")
+    except IndexError:
+        raise BitstreamError("read past end of bit payload") from None
+    return out, pos
+
+
+def walk_prefix_decode(payload, pos, segments, code):
+    """`prefix_decode` by the walk: each segment is walked over the bits up
+    to its stop, from where the one before it ended."""
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
+    out, ends = [], []
+    for count, stop in segments:
+        symbols, pos = walk_decode(bits[:stop], pos, count, code)
+        out.append(symbols)
+        ends.append(pos)
+    return out, ends
+
+
+def table_decode(bits, pos, count, code):
+    """One segment of `count` symbols from a list of 0/1 bits, ending by its end."""
+    payload = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    (symbols,), (end,) = prefix_decode(payload, pos, [(count, len(bits))], code)
+    return symbols, end
+
+
+def outcome(decode, *args):
+    """The decoded arrays and positions as lists, or the error's message."""
+    try:
+        return [np.asarray(a).tolist() if isinstance(a, np.ndarray)
+                else [np.asarray(x).tolist() for x in a] for a in decode(*args)]
+    except BitstreamError as exc:
+        return str(exc)
+
+
 class TestHuffman:
     def test_uniform_1024_all_length_10(self):
         code = build_huffman(np.ones(1024, dtype=np.uint64))
@@ -122,6 +179,21 @@ class TestHuffman:
             code = build_huffman(np.array(counts, dtype=np.uint64))
             assert code.lengths.tolist() == member_list_lengths(counts), counts
 
+    def test_tie_order_exhaustive_small_tables(self):
+        # every ordered table of k <= 5 counts in 1..4: ties are where a
+        # wrong merge order would change the lengths
+        tables = [c for k in range(1, 6) for c in itertools.product(range(1, 5), repeat=k)]
+        assert len(tables) == 1364
+        for counts in tables:
+            code = build_huffman(np.array(counts, dtype=np.uint64))
+            assert code.lengths.tolist() == member_list_lengths(counts), counts
+
+    def test_symbol_field_wider_than_16_bits(self):
+        # symbol 2^16 needs a 17-bit field in the packed merge key
+        counts = np.random.default_rng(9).integers(1, 4, size=(1 << 16) + 1)
+        code = build_huffman(counts.astype(np.uint64))
+        assert code.lengths.tolist() == member_list_lengths(counts)
+
     def test_session_lengths_match_member_list_oracle(self, session):
         counts = session.frequencies.counts
         assert session.huffman.lengths.tolist() == member_list_lengths(counts)
@@ -130,8 +202,8 @@ class TestHuffman:
         code = build_huffman(np.array([42], dtype=np.uint64))
         assert code.lengths.tolist() == [1]
 
-    def test_unfinalized_rejected(self):
-        with pytest.raises(BitstreamError):
+    def test_zero_count_rejected(self):
+        with pytest.raises(BitstreamError, match=">= 1"):
             build_huffman(np.array([3, 0, 1], dtype=np.uint64))
 
     def test_skewed_table_beyond_63_bits_rejected(self):
@@ -211,7 +283,7 @@ def encode_map(gmap):
 
 
 def decode_map(bits, by, bx):
-    labels, end = prefix_decode(bits, 0, by * bx, MAP_CODE)
+    labels, end = table_decode(bits, 0, by * bx, MAP_CODE)
     return (COARSE - labels).astype(np.uint8).reshape(by, bx), end
 
 
@@ -232,7 +304,7 @@ class TestIndexCoding:
             code = build_huffman(counts)
             stream = rng.integers(0, k, size=rng.integers(0, 500))
             bits = prefix_encode(stream, code).tolist()
-            decoded, end = prefix_decode(bits, 0, stream.size, code)
+            decoded, end = table_decode(bits, 0, stream.size, code)
             assert np.array_equal(decoded, stream)
             assert end == len(bits)
 
@@ -265,6 +337,32 @@ class TestIndexCoding:
         assert bits.dtype == np.uint8
         assert np.array_equal(bits, unpack64_oracle(stream, code))
 
+    @pytest.mark.parametrize("max_len", [1, 8, 9, 16, 17, 32, 33, 63])
+    def test_long_codewords_round_trip(self, max_len):
+        # the same codes, decoded from bit 5 on: codewords past the 16-bit
+        # window table resolve on a wider window
+        lengths = np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
+        code = _canonical_code(lengths)
+        rng = np.random.default_rng(max_len)
+        stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
+        bits = [1, 0, 1, 1, 0] + prefix_encode(stream, code).tolist()
+        decoded, end = table_decode(bits, 5, stream.size, code)
+        assert np.array_equal(decoded, stream)
+        assert end == len(bits)
+
+    def test_fibonacci_code_round_trip(self):
+        fib = [1, 1]
+        while len(fib) < 64:
+            fib.append(fib[-1] + fib[-2])
+        code = build_huffman(np.array(fib, dtype=np.uint64))
+        assert sorted(code.lengths.tolist()) == [*range(1, 64), 63]
+        stream = np.r_[np.arange(64), np.random.default_rng(6).integers(0, 64, size=3000)]
+        bits = prefix_encode(stream, code).tolist()
+        assert len(bits) > 1 << 16  # long codewords past the first block of windows
+        decoded, end = table_decode(bits, 0, stream.size, code)
+        assert np.array_equal(decoded, stream)
+        assert end == len(bits)
+
     def test_map_code_matches_64_bit_unpack(self):
         stream = np.random.default_rng(3).integers(0, 3, size=500)
         assert np.array_equal(prefix_encode(stream, MAP_CODE),
@@ -280,13 +378,77 @@ class TestIndexCoding:
     def test_invalid_prefix_walk(self, bits):
         code = build_huffman(np.array([42], dtype=np.uint64))  # one codeword: 0
         with pytest.raises(BitstreamError, match="invalid prefix walk"):
-            prefix_decode(bits, 0, 1, code)
+            table_decode(bits, 0, 1, code)
 
     def test_truncated_payload(self):
         code = build_huffman(np.ones(16, dtype=np.uint64))
         bits = prefix_encode(np.array([1, 2, 3]), code).tolist()
         with pytest.raises(BitstreamError, match="past end"):
-            prefix_decode(bits[:-2], 0, 3, code)
+            table_decode(bits[:-2], 0, 3, code)
+
+
+class TestWalkOracle:
+    """The table decoder gives the walk's symbols and end positions, or its
+    error message."""
+
+    def test_random_codes(self):
+        rng = np.random.default_rng(8)
+        seen = set()
+        for trial in range(300):
+            k = int(rng.integers(1, 40)) if trial % 3 else int(rng.integers(1, 3))
+            code = build_huffman(rng.integers(1, int(rng.choice([3, 1000, 1 << 30])),
+                                              size=k).astype(np.uint64))
+            stream = rng.integers(0, k, size=int(rng.integers(0, 60)))
+            bits = prefix_encode(stream, code)
+            if trial % 2:  # damage: flip, drop or append bits
+                bits = np.r_[bits, rng.integers(0, 2, size=int(rng.integers(0, 9)))]
+                bits[rng.integers(0, bits.size, size=min(bits.size, 2))] ^= 1
+                bits = bits[:int(rng.integers(0, bits.size + 1))]
+            payload = np.packbits(bits).tobytes()
+            cuts = np.sort(rng.integers(0, stream.size + 1, size=2))
+            counts = np.diff(np.r_[0, cuts, stream.size]).tolist()
+            stops = np.sort(rng.integers(0, 8 * len(payload) + 17, size=3)).tolist()
+            if trial % 4 == 0:  # an undamaged stream and its segments' true ends
+                stops = np.r_[0, np.cumsum(code.lengths[stream])][np.cumsum(counts)].tolist()
+            args = (payload, 0, list(zip(counts, stops)), code)
+            want = outcome(walk_prefix_decode, *args)
+            assert outcome(prefix_decode, *args) == want, (code.lengths, args)
+            seen.add(want if isinstance(want, str) else "ok")
+        assert seen == {"ok", "invalid prefix walk", "read past end of bit payload"}
+
+    @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
+                                      dict(target_bpp=0.10)], ids=["hirate", "lorate"])
+    def test_encodes_of_every_image_kind(self, session, mode, monkeypatch):
+        for seed, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
+            c = pipeline.encode_image(session, make_image(kind, 96, 136, seed=60 + seed),
+                                      **mode)
+            got = outcome(pipeline.decode_streams, session, c)
+            assert not isinstance(got, str)
+            with monkeypatch.context() as m:
+                m.setattr(bitstream, "prefix_decode", walk_prefix_decode)
+                assert outcome(pipeline.decode_streams, session, c) == got
+
+    def test_fuzzed_containers(self, small_session, monkeypatch):
+        rng = np.random.default_rng(2026)
+        img = make_image("photo", 80, 96, seed=21)
+        data = serialize_container(
+            pipeline.encode_image(small_session, img, ratios=RatioTriple(0.4, 0.4, 0.2)))
+        header_len = len(data) - len(parse_container(data).payload)
+        cases = [*_bit_flips(rng, data, 300, header_len), *_resizes(rng, data, 100),
+                 *(_rewrite_field(rng, data) for _ in range(300))]
+        outcomes = []
+        for blob in cases:
+            try:
+                c = parse_container(blob)
+            except BitstreamError:
+                continue
+            got = outcome(pipeline.decode_streams, small_session, c)
+            with monkeypatch.context() as m:
+                m.setattr(bitstream, "prefix_decode", walk_prefix_decode)
+                assert outcome(pipeline.decode_streams, small_session, c) == got
+            outcomes.append(got if isinstance(got, str) else "ok")
+        assert "ok" in outcomes
+        assert "read past end of bit payload" in outcomes
 
 
 class TestMapCoding:
