@@ -119,7 +119,7 @@ def cmd_stats(args) -> int:
 
 def cmd_rate_table(args) -> int:
     session = pipeline.CodecSession.from_file(args.codebook)
-    table = granularity.build_rate_table(session.mean_code_len, args.step)
+    table = session.rate_table  # the table --bpp searches
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("r1,r2,r3,bpp\n")
@@ -196,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump the entropy map as CSV")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("rate-table", help="dump the ratio->bpp query table")
+    p = sub.add_parser("rate-table", help="dump the ratio->bpp table --bpp searches")
     p.add_argument("--codebook", required=True)
-    p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rate_table)
 

@@ -6,8 +6,9 @@ The theoretical bits-per-pixel of a ratio triple is
 
     bpp = L/256 * (16*r1 + 4*r2 + r3) + (4*r1 + r2)/256
 
-with L the mean Huffman code length over the index alphabet. A query table
-over the ratio simplex inverts this for target-bpp lookup.
+with L the mean Huffman code length over the index alphabet. The query table
+inverts this for target-bpp lookup over one lattice, the ratio simplex at
+1/100 (5,151 rows); only its bpp column depends on the code.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .imaging import nn_upsample
 
 FINE, MEDIUM, COARSE = 0, 1, 2
 LABEL_NAMES = {FINE: "fine", MEDIUM: "medium", COARSE: "coarse"}
-
-# Finest rate-table lattice, 1/step: a 16 MB index grid and 501,501 rows.
-MAX_RATE_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -95,36 +93,32 @@ def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
     return _rate(*ratios.as_tuple(), mean_code_len)
 
 
+# the ratio simplex at 1/100 in lattice order (r1, then r2, ascending)
+_LATTICE = np.array([(i, j, 100 - i - j) for i in range(101)
+                     for j in range(101 - i)]) / 100
+
+
 @dataclass(frozen=True)
 class RateQueryTable:
-    """The ratio simplex lattice as columns, rows sorted by bpp ascending
-    (stable, so equal-bpp rows keep lattice order)."""
+    """The ratio lattice as columns, rows sorted by bpp ascending (stable,
+    so equal-bpp rows keep lattice order)."""
 
     ratios: np.ndarray  # (n, 3) float64: r1, r2, r3
     bpp: np.ndarray  # (n,) float64
-    mean_code_len: float
 
 
-def build_rate_table(mean_code_len: float, step: float = 0.01) -> RateQueryTable:
-    """Enumerate the ratio simplex at the given grid step."""
-    if not 0.0 < step <= 0.5:
-        raise ValueError("step must be in (0, 0.5]")
-    n = round(1.0 / step)
-    if n > MAX_RATE_STEPS:
-        raise ValueError(f"step {step} is finer than 1/{MAX_RATE_STEPS}")
-    i, j = np.mgrid[0:n + 1, 0:n + 1].reshape(2, -1)  # i/n = r1, j/n = r2
-    keep = i + j <= n
-    ratios = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1) / n
-    bpp = _rate(ratios[:, 0], ratios[:, 1], ratios[:, 2], mean_code_len)
+def build_rate_table(mean_code_len: float) -> RateQueryTable:
+    """The rate model over the 1/100 ratio lattice."""
+    bpp = _rate(*_LATTICE.T, mean_code_len)
     order = np.argsort(bpp, kind="stable")
-    return RateQueryTable(ratios[order], bpp[order], mean_code_len)
+    return RateQueryTable(_LATTICE[order], bpp[order])
 
 
 def ratios_for_target(table: RateQueryTable, target_bpp: float) -> RatioTriple:
     """Closest-bpp row; ties resolved toward larger r1 (quality-favoring),
     then toward the first row."""
-    if math.isnan(target_bpp):
-        raise ValueError("target bpp is not a number")
+    if not math.isfinite(target_bpp):
+        raise ValueError(f"target bpp must be a finite number, got {target_bpp}")
     gap = np.abs(table.bpp - target_bpp)
     closest = np.flatnonzero(gap == gap.min())
     best = closest[np.argmax(table.ratios[closest, 0])]  # argmax: first of equals

@@ -1,8 +1,8 @@
 """End-to-end encode/decode orchestration around a shared codec session.
 
-A session bundles the codebook, its smoothed frequency table, the Huffman
-code built from it, and the rate query table keyed by that code's mean
-length. Encoder and decoder must load the same codebook file; the container
+A session bundles the codebook, its frequency table, and what follows from
+them: the Huffman code, its mean length L and the rate query table keyed by
+L. Encoder and decoder must load the same codebook file; the container
 header pins its content hash.
 
 A code is a cell's mean colour (analysis.FEATURES = 3), and a session
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
-from .granularity import COARSE, RatioTriple, RateQueryTable
+from .granularity import COARSE, FINE, MEDIUM, RatioTriple, RateQueryTable
 from .imaging import BLOCK, ImagePlane, denormalize, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
@@ -33,6 +33,7 @@ class CodecSession:
     codebook: Codebook
     frequencies: FrequencyTable
     huffman: HuffmanCode = field(init=False)
+    mean_code_len: float = field(init=False)
     rate_table: RateQueryTable = field(init=False)
     entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
@@ -40,17 +41,11 @@ class CodecSession:
         if self.codebook.d != analysis.FEATURES:
             raise CodebookError(f"codebook has {self.codebook.d} features per code; "
                                 f"the analysis transform makes {analysis.FEATURES}")
-        if not self.frequencies.smoothed:
-            raise ValueError("session requires a smoothed frequency table")
         if self.frequencies.k != self.codebook.k:
             raise ValueError("frequency table size does not match codebook")
         self.huffman = bitstream.build_huffman(self.frequencies.counts)
-        self.rate_table = granularity.build_rate_table(
-            bitstream.mean_code_length(self.huffman))
-
-    @property
-    def mean_code_len(self) -> float:
-        return self.rate_table.mean_code_len
+        self.mean_code_len = bitstream.mean_code_length(self.huffman)
+        self.rate_table = granularity.build_rate_table(self.mean_code_len)
 
     @classmethod
     def from_file(cls, path) -> "CodecSession":
@@ -121,7 +116,8 @@ def decode_streams(session: CodecSession,
         raise BitstreamError("granularity map bit length mismatch")
     gmap = (COARSE - labels).astype(np.uint8).reshape(by, bx)
     stops = np.cumsum([pos, *container.index_bits])[1:].tolist()
-    counts = [np.count_nonzero(mask) for mask in granularity.masks_from_map(gmap)]
+    blocks = granularity.label_counts(gmap)  # 16, 4 and 1 indices per block
+    counts = [16 * blocks[FINE], 4 * blocks[MEDIUM], blocks[COARSE]]
     streams, ends = bitstream.prefix_decode(payload, pos, list(zip(counts, stops)),
                                             session.huffman)
     if ends != stops:

@@ -53,4 +53,4 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
         masks = granularity.masks_from_map(gmap)
         for idx in vq.quantize_masked(grids, masks, cb):
             counts += np.bincount(idx, minlength=k).astype(np.uint64)
-    return cb, FrequencyTable(counts, smoothed=True)
+    return cb, FrequencyTable(counts)

@@ -66,11 +66,15 @@ class Codebook:
 @dataclass(frozen=True)
 class FrequencyTable:
     counts: np.ndarray  # (k,) uint64
-    smoothed: bool = False
 
     @property
     def k(self) -> int:
         return self.counts.shape[0]
+
+    @property
+    def smoothed(self) -> bool:
+        """Every count is >= 1, so every code gets a Huffman codeword."""
+        return bool(np.all(self.counts >= 1))
 
 
 def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -102,6 +106,8 @@ def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -
     n = corpus.shape[0]
     if n < k:
         raise ValueError(f"corpus size {n} smaller than k={k}")
+    if iters < 0:
+        raise ValueError(f"iters={iters} is negative")
     centers = _seed_centers(corpus, k, np.random.default_rng(seed))
     for _ in range(iters):
         _update_centers(corpus, *_assign(corpus, centers), centers)
@@ -361,4 +367,4 @@ def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
     cb = Codebook(codes.copy())
     if cb.id_hash != stored_hash:
         raise CodebookError(f"{path}: content hash mismatch")
-    return cb, FrequencyTable(counts, smoothed=True)
+    return cb, FrequencyTable(counts)

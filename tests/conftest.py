@@ -82,7 +82,7 @@ def reshape_mean_pool(grid: np.ndarray, factor: int) -> np.ndarray:
 
 def flat_frequencies(k: int) -> vq.FrequencyTable:
     """The smoothed table of a corpus that emitted nothing: every count 1."""
-    return vq.FrequencyTable(np.ones(k, dtype=np.uint64), smoothed=True)
+    return vq.FrequencyTable(np.ones(k, dtype=np.uint64))
 
 
 def codes_session(codes) -> pipeline.CodecSession:

@@ -134,8 +134,7 @@ def test_5_losslessness_and_corruption():
     for trial in range(1000):
         k = int(rng.integers(4, 64))
         cb = vq.Codebook(rng.standard_normal((k, 3)).astype(np.float32))
-        tbl = vq.FrequencyTable(
-            rng.integers(1, 200, size=k).astype(np.uint64), smoothed=True)
+        tbl = vq.FrequencyTable(rng.integers(1, 200, size=k).astype(np.uint64))
         session = pipeline.CodecSession(cb, tbl)
         h = int(rng.integers(10, 49))
         w = int(rng.integers(10, 49))

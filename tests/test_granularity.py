@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from granucodec.granularity import (
-    COARSE, FINE, MAX_RATE_STEPS, MEDIUM, RatioTriple, build_rate_table,
+    COARSE, FINE, MEDIUM, RateQueryTable, RatioTriple, build_rate_table,
     label_counts, masks_from_map, plan_granularity, ratios_for_target,
     theoretical_bpp,
 )
@@ -117,14 +117,22 @@ class TestRateModel:
 
 
 def reference_rows(mean_code_len, step):
-    """The rate table as a plain loop over the simplex lattice, sorted by bpp
-    with Python's stable sort."""
+    """The rate table as a plain loop over the simplex lattice at the given
+    step, sorted by bpp with Python's stable sort."""
     n = round(1.0 / step)
     rows = [(RatioTriple(i / n, j / n, (n - i - j) / n),) for i in range(n + 1)
             for j in range(n + 1 - i)]
     rows = [(r, theoretical_bpp(r, mean_code_len)) for (r,) in rows]
     rows.sort(key=lambda row: row[1])
     return rows
+
+
+def on_lattice(table, step):
+    """The table's rows on the coarser lattice of the given step (a divisor
+    of 1/100), in table order: the rate table of that lattice."""
+    every = round(100 * step)
+    keep = np.all(np.rint(table.ratios * 100).astype(int) % every == 0, axis=1)
+    return RateQueryTable(table.ratios[keep], table.bpp[keep])
 
 
 def reference_lookup(table, target_bpp):
@@ -136,11 +144,8 @@ def reference_lookup(table, target_bpp):
 
 
 class TestRateTable:
-    def test_step_half_gives_six_rows(self):
-        assert len(build_rate_table(L_REFERENCE, 0.5).bpp) == 6
-
     def test_extreme_rows(self):
-        table = build_rate_table(L_REFERENCE, 0.25)
+        table = build_rate_table(L_REFERENCE)
         lo_ratio, lo_bpp = table.ratios[0], table.bpp[0]
         hi_ratio, hi_bpp = table.ratios[-1], table.bpp[-1]
         assert tuple(lo_ratio) == (0, 0, 1)
@@ -148,23 +153,15 @@ class TestRateTable:
         assert tuple(hi_ratio) == (1, 0, 0)
         assert hi_bpp == pytest.approx((16 * L_REFERENCE + 4) / 256)
 
-    @pytest.mark.parametrize("step", [1e-4, 1e-5])
-    def test_step_finer_than_limit_rejected(self, step):
-        with pytest.raises(ValueError, match="finer"):
-            build_rate_table(L_REFERENCE, step)
-
-    def test_finest_step_allowed(self):
-        n = MAX_RATE_STEPS
-        assert len(build_rate_table(L_REFERENCE, 1 / n).bpp) == (n + 1) * (n + 2) // 2
-
     def test_sorted_ascending(self):
-        bpps = list(build_rate_table(L_REFERENCE, 0.1).bpp)
+        bpps = list(build_rate_table(L_REFERENCE).bpp)
         assert bpps == sorted(bpps)
 
     @pytest.mark.parametrize("mean_code_len", [1.0, 6.5, L_REFERENCE, 13.0])
     @pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
     def test_matches_reference_loop(self, mean_code_len, step):
-        table = build_rate_table(mean_code_len, step)
+        # step 0.01 is the whole table; a coarser step checks its sub-lattice
+        table = on_lattice(build_rate_table(mean_code_len), step)
         rows = reference_rows(mean_code_len, step)
         assert [tuple(r) for r in table.ratios.tolist()] == [r.as_tuple() for r, _ in rows]
         assert table.bpp.tolist() == [b for _, b in rows]
@@ -172,46 +169,45 @@ class TestRateTable:
 
 class TestTargetLookup:
     def test_exact_value(self):
-        table = build_rate_table(L_REFERENCE, 0.1)
+        table = build_rate_table(L_REFERENCE)
         r, bpp = table.ratios[17], table.bpp[17]
         assert ratios_for_target(table, bpp).as_tuple() == tuple(r)
 
     def test_published_partial_table_lookup(self):
         # against the five published rows, 0.187 selects the second one
-        from granucodec.granularity import RateQueryTable
         triples = [(0, 0.23, 0.77), (0.10, 0.67, 0.23), (0.37, 0.46, 0.17),
                    (0.61, 0.30, 0.09), (0.90, 0.10, 0)]
         bpps = [theoretical_bpp(RatioTriple(*t), L_REFERENCE) for t in triples]
-        table = RateQueryTable(np.array(triples), np.array(bpps), L_REFERENCE)
+        table = RateQueryTable(np.array(triples), np.array(bpps))
         assert ratios_for_target(table, 0.187).as_tuple() == (0.10, 0.67, 0.23)
 
     def test_below_minimum_clamps_to_coarse(self):
-        table = build_rate_table(L_REFERENCE, 0.05)
+        table = build_rate_table(L_REFERENCE)
         assert ratios_for_target(table, 0.0).as_tuple() == (0, 0, 1)
 
     def test_tie_prefers_fine(self):
-        from granucodec.granularity import RateQueryTable
-        table = RateQueryTable(
-            ratios=np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
-            bpp=np.array([0.25, 0.75]), mean_code_len=L_REFERENCE)
+        table = RateQueryTable(ratios=np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
+                               bpp=np.array([0.25, 0.75]))
         assert ratios_for_target(table, 0.5).r1 == 0.5  # exact tie
 
     @pytest.mark.parametrize("step", [0.25, 0.1, 0.05, 0.01])
     def test_matches_linear_scan(self, step):
         rng = np.random.default_rng(12)
         for mean_code_len in (2.0, L_REFERENCE, 12.75):
-            table = build_rate_table(mean_code_len, step)
+            table = on_lattice(build_rate_table(mean_code_len), step)
             bpp = table.bpp
             rows = rng.choice(bpp.size - 1, size=min(bpp.size - 1, 60), replace=False)
             targets = np.concatenate([
                 bpp[rows],  # exact row values
                 (bpp[rows] + bpp[rows + 1]) / 2,  # midpoints: two rows equally close
                 rng.uniform(bpp[0] - 0.05, bpp[-1] + 0.05, size=60),
-                [-1.0, 0.0, bpp[-1] + 1.0, np.inf, -np.inf],
+                [-1.0, 0.0, bpp[-1] + 1.0],
             ])
             for t in targets.tolist():
                 assert ratios_for_target(table, t) == reference_lookup(table, t), t
 
-    def test_nan_target_rejected(self):
-        with pytest.raises(ValueError):
-            ratios_for_target(build_rate_table(L_REFERENCE, 0.1), float("nan"))
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_nan_target_rejected(self, target):
+        # at -inf every row is infinitely far, and the tie rule would pick (1, 0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            ratios_for_target(build_rate_table(L_REFERENCE), target)

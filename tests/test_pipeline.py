@@ -61,6 +61,19 @@ class TestEncodeDecode:
         for a, b in zip(enc_streams, dec_streams):
             assert np.array_equal(a, b)
 
+    def test_decode_expands_the_map_once(self, small_session, monkeypatch):
+        img = make_image("photo", 64, 48, seed=43)
+        c = pipeline.encode_image(small_session, img, ratios=RatioTriple(0.5, 0.3, 0.2))
+        calls = []
+
+        def counted(gmap):
+            calls.append(gmap)
+            return masks_from_map(gmap)
+        masks_from_map = granularity.masks_from_map
+        monkeypatch.setattr(granularity, "masks_from_map", counted)
+        pipeline.decode_image(small_session, c)
+        assert len(calls) == 1
+
     def test_decode_deterministic(self, small_session):
         img = make_image("photo", 48, 48, seed=43)
         c = pipeline.encode_image(small_session, img, ratios=RatioTriple(0.5, 0.3, 0.2))
@@ -87,7 +100,7 @@ class TestEncodeDecode:
         c = pipeline.encode_image(small_session, img, ratios=RatioTriple(0, 0, 1))
         other = pipeline.CodecSession(
             vq.Codebook(small_session.codebook.codes + 1.0),
-            vq.FrequencyTable(small_session.frequencies.counts.copy(), smoothed=True))
+            vq.FrequencyTable(small_session.frequencies.counts.copy()))
         with pytest.raises(BitstreamError):
             pipeline.decode_image(other, c)
 
@@ -162,7 +175,8 @@ class TestEncodeDecode:
     def test_unsmoothed_frequency_table_rejected(self, small_session):
         # raw counts may hold zeros, which no Huffman code can give a codeword
         counts = small_session.frequencies.counts.copy()
-        with pytest.raises(ValueError, match="smoothed"):
+        counts[5] = 0
+        with pytest.raises(BitstreamError, match="smoothed"):
             pipeline.CodecSession(small_session.codebook, vq.FrequencyTable(counts))
 
     def test_constant_image_exact_roundtrip(self):
@@ -255,13 +269,25 @@ class TestCli:
         assert res.returncode == 0, res.stderr
 
     def test_rate_table_csv(self, cli_env):
-        root, cb, _ = cli_env
-        out = root / "table.csv"
-        res = run_cli("rate-table", "--codebook", cb, "--step", "0.1", "--out", out)
+        # the printed table is the one --bpp searches, row for row
+        _, cb, _ = cli_env
+        res = run_cli("rate-table", "--codebook", cb)
         assert res.returncode == 0, res.stderr
-        lines = out.read_text().strip().splitlines()
+        lines = res.stdout.strip().splitlines()
         assert lines[0] == "r1,r2,r3,bpp"
-        assert len(lines) == 1 + 66  # simplex lattice at step 0.1
+        assert len(lines) == 1 + 5151  # the simplex lattice at 1/100
+        table = pipeline.CodecSession.from_file(cb).rate_table
+        assert lines[1:] == [f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}"
+                             for (r1, r2, r3), bpp in zip(table.ratios, table.bpp)]
+
+    @pytest.mark.parametrize("target", [0.05, 0.1, 0.3, 0.6])
+    def test_stats_bpp_picks_a_rate_table_row(self, cli_env, capsys, target):
+        _, cb, ppm = cli_env
+        assert cli.main(["stats", "--codebook", str(cb), "--input", str(ppm),
+                         "--bpp", str(target), "--json"]) == 0
+        ratios = json.loads(capsys.readouterr().out)["ratios"]
+        table = pipeline.CodecSession.from_file(cb).rate_table
+        assert ratios in table.ratios.tolist()
 
     def test_entropy_csv_dump(self, cli_env):
         root, cb, ppm = cli_env
@@ -387,12 +413,13 @@ class TestCli:
         ("stats", ["--ratios", "1,0,0", "--bpp", "0.2"], "--ratios or --bpp"),
         ("train-codebook", ["--freq-ratios", "1,2"], "--freq-ratios"),
         ("train-codebook", ["--corpus", "EMPTY"], ".ppm"),
-        ("rate-table", ["--step", "0.00001"], "step"),
+        ("encode", ["--bpp=-inf"], "finite"),
+        ("train-codebook", ["--iters", "-3"], "iters"),
         ("encode", ["--ratios", ""], "bad --ratios ''"),
         ("stats", ["--ratios", ""], "bad --ratios ''"),
     ], ids=["encode_ratios", "stats_ratios", "encode_no_rate", "stats_two_rates",
-            "freq_ratios", "empty_corpus", "rate_table_step", "encode_empty_ratios",
-            "stats_empty_ratios"])
+            "freq_ratios", "empty_corpus", "encode_bpp_minus_inf", "negative_iters",
+            "encode_empty_ratios", "stats_empty_ratios"])
     def test_usage_errors_exit_cleanly(self, cli_env, tmp_path, command, extra, named):
         root, cb, ppm = cli_env
         base = {
@@ -400,7 +427,6 @@ class TestCli:
             "stats": ["--codebook", cb, "--input", ppm],
             "train-codebook": ["--corpus", root / "corpus", "--k", 4, "--iters", 1,
                                "--out", tmp_path / "x.cgcb"],
-            "rate-table": ["--codebook", cb, "--out", tmp_path / "x.csv"],
         }[command]
         (tmp_path / "empty").mkdir()
         extra = [tmp_path / "empty" if a == "EMPTY" else a for a in extra]
@@ -439,7 +465,7 @@ class TestCli:
         skewed = tmp_path / "skewed.cgcb"
         vq.save_codebook(
             vq.Codebook(np.arange(93 * d, dtype=np.float32).reshape(93, d)),
-            vq.FrequencyTable(np.array(fib, dtype=np.uint64), smoothed=True), skewed)
+            vq.FrequencyTable(np.array(fib, dtype=np.uint64)), skewed)
         res = run_cli("encode", "--codebook", skewed, "--input", ppm,
                       "--out", tmp_path / "x.cgic", "--bpp", "0.2")
         assert res.returncode == 1

@@ -279,6 +279,13 @@ class TestTraining:
         assert np.array_equal(cb1.codes, cb2.codes)
         assert cb1.id_hash == cb2.id_hash
 
+    def test_negative_iters_rejected(self):
+        # a negative count would run no iteration and return the bare seeds
+        corpus = np.random.default_rng(6).standard_normal((40, 3))
+        with pytest.raises(ValueError, match="iters"):
+            train_codebook(corpus, k=4, iters=-3, seed=0)
+        assert train_codebook(corpus, k=4, iters=0, seed=0).k == 4
+
     def test_distortion_non_increasing(self):
         rng = np.random.default_rng(7)
         corpus = rng.standard_normal((300, 4))
@@ -360,9 +367,14 @@ class TestFrequencies:
         assert tbl.counts.min() == 1  # an unused code keeps a codeword
 
 
+    def test_smoothed_reads_the_counts(self):
+        assert FrequencyTable(np.array([3, 1, 7], dtype=np.uint64)).smoothed
+        assert not FrequencyTable(np.array([3, 0, 7], dtype=np.uint64)).smoothed
+
+
 class TestCodebookFile:
     def test_roundtrip(self, tmp_path, cb16):
-        tbl = FrequencyTable(np.arange(1, 17, dtype=np.uint64), smoothed=True)
+        tbl = FrequencyTable(np.arange(1, 17, dtype=np.uint64))
         path = tmp_path / "cb.cgcb"
         save_codebook(cb16, tbl, path)
         cb2, tbl2 = load_codebook(path)
