@@ -154,8 +154,17 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, so `main` reports it as every other
+    error (exit 1), where argparse would print its usage and exit 2. Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="granucodec",
         description="Variable-rate block-granularity VQ image codec")
     sub = parser.add_subparsers(dest="command", required=True)

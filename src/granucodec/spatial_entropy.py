@@ -13,8 +13,6 @@ each row copies its bytes into the keys' low byte. Every affinity is
 rounded to a whole number of 2**-43 units, so a block's mass is an exact
 integer count of units whatever order it is summed in: blocks holding the
 same samples in any order, on any BLAS kernel, get bit-identical entropies.
-`patch_entropy` evaluates the kernel for every sample, unrounded; it is the
-oracle the tests hold `entropy_map` to.
 """
 
 from __future__ import annotations
@@ -73,14 +71,6 @@ def _mass_entropy(mass: np.ndarray) -> np.ndarray:
     dist = mass / mass.sum(axis=-1, keepdims=True)
     terms = dist * np.log2(dist, out=np.zeros_like(dist), where=dist > 0)  # 0*log0 := 0
     return -terms.sum(axis=-1)
-
-
-def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> float:
-    """Spatial entropy (bits) of a patch; channels pooled into one sample set."""
-    values = np.asarray(patch, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise ValueError("empty patch")
-    return float(_mass_entropy(_affinity(values, cfg).mean(axis=0)))
 
 
 def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:

@@ -3,14 +3,15 @@
 Quantization picks the code minimizing squared Euclidean distance, ties to
 the lowest index. Each distance is the float64 sum of (x_j - c_j)**2 added
 in coordinate order, with no BLAS call, so the chosen index and its
-distance are the same on every machine. The search bins the codes on a grid
-over their first three coordinates and scans only the codes near each cell;
-a cell it cannot settle that way goes to a scan of all k codes. Both give
-what the full scan gives, bit for bit, and k-means uses the same search.
-Every (cell, code) pair the search looks at costs a few elementwise numpy
-passes: one list position at a time over all cells, the best distance kept
-with a minimum and the best position with an arithmetic select, and each
-bin counted against the same float edges for cells and codes alike.
+distance are the same on every machine. Cells are means of samples in
+[-1, 1], so the search cuts that cube into boxes and lists for each box the
+codes that can be nearest to some point of it, the bucket search of Gersho
+and Gray (Vector Quantization and Signal Compression, 1992): a cell scans
+its box's list, about 4 codes at k=1024. The lists are built the first time
+a set of codes is searched and kept, so every session loaded from one
+codebook file shares one build. A cell outside the cube, or not finite,
+goes to a scan of all k codes. Both give what the full scan gives, bit for
+bit, and k-means uses the same search, on new lists every iteration.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ CODEBOOK_VERSION = 1
 MAX_K = 0xFFFF  # the file stores k (and d) as uint16
 
 _DIST_BLOCK_BYTES = 2 << 20  # size of one block of cell-to-code distances
+# The nearest-code search's box index (see _build_index)
+_BOX_AXES = 4  # the boxes cut the first min(_BOX_AXES, d) coordinates
+_BOXES_PER_CODE = 32  # about 4 candidates per codec cell at k=1024
+_MAX_BOX_BITS = 15  # at most 2**15 boxes
+_ENTRIES_PER_CODE = 256  # a level whose lists would hold more entries per code is not kept
+_PAIR_BLOCK = 1 << 15  # (box, code) pairs bounded in one step of a build
+_BOX_PAD = 2.0 ** -40  # a box's widening on each side, far above a box number's rounding
+_ABS_SLACK = 1e-300  # covers squared distances that underflow
+_INDEXES_KEPT = 2  # the indexes of the last two center arrays searched stay built
+_INDEXES: dict = {}  # (shape, bytes) of the centers -> their index
 
 
 class CodebookError(Exception):
@@ -164,45 +175,45 @@ def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,
 def _assign(points: np.ndarray, centers: np.ndarray):
     """Nearest center of each point and its squared distance, ties to the
     lowest index: what `_full_scan` gives, found by scanning only the
-    centers near each point.
+    candidate list of the box each point falls in (see `_box_index`).
 
-    The centers are binned on a grid over their first g = min(3, d)
-    coordinates, about k^(1/g) bins a side, so a bin holds about one center.
-    Each point scans the centers of its bin's 3^g neighbourhood, in index
-    order. Every center outside that neighbourhood is at least m away in one
-    binned coordinate, where m is the distance from the point to the nearest
-    face of the neighbourhood (infinite where the grid ends). So when the
-    best distance found is below m**2, no center outside can beat or tie it.
-    The points this does not settle go to the full scan.
-
-    The scan runs over list positions r, not points: with the points ranked
-    by list length, those with more than r codes are a prefix, and each step
-    gathers the r-th code of their lists and compares it with all of them at
-    once. The best distance is kept with np.minimum and the best position r
-    with an arithmetic select (a maximum of closer * r, as positions only
-    grow); positions become codes once, after the loop. A NaN or infinite
-    point gets a NaN or infinite best distance and margin, which settle
-    nothing, so the full scan gives it its answer.
+    A point outside [-1, 1]^d, or not finite, has no box; the full scan
+    gives it its answer. The scan runs over list positions r, not points:
+    with the points ranked by list length, those with more than r codes are
+    a prefix, and each step gathers the r-th code of their lists and
+    compares it with all of them at once. The best distance is kept with
+    np.minimum and the best position r with an arithmetic select (a maximum
+    of closer * r, as positions only grow); positions become codes once,
+    after the loop.
     """
     n, d = points.shape
-    k = centers.shape[0]
+    inside = np.logical_and.reduce([np.abs(points[:, j]) <= 1.0 for j in range(d)])
+    if not inside.all():
+        assign, best = np.empty(n, dtype=np.int32), np.empty(n)
+        assign[~inside], best[~inside] = _full_scan(points[~inside], centers)
+        assign[inside], best[inside] = _assign(points[inside], centers)
+        return assign, best
+    members, starts, spread = _box_index(centers)
     xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
     cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
-    g = min(3, d)
-    edges = [_grid_edges(c, max(1, round(k ** (1 / g)))) for c in cs[:g]]
-    shape = tuple(e.size for e in edges)
-    members, starts = _neighbour_lists([_bin(c, e) for c, e in zip(cs, edges)], shape)
-    flat, margin = _locate(xs, edges)
+    g, side = min(_BOX_AXES, d), spread.size
+    flat = np.zeros(n, dtype=np.intp)
+    for j, x in enumerate(xs[:g]):
+        # (x + 1) * side / 2 truncates to the box; x = 1 lands in the last
+        at = np.minimum((x + 1.0) * (side / 2), side - 1).astype(np.intp)
+        flat += spread[at] << (g - 1 - j)
 
-    # longest lists first, so the points still scanning at rank r are a prefix
+    # longest lists first, so the points still scanning at rank r are a
+    # prefix; keyed in the smallest type, where a stable sort is a radix sort
     lengths = starts[flat + 1] - starts[flat]
-    order = np.argsort(-lengths)
+    longest = lengths.max(initial=0)
+    order = np.argsort((longest - lengths).astype(np.min_scalar_type(longest)), kind="stable")
     first = starts[flat[order]]
     rank_xs = [x[order] for x in xs]
     # list position of each point's best code so far, in the smallest type
-    best_r = np.zeros(n, dtype=np.min_scalar_type(lengths.max(initial=0)))
+    best_r = np.zeros(n, dtype=np.min_scalar_type(longest))
     near_d2 = np.full(n, np.inf)
-    code, dist, term, coord = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n), np.empty(n)
+    code, dist, term, coord = np.empty(n, members.dtype), np.empty(n), np.empty(n), np.empty(n)
     closer = np.empty(n, dtype=bool)
     for r, m in enumerate(n - np.cumsum(np.bincount(lengths)[:-1])):  # points with over r codes
         # the r-th code of each list; every index is in range, so no take
@@ -218,79 +229,128 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     first += best_r
     assign, best = np.empty(n, dtype=np.int32), np.empty_like(near_d2)
     assign[order], best[order] = members[first], near_d2
-
-    # An outside center lies at or beyond the edge a margin is measured to,
-    # and it was binned against that same float edge. Rounding is monotone,
-    # and so is each step of _sq_dist (a difference, a square, a sum of
-    # non-negative terms), so its computed distance is at least
-    # margin * margin as computed here: no rounding slack is needed.
-    unsettled = np.flatnonzero(~(best < margin * margin))
-    if unsettled.size:
-        assign[unsettled], best[unsettled] = _full_scan(points[unsettled], centers)
     return assign, best
 
 
-def _locate(xs: list[np.ndarray], edges: list[np.ndarray]):
-    """Each point's flat bin, and its distance in the binned coordinates to
-    the nearest face of that bin's 3^g neighbourhood (infinite where the
-    grid ends)."""
-    bins = [_bin(x, e) for x, e in zip(xs, edges)]
-    margin = np.full(xs[0].size, np.inf)
-    for x, b, e in zip(xs, bins, edges):
-        below = np.full(e.size, -np.inf)  # bins 0 and 1 have nothing below
-        below[2:] = e[1:-1]
-        above = np.full(e.size, np.inf)  # nor the last two anything above
-        above[:-2] = e[2:]
-        b = b.astype(np.intp)  # numpy gathers fastest through intp indices
-        # an infinite x less the grid's infinite end is NaN, and a NaN margin
-        # settles nothing: such a point goes to the full scan
-        with np.errstate(invalid="ignore"):
-            np.minimum(margin, x - below[b], out=margin)
-            np.minimum(margin, above[b] - x, out=margin)
-    return np.ravel_multi_index(bins, tuple(e.size for e in edges)), margin
+def _box_index(centers: np.ndarray):
+    """The candidate lists of `centers`, built on first use and kept for the
+    last _INDEXES_KEPT distinct center arrays, keyed by their bytes: every
+    session loaded from one codebook file shares one build."""
+    key = (centers.shape, centers.tobytes())
+    index = _INDEXES.pop(key, None)
+    if index is None:
+        index = _build_index(centers)
+    _INDEXES[key] = index  # the newest last
+    while len(_INDEXES) > _INDEXES_KEPT:
+        del _INDEXES[next(iter(_INDEXES))]
+    return index
 
 
-def _grid_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Lower edges of equal bins spanning the values; one bin if they are
-    all equal."""
-    lo, hi = values.min(), values.max()
-    return lo + (hi - lo) * (np.arange(bins if hi > lo else 1) / bins)
-
-
-def _bin(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin b holds [edges[b], edges[b + 1]); the end bins reach to infinity.
-    A value's bin is the count of inner edges at or below it (none for a
-    NaN), in the smallest unsigned type that holds the last bin: for a
-    finite value, the bin a search of the sorted edges finds."""
-    bins = np.zeros(values.shape, dtype=np.min_scalar_type(edges.size - 1))
-    above = np.empty(values.shape, dtype=bool)
-    for e in edges[1:]:
-        bins += np.greater_equal(values, e, out=above)
-    return bins
-
-
-def _neighbour_lists(code_bins: list[np.ndarray], shape: tuple[int, ...]):
-    """CSR lists: the codes of bin i's 3^g neighbourhood are
+def _build_index(centers: np.ndarray):
+    """(members, starts, spread): box i lists the codes
     members[starts[i]:starts[i + 1]], in ascending index order.
 
-    Code c lies in the neighbourhood of each in-range bin that is within one
-    step of its own on every axis. The (3,) * g + (k,) array of keys
-    neighbour bin * k + c is built by broadcasting one (3, k) term per axis,
-    and one sort of the in-range keys lists them by bin, then code."""
-    k = code_bins[0].size
-    steps = np.arange(-1, 2)
-    keys, inside, stride = np.arange(k), np.ones(k, dtype=bool), k
-    for axis in reversed(range(len(shape))):  # the last axis varies fastest
-        # signed, so bin -1 is outside; the steps vary along this axis
-        near = code_bins[axis].astype(np.intp) + steps.reshape(-1, *[1] * (len(shape) - axis))
-        keys = keys + near * stride
-        inside = inside & (near >= 0) & (near < shape[axis])
-        stride *= shape[axis]
-    keys = keys[inside]
-    keys.sort()
-    starts = np.searchsorted(keys, np.arange(math.prod(shape) + 1) * k)
-    # a last entry past the lists, so an empty list's first position is valid
-    return np.append(keys % k, 0), starts
+    The first g = min(_BOX_AXES, d) coordinates of [-1, 1]^d are cut into
+    side^g equal boxes; the others span all of [-1, 1]. side is a power of
+    two giving about _BOXES_PER_CODE boxes per code, at most
+    2**_MAX_BOX_BITS, or less when the lists would be long (see below).
+    Halving the side cuts box p of n boxes into its fan = 2^g children
+    o * n + p, where bit g - 1 - j of o says which half of axis j the child
+    holds. So spread[b] spaces the bits of coordinate b g apart, finest bit
+    first, and the box at (b_j) is the sum of spread[b_j] << (g - 1 - j).
+
+    Box B keeps code c when mindist(c, B)^2 <= min over c' of
+    maxdist(c', B)^2, both taken over B widened by _BOX_PAD on every side.
+    If w is nearest to a point x of B, as `_sq_dist` computes it, then
+    mindist(w, B)^2 <= |x - w|^2 and, for every c', |x - c'|^2 <=
+    maxdist(c', B)^2; w wins on computed distances, which rounding moves
+    from the true ones, so the bound has slack for that and for its own
+    rounding. The padding covers a point whose box number rounds to the next
+    box. A dropped code would change an answer; an extra one costs a
+    distance.
+
+    The lists are refined from the whole cube, which keeps every code, one
+    halving of the box side at a time. A box's winners win in its parent
+    too, so filtering the parent's list keeps them; taking the min over that
+    list and not over all codes can only raise the bound. A level runs in
+    steps of at most _PAIR_BLOCK (box, code) pairs, and is given up once its
+    lists hold more than _ENTRIES_PER_CODE * k entries: codes that crowd
+    around few boxes, or coordinates no box cuts, stop the refinement early,
+    and the lists stay exact but longer. So the build's memory is bounded.
+    """
+    k, d = centers.shape
+    g = min(_BOX_AXES, d)
+    fan = 1 << g
+    bits = min(math.ceil(math.log2(_BOXES_PER_CODE * k) / g), _MAX_BOX_BITS // g)
+    cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
+    # the coordinates no box cuts add the same terms to every box's bounds
+    rest_min, rest_max = np.zeros(k), np.zeros(k)
+    for c in cs[g:]:
+        _add_bounds(c, -1.0, 1.0, rest_min, rest_max)
+    # rounding moves each of the four squared distances the argument above
+    # compares by at most (d + 2) eps; allow twice that
+    slack = 1.0 + 8 * (d + 2) * np.finfo(np.float64).eps
+    # a child's coordinate on an axis is twice its parent's plus 0 (the
+    # lower half) or 1; halves[j, o] is child o's on axis j
+    half = np.arange(2)[:, None]
+    halves = (np.arange(fan) >> np.arange(g - 1, -1, -1)[:, None]) & 1
+    members = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    starts = np.array([0, k])
+    coords = np.zeros((g, 1), dtype=np.intp)  # each box's coordinates, in box order
+    level = 0
+    while level < bits:
+        width = 2.0 / (2 << level)
+        lengths = np.diff(starts)
+        kept, counts = [[] for _ in range(fan)], []
+        box = held = 0
+        while box < lengths.size and held <= _ENTRIES_PER_CODE * k:
+            # the boxes whose children's pairs fit one step, at least one box
+            stop = max(box + 1, int(np.searchsorted(
+                starts, starts[box] + _PAIR_BLOCK // fan, side="right")) - 1)
+            run = lengths[box:stop]
+            run_starts = starts[box:stop] - starts[box]
+            code = members[starts[box]:starts[stop]]
+            parent = np.repeat(np.arange(box, stop), run)
+            # bounds on (child, list entry) pairs, with one broadcast axis per
+            # coordinate: a child holds the lower or the upper half of its
+            # parent's interval on each
+            min_d2, max_d2 = rest_min[code], rest_max[code]
+            for j, c in enumerate(cs[:g]):
+                lo = -1.0 + (2 * coords[j][parent] + half) * width
+                near, far = np.zeros(lo.shape), np.zeros(lo.shape)
+                _add_bounds(c[code], lo, lo + width, near, far)
+                shape = [1] * g + [-1]
+                shape[j] = 2
+                min_d2 = min_d2 + near.reshape(shape)
+                max_d2 = max_d2 + far.reshape(shape)
+            min_d2, max_d2 = min_d2.reshape(fan, -1), max_d2.reshape(fan, -1)
+            bound = np.minimum.reduceat(max_d2, run_starts, axis=1) * slack + _ABS_SLACK
+            keep = min_d2 <= np.repeat(bound, run, axis=1)
+            counts.append(np.add.reduceat(keep, run_starts, axis=1, dtype=np.intp))
+            for o in range(fan):
+                kept[o].append(code[keep[o]])
+            held += counts[-1].sum()
+            box = stop
+        if held > _ENTRIES_PER_CODE * k:
+            break
+        level += 1
+        # child o of box p is box o * n + p, for the n boxes of the level before
+        members = np.concatenate([part for parts in kept for part in parts])
+        starts = np.concatenate(([0], np.cumsum(np.concatenate(counts, axis=1))))
+        coords = (2 * coords[:, None, :] + halves[:, :, None]).reshape(g, -1)
+    side = np.arange(1 << level)
+    spread = sum((((side >> t) & 1) << (g * (level - 1 - t)) for t in range(level)),
+                 np.zeros_like(side))
+    return members, starts, spread
+
+
+def _add_bounds(c: np.ndarray, lo, hi, min_d2: np.ndarray, max_d2: np.ndarray) -> None:
+    """Add each code's squared distance to the nearest and to the farthest
+    point of [lo, hi], widened by _BOX_PAD, to min_d2 and max_d2."""
+    below = (lo - _BOX_PAD) - c  # positive when the code lies below the interval
+    above = c - (hi + _BOX_PAD)  # positive when it lies above
+    min_d2 += np.maximum(np.maximum(below, above), 0.0) ** 2
+    max_d2 += np.maximum(-below, -above) ** 2
 
 
 def _full_scan(points: np.ndarray, centers: np.ndarray):

@@ -7,6 +7,7 @@ import pytest
 
 from granucodec import bitstream, granularity, imaging, pipeline, training, vq
 from granucodec.imaging import nn_upsample
+from granucodec.spatial_entropy import EntropyConfig, _affinity, _mass_entropy
 
 
 def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
@@ -59,6 +60,16 @@ def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
 
 def make_image(kind: str, h: int, w: int, seed: int) -> imaging.ImagePlane:
     return imaging.from_raw(make_raw(kind, h, w, seed))
+
+
+def patch_entropy(patch: np.ndarray, cfg: EntropyConfig = EntropyConfig()) -> float:
+    """Spatial entropy (bits) of a patch, channels pooled into one sample set:
+    the kernel evaluated for every sample, unrounded. The oracle the tests
+    hold `entropy_map` to."""
+    values = np.asarray(patch, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise ValueError("empty patch")
+    return float(_mass_entropy(_affinity(values, cfg).mean(axis=0)))
 
 
 def traced_peak(fn, *args) -> int:

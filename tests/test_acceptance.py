@@ -12,9 +12,10 @@ from granucodec import granularity as gr
 from granucodec import imaging, pipeline, training, vq
 from granucodec.granularity import FINE, MEDIUM, RatioTriple
 from granucodec.imaging import avg_pool, nn_upsample
-from granucodec.spatial_entropy import entropy_map, patch_entropy
+from granucodec.spatial_entropy import entropy_map
 
-from conftest import assert_painted, codes_session, make_image, map_container
+from conftest import (assert_painted, codes_session, make_image, map_container,
+                      patch_entropy)
 from test_bitstream import brute_force_optimum, kraft_sum, weighted_total_bits
 from test_spatial_entropy import entropy_oracle
 

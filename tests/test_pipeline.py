@@ -417,9 +417,13 @@ class TestCli:
         ("train-codebook", ["--iters", "-3"], "iters"),
         ("encode", ["--ratios", ""], "bad --ratios ''"),
         ("stats", ["--ratios", ""], "bad --ratios ''"),
+        # a value starting with '-' that argparse takes for a flag
+        ("encode", ["--bpp", "-inf"], "--bpp"),
+        ("stats", ["--ratios", "-0.1,0.6,0.5"], "--ratios"),
     ], ids=["encode_ratios", "stats_ratios", "encode_no_rate", "stats_two_rates",
             "freq_ratios", "empty_corpus", "encode_bpp_minus_inf", "negative_iters",
-            "encode_empty_ratios", "stats_empty_ratios"])
+            "encode_empty_ratios", "stats_empty_ratios", "encode_bpp_dash_value",
+            "stats_ratios_dash_value"])
     def test_usage_errors_exit_cleanly(self, cli_env, tmp_path, command, extra, named):
         root, cb, ppm = cli_env
         base = {
@@ -435,6 +439,13 @@ class TestCli:
         assert res.stderr.startswith("error:")
         assert named in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_help_exits_zero(self):
+        # a usage error exits 1, but --help still prints the usage and exits 0
+        for args in (["--help"], ["encode", "--help"]):
+            res = run_cli(*args)
+            assert res.returncode == 0
+            assert res.stdout.startswith("usage:")
 
     def test_encode_huge_declared_ppm_exits_cleanly(self, cli_env, tmp_path):
         _, cb, _ = cli_env

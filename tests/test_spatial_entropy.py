@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from granucodec import granularity, imaging, spatial_entropy
-from granucodec.spatial_entropy import EntropyConfig, entropy_map, patch_entropy
+from granucodec.spatial_entropy import EntropyConfig, entropy_map
 
-from conftest import make_image, make_raw
+from conftest import make_image, make_raw, patch_entropy
 
 
 def bin_affinity(pixel_value: float, cfg: EntropyConfig = EntropyConfig()) -> np.ndarray:
