@@ -4,13 +4,14 @@ rate measurement.
 The payload is one bit array: the granularity map, then the fine, medium and
 coarse index streams. One canonical prefix encoder and one decoder serve all
 four segments. The index streams use the Huffman code of the shared
-frequency table; the map uses `MAP_CODE`, a fixed canonical code with
-lengths (1, 2, 2) over `COARSE - label`. A canonical code depends only on its
-per-symbol lengths: in (length, symbol) order, each codeword is the Kraft sum
-of the codewords before it, scaled to its own length. So the decoder builds
-its table of windows of up to 16 bits from the lengths alone (Moffat & Turpin
-1997), reads the code length at every bit position from it, and hops from
-symbol to symbol. The container header carries the bit length of each
+frequency table, held to `MAX_CODE_LEN` = 16 bits as in JPEG; the map uses
+`MAP_CODE`, a fixed canonical code with lengths (1, 2, 2) over
+`COARSE - label`. A canonical code depends only on its per-symbol lengths: in
+(length, symbol) order, each codeword is the Kraft sum of the codewords
+before it, scaled to its own length. So the decoder builds one table of
+windows as wide as the longest codeword from the lengths alone (Moffat &
+Turpin 1997), reads the code length at every bit position from it, and hops
+from symbol to symbol. The container header carries the bit length of each
 segment; a CRC32 over the header makes corruption loud.
 """
 
@@ -26,10 +27,13 @@ import numpy as np
 from .granularity import RatioTriple
 
 CONTAINER_MAGIC = b"CGIC"
-CONTAINER_VERSION = 1
+# Version 2 holds every codeword to 16 bits; a version-1 container may carry
+# the longer codes of a skewed table, which a version-2 decoder reads wrong.
+CONTAINER_VERSION = 2
 
-# Codewords are held in int64, so no code may be longer than this.
-MAX_CODE_LEN = 63
+# JPEG's limit (ITU-T T.81, Annex K.3): one 16-bit window holds any codeword,
+# and a balanced code over the 2^16 symbols a code may have fits it.
+MAX_CODE_LEN = 16
 
 # Largest padded image, in pixels, a container may declare: 8192^2. Decoding
 # peaks near 4.5 bytes per padded pixel, about 0.3 GB at the cap, so a small
@@ -71,7 +75,7 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     # key order, the two smallest fronts are the two smallest keys, and every
     # merge is the one a heap of the keys would make: ties go to the node
     # holding the lowest symbol.
-    b = (k - 1).bit_length()  # not 16: the alphabet size has no cap
+    b = (k - 1).bit_length()  # the symbol field, as wide as the largest symbol
     low = (1 << b) - 1
     order = np.argsort(counts, kind="stable")
     leaves = [w << b | s for w, s in zip(counts[order].tolist(), order.tolist())]
@@ -110,18 +114,23 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
 
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
     """Optimal prefix code for frequency counts that are all >= 1, as in a
-    smoothed table."""
+    smoothed table, unless its longest codeword passes `MAX_CODE_LEN` bits.
+    Then every count is raised to a floor that doubles until the code fits
+    (the retry loop of Brotli's BrotliCreateHuffmanTree); at the largest
+    count all weights are equal and the code is balanced."""
     try:
         counts = np.asarray(counts, dtype=np.uint64)
     except OverflowError as exc:
         raise BitstreamError("frequency counts must fit in 64 unsigned bits") from exc
     if counts.size and counts.min() < 1:
         raise BitstreamError("every frequency count must be >= 1, as in a smoothed table")
-    lengths = _huffman_lengths(counts)
-    if lengths.max(initial=0) > MAX_CODE_LEN:
-        raise BitstreamError(
-            f"skewed frequency table: a {lengths.max()}-bit code exceeds the "
-            f"{MAX_CODE_LEN}-bit codeword limit")
+    if counts.size > 1 << MAX_CODE_LEN:
+        raise BitstreamError(f"{counts.size} symbols do not fit a "
+                             f"{MAX_CODE_LEN}-bit prefix code")
+    lengths, floor = _huffman_lengths(counts), 1
+    while lengths.max(initial=0) > MAX_CODE_LEN:
+        floor = min(2 * floor, int(counts.max()))
+        lengths = _huffman_lengths(np.maximum(counts, np.uint64(floor)))
     return _canonical_code(lengths)
 
 
@@ -144,27 +153,10 @@ def prefix_encode(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
     bad = symbols[(symbols < 0) | (symbols >= code.k)]
     if bad.size:
         raise BitstreamError(f"symbol {bad[0]} outside alphabet of size {code.k}")
-    # `width` bits per symbol, MSB first, for the narrowest word that holds
-    # the longest codeword; keep the last `length` of each row
-    width = next(w for w in (8, 16, 32, 64) if w >= code.lengths.max())
-    bits = np.unpackbits(code.codewords[symbols].astype(f">u{width // 8}").view(np.uint8))
-    keep = np.arange(width) >= width - code.lengths[symbols, None]
-    return bits.reshape(-1, width)[keep]
-
-
-def _long_rank(data: np.ndarray, at: np.ndarray, code: HuffmanCode,
-               order: np.ndarray) -> np.ndarray:
-    """Canonical rank of the codeword starting at each bit position `at` of
-    the bytes `data`, found on a 64-bit window among the left-aligned
-    codewords in canonical `order`; code.k where none starts. `data` runs
-    at least 9 bytes past the byte of every position."""
-    spare = (64 - code.lengths[order]).astype(np.uint64)
-    left = code.codewords[order].astype(np.uint64) << spare
-    byte, shift = at >> 3, (at & 7).astype(np.uint64)
-    eight = np.lib.stride_tricks.sliding_window_view(data, 8)[byte].view(">u8")[:, 0]
-    wide = eight << shift | data[byte + 8] >> (8 - shift)
-    rank = np.searchsorted(left, wide, side="right") - 1
-    return np.where(wide - left[rank] < np.uint64(1) << spare[rank], rank, code.k)
+    # 16 bits per symbol, MSB first; keep the last `length` of each row
+    bits = np.unpackbits(code.codewords[symbols].astype(">u2").view(np.uint8))
+    keep = np.arange(MAX_CODE_LEN) >= MAX_CODE_LEN - code.lengths[symbols, None]
+    return bits.reshape(-1, MAX_CODE_LEN)[keep]
 
 
 def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
@@ -172,33 +164,27 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
     """Read consecutive segments of symbols from the bits of `payload`, from
     bit `pos` on, each `count` symbols none of which ends past bit `stop` or
     the payload. Returns each segment's symbols and the position after its
-    last one."""
+    last one. No codeword of `code` passes `MAX_CODE_LEN` bits, as none that
+    build_huffman makes does."""
     counts, stops = zip(*segments)
     stops = np.minimum(stops, 8 * len(payload))
     lengths = code.lengths
     max_len = int(lengths.max())
-    width = min(max_len, 16)
-    # In canonical order the codewords of length l <= width tile the window
-    # table from 0, each owning the 2^(width - l) windows it starts.
+    # In canonical order the codewords tile the table of max_len-bit windows
+    # from 0, each owning the 2^(max_len - l) windows it starts; the windows
+    # left over start no codeword (only for a k = 1 code).
     order = np.argsort(lengths, kind="stable")
-    short = order[lengths[order] <= width]
-    owned = np.repeat(short, 1 << (width - lengths[short])).astype(np.int32)
-    table = np.pad(owned, (0, (1 << width) - owned.size), constant_values=code.k)
+    owned = np.repeat(order, 1 << (max_len - lengths[order])).astype(np.int32)
+    table = np.pad(owned, (0, (1 << max_len) - owned.size), constant_values=code.k)
     table_len = np.append(lengths, 0).astype(np.uint8)[table]
-    # The width-bit window at every bit position up to the last stop, read
-    # from three bytes (zeros past it, where no symbol ends in its segment).
-    # An unowned window starts a longer codeword or, for a k = 1 code only,
-    # none; blocks of them at a time bound the memory a hostile payload of
-    # such windows takes.
+    # The max_len-bit window at every bit position up to the last stop, read
+    # from three bytes (zeros past it, where no symbol ends in its segment)
     n = int(stops.max()) + 7 >> 3
-    data = np.pad(np.frombuffer(payload, dtype=np.uint8)[:n], (0, 9))
+    data = np.pad(np.frombuffer(payload, dtype=np.uint8)[:n], (0, 2))
     three = (data[:n].astype(np.uint32) << 8 | data[1:n + 1]) << 8 | data[2:n + 2]
     step = np.empty(8 * n, dtype=np.uint8)
     for r in range(8):
-        step[r::8] = np.take(table_len, three >> (24 - width - r) & (1 << width) - 1)
-    for lo in range(0, step.size, 1 << 16):
-        at = lo + np.flatnonzero(step[lo:lo + (1 << 16)] == 0)
-        step[at] = np.append(lengths[order], 0)[_long_rank(data, at, code, order)]
+        step[r::8] = np.take(table_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
     # the chain: one index and one add per symbol
     steps, p = step.tobytes(), pos
     try:
@@ -207,9 +193,7 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
     except IndexError:
         raise BitstreamError("read past end of bit payload") from None
     starts = chain[:-1]
-    symbols = table[three[starts >> 3] >> (24 - width - (starts & 7)) & (1 << width) - 1]
-    hit = np.flatnonzero(symbols == code.k)
-    symbols[hit] = np.append(order, 0)[_long_rank(data, starts[hit], code, order)]
+    symbols = table[three[starts >> 3] >> (24 - max_len - (starts & 7)) & (1 << max_len) - 1]
     # the first bad symbol raises the walk's error
     stops = np.repeat(stops, counts)
     bad = np.flatnonzero((chain[1:] > stops) | (step[starts] == 0))
@@ -282,7 +266,8 @@ def parse_container(data: bytes) -> Container:
     if magic != CONTAINER_MAGIC:
         raise BitstreamError(f"bad magic {magic!r}")
     if version != CONTAINER_VERSION:
-        raise BitstreamError(f"unsupported version {version}")
+        raise BitstreamError(f"unsupported container version {version}; this "
+                             f"decoder reads version {CONTAINER_VERSION}")
     if crc != zlib.crc32(data[:_HEADER.size]):
         raise BitstreamError("header CRC mismatch")
     if padded_w % 16 or padded_h % 16:

@@ -37,6 +37,9 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
     """Train a codebook and its smoothed usage-frequency table."""
     if not 1 <= k <= vq.MAX_K:
         raise ValueError(f"k={k} is outside 1..{vq.MAX_K}, the codebook format's range")
+    if max_samples < k:
+        raise ValueError(f"max_samples={max_samples} is below k={k}: k-means needs a "
+                         f"sample of at least k cells")
     pyramids = [analysis.pyramid(img) for img in images]
     cells = _stack_cells(pyramids)
     if cells.shape[0] > max_samples:

@@ -397,6 +397,8 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
     if cb.k > MAX_K or cb.d > MAX_K:
         raise CodebookError(f"k={cb.k}, d={cb.d}: the format stores each in 16 bits "
                             f"(at most {MAX_K})")
+    if np.any(tbl.counts < 1):
+        raise CodebookError("every frequency count must be >= 1, as in a smoothed table")
     with open(path, "wb") as f:
         f.write(CODEBOOK_MAGIC)
         f.write(struct.pack("<BHH", CODEBOOK_VERSION, cb.k, cb.d))
@@ -427,4 +429,6 @@ def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
     cb = Codebook(codes.copy())
     if cb.id_hash != stored_hash:
         raise CodebookError(f"{path}: content hash mismatch")
+    if not counts.all():
+        raise CodebookError(f"{path}: code {np.argmin(counts)} has a zero frequency count")
     return cb, FrequencyTable(counts)

@@ -1,14 +1,15 @@
 import heapq
 import itertools
+import zlib
 
 import numpy as np
 import pytest
 
 from granucodec import bitstream, pipeline
 from granucodec.bitstream import (
-    MAP_CODE, BitstreamError, Container, HuffmanCode, _canonical_code, build_huffman,
-    mean_code_length, measure_rate, parse_container, prefix_decode, prefix_encode,
-    serialize_container,
+    MAP_CODE, MAX_CODE_LEN, BitstreamError, Container, HuffmanCode, _canonical_code,
+    _huffman_lengths, build_huffman, mean_code_length, measure_rate, parse_container,
+    prefix_decode, prefix_encode, serialize_container,
 )
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
@@ -176,8 +177,8 @@ class TestHuffman:
             high = int(rng.choice([3, 1000, 1 << 40]))  # many ties, few, none
             tables.append(rng.integers(1, high, size=k).tolist())
         for counts in tables:
-            code = build_huffman(np.array(counts, dtype=np.uint64))
-            assert code.lengths.tolist() == member_list_lengths(counts), counts
+            lengths = _huffman_lengths(np.array(counts, dtype=np.uint64))
+            assert lengths.tolist() == member_list_lengths(counts), counts
 
     def test_tie_order_exhaustive_small_tables(self):
         # every ordered table of k <= 5 counts in 1..4: ties are where a
@@ -191,8 +192,8 @@ class TestHuffman:
     def test_symbol_field_wider_than_16_bits(self):
         # symbol 2^16 needs a 17-bit field in the packed merge key
         counts = np.random.default_rng(9).integers(1, 4, size=(1 << 16) + 1)
-        code = build_huffman(counts.astype(np.uint64))
-        assert code.lengths.tolist() == member_list_lengths(counts)
+        lengths = _huffman_lengths(counts.astype(np.uint64))
+        assert lengths.tolist() == member_list_lengths(counts)
 
     def test_session_lengths_match_member_list_oracle(self, session):
         counts = session.frequencies.counts
@@ -211,11 +212,38 @@ class TestHuffman:
         while len(fib) < 100:
             fib.append(fib[-1] + fib[-2])
         # each Fibonacci count nests one level deeper: k symbols, k-1 bits
-        assert build_huffman(np.array(fib[:64], dtype=np.uint64)).lengths.max() == 63
+        assert _huffman_lengths(np.array(fib[:64], dtype=np.uint64)).max() == 63
+        for k in (64, 93):  # fib[92] is the largest in uint64
+            code = build_huffman(np.array(fib[:k], dtype=np.uint64))
+            assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
+            stream = np.r_[np.arange(k), np.random.default_rng(k).integers(0, k, size=200)]
+            bits = prefix_encode(stream, code).tolist()
+            assert table_decode(bits, 0, stream.size, code)[0].tolist() == stream.tolist()
         with pytest.raises(BitstreamError):
-            build_huffman(np.array(fib[:93], dtype=np.uint64))  # largest in uint64
-        with pytest.raises(BitstreamError):
-            build_huffman(fib)
+            build_huffman(fib)  # counts past 64 bits
+
+    def test_optimal_code_kept_when_it_fits_16_bits(self):
+        # skewed tables: the optimal code where it fits, else a full code
+        # that does
+        rng = np.random.default_rng(22)
+        fits = set()
+        for _ in range(60):
+            k = int(rng.integers(2, 300))
+            counts = np.maximum(rng.lognormal(0, rng.uniform(1, 12), size=k), 1)
+            counts = counts.astype(np.uint64)
+            optimal = _huffman_lengths(counts)
+            code = build_huffman(counts)
+            if optimal.max() <= MAX_CODE_LEN:
+                assert code.lengths.tolist() == optimal.tolist()
+            else:
+                assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
+            fits.add(bool(optimal.max() <= MAX_CODE_LEN))
+        assert fits == {True, False}
+
+    def test_alphabet_above_2_16_rejected(self):
+        assert np.all(build_huffman(np.ones(1 << 16, dtype=np.uint64)).lengths == 16)
+        with pytest.raises(BitstreamError, match="65537 symbols"):
+            build_huffman(np.ones((1 << 16) + 1, dtype=np.uint64))
 
     def test_kraft_equality_random_tables(self):
         rng = np.random.default_rng(0)
@@ -278,6 +306,16 @@ def unpack64_oracle(symbols, code):
     return bits.reshape(-1, 64)[keep]
 
 
+def dyadic_code(max_len):
+    """The code of counts 2^(max_len - l) for lengths l = 1, 2, ...,
+    max_len - 1, max_len, max_len."""
+    lengths = np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
+    code = build_huffman(np.uint64(1) << (max_len - lengths).astype(np.uint64))
+    if max_len <= MAX_CODE_LEN:
+        assert code.lengths.tolist() == lengths.tolist()
+    return code
+
+
 def encode_map(gmap):
     return prefix_encode(COARSE - np.asarray(gmap, dtype=np.int64), MAP_CODE)
 
@@ -315,22 +353,21 @@ class TestIndexCoding:
             fib.append(fib[-1] + fib[-2])
         codes = [build_huffman(rng.integers(1, 1000, size=int(rng.integers(1, 300)))
                                .astype(np.uint64)) for _ in range(20)]
-        codes.append(build_huffman(np.array(fib, dtype=np.uint64)))  # lengths 1..63
+        codes.append(build_huffman(np.array(fib, dtype=np.uint64)))  # capped at 16 bits
         for code in codes:
             stream = rng.integers(0, code.k, size=int(rng.integers(0, 400)))
             stream = np.concatenate([stream, np.argsort(-code.lengths)[:3]])
             bits = prefix_encode(stream, code)
             assert bits.dtype == np.uint8
             assert "".join(map(str, bits.tolist())) == bit_string_oracle(stream, code)
-        assert codes[-1].lengths.max() == 63
+        assert codes[-1].lengths.max() == MAX_CODE_LEN
 
     @pytest.mark.parametrize("max_len", [1, 8, 9, 16, 17, 32, 33, 63])
     def test_every_word_width_matches_64_bit_unpack(self, max_len):
-        # lengths 1, 2, ..., max_len - 1, max_len, max_len: a full code whose
-        # longest words just fill, or just overflow, an 8/16/32/64-bit word
-        lengths = np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
-        code = _canonical_code(lengths)
-        assert code.lengths.max() == max_len and kraft_sum(code) == 1.0
+        # the code of dyadic counts: lengths 1, 2, ..., max_len - 1, max_len,
+        # max_len up to 16 bits, and past them a code held to 16 bits
+        code = dyadic_code(max_len)
+        assert code.lengths.max() == min(max_len, MAX_CODE_LEN) and kraft_sum(code) == 1.0
         rng = np.random.default_rng(max_len)
         stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
         bits = prefix_encode(stream, code)
@@ -339,10 +376,10 @@ class TestIndexCoding:
 
     @pytest.mark.parametrize("max_len", [1, 8, 9, 16, 17, 32, 33, 63])
     def test_long_codewords_round_trip(self, max_len):
-        # the same codes, decoded from bit 5 on: codewords past the 16-bit
-        # window table resolve on a wider window
-        lengths = np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
-        code = _canonical_code(lengths)
+        # the same codes, decoded from bit 5 on: tables that ask for codewords
+        # past 16 bits get a full code that fits the window table
+        code = dyadic_code(max_len)
+        assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
         rng = np.random.default_rng(max_len)
         stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
         bits = [1, 0, 1, 1, 0] + prefix_encode(stream, code).tolist()
@@ -355,10 +392,10 @@ class TestIndexCoding:
         while len(fib) < 64:
             fib.append(fib[-1] + fib[-2])
         code = build_huffman(np.array(fib, dtype=np.uint64))
-        assert sorted(code.lengths.tolist()) == [*range(1, 64), 63]
-        stream = np.r_[np.arange(64), np.random.default_rng(6).integers(0, 64, size=3000)]
+        assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
+        stream = np.r_[np.arange(64), np.random.default_rng(6).integers(0, 64, size=6000)]
         bits = prefix_encode(stream, code).tolist()
-        assert len(bits) > 1 << 16  # long codewords past the first block of windows
+        assert len(bits) > 1 << 16  # more bit positions than the window table has windows
         decoded, end = table_decode(bits, 0, stream.size, code)
         assert np.array_equal(decoded, stream)
         assert end == len(bits)
@@ -524,6 +561,16 @@ class TestContainer:
     def test_map_bits_at_block_bounds_accepted(self, map_bits):
         c = self._map_only(32, map_bits)
         assert parse_container(serialize_container(c)) == c
+
+    def test_version_1_rejected(self):
+        # a version-1 container may hold codewords past 16 bits, which this
+        # decoder would read wrong: refused, even with a valid CRC
+        data = bytearray(serialize_container(_container()))
+        data[4] = 1
+        size = bitstream._HEADER.size
+        data[size:size + 4] = zlib.crc32(data[:size]).to_bytes(4, "little")
+        with pytest.raises(BitstreamError, match="version 1"):
+            parse_container(bytes(data))
 
     def test_nonzero_padding_rejected(self):
         data = bytearray(serialize_container(_container()))

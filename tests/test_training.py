@@ -34,3 +34,9 @@ def test_k_above_codebook_format_limit_rejected(images):
 def test_k_below_one_rejected(images, k):
     with pytest.raises(ValueError, match=r"outside 1\.\.65535"):
         training.train_codebook(images, k=k)
+
+
+@pytest.mark.parametrize("max_samples", [-5, 10])
+def test_max_samples_below_k_rejected(images, max_samples):
+    with pytest.raises(ValueError, match=f"max_samples={max_samples} is below k=16"):
+        training.train_codebook(images, k=16, max_samples=max_samples)

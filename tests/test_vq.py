@@ -528,6 +528,24 @@ class TestCodebookFile:
         with pytest.raises(CodebookError):
             load_codebook(path)
 
+    def test_count_below_one_rejected_before_writing(self, tmp_path, cb16):
+        counts = np.arange(1, 17)
+        counts[3] = -1  # would be written as 2^64 - 1
+        path = tmp_path / "cb.cgcb"
+        with pytest.raises(CodebookError, match=">= 1"):
+            save_codebook(cb16, FrequencyTable(counts), path)
+        assert not path.exists()
+
+    def test_zero_count_rejected(self, tmp_path, cb16):
+        path = tmp_path / "cb.cgcb"
+        save_codebook(cb16, flat_frequencies(16), path)
+        data = bytearray(path.read_bytes())
+        at = 9 + 4 * cb16.k * cb16.d + 8 * 5  # code 5's count; the hash covers codes only
+        data[at:at + 8] = bytes(8)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CodebookError, match="code 5 has a zero frequency count"):
+            load_codebook(path)
+
     def test_zero_dimensional_codes_rejected(self, tmp_path):
         with pytest.raises(CodebookError):
             Codebook(np.zeros((4, 0), dtype=np.float32))
