@@ -1,18 +1,21 @@
 """Canonical prefix coding of the payload, the .cgic container format, and
 rate measurement.
 
-The payload is one bit array: the granularity map, then the fine, medium and
-coarse index streams. One canonical prefix encoder and one decoder serve all
-four segments. The index streams use the Huffman code of the shared
-frequency table, held to `MAX_CODE_LEN` = 16 bits as in JPEG; the map uses
-`MAP_CODE`, a fixed canonical code with lengths (1, 2, 2) over
-`COARSE - label`. A canonical code depends only on its per-symbol lengths: in
-(length, symbol) order, each codeword is the Kraft sum of the codewords
-before it, scaled to its own length. So the decoder builds one table of
-windows as wide as the longest codeword from the lengths alone (Moffat &
-Turpin 1997), reads the code length at every bit position from it, and hops
-from symbol to symbol. The container header carries the bit length of each
-segment; a CRC32 over the header makes corruption loud.
+The payload is one bit string: the granularity map, then the fine, medium
+and coarse index streams. One canonical prefix encoder and one decoder serve
+all four segments. The encoder writes the whole payload at once in
+big-endian 32-bit words: each codeword goes to its cumulative bit offset,
+and the codewords that start in one word are ORed into it. The index
+streams use the Huffman code of the shared frequency table, held to
+`MAX_CODE_LEN` = 16 bits as in JPEG; the map uses `MAP_CODE`, a fixed
+canonical code with lengths (1, 2, 2) over `COARSE - label`. A canonical
+code depends only on its per-symbol lengths: in (length, symbol) order, each
+codeword is the Kraft sum of the codewords before it, scaled to its own
+length. So the decoder builds one table of windows as wide as the longest
+codeword from the lengths alone (Moffat & Turpin 1997), reads the code
+length at every bit position from it, and hops from symbol to symbol. The
+container header carries the bit length of each segment; a CRC32 over the
+header makes corruption loud.
 """
 
 from __future__ import annotations
@@ -147,16 +150,36 @@ def mean_code_length(code: HuffmanCode) -> float:
 MAP_CODE = _canonical_code(np.array([1, 2, 2]))
 
 
-def prefix_encode(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
-    """Codewords of `symbols` in order, as a uint8 array of 0/1 bits."""
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    bad = symbols[(symbols < 0) | (symbols >= code.k)]
-    if bad.size:
-        raise BitstreamError(f"symbol {bad[0]} outside alphabet of size {code.k}")
-    # 16 bits per symbol, MSB first; keep the last `length` of each row
-    bits = np.unpackbits(code.codewords[symbols].astype(">u2").view(np.uint8))
-    keep = np.arange(MAX_CODE_LEN) >= MAX_CODE_LEN - code.lengths[symbols, None]
-    return bits.reshape(-1, MAX_CODE_LEN)[keep]
+def prefix_encode(segments) -> tuple[bytes, list[int]]:
+    """The payload of consecutive segments, each a (symbols, code) pair:
+    every codeword in order, MSB first, zero-padded to a whole byte. Returns
+    the payload and each segment's length in bits.
+
+    The payload is written in big-endian 32-bit words. A codeword starting
+    in word w lies within words w and w + 1, so it is shifted to its offset
+    in that 64-bit window, and the codewords starting in one word are ORed
+    together: the high half of the result goes to word w, the low half to
+    w + 1. No codeword passes `MAX_CODE_LEN` bits, so a codeword starts in
+    every word but perhaps the last, and the i-th group is word i's."""
+    lengths, codewords = [], []
+    for symbols, code in segments:
+        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        bad = symbols[(symbols < 0) | (symbols >= code.k)]
+        if bad.size:
+            raise BitstreamError(f"symbol {bad[0]} outside alphabet of size {code.k}")
+        lengths.append(np.take(code.lengths, symbols))
+        codewords.append(np.take(code.codewords, symbols))
+    length = np.concatenate(lengths)
+    start = np.cumsum(length, dtype=np.int64) - length
+    placed = (np.concatenate(codewords).view(np.uint64)
+              << (64 - (start & 31) - length).view(np.uint64))
+    word = start >> 5
+    merged = np.bitwise_or.reduceat(placed, np.flatnonzero(np.diff(word, prepend=-1) > 0))
+    words = np.zeros(merged.size + 1, dtype=np.uint64)
+    words[:-1] = merged >> np.uint64(32)
+    words[1:] |= merged & np.uint64(0xFFFFFFFF)
+    bits = [int(l.sum()) for l in lengths]
+    return words.astype(">u4").tobytes()[:sum(bits) + 7 >> 3], bits
 
 
 def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],

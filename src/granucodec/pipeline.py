@@ -78,15 +78,14 @@ def encode_with_map(session: CodecSession, img: ImagePlane,
     if gmap.shape != (by, bx):
         raise ValueError(f"granularity map shape {gmap.shape} != {(by, bx)}")
     _, streams = quantize_streams(session, img, gmap)
-    map_seg = bitstream.prefix_encode(COARSE - gmap.astype(np.int64), MAP_CODE)
-    index_segs = [bitstream.prefix_encode(s, session.huffman) for s in streams]
+    payload, (map_bits, *index_bits) = bitstream.prefix_encode(
+        [(COARSE - gmap.astype(np.int64), MAP_CODE), *((s, session.huffman) for s in streams)])
     return Container(
         true_w=img.true_w, true_h=img.true_h,
         padded_w=img.width, padded_h=img.height,
         codebook_hash=session.codebook.id_hash,
         ratios=granularity.map_ratios(gmap),
-        index_bits=tuple(seg.size for seg in index_segs), map_bits=map_seg.size,
-        payload=np.packbits(np.concatenate([map_seg, *index_segs])).tobytes(),
+        index_bits=tuple(index_bits), map_bits=map_bits, payload=payload,
     )
 
 

@@ -101,7 +101,8 @@ def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
 def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
     """int32 index streams of the cells each scale's bool mask keeps, raster
     order: fine, medium, coarse. One search covers all three."""
-    kept = [grid[mask] for grid, mask in zip(grids, masks)]
+    kept = [np.compress(mask.ravel(), grid.reshape(-1, grid.shape[-1]), axis=0)
+            for grid, mask in zip(grids, masks)]
     return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
 
 

@@ -62,9 +62,10 @@ class TestPyramid:
             assert np.array_equal(ga, gb)
 
     def test_peak_memory_per_pixel(self):
-        # z1 is 0.75 B/px and, at 512 px wide, the float32 band buffer
-        # another 0.75 B/px; pooling z2 from z1 adds a float64 total of
-        # 0.375 B/px and its float32 cast, 0.19 B/px: 2.14 B/px measured.
-        # A float32 copy of the image alone would be 12 B/px
+        # z1 is 0.75 B/px and, at 512 px wide, the band buffers add 0.75 B/px
+        # of float32 samples, 0.375 of float64 row sums and 0.09 of float64
+        # cell sums, and numpy's casting buffers about 0.25: 2.22 B/px
+        # measured. They are freed before z2 and z3 are pooled from z1. A
+        # float32 copy of the image alone would be 12 B/px
         img = make_image("photo", 512, 512, seed=12)
         assert traced_peak(pyramid, img) <= 2.5 * 512 * 512

@@ -17,6 +17,13 @@ from conftest import make_image
 from test_fuzz import _bit_flips, _resizes, _rewrite_field
 
 
+def encode_bits(symbols, code):
+    """The codewords of one segment, written by `prefix_encode`, as a uint8
+    array of 0/1 bits."""
+    payload, (bits,) = prefix_encode([(symbols, code)])
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bits)
+
+
 def canonical_codewords(lengths: np.ndarray) -> np.ndarray:
     """Assign codewords by (length, symbol index)."""
     return _canonical_code(lengths).codewords
@@ -217,7 +224,7 @@ class TestHuffman:
             code = build_huffman(np.array(fib[:k], dtype=np.uint64))
             assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
             stream = np.r_[np.arange(k), np.random.default_rng(k).integers(0, k, size=200)]
-            bits = prefix_encode(stream, code).tolist()
+            bits = encode_bits(stream, code).tolist()
             assert table_decode(bits, 0, stream.size, code)[0].tolist() == stream.tolist()
         with pytest.raises(BitstreamError):
             build_huffman(fib)  # counts past 64 bits
@@ -306,6 +313,14 @@ def unpack64_oracle(symbols, code):
     return bits.reshape(-1, 64)[keep]
 
 
+def packbits_oracle(segments):
+    """The payload as the encoder wrote it before its word writer: each
+    segment's codewords as one byte per bit, the segments joined and packed
+    by np.packbits. Returns the payload and each segment's bit length."""
+    segs = [unpack64_oracle(symbols, code) for symbols, code in segments]
+    return np.packbits(np.concatenate(segs)).tobytes(), [seg.size for seg in segs]
+
+
 def dyadic_code(max_len):
     """The code of counts 2^(max_len - l) for lengths l = 1, 2, ...,
     max_len - 1, max_len, max_len."""
@@ -317,7 +332,7 @@ def dyadic_code(max_len):
 
 
 def encode_map(gmap):
-    return prefix_encode(COARSE - np.asarray(gmap, dtype=np.int64), MAP_CODE)
+    return encode_bits(COARSE - np.asarray(gmap, dtype=np.int64), MAP_CODE)
 
 
 def decode_map(bits, by, bx):
@@ -328,11 +343,11 @@ def decode_map(bits, by, bx):
 class TestIndexCoding:
     def test_empty_stream(self):
         code = build_huffman(np.ones(16, dtype=np.uint64))
-        assert prefix_encode(np.array([], dtype=np.int32), code).size == 0
+        assert encode_bits(np.array([], dtype=np.int32), code).size == 0
 
     def test_uniform_code_bit_count(self):
         code = build_huffman(np.ones(1024, dtype=np.uint64))
-        assert prefix_encode(np.arange(16), code).size == 160
+        assert encode_bits(np.arange(16), code).size == 160
 
     def test_roundtrip_random_streams(self):
         rng = np.random.default_rng(2)
@@ -341,7 +356,7 @@ class TestIndexCoding:
             counts = rng.integers(1, 100, size=k).astype(np.uint64)
             code = build_huffman(counts)
             stream = rng.integers(0, k, size=rng.integers(0, 500))
-            bits = prefix_encode(stream, code).tolist()
+            bits = encode_bits(stream, code).tolist()
             decoded, end = table_decode(bits, 0, stream.size, code)
             assert np.array_equal(decoded, stream)
             assert end == len(bits)
@@ -357,7 +372,7 @@ class TestIndexCoding:
         for code in codes:
             stream = rng.integers(0, code.k, size=int(rng.integers(0, 400)))
             stream = np.concatenate([stream, np.argsort(-code.lengths)[:3]])
-            bits = prefix_encode(stream, code)
+            bits = encode_bits(stream, code)
             assert bits.dtype == np.uint8
             assert "".join(map(str, bits.tolist())) == bit_string_oracle(stream, code)
         assert codes[-1].lengths.max() == MAX_CODE_LEN
@@ -370,7 +385,7 @@ class TestIndexCoding:
         assert code.lengths.max() == min(max_len, MAX_CODE_LEN) and kraft_sum(code) == 1.0
         rng = np.random.default_rng(max_len)
         stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
-        bits = prefix_encode(stream, code)
+        bits = encode_bits(stream, code)
         assert bits.dtype == np.uint8
         assert np.array_equal(bits, unpack64_oracle(stream, code))
 
@@ -382,7 +397,7 @@ class TestIndexCoding:
         assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
         rng = np.random.default_rng(max_len)
         stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
-        bits = [1, 0, 1, 1, 0] + prefix_encode(stream, code).tolist()
+        bits = [1, 0, 1, 1, 0] + encode_bits(stream, code).tolist()
         decoded, end = table_decode(bits, 5, stream.size, code)
         assert np.array_equal(decoded, stream)
         assert end == len(bits)
@@ -394,7 +409,7 @@ class TestIndexCoding:
         code = build_huffman(np.array(fib, dtype=np.uint64))
         assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
         stream = np.r_[np.arange(64), np.random.default_rng(6).integers(0, 64, size=6000)]
-        bits = prefix_encode(stream, code).tolist()
+        bits = encode_bits(stream, code).tolist()
         assert len(bits) > 1 << 16  # more bit positions than the window table has windows
         decoded, end = table_decode(bits, 0, stream.size, code)
         assert np.array_equal(decoded, stream)
@@ -402,14 +417,18 @@ class TestIndexCoding:
 
     def test_map_code_matches_64_bit_unpack(self):
         stream = np.random.default_rng(3).integers(0, 3, size=500)
-        assert np.array_equal(prefix_encode(stream, MAP_CODE),
+        assert np.array_equal(encode_bits(stream, MAP_CODE),
                               unpack64_oracle(stream, MAP_CODE))
 
     def test_symbol_out_of_range(self):
+        # one error and message, whichever segment holds the symbol
         code = build_huffman(np.ones(4, dtype=np.uint64))
-        for bad in (4, -1):
-            with pytest.raises(BitstreamError):
-                prefix_encode(np.array([0, bad]), code)
+        for bad in (4, -1, 1 << 40):
+            message = f"^symbol {bad} outside alphabet of size 4$"
+            with pytest.raises(BitstreamError, match=message):
+                encode_bits(np.array([0, bad]), code)
+            with pytest.raises(BitstreamError, match=message):
+                prefix_encode([(np.array([0, 1]), MAP_CODE), (np.array([0, bad, 3, 5]), code)])
 
     @pytest.mark.parametrize("bits", [[1], [1, 0]])
     def test_invalid_prefix_walk(self, bits):
@@ -419,9 +438,59 @@ class TestIndexCoding:
 
     def test_truncated_payload(self):
         code = build_huffman(np.ones(16, dtype=np.uint64))
-        bits = prefix_encode(np.array([1, 2, 3]), code).tolist()
+        bits = encode_bits(np.array([1, 2, 3]), code).tolist()
         with pytest.raises(BitstreamError, match="past end"):
             table_decode(bits[:-2], 0, 3, code)
+
+
+class TestPayloadWriter:
+    """`prefix_encode` writes the bytes and bit lengths of `packbits_oracle`."""
+
+    def test_random_codes_match_oracle(self):
+        rng = np.random.default_rng(23)
+        codes = [MAP_CODE, *(dyadic_code(max_len) for max_len in range(1, MAX_CODE_LEN + 1))]
+        codes += [build_huffman(rng.integers(1, 1 << int(rng.integers(1, 40)),
+                                             size=int(rng.integers(1, 600))).astype(np.uint64))
+                  for _ in range(40)]
+        assert {int(c.lengths.max()) for c in codes} == set(range(1, MAX_CODE_LEN + 1))
+        ends = []
+        for trial in range(120):
+            picks = rng.integers(0, len(codes), size=int(rng.integers(1, 6)))
+            segments = [(rng.integers(0, codes[i].k, size=int(rng.integers(0, 90))), codes[i])
+                        for i in picks]
+            want = packbits_oracle(segments)
+            assert prefix_encode(segments) == want
+            ends += np.cumsum(want[1]).tolist()
+        # segments end mid-byte, and on a byte boundary inside a word
+        ends = np.array(ends)
+        assert np.any(ends % 8) and np.any((ends % 8 == 0) & (ends % 32 != 0))
+
+    def test_every_alignment_of_segment_ends(self):
+        # a map segment of exactly `lead` bits, then segments of the longest
+        # codewords, an empty one and a single symbol, so that segment ends
+        # fall at every offset within a byte and a 32-bit word
+        code = dyadic_code(MAX_CODE_LEN)
+        longest = np.flatnonzero(code.lengths == MAX_CODE_LEN)
+        for lead in range(70):
+            rng = np.random.default_rng(lead)
+            labels = []
+            while sum(MAP_CODE.lengths[labels]) < lead - 1:
+                labels.append(int(rng.integers(0, 3)))
+            labels += [0] * (lead - int(sum(MAP_CODE.lengths[labels])))
+            segments = [(np.array(labels, dtype=np.int64), MAP_CODE),
+                        (np.r_[longest, rng.integers(0, code.k, size=lead)], code),
+                        (np.array([], dtype=np.int64), code),
+                        (longest[:1], code)]
+            payload, bits = prefix_encode(segments)
+            assert bits[0] == lead and bits[2] == 0 and bits[3] == MAX_CODE_LEN
+            assert (payload, bits) == packbits_oracle(segments), lead
+
+    def test_empty_and_single_symbol_payloads(self):
+        code = build_huffman(np.ones(5, dtype=np.uint64))
+        empty = np.array([], dtype=np.int64)
+        assert prefix_encode([(empty, MAP_CODE), (empty, code)]) == (b"", [0, 0])
+        for symbols, c in [([2], MAP_CODE), ([4], code), ([0], build_huffman([7]))]:
+            assert prefix_encode([(symbols, c)]) == packbits_oracle([(symbols, c)])
 
 
 class TestWalkOracle:
@@ -436,7 +505,7 @@ class TestWalkOracle:
             code = build_huffman(rng.integers(1, int(rng.choice([3, 1000, 1 << 30])),
                                               size=k).astype(np.uint64))
             stream = rng.integers(0, k, size=int(rng.integers(0, 60)))
-            bits = prefix_encode(stream, code)
+            bits = encode_bits(stream, code)
             if trial % 2:  # damage: flip, drop or append bits
                 bits = np.r_[bits, rng.integers(0, 2, size=int(rng.integers(0, 9)))]
                 bits[rng.integers(0, bits.size, size=min(bits.size, 2))] ^= 1

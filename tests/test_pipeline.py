@@ -351,15 +351,14 @@ class TestCli:
         cb = vq.Codebook(np.eye(4, 2, dtype=np.float32))
         d2 = tmp_path / "d2.cgcb"
         vq.save_codebook(cb, flat, d2)
-        map_seg = bitstream.prefix_encode(np.zeros(1, np.int64), bitstream.MAP_CODE)
-        idx_seg = bitstream.prefix_encode(np.zeros(1, np.int64),
-                                          bitstream.build_huffman(flat.counts))
+        payload, (map_bits, idx_bits) = bitstream.prefix_encode(
+            [(np.zeros(1, np.int64), bitstream.MAP_CODE),
+             (np.zeros(1, np.int64), bitstream.build_huffman(flat.counts))])
         cgic = tmp_path / "d2.cgic"
         cgic.write_bytes(serialize_container(bitstream.Container(
             true_w=16, true_h=16, padded_w=16, padded_h=16, codebook_hash=cb.id_hash,
-            ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, idx_seg.size),
-            map_bits=map_seg.size,
-            payload=np.packbits(np.concatenate([map_seg, idx_seg])).tobytes())))
+            ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, idx_bits),
+            map_bits=map_bits, payload=payload)))
         for args in (("encode", "--input", ppm, "--out", tmp_path / "x.cgic",
                       "--bpp", "0.2"),
                      ("decode", "--input", cgic, "--out", tmp_path / "x.ppm")):

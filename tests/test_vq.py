@@ -5,8 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from granucodec import analysis, pipeline, training, vq
-from granucodec.granularity import RatioTriple, masks_from_map, plan_granularity
+from granucodec import analysis, granularity, pipeline, training, vq
+from granucodec.granularity import (
+    COARSE, FINE, MEDIUM, RatioTriple, masks_from_map, plan_granularity,
+)
 from granucodec.spatial_entropy import entropy_map
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, kmeans_distortion, load_codebook, quantize,
@@ -273,6 +275,35 @@ class TestQuantize:
         for stream, grid, mask in zip(got, grids, masks):
             assert stream.dtype == np.int32 and stream.size > 0
             assert np.array_equal(stream, quantize(grid[mask], cb))
+
+    @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
+                                      dict(target_bpp=0.10)], ids=["hirate", "lorate"])
+    def test_masked_equals_boolean_indexing(self, session, mode):
+        # the gather of each scale's kept cells against grid[mask], on every
+        # image kind at the benchmark's settings
+        ratios = mode.get("ratios") or granularity.ratios_for_target(
+            session.rate_table, mode["target_bpp"])
+        cb = session.codebook
+        for seed, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
+            img = make_image(kind, 96, 136, seed=70 + seed)
+            grids = analysis.pyramid(img)
+            masks = masks_from_map(plan_granularity(entropy_map(img, session.entropy_cfg),
+                                                    ratios))
+            got = quantize_masked(grids, masks, cb)
+            for stream, grid, mask in zip(got, grids, masks):
+                assert stream.dtype == np.int32
+                assert np.array_equal(stream, quantize(grid[mask], cb))
+
+    @pytest.mark.parametrize("label", [FINE, MEDIUM, COARSE])
+    def test_masked_scales_that_keep_no_cell(self, session, label):
+        img = make_image("photo", 64, 96, seed=75)
+        grids = analysis.pyramid(img)
+        masks = masks_from_map(np.full((4, 6), label, dtype=np.uint8))
+        got = quantize_masked(grids, masks, session.codebook)
+        for scale, (stream, grid, mask) in enumerate(zip(got, grids, masks)):
+            assert stream.dtype == np.int32
+            assert stream.size == (grid.shape[0] * grid.shape[1] if scale == label else 0)
+            assert np.array_equal(stream, quantize(grid[mask], session.codebook))
 
     def test_full_scan_is_rare_on_codec_cells(self, session, monkeypatch):
         # codec cells are means of samples in [-1, 1], so every one has a
