@@ -81,10 +81,10 @@ def _ceil_to(n: int, multiple: int) -> int:
 HALF_RANGE = np.float32(127.5)
 
 
-def normalize(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map byte values 0..255 linearly onto [-1, 1] as float32, into `out`
-    when given. `raw` may hold the bytes in any numeric type."""
-    out = np.subtract(raw, HALF_RANGE, out=out, dtype=np.float32)
+def normalize(raw: np.ndarray) -> np.ndarray:
+    """Map byte values 0..255 linearly onto [-1, 1] as float32. `raw` may
+    hold the bytes in any numeric type."""
+    out = np.subtract(raw, HALF_RANGE, dtype=np.float32)
     return np.divide(out, HALF_RANGE, out=out)
 
 
@@ -136,12 +136,12 @@ def load_ppm(path) -> ImagePlane:
         magic = f.read(2)
         if magic != b"P6":
             raise ImageError(f"{path}: not a binary PPM (magic {magic!r})")
-        try:
-            w = int(_read_ppm_token(f))
-            h = int(_read_ppm_token(f))
-            maxval = int(_read_ppm_token(f))
-        except ValueError as exc:
-            raise ImageError(f"{path}: malformed PPM header") from exc
+        tokens = [_read_ppm_token(f) for _ in range(3)]
+        # ASCII decimal digits only: int() would also take a sign and
+        # underscores, which Netpbm refuses
+        if not all(token.isdigit() for token in tokens):
+            raise ImageError(f"{path}: malformed PPM header")
+        w, h, maxval = map(int, tokens)
         if w <= 0 or h <= 0:
             raise ImageError(f"{path}: bad dimensions {w}x{h}")
         if maxval != 255:

@@ -7,15 +7,17 @@ distance are the same on every machine. Cells are means of samples in
 [-1, 1], so the search cuts that cube into boxes and lists for each box the
 codes that can be nearest to some point of it, the bucket search of Gersho
 and Gray (Vector Quantization and Signal Compression, 1992): a cell scans
-its box's list, about 4 codes at k=1024. The lists are built the first time
-a set of codes is searched and kept, so every session loaded from one
-codebook file shares one build. A cell outside the cube, or not finite,
-goes to a scan of all k codes. Both give what the full scan gives, bit for
-bit, and k-means uses the same search, on new lists every iteration.
+its box's list, about 4 codes at k=1024. A cell outside the cube, or not
+finite, has no box and scans one more list, which holds every code. The
+lists are built the first time a set of codes is searched and kept, so
+every session loaded from one codebook file shares one build. Every cell
+gets what a scan of all k codes gives, bit for bit, and k-means uses the
+same search, on new lists every iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -27,7 +29,6 @@ CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
 MAX_K = 0xFFFF  # the file stores k (and d) as uint16
 
-_DIST_BLOCK_BYTES = 2 << 20  # size of one block of cell-to-code distances
 # The nearest-code search's box index (see _build_index)
 _BOX_AXES = 4  # the boxes cut the first min(_BOX_AXES, d) coordinates
 _BOXES_PER_CODE = 32  # about 4 candidates per codec cell at k=1024
@@ -36,8 +37,6 @@ _ENTRIES_PER_CODE = 256  # a level whose lists would hold more entries per code 
 _PAIR_BLOCK = 1 << 15  # (box, code) pairs bounded in one step of a build
 _BOX_PAD = 2.0 ** -40  # a box's widening on each side, far above a box number's rounding
 _ABS_SLACK = 1e-300  # covers squared distances that underflow
-_INDEXES_KEPT = 2  # the indexes of the last two center arrays searched stay built
-_INDEXES: dict = {}  # (shape, bytes) of the centers -> their index
 
 
 class CodebookError(Exception):
@@ -175,34 +174,35 @@ def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,
 
 def _assign(points: np.ndarray, centers: np.ndarray):
     """Nearest center of each point and its squared distance, ties to the
-    lowest index: what `_full_scan` gives, found by scanning only the
-    candidate list of the box each point falls in (see `_box_index`).
+    lowest index, as a scan of all k centers gives them, found by scanning
+    only the candidate list of the box each point falls in (see
+    `_box_index`). A point outside [-1, 1]^d, or not finite, has no box and
+    scans the list of every center. A NaN or infinite coordinate makes all
+    its distances NaN or inf; only a strictly smaller distance moves the
+    best, and np.minimum carries a NaN, so such a point gets index 0 and
+    its distance to center 0.
 
-    A point outside [-1, 1]^d, or not finite, has no box; the full scan
-    gives it its answer. The scan runs over list positions r, not points:
-    with the points ranked by list length, those with more than r codes are
-    a prefix, and each step gathers the r-th code of their lists and
-    compares it with all of them at once. The best distance is kept with
-    np.minimum and the best position r with an arithmetic select (a maximum
-    of closer * r, as positions only grow); positions become codes once,
-    after the loop.
+    The scan runs over list positions r, not points: with the points ranked
+    by list length, those with more than r codes are a prefix, and each
+    step gathers the r-th code of their lists and compares it with all of
+    them at once. The best distance is kept with np.minimum and the best
+    position r with an arithmetic select (a maximum of closer * r, as
+    positions only grow); positions become codes once, after the loop.
     """
     n, d = points.shape
-    inside = np.logical_and.reduce([np.abs(points[:, j]) <= 1.0 for j in range(d)])
-    if not inside.all():
-        assign, best = np.empty(n, dtype=np.int32), np.empty(n)
-        assign[~inside], best[~inside] = _full_scan(points[~inside], centers)
-        assign[inside], best[inside] = _assign(points[inside], centers)
-        return assign, best
     members, starts, spread = _box_index(centers)
     xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
     cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
     g, side = min(_BOX_AXES, d), spread.size
     flat = np.zeros(n, dtype=np.intp)
     for j, x in enumerate(xs[:g]):
-        # (x + 1) * side / 2 truncates to the box; x = 1 lands in the last
-        at = np.minimum((x + 1.0) * (side / 2), side - 1).astype(np.intp)
-        flat += spread[at] << (g - 1 - j)
+        # (x + 1) * side / 2 truncates to the box; x = 1 lands in the last.
+        # fmin and fmax take NaN to a face, so the cast never sees it
+        at = (x + 1.0) * (side / 2)
+        np.fmax(np.fmin(at, side - 1, out=at), 0, out=at)
+        flat += spread[at.astype(np.intp)] << (g - 1 - j)
+    inside = np.logical_and.reduce([np.abs(x) <= 1.0 for x in xs])
+    flat[~inside] = starts.size - 2  # the list of every code
 
     # longest lists first, so the points still scanning at rank r are a
     # prefix; keyed in the smallest type, where a stable sort is a radix sort
@@ -234,22 +234,21 @@ def _assign(points: np.ndarray, centers: np.ndarray):
 
 
 def _box_index(centers: np.ndarray):
-    """The candidate lists of `centers`, built on first use and kept for the
-    last _INDEXES_KEPT distinct center arrays, keyed by their bytes: every
+    """The candidate lists of float64 `centers`, built on first use and kept
+    for the last two distinct center arrays, keyed by their bytes: every
     session loaded from one codebook file shares one build."""
-    key = (centers.shape, centers.tobytes())
-    index = _INDEXES.pop(key, None)
-    if index is None:
-        index = _build_index(centers)
-    _INDEXES[key] = index  # the newest last
-    while len(_INDEXES) > _INDEXES_KEPT:
-        del _INDEXES[next(iter(_INDEXES))]
-    return index
+    return _cached_index(centers.shape, centers.tobytes())
+
+
+@functools.lru_cache(maxsize=2)
+def _cached_index(shape: tuple, data: bytes):
+    return _build_index(np.frombuffer(data).reshape(shape))
 
 
 def _build_index(centers: np.ndarray):
     """(members, starts, spread): box i lists the codes
-    members[starts[i]:starts[i + 1]], in ascending index order.
+    members[starts[i]:starts[i + 1]], in ascending index order, and the
+    list after the last box holds every code.
 
     The first g = min(_BOX_AXES, d) coordinates of [-1, 1]^d are cut into
     side^g equal boxes; the others span all of [-1, 1]. side is a power of
@@ -339,6 +338,8 @@ def _build_index(centers: np.ndarray):
         members = np.concatenate([part for parts in kept for part in parts])
         starts = np.concatenate(([0], np.cumsum(np.concatenate(counts, axis=1))))
         coords = (2 * coords[:, None, :] + halves[:, :, None]).reshape(g, -1)
+    members = np.concatenate([members, np.arange(k, dtype=members.dtype)])
+    starts = np.append(starts, starts[-1] + k)
     side = np.arange(1 << level)
     spread = sum((((side >> t) & 1) << (g * (level - 1 - t)) for t in range(level)),
                  np.zeros_like(side))
@@ -354,30 +355,9 @@ def _add_bounds(c: np.ndarray, lo, hi, min_d2: np.ndarray, max_d2: np.ndarray) -
     max_d2 += np.maximum(-below, -above) ** 2
 
 
-def _full_scan(points: np.ndarray, centers: np.ndarray):
-    """Nearest center of each point from all k distances, in blocks of
-    _DIST_BLOCK_BYTES; argmin gives a tie to the lowest index."""
-    n, d = points.shape
-    k = centers.shape[0]
-    assign = np.empty(n, dtype=np.int32)
-    best = np.empty(n, dtype=np.float64)
-    step = max(1, _DIST_BLOCK_BYTES // (8 * k))  # points per block
-    # allocated once: fresh blocks would overlap the last ones while rebinding
-    dist, term = np.empty((min(step, n), k)), np.empty((min(step, n), k))
-    for start in range(0, n, step):
-        chunk = points[start:start + step]
-        rows = chunk.shape[0]
-        _sq_dist(((chunk[:, j, None], centers[:, j]) for j in range(d)),
-                 dist[:rows], term[:rows])
-        near = assign[start:start + step] = dist[:rows].argmin(axis=1)
-        best[start:start + step] = np.take_along_axis(dist[:rows], near[:, None], 1)[:, 0]
-    return assign, best
-
-
 def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
     """out = the sum, in order, of (x - c)**2 over the (x, c) coordinate
-    pairs, broadcast. The search and the full scan share it, so their
-    distances agree bit for bit."""
+    pairs, broadcast. The search and k-means seeding share it."""
     for j, (x, c) in enumerate(pairs):
         diff = term if j else out
         np.subtract(x, c, out=diff)

@@ -51,6 +51,12 @@ class TestLoad:
         b"P6\n1000000000 1000000000\n255\n" + bytes(12),  # more than the file
         pytest.param(b"P6\n" + b"9" * 400_000 + b" 2\n255\n" + bytes(12),
                      id="400000-digit-width"),
+        # int() reads the next three as 16 or 255; Netpbm refuses all four
+        pytest.param(b"P6\n1_6 16\n255\n" + bytes(768), id="underscore-width"),
+        pytest.param(b"P6\n+16 16\n255\n" + bytes(768), id="signed-width"),
+        pytest.param(b"P6\n16 16\n2_55\n" + bytes(768), id="underscore-maxval"),
+        pytest.param("P6\n\uff11\uff16 16\n255\n".encode() + bytes(768),
+                     id="full-width-digit-width"),
     ])
     def test_malformed_rejected(self, tmp_path, payload):
         p = tmp_path / "bad.ppm"

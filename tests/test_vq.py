@@ -12,7 +12,7 @@ from granucodec.granularity import (
 from granucodec.spatial_entropy import entropy_map
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, kmeans_distortion, load_codebook, quantize,
-    quantize_masked, _assign, _codes_hash, _full_scan, _seed_centers, _update_centers,
+    quantize_masked, _assign, _codes_hash, _seed_centers, _update_centers,
     save_codebook, train_codebook,
 )
 
@@ -78,7 +78,7 @@ def search_case(case, rng):
     if case == "outside_hull":
         # outside the centers' hull in one coordinate, mostly inside the
         # cube, where box lists reach distant codes; and far outside the
-        # cube in all (the full scan answers them)
+        # cube in all (the list of every code answers them)
         centers = rng.uniform(0, 1, size=(256, 4))
         near = rng.uniform(0, 1, size=(1000, 4))
         near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([-0.05, 1.05], 1000)
@@ -181,13 +181,12 @@ class TestQuantize:
             quantize(np.zeros((2, 2, 3), dtype=np.float32), cb16)
 
     def test_matches_elementwise_oracle(self):
-        # 3,000 cells at k=1024: the full scan runs twelve distance blocks;
-        # it and the search must equal one elementwise block byte for byte
+        # 3,000 cells at k=1024, most of them outside the cube: the search
+        # must equal one elementwise block byte for byte
         rng = np.random.default_rng(4)
         points = rng.standard_normal((3000, 4))
         centers = rng.standard_normal((1024, 4))
         want = elementwise_oracle(points, centers)
-        assert_matches_oracle(_full_scan(points, centers), want)
         assert_matches_oracle(_assign(points, centers), want)
 
     @pytest.mark.parametrize("case", ["duplicates", "bin_edges", "tie_on_margin",
@@ -199,7 +198,7 @@ class TestQuantize:
     def test_non_finite_points_match_oracle(self):
         # the search keeps its best distance with np.minimum, which carries a
         # NaN where a masked copy kept inf: such points must still come out
-        # as the full scan gives them, bit for bit
+        # as the oracle gives them, bit for bit
         points, centers = search_case("non_finite", np.random.default_rng(13))
         want = elementwise_oracle(points, centers)
         assert np.isnan(want[1]).any() and np.isinf(want[1]).any()
@@ -244,8 +243,10 @@ class TestQuantize:
         k, d = centers.shape
         members, starts, spread = vq._box_index(centers)
         side = spread.size
-        assert starts.size == side ** d + 1 and starts[0] == 0 and starts[-1] == members.size
-        box_of = np.repeat(np.arange(side ** d), np.diff(starts))
+        # one list per box, then the list of every code
+        assert starts.size == side ** d + 2 and starts[0] == 0 and starts[-1] == members.size
+        assert np.array_equal(members[starts[-2]:], np.arange(k))
+        box_of = np.repeat(np.arange(side ** d + 1), np.diff(starts))
         assert np.all((np.diff(members.astype(int)) > 0) | (np.diff(box_of) > 0))
         held = box_of * k + members  # sorted: boxes ascending, codes within each
 
@@ -305,29 +306,43 @@ class TestQuantize:
             assert stream.size == (grid.shape[0] * grid.shape[1] if scale == label else 0)
             assert np.array_equal(stream, quantize(grid[mask], session.codebook))
 
-    def test_full_scan_is_rare_on_codec_cells(self, session, monkeypatch):
+    @pytest.fixture
+    def cells_seen(self, monkeypatch):
+        """Route `vq._assign` through a recorder of (cells, cells outside
+        [-1, 1]^d) per call."""
+        seen = []
+        assign = vq._assign
+
+        def recording(points, centers):
+            seen.append((points.shape[0], int((~(np.abs(points) <= 1.0)).any(axis=1).sum())))
+            return assign(points, centers)
+
+        monkeypatch.setattr(vq, "_assign", recording)
+        return seen
+
+    def test_codec_cells_lie_in_the_cube(self, session, cells_seen):
         # codec cells are means of samples in [-1, 1], so every one has a
-        # box: none reaches the full scan, at the benchmark's hirate ratios
-        counted = {"search": 0, "full": 0}
+        # box and none scans the list of every code: hirate and lorate
+        # encodes of every image kind
+        for mode in (dict(ratios=RatioTriple(0.70, 0.25, 0.05)), dict(target_bpp=0.10)):
+            for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
+                cells_seen.clear()
+                pipeline.encode_image(session, make_image(kind, 512, 512, seed=80 + i), **mode)
+                assert len(cells_seen) == 1 and cells_seen[0][0] > 2_000, (mode, kind)
+                assert cells_seen[0][1] == 0, (mode, kind)
 
-        def counting(name, fn):
-            def wrapped(points, centers):
-                counted[name] += points.shape[0]
-                return fn(points, centers)
-            return wrapped
-
-        monkeypatch.setattr(vq, "_assign", counting("search", vq._assign))
-        monkeypatch.setattr(vq, "_full_scan", counting("full", vq._full_scan))
-        for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
-            counted.update(search=0, full=0)
-            pipeline.encode_image(session, make_image(kind, 512, 512, seed=80 + i),
-                                  ratios=RatioTriple(0.70, 0.25, 0.05))
-            assert counted["search"] > 10_000
-            assert counted["full"] == 0, kind
+    def test_training_cells_lie_in_the_cube(self, corpus, cells_seen):
+        # the k-means sample, searched once per Lloyd iteration, and the
+        # frequency pass, once per image, on the fixture's desk corpus
+        training.train_codebook(corpus, k=64, seed=7, iters=2, max_samples=60_000)
+        assert [n for n, _ in cells_seen[:2]] == [60_000, 60_000]
+        assert len(cells_seen) == 2 + len(corpus) and all(n > 0 for n, _ in cells_seen[2:])
+        assert [out for _, out in cells_seen] == [0] * len(cells_seen)
 
     def test_peak_memory_large_codebook(self):
-        # the distance block is sized in bytes, not cells: 1,024 cells
-        # against 8,192 codes would need 64 MiB in one block
+        # the search holds a few arrays of one value per cell, never a block
+        # of cell-to-code distances: 1,024 cells, most of them outside the
+        # cube, against 8,192 codes would need 64 MiB in one block
         rng = np.random.default_rng(5)
         cb = Codebook(rng.standard_normal((8192, 4)).astype(np.float32))
         cells = rng.standard_normal((1024, 4)).astype(np.float32)
@@ -338,7 +353,7 @@ class TestBoxIndex:
     @pytest.fixture
     def builds(self, monkeypatch):
         """Count index builds, starting from an empty cache."""
-        monkeypatch.setattr(vq, "_INDEXES", {})
+        vq._cached_index.cache_clear()
         counted = []
         build = vq._build_index
 
@@ -386,7 +401,7 @@ class TestBoxIndex:
         points = rng.uniform(-1, 1, size=(50, 3))
         for i in [0, 1, 0, 1, 2, 1, 0]:  # the 2 evicts 0, which is built again
             assert_matches_oracle(_assign(points, books[i]), elementwise_oracle(points, books[i]))
-        assert len(builds) == 4 and len(vq._INDEXES) == 2
+        assert len(builds) == 4 and vq._cached_index.cache_info().currsize == 2
 
     def test_build_peak_memory(self, session):
         # a build runs in steps of bounded size: at k=1024 it stays under 8 MiB
