@@ -2,25 +2,21 @@
 rate measurement.
 
 The payload is one bit string: the granularity map, then the fine, medium
-and coarse index streams. One canonical prefix encoder and one decoder serve
-all four segments. The encoder writes the whole payload at once in
-big-endian 32-bit words: each codeword goes to its cumulative bit offset,
-and the codewords that start in one word are ORed into it. The index
-streams use the Huffman code of the shared frequency table, held to
-`MAX_CODE_LEN` = 16 bits as in JPEG; the map uses `MAP_CODE`, a fixed
-canonical code with lengths (1, 2, 2) over `COARSE - label`. A canonical
-code depends only on its per-symbol lengths: in (length, symbol) order, each
-codeword is the Kraft sum of the codewords before it, scaled to its own
-length. So the decoder builds one table of windows as wide as the longest
-codeword from the lengths alone (Moffat & Turpin 1997), reads the code
-length at every bit position from it, and hops from symbol to symbol. The
-container header carries the bit length of each segment; a CRC32 over the
-header makes corruption loud.
+and coarse index streams. One canonical prefix encoder and one decoder
+serve all four segments. The index streams use the Huffman code of the
+shared frequency table, held to `MAX_CODE_LEN` = 16 bits as in JPEG; the
+map uses `MAP_CODE`, a fixed canonical code with lengths (1, 2, 2) over
+`COARSE - label`. A canonical code depends only on its per-symbol lengths:
+in (length, symbol) order, each codeword is the Kraft sum of the codewords
+before it, scaled to its own length. So the decoder builds one table of
+windows as wide as the longest codeword from the lengths alone (Moffat &
+Turpin 1997), reads the code length at every bit position from it, and hops
+from symbol to symbol. The container header carries the bit length of each
+segment; a CRC32 over the header makes corruption loud.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -69,36 +65,41 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     if k == 1:
         return np.ones(1, dtype=np.int32)  # degenerate alphabet, 1 explicit bit
     # Two-queue merge (van Leeuwen 1976) on keys weight << b | lowest member
-    # symbol. keys[:k - 1] holds the merged nodes in the order they are made,
-    # keys[k:] the leaves sorted stably by count; inf marks the nodes not yet
-    # made and the queue ends. Every count is >= 1, so a merged node outweighs
-    # both nodes it pops and the popped keys never decrease. Two nodes made
-    # one after the other weigh the same only if all four popped keys do, and
-    # then their lowest symbols ascend. So merged nodes are made in increasing
-    # key order, the two smallest fronts are the two smallest keys, and every
-    # merge is the one a heap of the keys would make: ties go to the node
-    # holding the lowest symbol.
+    # symbol. `leaf` holds the leaves sorted stably by count, `made` the
+    # merged nodes in the order they are made; each ends in `end`, above every
+    # key. Every count is >= 1, so a merged node outweighs both nodes it pops
+    # and the popped keys never decrease. Two nodes made one after the other
+    # weigh the same only if all four popped keys do, and then their lowest
+    # symbols ascend. So `made` ascends, the two smallest fronts are the two
+    # smallest keys, and every merge is the one a heap of the keys would make:
+    # ties go to the node holding the lowest symbol. A pop records the parent.
     b = (k - 1).bit_length()  # the symbol field, as wide as the largest symbol
-    low = (1 << b) - 1
+    low, end = (1 << b) - 1, 1 << 64 + 2 * b  # total weight < 2^(64 + b)
     order = np.argsort(counts, kind="stable")
-    leaves = [w << b | s for w, s in zip(counts[order].tolist(), order.tolist())]
-    keys = [math.inf] * k + leaves + [math.inf] * 2
-    parent = [0] * 2 * k
-    i, j = 0, k  # queue fronts
+    leaf = (counts[order].astype(object) << b | order).tolist() + [end]  # may pass 64 bits
+    made, up_leaf, up_made = [end] * k, [0] * k, [0] * (k - 1)
+    i = j = 0  # queue fronts
     for n in range(k - 1):
-        if keys[i + 1] < keys[j]:
-            x, y, i = i, i + 1, i + 2
-        elif keys[j + 1] < keys[i]:
-            x, y, j = j, j + 1, j + 2
-        else:
-            x, y, i, j = i, j, i + 1, j + 1
-        parent[x] = parent[y] = n
-        keys[n] = ((keys[x] >> b) + (keys[y] >> b)) << b | min(keys[x] & low, keys[y] & low)
-    depth = [0] * (k - 1)  # of the merged nodes; the root is made last
-    for n in range(k - 3, -1, -1):
-        depth[n] = depth[parent[n]] + 1
+        x, y = leaf[i], made[j]
+        if x < y:  # leaf x, then leaf z or merged node y
+            up_leaf[i], i = n, i + 1
+            if (z := leaf[i]) < y:
+                up_leaf[i], i, y = n, i + 1, z
+            else:
+                up_made[j], j = n, j + 1
+        else:  # merged node y, then leaf x or merged node z
+            up_made[j], j = n, j + 1
+            if x < (z := made[j]):
+                up_leaf[i], i = n, i + 1
+            else:
+                up_made[j], j, x = n, j + 1, z
+        sx, sy = x & low, y & low  # the merged node keeps the lower symbol
+        made[n] = x + y - (sx if sx > sy else sy)
+    below = [1] * (k - 1)  # the code length of a merged node's children
+    for n in range(k - 3, -1, -1):  # the root is made last
+        below[n] = below[up_made[n]] + 1
     lengths = np.empty(k, dtype=np.int32)
-    lengths[order] = np.take(depth, parent[k:]) + 1
+    lengths[order] = np.fromiter(map(below.__getitem__, up_leaf), np.int32, k)
     return lengths
 
 

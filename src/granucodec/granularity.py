@@ -79,23 +79,27 @@ def map_ratios(gmap: np.ndarray) -> RatioTriple:
     return RatioTriple(counts[FINE] / n, counts[MEDIUM] / n, counts[COARSE] / n)
 
 
-def _rate(r1, r2, r3, mean_code_len: float):
-    """The closed-form bpp, elementwise over floats or arrays."""
+def _terms(r1, r2, r3):
+    """The rate model's terms free of L: indices per block and the mask term."""
+    return 16.0 * r1 + 4.0 * r2 + r3, (4.0 * r1 + r2) / 256.0
+
+
+def _rate(indices, mask, mean_code_len: float):
+    """The closed-form bpp from `_terms`, elementwise over floats or arrays."""
     if mean_code_len <= 0:
         raise ValueError("mean code length must be positive")
-    indices = mean_code_len / 256.0 * (16.0 * r1 + 4.0 * r2 + r3)
-    mask = (4.0 * r1 + r2) / 256.0
-    return indices + mask
+    return mean_code_len / 256.0 * indices + mask
 
 
 def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
     """Closed-form bpp: index cost plus the mask-side accounting term."""
-    return _rate(*ratios.as_tuple(), mean_code_len)
+    return _rate(*_terms(*ratios.as_tuple()), mean_code_len)
 
 
 # the ratio simplex at 1/100 in lattice order (r1, then r2, ascending)
 _LATTICE = np.array([(i, j, 100 - i - j) for i in range(101)
                      for j in range(101 - i)]) / 100
+_LATTICE_TERMS = _terms(*_LATTICE.T)
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,9 @@ class RateQueryTable:
 
 def build_rate_table(mean_code_len: float) -> RateQueryTable:
     """The rate model over the 1/100 ratio lattice."""
-    bpp = _rate(*_LATTICE.T, mean_code_len)
+    bpp = _rate(*_LATTICE_TERMS, mean_code_len)
     order = np.argsort(bpp, kind="stable")
-    return RateQueryTable(_LATTICE[order], bpp[order])
+    return RateQueryTable(np.take(_LATTICE, order, axis=0), bpp[order])
 
 
 def ratios_for_target(table: RateQueryTable, target_bpp: float) -> RatioTriple:

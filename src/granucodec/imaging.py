@@ -110,13 +110,13 @@ def from_raw(raw: np.ndarray) -> ImagePlane:
     return ImagePlane(pixels, true_h=h, true_w=w)
 
 
-def _read_ppm_token(f) -> bytes:
+def _read_ppm_token(f, path) -> bytes:
     # Tokens are separated by whitespace; '#' starts a comment to end of line.
     token = b""
     while True:
         c = f.read(1)
         if not c:
-            raise ImageError("truncated PPM header")
+            raise ImageError(f"{path}: truncated PPM header")
         if c == b"#":
             while c not in (b"\n", b""):
                 c = f.read(1)
@@ -126,7 +126,7 @@ def _read_ppm_token(f) -> bytes:
                 return token
             continue
         if len(token) == _MAX_TOKEN:
-            raise ImageError(f"PPM header token longer than {_MAX_TOKEN} bytes")
+            raise ImageError(f"{path}: PPM header token longer than {_MAX_TOKEN} bytes")
         token += c
 
 
@@ -136,7 +136,7 @@ def load_ppm(path) -> ImagePlane:
         magic = f.read(2)
         if magic != b"P6":
             raise ImageError(f"{path}: not a binary PPM (magic {magic!r})")
-        tokens = [_read_ppm_token(f) for _ in range(3)]
+        tokens = [_read_ppm_token(f, path) for _ in range(3)]
         # ASCII decimal digits only: int() would also take a sign and
         # underscores, which Netpbm refuses
         if not all(token.isdigit() for token in tokens):

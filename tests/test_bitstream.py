@@ -187,6 +187,21 @@ class TestHuffman:
             lengths = _huffman_lengths(np.array(counts, dtype=np.uint64))
             assert lengths.tolist() == member_list_lengths(counts), counts
 
+    def test_lengths_match_member_list_oracle_past_64_bits(self):
+        # merged weights pass 2^64, so the packed keys outgrow 64 bits and
+        # the queues' end sentinel must stay above every one of them
+        rng = np.random.default_rng(26)
+        top = (1 << 64) - 1
+        tables = [[top] * k for k in (2, 3, 5, 64, 257, 300)]
+        for _ in range(100):
+            k = int(rng.integers(2, 300))
+            low = int(rng.choice([1, 1 << 63]))  # counts of every size, or all huge
+            tables.append(rng.integers(low, top, size=k, dtype=np.uint64,
+                                       endpoint=True).tolist())
+        for counts in tables:
+            lengths = _huffman_lengths(np.array(counts, dtype=np.uint64))
+            assert lengths.tolist() == member_list_lengths(counts), counts
+
     def test_tie_order_exhaustive_small_tables(self):
         # every ordered table of k <= 5 counts in 1..4: ties are where a
         # wrong merge order would change the lengths

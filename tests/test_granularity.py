@@ -166,6 +166,13 @@ class TestRateTable:
         assert [tuple(r) for r in table.ratios.tolist()] == [r.as_tuple() for r, _ in rows]
         assert table.bpp.tolist() == [b for _, b in rows]
 
+    @pytest.mark.parametrize("mean_code_len", [0.0, -1.0])
+    def test_nonpositive_mean_code_length_rejected(self, mean_code_len):
+        with pytest.raises(ValueError, match="positive"):
+            build_rate_table(mean_code_len)
+        with pytest.raises(ValueError, match="positive"):
+            theoretical_bpp(RatioTriple(0.2, 0.3, 0.5), mean_code_len)
+
 
 class TestTargetLookup:
     def test_exact_value(self):

@@ -64,6 +64,17 @@ class TestLoad:
         with pytest.raises(imaging.ImageError):
             load_ppm(p)
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param(b"P6\n16 16", id="truncated-header"),
+        pytest.param(b"P6\n" + b"1" * 22 + b" 16\n255\n", id="22-digit-token"),
+    ])
+    def test_header_token_errors_name_the_file(self, tmp_path, payload):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(payload)
+        with pytest.raises(imaging.ImageError) as excinfo:
+            load_ppm(p)
+        assert str(p) in str(excinfo.value)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         raw = make_raw("noise", 37, 21, seed=5)
         p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"

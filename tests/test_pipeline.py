@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -31,6 +32,28 @@ def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
         ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, blocks), map_bits=blocks,
         payload=bytes(2 * blocks // 8))
     return serialize_container(c), cb, tbl
+
+
+# SHA-256 of the fixture session's tables as little-endian bytes: a change to
+# the Huffman or rate-table builder that alters one length, codeword, row or
+# bpp fails here, not only through container digests
+SESSION_TABLES_SHA256 = {
+    "huffman.lengths": "00d68e31a89f16bd230b692474a4826d47d6ac3d82aebf2cc5d7b63827d66386",
+    "huffman.codewords": "a8c48a60605889f3200a7bb93526382417c6840fc696a8937b686c7bb1b27e73",
+    "rate_table.ratios": "68eaa5da9ebd600b53ffabbc3bd3c0213c015f8020eaa1ce604edd9ee8c3b108",
+    "rate_table.bpp": "655e4f8036ba5b77a2e604cf04871d9303cd13d641a3c0857836a83e742357cd",
+}
+
+
+def test_session_tables_pinned(session):
+    assert session.codebook.id_hash == 0x3F532F5FD5454889
+    tables = {"huffman.lengths": (session.huffman.lengths, "<i4"),
+              "huffman.codewords": (session.huffman.codewords, "<i8"),
+              "rate_table.ratios": (session.rate_table.ratios, "<f8"),
+              "rate_table.bpp": (session.rate_table.bpp, "<f8")}
+    digests = {name: hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+               for name, (a, dtype) in tables.items()}
+    assert digests == SESSION_TABLES_SHA256
 
 
 class TestEncodeDecode:
