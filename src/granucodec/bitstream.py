@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .granularity import RatioTriple
+from .granularity import COARSE, RatioTriple, map_ratios
+from .imaging import BLOCK, ceil_to
 
 CONTAINER_MAGIC = b"CGIC"
 # Version 2 holds every codeword to 16 bits; a version-1 container may carry
-# the longer codes of a skewed table, which a version-2 decoder reads wrong.
-CONTAINER_VERSION = 2
+# the longer codes of a skewed table, which a later decoder reads wrong.
+# Version 3 drops the padded size and the block ratios from the header.
+CONTAINER_VERSION = 3
 
 # JPEG's limit (ITU-T T.81, Annex K.3): one 16-bit window holds any codeword,
 # and a balanced code over the 2^16 symbols a code may have fits it.
@@ -232,9 +234,10 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
 # ---------------------------------------------------------------------------
 # container
 
-# magic, version, true and padded w/h, codebook hash, ratio parts p1..p3,
-# fine/medium/coarse/map bit lengths; the CRC32 of these bytes follows
-_HEADER = struct.Struct("<4sB4IQ3H4I")
+# magic, version, true w/h, codebook hash, fine/medium/coarse/map bit
+# lengths; the CRC32 of these bytes follows. The padded size and the block
+# ratios are not stored: they follow from the true size and the map.
+_HEADER = struct.Struct("<4sB2IQ4I")
 _HEADER_SIZE = _HEADER.size + 4
 
 
@@ -242,13 +245,23 @@ _HEADER_SIZE = _HEADER.size + 4
 class Container:
     true_w: int
     true_h: int
-    padded_w: int
-    padded_h: int
     codebook_hash: int
-    ratios: RatioTriple
     index_bits: tuple[int, int, int]  # fine, medium, coarse segment lengths
     map_bits: int
     payload: bytes  # map bits ++ fine ++ medium ++ coarse, zero-padded
+
+    @property
+    def padded_w(self) -> int:
+        return ceil_to(self.true_w, BLOCK)
+
+    @property
+    def padded_h(self) -> int:
+        return ceil_to(self.true_h, BLOCK)
+
+    @property
+    def ratios(self) -> RatioTriple:
+        """The block ratios the granularity map holds (read from the payload)."""
+        return map_ratios(decode_map(self))
 
     @property
     def payload_bit_length(self) -> int:
@@ -259,22 +272,19 @@ class Container:
         return _HEADER_SIZE + len(self.payload)
 
 
-def _ratio_parts(ratios: RatioTriple) -> tuple[int, int, int]:
-    p1 = round(ratios.r1 * 10000)
-    p2 = round(ratios.r2 * 10000)
-    p3 = 10000 - p1 - p2
-    if p3 < 0:  # both roundings went up; settle the difference on p2
-        p2 += p3
-        p3 = 0
-    return p1, p2, p3
+def decode_map(c: Container) -> np.ndarray:
+    """The granularity map: one label per block, raster order, from the
+    payload's first `map_bits` bits."""
+    by, bx = c.padded_h // BLOCK, c.padded_w // BLOCK
+    (labels,), ends = prefix_decode(c.payload, 0, [(by * bx, c.map_bits)], MAP_CODE)
+    if ends != [c.map_bits]:
+        raise BitstreamError("granularity map bit length mismatch")
+    return (COARSE - labels).astype(np.uint8).reshape(by, bx)
 
 
 def serialize_container(c: Container) -> bytes:
-    p1, p2, p3 = _ratio_parts(c.ratios)
     header = _HEADER.pack(
-        CONTAINER_MAGIC, CONTAINER_VERSION,
-        c.true_w, c.true_h, c.padded_w, c.padded_h,
-        c.codebook_hash, p1, p2, p3,
+        CONTAINER_MAGIC, CONTAINER_VERSION, c.true_w, c.true_h, c.codebook_hash,
         c.index_bits[0], c.index_bits[1], c.index_bits[2], c.map_bits,
     )
     header += zlib.crc32(header).to_bytes(4, "little")
@@ -284,8 +294,8 @@ def serialize_container(c: Container) -> bytes:
 def parse_container(data: bytes) -> Container:
     if len(data) < _HEADER_SIZE:
         raise BitstreamError("container shorter than header")
-    (magic, version, true_w, true_h, padded_w, padded_h, cb_hash,
-     p1, p2, p3, bits_f, bits_m, bits_c, map_bits) = _HEADER.unpack_from(data)
+    (magic, version, true_w, true_h, cb_hash,
+     bits_f, bits_m, bits_c, map_bits) = _HEADER.unpack_from(data)
     crc = int.from_bytes(data[_HEADER.size:_HEADER_SIZE], "little")
     if magic != CONTAINER_MAGIC:
         raise BitstreamError(f"bad magic {magic!r}")
@@ -294,36 +304,26 @@ def parse_container(data: bytes) -> Container:
                              f"decoder reads version {CONTAINER_VERSION}")
     if crc != zlib.crc32(data[:_HEADER.size]):
         raise BitstreamError("header CRC mismatch")
-    if padded_w % 16 or padded_h % 16:
-        raise BitstreamError("padded dims not multiples of 16")
-    if not (0 < true_w <= padded_w and 0 < true_h <= padded_h):
-        raise BitstreamError("true dims exceed padded dims")
-    if padded_w - true_w >= 16 or padded_h - true_h >= 16:
-        raise BitstreamError("padding exceeds one block")
-    if p1 + p2 + p3 != 10000:
-        raise BitstreamError("ratio fields do not sum to 1")
-    blocks = padded_w * padded_h // 256
+    if not (true_w > 0 and true_h > 0):
+        raise BitstreamError(f"empty image ({true_w}x{true_h})")
+    c = Container(true_w=true_w, true_h=true_h, codebook_hash=cb_hash,
+                  index_bits=(bits_f, bits_m, bits_c), map_bits=map_bits,
+                  payload=data[_HEADER_SIZE:])
+    blocks = c.padded_w * c.padded_h // BLOCK ** 2
     if not blocks <= map_bits <= 2 * blocks:  # 1 or 2 bits per block label
         raise BitstreamError(f"map bit length {map_bits} impossible for {blocks} blocks")
-    if padded_w * padded_h > MAX_PIXELS:
-        raise BitstreamError(f"{padded_w}x{padded_h} padded pixels exceed the "
+    if c.padded_w * c.padded_h > MAX_PIXELS:
+        raise BitstreamError(f"{c.padded_w}x{c.padded_h} padded pixels exceed the "
                              f"{MAX_PIXELS}-pixel limit")
-    payload = data[_HEADER_SIZE:]
-    total_bits = map_bits + bits_f + bits_m + bits_c
-    if len(payload) != (total_bits + 7) // 8:
+    total_bits = c.payload_bit_length
+    if len(c.payload) != (total_bits + 7) // 8:
         raise BitstreamError("payload length inconsistent with header")
     # trailing pad bits must be zero
-    if total_bits % 8 and payload:
-        tail = payload[-1] & ((1 << (8 - total_bits % 8)) - 1)
+    if total_bits % 8 and c.payload:
+        tail = c.payload[-1] & ((1 << (8 - total_bits % 8)) - 1)
         if tail:
             raise BitstreamError("nonzero padding bits")
-    return Container(
-        true_w=true_w, true_h=true_h, padded_w=padded_w, padded_h=padded_h,
-        codebook_hash=cb_hash,
-        ratios=RatioTriple(p1 / 10000, p2 / 10000, p3 / 10000),
-        index_bits=(bits_f, bits_m, bits_c), map_bits=map_bits,
-        payload=payload,
-    )
+    return c
 
 
 def measure_rate(c: Container) -> tuple[float, float]:

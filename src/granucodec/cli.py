@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rate_table)
 
-    p = sub.add_parser("inspect", help="dump container header fields")
+    p = sub.add_parser("inspect", help="dump container fields and the map's ratios")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)

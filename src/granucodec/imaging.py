@@ -73,7 +73,7 @@ class ImagePlane:
         return samples
 
 
-def _ceil_to(n: int, multiple: int) -> int:
+def ceil_to(n: int, multiple: int) -> int:
     return ((n + multiple - 1) // multiple) * multiple
 
 
@@ -103,7 +103,7 @@ def from_raw(raw: np.ndarray) -> ImagePlane:
     if raw.ndim != 3 or raw.shape[2] != 3:
         raise ImageError(f"expected (h, w, 3) samples, got shape {raw.shape}")
     h, w = raw.shape[:2]
-    pixels = np.empty((_ceil_to(h, BLOCK), _ceil_to(w, BLOCK), 3), dtype=np.uint8)
+    pixels = np.empty((ceil_to(h, BLOCK), ceil_to(w, BLOCK), 3), dtype=np.uint8)
     pixels[:h, :w] = raw
     pixels[:h, w:] = pixels[:h, w - 1:w]
     pixels[h:] = pixels[h - 1:h]

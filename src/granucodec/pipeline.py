@@ -81,10 +81,7 @@ def encode_with_map(session: CodecSession, img: ImagePlane,
     payload, (map_bits, *index_bits) = bitstream.prefix_encode(
         [(COARSE - gmap.astype(np.int64), MAP_CODE), *((s, session.huffman) for s in streams)])
     return Container(
-        true_w=img.true_w, true_h=img.true_h,
-        padded_w=img.width, padded_h=img.height,
-        codebook_hash=session.codebook.id_hash,
-        ratios=granularity.map_ratios(gmap),
+        true_w=img.true_w, true_h=img.true_h, codebook_hash=session.codebook.id_hash,
         index_bits=tuple(index_bits), map_bits=map_bits, payload=payload,
     )
 
@@ -107,18 +104,13 @@ def decode_streams(session: CodecSession,
     """Recover the granularity map and the three index streams."""
     if container.codebook_hash != session.codebook.id_hash:
         raise BitstreamError("container was encoded with a different codebook")
-    by = container.padded_h // BLOCK
-    bx = container.padded_w // BLOCK
-    payload, pos = container.payload, container.map_bits
-    (labels,), ends = bitstream.prefix_decode(payload, 0, [(by * bx, pos)], MAP_CODE)
-    if ends != [pos]:
-        raise BitstreamError("granularity map bit length mismatch")
-    gmap = (COARSE - labels).astype(np.uint8).reshape(by, bx)
+    gmap = bitstream.decode_map(container)
+    pos = container.map_bits
     stops = np.cumsum([pos, *container.index_bits])[1:].tolist()
     blocks = granularity.label_counts(gmap)  # 16, 4 and 1 indices per block
     counts = [16 * blocks[FINE], 4 * blocks[MEDIUM], blocks[COARSE]]
-    streams, ends = bitstream.prefix_decode(payload, pos, list(zip(counts, stops)),
-                                            session.huffman)
+    streams, ends = bitstream.prefix_decode(container.payload, pos,
+                                            list(zip(counts, stops)), session.huffman)
     if ends != stops:
         raise BitstreamError("index segment bit length mismatch")
     return gmap, streams

@@ -35,27 +35,15 @@ class EntropyConfig:
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
 
-    @property
-    def sigma(self) -> float:
-        return 2.0 / (self.n_bins - 1)  # one bin spacing
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        n = self.n_bins
-        return -1.0 + 2.0 * np.arange(n, dtype=np.float64) / (n - 1)
-
 
 def _affinity(values: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     """Unnormalized Gaussian affinity of each value to every bin center,
-    on a new trailing bin axis."""
-    sigma = cfg.sigma
-    # exp(-(d ** 2) / (2 sigma^2)): the same operations in the same order, in
-    # one buffer instead of a new temporary for each
-    d = values[..., None] - cfg.bin_centers
-    np.square(d, out=d)
-    np.negative(d, out=d)
-    d /= 2.0 * sigma * sigma
-    return np.exp(d, out=d)
+    on a new trailing bin axis: the centers span [-1, 1] evenly and sigma
+    is one bin spacing."""
+    n = cfg.n_bins
+    centers = -1.0 + 2.0 * np.arange(n, dtype=np.float64) / (n - 1)
+    sigma = 2.0 / (n - 1)
+    return np.exp(-np.square(values[..., None] - centers) / (2.0 * sigma * sigma))
 
 
 def _units(affinity: np.ndarray) -> np.ndarray:

@@ -107,8 +107,7 @@ def map_container(session, gmap: np.ndarray) -> bitstream.Container:
     payload: what reconstruct needs besides the map and the streams."""
     by, bx = gmap.shape
     return bitstream.Container(
-        true_w=16 * bx, true_h=16 * by, padded_w=16 * bx, padded_h=16 * by,
-        codebook_hash=session.codebook.id_hash, ratios=granularity.map_ratios(gmap),
+        true_w=16 * bx, true_h=16 * by, codebook_hash=session.codebook.id_hash,
         index_bits=(0, 0, 0), map_bits=0, payload=b"")
 
 

@@ -602,9 +602,7 @@ class TestMapCoding:
 
 def _container():
     return Container(
-        true_w=30, true_h=17, padded_w=32, padded_h=32,
-        codebook_hash=0x0123456789ABCDEF,
-        ratios=RatioTriple(0.25, 0.5, 0.25),
+        true_w=30, true_h=17, codebook_hash=0x0123456789ABCDEF,
         index_bits=(4, 4, 0), map_bits=4,  # 4 blocks: 1 bit each
         payload=bytes([0b1011_0110, 0b1101_0000]),  # 12 bits, zero-padded
     )
@@ -628,8 +626,7 @@ class TestContainer:
 
     @staticmethod
     def _map_only(padded, map_bits):
-        return Container(true_w=padded, true_h=padded, padded_w=padded, padded_h=padded,
-                         codebook_hash=0, ratios=RatioTriple(0, 0, 1),
+        return Container(true_w=padded, true_h=padded, codebook_hash=0,
                          index_bits=(0, 0, 0), map_bits=map_bits,
                          payload=bytes((map_bits + 7) // 8))
 
@@ -646,14 +643,16 @@ class TestContainer:
         c = self._map_only(32, map_bits)
         assert parse_container(serialize_container(c)) == c
 
-    def test_version_1_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, version):
         # a version-1 container may hold codewords past 16 bits, which this
-        # decoder would read wrong: refused, even with a valid CRC
+        # decoder would read wrong, and a version-2 header is laid out
+        # differently: both are refused, even with a valid CRC
         data = bytearray(serialize_container(_container()))
-        data[4] = 1
+        data[4] = version
         size = bitstream._HEADER.size
         data[size:size + 4] = zlib.crc32(data[:size]).to_bytes(4, "little")
-        with pytest.raises(BitstreamError, match="version 1"):
+        with pytest.raises(BitstreamError, match=f"version {version};"):
             parse_container(bytes(data))
 
     def test_nonzero_padding_rejected(self):
@@ -670,8 +669,7 @@ class TestContainer:
 
     def test_rate_is_bytes_over_pixels(self):
         # 64 bytes over a 256-pixel image would be exactly 2.0 bpp
-        c = Container(true_w=16, true_h=16, padded_w=16, padded_h=16,
-                      codebook_hash=0, ratios=RatioTriple(0, 0, 1),
+        c = Container(true_w=16, true_h=16, codebook_hash=0,
                       index_bits=(0, 0, 0), map_bits=40, payload=bytes(5))
         total, payload = measure_rate(c)
         assert total == pytest.approx(8 * c.byte_length / 256)

@@ -21,8 +21,8 @@ from conftest import make_image
 
 CASE_SECONDS = 2.0  # clean cases take milliseconds; this only catches blowups
 
-_FIELDS = "<4sB4IQ3H4I"  # container header before its CRC
-_FIELD_BITS = [None, 8, 32, 32, 32, 32, 64, 16, 16, 16, 32, 32, 32, 32]
+_FIELDS = "<4sB2IQ4I"  # container header before its CRC
+_FIELD_BITS = [None, 8, 32, 32, 64, 32, 32, 32, 32]
 _CODEBOOK_HEADER = 9  # magic, version, k, d
 
 

@@ -19,7 +19,7 @@ from granucodec.granularity import RatioTriple
 from conftest import make_image
 
 SMALL_SESSION_ID_HASH = 0x61AECBF56643D62A
-CONTAINERS_SHA256 = "34f2d1c64097ed45f22ef3cd56922478c19f9b2d30303709dafe7483afd6734e"
+CONTAINERS_SHA256 = "8a0461aa76175b45bdeb6ddca19e56009b0cbdba4686900a62022f559fcb8c32"
 PIXELS_SHA256 = "9e4eab4e378fb2f8893f87dd0e6cf168bf58bc0c382ff97a942562ae0c271724"
 
 

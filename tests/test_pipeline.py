@@ -28,8 +28,8 @@ def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
     assert h * w > bitstream.MAX_PIXELS >= (h - 16) * w
     blocks = h * w // 256
     c = bitstream.Container(
-        true_w=w, true_h=h, padded_w=w, padded_h=h, codebook_hash=cb.id_hash,
-        ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, blocks), map_bits=blocks,
+        true_w=w, true_h=h, codebook_hash=cb.id_hash,
+        index_bits=(0, 0, blocks), map_bits=blocks,
         payload=bytes(2 * blocks // 8))
     return serialize_container(c), cb, tbl
 
@@ -83,6 +83,21 @@ class TestEncodeDecode:
         assert np.array_equal(dec_gmap, gmap)
         for a, b in zip(enc_streams, dec_streams):
             assert np.array_equal(a, b)
+
+    def test_derived_header_fields_follow_the_plan(self, small_session):
+        # the golden encodes: the parsed container's ratios are the planned
+        # map's, and its padded size is the plane's
+        from granucodec.spatial_entropy import entropy_map
+        for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
+            img = make_image(kind, 120, 104, seed=70 + i)
+            emap = entropy_map(img, small_session.entropy_cfg)
+            for ratios in (RatioTriple(0.37, 0.46, 0.17),
+                           granularity.ratios_for_target(small_session.rate_table, 0.2)):
+                gmap = granularity.plan_granularity(emap, ratios)
+                c = parse_container(serialize_container(
+                    pipeline.encode_with_map(small_session, img, gmap)))
+                assert c.ratios == granularity.map_ratios(gmap)
+                assert (c.padded_w, c.padded_h) == (img.width, img.height)
 
     def test_decode_expands_the_map_once(self, small_session, monkeypatch):
         img = make_image("photo", 64, 48, seed=43)
@@ -379,8 +394,7 @@ class TestCli:
              (np.zeros(1, np.int64), bitstream.build_huffman(flat.counts))])
         cgic = tmp_path / "d2.cgic"
         cgic.write_bytes(serialize_container(bitstream.Container(
-            true_w=16, true_h=16, padded_w=16, padded_h=16, codebook_hash=cb.id_hash,
-            ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, idx_bits),
+            true_w=16, true_h=16, codebook_hash=cb.id_hash, index_bits=(0, 0, idx_bits),
             map_bits=map_bits, payload=payload)))
         for args in (("encode", "--input", ppm, "--out", tmp_path / "x.cgic",
                       "--bpp", "0.2"),
@@ -397,9 +411,8 @@ class TestCli:
         _, cb, _ = cli_env
         dim = 4294967280
         c = bitstream.Container(
-            true_w=dim, true_h=dim, padded_w=dim, padded_h=dim,
-            codebook_hash=vq.load_codebook(cb)[0].id_hash,
-            ratios=RatioTriple(0, 0, 1), index_bits=(0, 0, 0), map_bits=8,
+            true_w=dim, true_h=dim, codebook_hash=vq.load_codebook(cb)[0].id_hash,
+            index_bits=(0, 0, 0), map_bits=8,
             payload=bytes(1))
         hostile = tmp_path / "huge.cgic"
         hostile.write_bytes(serialize_container(c))
@@ -416,6 +429,19 @@ class TestCli:
         cgic.write_bytes(data)
         res = run_cli("decode", "--codebook", cb_path, "--input", cgic,
                       "--out", tmp_path / "x.ppm")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    def test_inspect_unreadable_map_exits_cleanly(self, tmp_path):
+        # a valid header and CRC for 4 blocks whose 4 map bits 1111 hold
+        # only two labels: inspect reads the map, so it reports an error
+        cgic = tmp_path / "bad-map.cgic"
+        cgic.write_bytes(serialize_container(bitstream.Container(
+            true_w=32, true_h=32, codebook_hash=0, index_bits=(0, 0, 0),
+            map_bits=4, payload=bytes([0b1111_0000]))))
+        parse_container(cgic.read_bytes())
+        res = run_cli("inspect", "--input", cgic)
         assert res.returncode == 1
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
