@@ -109,9 +109,10 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     """Assign codewords by (length, symbol index): each codeword is the Kraft
     sum of the codewords before it, scaled to its own length."""
     lengths = np.asarray(lengths, dtype=np.int32)
-    k = lengths.shape[0]
-    by_length = np.argsort(lengths, kind="stable")
-    shift = (int(lengths.max(initial=0)) - lengths[by_length]).astype(np.uint64)
+    k, longest = lengths.shape[0], int(lengths.max(initial=0))
+    # keyed in the smallest type, where a stable sort is a radix sort
+    by_length = np.argsort(lengths.astype(np.min_scalar_type(longest)), kind="stable")
+    shift = (longest - lengths[by_length]).astype(np.uint64)
     step = np.uint64(1) << shift  # 2^-length in units of 2^-max_len
     codewords = np.empty(k, dtype=np.int64)
     codewords[by_length] = (np.cumsum(step, dtype=np.uint64) - step) >> shift
@@ -185,15 +186,18 @@ def prefix_encode(segments) -> tuple[bytes, list[int]]:
     return words.astype(">u4").tobytes()[:sum(bits) + 7 >> 3], bits
 
 
-def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
+def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]],
                   code: HuffmanCode) -> tuple[list[np.ndarray], list[int]]:
     """Read consecutive segments of symbols from the bits of `payload`, from
-    bit `pos` on, each `count` symbols none of which ends past bit `stop` or
-    the payload. Returns each segment's symbols and the position after its
-    last one. No codeword of `code` passes `MAX_CODE_LEN` bits, as none that
-    build_huffman makes does."""
-    counts, stops = zip(*segments)
-    stops = np.minimum(stops, 8 * len(payload))
+    bit `pos` on; each segment is a (name, count, stop) triple: `count`
+    symbols, none of which ends past bit `stop` or the payload. Returns each
+    segment's symbols and the position after its last one. A symbol that
+    passes a stop inside the payload raises an error naming its segment. No
+    codeword of `code` passes `MAX_CODE_LEN` bits, as none that build_huffman
+    makes does."""
+    names, counts, stops = zip(*segments)
+    bits = 8 * len(payload)
+    stops = np.minimum(stops, bits)
     lengths = code.lengths
     max_len = int(lengths.max())
     # In canonical order the codewords tile the table of max_len-bit windows
@@ -204,30 +208,30 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[int, int]],
     table = np.pad(owned, (0, (1 << max_len) - owned.size), constant_values=code.k)
     table_len = np.append(lengths, 0).astype(np.uint8)[table]
     # The max_len-bit window at every bit position up to the last stop, read
-    # from three bytes (zeros past it, where no symbol ends in its segment)
+    # from three bytes (zeros past it, where no symbol ends in its segment).
+    # The steps past those positions are 0: a chain that gets there stays.
     n = int(stops.max()) + 7 >> 3
     data = np.pad(np.frombuffer(payload, dtype=np.uint8)[:n], (0, 2))
     three = (data[:n].astype(np.uint32) << 8 | data[1:n + 1]) << 8 | data[2:n + 2]
-    step = np.empty(8 * n, dtype=np.uint8)
+    step = np.zeros(8 * n + max_len, dtype=np.uint8)
     for r in range(8):
-        step[r::8] = np.take(table_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
+        step[r:8 * n:8] = np.take(table_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
     # the chain: one index and one add per symbol
     steps, p = step.tobytes(), pos
-    try:
-        chain = np.array([pos] + [p := p + steps[p] for _ in range(sum(counts))],
-                         dtype=np.int64)
-    except IndexError:
-        raise BitstreamError("read past end of bit payload") from None
-    starts = chain[:-1]
-    symbols = table[three[starts >> 3] >> (24 - max_len - (starts & 7)) & (1 << max_len) - 1]
+    chain = np.array([pos] + [p := p + steps[p] for _ in range(sum(counts))], dtype=np.int64)
+    starts, bounds = chain[:-1], np.cumsum(counts)
     # the first bad symbol raises the walk's error
     stops = np.repeat(stops, counts)
     bad = np.flatnonzero((chain[1:] > stops) | (step[starts] == 0))
     if bad.size:
         at, stop = starts[bad[0]], stops[bad[0]]
-        raise BitstreamError("invalid prefix walk" if step[at] == 0 and at + max_len <= stop
-                             else "read past end of bit payload")
-    bounds = np.cumsum(counts)
+        if step[at] == 0 and at + max_len <= stop:
+            raise BitstreamError("invalid prefix walk")
+        if stop < bits:
+            name = names[np.searchsorted(bounds, bad[0], side="right")]
+            raise BitstreamError(f"read past end of the {name} segment")
+        raise BitstreamError("read past end of bit payload")
+    symbols = table[three[starts >> 3] >> (24 - max_len - (starts & 7)) & (1 << max_len) - 1]
     return np.split(symbols, bounds[:-1]), chain[bounds].tolist()
 
 
@@ -276,7 +280,7 @@ def decode_map(c: Container) -> np.ndarray:
     """The granularity map: one label per block, raster order, from the
     payload's first `map_bits` bits."""
     by, bx = c.padded_h // BLOCK, c.padded_w // BLOCK
-    (labels,), ends = prefix_decode(c.payload, 0, [(by * bx, c.map_bits)], MAP_CODE)
+    (labels,), ends = prefix_decode(c.payload, 0, [("map", by * bx, c.map_bits)], MAP_CODE)
     if ends != [c.map_bits]:
         raise BitstreamError("granularity map bit length mismatch")
     return (COARSE - labels).astype(np.uint8).reshape(by, bx)

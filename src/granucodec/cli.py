@@ -119,11 +119,12 @@ def cmd_stats(args) -> int:
 
 def cmd_rate_table(args) -> int:
     session = pipeline.CodecSession.from_file(args.codebook)
-    table = session.rate_table  # the table --bpp searches
+    table = session.rate_table  # the table --bpp searches, in lattice order
+    order = np.argsort(table.bpp, kind="stable")  # printed by bpp
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("r1,r2,r3,bpp\n")
-        for (r1, r2, r3), bpp in zip(table.ratios, table.bpp):
+        for (r1, r2, r3), bpp in zip(table.ratios[order], table.bpp[order]):
             out.write(f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}\n")
     finally:
         if args.out:

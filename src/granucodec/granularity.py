@@ -8,7 +8,9 @@ The theoretical bits-per-pixel of a ratio triple is
 
 with L the mean Huffman code length over the index alphabet. The query table
 inverts this for target-bpp lookup over one lattice, the ratio simplex at
-1/100 (5,151 rows); only its bpp column depends on the code.
+1/100 (5,151 rows); only its bpp column depends on the code. Its rows stay
+in lattice order: the lookup needs no order, and only the `rate-table`
+command sorts them by bpp to print them.
 """
 
 from __future__ import annotations
@@ -99,13 +101,14 @@ def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
 # the ratio simplex at 1/100 in lattice order (r1, then r2, ascending)
 _LATTICE = np.array([(i, j, 100 - i - j) for i in range(101)
                      for j in range(101 - i)]) / 100
+_LATTICE.flags.writeable = False  # every rate table shares it
 _LATTICE_TERMS = _terms(*_LATTICE.T)
 
 
 @dataclass(frozen=True)
 class RateQueryTable:
-    """The ratio lattice as columns, rows sorted by bpp ascending (stable,
-    so equal-bpp rows keep lattice order)."""
+    """The ratio lattice as columns, rows in lattice order (r1, then r2,
+    ascending); the `rate-table` command prints them sorted by bpp."""
 
     ratios: np.ndarray  # (n, 3) float64: r1, r2, r3
     bpp: np.ndarray  # (n,) float64
@@ -113,14 +116,13 @@ class RateQueryTable:
 
 def build_rate_table(mean_code_len: float) -> RateQueryTable:
     """The rate model over the 1/100 ratio lattice."""
-    bpp = _rate(*_LATTICE_TERMS, mean_code_len)
-    order = np.argsort(bpp, kind="stable")
-    return RateQueryTable(np.take(_LATTICE, order, axis=0), bpp[order])
+    return RateQueryTable(_LATTICE, _rate(*_LATTICE_TERMS, mean_code_len))
 
 
 def ratios_for_target(table: RateQueryTable, target_bpp: float) -> RatioTriple:
     """Closest-bpp row; ties resolved toward larger r1 (quality-favoring),
-    then toward the first row."""
+    then toward the first row. At one r1 the bpp rises strictly with r2, so
+    in lattice order that first row is the lower-bpp one, as in bpp order."""
     if not math.isfinite(target_bpp):
         raise ValueError(f"target bpp must be a finite number, got {target_bpp}")
     gap = np.abs(table.bpp - target_bpp)

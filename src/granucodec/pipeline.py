@@ -109,8 +109,9 @@ def decode_streams(session: CodecSession,
     stops = np.cumsum([pos, *container.index_bits])[1:].tolist()
     blocks = granularity.label_counts(gmap)  # 16, 4 and 1 indices per block
     counts = [16 * blocks[FINE], 4 * blocks[MEDIUM], blocks[COARSE]]
-    streams, ends = bitstream.prefix_decode(container.payload, pos,
-                                            list(zip(counts, stops)), session.huffman)
+    streams, ends = bitstream.prefix_decode(
+        container.payload, pos, list(zip(("fine", "medium", "coarse"), counts, stops)),
+        session.huffman)
     if ends != stops:
         raise BitstreamError("index segment bit length mismatch")
     return gmap, streams

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import zlib
@@ -118,11 +119,17 @@ def walk_decode(bits, pos, count, code):
 
 def walk_prefix_decode(payload, pos, segments, code):
     """`prefix_decode` by the walk: each segment is walked over the bits up
-    to its stop, from where the one before it ended."""
+    to its stop, from where the one before it ended. A walk that runs out of
+    bits before the payload's end ran out of its segment, and says which."""
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
     out, ends = [], []
-    for count, stop in segments:
-        symbols, pos = walk_decode(bits[:stop], pos, count, code)
+    for name, count, stop in segments:
+        try:
+            symbols, pos = walk_decode(bits[:stop], pos, count, code)
+        except BitstreamError as exc:
+            if str(exc) == "read past end of bit payload" and stop < len(bits):
+                raise BitstreamError(f"read past end of the {name} segment") from None
+            raise
         out.append(symbols)
         ends.append(pos)
     return out, ends
@@ -131,7 +138,7 @@ def walk_prefix_decode(payload, pos, segments, code):
 def table_decode(bits, pos, count, code):
     """One segment of `count` symbols from a list of 0/1 bits, ending by its end."""
     payload = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
-    (symbols,), (end,) = prefix_decode(payload, pos, [(count, len(bits))], code)
+    (symbols,), (end,) = prefix_decode(payload, pos, [("one", count, len(bits))], code)
     return symbols, end
 
 
@@ -531,11 +538,14 @@ class TestWalkOracle:
             stops = np.sort(rng.integers(0, 8 * len(payload) + 17, size=3)).tolist()
             if trial % 4 == 0:  # an undamaged stream and its segments' true ends
                 stops = np.r_[0, np.cumsum(code.lengths[stream])][np.cumsum(counts)].tolist()
-            args = (payload, 0, list(zip(counts, stops)), code)
+            args = (payload, 0, list(zip(("first", "second", "third"), counts, stops)), code)
             want = outcome(walk_prefix_decode, *args)
             assert outcome(prefix_decode, *args) == want, (code.lengths, args)
             seen.add(want if isinstance(want, str) else "ok")
-        assert seen == {"ok", "invalid prefix walk", "read past end of bit payload"}
+        assert seen == {"ok", "invalid prefix walk", "read past end of bit payload",
+                        "read past end of the first segment",
+                        "read past end of the second segment",
+                        "read past end of the third segment"}
 
     @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
                                       dict(target_bpp=0.10)], ids=["hirate", "lorate"])
@@ -554,9 +564,18 @@ class TestWalkOracle:
         img = make_image("photo", 80, 96, seed=21)
         data = serialize_container(
             pipeline.encode_image(small_session, img, ratios=RatioTriple(0.4, 0.4, 0.2)))
-        header_len = len(data) - len(parse_container(data).payload)
+        c0 = parse_container(data)
+        header_len = len(data) - len(c0.payload)
+        # the payload cut by 1 to 4 bytes and the coarse segment's length cut
+        # to match, so the coarse symbols run past the payload's end; the
+        # damaged streams above stop inside the payload, at a segment's end
+        fine, medium, _ = c0.index_bits
+        cuts = [serialize_container(dataclasses.replace(
+                    c0, index_bits=(fine, medium, 8 * n - c0.map_bits - fine - medium),
+                    payload=c0.payload[:n]))
+                for n in range(len(c0.payload) - 4, len(c0.payload))]
         cases = [*_bit_flips(rng, data, 300, header_len), *_resizes(rng, data, 100),
-                 *(_rewrite_field(rng, data) for _ in range(300))]
+                 *(_rewrite_field(rng, data) for _ in range(300)), *cuts]
         outcomes = []
         for blob in cases:
             try:
@@ -570,6 +589,7 @@ class TestWalkOracle:
             outcomes.append(got if isinstance(got, str) else "ok")
         assert "ok" in outcomes
         assert "read past end of bit payload" in outcomes
+        assert "read past end of the fine segment" in outcomes
 
 
 class TestMapCoding:

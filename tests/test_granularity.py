@@ -118,13 +118,17 @@ class TestRateModel:
 
 def reference_rows(mean_code_len, step):
     """The rate table as a plain loop over the simplex lattice at the given
-    step, sorted by bpp with Python's stable sort."""
+    step, in lattice order (r1, then r2, ascending)."""
     n = round(1.0 / step)
-    rows = [(RatioTriple(i / n, j / n, (n - i - j) / n),) for i in range(n + 1)
+    rows = [RatioTriple(i / n, j / n, (n - i - j) / n) for i in range(n + 1)
             for j in range(n + 1 - i)]
-    rows = [(r, theoretical_bpp(r, mean_code_len)) for (r,) in rows]
-    rows.sort(key=lambda row: row[1])
-    return rows
+    return [(r, theoretical_bpp(r, mean_code_len)) for r in rows]
+
+
+def by_bpp(table):
+    """The table's rows sorted stably by bpp, as `rate-table` prints them."""
+    order = np.argsort(table.bpp, kind="stable")
+    return RateQueryTable(table.ratios[order], table.bpp[order])
 
 
 def on_lattice(table, step):
@@ -154,17 +158,28 @@ class TestRateTable:
         assert hi_bpp == pytest.approx((16 * L_REFERENCE + 4) / 256)
 
     def test_sorted_ascending(self):
-        bpps = list(build_rate_table(L_REFERENCE).bpp)
+        # sorted stably, the bpp ascends; in lattice order it rises strictly
+        # with r2 at each r1, which the lookup's tie rule relies on
+        table = build_rate_table(L_REFERENCE)
+        bpps = list(by_bpp(table).bpp)
         assert bpps == sorted(bpps)
+        for r1 in np.unique(table.ratios[:, 0]):
+            assert np.all(np.diff(table.bpp[table.ratios[:, 0] == r1]) > 0)
+
+    def test_shares_the_read_only_lattice(self):
+        a, b = build_rate_table(L_REFERENCE), build_rate_table(6.5)
+        assert a.ratios is b.ratios and not a.ratios.flags.writeable
 
     @pytest.mark.parametrize("mean_code_len", [1.0, 6.5, L_REFERENCE, 13.0])
     @pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
     def test_matches_reference_loop(self, mean_code_len, step):
-        # step 0.01 is the whole table; a coarser step checks its sub-lattice
+        # step 0.01 is the whole table; a coarser step checks its sub-lattice.
+        # The rows match in lattice order and, sorted stably, in bpp order.
         table = on_lattice(build_rate_table(mean_code_len), step)
         rows = reference_rows(mean_code_len, step)
-        assert [tuple(r) for r in table.ratios.tolist()] == [r.as_tuple() for r, _ in rows]
-        assert table.bpp.tolist() == [b for _, b in rows]
+        for table, rows in [(table, rows), (by_bpp(table), sorted(rows, key=lambda row: row[1]))]:
+            assert [tuple(r) for r in table.ratios.tolist()] == [r.as_tuple() for r, _ in rows]
+            assert table.bpp.tolist() == [b for _, b in rows]
 
     @pytest.mark.parametrize("mean_code_len", [0.0, -1.0])
     def test_nonpositive_mean_code_length_rejected(self, mean_code_len):
@@ -199,10 +214,12 @@ class TestTargetLookup:
 
     @pytest.mark.parametrize("step", [0.25, 0.1, 0.05, 0.01])
     def test_matches_linear_scan(self, step):
+        # targets and the scan in stable-bpp order, as `rate-table` prints the table
         rng = np.random.default_rng(12)
         for mean_code_len in (2.0, L_REFERENCE, 12.75):
             table = on_lattice(build_rate_table(mean_code_len), step)
-            bpp = table.bpp
+            oracle = by_bpp(table)
+            bpp = oracle.bpp
             rows = rng.choice(bpp.size - 1, size=min(bpp.size - 1, 60), replace=False)
             targets = np.concatenate([
                 bpp[rows],  # exact row values
@@ -211,7 +228,17 @@ class TestTargetLookup:
                 [-1.0, 0.0, bpp[-1] + 1.0],
             ])
             for t in targets.tolist():
-                assert ratios_for_target(table, t) == reference_lookup(table, t), t
+                assert ratios_for_target(table, t) == reference_lookup(oracle, t), t
+
+    @pytest.mark.parametrize("mean_code_len", np.linspace(1.0, 16.0, 6).tolist())
+    def test_lattice_order_picks_the_sorted_tables_row(self, mean_code_len):
+        # for every row value and every midpoint of rows adjacent in bpp, the
+        # lattice-order table gives the row of the stably sorted one (the oracle)
+        table = build_rate_table(mean_code_len)
+        oracle = by_bpp(table)
+        bpp = oracle.bpp
+        for t in np.concatenate([bpp, (bpp[:-1] + bpp[1:]) / 2]).tolist():
+            assert ratios_for_target(table, t) == ratios_for_target(oracle, t), t
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
     def test_nan_target_rejected(self, target):

@@ -34,9 +34,10 @@ def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
     return serialize_container(c), cb, tbl
 
 
-# SHA-256 of the fixture session's tables as little-endian bytes: a change to
-# the Huffman or rate-table builder that alters one length, codeword, row or
-# bpp fails here, not only through container digests
+# SHA-256 of the fixture session's tables as little-endian bytes, the rate
+# table's rows sorted stably by bpp: a change to the Huffman or rate-table
+# builder that alters one length, codeword, row or bpp fails here, not only
+# through container digests
 SESSION_TABLES_SHA256 = {
     "huffman.lengths": "00d68e31a89f16bd230b692474a4826d47d6ac3d82aebf2cc5d7b63827d66386",
     "huffman.codewords": "a8c48a60605889f3200a7bb93526382417c6840fc696a8937b686c7bb1b27e73",
@@ -45,12 +46,19 @@ SESSION_TABLES_SHA256 = {
 }
 
 
+# SHA-256 of `rate-table`'s stdout for the `cli_env` codebook
+RATE_TABLE_CSV_SHA256 = "be2ce8d2228df4e071c192bcccc0d317b5865730ad2622912bc27a57c65cc6a9"
+
+
 def test_session_tables_pinned(session):
     assert session.codebook.id_hash == 0x3F532F5FD5454889
+    # the session keeps the lattice in lattice order, shared, not a copy
+    assert session.rate_table.ratios is granularity._LATTICE
+    by_bpp = np.argsort(session.rate_table.bpp, kind="stable")
     tables = {"huffman.lengths": (session.huffman.lengths, "<i4"),
               "huffman.codewords": (session.huffman.codewords, "<i8"),
-              "rate_table.ratios": (session.rate_table.ratios, "<f8"),
-              "rate_table.bpp": (session.rate_table.bpp, "<f8")}
+              "rate_table.ratios": (session.rate_table.ratios[by_bpp], "<f8"),
+              "rate_table.bpp": (session.rate_table.bpp[by_bpp], "<f8")}
     digests = {name: hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
                for name, (a, dtype) in tables.items()}
     assert digests == SESSION_TABLES_SHA256
@@ -307,16 +315,22 @@ class TestCli:
         assert res.returncode == 0, res.stderr
 
     def test_rate_table_csv(self, cli_env):
-        # the printed table is the one --bpp searches, row for row
+        # the printed table is the one --bpp searches, row for row, sorted
+        # stably by bpp; its bytes are pinned, so a change to the sort or to
+        # the formatting fails here
         _, cb, _ = cli_env
         res = run_cli("rate-table", "--codebook", cb)
         assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == RATE_TABLE_CSV_SHA256
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "r1,r2,r3,bpp"
         assert len(lines) == 1 + 5151  # the simplex lattice at 1/100
         table = pipeline.CodecSession.from_file(cb).rate_table
+        order = np.argsort(table.bpp, kind="stable")
         assert lines[1:] == [f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}"
-                             for (r1, r2, r3), bpp in zip(table.ratios, table.bpp)]
+                             for (r1, r2, r3), bpp in zip(table.ratios[order], table.bpp[order])]
+        bpps = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+        assert bpps == sorted(bpps)
 
     @pytest.mark.parametrize("target", [0.05, 0.1, 0.3, 0.6])
     def test_stats_bpp_picks_a_rate_table_row(self, cli_env, capsys, target):
@@ -435,7 +449,8 @@ class TestCli:
 
     def test_inspect_unreadable_map_exits_cleanly(self, tmp_path):
         # a valid header and CRC for 4 blocks whose 4 map bits 1111 hold
-        # only two labels: inspect reads the map, so it reports an error
+        # only two labels: inspect reads the map, so it reports an error. The
+        # third label passes the map segment's end, not the 8-bit payload's.
         cgic = tmp_path / "bad-map.cgic"
         cgic.write_bytes(serialize_container(bitstream.Container(
             true_w=32, true_h=32, codebook_hash=0, index_bits=(0, 0, 0),
@@ -445,6 +460,7 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
+        assert res.stderr == "error: read past end of the map segment\n"
 
     def test_train_codebook_k_zero_exits_cleanly(self, cli_env, tmp_path):
         root, _, _ = cli_env
