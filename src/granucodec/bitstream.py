@@ -280,9 +280,10 @@ def decode_map(c: Container) -> np.ndarray:
     """The granularity map: one label per block, raster order, from the
     payload's first `map_bits` bits."""
     by, bx = c.padded_h // BLOCK, c.padded_w // BLOCK
-    (labels,), ends = prefix_decode(c.payload, 0, [("map", by * bx, c.map_bits)], MAP_CODE)
-    if ends != [c.map_bits]:
-        raise BitstreamError("granularity map bit length mismatch")
+    (labels,), (end,) = prefix_decode(c.payload, 0, [("map", by * bx, c.map_bits)], MAP_CODE)
+    if end != c.map_bits:
+        raise BitstreamError(f"map segment bit length mismatch (ends at bit {end}, "
+                             f"header says {c.map_bits})")
     return (COARSE - labels).astype(np.uint8).reshape(by, bx)
 
 

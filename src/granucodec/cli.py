@@ -7,6 +7,7 @@ see --help of each subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,22 +18,23 @@ from . import bitstream, granularity, imaging, pipeline, training, vq
 from .granularity import RatioTriple
 from .spatial_entropy import entropy_map
 
-def _parse_ratios(text: str, flag: str = "--ratios") -> RatioTriple:
+def _parse_ratios(text: str) -> RatioTriple:
+    """The argparse type of an r1,r2,r3 flag: a bad triple is a usage error
+    that argparse reports with the flag's name."""
     try:
         r1, r2, r3 = (float(p) for p in text.split(","))
         return RatioTriple(r1, r2, r3)
     except ValueError as exc:
-        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad ratio triple {text!r}: {exc}") from None
 
 
-def _check_rate_flags(args) -> None:
-    """Refuse a usage error before any file is read."""
-    if (args.ratios is None) == (args.bpp is None):
-        raise ValueError("give exactly one of --ratios or --bpp")
+def _report(fields: dict, as_json: bool) -> None:
+    """Print a report as one JSON line or as `key: value` lines."""
+    print(json.dumps(fields) if as_json
+          else "\n".join(f"{key}: {value}" for key, value in fields.items()))
 
 
-def cmd_train_codebook(args) -> int:
-    freq_ratios = _parse_ratios(args.freq_ratios, "--freq-ratios")
+def cmd_train_codebook(args) -> None:
     paths = sorted(
         os.path.join(args.corpus, n) for n in os.listdir(args.corpus)
         if n.lower().endswith(".ppm"))
@@ -41,45 +43,36 @@ def cmd_train_codebook(args) -> int:
     images = [imaging.load_ppm(p) for p in paths]
     cb, tbl = training.train_codebook(
         images, k=args.k, seed=args.seed, iters=args.iters,
-        max_samples=args.max_samples, freq_ratios=freq_ratios)
+        max_samples=args.max_samples, freq_ratios=args.freq_ratios)
     vq.save_codebook(cb, tbl, args.out)
     print(f"trained k={cb.k} d={cb.d} codebook from {len(images)} images -> {args.out}")
-    return 0
 
 
-def cmd_encode(args) -> int:
-    _check_rate_flags(args)
+def cmd_encode(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
     img = imaging.load_ppm(args.input)
-    container = pipeline.encode_image(
-        session, img,
-        ratios=_parse_ratios(args.ratios) if args.ratios is not None else None,
-        target_bpp=args.bpp)
+    container = pipeline.encode_image(session, img, ratios=args.ratios, target_bpp=args.bpp)
     with open(args.out, "wb") as f:
         f.write(bitstream.serialize_container(container))
     total, payload = bitstream.measure_rate(container)
     r = container.ratios
     print(f"encoded {args.input} at ratios ({r.r1:.4f}, {r.r2:.4f}, {r.r3:.4f}): "
           f"{total:.4f} bpp ({payload:.4f} payload-only)")
-    return 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
     with open(args.input, "rb") as f:
         container = bitstream.parse_container(f.read())
     img = pipeline.decode_image(session, container)
     imaging.save_ppm(img, args.out)
     print(f"decoded {args.input} -> {args.out} ({img.true_w}x{img.true_h})")
-    return 0
 
 
-def cmd_stats(args) -> int:
-    _check_rate_flags(args)
+def cmd_stats(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
     img = imaging.load_ppm(args.input)
-    ratios = (_parse_ratios(args.ratios) if args.ratios is not None
-              else granularity.ratios_for_target(session.rate_table, args.bpp))
+    ratios = args.ratios or granularity.ratios_for_target(session.rate_table, args.bpp)
     # plan as encode_image does, keeping the entropy map for --entropy-csv
     emap = entropy_map(img, session.entropy_cfg)
     container = pipeline.encode_with_map(
@@ -104,35 +97,25 @@ def cmd_stats(args) -> int:
         "blocks": {granularity.LABEL_NAMES[k]: v for k, v in counts.items()},
         "mean_code_length": session.mean_code_len,
     }
-    if args.json:
-        print(json.dumps(stats))
-    else:
-        for key, value in stats.items():
-            print(f"{key}: {value}")
+    _report(stats, args.json)
     if args.entropy_csv:
         with open(args.entropy_csv, "w") as f:
             f.write("row,col,entropy\n")
             for (row, col), h in np.ndenumerate(emap):
                 f.write(f"{row},{col},{h:.9f}\n")
-    return 0
 
 
-def cmd_rate_table(args) -> int:
+def cmd_rate_table(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
     table = session.rate_table  # the table --bpp searches, in lattice order
     order = np.argsort(table.bpp, kind="stable")  # printed by bpp
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
         out.write("r1,r2,r3,bpp\n")
         for (r1, r2, r3), bpp in zip(table.ratios[order], table.bpp[order]):
             out.write(f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}\n")
-    finally:
-        if args.out:
-            out.close()
-    return 0
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     with open(args.input, "rb") as f:
         c = bitstream.parse_container(f.read())
     total, payload = bitstream.measure_rate(c)
@@ -147,12 +130,7 @@ def cmd_inspect(args) -> int:
         "actual_bpp": total,
         "payload_bpp": payload,
     }
-    if args.json:
-        print(json.dumps(info))
-    else:
-        for key, value in info.items():
-            print(f"{key}: {value}")
-    return 0
+    _report(info, args.json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,6 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="granucodec",
         description="Variable-rate block-granularity VQ image codec")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the paper's rate control is an either/or: a ratio triple or a target bpp
+    rate = argparse.ArgumentParser(add_help=False)
+    group = rate.add_mutually_exclusive_group(required=True)
+    group.add_argument("--ratios", type=_parse_ratios, help="r1,r2,r3 (fine,medium,coarse)")
+    group.add_argument("--bpp", type=float, help="target bits per pixel")
 
     p = sub.add_parser("train-codebook", help="k-means codebook + frequency table")
     p.add_argument("--corpus", required=True, help="directory of .ppm images")
@@ -177,17 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--max-samples", type=int, default=200_000,
                    help="subsample cap for k-means input")
-    p.add_argument("--freq-ratios", default="0.5,0.4,0.1",
+    p.add_argument("--freq-ratios", type=_parse_ratios, default="0.5,0.4,0.1",
                    help="granularity ratios used for the frequency pass")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_codebook)
 
-    p = sub.add_parser("encode", help="compress a PPM image")
+    p = sub.add_parser("encode", parents=[rate], help="compress a PPM image")
     p.add_argument("--codebook", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ratios", default=None, help="r1,r2,r3 (fine,medium,coarse)")
-    p.add_argument("--bpp", type=float, default=None, help="target bits per pixel")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decompress a .cgic container")
@@ -196,11 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("stats", help="encode+decode and report rate/quality")
+    p = sub.add_parser("stats", parents=[rate], help="encode+decode and report rate/quality")
     p.add_argument("--codebook", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--ratios", default=None)
-    p.add_argument("--bpp", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--entropy-csv", default=None,
                    help="also dump the entropy map as CSV")
@@ -221,7 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return 0
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit writes nowhere, as the Python docs on SIGPIPE advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (imaging.ImageError, vq.CodebookError, bitstream.BitstreamError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,11 +109,12 @@ def decode_streams(session: CodecSession,
     stops = np.cumsum([pos, *container.index_bits])[1:].tolist()
     blocks = granularity.label_counts(gmap)  # 16, 4 and 1 indices per block
     counts = [16 * blocks[FINE], 4 * blocks[MEDIUM], blocks[COARSE]]
-    streams, ends = bitstream.prefix_decode(
-        container.payload, pos, list(zip(("fine", "medium", "coarse"), counts, stops)),
-        session.huffman)
-    if ends != stops:
-        raise BitstreamError("index segment bit length mismatch")
+    segments = list(zip(("fine", "medium", "coarse"), counts, stops))
+    streams, ends = bitstream.prefix_decode(container.payload, pos, segments, session.huffman)
+    for (name, _, stop), end in zip(segments, ends):
+        if end != stop:
+            raise BitstreamError(f"{name} segment bit length mismatch (ends at bit {end}, "
+                                 f"header says {stop})")
     return gmap, streams
 
 

@@ -663,6 +663,27 @@ class TestContainer:
         c = self._map_only(32, map_bits)
         assert parse_container(serialize_container(c)) == c
 
+    def test_map_length_mismatch_names_the_segment(self):
+        # the 4 coarse labels end after 4 of the 5 map bits the header declares
+        c = parse_container(serialize_container(self._map_only(32, 5)))
+        with pytest.raises(BitstreamError, match=r"^map segment bit length mismatch "
+                                                 r"\(ends at bit 4, header says 5\)$"):
+            bitstream.decode_map(c)
+
+    def test_index_length_mismatch_names_the_segment(self, small_session):
+        # the fine length one bit long and the coarse one bit short: the
+        # container parses, and the first segment to end off its header's
+        # length is the fine one
+        c = pipeline.encode_image(small_session, make_image("photo", 80, 96, seed=21),
+                                  ratios=RatioTriple(0.4, 0.4, 0.2))
+        fine, medium, coarse = c.index_bits
+        end = c.map_bits + fine
+        bad = parse_container(serialize_container(
+            dataclasses.replace(c, index_bits=(fine + 1, medium, coarse - 1))))
+        with pytest.raises(BitstreamError, match=rf"^fine segment bit length mismatch "
+                                                 rf"\(ends at bit {end}, header says {end + 1}\)$"):
+            pipeline.decode_streams(small_session, bad)
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_old_version_rejected(self, version):
         # a version-1 container may hold codewords past 16 bits, which this

@@ -239,13 +239,19 @@ class TestEncodeDecode:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+CLI = [sys.executable, "-m", "granucodec.cli"]
+
+
+def child_env():
+    """The environment of a child that imports granucodec from this tree."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_cli(*args, cwd=None, stdin=None):
     """Run the CLI in a child that imports granucodec from this tree."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "granucodec.cli", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd, input=stdin,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(CLI + [str(a) for a in args], capture_output=True, text=True,
+                          cwd=cwd, input=stdin, env=child_env())
 
 
 @pytest.fixture(scope="module")
@@ -386,15 +392,22 @@ class TestCli:
                       "--out", tmp_path / "x.cgic")  # neither ratios nor bpp
         assert res.returncode != 0
 
-    @pytest.mark.parametrize("command", ["encode", "stats"])
-    def test_rate_flags_checked_before_any_file(self, command, tmp_path):
-        # neither --ratios nor --bpp: the usage error comes first, though
-        # neither the codebook nor the input exists
+    @pytest.mark.parametrize("command, rate, message", [
+        ("encode", [], "one of the arguments --ratios --bpp is required"),
+        ("stats", [], "one of the arguments --ratios --bpp is required"),
+        ("encode", ["--ratios", "1,0,0", "--bpp", "0.2"],
+         "argument --bpp: not allowed with argument --ratios"),
+        ("stats", ["--ratios", "0.5,0.7,0"], "argument --ratios: bad ratio triple "
+         "'0.5,0.7,0': ratios must sum to 1, got RatioTriple(r1=0.5, r2=0.7, r3=0.0)"),
+    ], ids=["encode", "stats", "encode_two_rates", "stats_bad_ratios"])
+    def test_rate_flags_checked_before_any_file(self, command, rate, message, tmp_path):
+        # a usage error in the rate flags comes first, though neither the
+        # codebook nor the input exists
         extra = ("--out", tmp_path / "x.cgic") if command == "encode" else ()
         res = run_cli(command, "--codebook", tmp_path / "missing.cgcb",
-                      "--input", tmp_path / "missing.ppm", *extra)
+                      "--input", tmp_path / "missing.ppm", *extra, *rate)
         assert res.returncode == 1
-        assert res.stderr == "error: give exactly one of --ratios or --bpp\n"
+        assert res.stderr == f"error: {message}\n"
 
     def test_two_feature_codebook_exits_cleanly(self, cli_env, tmp_path):
         # a d=2 codebook and a hand-made one-block container that names it
@@ -473,14 +486,15 @@ class TestCli:
     @pytest.mark.parametrize("command, extra, named", [
         ("encode", ["--ratios", "1,2"], "--ratios"),
         ("stats", ["--ratios", "0.5,0.7,0"], "--ratios"),
-        ("encode", [], "--ratios or --bpp"),
-        ("stats", ["--ratios", "1,0,0", "--bpp", "0.2"], "--ratios or --bpp"),
+        ("encode", [], "arguments --ratios --bpp is required"),
+        ("stats", ["--ratios", "1,0,0", "--bpp", "0.2"],
+         "argument --bpp: not allowed with argument --ratios"),
         ("train-codebook", ["--freq-ratios", "1,2"], "--freq-ratios"),
         ("train-codebook", ["--corpus", "EMPTY"], ".ppm"),
         ("encode", ["--bpp=-inf"], "finite"),
         ("train-codebook", ["--iters", "-3"], "iters"),
-        ("encode", ["--ratios", ""], "bad --ratios ''"),
-        ("stats", ["--ratios", ""], "bad --ratios ''"),
+        ("encode", ["--ratios", ""], "argument --ratios: bad ratio triple ''"),
+        ("stats", ["--ratios", ""], "argument --ratios: bad ratio triple ''"),
         # a value starting with '-' that argparse takes for a flag
         ("encode", ["--bpp", "-inf"], "--bpp"),
         ("stats", ["--ratios", "-0.1,0.6,0.5"], "--ratios"),
@@ -510,6 +524,24 @@ class TestCli:
             res = run_cli(*args)
             assert res.returncode == 0
             assert res.stdout.startswith("usage:")
+
+    @pytest.mark.parametrize("command", ["encode", "stats"])
+    def test_help_shows_one_rate_flag_required(self, command):
+        res = run_cli(command, "--help")
+        assert res.returncode == 0
+        assert "(--ratios RATIOS | --bpp BPP)" in res.stdout
+
+    def test_rate_table_into_closed_pipe(self, cli_env):
+        # `granucodec rate-table ... | head -1`: the reader takes one line and
+        # closes the pipe; the rest of the table is dropped without a message
+        _, cb, _ = cli_env
+        with subprocess.Popen(CLI + ["rate-table", "--codebook", str(cb)], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env()) as proc:
+            assert proc.stdout.readline() == "r1,r2,r3,bpp\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            assert proc.stderr.read() == ""
 
     def test_encode_huge_declared_ppm_exits_cleanly(self, cli_env, tmp_path):
         _, cb, _ = cli_env
