@@ -43,7 +43,7 @@ MAX_CODE_LEN = 16
 MAX_PIXELS = 1 << 26
 
 
-class BitstreamError(Exception):
+class BitstreamError(ValueError):
     """Corrupt container, truncated payload or invalid prefix walk."""
 
 
@@ -187,17 +187,17 @@ def prefix_encode(segments) -> tuple[bytes, list[int]]:
 
 
 def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]],
-                  code: HuffmanCode) -> tuple[list[np.ndarray], list[int]]:
+                  code: HuffmanCode) -> list[np.ndarray]:
     """Read consecutive segments of symbols from the bits of `payload`, from
     bit `pos` on; each segment is a (name, count, stop) triple: `count`
-    symbols, none of which ends past bit `stop` or the payload. Returns each
-    segment's symbols and the position after its last one. A symbol that
-    passes a stop inside the payload raises an error naming its segment. No
-    codeword of `code` passes `MAX_CODE_LEN` bits, as none that build_huffman
-    makes does."""
+    symbols, the last of which ends exactly at bit `stop`, within the
+    payload. Returns each segment's symbols. A symbol that passes a stop
+    inside the payload, or a segment that ends short of its stop, raises an
+    error naming its segment. No codeword of `code` passes `MAX_CODE_LEN`
+    bits, as none that build_huffman makes does."""
     names, counts, stops = zip(*segments)
     bits = 8 * len(payload)
-    stops = np.minimum(stops, bits)
+    limits = np.minimum(stops, bits)
     lengths = code.lengths
     max_len = int(lengths.max())
     # In canonical order the codewords tile the table of max_len-bit windows
@@ -210,7 +210,7 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     # The max_len-bit window at every bit position up to the last stop, read
     # from three bytes (zeros past it, where no symbol ends in its segment).
     # The steps past those positions are 0: a chain that gets there stays.
-    n = int(stops.max()) + 7 >> 3
+    n = int(limits.max()) + 7 >> 3
     data = np.pad(np.frombuffer(payload, dtype=np.uint8)[:n], (0, 2))
     three = (data[:n].astype(np.uint32) << 8 | data[1:n + 1]) << 8 | data[2:n + 2]
     step = np.zeros(8 * n + max_len, dtype=np.uint8)
@@ -221,18 +221,23 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     chain = np.array([pos] + [p := p + steps[p] for _ in range(sum(counts))], dtype=np.int64)
     starts, bounds = chain[:-1], np.cumsum(counts)
     # the first bad symbol raises the walk's error
-    stops = np.repeat(stops, counts)
-    bad = np.flatnonzero((chain[1:] > stops) | (step[starts] == 0))
+    limits = np.repeat(limits, counts)
+    bad = np.flatnonzero((chain[1:] > limits) | (step[starts] == 0))
     if bad.size:
-        at, stop = starts[bad[0]], stops[bad[0]]
+        at, stop = starts[bad[0]], limits[bad[0]]
         if step[at] == 0 and at + max_len <= stop:
             raise BitstreamError("invalid prefix walk")
         if stop < bits:
             name = names[np.searchsorted(bounds, bad[0], side="right")]
             raise BitstreamError(f"read past end of the {name} segment")
         raise BitstreamError("read past end of bit payload")
+    # then the first segment to end short of its stop
+    for name, end, stop in zip(names, chain[bounds].tolist(), stops):
+        if end != stop:
+            raise BitstreamError(f"{name} segment bit length mismatch (ends at bit {end}, "
+                                 f"header says {stop})")
     symbols = table[three[starts >> 3] >> (24 - max_len - (starts & 7)) & (1 << max_len) - 1]
-    return np.split(symbols, bounds[:-1]), chain[bounds].tolist()
+    return np.split(symbols, bounds[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +285,18 @@ def decode_map(c: Container) -> np.ndarray:
     """The granularity map: one label per block, raster order, from the
     payload's first `map_bits` bits."""
     by, bx = c.padded_h // BLOCK, c.padded_w // BLOCK
-    (labels,), (end,) = prefix_decode(c.payload, 0, [("map", by * bx, c.map_bits)], MAP_CODE)
-    if end != c.map_bits:
-        raise BitstreamError(f"map segment bit length mismatch (ends at bit {end}, "
-                             f"header says {c.map_bits})")
+    (labels,) = prefix_decode(c.payload, 0, [("map", by * bx, c.map_bits)], MAP_CODE)
     return (COARSE - labels).astype(np.uint8).reshape(by, bx)
+
+
+def check_size(true_w: int, true_h: int) -> None:
+    """Refuse an image no container may hold: an empty one, or one past
+    `MAX_PIXELS` once padded. The encoder and the parser share this check."""
+    if not (true_w > 0 and true_h > 0):
+        raise BitstreamError(f"empty image ({true_w}x{true_h})")
+    w, h = ceil_to(true_w, BLOCK), ceil_to(true_h, BLOCK)
+    if w * h > MAX_PIXELS:
+        raise BitstreamError(f"{w}x{h} padded pixels exceed the {MAX_PIXELS}-pixel limit")
 
 
 def serialize_container(c: Container) -> bytes:
@@ -309,17 +321,13 @@ def parse_container(data: bytes) -> Container:
                              f"decoder reads version {CONTAINER_VERSION}")
     if crc != zlib.crc32(data[:_HEADER.size]):
         raise BitstreamError("header CRC mismatch")
-    if not (true_w > 0 and true_h > 0):
-        raise BitstreamError(f"empty image ({true_w}x{true_h})")
     c = Container(true_w=true_w, true_h=true_h, codebook_hash=cb_hash,
                   index_bits=(bits_f, bits_m, bits_c), map_bits=map_bits,
                   payload=data[_HEADER_SIZE:])
     blocks = c.padded_w * c.padded_h // BLOCK ** 2
     if not blocks <= map_bits <= 2 * blocks:  # 1 or 2 bits per block label
         raise BitstreamError(f"map bit length {map_bits} impossible for {blocks} blocks")
-    if c.padded_w * c.padded_h > MAX_PIXELS:
-        raise BitstreamError(f"{c.padded_w}x{c.padded_h} padded pixels exceed the "
-                             f"{MAX_PIXELS}-pixel limit")
+    check_size(true_w, true_h)
     total_bits = c.payload_bit_length
     if len(c.payload) != (total_bits + 7) // 8:
         raise BitstreamError("payload length inconsistent with header")

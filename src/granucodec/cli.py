@@ -208,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         # exit writes nowhere, as the Python docs on SIGPIPE advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (imaging.ImageError, vq.CodebookError, bitstream.BitstreamError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the codec's own errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

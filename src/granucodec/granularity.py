@@ -66,7 +66,11 @@ def masks_from_map(gmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     cover of the fine grid: fine + up(medium, 2) + up(coarse, 4) == 1 in
     every cell, so a fine, medium or coarse block sends 16, 4 or 1 indices."""
     gmap = np.asarray(gmap)
-    return (nn_upsample(gmap == FINE, 4), nn_upsample(gmap == MEDIUM, 2), gmap == COARSE)
+    fine, medium, coarse = (gmap == label for label in (FINE, MEDIUM, COARSE))
+    if not (fine | medium | coarse).all():
+        bad = gmap[~(fine | medium | coarse)][0]
+        raise ValueError(f"granularity map label {bad} is not fine, medium or coarse")
+    return nn_upsample(fine, 4), nn_upsample(medium, 2), coarse
 
 
 def label_counts(gmap: np.ndarray) -> dict[int, int]:

@@ -28,7 +28,7 @@ _MAX_TOKEN = 20
 LOSSLESS = math.inf
 
 
-class ImageError(Exception):
+class ImageError(ValueError):
     """Unreadable file, malformed header or unsupported sample format."""
 
 

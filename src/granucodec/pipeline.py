@@ -60,20 +60,11 @@ def quantize_streams(session: CodecSession, img: ImagePlane,
     return masks, vq.quantize_masked(analysis.pyramid(img), masks, session.codebook)
 
 
-def _check_decodable(img: ImagePlane) -> None:
-    """Refuse a plane whose container no decoder would read."""
-    if img.true_h == 0 or img.true_w == 0:
-        raise ValueError(f"empty image ({img.true_w}x{img.true_h})")
-    if img.height * img.width > bitstream.MAX_PIXELS:
-        raise ValueError(f"{img.width}x{img.height} padded pixels exceed the "
-                         f"{bitstream.MAX_PIXELS}-pixel limit")
-
-
 def encode_with_map(session: CodecSession, img: ImagePlane,
                     gmap: np.ndarray) -> Container:
     """Encode with an explicit granularity map (the planner normally
     supplies it; tests and manual overrides can too)."""
-    _check_decodable(img)
+    bitstream.check_size(img.true_w, img.true_h)
     by, bx = img.height // BLOCK, img.width // BLOCK
     if gmap.shape != (by, bx):
         raise ValueError(f"granularity map shape {gmap.shape} != {(by, bx)}")
@@ -91,7 +82,7 @@ def encode_image(session: CodecSession, img: ImagePlane,
                  target_bpp: float | None = None) -> Container:
     if (ratios is None) == (target_bpp is None):
         raise ValueError("give exactly one of ratios or target_bpp")
-    _check_decodable(img)
+    bitstream.check_size(img.true_w, img.true_h)
     if ratios is None:
         ratios = granularity.ratios_for_target(session.rate_table, target_bpp)
     emap = entropy_map(img, session.entropy_cfg)
@@ -105,17 +96,11 @@ def decode_streams(session: CodecSession,
     if container.codebook_hash != session.codebook.id_hash:
         raise BitstreamError("container was encoded with a different codebook")
     gmap = bitstream.decode_map(container)
-    pos = container.map_bits
-    stops = np.cumsum([pos, *container.index_bits])[1:].tolist()
+    pos, *stops = np.cumsum([container.map_bits, *container.index_bits]).tolist()
     blocks = granularity.label_counts(gmap)  # 16, 4 and 1 indices per block
     counts = [16 * blocks[FINE], 4 * blocks[MEDIUM], blocks[COARSE]]
     segments = list(zip(("fine", "medium", "coarse"), counts, stops))
-    streams, ends = bitstream.prefix_decode(container.payload, pos, segments, session.huffman)
-    for (name, _, stop), end in zip(segments, ends):
-        if end != stop:
-            raise BitstreamError(f"{name} segment bit length mismatch (ends at bit {end}, "
-                                 f"header says {stop})")
-    return gmap, streams
+    return gmap, bitstream.prefix_decode(container.payload, pos, segments, session.huffman)
 
 
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,

@@ -39,7 +39,7 @@ _BOX_PAD = 2.0 ** -40  # a box's widening on each side, far above a box number's
 _ABS_SLACK = 1e-300  # covers squared distances that underflow
 
 
-class CodebookError(Exception):
+class CodebookError(ValueError):
     """Malformed codebook file or mismatched dimensions."""
 
 
@@ -176,7 +176,7 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     """Nearest center of each point and its squared distance, ties to the
     lowest index, as a scan of all k centers gives them, found by scanning
     only the candidate list of the box each point falls in (see
-    `_box_index`). A point outside [-1, 1]^d, or not finite, has no box and
+    `_cached_index`). A point outside [-1, 1]^d, or not finite, has no box and
     scans the list of every center. A NaN or infinite coordinate makes all
     its distances NaN or inf; only a strictly smaller distance moves the
     best, and np.minimum carries a NaN, so such a point gets index 0 and
@@ -190,7 +190,7 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     positions only grow); positions become codes once, after the loop.
     """
     n, d = points.shape
-    members, starts, spread = _box_index(centers)
+    members, starts, spread = _cached_index(centers.shape, centers.tobytes())
     xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
     cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
     g, side = min(_BOX_AXES, d), spread.size
@@ -233,15 +233,11 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     return assign, best
 
 
-def _box_index(centers: np.ndarray):
-    """The candidate lists of float64 `centers`, built on first use and kept
-    for the last two distinct center arrays, keyed by their bytes: every
-    session loaded from one codebook file shares one build."""
-    return _cached_index(centers.shape, centers.tobytes())
-
-
 @functools.lru_cache(maxsize=2)
 def _cached_index(shape: tuple, data: bytes):
+    """The candidate lists of the float64 centers `data` holds, built on first
+    use and kept for the last two distinct center arrays, keyed by their
+    bytes: every session loaded from one codebook file shares one build."""
     return _build_index(np.frombuffer(data).reshape(shape))
 
 

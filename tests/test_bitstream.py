@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import itertools
+import re
 import zlib
 
 import numpy as np
@@ -120,7 +121,9 @@ def walk_decode(bits, pos, count, code):
 def walk_prefix_decode(payload, pos, segments, code):
     """`prefix_decode` by the walk: each segment is walked over the bits up
     to its stop, from where the one before it ended. A walk that runs out of
-    bits before the payload's end ran out of its segment, and says which."""
+    bits before the payload's end ran out of its segment, and says which.
+    Once every segment is walked, the first that ends short of its stop
+    raises the length mismatch. Returns each segment's symbols."""
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
     out, ends = [], []
     for name, count, stop in segments:
@@ -132,18 +135,31 @@ def walk_prefix_decode(payload, pos, segments, code):
             raise
         out.append(symbols)
         ends.append(pos)
-    return out, ends
+    for (name, _, stop), end in zip(segments, ends):
+        if end != stop:
+            raise BitstreamError(f"{name} segment bit length mismatch (ends at bit {end}, "
+                                 f"header says {stop})")
+    return out
 
 
 def table_decode(bits, pos, count, code):
-    """One segment of `count` symbols from a list of 0/1 bits, ending by its end."""
+    """One segment of `count` symbols from a list of 0/1 bits, which must end
+    at the last bit."""
     payload = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
-    (symbols,), (end,) = prefix_decode(payload, pos, [("one", count, len(bits))], code)
-    return symbols, end
+    (symbols,) = prefix_decode(payload, pos, [("one", count, len(bits))], code)
+    return symbols
+
+
+def segment_end(bits, pos, count, code):
+    """Where a segment of `count` symbols from `bits[pos:]` ends, as the
+    mismatch names it when its stop is one appended zero bit later."""
+    with pytest.raises(BitstreamError, match="^one segment bit length mismatch") as exc:
+        table_decode(bits + [0], pos, count, code)
+    return int(re.search(r"ends at bit (\d+),", str(exc.value)).group(1))
 
 
 def outcome(decode, *args):
-    """The decoded arrays and positions as lists, or the error's message."""
+    """The decoded arrays as lists, or the error's message."""
     try:
         return [np.asarray(a).tolist() if isinstance(a, np.ndarray)
                 else [np.asarray(x).tolist() for x in a] for a in decode(*args)]
@@ -247,7 +263,7 @@ class TestHuffman:
             assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
             stream = np.r_[np.arange(k), np.random.default_rng(k).integers(0, k, size=200)]
             bits = encode_bits(stream, code).tolist()
-            assert table_decode(bits, 0, stream.size, code)[0].tolist() == stream.tolist()
+            assert table_decode(bits, 0, stream.size, code).tolist() == stream.tolist()
         with pytest.raises(BitstreamError):
             build_huffman(fib)  # counts past 64 bits
 
@@ -358,8 +374,8 @@ def encode_map(gmap):
 
 
 def decode_map(bits, by, bx):
-    labels, end = table_decode(bits, 0, by * bx, MAP_CODE)
-    return (COARSE - labels).astype(np.uint8).reshape(by, bx), end
+    labels = table_decode(bits, 0, by * bx, MAP_CODE)
+    return (COARSE - labels).astype(np.uint8).reshape(by, bx)
 
 
 class TestIndexCoding:
@@ -379,9 +395,9 @@ class TestIndexCoding:
             code = build_huffman(counts)
             stream = rng.integers(0, k, size=rng.integers(0, 500))
             bits = encode_bits(stream, code).tolist()
-            decoded, end = table_decode(bits, 0, stream.size, code)
+            decoded = table_decode(bits, 0, stream.size, code)
             assert np.array_equal(decoded, stream)
-            assert end == len(bits)
+            assert segment_end(bits, 0, stream.size, code) == len(bits)
 
     def test_matches_bit_string_oracle(self):
         rng = np.random.default_rng(4)
@@ -420,9 +436,9 @@ class TestIndexCoding:
         rng = np.random.default_rng(max_len)
         stream = np.concatenate([np.arange(code.k), rng.integers(0, code.k, size=300)])
         bits = [1, 0, 1, 1, 0] + encode_bits(stream, code).tolist()
-        decoded, end = table_decode(bits, 5, stream.size, code)
+        decoded = table_decode(bits, 5, stream.size, code)
         assert np.array_equal(decoded, stream)
-        assert end == len(bits)
+        assert segment_end(bits, 5, stream.size, code) == len(bits)
 
     def test_fibonacci_code_round_trip(self):
         fib = [1, 1]
@@ -433,9 +449,9 @@ class TestIndexCoding:
         stream = np.r_[np.arange(64), np.random.default_rng(6).integers(0, 64, size=6000)]
         bits = encode_bits(stream, code).tolist()
         assert len(bits) > 1 << 16  # more bit positions than the window table has windows
-        decoded, end = table_decode(bits, 0, stream.size, code)
+        decoded = table_decode(bits, 0, stream.size, code)
         assert np.array_equal(decoded, stream)
-        assert end == len(bits)
+        assert segment_end(bits, 0, stream.size, code) == len(bits)
 
     def test_map_code_matches_64_bit_unpack(self):
         stream = np.random.default_rng(3).integers(0, 3, size=500)
@@ -463,6 +479,17 @@ class TestIndexCoding:
         bits = encode_bits(np.array([1, 2, 3]), code).tolist()
         with pytest.raises(BitstreamError, match="past end"):
             table_decode(bits[:-2], 0, 3, code)
+
+    def test_segment_ending_short_raises_mismatch(self):
+        # three 4-bit codewords, then two bits more that the stop takes in
+        code = build_huffman(np.ones(16, dtype=np.uint64))
+        bits = encode_bits(np.array([1, 2, 3]), code).tolist() + [0, 0]
+        message = r"^one segment bit length mismatch \(ends at bit 12, header says 14\)$"
+        with pytest.raises(BitstreamError, match=message):
+            table_decode(bits, 0, 3, code)
+        payload = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+        with pytest.raises(BitstreamError, match=message):
+            walk_prefix_decode(payload, 0, [("one", 3, 14)], code)
 
 
 class TestPayloadWriter:
@@ -541,11 +568,14 @@ class TestWalkOracle:
             args = (payload, 0, list(zip(("first", "second", "third"), counts, stops)), code)
             want = outcome(walk_prefix_decode, *args)
             assert outcome(prefix_decode, *args) == want, (code.lengths, args)
-            seen.add(want if isinstance(want, str) else "ok")
+            seen.add(re.sub(r" \(ends at bit \d+, header says \d+\)$", "", want)
+                     if isinstance(want, str) else "ok")
         assert seen == {"ok", "invalid prefix walk", "read past end of bit payload",
                         "read past end of the first segment",
                         "read past end of the second segment",
-                        "read past end of the third segment"}
+                        "read past end of the third segment",
+                        "first segment bit length mismatch",
+                        "second segment bit length mismatch"}
 
     @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
                                       dict(target_bpp=0.10)], ids=["hirate", "lorate"])
@@ -615,9 +645,9 @@ class TestMapCoding:
             by, bx = rng.integers(1, 9, size=2)
             gmap = rng.integers(0, 3, size=(by, bx)).astype(np.uint8)
             bits = encode_map(gmap).tolist()
-            decoded, end = decode_map(bits, by, bx)
+            decoded = decode_map(bits, by, bx)
             assert np.array_equal(decoded, gmap)
-            assert end == len(bits)
+            assert segment_end(bits, 0, by * bx, MAP_CODE) == len(bits)
 
 
 def _container():

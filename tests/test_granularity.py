@@ -90,6 +90,13 @@ class TestMasks:
                 assert fine[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].min() \
                     == fine[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].max()
 
+    @pytest.mark.parametrize("label, dtype", [(255, np.uint8), (1.5, np.float64)])
+    def test_other_label_rejected(self, label, dtype):
+        # any value but the three, not only one outside their range
+        gmap = np.array([[FINE, label, COARSE]], dtype=dtype)
+        with pytest.raises(ValueError, match=f"^granularity map label {label} is not "):
+            masks_from_map(gmap)
+
 
 class TestRateModel:
     @pytest.mark.parametrize("ratios,expected", [

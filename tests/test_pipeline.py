@@ -199,6 +199,41 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="empty"):
             pipeline.encode_with_map(small_session, img, gmap)
 
+    @pytest.mark.parametrize("h, w, message", [
+        (0, 20, "empty image (20x0)"),
+        (8208, 8192, "8192x8208 padded pixels exceed the 67108864-pixel limit"),
+    ], ids=["empty-side", "over-cap"])
+    def test_encoder_and_parser_refuse_one_size_alike(self, small_session, h, w, message):
+        # broadcast_to allocates nothing, and the all-coarse container of the
+        # same size is valid but for its size
+        pixels = np.broadcast_to(np.uint8(0), (-(-h // 16) * 16, -(-w // 16) * 16, 3))
+        img = imaging.ImagePlane(pixels, true_h=h, true_w=w)
+        gmap = np.full((img.height // 16, img.width // 16), COARSE, dtype=np.uint8)
+        data = serialize_container(bitstream.Container(
+            true_w=w, true_h=h, codebook_hash=small_session.codebook.id_hash,
+            index_bits=(0, 0, gmap.size), map_bits=gmap.size,
+            payload=bytes(2 * gmap.size + 7 >> 3)))
+        for refuse in (lambda: pipeline.encode_image(small_session, img,
+                                                     ratios=RatioTriple(0, 0, 1)),
+                       lambda: pipeline.encode_with_map(small_session, img, gmap),
+                       lambda: parse_container(data)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                refuse()
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_map_label_outside_the_three_rejected(self, small_session, label):
+        # one coarse block and one labelled neither fine, medium nor coarse,
+        # which neither the encoder nor the painter may take for code 0
+        img = make_image("photo", 16, 32, seed=5)
+        gmap = np.array([[COARSE, label]], dtype=np.int8)
+        message = f"^granularity map label {label} is not fine, medium or coarse$"
+        with pytest.raises(ValueError, match=message):
+            pipeline.encode_with_map(small_session, img, gmap)
+        c = pipeline.encode_with_map(small_session, img, np.full((1, 2), COARSE, np.int8))
+        streams = [np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(1, np.int64)]
+        with pytest.raises(ValueError, match=message):
+            pipeline.reconstruct(small_session, c, gmap, streams)
+
     @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
                              ids=["nan", "inf", "-inf", "inf-and--inf-in-one-cell"])
     def test_encode_non_finite_rejected(self, small_session, values):
@@ -408,6 +443,18 @@ class TestCli:
                       "--input", tmp_path / "missing.ppm", *extra, *rate)
         assert res.returncode == 1
         assert res.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("error", [imaging.ImageError, vq.CodebookError, BitstreamError])
+    def test_codec_errors_are_value_errors(self, error, monkeypatch, capsys):
+        # `main` reports each through its ValueError clause, on one line
+        assert issubclass(error, ValueError)
+
+        def fail(args):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "cmd_inspect", fail)
+        assert cli.main(["inspect", "--input", "any.cgic"]) == 1
+        assert capsys.readouterr() == ("", "error: bad input\n")
 
     def test_two_feature_codebook_exits_cleanly(self, cli_env, tmp_path):
         # a d=2 codebook and a hand-made one-block container that names it

@@ -38,7 +38,7 @@ def assert_matches_oracle(got, want):
 
 def box_faces(centers):
     """The faces of the index's boxes on each cut axis, from -1 to 1."""
-    side = vq._box_index(centers)[2].size
+    side = vq._cached_index(centers.shape, centers.tobytes())[2].size
     return -1 + 2 * np.arange(side + 1) / side
 
 
@@ -241,7 +241,7 @@ class TestQuantize:
             if case == "equal_codes":
                 centers[:] = centers[0]
         k, d = centers.shape
-        members, starts, spread = vq._box_index(centers)
+        members, starts, spread = vq._cached_index(centers.shape, centers.tobytes())
         side = spread.size
         # one list per box, then the list of every code
         assert starts.size == side ** d + 2 and starts[0] == 0 and starts[-1] == members.size
