@@ -194,12 +194,16 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     payload. Returns each segment's symbols. A symbol that passes a stop
     inside the payload, or a segment that ends short of its stop, raises an
     error naming its segment. No codeword of `code` passes `MAX_CODE_LEN`
-    bits, as none that build_huffman makes does."""
+    bits, as none that build_huffman makes does. The walk reads at most
+    `(s - pos) // m + 1` symbols, s the furthest stop within the payload and
+    m the shortest codeword length: every good symbol moves m bits or more,
+    so if the counts claim more symbols, one of those first ones is bad."""
     names, counts, stops = zip(*segments)
     bits = 8 * len(payload)
     limits = np.minimum(stops, bits)
     lengths = code.lengths
     max_len = int(lengths.max())
+    walk = min(sum(counts), max(int(limits.max()) - pos, 0) // int(lengths.min()) + 1)
     # In canonical order the codewords tile the table of max_len-bit windows
     # from 0, each owning the 2^(max_len - l) windows it starts; the windows
     # left over start no codeword (only for a k = 1 code).
@@ -218,10 +222,10 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
         step[r:8 * n:8] = np.take(table_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
     # the chain: one index and one add per symbol
     steps, p = step.tobytes(), pos
-    chain = np.array([pos] + [p := p + steps[p] for _ in range(sum(counts))], dtype=np.int64)
+    chain = np.array([pos] + [p := p + steps[p] for _ in range(walk)], dtype=np.int64)
     starts, bounds = chain[:-1], np.cumsum(counts)
-    # the first bad symbol raises the walk's error
-    limits = np.repeat(limits, counts)
+    # the first bad symbol raises the walk's error (limits only for the walk)
+    limits = np.repeat(limits, np.diff(np.minimum(bounds, walk), prepend=0))
     bad = np.flatnonzero((chain[1:] > limits) | (step[starts] == 0))
     if bad.size:
         at, stop = starts[bad[0]], limits[bad[0]]

@@ -107,11 +107,11 @@ def cmd_stats(args) -> None:
 
 def cmd_rate_table(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
-    table = session.rate_table  # the table --bpp searches, in lattice order
-    order = np.argsort(table.bpp, kind="stable")  # printed by bpp
+    table = session.rate_table  # the bpp column --bpp searches, in lattice order
+    order = np.argsort(table, kind="stable")  # printed by bpp
     with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
         out.write("r1,r2,r3,bpp\n")
-        for (r1, r2, r3), bpp in zip(table.ratios[order], table.bpp[order]):
+        for (r1, r2, r3), bpp in zip(granularity.LATTICE[order], table[order]):
             out.write(f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}\n")
 
 

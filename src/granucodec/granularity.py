@@ -6,11 +6,11 @@ The theoretical bits-per-pixel of a ratio triple is
 
     bpp = L/256 * (16*r1 + 4*r2 + r3) + (4*r1 + r2)/256
 
-with L the mean Huffman code length over the index alphabet. The query table
-inverts this for target-bpp lookup over one lattice, the ratio simplex at
-1/100 (5,151 rows); only its bpp column depends on the code. Its rows stay
-in lattice order: the lookup needs no order, and only the `rate-table`
-command sorts them by bpp to print them.
+with L the mean Huffman code length over the index alphabet. Target-bpp
+lookup inverts it over one read-only lattice, `LATTICE`, the ratio simplex at
+1/100 (5,151 rows). A code's rate table is just the bpp column over those
+rows, in lattice order: the lookup needs no order, and only the `rate-table`
+command sorts the rows by bpp to print them.
 """
 
 from __future__ import annotations
@@ -103,33 +103,25 @@ def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
 
 
 # the ratio simplex at 1/100 in lattice order (r1, then r2, ascending)
-_LATTICE = np.array([(i, j, 100 - i - j) for i in range(101)
-                     for j in range(101 - i)]) / 100
-_LATTICE.flags.writeable = False  # every rate table shares it
-_LATTICE_TERMS = _terms(*_LATTICE.T)
+LATTICE = np.array([(i, j, 100 - i - j) for i in range(101)
+                    for j in range(101 - i)]) / 100
+LATTICE.flags.writeable = False
+_LATTICE_TERMS = _terms(*LATTICE.T)
 
 
-@dataclass(frozen=True)
-class RateQueryTable:
-    """The ratio lattice as columns, rows in lattice order (r1, then r2,
-    ascending); the `rate-table` command prints them sorted by bpp."""
-
-    ratios: np.ndarray  # (n, 3) float64: r1, r2, r3
-    bpp: np.ndarray  # (n,) float64
+def build_rate_table(mean_code_len: float) -> np.ndarray:
+    """The rate model's bpp at each `LATTICE` row: a (5151,) float64 column."""
+    return _rate(*_LATTICE_TERMS, mean_code_len)
 
 
-def build_rate_table(mean_code_len: float) -> RateQueryTable:
-    """The rate model over the 1/100 ratio lattice."""
-    return RateQueryTable(_LATTICE, _rate(*_LATTICE_TERMS, mean_code_len))
-
-
-def ratios_for_target(table: RateQueryTable, target_bpp: float) -> RatioTriple:
-    """Closest-bpp row; ties resolved toward larger r1 (quality-favoring),
-    then toward the first row. At one r1 the bpp rises strictly with r2, so
-    in lattice order that first row is the lower-bpp one, as in bpp order."""
+def ratios_for_target(bpp: np.ndarray, target_bpp: float) -> RatioTriple:
+    """The `LATTICE` row of the closest bpp in a column over it; ties resolved
+    toward larger r1 (quality-favoring), then toward the first row. At one r1
+    the bpp rises strictly with r2, so in lattice order that first row is the
+    lower-bpp one, as in bpp order."""
     if not math.isfinite(target_bpp):
         raise ValueError(f"target bpp must be a finite number, got {target_bpp}")
-    gap = np.abs(table.bpp - target_bpp)
+    gap = np.abs(bpp - target_bpp)
     closest = np.flatnonzero(gap == gap.min())
-    best = closest[np.argmax(table.ratios[closest, 0])]  # argmax: first of equals
-    return RatioTriple(*table.ratios[best].tolist())
+    best = closest[np.argmax(LATTICE[closest, 0])]  # argmax: first of equals
+    return RatioTriple(*LATTICE[best].tolist())

@@ -1,9 +1,9 @@
 """End-to-end encode/decode orchestration around a shared codec session.
 
 A session bundles the codebook, its frequency table, and what follows from
-them: the Huffman code, its mean length L and the rate query table keyed by
-L. Encoder and decoder must load the same codebook file; the container
-header pins its content hash.
+them: the Huffman code, its mean length L and the rate table, the bpp at L
+of each ratio triple on the lattice. Encoder and decoder must load the same
+codebook file; the container header pins its content hash.
 
 A code is a cell's mean colour (analysis.FEATURES = 3), and a session
 refuses a codebook of any other width. The decoder paints each 4x4 pixel
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
-from .granularity import COARSE, FINE, MEDIUM, RatioTriple, RateQueryTable
+from .granularity import COARSE, FINE, MEDIUM, RatioTriple
 from .imaging import BLOCK, ImagePlane, denormalize, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
@@ -34,7 +34,7 @@ class CodecSession:
     frequencies: FrequencyTable
     huffman: HuffmanCode = field(init=False)
     mean_code_len: float = field(init=False)
-    rate_table: RateQueryTable = field(init=False)
+    rate_table: np.ndarray = field(init=False)  # bpp at each granularity.LATTICE row
     entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
     def __post_init__(self):

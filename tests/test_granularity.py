@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from granucodec.granularity import (
-    COARSE, FINE, MEDIUM, RateQueryTable, RatioTriple, build_rate_table,
-    label_counts, masks_from_map, plan_granularity, ratios_for_target,
-    theoretical_bpp,
+    COARSE, FINE, LATTICE, MEDIUM, RatioTriple, build_rate_table, label_counts,
+    masks_from_map, plan_granularity, ratios_for_target, theoretical_bpp,
 )
 from granucodec.imaging import nn_upsample
 
@@ -132,33 +131,54 @@ def reference_rows(mean_code_len, step):
     return [(r, theoretical_bpp(r, mean_code_len)) for r in rows]
 
 
-def by_bpp(table):
-    """The table's rows sorted stably by bpp, as `rate-table` prints them."""
-    order = np.argsort(table.bpp, kind="stable")
-    return RateQueryTable(table.ratios[order], table.bpp[order])
+def by_bpp(bpp):
+    """A bpp column's rows, (n, 3) ratios and (n,) bpp, sorted stably by bpp
+    as `rate-table` prints them; the rows left out (+inf) are dropped."""
+    order = np.argsort(bpp, kind="stable")
+    order = order[np.isfinite(bpp[order])]
+    return LATTICE[order], bpp[order]
 
 
-def on_lattice(table, step):
-    """The table's rows on the coarser lattice of the given step (a divisor
-    of 1/100), in table order: the rate table of that lattice."""
+def on_lattice(bpp, step):
+    """The bpp column with +inf on the rows off the coarser lattice of the
+    given step (a divisor of 1/100): the rate table of that lattice."""
     every = round(100 * step)
-    keep = np.all(np.rint(table.ratios * 100).astype(int) % every == 0, axis=1)
-    return RateQueryTable(table.ratios[keep], table.bpp[keep])
+    keep = np.all(np.rint(LATTICE * 100).astype(int) % every == 0, axis=1)
+    return np.where(keep, bpp, np.inf)
 
 
-def reference_lookup(table, target_bpp):
-    """Closest bpp, then larger r1, then the first row: a linear scan."""
-    best = min(range(len(table.bpp)),
-               key=lambda i: (abs(float(table.bpp[i]) - target_bpp),
-                              -float(table.ratios[i, 0])))
-    return RatioTriple(*table.ratios[best].tolist())
+def partial_table(rows):
+    """A bpp column holding the given {ratio triple: bpp} rows, +inf elsewhere."""
+    bpp = np.full(len(LATTICE), np.inf)
+    for triple, value in rows.items():
+        (at,) = np.flatnonzero(np.all(LATTICE == triple, axis=1))
+        bpp[at] = value
+    return bpp
+
+
+def reference_lookup(rows, target_bpp):
+    """Closest bpp, then larger r1, then the first row: a linear scan over
+    (ratios, bpp) rows."""
+    ratios, bpp = rows
+    best = min(range(len(bpp)),
+               key=lambda i: (abs(float(bpp[i]) - target_bpp), -float(ratios[i, 0])))
+    return RatioTriple(*ratios[best].tolist())
+
+
+def sorted_lookup(rows, target_bpp):
+    """The lookup's rule over (ratios, bpp) rows in their own order, by
+    array operations: the oracle for a whole table of targets."""
+    ratios, bpp = rows
+    gap = np.abs(bpp - target_bpp)
+    closest = np.flatnonzero(gap == gap.min())
+    return RatioTriple(*ratios[closest[np.argmax(ratios[closest, 0])]].tolist())
 
 
 class TestRateTable:
     def test_extreme_rows(self):
         table = build_rate_table(L_REFERENCE)
-        lo_ratio, lo_bpp = table.ratios[0], table.bpp[0]
-        hi_ratio, hi_bpp = table.ratios[-1], table.bpp[-1]
+        lo_ratio, lo_bpp = LATTICE[0], table[0]
+        hi_ratio, hi_bpp = LATTICE[-1], table[-1]
         assert tuple(lo_ratio) == (0, 0, 1)
         assert lo_bpp == pytest.approx(L_REFERENCE / 256)
         assert tuple(hi_ratio) == (1, 0, 0)
@@ -168,14 +188,16 @@ class TestRateTable:
         # sorted stably, the bpp ascends; in lattice order it rises strictly
         # with r2 at each r1, which the lookup's tie rule relies on
         table = build_rate_table(L_REFERENCE)
-        bpps = list(by_bpp(table).bpp)
+        bpps = list(by_bpp(table)[1])
         assert bpps == sorted(bpps)
-        for r1 in np.unique(table.ratios[:, 0]):
-            assert np.all(np.diff(table.bpp[table.ratios[:, 0] == r1]) > 0)
+        for r1 in np.unique(LATTICE[:, 0]):
+            assert np.all(np.diff(table[LATTICE[:, 0] == r1]) > 0)
 
     def test_shares_the_read_only_lattice(self):
-        a, b = build_rate_table(L_REFERENCE), build_rate_table(6.5)
-        assert a.ratios is b.ratios and not a.ratios.flags.writeable
+        # one bpp per lattice row, and no table can edit the shared rows
+        for table in build_rate_table(L_REFERENCE), build_rate_table(6.5):
+            assert table.shape == (len(LATTICE),) and table.dtype == np.float64
+        assert LATTICE.shape == (5151, 3) and not LATTICE.flags.writeable
 
     @pytest.mark.parametrize("mean_code_len", [1.0, 6.5, L_REFERENCE, 13.0])
     @pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
@@ -183,10 +205,12 @@ class TestRateTable:
         # step 0.01 is the whole table; a coarser step checks its sub-lattice.
         # The rows match in lattice order and, sorted stably, in bpp order.
         table = on_lattice(build_rate_table(mean_code_len), step)
+        kept = np.isfinite(table)
         rows = reference_rows(mean_code_len, step)
-        for table, rows in [(table, rows), (by_bpp(table), sorted(rows, key=lambda row: row[1]))]:
-            assert [tuple(r) for r in table.ratios.tolist()] == [r.as_tuple() for r, _ in rows]
-            assert table.bpp.tolist() == [b for _, b in rows]
+        for (ratios, bpp), rows in [((LATTICE[kept], table[kept]), rows),
+                                    (by_bpp(table), sorted(rows, key=lambda row: row[1]))]:
+            assert [tuple(r) for r in ratios.tolist()] == [r.as_tuple() for r, _ in rows]
+            assert bpp.tolist() == [b for _, b in rows]
 
     @pytest.mark.parametrize("mean_code_len", [0.0, -1.0])
     def test_nonpositive_mean_code_length_rejected(self, mean_code_len):
@@ -199,15 +223,15 @@ class TestRateTable:
 class TestTargetLookup:
     def test_exact_value(self):
         table = build_rate_table(L_REFERENCE)
-        r, bpp = table.ratios[17], table.bpp[17]
+        r, bpp = LATTICE[17], table[17]
         assert ratios_for_target(table, bpp).as_tuple() == tuple(r)
 
     def test_published_partial_table_lookup(self):
         # against the five published rows, 0.187 selects the second one
         triples = [(0, 0.23, 0.77), (0.10, 0.67, 0.23), (0.37, 0.46, 0.17),
                    (0.61, 0.30, 0.09), (0.90, 0.10, 0)]
-        bpps = [theoretical_bpp(RatioTriple(*t), L_REFERENCE) for t in triples]
-        table = RateQueryTable(np.array(triples), np.array(bpps))
+        table = partial_table({t: theoretical_bpp(RatioTriple(*t), L_REFERENCE)
+                               for t in triples})
         assert ratios_for_target(table, 0.187).as_tuple() == (0.10, 0.67, 0.23)
 
     def test_below_minimum_clamps_to_coarse(self):
@@ -215,8 +239,7 @@ class TestTargetLookup:
         assert ratios_for_target(table, 0.0).as_tuple() == (0, 0, 1)
 
     def test_tie_prefers_fine(self):
-        table = RateQueryTable(ratios=np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
-                               bpp=np.array([0.25, 0.75]))
+        table = partial_table({(0.0, 0.0, 1.0): 0.25, (0.5, 0.5, 0.0): 0.75})
         assert ratios_for_target(table, 0.5).r1 == 0.5  # exact tie
 
     @pytest.mark.parametrize("step", [0.25, 0.1, 0.05, 0.01])
@@ -226,7 +249,7 @@ class TestTargetLookup:
         for mean_code_len in (2.0, L_REFERENCE, 12.75):
             table = on_lattice(build_rate_table(mean_code_len), step)
             oracle = by_bpp(table)
-            bpp = oracle.bpp
+            bpp = oracle[1]
             rows = rng.choice(bpp.size - 1, size=min(bpp.size - 1, 60), replace=False)
             targets = np.concatenate([
                 bpp[rows],  # exact row values
@@ -243,9 +266,9 @@ class TestTargetLookup:
         # lattice-order table gives the row of the stably sorted one (the oracle)
         table = build_rate_table(mean_code_len)
         oracle = by_bpp(table)
-        bpp = oracle.bpp
+        bpp = oracle[1]
         for t in np.concatenate([bpp, (bpp[:-1] + bpp[1:]) / 2]).tolist():
-            assert ratios_for_target(table, t) == ratios_for_target(oracle, t), t
+            assert ratios_for_target(table, t) == sorted_lookup(oracle, t), t
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
     def test_nan_target_rejected(self, target):

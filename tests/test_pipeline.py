@@ -52,13 +52,14 @@ RATE_TABLE_CSV_SHA256 = "be2ce8d2228df4e071c192bcccc0d317b5865730ad2622912bc27a5
 
 def test_session_tables_pinned(session):
     assert session.codebook.id_hash == 0x3F532F5FD5454889
-    # the session keeps the lattice in lattice order, shared, not a copy
-    assert session.rate_table.ratios is granularity._LATTICE
-    by_bpp = np.argsort(session.rate_table.bpp, kind="stable")
+    # the session keeps one bpp per row of the read-only lattice, in lattice order
+    assert session.rate_table.shape == (len(granularity.LATTICE),)
+    assert not granularity.LATTICE.flags.writeable
+    by_bpp = np.argsort(session.rate_table, kind="stable")
     tables = {"huffman.lengths": (session.huffman.lengths, "<i4"),
               "huffman.codewords": (session.huffman.codewords, "<i8"),
-              "rate_table.ratios": (session.rate_table.ratios[by_bpp], "<f8"),
-              "rate_table.bpp": (session.rate_table.bpp[by_bpp], "<f8")}
+              "rate_table.ratios": (granularity.LATTICE[by_bpp], "<f8"),
+              "rate_table.bpp": (session.rate_table[by_bpp], "<f8")}
     digests = {name: hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
                for name, (a, dtype) in tables.items()}
     assert digests == SESSION_TABLES_SHA256
@@ -179,6 +180,24 @@ class TestEncodeDecode:
                 parse_container(data)
 
         assert traced_peak(rejected) < 2 * len(data)
+
+    def test_index_walk_bounded_by_the_payload(self, session):
+        # 8192^2 declared, every block fine (a valid 2-bit map), every index
+        # segment 0 bits: the 4,194,304 fine symbols the map claims cannot
+        # fit, and the decoder must refuse them at the cost of the map decode
+        # (about 217 B per input byte), not of a walk over all of them
+        # (about 3,100 B per input byte)
+        blocks = 8192 * 8192 // 256
+        data = serialize_container(bitstream.Container(
+            true_w=8192, true_h=8192, codebook_hash=session.codebook.id_hash,
+            index_bits=(0, 0, 0), map_bits=2 * blocks, payload=b"\xff" * (blocks // 4)))
+        assert len(data) == 65_577
+
+        def rejected():
+            with pytest.raises(BitstreamError, match="read past end of bit payload"):
+                pipeline.decode_image(session, parse_container(data))
+
+        assert traced_peak(rejected) < 320 * len(data)
 
     def test_encode_over_pixel_cap_rejected(self, small_session):
         # broadcast_to allocates nothing: the plane must be refused unread
@@ -367,9 +386,9 @@ class TestCli:
         assert lines[0] == "r1,r2,r3,bpp"
         assert len(lines) == 1 + 5151  # the simplex lattice at 1/100
         table = pipeline.CodecSession.from_file(cb).rate_table
-        order = np.argsort(table.bpp, kind="stable")
-        assert lines[1:] == [f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}"
-                             for (r1, r2, r3), bpp in zip(table.ratios[order], table.bpp[order])]
+        order = np.argsort(table, kind="stable")
+        assert lines[1:] == [f"{r1:.6f},{r2:.6f},{r3:.6f},{bpp:.6f}" for (r1, r2, r3), bpp
+                             in zip(granularity.LATTICE[order], table[order])]
         bpps = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert bpps == sorted(bpps)
 
@@ -379,8 +398,7 @@ class TestCli:
         assert cli.main(["stats", "--codebook", str(cb), "--input", str(ppm),
                          "--bpp", str(target), "--json"]) == 0
         ratios = json.loads(capsys.readouterr().out)["ratios"]
-        table = pipeline.CodecSession.from_file(cb).rate_table
-        assert ratios in table.ratios.tolist()
+        assert ratios in granularity.LATTICE.tolist()
 
     def test_entropy_csv_dump(self, cli_env):
         root, cb, ppm = cli_env
