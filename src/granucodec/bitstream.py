@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .granularity import COARSE, RatioTriple, map_ratios
+from .granularity import COARSE, RatioTriple, label_counts
 from .imaging import BLOCK, ceil_to
 
 CONTAINER_MAGIC = b"CGIC"
@@ -122,9 +122,10 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
     """Optimal prefix code for frequency counts that are all >= 1, as in a
     smoothed table, unless its longest codeword passes `MAX_CODE_LEN` bits.
-    Then every count is raised to a floor that doubles until the code fits
-    (the retry loop of Brotli's BrotliCreateHuffmanTree); at the largest
-    count all weights are equal and the code is balanced."""
+    Then every count is raised to a floor 2^e, clamped to the largest count,
+    at which the code fits and at 2^(e-1) does not; e is bisected, in at most
+    7 more builds (Brotli's BrotliCreateHuffmanTree doubles the floor). At
+    the largest count all weights are equal, so the code is balanced and fits."""
     try:
         counts = np.asarray(counts, dtype=np.uint64)
     except OverflowError as exc:
@@ -134,10 +135,14 @@ def build_huffman(counts: np.ndarray) -> HuffmanCode:
     if counts.size > 1 << MAX_CODE_LEN:
         raise BitstreamError(f"{counts.size} symbols do not fit a "
                              f"{MAX_CODE_LEN}-bit prefix code")
-    lengths, floor = _huffman_lengths(counts), 1
-    while lengths.max(initial=0) > MAX_CODE_LEN:
-        floor = min(2 * floor, int(counts.max()))
-        lengths = _huffman_lengths(np.maximum(counts, np.uint64(floor)))
+    lengths = _huffman_lengths(counts)
+    if lengths.max(initial=0) > MAX_CODE_LEN:
+        top = int(counts.max())
+        lo, hi = 0, top.bit_length()  # the floor 2^lo fails; 2^hi, clamped to top, fits
+        while hi - lo > 1 or lengths.max() > MAX_CODE_LEN:  # ends on a build at hi
+            e = (lo + hi + 1) // 2
+            lengths = _huffman_lengths(np.maximum(counts, np.uint64(min(1 << e, top))))
+            lo, hi = (e, hi) if lengths.max() > MAX_CODE_LEN else (lo, e)
     return _canonical_code(lengths)
 
 
@@ -274,7 +279,8 @@ class Container:
     @property
     def ratios(self) -> RatioTriple:
         """The block ratios the granularity map holds (read from the payload)."""
-        return map_ratios(decode_map(self))
+        gmap = decode_map(self)
+        return RatioTriple(*(label_counts(gmap) / gmap.size).tolist())
 
     @property
     def payload_bit_length(self) -> int:

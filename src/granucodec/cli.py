@@ -75,13 +75,10 @@ def cmd_stats(args) -> None:
     ratios = args.ratios or granularity.ratios_for_target(session.rate_table, args.bpp)
     # plan as encode_image does, keeping the entropy map for --entropy-csv
     emap = entropy_map(img, session.entropy_cfg)
-    container = pipeline.encode_with_map(
-        session, img, granularity.plan_granularity(emap, ratios))
-    gmap, streams = pipeline.decode_streams(session, container)
-    recon = pipeline.reconstruct(session, container, gmap, streams)
+    gmap = granularity.plan_granularity(emap, ratios)
+    container = pipeline.encode_with_map(session, img, gmap)
     total, payload = bitstream.measure_rate(container)
-    counts = granularity.label_counts(gmap)
-    quality = imaging.psnr(img, recon)
+    quality = imaging.psnr(img, pipeline.decode_image(session, container))
     stats = {
         "ratios": list(ratios.as_tuple()),
         "theoretical_bpp": granularity.theoretical_bpp(ratios, session.mean_code_len),
@@ -90,11 +87,11 @@ def cmd_stats(args) -> None:
         # as the benchmark defines it: against the model at the plan's ratios
         "rate_gap_bpp": abs(payload - granularity.theoretical_bpp(
             container.ratios, session.mean_code_len)),
-        "stream_bits": dict(zip(("map", "fine", "medium", "coarse"),
+        "stream_bits": dict(zip(("map", *granularity.LABEL_NAMES),
                                 (container.map_bits, *container.index_bits))),
         "psnr_db": None if quality == imaging.LOSSLESS else quality,
         "lossless": quality == imaging.LOSSLESS,
-        "blocks": {granularity.LABEL_NAMES[k]: v for k, v in counts.items()},
+        "blocks": dict(zip(granularity.LABEL_NAMES, granularity.label_counts(gmap).tolist())),
         "mean_code_length": session.mean_code_len,
     }
     _report(stats, args.json)

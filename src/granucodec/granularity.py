@@ -23,7 +23,7 @@ import numpy as np
 from .imaging import nn_upsample
 
 FINE, MEDIUM, COARSE = 0, 1, 2
-LABEL_NAMES = {FINE: "fine", MEDIUM: "medium", COARSE: "coarse"}
+LABEL_NAMES = ("fine", "medium", "coarse")  # indexed by label, in stream order
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,10 @@ def masks_from_map(gmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return nn_upsample(fine, 4), nn_upsample(medium, 2), coarse
 
 
-def label_counts(gmap: np.ndarray) -> dict[int, int]:
-    gmap = np.asarray(gmap)
-    return {lbl: int((gmap == lbl).sum()) for lbl in (FINE, MEDIUM, COARSE)}
-
-
-def map_ratios(gmap: np.ndarray) -> RatioTriple:
-    """Actual block-count ratios of a granularity map."""
-    counts = label_counts(gmap)
-    n = np.asarray(gmap).size
-    return RatioTriple(counts[FINE] / n, counts[MEDIUM] / n, counts[COARSE] / n)
+def label_counts(gmap: np.ndarray) -> np.ndarray:
+    """Blocks per label, a (3,) int array indexed by label, of a map holding
+    only FINE, MEDIUM and COARSE, as `plan_granularity` and `decode_map` do."""
+    return np.bincount(np.ravel(gmap), minlength=3)
 
 
 def _terms(r1, r2, r3):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
-from .granularity import COARSE, FINE, MEDIUM, RatioTriple
+from .granularity import COARSE, RatioTriple
 from .imaging import BLOCK, ImagePlane, denormalize, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
@@ -97,9 +97,8 @@ def decode_streams(session: CodecSession,
         raise BitstreamError("container was encoded with a different codebook")
     gmap = bitstream.decode_map(container)
     pos, *stops = np.cumsum([container.map_bits, *container.index_bits]).tolist()
-    blocks = granularity.label_counts(gmap)  # 16, 4 and 1 indices per block
-    counts = [16 * blocks[FINE], 4 * blocks[MEDIUM], blocks[COARSE]]
-    segments = list(zip(("fine", "medium", "coarse"), counts, stops))
+    counts = granularity.label_counts(gmap) * (16, 4, 1)  # indices per block
+    segments = list(zip(granularity.LABEL_NAMES, counts.tolist(), stops))
     return gmap, bitstream.prefix_decode(container.payload, pos, segments, session.huffman)
 
 

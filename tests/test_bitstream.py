@@ -93,6 +93,47 @@ def member_list_lengths(counts):
     return lengths
 
 
+def doubling_rescue_lengths(counts):
+    """Code lengths held to MAX_CODE_LEN bits by raising every count to a
+    floor that doubles until the code fits (the former rescue, kept as the
+    oracle of the bisected one)."""
+    counts = np.asarray(counts, dtype=np.uint64)
+    lengths, floor = _huffman_lengths(counts), 1
+    while lengths.max() > MAX_CODE_LEN:
+        floor = min(2 * floor, int(counts.max()))
+        lengths = _huffman_lengths(np.maximum(counts, np.uint64(floor)))
+    return lengths
+
+
+def fibonacci_counts(k):
+    """The first k Fibonacci numbers, k >= 2: each nests its symbol one
+    level deeper, so their optimal code is k - 1 bits long."""
+    fib = [1, 1]
+    while len(fib) < k:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+def dyadic_lengths(max_len):
+    """The code lengths 1, 2, ..., max_len - 1, max_len, max_len."""
+    return np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
+
+
+def dyadic_counts(max_len):
+    """Counts 2^(max_len - l) for l in `dyadic_lengths(max_len)`: their
+    optimal code has those lengths."""
+    return np.uint64(1) << (max_len - dyadic_lengths(max_len)).astype(np.uint64)
+
+
+def skewed_counts(rng, n):
+    """n lognormal tables of 2..299 counts, some of whose optimal codes pass
+    MAX_CODE_LEN bits."""
+    for _ in range(n):
+        k = int(rng.integers(2, 300))
+        counts = np.maximum(rng.lognormal(0, rng.uniform(1, 12), size=k), 1)
+        yield counts.astype(np.uint64)
+
+
 def walk_decode(bits, pos, count, code):
     """Read `count` symbols from `bits[pos:]`, extending each codeword one bit
     at a time until it is one of the code's (the former decoder, kept as the
@@ -253,10 +294,7 @@ class TestHuffman:
             build_huffman(np.array([3, 0, 1], dtype=np.uint64))
 
     def test_skewed_table_beyond_63_bits_rejected(self):
-        fib = [1, 1]
-        while len(fib) < 100:
-            fib.append(fib[-1] + fib[-2])
-        # each Fibonacci count nests one level deeper: k symbols, k-1 bits
+        fib = fibonacci_counts(100)
         assert _huffman_lengths(np.array(fib[:64], dtype=np.uint64)).max() == 63
         for k in (64, 93):  # fib[92] is the largest in uint64
             code = build_huffman(np.array(fib[:k], dtype=np.uint64))
@@ -270,12 +308,8 @@ class TestHuffman:
     def test_optimal_code_kept_when_it_fits_16_bits(self):
         # skewed tables: the optimal code where it fits, else a full code
         # that does
-        rng = np.random.default_rng(22)
         fits = set()
-        for _ in range(60):
-            k = int(rng.integers(2, 300))
-            counts = np.maximum(rng.lognormal(0, rng.uniform(1, 12), size=k), 1)
-            counts = counts.astype(np.uint64)
+        for counts in skewed_counts(np.random.default_rng(22), 60):
             optimal = _huffman_lengths(counts)
             code = build_huffman(counts)
             if optimal.max() <= MAX_CODE_LEN:
@@ -284,6 +318,33 @@ class TestHuffman:
                 assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
             fits.add(bool(optimal.max() <= MAX_CODE_LEN))
         assert fits == {True, False}
+
+    def test_rescue_matches_doubling_oracle(self):
+        # the bisected floor is the doubling loop's first floor that fits,
+        # on every overlong table this file builds
+        tables = [np.array(fibonacci_counts(k), dtype=np.uint64) for k in range(18, 94)]
+        tables += [dyadic_counts(max_len) for max_len in range(17, 64)]
+        tables += list(skewed_counts(np.random.default_rng(22), 60))
+        tables += list(skewed_counts(np.random.default_rng(23), 300))
+        overlong = 0
+        for counts in tables:
+            overlong += int(_huffman_lengths(counts).max() > MAX_CODE_LEN)
+            want = doubling_rescue_lengths(counts)
+            assert build_huffman(counts).lengths.tolist() == want.tolist(), counts
+        assert overlong > 200
+
+    def test_rescue_builds_bounded(self, monkeypatch):
+        # 64-symbol dyadic counts up to 2^62: doubling the floor took 48
+        # builds; bisecting its exponent over 64-bit counts takes at most 8
+        calls = []
+
+        def counted(counts):
+            calls.append(counts)
+            return _huffman_lengths(counts)
+        monkeypatch.setattr(bitstream, "_huffman_lengths", counted)
+        code = build_huffman(dyadic_counts(63))
+        assert code.lengths.max() == MAX_CODE_LEN and kraft_sum(code) == 1.0
+        assert len(calls) <= 8
 
     def test_alphabet_above_2_16_rejected(self):
         assert np.all(build_huffman(np.ones(1 << 16, dtype=np.uint64)).lengths == 16)
@@ -360,12 +421,10 @@ def packbits_oracle(segments):
 
 
 def dyadic_code(max_len):
-    """The code of counts 2^(max_len - l) for lengths l = 1, 2, ...,
-    max_len - 1, max_len, max_len."""
-    lengths = np.r_[1:max_len, max_len, max_len] if max_len > 1 else np.array([1, 1])
-    code = build_huffman(np.uint64(1) << (max_len - lengths).astype(np.uint64))
+    """The code of `dyadic_counts(max_len)`."""
+    code = build_huffman(dyadic_counts(max_len))
     if max_len <= MAX_CODE_LEN:
-        assert code.lengths.tolist() == lengths.tolist()
+        assert code.lengths.tolist() == dyadic_lengths(max_len).tolist()
     return code
 
 
@@ -401,9 +460,7 @@ class TestIndexCoding:
 
     def test_matches_bit_string_oracle(self):
         rng = np.random.default_rng(4)
-        fib = [1, 1]
-        while len(fib) < 64:
-            fib.append(fib[-1] + fib[-2])
+        fib = fibonacci_counts(64)
         codes = [build_huffman(rng.integers(1, 1000, size=int(rng.integers(1, 300)))
                                .astype(np.uint64)) for _ in range(20)]
         codes.append(build_huffman(np.array(fib, dtype=np.uint64)))  # capped at 16 bits
@@ -441,9 +498,7 @@ class TestIndexCoding:
         assert segment_end(bits, 5, stream.size, code) == len(bits)
 
     def test_fibonacci_code_round_trip(self):
-        fib = [1, 1]
-        while len(fib) < 64:
-            fib.append(fib[-1] + fib[-2])
+        fib = fibonacci_counts(64)
         code = build_huffman(np.array(fib, dtype=np.uint64))
         assert code.lengths.max() <= MAX_CODE_LEN and kraft_sum(code) == 1.0
         stream = np.r_[np.arange(64), np.random.default_rng(6).integers(0, 64, size=6000)]

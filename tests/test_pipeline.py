@@ -12,7 +12,7 @@ import pytest
 
 from granucodec import bitstream, cli, granularity, imaging, pipeline, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
-from granucodec.granularity import COARSE, FINE, RatioTriple
+from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
 from conftest import assert_painted, flat_frequencies, make_image, make_raw, traced_peak
 
@@ -105,7 +105,8 @@ class TestEncodeDecode:
                 gmap = granularity.plan_granularity(emap, ratios)
                 c = parse_container(serialize_container(
                     pipeline.encode_with_map(small_session, img, gmap)))
-                assert c.ratios == granularity.map_ratios(gmap)
+                counts = [int((gmap == label).sum()) for label in (FINE, MEDIUM, COARSE)]
+                assert c.ratios == RatioTriple(*(n / gmap.size for n in counts))
                 assert (c.padded_w, c.padded_h) == (img.width, img.height)
 
     def test_decode_expands_the_map_once(self, small_session, monkeypatch):
@@ -364,6 +365,10 @@ class TestCli:
         assert s["stream_bits"] == {"map": c.map_bits, "fine": c.index_bits[0],
                                     "medium": c.index_bits[1], "coarse": c.index_bits[2]}
         assert sum(s["stream_bits"].values()) == c.payload_bit_length
+        gmap = bitstream.decode_map(c)
+        assert s["blocks"] == dict(zip(["fine", "medium", "coarse"],
+                                       granularity.label_counts(gmap).tolist()))
+        assert sum(s["blocks"].values()) == gmap.size
         # the benchmark's definition: the model at the plan's ratios
         theory = granularity.theoretical_bpp(c.ratios, session.mean_code_len)
         assert s["rate_gap_bpp"] == abs(s["payload_bpp"] - theory)
