@@ -5,10 +5,10 @@ them: the Huffman code, its mean length L and the rate table, the bpp at L
 of each ratio triple on the lattice. Encoder and decoder must load the same
 codebook file; the container header pins its content hash.
 
-A code is a cell's mean colour (analysis.FEATURES = 3), and a session
-refuses a codebook of any other width. The decoder paints each 4x4 pixel
-cell with the bytes of the clamped colour of the code sent for it. That is
-the paper's conditional-replacement decoder here: its synthesis layers are
+A code is a cell's mean colour (analysis.FEATURES = 3; vq.Codebook refuses
+any other width). The decoder paints each 4x4 pixel cell with the bytes of
+the clamped colour of the code sent for it. That is the paper's
+conditional-replacement decoder here: its synthesis layers are
 nearest-neighbour upsamplers, and every fine-grid cell is sent at exactly one
 scale, so replacing the known positions after each layer returns the
 stitched grid of transmitted codes bit for bit.
@@ -38,11 +38,8 @@ class CodecSession:
     entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
     def __post_init__(self):
-        if self.codebook.d != analysis.FEATURES:
-            raise CodebookError(f"codebook has {self.codebook.d} features per code; "
-                                f"the analysis transform makes {analysis.FEATURES}")
         if self.frequencies.k != self.codebook.k:
-            raise ValueError("frequency table size does not match codebook")
+            raise CodebookError("frequency table size does not match codebook")
         self.huffman = bitstream.build_huffman(self.frequencies.counts)
         self.mean_code_len = bitstream.mean_code_length(self.huffman)
         self.rate_table = granularity.build_rate_table(self.mean_code_len)

@@ -3,16 +3,16 @@
 Quantization picks the code minimizing squared Euclidean distance, ties to
 the lowest index. Each distance is the float64 sum of (x_j - c_j)**2 added
 in coordinate order, with no BLAS call, so the chosen index and its
-distance are the same on every machine. Cells are means of samples in
-[-1, 1], so the search cuts that cube into boxes and lists for each box the
-codes that can be nearest to some point of it, the bucket search of Gersho
-and Gray (Vector Quantization and Signal Compression, 1992): a cell scans
-its box's list, about 4 codes at k=1024. A cell outside the cube, or not
-finite, has no box and scans one more list, which holds every code. The
-lists are built the first time a set of codes is searched and kept, so
-every session loaded from one codebook file shares one build. Every cell
-gets what a scan of all k codes gives, bit for bit, and k-means uses the
-same search, on new lists every iteration.
+distance are the same on every machine. A code is a cell's mean colour,
+analysis.FEATURES = 3 wide, and a cell a mean of samples in [-1, 1]; the
+search refuses any other point. It cuts that cube into boxes and lists for
+each box the codes that can be nearest to some point of it, the bucket
+search of Gersho and Gray (Vector Quantization and Signal Compression,
+1992): a cell scans its box's list, about 4 codes at k=1024. The lists are
+built the first time a set of codes is searched and kept, so every session
+loaded from one codebook file shares one build. Every cell gets what a scan
+of all k codes gives, bit for bit, and k-means uses the same search, on new
+lists every iteration.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import FEATURES
+
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
-MAX_K = 0xFFFF  # the file stores k (and d) as uint16
+MAX_K = 0xFFFF  # the file stores k as uint16
 
 # The nearest-code search's box index (see _build_index)
-_BOX_AXES = 4  # the boxes cut the first min(_BOX_AXES, d) coordinates
 _BOXES_PER_CODE = 32  # about 4 candidates per codec cell at k=1024
 _MAX_BOX_BITS = 15  # at most 2**15 boxes
 _ENTRIES_PER_CODE = 256  # a level whose lists would hold more entries per code is not kept
@@ -54,8 +55,8 @@ class Codebook:
 
     def __post_init__(self):
         codes = np.ascontiguousarray(self.codes, dtype=np.float32)
-        if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
-            raise CodebookError(f"bad codebook shape {codes.shape}")
+        if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] != FEATURES:
+            raise CodebookError(f"codebook shape {codes.shape}, not (k >= 1, {FEATURES})")
         if not np.all(np.isfinite(codes)):
             raise CodebookError("codebook contains non-finite values")
         object.__setattr__(self, "codes", codes)
@@ -87,12 +88,21 @@ class FrequencyTable:
         return bool(np.all(self.counts >= 1))
 
 
+def _cube_points(points) -> np.ndarray:
+    """The (n, FEATURES) points as float64, refused unless every coordinate
+    lies in [-1, 1], as every cell mean does; a NaN fails both comparisons."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != FEATURES:
+        raise CodebookError(f"points of shape {points.shape}, not (n, {FEATURES})")
+    if not (points.min(initial=-1.0) >= -1.0 and points.max(initial=1.0) <= 1.0):
+        raise ValueError("points must be finite and lie in [-1, 1]")
+    return points
+
+
 def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
     """Nearest-code index per cell, shaped like the grid without its last axis."""
     grid = np.asarray(grid)
-    if grid.shape[-1] != cb.d:
-        raise CodebookError(f"cell dim {grid.shape[-1]} != codebook dim {cb.d}")
-    cells = grid.reshape(-1, cb.d).astype(np.float64)
+    cells = _cube_points(grid.reshape(-1, grid.shape[-1]))
     idx, _ = _assign(cells, cb.codes.astype(np.float64))  # ties -> lowest index
     return idx.reshape(grid.shape[:-1])
 
@@ -111,12 +121,9 @@ def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -
     Empty clusters are re-seeded from the point currently farthest from its
     assigned center, so all k codes stay live.
     """
-    corpus = np.ascontiguousarray(corpus, dtype=np.float64)
-    if corpus.ndim != 2:
-        raise ValueError("corpus must be (n, d)")
-    n = corpus.shape[0]
-    if n < k:
-        raise ValueError(f"corpus size {n} smaller than k={k}")
+    corpus = _cube_points(corpus)
+    if corpus.shape[0] < k:
+        raise ValueError(f"corpus size {corpus.shape[0]} smaller than k={k}")
     if iters < 0:
         raise ValueError(f"iters={iters} is negative")
     centers = _seed_centers(corpus, k, np.random.default_rng(seed))
@@ -176,11 +183,7 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     """Nearest center of each point and its squared distance, ties to the
     lowest index, as a scan of all k centers gives them, found by scanning
     only the candidate list of the box each point falls in (see
-    `_cached_index`). A point outside [-1, 1]^d, or not finite, has no box and
-    scans the list of every center. A NaN or infinite coordinate makes all
-    its distances NaN or inf; only a strictly smaller distance moves the
-    best, and np.minimum carries a NaN, so such a point gets index 0 and
-    its distance to center 0.
+    `_cached_index`). Every point lies in [-1, 1]^d (see `_cube_points`).
 
     The scan runs over list positions r, not points: with the points ranked
     by list length, those with more than r codes are a prefix, and each
@@ -193,16 +196,12 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     members, starts, spread = _cached_index(centers.shape, centers.tobytes())
     xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
     cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
-    g, side = min(_BOX_AXES, d), spread.size
+    side = spread.size
     flat = np.zeros(n, dtype=np.intp)
-    for j, x in enumerate(xs[:g]):
-        # (x + 1) * side / 2 truncates to the box; x = 1 lands in the last.
-        # fmin and fmax take NaN to a face, so the cast never sees it
+    for j, x in enumerate(xs):
+        # (x + 1) * side / 2 truncates to the box; x = 1 lands in the last
         at = (x + 1.0) * (side / 2)
-        np.fmax(np.fmin(at, side - 1, out=at), 0, out=at)
-        flat += spread[at.astype(np.intp)] << (g - 1 - j)
-    inside = np.logical_and.reduce([np.abs(x) <= 1.0 for x in xs])
-    flat[~inside] = starts.size - 2  # the list of every code
+        flat += spread[np.minimum(at, side - 1, out=at).astype(np.intp)] << (d - 1 - j)
 
     # longest lists first, so the points still scanning at rank r are a
     # prefix; keyed in the smallest type, where a stable sort is a radix sort
@@ -243,17 +242,15 @@ def _cached_index(shape: tuple, data: bytes):
 
 def _build_index(centers: np.ndarray):
     """(members, starts, spread): box i lists the codes
-    members[starts[i]:starts[i + 1]], in ascending index order, and the
-    list after the last box holds every code.
+    members[starts[i]:starts[i + 1]], in ascending index order.
 
-    The first g = min(_BOX_AXES, d) coordinates of [-1, 1]^d are cut into
-    side^g equal boxes; the others span all of [-1, 1]. side is a power of
-    two giving about _BOXES_PER_CODE boxes per code, at most
-    2**_MAX_BOX_BITS, or less when the lists would be long (see below).
-    Halving the side cuts box p of n boxes into its fan = 2^g children
-    o * n + p, where bit g - 1 - j of o says which half of axis j the child
-    holds. So spread[b] spaces the bits of coordinate b g apart, finest bit
-    first, and the box at (b_j) is the sum of spread[b_j] << (g - 1 - j).
+    [-1, 1]^d is cut into side^d equal boxes. side is a power of two giving
+    about _BOXES_PER_CODE boxes per code, at most 2**_MAX_BOX_BITS, or less
+    when the lists would be long (see below). Halving the side cuts box p of
+    n boxes into its fan = 2^d children o * n + p, where bit d - 1 - j of o
+    says which half of axis j the child holds. So spread[b] spaces the bits
+    of coordinate b d apart, finest bit first, and the box at (b_j) is the
+    sum of spread[b_j] << (d - 1 - j).
 
     Box B keeps code c when mindist(c, B)^2 <= min over c' of
     maxdist(c', B)^2, both taken over B widened by _BOX_PAD on every side.
@@ -270,29 +267,23 @@ def _build_index(centers: np.ndarray):
     too, so filtering the parent's list keeps them; taking the min over that
     list and not over all codes can only raise the bound. A level runs in
     steps of at most _PAIR_BLOCK (box, code) pairs, and is given up once its
-    lists hold more than _ENTRIES_PER_CODE * k entries: codes that crowd
-    around few boxes, or coordinates no box cuts, stop the refinement early,
-    and the lists stay exact but longer. So the build's memory is bounded.
+    lists hold more than _ENTRIES_PER_CODE * k entries, which bounds the
+    build's memory; codes crowding few boxes end it early, lists still exact.
     """
     k, d = centers.shape
-    g = min(_BOX_AXES, d)
-    fan = 1 << g
-    bits = min(math.ceil(math.log2(_BOXES_PER_CODE * k) / g), _MAX_BOX_BITS // g)
+    fan = 1 << d
+    bits = min(math.ceil(math.log2(_BOXES_PER_CODE * k) / d), _MAX_BOX_BITS // d)
     cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
-    # the coordinates no box cuts add the same terms to every box's bounds
-    rest_min, rest_max = np.zeros(k), np.zeros(k)
-    for c in cs[g:]:
-        _add_bounds(c, -1.0, 1.0, rest_min, rest_max)
     # rounding moves each of the four squared distances the argument above
     # compares by at most (d + 2) eps; allow twice that
     slack = 1.0 + 8 * (d + 2) * np.finfo(np.float64).eps
     # a child's coordinate on an axis is twice its parent's plus 0 (the
     # lower half) or 1; halves[j, o] is child o's on axis j
     half = np.arange(2)[:, None]
-    halves = (np.arange(fan) >> np.arange(g - 1, -1, -1)[:, None]) & 1
+    halves = (np.arange(fan) >> np.arange(d - 1, -1, -1)[:, None]) & 1
     members = np.arange(k, dtype=np.min_scalar_type(k - 1))
     starts = np.array([0, k])
-    coords = np.zeros((g, 1), dtype=np.intp)  # each box's coordinates, in box order
+    coords = np.zeros((d, 1), dtype=np.intp)  # each box's coordinates, in box order
     level = 0
     while level < bits:
         width = 2.0 / (2 << level)
@@ -310,12 +301,12 @@ def _build_index(centers: np.ndarray):
             # bounds on (child, list entry) pairs, with one broadcast axis per
             # coordinate: a child holds the lower or the upper half of its
             # parent's interval on each
-            min_d2, max_d2 = rest_min[code], rest_max[code]
-            for j, c in enumerate(cs[:g]):
+            min_d2 = max_d2 = 0.0
+            for j, c in enumerate(cs):
                 lo = -1.0 + (2 * coords[j][parent] + half) * width
                 near, far = np.zeros(lo.shape), np.zeros(lo.shape)
                 _add_bounds(c[code], lo, lo + width, near, far)
-                shape = [1] * g + [-1]
+                shape = [1] * d + [-1]
                 shape[j] = 2
                 min_d2 = min_d2 + near.reshape(shape)
                 max_d2 = max_d2 + far.reshape(shape)
@@ -333,11 +324,9 @@ def _build_index(centers: np.ndarray):
         # child o of box p is box o * n + p, for the n boxes of the level before
         members = np.concatenate([part for parts in kept for part in parts])
         starts = np.concatenate(([0], np.cumsum(np.concatenate(counts, axis=1))))
-        coords = (2 * coords[:, None, :] + halves[:, :, None]).reshape(g, -1)
-    members = np.concatenate([members, np.arange(k, dtype=members.dtype)])
-    starts = np.append(starts, starts[-1] + k)
+        coords = (2 * coords[:, None, :] + halves[:, :, None]).reshape(d, -1)
     side = np.arange(1 << level)
-    spread = sum((((side >> t) & 1) << (g * (level - 1 - t)) for t in range(level)),
+    spread = sum((((side >> t) & 1) << (d * (level - 1 - t)) for t in range(level)),
                  np.zeros_like(side))
     return members, starts, spread
 
@@ -363,7 +352,7 @@ def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
 
 
 def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
-    _, d2 = _assign(np.asarray(corpus, dtype=np.float64), cb.codes.astype(np.float64))
+    _, d2 = _assign(_cube_points(corpus), cb.codes.astype(np.float64))
     return float(d2.sum())
 
 
@@ -371,9 +360,8 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
     """Write the CGCB container: codes, frequency counts, content hash."""
     if tbl.k != cb.k:
         raise CodebookError("frequency table size does not match codebook")
-    if cb.k > MAX_K or cb.d > MAX_K:
-        raise CodebookError(f"k={cb.k}, d={cb.d}: the format stores each in 16 bits "
-                            f"(at most {MAX_K})")
+    if cb.k > MAX_K:
+        raise CodebookError(f"k={cb.k}: the format stores k in 16 bits (at most {MAX_K})")
     if np.any(tbl.counts < 1):
         raise CodebookError("every frequency count must be >= 1, as in a smoothed table")
     with open(path, "wb") as f:

@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic desk images and a trained codec session."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,16 @@ def reshape_mean_pool(grid: np.ndarray, factor: int) -> np.ndarray:
 def flat_frequencies(k: int) -> vq.FrequencyTable:
     """The smoothed table of a corpus that emitted nothing: every count 1."""
     return vq.FrequencyTable(np.ones(k, dtype=np.uint64))
+
+
+def write_codebook(path, codes) -> None:
+    """Write a `.cgcb` file of the (k, d) codes byte by byte, for any width d:
+    the header, every count 1 and the codes' content hash, all valid."""
+    codes = np.asarray(codes, dtype="<f4")
+    k, d = codes.shape
+    path.write_bytes(b"CGCB" + struct.pack("<BHH", vq.CODEBOOK_VERSION, k, d) + codes.tobytes()
+                     + np.ones(k, dtype="<u8").tobytes()
+                     + struct.pack("<Q", vq._codes_hash(codes)))
 
 
 def codes_session(codes) -> pipeline.CodecSession:

@@ -14,7 +14,9 @@ from granucodec import bitstream, cli, granularity, imaging, pipeline, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
-from conftest import assert_painted, flat_frequencies, make_image, make_raw, traced_peak
+from conftest import (
+    assert_painted, flat_frequencies, make_image, make_raw, traced_peak, write_codebook,
+)
 
 
 def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
@@ -269,9 +271,8 @@ class TestEncodeDecode:
         # the analysis transform makes 3 features per cell; a d=2 session
         # used to decode into a 2-channel plane that save_ppm wrote short,
         # and d=4 is the layout that also held a luminance std
-        cb = vq.Codebook(np.zeros((2, d), dtype=np.float32))
-        with pytest.raises(vq.CodebookError):
-            pipeline.CodecSession(cb, flat_frequencies(2))
+        with pytest.raises(vq.CodebookError, match=rf"shape \(2, {d}\), not \(k >= 1, 3\)"):
+            vq.Codebook(np.zeros((2, d), dtype=np.float32))
 
     def test_unsmoothed_frequency_table_rejected(self, small_session):
         # raw counts may hold zeros, which no Huffman code can give a codeword
@@ -480,18 +481,19 @@ class TestCli:
         assert capsys.readouterr() == ("", "error: bad input\n")
 
     def test_two_feature_codebook_exits_cleanly(self, cli_env, tmp_path):
-        # a d=2 codebook and a hand-made one-block container that names it
+        # a d=2 codebook file, written byte by byte, and a hand-made
+        # one-block container that names it
         _, _, ppm = cli_env
         flat = flat_frequencies(4)
-        cb = vq.Codebook(np.eye(4, 2, dtype=np.float32))
+        codes = np.eye(4, 2, dtype=np.float32)
         d2 = tmp_path / "d2.cgcb"
-        vq.save_codebook(cb, flat, d2)
+        write_codebook(d2, codes)
         payload, (map_bits, idx_bits) = bitstream.prefix_encode(
             [(np.zeros(1, np.int64), bitstream.MAP_CODE),
              (np.zeros(1, np.int64), bitstream.build_huffman(flat.counts))])
         cgic = tmp_path / "d2.cgic"
         cgic.write_bytes(serialize_container(bitstream.Container(
-            true_w=16, true_h=16, codebook_hash=cb.id_hash, index_bits=(0, 0, idx_bits),
+            true_w=16, true_h=16, codebook_hash=vq._codes_hash(codes), index_bits=(0, 0, idx_bits),
             map_bits=map_bits, payload=payload)))
         for args in (("encode", "--input", ppm, "--out", tmp_path / "x.cgic",
                       "--bpp", "0.2"),

@@ -1,6 +1,5 @@
 import itertools
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -12,11 +11,11 @@ from granucodec.granularity import (
 from granucodec.spatial_entropy import entropy_map
 from granucodec.vq import (
     Codebook, CodebookError, FrequencyTable, kmeans_distortion, load_codebook, quantize,
-    quantize_masked, _assign, _codes_hash, _seed_centers, _update_centers,
+    quantize_masked, _assign, _seed_centers, _update_centers,
     save_codebook, train_codebook,
 )
 
-from conftest import flat_frequencies, lookup, make_image, traced_peak
+from conftest import flat_frequencies, lookup, make_image, traced_peak, write_codebook
 
 
 def elementwise_oracle(points, centers):
@@ -43,124 +42,120 @@ def box_faces(centers):
 
 
 def search_case(case, rng):
-    """(points, centers) that stress the pruned search."""
+    """(points, centers) that stress the pruned search: 3-wide codes, and
+    points in [-1, 1]^3, where every cell lies."""
     if case == "duplicates":
         # every center twice, and points on them: distance-0 ties
-        centers = rng.standard_normal((64, 4))
+        centers = rng.uniform(-1, 1, size=(64, 3))
         centers[32:] = centers[:32]
         points = centers[rng.integers(0, 64, size=300)]
-        points[::2] += rng.normal(0, 0.05, size=points[::2].shape)
+        points[::2] = np.clip(points[::2] + rng.normal(0, 0.05, size=points[::2].shape), -1, 1)
         return points, centers
     if case == "bin_edges":
         # with k=576 the index cuts [-1, 1]^3 into 32 boxes a side, so each
         # multiple of 1/16 is a box face: an 8x8x8 lattice of centers 1/4
-        # apart and 64 more on faces, and points on faces, some of them just
-        # outside the cube; a point on a face between two lattice centers
+        # apart and 64 more on faces, and points on faces, the cube's own
+        # faces included; a point on a face between two lattice centers
         # ties them
         lattice = np.stack(np.meshgrid(*[np.arange(-7, 8, 2) / 8] * 3, indexing="ij"), -1)
         on_faces = rng.integers(-16, 17, size=(64, 3)) / 16
         centers = np.concatenate([lattice.reshape(-1, 3), on_faces])
         assert np.array_equal(box_faces(centers), np.arange(-16, 17) / 16)
-        points = rng.integers(-17, 18, size=(2000, 3)) / 16
+        points = rng.integers(-16, 17, size=(2000, 3)) / 16
         return points, centers
     if case == "tie_on_margin":
-        # 1-D, k=8: the point 5/16 lies 3/16 from centers 0 and 3, and 25/32
-        # lies 1/32 from centers 4 and 7, nearer than any other; both are box
-        # faces, and the lower index must win each tie
-        centers = np.array([[8], [0], [16], [2], [12], [14], [11], [13]]) / 16
-        return np.array([[5 / 16], [25 / 32], [1 / 32]]), centers
+        # k=8 codes on the first axis, whose index cuts the cube at
+        # multiples of 1/2: the point 1/2 lies 1/4 from centers 0 and 3, and
+        # -1/2 lies 1/4 from centers 4 and 7, nearer than any other; both
+        # are on box edges, and the lower index must win each tie
+        centers = np.zeros((8, 3))
+        centers[:, 0] = [0.75, 1, -1, 0.25, -0.25, 0, 1.5, -0.75]
+        assert np.array_equal(box_faces(centers), np.arange(-2, 3) / 2)
+        points = np.zeros((3, 3))
+        points[:, 0] = [1 / 2, -1 / 2, 1 / 32]
+        return points, centers
     if case == "one_bin_and_outlier":
-        centers = np.concatenate([rng.normal(0, 0.01, size=(300, 4)), [[1e3] * 4]])
-        points = np.concatenate([rng.normal(0, 1, size=(300, 4)),
-                                 rng.normal(1e3, 1, size=(20, 4)),
-                                 rng.normal(500, 300, size=(20, 4))])
+        # 300 codes crowd one box and one lies past the cube's corner
+        # (1, 1, 1): points all over the cube, and near that corner, where
+        # the outlying code is the nearest
+        centers = np.concatenate([rng.normal(0, 0.01, size=(300, 3)), [[1.5] * 3]])
+        points = np.concatenate([rng.uniform(-1, 1, size=(300, 3)),
+                                 1 - rng.uniform(0, 0.2, size=(20, 3)),
+                                 rng.integers(-1, 2, size=(20, 3))])
         return points, centers
     if case == "outside_hull":
-        # outside the centers' hull in one coordinate, mostly inside the
-        # cube, where box lists reach distant codes; and far outside the
-        # cube in all (the list of every code answers them)
-        centers = rng.uniform(0, 1, size=(256, 4))
-        near = rng.uniform(0, 1, size=(1000, 4))
-        near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([-0.05, 1.05], 1000)
-        return np.concatenate([near, rng.uniform(-5, 6, size=(200, 4))]), centers
-    if case == "non_finite":
-        # NaN, +inf and -inf in one coordinate, in all, and mixed, among
-        # finite points: every distance of such a point is NaN or inf, and
-        # the oracle gives it index 0 with that distance
-        centers = rng.standard_normal((300, 3))
-        points = rng.standard_normal((400, 3))
-        odd = [np.nan, np.inf, -np.inf]
-        for i, (j, v) in enumerate(itertools.product(range(3), odd)):
-            points[10 * i, j] = v
-        for i, v in enumerate(itertools.product(odd, repeat=3)):
-            points[10 * i + 5] = v
-        return points, centers
+        # outside the centers' hull [-1/2, 1/2]^3 in one coordinate, where
+        # box lists reach distant codes; and anywhere in the cube, mostly
+        # far outside the hull
+        centers = rng.uniform(-0.5, 0.5, size=(256, 3))
+        near = rng.uniform(-0.5, 0.5, size=(1000, 3))
+        near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([-0.55, 0.55], 1000)
+        return np.concatenate([near, rng.uniform(-1, 1, size=(200, 3))]), centers
     raise ValueError(case)
 
 
+def span(a, d):
+    """d-wide coordinates made 3-wide by repeating the last: d = 1 puts them
+    on the grey diagonal R = G = B, d = 2 on a plane through it."""
+    return a[:, [min(j, d - 1) for j in range(3)]]
+
+
 def box_case(case, d, rng):
-    """(points, centers) in d <= 3 coordinates, all of which the index cuts."""
+    """(points, centers) in [-1, 1]^3 that span d <= 3 dimensions of it."""
     centers = rng.uniform(-1, 1, size=(100, d))
     if case == "duplicates":
         # every center twice, and points on them: distance-0 ties
         centers[50:] = centers[:50]
         points = centers[rng.integers(0, 100, size=400)]
         points[::2] = np.clip(points[::2] + rng.normal(0, 0.05, size=points[::2].shape), -1, 1)
-        return points, centers
-    if case == "ties":
+    elif case == "ties":
         # centers on a grid 1/8 apart, points halfway between two of them:
         # both distances are exact and equal
         centers = rng.integers(-8, 9, size=(60, d)) / 8
         pairs = rng.integers(0, 60, size=(2, 600))
-        return (centers[pairs[0]] + centers[pairs[1]]) / 2, centers
-    if case == "faces":
-        # points on box faces, and one ulp either side of one
-        faces = box_faces(centers)
+        points = (centers[pairs[0]] + centers[pairs[1]]) / 2
+    elif case == "faces":
+        # points on box faces, and one ulp either side of one in the cube
+        faces = box_faces(span(centers, d))
         points = faces[rng.integers(0, faces.size, size=(900, d))]
-        points[300:600] = np.nextafter(points[300:600], -2)
-        points[600:] = np.nextafter(points[600:], 2)
-        return points, centers
-    if case == "corners":
+        points[300:600] = np.maximum(np.nextafter(points[300:600], -2), -1)
+        points[600:] = np.minimum(np.nextafter(points[600:], 2), 1)
+    elif case == "corners":
         # the cube's corners, one ulp inside them, and centers near them
         corners = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
         centers[:corners.shape[0]] = corners * 0.97
-        return np.concatenate([corners, np.nextafter(corners, 0)]), centers
-    if case == "outside":
-        # one coordinate just past a face of the cube, or well past it
+        points = np.concatenate([corners, np.nextafter(corners, 0)])
+    elif case == "cube_faces":
+        # one coordinate on a face of the cube, -1 or 1, the farthest a
+        # cell lies: the search clamps 1 into the last box
         points = rng.uniform(-1, 1, size=(600, d))
-        past = rng.choice([np.nextafter(1.0, 2), 1.001, 1.5], size=600) * rng.choice([-1, 1], 600)
-        points[np.arange(600), rng.integers(0, d, size=600)] = past
-        return points, centers
-    if case == "non_finite":
-        points = rng.uniform(-1, 1, size=(200, d))
-        points[::7, rng.integers(0, d)] = np.nan
-        points[1::7, rng.integers(0, d)] = np.inf
-        points[2::7] = -np.inf
-        return points, centers
-    raise ValueError(case)
+        points[np.arange(600), rng.integers(0, d, size=600)] = rng.choice([-1.0, 1.0], 600)
+    else:
+        raise ValueError(case)
+    return span(points, d), span(centers, d)
 
 
 @pytest.fixture
 def cb16():
     rng = np.random.default_rng(0)
-    return Codebook(rng.standard_normal((16, 4)).astype(np.float32))
+    return Codebook(rng.uniform(-1, 1, size=(16, 3)).astype(np.float32))
 
 
 class TestQuantize:
     def test_exact_match(self, cb16):
-        grid = cb16.codes[7].reshape(1, 1, 4)
+        grid = cb16.codes[7].reshape(1, 1, 3)
         idx = quantize(grid, cb16)
         assert idx[0, 0] == 7
         assert np.array_equal(lookup(idx, cb16), grid)
 
     def test_tie_breaks_to_lowest_index(self):
-        cb = Codebook(np.array([[0.0], [1.0]], dtype=np.float32))
-        idx = quantize(np.array([[[0.5]]], dtype=np.float32), cb)
+        cb = Codebook(np.array([[0.0, 0, 0], [1.0, 0, 0]], dtype=np.float32))
+        idx = quantize(np.array([[[0.5, 0, 0]]], dtype=np.float32), cb)
         assert idx[0, 0] == 0
 
     def test_matches_brute_force_scan(self, cb16):
         rng = np.random.default_rng(1)
-        cells = rng.standard_normal((6, 5, 4)).astype(np.float32)
+        cells = rng.uniform(-1, 1, size=(6, 5, 3)).astype(np.float32)
         idx = quantize(cells, cb16)
         for pos in np.ndindex(6, 5):
             dists = [np.sum((cells[pos].astype(np.float64) - c) ** 2)
@@ -169,7 +164,7 @@ class TestQuantize:
 
     def test_never_beaten_by_other_code(self, cb16):
         rng = np.random.default_rng(2)
-        cells = rng.standard_normal((10, 4)).astype(np.float32)
+        cells = rng.uniform(-1, 1, size=(10, 3)).astype(np.float32)
         idx = quantize(cells, cb16)
         for z, chosen in zip(cells, lookup(idx, cb16)):
             d_chosen = np.sum((z - chosen) ** 2)
@@ -178,14 +173,14 @@ class TestQuantize:
 
     def test_dim_mismatch(self, cb16):
         with pytest.raises(CodebookError):
-            quantize(np.zeros((2, 2, 3), dtype=np.float32), cb16)
+            quantize(np.zeros((2, 2, 4), dtype=np.float32), cb16)
 
     def test_matches_elementwise_oracle(self):
-        # 3,000 cells at k=1024, most of them outside the cube: the search
-        # must equal one elementwise block byte for byte
+        # 3,000 cells at k=1024, many of the codes outside the cube: the
+        # search must equal one elementwise block byte for byte
         rng = np.random.default_rng(4)
-        points = rng.standard_normal((3000, 4))
-        centers = rng.standard_normal((1024, 4))
+        points = rng.uniform(-1, 1, size=(3000, 3))
+        centers = rng.standard_normal((1024, 3))
         want = elementwise_oracle(points, centers)
         assert_matches_oracle(_assign(points, centers), want)
 
@@ -195,31 +190,31 @@ class TestQuantize:
         points, centers = search_case(case, np.random.default_rng(11))
         assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
 
-    def test_non_finite_points_match_oracle(self):
-        # the search keeps its best distance with np.minimum, which carries a
-        # NaN where a masked copy kept inf: such points must still come out
-        # as the oracle gives them, bit for bit
-        points, centers = search_case("non_finite", np.random.default_rng(13))
-        want = elementwise_oracle(points, centers)
-        assert np.isnan(want[1]).any() and np.isinf(want[1]).any()
-        assert_matches_oracle(_assign(points, centers), want)
-        cb = Codebook(centers.astype(np.float32))
-        cells = points.astype(np.float32)
-        want_idx, _ = elementwise_oracle(cells.astype(np.float64), cb.codes.astype(np.float64))
-        assert np.array_equal(quantize(cells, cb), want_idx)
+    @pytest.mark.parametrize("value", [np.nextafter(1.0, 2), -1.5, np.nan, np.inf, -np.inf],
+                             ids=["past_1", "below_-1", "nan", "inf", "-inf"])
+    def test_points_outside_the_cube_refused(self, cb16, value):
+        # every cell is a mean of samples in [-1, 1], and the search has a box
+        # for no other point: each entry point refuses one such coordinate
+        points = np.random.default_rng(13).uniform(-1, 1, size=(40, 3))
+        points[17, 1] = value
+        for search in (lambda: quantize(points, cb16), lambda: kmeans_distortion(points, cb16),
+                       lambda: train_codebook(points, k=4, iters=1)):
+            with pytest.raises(ValueError, match=r"finite and lie in \[-1, 1\]"):
+                search()
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("spread", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 9, 300])
     @pytest.mark.parametrize("n", [0, 1, 500])
-    def test_search_matches_oracle_shapes(self, d, k, n):
-        rng = np.random.default_rng(100 * d + k + n)
-        points = rng.standard_normal((n, d)) * 1.5
-        centers = rng.standard_normal((k, d))
+    def test_search_matches_oracle_shapes(self, spread, k, n):
+        # codes drawn with a deviation of spread / 4: well inside the cube
+        # at 1, mostly outside it at 5
+        rng = np.random.default_rng(100 * spread + k + n)
+        points = rng.uniform(-1, 1, size=(n, 3))
+        centers = rng.standard_normal((k, 3)) * (spread / 4)
         assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("case", ["duplicates", "ties", "faces", "corners", "outside",
-                                      "non_finite"])
+    @pytest.mark.parametrize("case", ["duplicates", "ties", "faces", "corners", "cube_faces"])
     def test_box_search_matches_oracle(self, case, d):
         points, centers = box_case(case, d, np.random.default_rng(31 + d))
         assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
@@ -229,24 +224,24 @@ class TestQuantize:
         # each box's list, in ascending index order, holds the oracle's
         # nearest code of every point of the box: a lattice two points a box
         # wide, faces included, and random points; a point on a face is
-        # checked in every box it touches
+        # checked in every box it touches. g1 and g2 codes span a line and a
+        # plane of the cube (see `span`)
         rng = np.random.default_rng(21)
         if case == "one_bin_of_many":
             # every code crowds into one box, so most lists hold them all
             centers = rng.normal(0.3, 0.01, size=(30, 3))
         else:
-            k, d = {"g1": (50, 1), "g2": (200, 2), "g3": (64, 3),
+            k, g = {"g1": (50, 1), "g2": (200, 2), "g3": (64, 3),
                     "k1": (1, 3), "equal_codes": (40, 3)}[case]
-            centers = rng.normal(0, 0.6, size=(k, d))
+            centers = span(rng.normal(0, 0.6, size=(k, g)), g)
             if case == "equal_codes":
                 centers[:] = centers[0]
         k, d = centers.shape
         members, starts, spread = vq._cached_index(centers.shape, centers.tobytes())
         side = spread.size
-        # one list per box, then the list of every code
-        assert starts.size == side ** d + 2 and starts[0] == 0 and starts[-1] == members.size
-        assert np.array_equal(members[starts[-2]:], np.arange(k))
-        box_of = np.repeat(np.arange(side ** d + 1), np.diff(starts))
+        # one list per box
+        assert starts.size == side ** d + 1 and starts[0] == 0 and starts[-1] == members.size
+        box_of = np.repeat(np.arange(side ** d), np.diff(starts))
         assert np.all((np.diff(members.astype(int)) > 0) | (np.diff(box_of) > 0))
         held = box_of * k + members  # sorted: boxes ascending, codes within each
 
@@ -268,9 +263,10 @@ class TestQuantize:
     def test_masked_equals_per_stream(self):
         # one search over the three scales' kept cells, split per scale
         rng = np.random.default_rng(12)
-        cb = Codebook(rng.standard_normal((128, 4)).astype(np.float32))
+        cb = Codebook(rng.standard_normal((128, 3)).astype(np.float32))
         gmap = rng.integers(0, 3, size=(5, 6)).astype(np.uint8)
-        grids = [rng.standard_normal((5 * s, 6 * s, 4)).astype(np.float32) for s in (4, 2, 1)]
+        grids = [rng.uniform(-1, 1, size=(5 * s, 6 * s, 3)).astype(np.float32)
+                 for s in (4, 2, 1)]
         masks = masks_from_map(gmap)
         got = quantize_masked(grids, masks, cb)
         for stream, grid, mask in zip(got, grids, masks):
@@ -321,9 +317,8 @@ class TestQuantize:
         return seen
 
     def test_codec_cells_lie_in_the_cube(self, session, cells_seen):
-        # codec cells are means of samples in [-1, 1], so every one has a
-        # box and none scans the list of every code: hirate and lorate
-        # encodes of every image kind
+        # codec cells are means of samples in [-1, 1], so the search refuses
+        # none of them: hirate and lorate encodes of every image kind
         for mode in (dict(ratios=RatioTriple(0.70, 0.25, 0.05)), dict(target_bpp=0.10)):
             for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
                 cells_seen.clear()
@@ -341,11 +336,11 @@ class TestQuantize:
 
     def test_peak_memory_large_codebook(self):
         # the search holds a few arrays of one value per cell, never a block
-        # of cell-to-code distances: 1,024 cells, most of them outside the
-        # cube, against 8,192 codes would need 64 MiB in one block
+        # of cell-to-code distances: 1,024 cells against 8,192 codes would
+        # need 64 MiB in one block
         rng = np.random.default_rng(5)
-        cb = Codebook(rng.standard_normal((8192, 4)).astype(np.float32))
-        cells = rng.standard_normal((1024, 4)).astype(np.float32)
+        cb = Codebook(rng.standard_normal((8192, 3)).astype(np.float32))
+        cells = rng.uniform(-1, 1, size=(1024, 3)).astype(np.float32)
         assert traced_peak(quantize, cells, cb) < 8 << 20
 
 
@@ -416,7 +411,7 @@ class TestLookup:
 
     def test_last_index(self):
         rng = np.random.default_rng(3)
-        cb = Codebook(rng.standard_normal((1024, 4)).astype(np.float32))
+        cb = Codebook(rng.standard_normal((1024, 3)).astype(np.float32))
         assert np.array_equal(lookup(np.array([1023]), cb)[0], cb.codes[1023])
 
     def test_roundtrip_idempotent(self, cb16):
@@ -432,22 +427,22 @@ class TestLookup:
 
 class TestTraining:
     def test_k_distinct_points_fixed_point(self):
-        points = np.arange(8, dtype=np.float64).reshape(4, 2) * 10
+        points = np.arange(12, dtype=np.float64).reshape(4, 3) / 16
         cb = train_codebook(points, k=4, iters=5, seed=0)
         assert sorted(map(tuple, cb.codes.tolist())) == sorted(map(tuple, points.tolist()))
         assert kmeans_distortion(points, cb) == 0.0
 
     def test_two_blobs(self):
         rng = np.random.default_rng(5)
-        a = rng.normal(-10, 0.5, size=(50, 3))
-        b = rng.normal(+10, 0.5, size=(50, 3))
+        a = rng.normal(-0.5, 0.025, size=(50, 3))
+        b = rng.normal(+0.5, 0.025, size=(50, 3))
         cb = train_codebook(np.vstack([a, b]), k=2, iters=10, seed=1)
         centers = sorted(cb.codes[:, 0])
-        assert centers[0] < -8 and centers[1] > 8
+        assert centers[0] < -0.4 and centers[1] > 0.4
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        corpus = rng.standard_normal((200, 4))
+        corpus = rng.uniform(-1, 1, size=(200, 3))
         cb1 = train_codebook(corpus, k=16, iters=8, seed=42)
         cb2 = train_codebook(corpus, k=16, iters=8, seed=42)
         assert np.array_equal(cb1.codes, cb2.codes)
@@ -455,14 +450,14 @@ class TestTraining:
 
     def test_negative_iters_rejected(self):
         # a negative count would run no iteration and return the bare seeds
-        corpus = np.random.default_rng(6).standard_normal((40, 3))
+        corpus = np.random.default_rng(6).uniform(-1, 1, size=(40, 3))
         with pytest.raises(ValueError, match="iters"):
             train_codebook(corpus, k=4, iters=-3, seed=0)
         assert train_codebook(corpus, k=4, iters=0, seed=0).k == 4
 
     def test_distortion_non_increasing(self):
         rng = np.random.default_rng(7)
-        corpus = rng.standard_normal((300, 4))
+        corpus = rng.uniform(-1, 1, size=(300, 3))
         prev = np.inf
         for iters in (1, 3, 6, 12):
             d = kmeans_distortion(corpus, train_codebook(corpus, k=8, iters=iters, seed=9))
@@ -473,7 +468,7 @@ class TestTraining:
         # 3000 draws from 200 points; every third center starts far away, so
         # those clusters are empty and reseeded
         rng = np.random.default_rng(8)
-        corpus = rng.standard_normal((200, 4))[rng.integers(0, 200, size=3000)]
+        corpus = rng.uniform(-1, 1, size=(200, 3))[rng.integers(0, 200, size=3000)]
         for _ in range(5):
             centers = corpus[rng.choice(3000, size=24, replace=False)].copy()
             centers[::3] += 1e3
@@ -493,7 +488,7 @@ class TestTraining:
 
     def test_corpus_too_small(self):
         with pytest.raises(ValueError):
-            train_codebook(np.zeros((3, 4)), k=8)
+            train_codebook(np.zeros((3, 3)), k=8)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_seeding_draws_what_choice_draws(self, d):
@@ -556,9 +551,29 @@ class TestCodebookFile:
         assert np.array_equal(tbl2.counts, tbl.counts)
         assert cb2.id_hash == cb16.id_hash
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_codes_of_other_width_refused_at_load(self, tmp_path, d):
+        # a well-formed file, hash and counts valid, whose codes are not the
+        # 3 features of a cell; d = 4 is the layout that also held a
+        # luminance std
+        path = tmp_path / f"d{d}.cgcb"
+        write_codebook(path, np.random.default_rng(d).uniform(-1, 1, size=(5, d)))
+        with pytest.raises(CodebookError, match=rf"codebook shape \(5, {d}\), not \(k >= 1, 3\)"):
+            load_codebook(path)
+
+    def test_frequency_table_of_other_size_refused(self, tmp_path, cb16):
+        # the session and the file writer hold one rule with one error
+        path = tmp_path / "cb.cgcb"
+        for k in (15, 17):
+            with pytest.raises(CodebookError, match="frequency table size"):
+                pipeline.CodecSession(cb16, flat_frequencies(k))
+            with pytest.raises(CodebookError, match="frequency table size"):
+                save_codebook(cb16, flat_frequencies(k), path)
+        assert not path.exists()
+
     def test_k_above_uint16_rejected_before_writing(self, tmp_path):
         k = 65536
-        cb = Codebook(np.zeros((k, 1), dtype=np.float32))
+        cb = Codebook(np.zeros((k, 3), dtype=np.float32))
         path = tmp_path / "big.cgcb"
         with pytest.raises(CodebookError):
             save_codebook(cb, flat_frequencies(k), path)
@@ -595,10 +610,9 @@ class TestCodebookFile:
     def test_zero_dimensional_codes_rejected(self, tmp_path):
         with pytest.raises(CodebookError):
             Codebook(np.zeros((4, 0), dtype=np.float32))
-        # a file declaring d=0, consistent in size and hash
+        # a file declaring d=0, consistent in size, counts and hash
         path = tmp_path / "d0.cgcb"
-        path.write_bytes(b"CGCB" + struct.pack("<BHH", 1, 4, 0) + bytes(8 * 4)
-                         + struct.pack("<Q", _codes_hash(np.zeros((4, 0)))))
+        write_codebook(path, np.zeros((4, 0)))
         with pytest.raises(CodebookError):
             load_codebook(path)
 
