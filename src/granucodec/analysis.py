@@ -6,12 +6,13 @@ with its code's colour, so every feature a code holds reaches a pixel. The
 recipe is fixed: a stream's indices mean something only relative to this
 transform and the codebook trained on its output.
 
-One kernel, `_pool`, makes all three scales: the 4x4 means from the samples,
-the 8x8 and 16x16 means from the 4x4 ones. Every sample is a multiple of
-2**-31 and every 4x4 mean a multiple of 2**-35, both at most 1 in magnitude,
-so each float64 sum the pyramid forms is exact and no summation order
-changes a bit. So `_pool` sums in the order that costs least: the f rows of
-each cell row first, then the f columns of each cell.
+One kernel, `_cell_sums`, sums the bytes of every cell in uint16: the 4x4
+sums from the pixels, the 8x8 sums as 2x2 sums of those and the 16x16 sums
+as 2x2 sums of the 8x8 ones. The largest sum, 256 * 255 = 65,280, fits in
+16 bits, so every sum is exact. `imaging.normalize` turns a sum of n bytes
+into its mean sample with one subtract and one divide, both exact or
+correctly rounded in float32: each feature is the exact mean colour of its
+pixels, rounded once, on every machine.
 """
 
 from __future__ import annotations
@@ -22,32 +23,19 @@ from .imaging import ImagePlane, normalize
 
 FEATURES = 3  # channels per cell: mean R, G and B
 
-#: Pixel rows normalized at a time, a multiple of 4 so that no 4x4 cell
-#: straddles two bands. A band's float32 samples take 12 B per band pixel and
-#: `_pool`'s float64 row sums 6 B; z2 and z3 are pooled from the whole z1.
-_BAND_ROWS = 32
 
-
-def _pool(grid: np.ndarray, f: int) -> np.ndarray:
-    """The float32 means of the f x f cells of an (h, w, c) grid."""
+def _cell_sums(grid: np.ndarray, f: int) -> np.ndarray:
+    """The uint16 sums of the f x f cells of an (h, w, c) grid of unsigned
+    integers whose cell sums fit in 16 bits."""
     h, w, c = grid.shape
-    rows = grid[0::f].astype(np.float64)
-    for i in range(1, f):
-        rows += grid[i::f]
+    rows = np.add.reduce(grid.reshape(h // f, f, w * c), axis=1, dtype=np.uint16)
     # one pass over each cell's f columns; adds of strided column views
     # would loop over the c channels of one position at a time
-    cells = np.einsum("ijkc->ijc", rows.reshape(h // f, w // f, f, c))
-    cells /= f * f
-    return cells.astype(np.float32)
+    return np.einsum("ijkc->ijc", rows.reshape(h // f, w // f, f, c))
 
 
 def pyramid(img: ImagePlane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a padded image to its (z1, z2, z3) float32 feature grids."""
-    h, w, c = img.pixels.shape
-    z1 = np.empty((h // 4, w // 4, c), dtype=np.float32)
-    for top in range(0, h, _BAND_ROWS):
-        z1[top // 4:(top + _BAND_ROWS) // 4] = _pool(
-            normalize(img.pixels[top:top + _BAND_ROWS]), 4)
-    # medium and coarse are pooled from the fine means, so the cross-scale
-    # pooling identity holds bit-exactly
-    return z1, _pool(z1, 2), _pool(z1, 4)
+    s1 = _cell_sums(img.pixels, 4)
+    s2 = _cell_sums(s1, 2)
+    return normalize(s1, 16), normalize(s2, 64), normalize(_cell_sums(s2, 2), 256)

@@ -4,7 +4,10 @@ An image is a padded plane of 8-bit RGB pixels. Floats live only in the
 analysis transform and the codebook: a byte b becomes the sample
 (b - 127.5) / 127.5, subtracted and divided in float32 (`normalize`), which
 for every byte is bit for bit the float64 value b / 255 * 2 - 1 rounded to
-float32. `denormalize` maps samples back to bytes with rounding and a clip.
+float32. A sum S of n bytes becomes their mean sample
+(S - n * 127.5) / (n * 127.5) the same way: the subtraction is exact and the
+division rounds once. `denormalize` maps samples back to bytes with rounding
+and a clip.
 PSNR is reported on 0-255 values with peak 255, cropped to the true
 (pre-padding) dimensions.
 """
@@ -78,14 +81,17 @@ def ceil_to(n: int, multiple: int) -> int:
 
 
 #: Half the byte range: byte b is the sample (b - HALF_RANGE) / HALF_RANGE.
-HALF_RANGE = np.float32(127.5)
+HALF_RANGE = 127.5
 
 
-def normalize(raw: np.ndarray) -> np.ndarray:
-    """Map byte values 0..255 linearly onto [-1, 1] as float32. `raw` may
-    hold the bytes in any numeric type."""
-    out = np.subtract(raw, HALF_RANGE, dtype=np.float32)
-    return np.divide(out, HALF_RANGE, out=out)
+def normalize(raw: np.ndarray, count: int = 1) -> np.ndarray:
+    """Map sums of `count` byte values, 0..255 * count, linearly onto
+    [-1, 1] as float32: each sum becomes the mean of its bytes' samples,
+    correctly rounded. `raw` may hold the sums in any numeric type that
+    float32 holds exactly, as it does every sum below 2**24."""
+    scale = np.float32(count * HALF_RANGE)
+    out = np.subtract(raw, scale, dtype=np.float32)
+    return np.divide(out, scale, out=out)
 
 
 def denormalize(samples: np.ndarray) -> np.ndarray:

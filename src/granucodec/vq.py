@@ -391,7 +391,10 @@ def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
     counts = np.frombuffer(data, dtype="<u8", count=k, offset=off).copy()
     off += 8 * k
     (stored_hash,) = struct.unpack_from("<Q", data, off)
-    cb = Codebook(codes.copy())
+    try:
+        cb = Codebook(codes.copy())
+    except CodebookError as e:
+        raise CodebookError(f"{path}: {e}") from None
     if cb.id_hash != stored_hash:
         raise CodebookError(f"{path}: content hash mismatch")
     if not counts.all():

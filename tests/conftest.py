@@ -84,8 +84,8 @@ def traced_peak(fn, *args) -> int:
 
 
 def reshape_mean_pool(grid: np.ndarray, factor: int) -> np.ndarray:
-    """f x f cell means as numpy's mean over the two cell axes of a 5-D view:
-    the pyramid's oracle, which `analysis.pyramid` must equal byte for byte."""
+    """f x f cell means as numpy's mean over the two cell axes of a 5-D view,
+    in the grid's dtype."""
     h, w = grid.shape[:2]
     pooled = grid.reshape(h // factor, factor, w // factor, factor, -1).mean(
         axis=(1, 3), dtype=np.float64)

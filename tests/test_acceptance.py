@@ -10,7 +10,7 @@ import pytest
 from granucodec import bitstream as bs
 from granucodec import granularity as gr
 from granucodec import imaging, pipeline, training, vq
-from granucodec.analysis import _pool
+from granucodec.analysis import _cell_sums
 from granucodec.granularity import FINE, MEDIUM, RatioTriple
 from granucodec.imaging import nn_upsample
 from granucodec.spatial_entropy import entropy_map
@@ -215,10 +215,11 @@ def test_7_replacement_exactness():
                                    streams).pixels
         for m, stream, factor in zip(masks, streams, (4, 8, 16)):
             assert_painted(out, m, stream, session.codebook, factor)
-        # the pooling/upsampling operators invert exactly
+        # the cell sums invert upsampling exactly: f^2 times each cell
         for factor in (2, 4):
-            g = rng.standard_normal((4, 4, 4)).astype(np.float32)
-            assert np.array_equal(_pool(nn_upsample(g, factor), factor), g)
+            g = rng.integers(0, 256, (4, 4, 4), dtype=np.uint8)
+            assert np.array_equal(_cell_sums(nn_upsample(g, factor), factor),
+                                  factor * factor * g.astype(np.uint16))
     print("\nACCEPTANCE 7 replacement exactness (100 random pipelines): PASS")
 
 

@@ -1,19 +1,45 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from granucodec import analysis, imaging
+from granucodec import imaging
 from granucodec.analysis import pyramid
 from granucodec.imaging import ImagePlane, from_raw
 
-from conftest import make_image, reshape_mean_pool, traced_peak
+from conftest import make_image, traced_peak
+
+SCALES = (4, 8, 16)
 
 
-def reference_pyramid(img):
-    """The pyramid of the whole normalized plane at once, with numpy choosing
-    every summation order: 4x4 means by mean over a 5-D cell view, medium
-    and coarse pooled from them."""
-    m1 = reshape_mean_pool(imaging.normalize(img.pixels), 4)
-    return m1, reshape_mean_pool(m1, 2), reshape_mean_pool(m1, 4)
+def pixel_sums(img, s):
+    """The int64 sums of each s x s cell's bytes, per channel, straight from
+    the pixels."""
+    h, w, c = img.pixels.shape
+    return img.pixels.reshape(h // s, s, w // s, s, c).sum(axis=(1, 3), dtype=np.int64)
+
+
+def rounded_mean(total, n):
+    """The float32 nearest the exact mean sample of n bytes summing to
+    `total`, ties to even: the nearest of the float64 quotient's float32 and
+    its two neighbours, compared as exact fractions."""
+    exact = Fraction(2 * total - 255 * n, 255 * n)
+    guess = np.float32(float(exact))
+    candidates = [np.nextafter(guess, np.float32(-2)), guess, np.nextafter(guess, np.float32(2))]
+    return min(candidates, key=lambda c: (abs(Fraction(float(c)) - exact),
+                                          int(c.view(np.uint32)) & 1))
+
+
+def exact_mean_pyramid(img):
+    """Each scale's cells as the correctly rounded exact mean of their own
+    pixels' samples, one fraction per distinct sum."""
+    grids = []
+    for s in SCALES:
+        sums = pixel_sums(img, s)
+        levels, inverse = np.unique(sums, return_inverse=True)
+        table = np.array([rounded_mean(int(v), s * s) for v in levels], dtype=np.float32)
+        grids.append(table[inverse.reshape(sums.shape)])
+    return grids
 
 
 @pytest.fixture
@@ -28,10 +54,11 @@ class TestPyramid:
         assert z2.shape == (8, 12, 3)
         assert z3.shape == (4, 6, 3)
 
-    def test_cross_scale_pooling_exact(self, photo):
-        z1, z2, z3 = pyramid(photo)
-        assert reshape_mean_pool(z1, 2).tobytes() == z2.tobytes()
-        assert reshape_mean_pool(z1, 4).tobytes() == z3.tobytes()
+    def test_each_scale_is_its_pixels_mean(self, photo):
+        # z2 and z3 are summed from the bytes of their own pixels, not
+        # pooled from the rounded means of a finer scale
+        for z, s in zip(pyramid(photo), SCALES):
+            assert z.tobytes() == imaging.normalize(pixel_sums(photo, s), s * s).tobytes()
 
     def test_grids_are_contiguous_float32(self, photo):
         # callers reshape every grid to (cells, 3) without a copy
@@ -46,20 +73,32 @@ class TestPyramid:
         for z in pyramid(gray):
             assert np.allclose(z, 200 / 255 * 2 - 1, atol=1e-6)
 
+    def test_byte_extremes_reach_the_cube_faces_exactly(self):
+        # the code search refuses a cell outside [-1, 1]^3; the darkest and
+        # brightest images land on the faces, and a 0/255 checkerboard, every
+        # cell half of each, on the centre
+        black, white = (from_raw(np.full((32, 48, 3), v, dtype=np.uint8)) for v in (0, 255))
+        board = from_raw(np.where((np.indices((32, 48)).sum(axis=0) % 2)[..., None] == 1,
+                                  np.uint8(255), np.uint8(0)).repeat(3, axis=2))
+        for img, want in ((black, -1.0), (white, 1.0), (board, 0.0)):
+            for z in pyramid(img):
+                assert np.all(z == np.float32(want))
+
     @pytest.mark.parametrize("seed, shape", [
         *(pytest.param(seed, (64, 96), id=str(seed)) for seed in [0, 1, 2]),
-        # the padded 1000x744 bench image: 23 whole bands and a half one
+        # the padded 1000x744 bench image
         pytest.param(3, (752, 1008), id="padded-1000x744"),
-        # one band and a half
-        pytest.param(4, (analysis._BAND_ROWS * 3 // 2, 96), id="band-and-a-half"),
-        # one short band, whose z3 is a single cell
+        # three 16-pixel block rows
+        pytest.param(4, (48, 96), id="48x96"),
+        # z3 is a single cell
         pytest.param(5, (16, 16), id="16x16"),
     ])
     def test_bits_equal_numpy_ordered_reference(self, seed, shape):
-        # random bytes: every level occurs, in every channel and band
+        # random bytes: every level occurs, in every channel; the reference
+        # is the exact mean, so no summation order can matter
         rng = np.random.default_rng(seed)
         img = ImagePlane(rng.integers(0, 256, (*shape, 3), dtype=np.uint8), *shape)
-        for z, ref in zip(pyramid(img), reference_pyramid(img)):
+        for z, ref in zip(pyramid(img), exact_mean_pyramid(img)):
             assert z.tobytes() == ref.tobytes()
 
     def test_deterministic(self, photo):
@@ -69,11 +108,10 @@ class TestPyramid:
             assert np.array_equal(ga, gb)
 
     def test_peak_memory_per_pixel(self):
-        # z1 is 0.75 B/px and, at 512 px wide, one band adds 0.75 B/px of
-        # float32 samples, 0.375 of float64 row sums, 0.09 of float64 cell
-        # sums and its float32 means, and numpy's casting buffers about 0.25:
-        # 2.12 B/px measured. They are freed before z2 is pooled from z1 with
-        # 0.75 B/px of row sums. A float32 copy of the image alone would be
-        # 12 B/px
+        # the uint16 sums over each group of 4 pixel rows take 1.5 B/px and
+        # the 4x4 cell sums 0.375: 1.88 B/px measured. The row sums are freed
+        # before z1's 0.75 B/px of float32 means is made, and each array of
+        # the 8x8 and 16x16 scales is a quarter of that or less. A float32
+        # copy of the image alone would be 12 B/px
         img = make_image("photo", 512, 512, seed=12)
-        assert traced_peak(pyramid, img) <= 2.5 * 512 * 512
+        assert traced_peak(pyramid, img) <= 2.0 * 512 * 512

@@ -4,7 +4,8 @@ Every "bit-identical" claim about a codec change rests on this test. It pins
 the `small_session` codebook, the serialized containers of fixed encodes and
 the decoded pixels. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
 OpenBLAS 0.3.31 running its Haswell kernel, with the three-feature (mean
-colour) analysis transform. The nearest-code search sums its distances
+colour) analysis transform, each feature its pixels' exact mean sample
+rounded once to float32. The nearest-code search sums its distances
 elementwise in a fixed order, so no BLAS decides an index or a codebook. The
 one BLAS call left, `spatial_entropy.entropy_map`'s `counts @ table`, adds
 whole numbers of 2**-43 units below 2**53, so every BLAS kernel gives the
@@ -18,8 +19,8 @@ from granucodec.granularity import RatioTriple
 
 from conftest import make_image
 
-SMALL_SESSION_ID_HASH = 0x61AECBF56643D62A
-CONTAINERS_SHA256 = "8a0461aa76175b45bdeb6ddca19e56009b0cbdba4686900a62022f559fcb8c32"
+SMALL_SESSION_ID_HASH = 0x3BE028EEB00D0972
+CONTAINERS_SHA256 = "4f44019d6234d098db2877a2e393dbda35b6e958125f272d8c24c62a3941c015"
 PIXELS_SHA256 = "9e4eab4e378fb2f8893f87dd0e6cf168bf58bc0c382ff97a942562ae0c271724"
 
 

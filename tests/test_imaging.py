@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from granucodec import imaging
-from granucodec.analysis import _pool
+from granucodec.analysis import _cell_sums
 from granucodec.imaging import ImagePlane, from_raw, load_ppm, nn_upsample, psnr, save_ppm
 
 from conftest import make_raw, traced_peak
@@ -163,12 +163,25 @@ class TestPad:
 
 class TestPooling:
     def test_constant_preserved(self):
-        g = np.full((8, 8, 3), 0.25, dtype=np.float32)
-        assert np.all(_pool(g, 4) == 0.25)
+        # the mean of a cell of one byte is that byte's sample
+        g = np.full((8, 8, 3), 200, dtype=np.uint8)
+        sums = _cell_sums(g, 4)
+        assert sums.dtype == np.uint16 and np.all(sums == 16 * 200)
+        assert np.all(imaging.normalize(sums, 16) == imaging.normalize(g)[0, 0, 0])
 
     def test_hand_mean(self):
-        g = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)[..., None]
-        assert _pool(g, 2)[0, 0, 0] == 2.5
+        g = np.array([[1, 2], [3, 4]], dtype=np.uint8)[..., None]
+        assert _cell_sums(g, 2)[0, 0, 0] == 10
+        # bytes 1..4 have the mean byte 2.5, the sample -125 / 127.5
+        assert imaging.normalize(_cell_sums(g, 2), 4)[0, 0, 0] == np.float32(-125 / 127.5)
+
+    def test_brightest_coarse_cell_fits_16_bits(self):
+        # a 16x16 block of 255s sums to 256 * 255 = 65,280, the largest sum
+        # the pyramid forms, with no wrap past 65,535
+        s1 = _cell_sums(np.full((16, 16, 3), 255, dtype=np.uint8), 4)
+        s3 = _cell_sums(_cell_sums(s1, 2), 2)
+        assert s3.dtype == np.uint16 and np.all(s3 == 65_280)
+        assert np.all(imaging.normalize(s3, 256) == 1.0)
 
     def test_upsample_duplicates(self):
         g = np.array([[[1.0], [2.0]]], dtype=np.float32)  # 1x2
@@ -178,9 +191,11 @@ class TestPooling:
 
     @pytest.mark.parametrize("factor", [2, 4])
     def test_pool_inverts_upsample_exactly(self, factor):
+        # summing nn_upsample(g, f) in f x f cells gives f^2 * g
         rng = np.random.default_rng(9)
-        g = rng.standard_normal((12, 8, 4)).astype(np.float32)
-        assert np.array_equal(_pool(nn_upsample(g, factor), factor), g)
+        g = rng.integers(0, 256, (12, 8, 4), dtype=np.uint8)
+        assert np.array_equal(_cell_sums(nn_upsample(g, factor), factor),
+                              factor * factor * g.astype(np.uint16))
 
 
 class TestPsnr:
