@@ -17,6 +17,7 @@ segment; a CRC32 over the header makes corruption loud.
 
 from __future__ import annotations
 
+import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -66,43 +67,24 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
     k = counts.shape[0]
     if k == 1:
         return np.ones(1, dtype=np.int32)  # degenerate alphabet, 1 explicit bit
-    # Two-queue merge (van Leeuwen 1976) on keys weight << b | lowest member
-    # symbol. `leaf` holds the leaves sorted stably by count, `made` the
-    # merged nodes in the order they are made; each ends in `end`, above every
-    # key. Every count is >= 1, so a merged node outweighs both nodes it pops
-    # and the popped keys never decrease. Two nodes made one after the other
-    # weigh the same only if all four popped keys do, and then their lowest
-    # symbols ascend. So `made` ascends, the two smallest fronts are the two
-    # smallest keys, and every merge is the one a heap of the keys would make:
-    # ties go to the node holding the lowest symbol. A pop records the parent.
+    # Huffman's merge on a heap of keys weight << b | lowest member symbol:
+    # ties go to the node holding the lowest symbol. Live nodes hold disjoint
+    # symbols, so node[s] names the live node whose lowest symbol is s.
     b = (k - 1).bit_length()  # the symbol field, as wide as the largest symbol
-    low, end = (1 << b) - 1, 1 << 64 + 2 * b  # total weight < 2^(64 + b)
-    order = np.argsort(counts, kind="stable")
-    leaf = (counts[order].astype(object) << b | order).tolist() + [end]  # may pass 64 bits
-    made, up_leaf, up_made = [end] * k, [0] * k, [0] * (k - 1)
-    i = j = 0  # queue fronts
-    for n in range(k - 1):
-        x, y = leaf[i], made[j]
-        if x < y:  # leaf x, then leaf z or merged node y
-            up_leaf[i], i = n, i + 1
-            if (z := leaf[i]) < y:
-                up_leaf[i], i, y = n, i + 1, z
-            else:
-                up_made[j], j = n, j + 1
-        else:  # merged node y, then leaf x or merged node z
-            up_made[j], j = n, j + 1
-            if x < (z := made[j]):
-                up_leaf[i], i = n, i + 1
-            else:
-                up_made[j], j, x = n, j + 1, z
-        sx, sy = x & low, y & low  # the merged node keeps the lower symbol
-        made[n] = x + y - (sx if sx > sy else sy)
-    below = [1] * (k - 1)  # the code length of a merged node's children
-    for n in range(k - 3, -1, -1):  # the root is made last
-        below[n] = below[up_made[n]] + 1
-    lengths = np.empty(k, dtype=np.int32)
-    lengths[order] = np.fromiter(map(below.__getitem__, up_leaf), np.int32, k)
-    return lengths
+    low = (1 << b) - 1
+    heap = (counts.astype(object) << b | np.arange(k)).tolist()  # may pass 64 bits
+    heapq.heapify(heap)
+    node, parent = list(range(k)), [0] * (2 * k - 1)
+    for n in range(k, 2 * k - 1):  # leaves are nodes 0..k-1; the root is made last
+        x, y = heapq.heappop(heap), heap[0]
+        sx, sy = x & low, y & low
+        parent[node[sx]] = parent[node[sy]] = n
+        node[min(sx, sy)] = n
+        heapq.heapreplace(heap, x + y - max(sx, sy))  # the merged node keeps the lower symbol
+    depth = [0] * (2 * k - 1)
+    for n in range(2 * k - 3, -1, -1):  # a parent is made after its children
+        depth[n] = depth[parent[n]] + 1
+    return np.array(depth[:k], dtype=np.int32)
 
 
 def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
@@ -110,13 +92,20 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     sum of the codewords before it, scaled to its own length."""
     lengths = np.asarray(lengths, dtype=np.int32)
     k, longest = lengths.shape[0], int(lengths.max(initial=0))
-    # keyed in the smallest type, where a stable sort is a radix sort
-    by_length = np.argsort(lengths.astype(np.min_scalar_type(longest)), kind="stable")
+    by_length = np.argsort(lengths, kind="stable")
     shift = (longest - lengths[by_length]).astype(np.uint64)
     step = np.uint64(1) << shift  # 2^-length in units of 2^-max_len
     codewords = np.empty(k, dtype=np.int64)
     codewords[by_length] = (np.cumsum(step, dtype=np.uint64) - step) >> shift
     return HuffmanCode(lengths, codewords)
+
+
+def frequency_counts(counts) -> np.ndarray:
+    """The frequency counts as uint64, as build_huffman reads them."""
+    try:
+        return np.asarray(counts, dtype=np.uint64)
+    except OverflowError as exc:
+        raise BitstreamError("frequency counts must fit in 64 unsigned bits") from exc
 
 
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
@@ -126,10 +115,7 @@ def build_huffman(counts: np.ndarray) -> HuffmanCode:
     at which the code fits and at 2^(e-1) does not; e is bisected, in at most
     7 more builds (Brotli's BrotliCreateHuffmanTree doubles the floor). At
     the largest count all weights are equal, so the code is balanced and fits."""
-    try:
-        counts = np.asarray(counts, dtype=np.uint64)
-    except OverflowError as exc:
-        raise BitstreamError("frequency counts must fit in 64 unsigned bits") from exc
+    counts = frequency_counts(counts)
     if counts.size and counts.min() < 1:
         raise BitstreamError("every frequency count must be >= 1, as in a smoothed table")
     if counts.size > 1 << MAX_CODE_LEN:

@@ -91,7 +91,8 @@ def normalize(raw: np.ndarray, count: int = 1) -> np.ndarray:
     float32 holds exactly, as it does every sum below 2**24."""
     scale = np.float32(count * HALF_RANGE)
     out = np.subtract(raw, scale, dtype=np.float32)
-    return np.divide(out, scale, out=out)
+    out /= scale  # in place for an array; a scalar is rebound
+    return out
 
 
 def denormalize(samples: np.ndarray) -> np.ndarray:

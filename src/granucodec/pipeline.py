@@ -1,7 +1,8 @@
 """End-to-end encode/decode orchestration around a shared codec session.
 
 A session bundles the codebook, its frequency table, and what follows from
-them: the Huffman code, its mean length L and the rate table, the bpp at L
+them: the Huffman code (built once per table and shared, read-only, by every
+session that holds it), its mean length L and the rate table, the bpp at L
 of each ratio triple on the lattice. Encoder and decoder must load the same
 codebook file; the container header pins its content hash.
 
@@ -16,6 +17,7 @@ stitched grid of transmitted codes bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +42,24 @@ class CodecSession:
     def __post_init__(self):
         if self.frequencies.k != self.codebook.k:
             raise CodebookError("frequency table size does not match codebook")
-        self.huffman = bitstream.build_huffman(self.frequencies.counts)
+        counts = bitstream.frequency_counts(self.frequencies.counts)
+        self.huffman = _shared_code(counts.shape, counts.tobytes())
         self.mean_code_len = bitstream.mean_code_length(self.huffman)
         self.rate_table = granularity.build_rate_table(self.mean_code_len)
 
     @classmethod
     def from_file(cls, path) -> "CodecSession":
-        cb, tbl = vq.load_codebook(path)
-        return cls(cb, tbl)
+        return cls(*vq.load_codebook(path))
+
+
+@functools.lru_cache(maxsize=2)
+def _shared_code(shape: tuple, data: bytes) -> HuffmanCode:
+    """The Huffman code of the uint64 counts `data` holds, with read-only
+    arrays, built on first use and kept for the last two distinct tables: every
+    session loaded from one codebook file shares one build (as vq._cached_index)."""
+    code = bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64).reshape(shape))
+    code.lengths.flags.writeable = code.codewords.flags.writeable = False
+    return code
 
 
 def quantize_streams(session: CodecSession, img: ImagePlane,
@@ -113,7 +125,7 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
         grid = np.zeros(mask.shape, dtype=codes.dtype)
         grid[mask] = idx
         codes += nn_upsample(grid, factor)
-    colours = denormalize(np.clip(session.codebook.codes, -1.0, 1.0))  # (k, 3) bytes
+    colours = denormalize(session.codebook.codes)  # (k, 3) clamped bytes
     if codes.size and (codes.min() < 0 or codes.max() >= len(colours)):
         raise CodebookError("index out of codebook range")
     return ImagePlane(nn_upsample(colours[codes], 4), true_h=container.true_h,

@@ -252,8 +252,8 @@ class TestHuffman:
             assert lengths.tolist() == member_list_lengths(counts), counts
 
     def test_lengths_match_member_list_oracle_past_64_bits(self):
-        # merged weights pass 2^64, so the packed keys outgrow 64 bits and
-        # the queues' end sentinel must stay above every one of them
+        # merged weights pass 2^64, so the packed heap keys outgrow 64 bits
+        # and must still order by weight, then by lowest symbol
         rng = np.random.default_rng(26)
         top = (1 << 64) - 1
         tables = [[top] * k for k in (2, 3, 5, 64, 257, 300)]

@@ -91,6 +91,11 @@ class TestNormalize:
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
+    def test_scalar_sums_normalized(self):
+        # a numpy scalar has no array for an out= divide to write into
+        assert imaging.normalize(np.uint8(200)) == np.float32(0.5686275)
+        assert imaging.normalize(np.uint16(4080), 16) == 1.0
+
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_from_raw_rejects_other_dtypes(self, dtype):
         with pytest.raises(imaging.ImageError, match="uint8"):

@@ -67,6 +67,48 @@ def test_session_tables_pinned(session):
     assert digests == SESSION_TABLES_SHA256
 
 
+class TestSharedCode:
+    """Sessions of one frequency table share one Huffman build."""
+
+    def test_sessions_from_one_file_share_one_build(self, small_session, tmp_path, monkeypatch):
+        path = tmp_path / "cb.cgcb"
+        vq.save_codebook(small_session.codebook, small_session.frequencies, path)
+        build, builds = bitstream.build_huffman, []
+        monkeypatch.setattr(bitstream, "build_huffman",
+                            lambda counts: builds.append(counts) or build(counts))
+        pipeline._shared_code.cache_clear()
+        first, second = (pipeline.CodecSession.from_file(path) for _ in range(2))
+        assert first.huffman is second.huffman
+        assert len(builds) == 1
+
+    def test_shared_arrays_read_only(self, small_session):
+        for array in (small_session.huffman.lengths, small_session.huffman.codewords):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_other_counts_other_code(self, small_session):
+        counts = small_session.frequencies.counts.copy()
+        counts[0] = counts.sum()  # symbol 0 gets a 1-bit codeword
+        other = pipeline.CodecSession(small_session.codebook, vq.FrequencyTable(counts))
+        assert other.huffman is not small_session.huffman
+        assert other.huffman.lengths[0] == 1 != small_session.huffman.lengths[0]
+        want = bitstream.build_huffman(counts)
+        assert np.array_equal(other.huffman.lengths, want.lengths)
+        assert np.array_equal(other.huffman.codewords, want.codewords)
+
+    @pytest.mark.parametrize("table", ["zero count", "2^16 + 1 symbols", "count of 2^64"])
+    def test_session_refuses_what_build_huffman_refuses(self, table):
+        k = (1 << 16) + 1 if table == "2^16 + 1 symbols" else 4
+        counts = np.ones(k, dtype=object)
+        counts[0] = {"zero count": 0, "count of 2^64": 1 << 64}.get(table, 1)
+        with pytest.raises(BitstreamError) as refused:
+            bitstream.build_huffman(counts)
+        cb = vq.Codebook(np.zeros((k, 3), dtype=np.float32))
+        for _ in range(2):  # lru_cache keeps no exception, so each attempt raises
+            with pytest.raises(BitstreamError, match=re.escape(str(refused.value))):
+                pipeline.CodecSession(cb, vq.FrequencyTable(counts))
+
+
 class TestEncodeDecode:
     def test_coarse_only_index_count(self, small_session):
         img = make_image("photo", 64, 64, seed=40)
