@@ -101,7 +101,9 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
 
 
 def frequency_counts(counts) -> np.ndarray:
-    """The frequency counts as uint64, as build_huffman reads them."""
+    """The frequency counts as a 1-D uint64 array, as build_huffman reads them."""
+    if np.ndim(counts) != 1:
+        raise BitstreamError(f"frequency counts of shape {np.shape(counts)}, not (k,)")
     try:
         return np.asarray(counts, dtype=np.uint64)
     except OverflowError as exc:

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bitstream, granularity, imaging, pipeline, training, vq
 from .granularity import RatioTriple
-from .spatial_entropy import entropy_map
 
 def _parse_ratios(text: str) -> RatioTriple:
     """The argparse type of an r1,r2,r3 flag: a bad triple is a usage error
@@ -72,10 +71,7 @@ def cmd_decode(args) -> None:
 def cmd_stats(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
     img = imaging.load_ppm(args.input)
-    ratios = args.ratios or granularity.ratios_for_target(session.rate_table, args.bpp)
-    # plan as encode_image does, keeping the entropy map for --entropy-csv
-    emap = entropy_map(img, session.entropy_cfg)
-    gmap = granularity.plan_granularity(emap, ratios)
+    ratios, emap, gmap = pipeline.plan_image(session, img, args.ratios, args.bpp)
     container = pipeline.encode_with_map(session, img, gmap)
     total, payload = bitstream.measure_rate(container)
     quality = imaging.psnr(img, pipeline.decode_image(session, container))

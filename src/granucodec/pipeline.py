@@ -1,4 +1,5 @@
-"""End-to-end encode/decode orchestration around a shared codec session.
+"""Encode and decode around a shared codec session; encode and the CLI's stats
+plan through one function, `plan_image` (ratios or a target bpp in, maps out).
 
 A session bundles the codebook, its frequency table, and what follows from
 them: the Huffman code (built once per table and shared, read-only, by every
@@ -40,9 +41,9 @@ class CodecSession:
     entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
     def __post_init__(self):
-        if self.frequencies.k != self.codebook.k:
-            raise CodebookError("frequency table size does not match codebook")
         counts = bitstream.frequency_counts(self.frequencies.counts)
+        if counts.size != self.codebook.k:
+            raise CodebookError("frequency table size does not match codebook")
         self.huffman = _shared_code(counts.shape, counts.tobytes())
         self.mean_code_len = bitstream.mean_code_length(self.huffman)
         self.rate_table = granularity.build_rate_table(self.mean_code_len)
@@ -71,8 +72,7 @@ def quantize_streams(session: CodecSession, img: ImagePlane,
 
 def encode_with_map(session: CodecSession, img: ImagePlane,
                     gmap: np.ndarray) -> Container:
-    """Encode with an explicit granularity map (the planner normally
-    supplies it; tests and manual overrides can too)."""
+    """Encode with a granularity map, as `plan_image` or any caller gives it."""
     bitstream.check_size(img.true_w, img.true_h)
     by, bx = img.height // BLOCK, img.width // BLOCK
     if gmap.shape != (by, bx):
@@ -86,17 +86,21 @@ def encode_with_map(session: CodecSession, img: ImagePlane,
     )
 
 
-def encode_image(session: CodecSession, img: ImagePlane,
-                 ratios: RatioTriple | None = None,
-                 target_bpp: float | None = None) -> Container:
+def plan_image(session: CodecSession, img: ImagePlane, ratios: RatioTriple | None = None,
+               target_bpp: float | None = None) -> tuple[RatioTriple, np.ndarray, np.ndarray]:
+    """(ratios, entropy map, granularity map) for ratios or a target; size checked first."""
     if (ratios is None) == (target_bpp is None):
         raise ValueError("give exactly one of ratios or target_bpp")
     bitstream.check_size(img.true_w, img.true_h)
     if ratios is None:
         ratios = granularity.ratios_for_target(session.rate_table, target_bpp)
     emap = entropy_map(img, session.entropy_cfg)
-    gmap = granularity.plan_granularity(emap, ratios)
-    return encode_with_map(session, img, gmap)
+    return ratios, emap, granularity.plan_granularity(emap, ratios)
+
+
+def encode_image(session: CodecSession, img: ImagePlane, ratios: RatioTriple | None = None,
+                 target_bpp: float | None = None) -> Container:
+    return encode_with_map(session, img, plan_image(session, img, ratios, target_bpp)[2])
 
 
 def decode_streams(session: CodecSession,

@@ -1,10 +1,10 @@
 """Codebook training over an image corpus.
 
-k-means runs on feature cells pooled from all three pyramid scales; the
-usage-frequency pass then replays the real encoding path (entropy map,
-granularity plan, masked quantization) so the statistics match what
-encoding will actually emit. The frequency table counts how often each index
-is emitted over the corpus, plus one, so every symbol stays codeable.
+k-means runs on feature cells pooled from all three pyramid scales. The
+frequency pass then counts each index that encoding would emit (entropy map,
+a plan at fixed ratios, masked quantization), plus one, so every symbol stays
+codeable. It plans without pipeline.plan_image, which takes a session, and a
+session is built from the very table this pass counts.
 """
 
 from __future__ import annotations

@@ -108,6 +108,17 @@ class TestSharedCode:
             with pytest.raises(BitstreamError, match=re.escape(str(refused.value))):
                 pipeline.CodecSession(cb, vq.FrequencyTable(counts))
 
+    @pytest.mark.parametrize("shape", [(4, 2), ()], ids=["2-d", "0-d"])
+    def test_counts_not_one_dimensional_refused(self, shape):
+        # the shape is named, not left to a broadcast or an index error
+        counts = np.ones(shape, dtype=np.uint64)
+        message = re.escape(f"frequency counts of shape {shape}, not (k,)")
+        with pytest.raises(BitstreamError, match=message):
+            bitstream.build_huffman(counts)
+        cb = vq.Codebook(np.zeros((4, 3), dtype=np.float32))
+        with pytest.raises(BitstreamError, match=message):
+            pipeline.CodecSession(cb, vq.FrequencyTable(counts))
+
 
 class TestEncodeDecode:
     def test_coarse_only_index_count(self, small_session):
@@ -334,6 +345,52 @@ class TestEncodeDecode:
             assert imaging.psnr(flat, rec) == imaging.LOSSLESS
 
 
+class TestPlanImage:
+    @pytest.mark.parametrize("kwargs", [{"ratios": RatioTriple(0.3, 0.3, 0.4)}] + [
+        {"target_bpp": t} for t in (0.05, 0.1, 0.3, 0.6)],
+        ids=["ratios", "bpp-0.05", "bpp-0.1", "bpp-0.3", "bpp-0.6"])
+    def test_encode_writes_the_plan(self, small_session, kwargs):
+        from granucodec.spatial_entropy import entropy_map
+        img = make_image("photo", 120, 104, seed=80)
+        ratios, emap, gmap = pipeline.plan_image(small_session, img, **kwargs)
+        assert ratios == (kwargs.get("ratios") or granularity.ratios_for_target(
+            small_session.rate_table, kwargs["target_bpp"]))
+        assert np.array_equal(emap, entropy_map(img, small_session.entropy_cfg))
+        assert np.array_equal(gmap, granularity.plan_granularity(emap, ratios))
+        c = pipeline.encode_image(small_session, img, **kwargs)
+        assert np.array_equal(bitstream.decode_map(c), gmap)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"ratios": RatioTriple(0, 0, 1), "target_bpp": 0.2}],
+                             ids=["neither", "both"])
+    def test_exactly_one_rate(self, small_session, kwargs):
+        img = make_image("waves", 32, 32, seed=81)
+        with pytest.raises(ValueError, match="give exactly one of ratios or target_bpp"):
+            pipeline.plan_image(small_session, img, **kwargs)
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        (["--ratios", "0,0,1"], {"ratios": RatioTriple(0, 0, 1)}),
+        (["--bpp", "0.2"], {"target_bpp": 0.2}),
+    ], ids=["ratios", "bpp"])
+    def test_over_cap_refused_before_any_pixel(self, small_session, cli_env, monkeypatch,
+                                               capsys, flags, kwargs):
+        # broadcast_to allocates nothing, and no entropy map may be computed
+        pixels = np.broadcast_to(np.zeros((1, 1, 3), np.uint8), (8208, 8192, 3))
+        img = imaging.ImagePlane(pixels, true_h=8193, true_w=8192)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("entropy map of an image over the pixel cap")
+
+        monkeypatch.setattr(pipeline, "entropy_map", unread)
+        monkeypatch.setattr(cli, "entropy_map", unread, raising=False)
+        message = "8192x8208 padded pixels exceed the 67108864-pixel limit"
+        with pytest.raises(BitstreamError, match=re.escape(message)):
+            pipeline.plan_image(small_session, img, **kwargs)
+        monkeypatch.setattr(imaging, "load_ppm", lambda path: img)
+        _, cb, _ = cli_env
+        assert cli.main(["stats", "--codebook", str(cb), "--input", "any.ppm", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -467,7 +524,6 @@ class TestCli:
         def counted(*args, **kwargs):
             maps.append(spatial_entropy.entropy_map(*args, **kwargs))
             return maps[-1]
-        monkeypatch.setattr(cli, "entropy_map", counted)
         monkeypatch.setattr(pipeline, "entropy_map", counted)
         csv = root / "entropy-once.csv"
         assert cli.main(["stats", "--codebook", str(cb), "--input", str(ppm),
