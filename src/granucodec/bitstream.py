@@ -8,11 +8,11 @@ shared frequency table, held to `MAX_CODE_LEN` = 16 bits as in JPEG; the
 map uses `MAP_CODE`, a fixed canonical code with lengths (1, 2, 2) over
 `COARSE - label`. A canonical code depends only on its per-symbol lengths:
 in (length, symbol) order, each codeword is the Kraft sum of the codewords
-before it, scaled to its own length. So the decoder builds one table of
-windows as wide as the longest codeword from the lengths alone (Moffat &
-Turpin 1997), reads the code length at every bit position from it, and hops
-from symbol to symbol. The container header carries the bit length of each
-segment; a CRC32 over the header makes corruption loud.
+before it, scaled to its own length. So each code holds one table of windows
+as wide as the longest codeword, built once from the lengths alone (Moffat &
+Turpin 1997); the decoder reads the code length at every bit position from
+it, and hops from symbol to symbol. The container header carries the bit
+length of each segment; a CRC32 over the header makes corruption loud.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ class BitstreamError(ValueError):
 
 @dataclass(frozen=True)
 class HuffmanCode:
-    """Canonical prefix code: per-symbol lengths and codewords."""
+    """Canonical prefix code, as `_canonical_code` builds it from the lengths."""
 
     lengths: np.ndarray  # (k,) int32
     codewords: np.ndarray  # (k,) int64
+    windows: np.ndarray  # (2^max_len,) int32: the symbol whose codeword starts each window, or k
+    mean_length: float  # unweighted mean of the lengths (the rate model's L)
 
     @property
     def k(self) -> int:
@@ -88,8 +90,10 @@ def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
 
 
 def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
-    """Assign codewords by (length, symbol index): each codeword is the Kraft
-    sum of the codewords before it, scaled to its own length."""
+    """The code of per-symbol lengths: in (length, symbol) order, each codeword
+    is the Kraft sum of those before it, scaled to its own length. So the
+    codewords tile the max_len-bit windows from 0, each owning the windows it
+    starts; the windows left over (only for k = 1) start no codeword."""
     lengths = np.asarray(lengths, dtype=np.int32)
     k, longest = lengths.shape[0], int(lengths.max(initial=0))
     by_length = np.argsort(lengths, kind="stable")
@@ -97,32 +101,39 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     step = np.uint64(1) << shift  # 2^-length in units of 2^-max_len
     codewords = np.empty(k, dtype=np.int64)
     codewords[by_length] = (np.cumsum(step, dtype=np.uint64) - step) >> shift
-    return HuffmanCode(lengths, codewords)
+    owned = np.repeat(by_length.astype(np.int32), step.astype(np.intp))
+    windows = np.pad(owned, (0, (1 << longest) - owned.size), constant_values=k)
+    return HuffmanCode(lengths, codewords, windows, float(lengths.mean(dtype=np.float64)))
 
 
 def frequency_counts(counts) -> np.ndarray:
-    """The frequency counts as a 1-D uint64 array, as build_huffman reads them."""
+    """The counts as a 1-D uint64 array, refused unless they are 1 to 2^16
+    integers, each >= 1 and below 2^64, as in a smoothed table."""
     if np.ndim(counts) != 1:
         raise BitstreamError(f"frequency counts of shape {np.shape(counts)}, not (k,)")
-    try:
-        return np.asarray(counts, dtype=np.uint64)
-    except OverflowError as exc:
-        raise BitstreamError("frequency counts must fit in 64 unsigned bits") from exc
+    if not 1 <= len(counts) <= 1 << MAX_CODE_LEN:
+        raise BitstreamError(f"{len(counts)} symbols: a {MAX_CODE_LEN}-bit prefix code "
+                             f"holds 1 to {1 << MAX_CODE_LEN}")
+    counts = np.asarray(counts)
+    ok = counts >= 1
+    if counts.dtype.kind not in "iu":  # a float or a Python int may be a fraction or too large
+        ok &= counts < 2.0 ** 64
+        ok[ok] = counts[ok] % 1 == 0
+    if not ok.all():
+        at = int(ok.argmin())
+        raise BitstreamError(f"code {at} has frequency count {counts[at]}; every count must "
+                             "be an integer >= 1 and below 2^64, as in a smoothed table")
+    return counts.astype(np.uint64, copy=False)
 
 
 def build_huffman(counts: np.ndarray) -> HuffmanCode:
-    """Optimal prefix code for frequency counts that are all >= 1, as in a
-    smoothed table, unless its longest codeword passes `MAX_CODE_LEN` bits.
-    Then every count is raised to a floor 2^e, clamped to the largest count,
-    at which the code fits and at 2^(e-1) does not; e is bisected, in at most
-    7 more builds (Brotli's BrotliCreateHuffmanTree doubles the floor). At
-    the largest count all weights are equal, so the code is balanced and fits."""
+    """Optimal prefix code for frequency counts (see `frequency_counts`),
+    unless its longest codeword passes `MAX_CODE_LEN` bits. Then every count
+    is raised to a floor 2^e, clamped to the largest count, at which the code
+    fits and at 2^(e-1) does not; e is bisected, in at most 7 more builds
+    (Brotli's BrotliCreateHuffmanTree doubles the floor). At the largest
+    count all weights are equal, so the code is balanced and fits."""
     counts = frequency_counts(counts)
-    if counts.size and counts.min() < 1:
-        raise BitstreamError("every frequency count must be >= 1, as in a smoothed table")
-    if counts.size > 1 << MAX_CODE_LEN:
-        raise BitstreamError(f"{counts.size} symbols do not fit a "
-                             f"{MAX_CODE_LEN}-bit prefix code")
     lengths = _huffman_lengths(counts)
     if lengths.max(initial=0) > MAX_CODE_LEN:
         top = int(counts.max())
@@ -132,11 +143,6 @@ def build_huffman(counts: np.ndarray) -> HuffmanCode:
             lengths = _huffman_lengths(np.maximum(counts, np.uint64(min(1 << e, top))))
             lo, hi = (e, hi) if lengths.max() > MAX_CODE_LEN else (lo, e)
     return _canonical_code(lengths)
-
-
-def mean_code_length(code: HuffmanCode) -> float:
-    """Unweighted mean of the per-symbol code lengths (the rate model's L)."""
-    return float(code.lengths.mean(dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +200,9 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     names, counts, stops = zip(*segments)
     bits = 8 * len(payload)
     limits = np.minimum(stops, bits)
-    lengths = code.lengths
+    lengths, table = code.lengths, code.windows
     max_len = int(lengths.max())
     walk = min(sum(counts), max(int(limits.max()) - pos, 0) // int(lengths.min()) + 1)
-    # In canonical order the codewords tile the table of max_len-bit windows
-    # from 0, each owning the 2^(max_len - l) windows it starts; the windows
-    # left over start no codeword (only for a k = 1 code).
-    order = np.argsort(lengths, kind="stable")
-    owned = np.repeat(order, 1 << (max_len - lengths[order])).astype(np.int32)
-    table = np.pad(owned, (0, (1 << max_len) - owned.size), constant_values=code.k)
     table_len = np.append(lengths, 0).astype(np.uint8)[table]
     # The max_len-bit window at every bit position up to the last stop, read
     # from three bytes (zeros past it, where no symbol ends in its segment).

@@ -45,7 +45,7 @@ class CodecSession:
         if counts.size != self.codebook.k:
             raise CodebookError("frequency table size does not match codebook")
         self.huffman = _shared_code(counts.shape, counts.tobytes())
-        self.mean_code_len = bitstream.mean_code_length(self.huffman)
+        self.mean_code_len = self.huffman.mean_length
         self.rate_table = granularity.build_rate_table(self.mean_code_len)
 
     @classmethod
@@ -59,7 +59,8 @@ def _shared_code(shape: tuple, data: bytes) -> HuffmanCode:
     arrays, built on first use and kept for the last two distinct tables: every
     session loaded from one codebook file shares one build (as vq._cached_index)."""
     code = bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64).reshape(shape))
-    code.lengths.flags.writeable = code.codewords.flags.writeable = False
+    for array in (code.lengths, code.codewords, code.windows):
+        array.flags.writeable = False
     return code
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FEATURES
+from .bitstream import BitstreamError, frequency_counts
 
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
@@ -235,9 +236,12 @@ def _assign(points: np.ndarray, centers: np.ndarray):
 @functools.lru_cache(maxsize=2)
 def _cached_index(shape: tuple, data: bytes):
     """The candidate lists of the float64 centers `data` holds, built on first
-    use and kept for the last two distinct center arrays, keyed by their
-    bytes: every session loaded from one codebook file shares one build."""
-    return _build_index(np.frombuffer(data).reshape(shape))
+    use and kept, read-only, for the last two distinct center arrays, keyed
+    by their bytes: every session loaded from one codebook file shares one build."""
+    index = _build_index(np.frombuffer(data).reshape(shape))
+    for array in index:
+        array.flags.writeable = False
+    return index
 
 
 def _build_index(centers: np.ndarray):
@@ -304,12 +308,13 @@ def _build_index(centers: np.ndarray):
             min_d2 = max_d2 = 0.0
             for j, c in enumerate(cs):
                 lo = -1.0 + (2 * coords[j][parent] + half) * width
-                near, far = np.zeros(lo.shape), np.zeros(lo.shape)
-                _add_bounds(c[code], lo, lo + width, near, far)
+                # how far each code lies below and above the widened interval
+                below = (lo - _BOX_PAD) - c[code]
+                above = c[code] - (lo + width + _BOX_PAD)
                 shape = [1] * d + [-1]
                 shape[j] = 2
-                min_d2 = min_d2 + near.reshape(shape)
-                max_d2 = max_d2 + far.reshape(shape)
+                min_d2 = min_d2 + (np.maximum(np.maximum(below, above), 0.0) ** 2).reshape(shape)
+                max_d2 = max_d2 + (np.maximum(-below, -above) ** 2).reshape(shape)
             min_d2, max_d2 = min_d2.reshape(fan, -1), max_d2.reshape(fan, -1)
             bound = np.minimum.reduceat(max_d2, run_starts, axis=1) * slack + _ABS_SLACK
             keep = min_d2 <= np.repeat(bound, run, axis=1)
@@ -331,15 +336,6 @@ def _build_index(centers: np.ndarray):
     return members, starts, spread
 
 
-def _add_bounds(c: np.ndarray, lo, hi, min_d2: np.ndarray, max_d2: np.ndarray) -> None:
-    """Add each code's squared distance to the nearest and to the farthest
-    point of [lo, hi], widened by _BOX_PAD, to min_d2 and max_d2."""
-    below = (lo - _BOX_PAD) - c  # positive when the code lies below the interval
-    above = c - (hi + _BOX_PAD)  # positive when it lies above
-    min_d2 += np.maximum(np.maximum(below, above), 0.0) ** 2
-    max_d2 += np.maximum(-below, -above) ** 2
-
-
 def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
     """out = the sum, in order, of (x - c)**2 over the (x, c) coordinate
     pairs, broadcast. The search and k-means seeding share it."""
@@ -358,17 +354,19 @@ def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
 
 def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
     """Write the CGCB container: codes, frequency counts, content hash."""
-    if tbl.k != cb.k:
+    try:
+        counts = frequency_counts(tbl.counts)
+    except BitstreamError as exc:
+        raise CodebookError(str(exc)) from None
+    if counts.size != cb.k:
         raise CodebookError("frequency table size does not match codebook")
     if cb.k > MAX_K:
         raise CodebookError(f"k={cb.k}: the format stores k in 16 bits (at most {MAX_K})")
-    if np.any(tbl.counts < 1):
-        raise CodebookError("every frequency count must be >= 1, as in a smoothed table")
     with open(path, "wb") as f:
         f.write(CODEBOOK_MAGIC)
         f.write(struct.pack("<BHH", CODEBOOK_VERSION, cb.k, cb.d))
         f.write(cb.codes.astype("<f4").tobytes())
-        f.write(tbl.counts.astype("<u8").tobytes())
+        f.write(counts.astype("<u8").tobytes())
         f.write(struct.pack("<Q", cb.id_hash))
 
 

@@ -7,10 +7,10 @@ import zlib
 import numpy as np
 import pytest
 
-from granucodec import bitstream, pipeline
+from granucodec import bitstream, pipeline, vq
 from granucodec.bitstream import (
     MAP_CODE, MAX_CODE_LEN, BitstreamError, Container, HuffmanCode, _canonical_code,
-    _huffman_lengths, build_huffman, mean_code_length, measure_rate, parse_container,
+    _huffman_lengths, build_huffman, frequency_counts, measure_rate, parse_container,
     prefix_decode, prefix_encode, serialize_container,
 )
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
@@ -212,13 +212,13 @@ class TestHuffman:
     def test_uniform_1024_all_length_10(self):
         code = build_huffman(np.ones(1024, dtype=np.uint64))
         assert np.all(code.lengths == 10)
-        assert mean_code_length(code) == 10.0
+        assert code.mean_length == 10.0
 
     def test_known_small_table(self):
         code = build_huffman(np.array([5, 2, 1, 1], dtype=np.uint64))
         assert sorted(code.lengths.tolist()) == [1, 2, 3, 3]
         assert weighted_total_bits(code, [5, 2, 1, 1]) == 15
-        assert mean_code_length(code) == 2.25
+        assert code.mean_length == 2.25
 
     @pytest.mark.parametrize("counts,words", [
         ([1] * 5, ["110", "111", "00", "01", "10"]),
@@ -396,6 +396,94 @@ class TestHuffman:
         assert words[3] == 0b10
         assert words[0] == 0b110
         assert words[2] == 0b111
+
+
+def window_oracle(lengths):
+    """The decoder's table of max_len-bit windows as `prefix_decode` built it
+    on every call before each code held it: in (length, symbol) order, each
+    symbol owns the 2^(max_len - length) windows its codeword starts, and the
+    windows left over hold k."""
+    max_len = int(lengths.max())
+    order = np.argsort(lengths, kind="stable")
+    owned = np.repeat(order, 1 << (max_len - lengths[order])).astype(np.int32)
+    return np.pad(owned, (0, (1 << max_len) - owned.size), constant_values=lengths.size)
+
+
+def random_complete_lengths(rng, k):
+    """The lengths of a complete prefix code over k >= 2 symbols, none past
+    `MAX_CODE_LEN`, from splitting random leaves of a one-leaf tree, shuffled."""
+    leaves = [0]
+    while len(leaves) < k:
+        i = rng.choice([i for i, depth in enumerate(leaves) if depth < MAX_CODE_LEN])
+        leaves[i:i + 1] = [leaves[i] + 1] * 2
+    rng.shuffle(leaves)
+    return np.array(leaves, dtype=np.int32)
+
+
+class TestCodeTables:
+    """A code carries its decode windows and L, built once from its lengths."""
+
+    def test_windows_match_the_per_call_construction(self):
+        rng = np.random.default_rng(37)
+        length_sets = [np.array([1]), np.full(1 << 16, 16), dyadic_lengths(16),
+                       np.array([1, 2, 2])]
+        length_sets += [random_complete_lengths(rng, int(k))
+                        for k in rng.integers(2, 600, size=40)]
+        longest = set()
+        for lengths in length_sets:
+            code = _canonical_code(lengths)
+            want = window_oracle(np.asarray(lengths, dtype=np.int32))
+            assert code.windows.dtype == want.dtype == np.int32
+            assert np.array_equal(code.windows, want)
+            assert code.mean_length == float(np.mean(lengths))
+            longest.add(int(np.max(lengths)))
+        assert MAX_CODE_LEN in longest and 1 in longest
+        assert np.array_equal(MAP_CODE.windows, window_oracle(MAP_CODE.lengths))
+
+    def test_each_codeword_owns_the_windows_it_starts(self):
+        rng = np.random.default_rng(38)
+        for k in (1, 2, 3, 17, 300):
+            lengths = np.array([1]) if k == 1 else random_complete_lengths(rng, k)
+            code = _canonical_code(lengths)
+            span = code.lengths.max() - code.lengths
+            for s in range(k):
+                first = int(code.codewords[s]) << int(span[s])
+                assert np.all(code.windows[first:first + (1 << int(span[s]))] == s)
+            assert np.count_nonzero(code.windows == k) == (1 if k == 1 else 0)
+
+
+class TestFrequencyCounts:
+    @pytest.mark.parametrize("counts,at,shown", [
+        (np.array([-1, 1, 1]), 0, "-1"),  # read as 2^64 - 1 without the check
+        (np.array([-1.5, 2.0]), 0, "-1.5"),
+        (np.array([3.0, 2.5, 1.0]), 1, "2.5"),
+        (np.array([4.0, 1.0, np.nan]), 2, "nan"),
+        (np.array([1.0, np.inf]), 1, "inf"),
+        (np.array([1.0, 2.0 ** 64]), 1, "1.8446744073709552e+19"),
+        ([1, 1, 1 << 64], 2, "18446744073709551616"),
+        (np.array([5, 0, 1], dtype=np.uint64), 1, "0"),
+    ], ids=["negative", "negative fraction", "fraction", "nan", "inf", "float 2^64",
+            "int 2^64", "zero"])
+    def test_bad_count_names_its_code(self, counts, at, shown):
+        message = re.escape(f"code {at} has frequency count {shown}; every count must be "
+                            "an integer >= 1 and below 2^64")
+        cb = vq.Codebook(np.zeros((len(counts), 3), dtype=np.float32))
+        for refuse in (frequency_counts, build_huffman,
+                       lambda c: pipeline.CodecSession(cb, vq.FrequencyTable(c))):
+            with pytest.raises(BitstreamError, match="^" + message):
+                refuse(counts)
+
+    @pytest.mark.parametrize("counts", [
+        [2, 3], [2.0, 3.0], np.array([1, (1 << 64) - 1], dtype=np.uint64),
+        np.array([1, (1 << 64) - 1], dtype=object), np.array([7], dtype=np.int8)])
+    def test_whole_counts_of_any_type_kept(self, counts):
+        got = frequency_counts(counts)
+        assert got.dtype == np.uint64 and got.tolist() == [int(c) for c in counts]
+
+    def test_empty_alphabet_refused(self):
+        with pytest.raises(BitstreamError, match=r"^0 symbols: a 16-bit prefix code holds "
+                                                 r"1 to 65536"):
+            build_huffman(np.array([], dtype=np.uint64))
 
 
 def bit_string_oracle(symbols, code):

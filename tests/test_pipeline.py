@@ -82,7 +82,8 @@ class TestSharedCode:
         assert len(builds) == 1
 
     def test_shared_arrays_read_only(self, small_session):
-        for array in (small_session.huffman.lengths, small_session.huffman.codewords):
+        code = small_session.huffman
+        for array in (code.lengths, code.codewords, code.windows):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 

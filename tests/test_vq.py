@@ -397,6 +397,13 @@ class TestBoxIndex:
             assert_matches_oracle(_assign(points, books[i]), elementwise_oracle(points, books[i]))
         assert len(builds) == 4 and vq._cached_index.cache_info().currsize == 2
 
+    def test_shared_lists_read_only(self):
+        # every session and k-means share the lists of one set of codes
+        centers = np.random.default_rng(42).uniform(-1, 1, size=(32, 3))
+        for array in vq._cached_index(centers.shape, centers.tobytes()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
     def test_build_peak_memory(self, session):
         # a build runs in steps of bounded size: at k=1024 it stays under 8 MiB
         assert session.codebook.k == 1024
@@ -606,6 +613,16 @@ class TestCodebookFile:
         path = tmp_path / "cb.cgcb"
         with pytest.raises(CodebookError, match=">= 1"):
             save_codebook(cb16, FrequencyTable(counts), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(4, 2), ()], ids=["2-d", "0-d"])
+    def test_table_not_one_dimensional_rejected_before_writing(self, tmp_path, shape):
+        # a (4, 2) table was written as 8 counts, a file load_codebook refuses
+        cb = Codebook(np.zeros((4, 3), dtype=np.float32))
+        path = tmp_path / "cb.cgcb"
+        with pytest.raises(CodebookError,
+                           match=re.escape(f"frequency counts of shape {shape}, not (k,)")):
+            save_codebook(cb, FrequencyTable(np.ones(shape, dtype=np.uint64)), path)
         assert not path.exists()
 
     def test_zero_count_rejected(self, tmp_path, cb16):
