@@ -8,11 +8,11 @@ shared frequency table, held to `MAX_CODE_LEN` = 16 bits as in JPEG; the
 map uses `MAP_CODE`, a fixed canonical code with lengths (1, 2, 2) over
 `COARSE - label`. A canonical code depends only on its per-symbol lengths:
 in (length, symbol) order, each codeword is the Kraft sum of the codewords
-before it, scaled to its own length. So each code holds one table of windows
-as wide as the longest codeword, built once from the lengths alone (Moffat &
-Turpin 1997); the decoder reads the code length at every bit position from
-it, and hops from symbol to symbol. The container header carries the bit
-length of each segment; a CRC32 over the header makes corruption loud.
+before it, scaled to its own length. So each code holds, built once from the
+lengths alone (Moffat & Turpin 1997), the symbol and the code length of the
+codeword starting each window as wide as the longest codeword; the decoder
+reads each bit position's code length there and hops from symbol to symbol.
+The header holds each segment's bit length; its CRC32 makes corruption loud.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class HuffmanCode:
     lengths: np.ndarray  # (k,) int32
     codewords: np.ndarray  # (k,) int64
     windows: np.ndarray  # (2^max_len,) int32: the symbol whose codeword starts each window, or k
+    window_lengths: np.ndarray  # (2^max_len,) uint8: that codeword's length, or 0
     mean_length: float  # unweighted mean of the lengths (the rate model's L)
 
     @property
@@ -101,9 +102,12 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     step = np.uint64(1) << shift  # 2^-length in units of 2^-max_len
     codewords = np.empty(k, dtype=np.int64)
     codewords[by_length] = (np.cumsum(step, dtype=np.uint64) - step) >> shift
-    owned = np.repeat(by_length.astype(np.int32), step.astype(np.intp))
-    windows = np.pad(owned, (0, (1 << longest) - owned.size), constant_values=k)
-    return HuffmanCode(lengths, codewords, windows, float(lengths.mean(dtype=np.float64)))
+    owner = np.append(by_length, k)  # symbol k, of length 0, owns the windows left over
+    rest = (1 << longest) - int(step.sum())
+    windows, window_lengths = np.repeat([owner, np.append(lengths, 0)[owner]],
+                                        np.append(step, rest).astype(np.intp), axis=1)
+    return HuffmanCode(lengths, codewords, windows.astype(np.int32),
+                       window_lengths.astype(np.uint8), float(lengths.mean(dtype=np.float64)))
 
 
 def frequency_counts(counts) -> np.ndarray:
@@ -200,10 +204,9 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     names, counts, stops = zip(*segments)
     bits = 8 * len(payload)
     limits = np.minimum(stops, bits)
-    lengths, table = code.lengths, code.windows
+    lengths, table, window_len = code.lengths, code.windows, code.window_lengths
     max_len = int(lengths.max())
     walk = min(sum(counts), max(int(limits.max()) - pos, 0) // int(lengths.min()) + 1)
-    table_len = np.append(lengths, 0).astype(np.uint8)[table]
     # The max_len-bit window at every bit position up to the last stop, read
     # from three bytes (zeros past it, where no symbol ends in its segment).
     # The steps past those positions are 0: a chain that gets there stays.
@@ -212,7 +215,7 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     three = (data[:n].astype(np.uint32) << 8 | data[1:n + 1]) << 8 | data[2:n + 2]
     step = np.zeros(8 * n + max_len, dtype=np.uint8)
     for r in range(8):
-        step[r:8 * n:8] = np.take(table_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
+        step[r:8 * n:8] = np.take(window_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
     # the chain: one index and one add per symbol
     steps, p = step.tobytes(), pos
     chain = np.array([pos] + [p := p + steps[p] for _ in range(walk)], dtype=np.int64)

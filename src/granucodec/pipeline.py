@@ -8,12 +8,11 @@ of each ratio triple on the lattice. Encoder and decoder must load the same
 codebook file; the container header pins its content hash.
 
 A code is a cell's mean colour (analysis.FEATURES = 3; vq.Codebook refuses
-any other width). The decoder paints each 4x4 pixel cell with the bytes of
-the clamped colour of the code sent for it. That is the paper's
-conditional-replacement decoder here: its synthesis layers are
-nearest-neighbour upsamplers, and every fine-grid cell is sent at exactly one
-scale, so replacing the known positions after each layer returns the
-stitched grid of transmitted codes bit for bit.
+any other width). `reconstruct` runs the paper's coarse-to-fine
+conditional-replacement chain: the coarse stream's codes fill the block
+grid; each synthesis layer, here a nearest-neighbour x2 upsampler, doubles
+it, and the medium, then the fine stream replace the cells sent at their
+scale. Each 4x4 pixel cell is painted with the clamped colour of its code.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def _shared_code(shape: tuple, data: bytes) -> HuffmanCode:
     arrays, built on first use and kept for the last two distinct tables: every
     session loaded from one codebook file shares one build (as vq._cached_index)."""
     code = bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64).reshape(shape))
-    for array in (code.lengths, code.codewords, code.windows):
+    for array in (code.lengths, code.codewords, code.windows, code.window_lengths):
         array.flags.writeable = False
     return code
 
@@ -118,18 +117,16 @@ def decode_streams(session: CodecSession,
 
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
                 streams: list[np.ndarray]) -> ImagePlane:
-    """Paint each 4x4 pixel cell with the clamped colour of its transmitted code."""
+    """Paint each 4x4 pixel cell with the clamped colour of its code (see the module doc)."""
     masks = granularity.masks_from_map(gmap)
-    # the masks cover the fine grid disjointly, so the sum is each cell's index;
     # the dtype holds every stream value, so the range check sees any bad one
-    codes = np.zeros(masks[0].shape, dtype=np.result_type(np.int32, *streams))
-    for idx, mask, factor in zip(streams, masks, (1, 2, 4)):
+    codes = np.zeros(masks[2].shape, dtype=np.result_type(np.int32, *streams))
+    for idx, mask, factor in zip(streams[::-1], masks[::-1], (1, 2, 2)):  # coarse first
+        codes = nn_upsample(codes, factor)
         if np.size(idx) != np.count_nonzero(mask):  # numpy would broadcast one index
             raise ValueError(f"stream of {np.size(idx)} indices for "
                              f"{np.count_nonzero(mask)} cells")
-        grid = np.zeros(mask.shape, dtype=codes.dtype)
-        grid[mask] = idx
-        codes += nn_upsample(grid, factor)
+        codes[mask] = idx
     colours = denormalize(session.codebook.codes)  # (k, 3) clamped bytes
     if codes.size and (codes.min() < 0 or codes.max() >= len(colours)):
         raise CodebookError("index out of codebook range")

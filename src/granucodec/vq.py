@@ -266,7 +266,7 @@ def _build_index(centers: np.ndarray):
     box. A dropped code would change an answer; an extra one costs a
     distance.
 
-    The lists are refined from the whole cube, which keeps every code, one
+    The lists are refined from the whole cube's list of distinct codes, one
     halving of the box side at a time. A box's winners win in its parent
     too, so filtering the parent's list keeps them; taking the min over that
     list and not over all codes can only raise the bound. A level runs in
@@ -285,8 +285,10 @@ def _build_index(centers: np.ndarray):
     # lower half) or 1; halves[j, o] is child o's on axis j
     half = np.arange(2)[:, None]
     halves = (np.arange(fan) >> np.arange(d - 1, -1, -1)[:, None]) & 1
-    members = np.arange(k, dtype=np.min_scalar_type(k - 1))
-    starts = np.array([0, k])
+    # a code equal to a lower-index one never wins a tie, so it is not listed
+    members = np.sort(np.unique(centers, axis=0, return_index=True)[1])
+    members = members.astype(np.min_scalar_type(k - 1))
+    starts = np.array([0, members.size])
     coords = np.zeros((d, 1), dtype=np.intp)  # each box's coordinates, in box order
     level = 0
     while level < bits:

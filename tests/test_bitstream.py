@@ -409,6 +409,12 @@ def window_oracle(lengths):
     return np.pad(owned, (0, (1 << max_len) - owned.size), constant_values=lengths.size)
 
 
+def window_length_oracle(code):
+    """The code length at each window, as `prefix_decode` built it from the
+    windows on every call before each code held it: 0 where none starts."""
+    return np.append(code.lengths, 0).astype(np.uint8)[code.windows]
+
+
 def random_complete_lengths(rng, k):
     """The lengths of a complete prefix code over k >= 2 symbols, none past
     `MAX_CODE_LEN`, from splitting random leaves of a one-leaf tree, shuffled."""
@@ -421,24 +427,28 @@ def random_complete_lengths(rng, k):
 
 
 class TestCodeTables:
-    """A code carries its decode windows and L, built once from its lengths."""
+    """A code carries the symbol and the code length of each decode window, and
+    L, all built once from its lengths."""
 
     def test_windows_match_the_per_call_construction(self):
         rng = np.random.default_rng(37)
         length_sets = [np.array([1]), np.full(1 << 16, 16), dyadic_lengths(16),
                        np.array([1, 2, 2])]
         length_sets += [random_complete_lengths(rng, int(k))
-                        for k in rng.integers(2, 600, size=40)]
+                        for k in [*rng.integers(2, 600, size=40), 2, 3]]
         longest = set()
         for lengths in length_sets:
             code = _canonical_code(lengths)
             want = window_oracle(np.asarray(lengths, dtype=np.int32))
             assert code.windows.dtype == want.dtype == np.int32
             assert np.array_equal(code.windows, want)
+            assert code.window_lengths.dtype == np.uint8
+            assert np.array_equal(code.window_lengths, window_length_oracle(code))
             assert code.mean_length == float(np.mean(lengths))
             longest.add(int(np.max(lengths)))
         assert MAX_CODE_LEN in longest and 1 in longest
         assert np.array_equal(MAP_CODE.windows, window_oracle(MAP_CODE.lengths))
+        assert np.array_equal(MAP_CODE.window_lengths, window_length_oracle(MAP_CODE))
 
     def test_each_codeword_owns_the_windows_it_starts(self):
         rng = np.random.default_rng(38)

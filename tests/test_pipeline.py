@@ -83,7 +83,7 @@ class TestSharedCode:
 
     def test_shared_arrays_read_only(self, small_session):
         code = small_session.huffman
-        for array in (code.lengths, code.codewords, code.windows):
+        for array in (code.lengths, code.codewords, code.windows, code.window_lengths):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 

@@ -404,6 +404,37 @@ class TestBoxIndex:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
+    @pytest.mark.parametrize("k", [1, 2, 300])
+    def test_equal_codes_listed_once(self, k):
+        # k equal codes, the second half with -0.0 where the first has 0.0: a
+        # scan gives every tie to code 0, so each box lists code 0 alone
+        centers = np.tile([0.0, 0.25, -0.5], (k, 1))
+        centers[k // 2:, 0] = -0.0
+        members, starts, spread = vq._cached_index(centers.shape, centers.tobytes())
+        assert starts.size == spread.size ** 3 + 1
+        assert np.all(np.diff(starts) == 1) and not members.any()
+        rng = np.random.default_rng(43)
+        points = np.concatenate([rng.uniform(-1, 1, size=(500, 3)), centers[-1:]])
+        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+
+    @pytest.mark.parametrize("colours", [1, 2])
+    def test_few_colour_training_lists_each_distinct_code_once(self, colours, monkeypatch):
+        # k-means on one or two colours makes most of its 64 codes equal; no
+        # list of any iteration holds more codes than there are distinct ones
+        vq._cached_index.cache_clear()
+        seen, build = [], vq._build_index
+
+        def recording(centers):
+            members, starts, spread = build(centers)
+            seen.append((np.diff(starts).max(), len(np.unique(centers, axis=0))))
+            return members, starts, spread
+
+        monkeypatch.setattr(vq, "_build_index", recording)
+        colour = np.random.default_rng(44).uniform(-1, 1, size=(colours, 3))
+        cb = train_codebook(np.repeat(colour, 100, axis=0), k=64, iters=4, seed=0)
+        assert len(np.unique(cb.codes, axis=0)) == colours
+        assert seen and all(longest <= distinct for longest, distinct in seen)
+
     def test_build_peak_memory(self, session):
         # a build runs in steps of bounded size: at k=1024 it stays under 8 MiB
         assert session.codebook.k == 1024
