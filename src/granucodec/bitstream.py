@@ -12,7 +12,8 @@ before it, scaled to its own length. So each code holds, built once from the
 lengths alone (Moffat & Turpin 1997), the symbol and the code length of the
 codeword starting each window as wide as the longest codeword; the decoder
 reads each bit position's code length there and hops from symbol to symbol.
-The header holds each segment's bit length; its CRC32 makes corruption loud.
+The header holds each segment's bit length and a CRC32 that covers the
+header only: 939 of 1,000 single-bit payload flips decoded without an error.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     is the Kraft sum of those before it, scaled to its own length. So the
     codewords tile the max_len-bit windows from 0, each owning the windows it
     starts; the windows left over (only for k = 1) start no codeword."""
-    lengths = np.asarray(lengths, dtype=np.int32)
+    lengths = np.array(lengths, dtype=np.int32)  # a copy, as it is made read-only
     k, longest = lengths.shape[0], int(lengths.max(initial=0))
     by_length = np.argsort(lengths, kind="stable")
     shift = (longest - lengths[by_length]).astype(np.uint64)
@@ -106,8 +107,10 @@ def _canonical_code(lengths: np.ndarray) -> HuffmanCode:
     rest = (1 << longest) - int(step.sum())
     windows, window_lengths = np.repeat([owner, np.append(lengths, 0)[owner]],
                                         np.append(step, rest).astype(np.intp), axis=1)
-    return HuffmanCode(lengths, codewords, windows.astype(np.int32),
-                       window_lengths.astype(np.uint8), float(lengths.mean(dtype=np.float64)))
+    arrays = lengths, codewords, windows.astype(np.int32), window_lengths.astype(np.uint8)
+    for array in arrays:  # every user of a code shares it
+        array.flags.writeable = False
+    return HuffmanCode(*arrays, float(lengths.mean(dtype=np.float64)))
 
 
 def frequency_counts(counts) -> np.ndarray:
@@ -170,10 +173,13 @@ def prefix_encode(segments) -> tuple[bytes, list[int]]:
     every word but perhaps the last, and the i-th group is word i's."""
     lengths, codewords = [], []
     for symbols, code in segments:
-        symbols = np.asarray(symbols, dtype=np.int64).ravel()
-        bad = symbols[(symbols < 0) | (symbols >= code.k)]
+        symbols = np.asarray(symbols).ravel()
+        if symbols.dtype.kind not in "iu":
+            raise BitstreamError(f"symbols of dtype {symbols.dtype} are not integers")
+        bad = symbols[(symbols < 0) | (symbols >= code.k)]  # checked as given, then cast
         if bad.size:
             raise BitstreamError(f"symbol {bad[0]} outside alphabet of size {code.k}")
+        symbols = symbols.astype(np.int64, copy=False)
         lengths.append(np.take(code.lengths, symbols))
         codewords.append(np.take(code.codewords, symbols))
     length = np.concatenate(lengths)

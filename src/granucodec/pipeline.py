@@ -54,13 +54,10 @@ class CodecSession:
 
 @functools.lru_cache(maxsize=2)
 def _shared_code(shape: tuple, data: bytes) -> HuffmanCode:
-    """The Huffman code of the uint64 counts `data` holds, with read-only
-    arrays, built on first use and kept for the last two distinct tables: every
-    session loaded from one codebook file shares one build (as vq._cached_index)."""
-    code = bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64).reshape(shape))
-    for array in (code.lengths, code.codewords, code.windows, code.window_lengths):
-        array.flags.writeable = False
-    return code
+    """The Huffman code of the uint64 counts `data` holds, built on first use
+    and kept for the last two distinct tables: every session loaded from one
+    codebook file shares one build (as vq._cached_index)."""
+    return bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64).reshape(shape))
 
 
 def quantize_streams(session: CodecSession, img: ImagePlane,
@@ -118,18 +115,16 @@ def decode_streams(session: CodecSession,
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
                 streams: list[np.ndarray]) -> ImagePlane:
     """Paint each 4x4 pixel cell with the clamped colour of its code (see the module doc)."""
-    masks = granularity.masks_from_map(gmap)
-    # the dtype holds every stream value, so the range check sees any bad one
-    codes = np.zeros(masks[2].shape, dtype=np.result_type(np.int32, *streams))
+    masks, k = granularity.masks_from_map(gmap), session.codebook.k
+    codes = np.zeros(masks[2].shape, dtype=np.int32)  # holds every index below k <= 2^16
     for idx, mask, factor in zip(streams[::-1], masks[::-1], (1, 2, 2)):  # coarse first
-        codes = nn_upsample(codes, factor)
-        if np.size(idx) != np.count_nonzero(mask):  # numpy would broadcast one index
-            raise ValueError(f"stream of {np.size(idx)} indices for "
-                             f"{np.count_nonzero(mask)} cells")
+        codes, idx = nn_upsample(codes, factor), np.asarray(idx)
+        if idx.size != np.count_nonzero(mask):  # numpy would broadcast one index
+            raise ValueError(f"stream of {idx.size} indices for {np.count_nonzero(mask)} cells")
+        if idx.dtype.kind not in "iu" or idx.size and (idx.min() < 0 or idx.max() >= k):
+            raise CodebookError(f"{idx.dtype} stream: indices must be integers in [0, {k})")
         codes[mask] = idx
     colours = denormalize(session.codebook.codes)  # (k, 3) clamped bytes
-    if codes.size and (codes.min() < 0 or codes.max() >= len(colours)):
-        raise CodebookError("index out of codebook range")
     return ImagePlane(nn_upsample(colours[codes], 4), true_h=container.true_h,
                       true_w=container.true_w)
 

@@ -236,12 +236,9 @@ def _assign(points: np.ndarray, centers: np.ndarray):
 @functools.lru_cache(maxsize=2)
 def _cached_index(shape: tuple, data: bytes):
     """The candidate lists of the float64 centers `data` holds, built on first
-    use and kept, read-only, for the last two distinct center arrays, keyed
-    by their bytes: every session loaded from one codebook file shares one build."""
-    index = _build_index(np.frombuffer(data).reshape(shape))
-    for array in index:
-        array.flags.writeable = False
-    return index
+    use and kept for the last two distinct center arrays, keyed by their
+    bytes: every session loaded from one codebook file shares one build."""
+    return _build_index(np.frombuffer(data).reshape(shape))
 
 
 def _build_index(centers: np.ndarray):
@@ -335,6 +332,8 @@ def _build_index(centers: np.ndarray):
     side = np.arange(1 << level)
     spread = sum((((side >> t) & 1) << (d * (level - 1 - t)) for t in range(level)),
                  np.zeros_like(side))
+    for array in (members, starts, spread):  # every search of these codes shares them
+        array.flags.writeable = False
     return members, starts, spread
 
 

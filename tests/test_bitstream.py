@@ -621,6 +621,20 @@ class TestIndexCoding:
             with pytest.raises(BitstreamError, match=message):
                 prefix_encode([(np.array([0, 1]), MAP_CODE), (np.array([0, bad, 3, 5]), code)])
 
+    def test_symbol_named_as_given(self):
+        # the range check reads the symbols before any cast, so a uint64
+        # symbol past 2^63 is named as passed, not as its int64 wrap
+        code = build_huffman(np.ones(4, dtype=np.uint64))
+        symbols = np.array([0, (1 << 63) + 1], dtype=np.uint64)
+        with pytest.raises(BitstreamError, match="^symbol 9223372036854775809 outside"):
+            prefix_encode([(symbols, code)])
+
+    @pytest.mark.parametrize("symbols", [[1.5], np.array([1.0]), np.array([], dtype=np.float64)])
+    def test_non_integer_symbols_rejected(self, symbols):
+        # a float symbol is refused, not truncated to the codeword of another
+        with pytest.raises(BitstreamError, match="float64 are not integers$"):
+            prefix_encode([(symbols, MAP_CODE)])
+
     @pytest.mark.parametrize("bits", [[1], [1, 0]])
     def test_invalid_prefix_walk(self, bits):
         code = build_huffman(np.array([42], dtype=np.uint64))  # one codeword: 0

@@ -82,10 +82,12 @@ class TestSharedCode:
         assert len(builds) == 1
 
     def test_shared_arrays_read_only(self, small_session):
-        code = small_session.huffman
-        for array in (code.lengths, code.codewords, code.windows, code.window_lengths):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
+        # read-only as the builder returns them, not only through the cache
+        fresh = bitstream.build_huffman(small_session.frequencies.counts)
+        for code in (small_session.huffman, fresh, bitstream.MAP_CODE):
+            for array in (code.lengths, code.codewords, code.windows, code.window_lengths):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
 
     def test_other_counts_other_code(self, small_session):
         counts = small_session.frequencies.counts.copy()

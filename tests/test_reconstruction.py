@@ -100,15 +100,31 @@ class TestAssemble:
             decode(session, gmap, [empty, empty, np.array([1], np.int32)])
 
     def test_out_of_range_index_rejected(self):
-        # index values must reach the codebook check unwrapped, whatever
-        # their integer type
+        # each stream is checked before it is painted, its values unwrapped
+        # whatever their integer type; a float stream is refused even when
+        # every value is a whole index
         rng = np.random.default_rng(3)
         session, gmap, streams = random_setup(rng)
-        for bad in (16, -1, 2 ** 32):
-            wide = [s.astype(np.int64) for s in streams]
-            wide[0][0] = bad
-            with pytest.raises(vq.CodebookError):
-                decode(session, gmap, wide)
+        for at in np.flatnonzero([s.size for s in streams]):
+            for bad in (16, -1, 2 ** 32, "float"):
+                wide = [s.astype(np.int64) for s in streams]
+                if bad == "float":
+                    wide[at] = wide[at].astype(np.float64)
+                else:
+                    wide[at][-1] = bad
+                with pytest.raises(vq.CodebookError,
+                                   match=r"indices must be integers in \[0, 16\)"):
+                    decode(session, gmap, wide)
+
+    def test_integer_dtypes_paint_alike(self):
+        # the code grid is int32 whatever the streams' integer type; uint64
+        # has no common integer type with int32
+        rng = np.random.default_rng(7)
+        session, gmap, streams = random_setup(rng)
+        want = decode(session, gmap, streams)
+        for dtype in (np.int64, np.uint8, np.uint32, np.uint64):
+            got = decode(session, gmap, [s.astype(dtype) for s in streams])
+            assert np.array_equal(got, want), dtype
 
     def test_linear_over_mask_support(self):
         # a fine stream changes the output on the fine support only

@@ -398,11 +398,14 @@ class TestBoxIndex:
         assert len(builds) == 4 and vq._cached_index.cache_info().currsize == 2
 
     def test_shared_lists_read_only(self):
-        # every session and k-means share the lists of one set of codes
+        # every session and k-means share the lists of one set of codes:
+        # read-only as the builder returns them, not only through the cache
         centers = np.random.default_rng(42).uniform(-1, 1, size=(32, 3))
-        for array in vq._cached_index(centers.shape, centers.tobytes()):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
+        for index in (vq._cached_index(centers.shape, centers.tobytes()),
+                      vq._build_index(centers)):
+            for array in index:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
 
     @pytest.mark.parametrize("k", [1, 2, 300])
     def test_equal_codes_listed_once(self, k):
