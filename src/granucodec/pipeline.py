@@ -40,10 +40,9 @@ class CodecSession:
     entropy_cfg = EntropyConfig()  # the fixed recipe's; not a constructor argument
 
     def __post_init__(self):
-        counts = bitstream.frequency_counts(self.frequencies.counts)
-        if counts.size != self.codebook.k:
+        if self.frequencies.k != self.codebook.k:
             raise CodebookError("frequency table size does not match codebook")
-        self.huffman = _shared_code(counts.shape, counts.tobytes())
+        self.huffman = _shared_code(self.frequencies.counts.tobytes())
         self.mean_code_len = self.huffman.mean_length
         self.rate_table = granularity.build_rate_table(self.mean_code_len)
 
@@ -53,11 +52,11 @@ class CodecSession:
 
 
 @functools.lru_cache(maxsize=2)
-def _shared_code(shape: tuple, data: bytes) -> HuffmanCode:
+def _shared_code(data: bytes) -> HuffmanCode:
     """The Huffman code of the uint64 counts `data` holds, built on first use
     and kept for the last two distinct tables: every session loaded from one
     codebook file shares one build (as vq._cached_index)."""
-    return bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64).reshape(shape))
+    return bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64))
 
 
 def quantize_streams(session: CodecSession, img: ImagePlane,

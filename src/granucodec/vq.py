@@ -21,7 +21,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,15 +52,18 @@ def _codes_hash(codes: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Codebook:
-    codes: np.ndarray  # (k, d) float32
+    codes: np.ndarray  # (k, d) float32, a read-only copy, checked once
+    id_hash: int = field(init=False)  # _codes_hash(codes), computed once
 
     def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.float32)
+        codes = np.array(self.codes, dtype=np.float32, order="C")
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] != FEATURES:
             raise CodebookError(f"codebook shape {codes.shape}, not (k >= 1, {FEATURES})")
         if not np.all(np.isfinite(codes)):
             raise CodebookError("codebook contains non-finite values")
+        codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "id_hash", _codes_hash(codes))
 
     @property
     def k(self) -> int:
@@ -70,14 +73,15 @@ class Codebook:
     def d(self) -> int:
         return self.codes.shape[1]
 
-    @property
-    def id_hash(self) -> int:
-        return _codes_hash(self.codes)
-
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    counts: np.ndarray  # (k,) uint64
+    counts: np.ndarray  # (k,) uint64, a read-only copy of what frequency_counts takes
+
+    def __post_init__(self):
+        counts = frequency_counts(self.counts).copy()
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def k(self) -> int:
@@ -130,7 +134,7 @@ def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -
     centers = _seed_centers(corpus, k, np.random.default_rng(seed))
     for _ in range(iters):
         _update_centers(corpus, *_assign(corpus, centers), centers)
-    return Codebook(centers.astype(np.float32))
+    return Codebook(centers)
 
 
 def _seed_centers(corpus: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,11 +359,7 @@ def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
 
 def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
     """Write the CGCB container: codes, frequency counts, content hash."""
-    try:
-        counts = frequency_counts(tbl.counts)
-    except BitstreamError as exc:
-        raise CodebookError(str(exc)) from None
-    if counts.size != cb.k:
+    if tbl.k != cb.k:
         raise CodebookError("frequency table size does not match codebook")
     if cb.k > MAX_K:
         raise CodebookError(f"k={cb.k}: the format stores k in 16 bits (at most {MAX_K})")
@@ -367,7 +367,7 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
         f.write(CODEBOOK_MAGIC)
         f.write(struct.pack("<BHH", CODEBOOK_VERSION, cb.k, cb.d))
         f.write(cb.codes.astype("<f4").tobytes())
-        f.write(counts.astype("<u8").tobytes())
+        f.write(tbl.counts.astype("<u8").tobytes())
         f.write(struct.pack("<Q", cb.id_hash))
 
 
@@ -387,15 +387,13 @@ def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
         raise CodebookError(f"{path}: expected {need} bytes, got {len(data)}")
     codes = np.frombuffer(data, dtype="<f4", count=k * d, offset=off).reshape(k, d)
     off += 4 * k * d
-    counts = np.frombuffer(data, dtype="<u8", count=k, offset=off).copy()
+    counts = np.frombuffer(data, dtype="<u8", count=k, offset=off)
     off += 8 * k
     (stored_hash,) = struct.unpack_from("<Q", data, off)
     try:
-        cb = Codebook(codes.copy())
-    except CodebookError as e:
+        cb, tbl = Codebook(codes), FrequencyTable(counts)
+    except (CodebookError, BitstreamError) as e:
         raise CodebookError(f"{path}: {e}") from None
     if cb.id_hash != stored_hash:
         raise CodebookError(f"{path}: content hash mismatch")
-    if not counts.all():
-        raise CodebookError(f"{path}: code {np.argmin(counts)} has a zero frequency count")
-    return cb, FrequencyTable(counts)
+    return cb, tbl

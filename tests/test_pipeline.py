@@ -99,6 +99,22 @@ class TestSharedCode:
         assert np.array_equal(other.huffman.lengths, want.lengths)
         assert np.array_equal(other.huffman.codewords, want.codewords)
 
+    def test_session_outlives_the_arrays_it_was_made_from(self, small_session, tmp_path):
+        # the session holds copies: changing the caller's arrays after the
+        # file is saved leaves the hash its containers carry, and their pixels
+        codes = np.array(small_session.codebook.codes)
+        counts = np.array(small_session.frequencies.counts)
+        session = pipeline.CodecSession(vq.Codebook(codes), vq.FrequencyTable(counts))
+        path = tmp_path / "cb.cgcb"
+        vq.save_codebook(session.codebook, session.frequencies, path)
+        codes[:] = 0.0
+        counts[:] = 1
+        img = make_image("photo", 64, 64, seed=41)
+        c = pipeline.encode_image(session, img, ratios=RatioTriple(0.25, 0.25, 0.5))
+        assert c.codebook_hash == vq.load_codebook(path)[0].id_hash
+        got = pipeline.decode_image(pipeline.CodecSession.from_file(path), c)
+        assert np.array_equal(got.pixels, pipeline.decode_image(small_session, c).pixels)
+
     @pytest.mark.parametrize("table", ["zero count", "2^16 + 1 symbols", "count of 2^64"])
     def test_session_refuses_what_build_huffman_refuses(self, table):
         k = (1 << 16) + 1 if table == "2^16 + 1 symbols" else 4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from granucodec import analysis, granularity, pipeline, training, vq
+from granucodec.bitstream import BitstreamError, frequency_counts
 from granucodec.granularity import (
     COARSE, FINE, MEDIUM, RatioTriple, masks_from_map, plan_granularity,
 )
@@ -578,7 +579,50 @@ class TestFrequencies:
 
     def test_smoothed_reads_the_counts(self):
         assert FrequencyTable(np.array([3, 1, 7], dtype=np.uint64)).smoothed
-        assert not FrequencyTable(np.array([3, 0, 7], dtype=np.uint64)).smoothed
+        # a table holding a zero is refused when made, so none reads unsmoothed
+        with pytest.raises(BitstreamError, match="code 1 has frequency count 0"):
+            FrequencyTable(np.array([3, 0, 7], dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_counts_are_a_read_only_copy(self, dtype):
+        # a uint64 array is the one frequency_counts would hand back as is
+        counts = np.array([3, 1, 7], dtype=dtype)
+        tbl = FrequencyTable(counts)
+        counts[1] = 0
+        assert tbl.counts.dtype == np.uint64 and tbl.counts.tolist() == [3, 1, 7]
+        with pytest.raises(ValueError, match="read-only"):
+            tbl.counts[1] = 0
+
+    @pytest.mark.parametrize("counts", [[-1, 1, 1], [1.5, 2.0], [], np.ones((4, 2))],
+                             ids=["negative", "fraction", "empty", "2-d"])
+    def test_bad_table_refused_when_made(self, counts):
+        with pytest.raises(BitstreamError) as refused:
+            frequency_counts(counts)
+        with pytest.raises(BitstreamError, match=f"^{re.escape(str(refused.value))}$"):
+            FrequencyTable(counts)
+
+
+class TestCodebookArrays:
+    """A Codebook holds a read-only copy of its codes and their hash."""
+
+    def test_codes_unchanged_by_the_callers_array(self, cb16):
+        codes = np.array(cb16.codes)
+        cb = Codebook(codes)
+        codes += 0.25
+        assert np.array_equal(cb.codes, cb16.codes)
+        assert cb.id_hash == cb16.id_hash
+
+    def test_codes_read_only_and_hashed(self, cb16):
+        with pytest.raises(ValueError, match="read-only"):
+            cb16.codes[0, 0] = 0.0
+        assert cb16.id_hash == vq._codes_hash(cb16.codes)
+
+    def test_id_hash_computed_once(self, monkeypatch):
+        digest, calls = vq._codes_hash, []
+        monkeypatch.setattr(vq, "_codes_hash", lambda codes: calls.append(1) or digest(codes))
+        cb = Codebook(np.zeros((2, 3), dtype=np.float32))
+        assert {cb.id_hash for _ in range(3)} == {digest(cb.codes)}
+        assert len(calls) == 1
 
 
 class TestCodebookFile:
@@ -645,7 +689,7 @@ class TestCodebookFile:
         counts = np.arange(1, 17)
         counts[3] = -1  # would be written as 2^64 - 1
         path = tmp_path / "cb.cgcb"
-        with pytest.raises(CodebookError, match=">= 1"):
+        with pytest.raises(BitstreamError, match=">= 1"):
             save_codebook(cb16, FrequencyTable(counts), path)
         assert not path.exists()
 
@@ -654,7 +698,7 @@ class TestCodebookFile:
         # a (4, 2) table was written as 8 counts, a file load_codebook refuses
         cb = Codebook(np.zeros((4, 3), dtype=np.float32))
         path = tmp_path / "cb.cgcb"
-        with pytest.raises(CodebookError,
+        with pytest.raises(BitstreamError,
                            match=re.escape(f"frequency counts of shape {shape}, not (k,)")):
             save_codebook(cb, FrequencyTable(np.ones(shape, dtype=np.uint64)), path)
         assert not path.exists()
@@ -666,7 +710,8 @@ class TestCodebookFile:
         at = 9 + 4 * cb16.k * cb16.d + 8 * 5  # code 5's count; the hash covers codes only
         data[at:at + 8] = bytes(8)
         path.write_bytes(bytes(data))
-        with pytest.raises(CodebookError, match="code 5 has a zero frequency count"):
+        with pytest.raises(CodebookError,
+                           match=re.escape(f"{path}: code 5 has frequency count 0")):
             load_codebook(path)
 
     def test_zero_dimensional_codes_rejected(self, tmp_path):
