@@ -12,8 +12,8 @@ before it, scaled to its own length. So each code holds, built once from the
 lengths alone (Moffat & Turpin 1997), the symbol and the code length of the
 codeword starting each window as wide as the longest codeword; the decoder
 reads each bit position's code length there and hops from symbol to symbol.
-The header holds each segment's bit length and a CRC32 that covers the
-header only: 939 of 1,000 single-bit payload flips decoded without an error.
+The header holds each segment's bit length and a CRC32 of the header and the
+payload, checked first: a complete prefix code decodes almost any bit string.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ CONTAINER_MAGIC = b"CGIC"
 # Version 2 holds every codeword to 16 bits; a version-1 container may carry
 # the longer codes of a skewed table, which a later decoder reads wrong.
 # Version 3 drops the padded size and the block ratios from the header.
-CONTAINER_VERSION = 3
+# Version 4's CRC covers the payload too.
+CONTAINER_VERSION = 4
 
 # JPEG's limit (ITU-T T.81, Annex K.3): one 16-bit window holds any codeword,
 # and a balanced code over the 2^16 symbols a code may have fits it.
@@ -52,7 +53,7 @@ class BitstreamError(ValueError):
 # ---------------------------------------------------------------------------
 # canonical Huffman
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HuffmanCode:
     """Canonical prefix code, as `_canonical_code` builds it from the lengths."""
 
@@ -249,9 +250,9 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
 # ---------------------------------------------------------------------------
 # container
 
-# magic, version, true w/h, codebook hash, fine/medium/coarse/map bit
-# lengths; the CRC32 of these bytes follows. The padded size and the block
-# ratios are not stored: they follow from the true size and the map.
+# magic, version, true w/h, codebook hash, fine/medium/coarse/map bit lengths;
+# the CRC32 of these bytes and the payload follows. The padded size and the
+# block ratios are not stored: they follow from the true size and the map.
 _HEADER = struct.Struct("<4sB2IQ4I")
 _HEADER_SIZE = _HEADER.size + 4
 
@@ -311,8 +312,7 @@ def serialize_container(c: Container) -> bytes:
         CONTAINER_MAGIC, CONTAINER_VERSION, c.true_w, c.true_h, c.codebook_hash,
         c.index_bits[0], c.index_bits[1], c.index_bits[2], c.map_bits,
     )
-    header += zlib.crc32(header).to_bytes(4, "little")
-    return header + c.payload
+    return header + zlib.crc32(c.payload, zlib.crc32(header)).to_bytes(4, "little") + c.payload
 
 
 def parse_container(data: bytes) -> Container:
@@ -326,8 +326,8 @@ def parse_container(data: bytes) -> Container:
     if version != CONTAINER_VERSION:
         raise BitstreamError(f"unsupported container version {version}; this "
                              f"decoder reads version {CONTAINER_VERSION}")
-    if crc != zlib.crc32(data[:_HEADER.size]):
-        raise BitstreamError("header CRC mismatch")
+    if crc != zlib.crc32(memoryview(data)[_HEADER_SIZE:], zlib.crc32(data[:_HEADER.size])):
+        raise BitstreamError("container CRC mismatch")
     c = Container(true_w=true_w, true_h=true_h, codebook_hash=cb_hash,
                   index_bits=(bits_f, bits_m, bits_c), map_bits=map_bits,
                   payload=data[_HEADER_SIZE:])

@@ -104,8 +104,10 @@ _LATTICE_TERMS = _terms(*LATTICE.T)
 
 
 def build_rate_table(mean_code_len: float) -> np.ndarray:
-    """The rate model's bpp at each `LATTICE` row: a (5151,) float64 column."""
-    return _rate(*_LATTICE_TERMS, mean_code_len)
+    """The rate model's bpp at each `LATTICE` row: a read-only (5151,) float64 column."""
+    table = _rate(*_LATTICE_TERMS, mean_code_len)
+    table.flags.writeable = False
+    return table
 
 
 def ratios_for_target(bpp: np.ndarray, target_bpp: float) -> RatioTriple:

@@ -35,7 +35,7 @@ class ImageError(ValueError):
     """Unreadable file, malformed header or unsupported sample format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImagePlane:
     """An H x W x 3 plane of 8-bit RGB pixels, padded to multiples of 16.
 

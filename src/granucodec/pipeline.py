@@ -1,11 +1,11 @@
 """Encode and decode around a shared codec session; encode and the CLI's stats
 plan through one function, `plan_image` (ratios or a target bpp in, maps out).
 
-A session bundles the codebook, its frequency table, and what follows from
-them: the Huffman code (built once per table and shared, read-only, by every
-session that holds it), its mean length L and the rate table, the bpp at L
-of each ratio triple on the lattice. Encoder and decoder must load the same
-codebook file; the container header pins its content hash.
+A session is a frozen bundle of the codebook, its frequency table and what
+follows from them: the Huffman code, its mean length L and the rate table
+(the bpp at L of each ratio triple on the lattice), built once per table and
+shared, read-only, by every session that holds it. Encoder and decoder must
+load the same codebook file; the container header pins its content hash.
 
 A code is a cell's mean colour (analysis.FEATURES = 3; vq.Codebook refuses
 any other width). `reconstruct` runs the paper's coarse-to-fine
@@ -30,7 +30,7 @@ from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CodecSession:
     codebook: Codebook
     frequencies: FrequencyTable
@@ -42,9 +42,10 @@ class CodecSession:
     def __post_init__(self):
         if self.frequencies.k != self.codebook.k:
             raise CodebookError("frequency table size does not match codebook")
-        self.huffman = _shared_code(self.frequencies.counts.tobytes())
-        self.mean_code_len = self.huffman.mean_length
-        self.rate_table = granularity.build_rate_table(self.mean_code_len)
+        huffman, rate_table = _shared_code(self.frequencies.counts.tobytes())
+        object.__setattr__(self, "huffman", huffman)
+        object.__setattr__(self, "mean_code_len", huffman.mean_length)
+        object.__setattr__(self, "rate_table", rate_table)
 
     @classmethod
     def from_file(cls, path) -> "CodecSession":
@@ -52,11 +53,12 @@ class CodecSession:
 
 
 @functools.lru_cache(maxsize=2)
-def _shared_code(data: bytes) -> HuffmanCode:
-    """The Huffman code of the uint64 counts `data` holds, built on first use
-    and kept for the last two distinct tables: every session loaded from one
-    codebook file shares one build (as vq._cached_index)."""
-    return bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64))
+def _shared_code(data: bytes) -> tuple[HuffmanCode, np.ndarray]:
+    """The Huffman code of the uint64 counts `data` holds and its rate table,
+    built on first use and kept for the last two distinct tables: every
+    session loaded from one codebook file shares one build (as vq._cached_index)."""
+    code = bitstream.build_huffman(np.frombuffer(data, dtype=np.uint64))
+    return code, granularity.build_rate_table(code.mean_length)
 
 
 def quantize_streams(session: CodecSession, img: ImagePlane,

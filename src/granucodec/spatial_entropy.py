@@ -17,13 +17,14 @@ same samples in any order, on any BLAS kernel, get bit-identical entropies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .imaging import BLOCK, ImagePlane, normalize
 
-#: Block masses are counted in units of 2**-_MASS_EXP (see `_units`).
+#: Block masses are counted in units of 2**-_MASS_EXP (see `_unit_table`).
 _MASS_EXP = 43
 
 
@@ -46,12 +47,16 @@ def _affinity(values: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     return np.exp(-np.square(values[..., None] - centers) / (2.0 * sigma * sigma))
 
 
-def _units(affinity: np.ndarray) -> np.ndarray:
-    """Affinities in whole units of 2**-_MASS_EXP, in place. Every sum of a
-    block's (at most 768) unit masses is an integer below 2**53, so it is
+@functools.lru_cache(maxsize=4)
+def _unit_table(cfg: EntropyConfig) -> np.ndarray:
+    """The (256, n_bins) affinity of each byte's sample to every bin, in whole
+    units of 2**-_MASS_EXP, built once per config and read-only. Every sum of
+    a block's (at most 768) unit masses is an integer below 2**53, so it is
     exact in float64 whatever order a BLAS kernel adds it in."""
-    np.ldexp(affinity, _MASS_EXP, out=affinity)
-    return np.rint(affinity, out=affinity)
+    levels = normalize(np.arange(256, dtype=np.uint8)).astype(np.float64)
+    table = np.rint(np.ldexp(_affinity(levels, cfg), _MASS_EXP))
+    table.flags.writeable = False
+    return table
 
 
 def _mass_entropy(mass: np.ndarray) -> np.ndarray:
@@ -66,8 +71,7 @@ def entropy_map(img: ImagePlane, cfg: EntropyConfig = EntropyConfig()) -> np.nda
     b = BLOCK
     h, w, c = img.pixels.shape
     by, bx = h // b, w // b
-    lattice = normalize(np.arange(256, dtype=np.uint8)).astype(np.float64)
-    table = _units(_affinity(lattice, cfg))  # (256, n_bins)
+    table = _unit_table(cfg)  # (256, n_bins)
     # one block row's keys, reused for every row; `low` views their low bytes
     keys = np.empty((b, w * c), dtype=np.intp)
     keys[:] = np.arange(w * c) // (b * c) << 8

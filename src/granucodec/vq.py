@@ -50,7 +50,7 @@ def _codes_hash(codes: np.ndarray) -> int:
     return struct.unpack("<Q", digest.digest()[:8])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     codes: np.ndarray  # (k, d) float32, a read-only copy, checked once
     id_hash: int = field(init=False)  # _codes_hash(codes), computed once
@@ -74,7 +74,7 @@ class Codebook:
         return self.codes.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
     counts: np.ndarray  # (k,) uint64, a read-only copy of what frequency_counts takes
 

@@ -2,7 +2,6 @@ import dataclasses
 import heapq
 import itertools
 import re
-import zlib
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from granucodec.bitstream import (
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
 from conftest import make_image
-from test_fuzz import _bit_flips, _resizes, _rewrite_field
+from test_fuzz import _bit_flips, _reseal, _resizes, _rewrite_field
 
 
 def encode_bits(symbols, code):
@@ -771,8 +770,9 @@ class TestWalkOracle:
                     c0, index_bits=(fine, medium, 8 * n - c0.map_bits - fine - medium),
                     payload=c0.payload[:n]))
                 for n in range(len(c0.payload) - 4, len(c0.payload))]
-        cases = [*_bit_flips(rng, data, 300, header_len), *_resizes(rng, data, 100),
-                 *(_rewrite_field(rng, data) for _ in range(300)), *cuts]
+        mutated = [*_bit_flips(rng, data, 300, header_len), *_resizes(rng, data, 100)]
+        cases = [*map(_reseal, mutated), *(_rewrite_field(rng, data) for _ in range(300)),
+                 *cuts]
         outcomes = []
         for blob in cases:
             try:
@@ -881,23 +881,35 @@ class TestContainer:
                                                  rf"\(ends at bit {end}, header says {end + 1}\)$"):
             pipeline.decode_streams(small_session, bad)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_rejected(self, version):
         # a version-1 container may hold codewords past 16 bits, which this
-        # decoder would read wrong, and a version-2 header is laid out
-        # differently: both are refused, even with a valid CRC
+        # decoder would read wrong, a version-2 header is laid out
+        # differently and a version-3 CRC covers the header only: each is
+        # refused, even with a valid CRC
         data = bytearray(serialize_container(_container()))
         data[4] = version
-        size = bitstream._HEADER.size
-        data[size:size + 4] = zlib.crc32(data[:size]).to_bytes(4, "little")
         with pytest.raises(BitstreamError, match=f"version {version};"):
-            parse_container(bytes(data))
+            parse_container(_reseal(bytes(data)))
+
+    def test_every_payload_bit_flip_detected(self, small_session):
+        # a complete prefix code decodes almost any bit string, so only the
+        # CRC tells a flipped payload bit from another image
+        c = pipeline.encode_image(small_session, make_image("photo", 32, 32, seed=5),
+                                  ratios=RatioTriple(0.5, 0.25, 0.25))
+        data = serialize_container(c)
+        start = len(data) - len(c.payload)
+        for bit in range(8 * len(c.payload)):
+            corrupt = bytearray(data)
+            corrupt[start + bit // 8] ^= 0x80 >> bit % 8
+            with pytest.raises(BitstreamError, match="^container CRC mismatch$"):
+                parse_container(bytes(corrupt))
 
     def test_nonzero_padding_rejected(self):
         data = bytearray(serialize_container(_container()))
         data[-1] |= 0x01  # 12 payload bits -> low 4 bits of last byte are pad
-        with pytest.raises(BitstreamError):
-            parse_container(bytes(data))
+        with pytest.raises(BitstreamError, match="nonzero padding"):
+            parse_container(_reseal(bytes(data)))
 
     def test_measure_rate(self):
         c = _container()

@@ -3,6 +3,8 @@
 Every mutated input must either decode cleanly or raise `BitstreamError` /
 `CodebookError`, and no case may take longer than `CASE_SECONDS`: a hostile
 header must not make the decoder allocate or loop beyond the input's size.
+Each mutated container gets its CRC recomputed (`_reseal`), so it reaches
+the decoder's own checks and not only the CRC's.
 """
 
 import struct
@@ -22,6 +24,7 @@ from conftest import make_image
 CASE_SECONDS = 2.0  # clean cases take milliseconds; this only catches blowups
 
 _FIELDS = "<4sB2IQ4I"  # container header before its CRC
+_HEADER_LEN = struct.calcsize(_FIELDS) + 4
 _FIELD_BITS = [None, 8, 32, 32, 64, 32, 32, 32, 32]
 _CODEBOOK_HEADER = 9  # magic, version, k, d
 
@@ -46,6 +49,16 @@ def _decode(session, data):
     assert np.isfinite(out.samples).all()
 
 
+def _reseal(data):
+    """`data` with its CRC recomputed over the header and the payload, so a
+    mutated container reaches the decoder's own checks; a blob too short to
+    hold a header is returned as it is."""
+    if len(data) < _HEADER_LEN:
+        return data
+    header, payload = data[:_HEADER_LEN - 4], data[_HEADER_LEN:]
+    return header + struct.pack("<I", zlib.crc32(payload, zlib.crc32(header))) + payload
+
+
 def _rewrite_field(rng, data):
     """Set one header field to a hostile value and recompute the CRC."""
     fields = list(struct.unpack_from(_FIELDS, data, 0))
@@ -55,8 +68,7 @@ def _rewrite_field(rng, data):
     candidates = [0, 1, top, old + 1, old - 1, old + 16, old - 16, old * 2, old // 2,
                   int(rng.integers(0, top, dtype=np.uint64))]
     fields[i] = min(max(candidates[int(rng.integers(len(candidates)))], 0), top)
-    header = struct.pack(_FIELDS, *fields)
-    return header + struct.pack("<I", zlib.crc32(header)) + data[len(header) + 4:]
+    return _reseal(struct.pack(_FIELDS, *fields) + data[_HEADER_LEN - 4:])
 
 
 def _bit_flips(rng, data, n, start):
@@ -95,10 +107,9 @@ def encoded(small_session):
 
 def test_container_fuzz(small_session, encoded):
     rng = np.random.default_rng(2024)
-    header_len = struct.calcsize(_FIELDS) + 4
     rewrites = [_rewrite_field(rng, encoded) for _ in range(1000)]
-    cases = [*_bit_flips(rng, encoded, 1000, header_len), *_resizes(rng, encoded, 500),
-             *rewrites]
+    mutated = [*_bit_flips(rng, encoded, 1000, _HEADER_LEN), *_resizes(rng, encoded, 500)]
+    cases = [*map(_reseal, mutated), *rewrites]
     outcomes = [_run(lambda d=d: _decode(small_session, d)) for d in cases]
     assert "ok" in outcomes
     assert any("past end" in o for o in outcomes)

@@ -20,7 +20,9 @@ from granucodec.granularity import RatioTriple
 from conftest import make_image
 
 SMALL_SESSION_ID_HASH = 0x3BE028EEB00D0972
-CONTAINERS_SHA256 = "4f44019d6234d098db2877a2e393dbda35b6e958125f272d8c24c62a3941c015"
+# container version 4, whose CRC covers the payload: the payloads are the
+# version-3 ones, which the same encodes hashed to 4f44019d6234d098...
+CONTAINERS_SHA256 = "c2dd3f5e41c2f0badb5462b966d011daaa0987cdccff70aec9a28e9824cf2ca6"
 PIXELS_SHA256 = "9e4eab4e378fb2f8893f87dd0e6cf168bf58bc0c382ff97a942562ae0c271724"
 
 

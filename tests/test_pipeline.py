@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -48,6 +51,19 @@ SESSION_TABLES_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("make", [
+    lambda s: s.codebook, lambda s: s.frequencies, lambda s: s.huffman,
+    lambda s: make_image("photo", 32, 32, seed=1), lambda s: s,
+], ids=["Codebook", "FrequencyTable", "HuffmanCode", "ImagePlane", "CodecSession"])
+def test_records_compare_by_identity(small_session, make):
+    # records holding arrays compare and hash by identity, not by raising
+    x = make(small_session)
+    assert x == x
+    assert x != copy.copy(x)
+    assert hash(x) == hash(x)
+    assert x in {x}
+
+
 # SHA-256 of `rate-table`'s stdout for the `cli_env` codebook
 RATE_TABLE_CSV_SHA256 = "be2ce8d2228df4e071c192bcccc0d317b5865730ad2622912bc27a57c65cc6a9"
 
@@ -80,6 +96,24 @@ class TestSharedCode:
         first, second = (pipeline.CodecSession.from_file(path) for _ in range(2))
         assert first.huffman is second.huffman
         assert len(builds) == 1
+
+    def test_sessions_from_one_file_share_their_tables(self, small_session, tmp_path):
+        path = tmp_path / "cb.cgcb"
+        vq.save_codebook(small_session.codebook, small_session.frequencies, path)
+        first, second = (pipeline.CodecSession.from_file(path) for _ in range(2))
+        assert first.huffman is second.huffman
+        assert first.rate_table is second.rate_table
+        assert first.mean_code_len == first.huffman.mean_length
+        for table in first.rate_table, granularity.build_rate_table(5.0):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    @pytest.mark.parametrize("name", ["codebook", "frequencies", "huffman", "mean_code_len",
+                                      "rate_table"])
+    def test_session_frozen(self, small_session, name):
+        # no field can be swapped, so L and the rate table always follow the code
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(small_session, name, getattr(small_session, name))
 
     def test_shared_arrays_read_only(self, small_session):
         # read-only as the builder returns them, not only through the cache
@@ -447,6 +481,19 @@ def cli_env(tmp_path_factory):
 
 
 class TestCli:
+    def test_console_script_help(self, capsys):
+        # the entry point `pip install` makes, as pyproject.toml names it;
+        # the other CLI tests run `python -m granucodec.cli`
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(SRC).parent / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        module, _, name = scripts["granucodec"].partition(":")
+        main = getattr(importlib.import_module(module), name)
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: granucodec ")
+
     def test_encode_decode_stats_agree(self, cli_env):
         root, cb, ppm = cli_env
         cgic = root / "out.cgic"

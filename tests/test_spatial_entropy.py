@@ -155,8 +155,8 @@ def denormalize_keyed_map(samples):
     b, cfg = 16, EntropyConfig()
     h, w, c = samples.shape
     by, bx = h // b, w // b
-    units = spatial_entropy._units
-    table = units(spatial_entropy._affinity(LEVELS.astype(np.float64), cfg))
+    affinity = spatial_entropy._affinity(LEVELS.astype(np.float64), cfg)
+    table = np.rint(np.ldexp(affinity, spatial_entropy._MASS_EXP))  # whole 2**-43 units
     block_key = (np.arange(w) // b << 8)[:, None]
     mass = np.zeros((by, bx, cfg.n_bins))
     for row in range(by):
@@ -168,25 +168,45 @@ def denormalize_keyed_map(samples):
     return spatial_entropy._mass_entropy(mass)
 
 
+@pytest.fixture
+def affinity_calls(monkeypatch):
+    """The size of each value array `_affinity` is called with during the
+    test, from an empty unit-table cache."""
+    evaluated, affinity = [], spatial_entropy._affinity
+
+    def counted(values, cfg):
+        evaluated.append(np.size(values))
+        return affinity(values, cfg)
+    monkeypatch.setattr(spatial_entropy, "_affinity", counted)
+    spatial_entropy._unit_table.cache_clear()
+    yield evaluated
+    spatial_entropy._unit_table.cache_clear()  # no table built by `counted` outlives the test
+
+
 class TestLevelStep:
     def test_every_level_gives_back_its_byte(self):
         assert imaging.normalize(np.arange(256, dtype=np.uint8)).tobytes() == LEVELS.tobytes()
         assert np.array_equal(imaging.denormalize(LEVELS), np.arange(256))
 
     @pytest.mark.parametrize("kind", ["noise", "gradient", "blocky", "photo", "waves"])
-    def test_equals_denormalize_keys_without_the_kernel(self, kind, monkeypatch):
+    def test_equals_denormalize_keys_without_the_kernel(self, kind, affinity_calls):
         # the kernel is evaluated for the level table alone
-        evaluated = []
-        affinity = spatial_entropy._affinity
-
-        def counted(values, cfg):
-            evaluated.append(np.size(values))
-            return affinity(values, cfg)
-        monkeypatch.setattr(spatial_entropy, "_affinity", counted)
         img = make_image(kind, 200, 136, seed=11)
         emap = entropy_map(img)
-        assert evaluated == [256]  # the level table alone
+        assert affinity_calls == [256]  # the level table alone
         assert emap.tobytes() == denormalize_keyed_map(img.samples).tobytes()
+
+    def test_unit_table_built_once_per_config(self, affinity_calls):
+        img = make_image("photo", 32, 32, seed=3)
+        maps = [entropy_map(img) for _ in range(3)]
+        assert affinity_calls == [256]
+        assert all(m.tobytes() == maps[0].tobytes() for m in maps)
+        entropy_map(img, EntropyConfig(n_bins=16))
+        assert affinity_calls == [256, 256]  # a new config, a new table
+        table = spatial_entropy._unit_table(EntropyConfig())
+        assert table is spatial_entropy._unit_table(EntropyConfig())
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 def repeated_tile_plans(seeds=(0, 1, 2), h=256, w=1008) -> str:
