@@ -1,13 +1,11 @@
 """Image I/O, normalization, padding, upsampling and PSNR.
 
-An image is a padded plane of 8-bit RGB pixels. Floats live only in the
-analysis transform and the codebook: a byte b becomes the sample
-(b - 127.5) / 127.5, subtracted and divided in float32 (`normalize`), which
-for every byte is bit for bit the float64 value b / 255 * 2 - 1 rounded to
-float32. A sum S of n bytes becomes their mean sample
-(S - n * 127.5) / (n * 127.5) the same way: the subtraction is exact and the
-division rounds once. `denormalize` maps samples back to bytes with rounding
-and a clip.
+An image is a padded plane of 8-bit RGB pixels, and the codec works in bytes.
+Samples in [-1, 1] are left in `ImagePlane.samples`, the entropy map's levels
+and the codebook file, which stores a code as the samples of its bytes:
+`normalize` makes byte b the sample (b - 127.5) / 127.5 in float32, bit for
+bit the float64 b / 255 * 2 - 1 rounded to float32, and `denormalize` maps
+samples back to bytes with rounding and a clip, giving back every byte.
 PSNR is reported on 0-255 values with peak 255, cropped to the true
 (pre-padding) dimensions.
 """
@@ -84,14 +82,12 @@ def ceil_to(n: int, multiple: int) -> int:
 HALF_RANGE = 127.5
 
 
-def normalize(raw: np.ndarray, count: int = 1) -> np.ndarray:
-    """Map sums of `count` byte values, 0..255 * count, linearly onto
-    [-1, 1] as float32: each sum becomes the mean of its bytes' samples,
-    correctly rounded. `raw` may hold the sums in any numeric type that
-    float32 holds exactly, as it does every sum below 2**24."""
-    scale = np.float32(count * HALF_RANGE)
-    out = np.subtract(raw, scale, dtype=np.float32)
-    out /= scale  # in place for an array; a scalar is rebound
+def normalize(raw: np.ndarray) -> np.ndarray:
+    """Map bytes 0..255, held in any numeric type, linearly onto [-1, 1] as
+    float32, correctly rounded."""
+    half = np.float32(HALF_RANGE)
+    out = np.subtract(raw, half, dtype=np.float32)
+    out /= half  # in place for an array; a scalar is rebound
     return out
 
 

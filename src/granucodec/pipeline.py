@@ -7,12 +7,12 @@ follows from them: the Huffman code, its mean length L and the rate table
 shared, read-only, by every session that holds it. Encoder and decoder must
 load the same codebook file; the container header pins its content hash.
 
-A code is a cell's mean colour (analysis.FEATURES = 3; vq.Codebook refuses
-any other width). `reconstruct` runs the paper's coarse-to-fine
-conditional-replacement chain: the coarse stream's codes fill the block
-grid; each synthesis layer, here a nearest-neighbour x2 upsampler, doubles
-it, and the medium, then the fine stream replace the cells sent at their
-scale. Each 4x4 pixel cell is painted with the clamped colour of its code.
+A code is the colour the decoder paints (`Codebook.colours`). `reconstruct`
+runs the paper's coarse-to-fine conditional-replacement chain: the coarse
+stream's codes fill the block grid; each synthesis layer, here a
+nearest-neighbour x2 upsampler, doubles it, and the medium, then the fine
+stream replace the cells sent at their scale. Each 4x4 pixel cell is painted
+with its code's colour.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, bitstream, granularity, vq
 from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
 from .granularity import COARSE, RatioTriple
-from .imaging import BLOCK, ImagePlane, denormalize, nn_upsample
+from .imaging import BLOCK, ImagePlane, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
 
@@ -115,7 +115,9 @@ def decode_streams(session: CodecSession,
 
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
                 streams: list[np.ndarray]) -> ImagePlane:
-    """Paint each 4x4 pixel cell with the clamped colour of its code (see the module doc)."""
+    """Paint each 4x4 pixel cell with its code's colour (see the module doc)."""
+    if len(streams) != 3:
+        raise ValueError(f"{len(streams)} index streams, not 3 (fine, medium, coarse)")
     masks, k = granularity.masks_from_map(gmap), session.codebook.k
     codes = np.zeros(masks[2].shape, dtype=np.int32)  # holds every index below k <= 2^16
     for idx, mask, factor in zip(streams[::-1], masks[::-1], (1, 2, 2)):  # coarse first
@@ -125,9 +127,8 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
         if idx.dtype.kind not in "iu" or idx.size and (idx.min() < 0 or idx.max() >= k):
             raise CodebookError(f"{idx.dtype} stream: indices must be integers in [0, {k})")
         codes[mask] = idx
-    colours = denormalize(session.codebook.codes)  # (k, 3) clamped bytes
-    return ImagePlane(nn_upsample(colours[codes], 4), true_h=container.true_h,
-                      true_w=container.true_w)
+    return ImagePlane(nn_upsample(session.codebook.colours[codes], 4),
+                      true_h=container.true_h, true_w=container.true_w)
 
 
 def decode_image(session: CodecSession, container: Container) -> ImagePlane:

@@ -1,10 +1,10 @@
 """Codebook training over an image corpus.
 
-k-means runs on feature cells pooled from all three pyramid scales. The
-frequency pass then counts each index that encoding would emit (entropy map,
-a plan at fixed ratios, masked quantization), plus one, so every symbol stays
-codeable. It plans without pipeline.plan_image, which takes a session, and a
-session is built from the very table this pass counts.
+k-means runs on the mean colours of the cells of all three pyramid scales.
+The frequency pass then counts each index that encoding would emit (entropy
+map, a plan at fixed ratios, masked quantization), plus one, so every symbol
+stays codeable. It plans without pipeline.plan_image, which takes a session,
+and a session is built from the very table this pass counts.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ DEFAULT_FREQ_RATIOS = granularity.RatioTriple(0.5, 0.4, 0.1)
 
 
 def _stack_cells(pyramids) -> np.ndarray:
-    return np.concatenate([grid.reshape(-1, grid.shape[-1])
-                           for grids in pyramids for grid in grids], axis=0)
+    return np.concatenate([grid.reshape(-1, grid.shape[-1]) * (1.0 / n) for grids in pyramids
+                           for grid, n in zip(grids, analysis.CELL_PIXELS)], axis=0)
 
 
 def corpus_cells(images: list[ImagePlane]) -> np.ndarray:
-    """All pyramid cells of all images, as one (n, d) array."""
+    """All pyramid cells of all images, as (n, 3) float64 mean colours in bytes."""
     return _stack_cells([analysis.pyramid(img) for img in images])
 
 

@@ -1,18 +1,15 @@
-"""Codebook storage, nearest-neighbor quantization and k-means training.
+"""Codebook storage, nearest-colour quantization and k-means training.
 
-Quantization picks the code minimizing squared Euclidean distance, ties to
-the lowest index. Each distance is the float64 sum of (x_j - c_j)**2 added
-in coordinate order, with no BLAS call, so the chosen index and its
-distance are the same on every machine. A code is a cell's mean colour,
-analysis.FEATURES = 3 wide, and a cell a mean of samples in [-1, 1]; the
-search refuses any other point. It cuts that cube into boxes and lists for
-each box the codes that can be nearest to some point of it, the bucket
-search of Gersho and Gray (Vector Quantization and Signal Compression,
-1992): a cell scans its box's list, about 4 codes at k=1024. The lists are
-built the first time a set of codes is searched and kept, so every session
-loaded from one codebook file shares one build. Every cell gets what a scan
-of all k codes gives, bit for bit, and k-means uses the same search, on new
-lists every iteration.
+A code is the colour the decoder paints: the clamped bytes of its float32
+samples. A cell is its mean colour S / n, S its byte sums and n its pixels,
+a power of two up to 256. So every coordinate is a multiple of 2**-8 below
+256 and every squared distance from a cell to a code, or from a code to a
+box with integer edges, a multiple of 2**-16 below 2**18: exact in float64,
+added in any order, on every machine. The search picks the nearest colour,
+ties to the lowest index, by the bucket search of Gersho and Gray (Vector
+Quantization and Signal Compression, 1992): a cell scans the list of codes
+that can be nearest in its box of [0, 256)^3, about 4 at k=1024. k-means
+rounds its centres to bytes and builds new lists every iteration.
 """
 
 from __future__ import annotations
@@ -25,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import FEATURES
+from .analysis import CELL_PIXELS, FEATURES
 from .bitstream import BitstreamError, frequency_counts
+from .imaging import HALF_RANGE, denormalize, normalize
 
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
@@ -37,8 +35,6 @@ _BOXES_PER_CODE = 32  # about 4 candidates per codec cell at k=1024
 _MAX_BOX_BITS = 15  # at most 2**15 boxes
 _ENTRIES_PER_CODE = 256  # a level whose lists would hold more entries per code is not kept
 _PAIR_BLOCK = 1 << 15  # (box, code) pairs bounded in one step of a build
-_BOX_PAD = 2.0 ** -40  # a box's widening on each side, far above a box number's rounding
-_ABS_SLACK = 1e-300  # covers squared distances that underflow
 
 
 class CodebookError(ValueError):
@@ -73,6 +69,13 @@ class Codebook:
     def d(self) -> int:
         return self.codes.shape[1]
 
+    @functools.cached_property
+    def colours(self) -> np.ndarray:
+        """The (k, 3) uint8 colours the decoder paints, made on first use."""
+        colours = denormalize(self.codes)
+        colours.flags.writeable = False
+        return colours
+
 
 @dataclass(frozen=True, eq=False)
 class FrequencyTable:
@@ -93,48 +96,63 @@ class FrequencyTable:
         return bool(np.all(self.counts >= 1))
 
 
-def _cube_points(points) -> np.ndarray:
-    """The (n, FEATURES) points as float64, refused unless every coordinate
-    lies in [-1, 1], as every cell mean does; a NaN fails both comparisons."""
+@functools.lru_cache(maxsize=2)
+def _cached_index(colours: bytes):
+    """The search index of the uint8 colours `colours` holds, built on first
+    use and kept for the last two: one build for every session of a codebook."""
+    return _build_index(np.frombuffer(colours, np.uint8).reshape(-1, FEATURES).astype(np.float64))
+
+
+def _byte_means(points) -> np.ndarray:
+    """The (n, FEATURES) cell means as float64, refused unless each is a
+    multiple of 2**-8 in [0, 255], as a mean of up to 256 bytes is (NaN is not)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != FEATURES:
         raise CodebookError(f"points of shape {points.shape}, not (n, {FEATURES})")
-    if not (points.min(initial=-1.0) >= -1.0 and points.max(initial=1.0) <= 1.0):
-        raise ValueError("points must be finite and lie in [-1, 1]")
+    if not np.all((np.rint(points * 256) == points * 256) & (points >= 0) & (points <= 255)):
+        raise ValueError("cell means must be multiples of 1/256 in [0, 255]")
     return points
 
 
-def quantize(grid: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Nearest-code index per cell, shaped like the grid without its last axis."""
-    grid = np.asarray(grid)
-    cells = _cube_points(grid.reshape(-1, grid.shape[-1]))
-    idx, _ = _assign(cells, cb.codes.astype(np.float64))  # ties -> lowest index
-    return idx.reshape(grid.shape[:-1])
+def quantize(sums: np.ndarray, cb: Codebook, count: int) -> np.ndarray:
+    """Nearest-code index of each cell, from its integer colour sums over
+    `count` pixels, shaped like `sums` without its last axis."""
+    sums = np.asarray(sums)
+    if sums.ndim == 0 or sums.shape[-1] != FEATURES:
+        raise CodebookError(f"cell sums of shape {sums.shape}, not (..., {FEATURES})")
+    if count not in (1, 2, 4, 8, 16, 32, 64, 128, 256):  # means of at most 8 fraction bits
+        raise ValueError(f"count={count}: a cell's pixels must be a power of two up to 256")
+    if sums.dtype.kind != "u" or sums.size and sums.max() > 255 * count:
+        raise ValueError(f"{sums.dtype} cell sums: unsigned integers of at most {255 * count}")
+    means = sums.reshape(-1, FEATURES) * (1.0 / count)  # exact: count is a power of two
+    idx, _ = _assign(means, _cached_index(cb.colours.tobytes()))  # ties -> lowest index
+    return idx.reshape(sums.shape[:-1])
 
 
 def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
     """int32 index streams of the cells each scale's bool mask keeps, raster
-    order: fine, medium, coarse. One search covers all three."""
-    kept = [np.compress(mask.ravel(), grid.reshape(-1, grid.shape[-1]), axis=0)
-            for grid, mask in zip(grids, masks)]
-    return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
+    order: fine, medium, coarse, from the pyramid's sums. One search covers
+    all three: a sum over n pixels times 256 / n has the same mean over 256."""
+    kept = [np.compress(mask.ravel(), grid.reshape(-1, FEATURES), axis=0) * np.uint32(256 // n)
+            for grid, mask, n in zip(grids, masks, CELL_PIXELS)]
+    return np.split(quantize(np.concatenate(kept), cb, 256),
+                    np.cumsum([len(c) for c in kept[:2]]))
 
 
 def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> Codebook:
-    """Seeded k-means++ followed by a fixed number of Lloyd iterations.
-
-    Empty clusters are re-seeded from the point currently farthest from its
-    assigned center, so all k codes stay live.
-    """
-    corpus = _cube_points(corpus)
+    """Seeded k-means++ and a fixed number of Lloyd iterations on cell means
+    in bytes, the seeds and every update rounded to bytes; the codes are the
+    samples of the final colours. Empty clusters are re-seeded from the point
+    currently farthest from its assigned center, so all k codes stay live."""
+    corpus = _byte_means(corpus)
     if corpus.shape[0] < k:
         raise ValueError(f"corpus size {corpus.shape[0]} smaller than k={k}")
     if iters < 0:
         raise ValueError(f"iters={iters} is negative")
-    centers = _seed_centers(corpus, k, np.random.default_rng(seed))
+    centers = np.rint(_seed_centers(corpus, k, np.random.default_rng(seed)))
     for _ in range(iters):
-        _update_centers(corpus, *_assign(corpus, centers), centers)
-    return Codebook(centers)
+        _update_centers(corpus, *_assign(corpus, _build_index(centers)), centers)
+    return Codebook(normalize(centers))
 
 
 def _seed_centers(corpus: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,24 +189,26 @@ def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,
                     centers: np.ndarray) -> None:
     """One Lloyd update, in place: each center moves to the mean of its
     members; empty clusters, in ascending order, each take the point then
-    farthest from its center, whose distance is then zeroed."""
+    farthest from its center, whose distance is then zeroed. Each center is
+    then rounded to bytes: a mean of m exact means lies 2**-8 / m or more
+    from a tie, beyond its division's rounding."""
     k = centers.shape[0]
     sizes = np.bincount(assign, minlength=k)
     live = sizes > 0
-    for j in range(corpus.shape[1]):  # sums in corpus order, as mean() adds them
+    for j in range(corpus.shape[1]):
         sums = np.bincount(assign, weights=corpus[:, j], minlength=k)
         centers[live, j] = sums[live] / sizes[live]
     for i in np.flatnonzero(~live):
         far = int(d2.argmax())
         centers[i] = corpus[far]
         d2[far] = 0.0
+    np.rint(centers, out=centers)
 
 
-def _assign(points: np.ndarray, centers: np.ndarray):
+def _assign(points: np.ndarray, index):
     """Nearest center of each point and its squared distance, ties to the
     lowest index, as a scan of all k centers gives them, found by scanning
-    only the candidate list of the box each point falls in (see
-    `_cached_index`). Every point lies in [-1, 1]^d (see `_cube_points`).
+    only the candidate list of the box each point, in [0, 255]^d, falls in.
 
     The scan runs over list positions r, not points: with the points ranked
     by list length, those with more than r codes are a prefix, and each
@@ -198,15 +218,13 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     positions only grow); positions become codes once, after the loop.
     """
     n, d = points.shape
-    members, starts, spread = _cached_index(centers.shape, centers.tobytes())
+    cs, members, starts, spread = index
     xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
-    cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
     side = spread.size
     flat = np.zeros(n, dtype=np.intp)
     for j, x in enumerate(xs):
-        # (x + 1) * side / 2 truncates to the box; x = 1 lands in the last
-        at = (x + 1.0) * (side / 2)
-        flat += spread[np.minimum(at, side - 1, out=at).astype(np.intp)] << (d - 1 - j)
+        # x * side / 256 truncates to the box, exactly: side is a power of two
+        flat += spread[(x * (side / 256)).astype(np.intp)] << (d - 1 - j)
 
     # longest lists first, so the points still scanning at rank r are a
     # prefix; keyed in the smallest type, where a stable sort is a radix sort
@@ -237,35 +255,22 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     return assign, best
 
 
-@functools.lru_cache(maxsize=2)
-def _cached_index(shape: tuple, data: bytes):
-    """The candidate lists of the float64 centers `data` holds, built on first
-    use and kept for the last two distinct center arrays, keyed by their
-    bytes: every session loaded from one codebook file shares one build."""
-    return _build_index(np.frombuffer(data).reshape(shape))
-
-
 def _build_index(centers: np.ndarray):
-    """(members, starts, spread): box i lists the codes
-    members[starts[i]:starts[i + 1]], in ascending index order.
+    """(cs, members, starts, spread) for (k, d) byte colours: cs holds their
+    columns, and box i lists members[starts[i]:starts[i + 1]], ascending.
 
-    [-1, 1]^d is cut into side^d equal boxes. side is a power of two giving
-    about _BOXES_PER_CODE boxes per code, at most 2**_MAX_BOX_BITS, or less
-    when the lists would be long (see below). Halving the side cuts box p of
-    n boxes into its fan = 2^d children o * n + p, where bit d - 1 - j of o
-    says which half of axis j the child holds. So spread[b] spaces the bits
-    of coordinate b d apart, finest bit first, and the box at (b_j) is the
-    sum of spread[b_j] << (d - 1 - j).
+    [0, 256)^d is cut into side^d equal boxes with integer edges. side is a
+    power of two giving about _BOXES_PER_CODE boxes per code, at most
+    2**_MAX_BOX_BITS, or less when the lists would be long (see below).
+    Halving the side cuts box p of n boxes into its fan = 2^d children
+    o * n + p, where bit d - 1 - j of o says which half of axis j the child
+    holds. So spread[b] spaces the bits of coordinate b d apart, finest bit
+    first, and the box at (b_j) is the sum of spread[b_j] << (d - 1 - j).
 
     Box B keeps code c when mindist(c, B)^2 <= min over c' of
-    maxdist(c', B)^2, both taken over B widened by _BOX_PAD on every side.
-    If w is nearest to a point x of B, as `_sq_dist` computes it, then
-    mindist(w, B)^2 <= |x - w|^2 and, for every c', |x - c'|^2 <=
-    maxdist(c', B)^2; w wins on computed distances, which rounding moves
-    from the true ones, so the bound has slack for that and for its own
-    rounding. The padding covers a point whose box number rounds to the next
-    box. A dropped code would change an answer; an extra one costs a
-    distance.
+    maxdist(c', B)^2, B closed: if w is nearest to a point x of B, then
+    mindist(w, B)^2 <= |x - w|^2 <= |x - c'|^2 <= maxdist(c', B)^2 for every
+    c', each value exact (see the module doc).
 
     The lists are refined from the whole cube's list of distinct codes, one
     halving of the box side at a time. A box's winners win in its parent
@@ -278,10 +283,7 @@ def _build_index(centers: np.ndarray):
     k, d = centers.shape
     fan = 1 << d
     bits = min(math.ceil(math.log2(_BOXES_PER_CODE * k) / d), _MAX_BOX_BITS // d)
-    cs = [np.ascontiguousarray(centers[:, j]) for j in range(d)]
-    # rounding moves each of the four squared distances the argument above
-    # compares by at most (d + 2) eps; allow twice that
-    slack = 1.0 + 8 * (d + 2) * np.finfo(np.float64).eps
+    cs = np.array(centers.T)
     # a child's coordinate on an axis is twice its parent's plus 0 (the
     # lower half) or 1; halves[j, o] is child o's on axis j
     half = np.arange(2)[:, None]
@@ -293,7 +295,7 @@ def _build_index(centers: np.ndarray):
     coords = np.zeros((d, 1), dtype=np.intp)  # each box's coordinates, in box order
     level = 0
     while level < bits:
-        width = 2.0 / (2 << level)
+        width = 128 >> level  # a child's side
         lengths = np.diff(starts)
         kept, counts = [[] for _ in range(fan)], []
         box = held = 0
@@ -310,16 +312,16 @@ def _build_index(centers: np.ndarray):
             # parent's interval on each
             min_d2 = max_d2 = 0.0
             for j, c in enumerate(cs):
-                lo = -1.0 + (2 * coords[j][parent] + half) * width
-                # how far each code lies below and above the widened interval
-                below = (lo - _BOX_PAD) - c[code]
-                above = c[code] - (lo + width + _BOX_PAD)
+                lo = (2 * coords[j][parent] + half) * width
+                # how far each code lies below and above the interval
+                below = lo - c[code]
+                above = c[code] - (lo + width)
                 shape = [1] * d + [-1]
                 shape[j] = 2
                 min_d2 = min_d2 + (np.maximum(np.maximum(below, above), 0.0) ** 2).reshape(shape)
                 max_d2 = max_d2 + (np.maximum(-below, -above) ** 2).reshape(shape)
             min_d2, max_d2 = min_d2.reshape(fan, -1), max_d2.reshape(fan, -1)
-            bound = np.minimum.reduceat(max_d2, run_starts, axis=1) * slack + _ABS_SLACK
+            bound = np.minimum.reduceat(max_d2, run_starts, axis=1)
             keep = min_d2 <= np.repeat(bound, run, axis=1)
             counts.append(np.add.reduceat(keep, run_starts, axis=1, dtype=np.intp))
             for o in range(fan):
@@ -336,9 +338,9 @@ def _build_index(centers: np.ndarray):
     side = np.arange(1 << level)
     spread = sum((((side >> t) & 1) << (d * (level - 1 - t)) for t in range(level)),
                  np.zeros_like(side))
-    for array in (members, starts, spread):  # every search of these codes shares them
+    for array in (cs, members, starts, spread):  # every search of these codes shares them
         array.flags.writeable = False
-    return members, starts, spread
+    return cs, members, starts, spread
 
 
 def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
@@ -353,8 +355,10 @@ def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
 
 
 def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
-    _, d2 = _assign(_cube_points(corpus), cb.codes.astype(np.float64))
-    return float(d2.sum())
+    """The summed squared distance of each cell mean to its nearest code's
+    colour, on the [-1, 1] sample scale: in bytes, divided by 127.5**2."""
+    _, d2 = _assign(_byte_means(corpus), _cached_index(cb.colours.tobytes()))
+    return float(d2.sum()) / HALF_RANGE ** 2
 
 
 def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from granucodec import imaging
-from granucodec.analysis import pyramid
+from granucodec.analysis import CELL_PIXELS, pyramid
 from granucodec.imaging import ImagePlane, from_raw
 
 from conftest import make_image, traced_peak
@@ -17,29 +14,6 @@ def pixel_sums(img, s):
     the pixels."""
     h, w, c = img.pixels.shape
     return img.pixels.reshape(h // s, s, w // s, s, c).sum(axis=(1, 3), dtype=np.int64)
-
-
-def rounded_mean(total, n):
-    """The float32 nearest the exact mean sample of n bytes summing to
-    `total`, ties to even: the nearest of the float64 quotient's float32 and
-    its two neighbours, compared as exact fractions."""
-    exact = Fraction(2 * total - 255 * n, 255 * n)
-    guess = np.float32(float(exact))
-    candidates = [np.nextafter(guess, np.float32(-2)), guess, np.nextafter(guess, np.float32(2))]
-    return min(candidates, key=lambda c: (abs(Fraction(float(c)) - exact),
-                                          int(c.view(np.uint32)) & 1))
-
-
-def exact_mean_pyramid(img):
-    """Each scale's cells as the correctly rounded exact mean of their own
-    pixels' samples, one fraction per distinct sum."""
-    grids = []
-    for s in SCALES:
-        sums = pixel_sums(img, s)
-        levels, inverse = np.unique(sums, return_inverse=True)
-        table = np.array([rounded_mean(int(v), s * s) for v in levels], dtype=np.float32)
-        grids.append(table[inverse.reshape(sums.shape)])
-    return grids
 
 
 @pytest.fixture
@@ -55,34 +29,37 @@ class TestPyramid:
         assert z3.shape == (4, 6, 3)
 
     def test_each_scale_is_its_pixels_mean(self, photo):
-        # z2 and z3 are summed from the bytes of their own pixels, not
-        # pooled from the rounded means of a finer scale
-        for z, s in zip(pyramid(photo), SCALES):
-            assert z.tobytes() == imaging.normalize(pixel_sums(photo, s), s * s).tobytes()
+        # z2 and z3 are summed from the bytes of their own pixels, and each
+        # sum over its n pixels gives the exact mean colour S / n
+        h, w, c = photo.pixels.shape
+        for z, s, n in zip(pyramid(photo), SCALES, CELL_PIXELS):
+            assert s * s == n
+            exact = photo.pixels.reshape(h // s, s, w // s, s, c).mean(axis=(1, 3))
+            assert np.array_equal(z / n, exact)
 
-    def test_grids_are_contiguous_float32(self, photo):
+    def test_grids_are_contiguous_uint16(self, photo):
         # callers reshape every grid to (cells, 3) without a copy
         for z in pyramid(photo):
-            assert z.dtype == np.float32 and z.flags.c_contiguous
+            assert z.dtype == np.uint16 and z.flags.c_contiguous
 
     def test_bounds(self, photo):
-        for z in pyramid(photo):
-            assert z.min() >= -1.0 and z.max() <= 1.0
-        # a constant gray image's means are its gray level at every scale
+        for z, n in zip(pyramid(photo), CELL_PIXELS):
+            assert z.max() <= 255 * n
+        # a constant gray image's sums are its gray level times n at every scale
         gray = from_raw(np.full((32, 32, 3), 200, dtype=np.uint8))
-        for z in pyramid(gray):
-            assert np.allclose(z, 200 / 255 * 2 - 1, atol=1e-6)
+        for z, n in zip(pyramid(gray), CELL_PIXELS):
+            assert np.all(z == 200 * n)
 
     def test_byte_extremes_reach_the_cube_faces_exactly(self):
-        # the code search refuses a cell outside [-1, 1]^3; the darkest and
-        # brightest images land on the faces, and a 0/255 checkerboard, every
-        # cell half of each, on the centre
+        # the code search refuses a sum above 255 per pixel; the darkest and
+        # brightest images land on the faces of the byte cube, and a 0/255
+        # checkerboard, every cell half of each, on its centre
         black, white = (from_raw(np.full((32, 48, 3), v, dtype=np.uint8)) for v in (0, 255))
         board = from_raw(np.where((np.indices((32, 48)).sum(axis=0) % 2)[..., None] == 1,
                                   np.uint8(255), np.uint8(0)).repeat(3, axis=2))
-        for img, want in ((black, -1.0), (white, 1.0), (board, 0.0)):
-            for z in pyramid(img):
-                assert np.all(z == np.float32(want))
+        for img, want in ((black, 0.0), (white, 255.0), (board, 127.5)):
+            for z, n in zip(pyramid(img), CELL_PIXELS):
+                assert np.all(z / n == want)
 
     @pytest.mark.parametrize("seed, shape", [
         *(pytest.param(seed, (64, 96), id=str(seed)) for seed in [0, 1, 2]),
@@ -95,11 +72,11 @@ class TestPyramid:
     ])
     def test_bits_equal_numpy_ordered_reference(self, seed, shape):
         # random bytes: every level occurs, in every channel; the reference
-        # is the exact mean, so no summation order can matter
+        # is the exact sum, so no summation order can matter
         rng = np.random.default_rng(seed)
         img = ImagePlane(rng.integers(0, 256, (*shape, 3), dtype=np.uint8), *shape)
-        for z, ref in zip(pyramid(img), exact_mean_pyramid(img)):
-            assert z.tobytes() == ref.tobytes()
+        for z, s in zip(pyramid(img), SCALES):
+            assert z.tobytes() == pixel_sums(img, s).astype(np.uint16).tobytes()
 
     def test_deterministic(self, photo):
         a = pyramid(photo)
@@ -109,9 +86,8 @@ class TestPyramid:
 
     def test_peak_memory_per_pixel(self):
         # the uint16 sums over each group of 4 pixel rows take 1.5 B/px and
-        # the 4x4 cell sums 0.375: 1.88 B/px measured. The row sums are freed
-        # before z1's 0.75 B/px of float32 means is made, and each array of
-        # the 8x8 and 16x16 scales is a quarter of that or less. A float32
-        # copy of the image alone would be 12 B/px
+        # the 4x4 cell sums 0.375: 1.88 B/px measured. The arrays of the 8x8
+        # and 16x16 scales are a quarter of that or less. A float32 copy of the image alone
+        # would be 12 B/px
         img = make_image("photo", 512, 512, seed=12)
         assert traced_peak(pyramid, img) <= 2.0 * 512 * 512

@@ -764,12 +764,14 @@ class TestWalkOracle:
         header_len = len(data) - len(c0.payload)
         # the payload cut by 1 to 4 bytes and the coarse segment's length cut
         # to match, so the coarse symbols run past the payload's end; the
-        # damaged streams above stop inside the payload, at a segment's end
+        # damaged streams above stop inside the payload, at a segment's end.
+        # A cut that would pass the coarse segment's start is left out
         fine, medium, _ = c0.index_bits
         cuts = [serialize_container(dataclasses.replace(
                     c0, index_bits=(fine, medium, 8 * n - c0.map_bits - fine - medium),
                     payload=c0.payload[:n]))
-                for n in range(len(c0.payload) - 4, len(c0.payload))]
+                for n in range(len(c0.payload) - 4, len(c0.payload))
+                if 8 * n >= c0.map_bits + fine + medium]
         mutated = [*_bit_flips(rng, data, 300, header_len), *_resizes(rng, data, 100)]
         cases = [*map(_reseal, mutated), *(_rewrite_field(rng, data) for _ in range(300)),
                  *cuts]

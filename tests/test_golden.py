@@ -3,13 +3,13 @@
 Every "bit-identical" claim about a codec change rests on this test. It pins
 the `small_session` codebook, the serialized containers of fixed encodes and
 the decoded pixels. The pins were taken with numpy 2.4.6 on a DYNAMIC_ARCH
-OpenBLAS 0.3.31 running its Haswell kernel, with the three-feature (mean
-colour) analysis transform, each feature its pixels' exact mean sample
-rounded once to float32. The nearest-code search sums its distances
-elementwise in a fixed order, so no BLAS decides an index or a codebook. The
-one BLAS call left, `spatial_entropy.entropy_map`'s `counts @ table`, adds
-whole numbers of 2**-43 units below 2**53, so every BLAS kernel gives the
-same block masses.
+OpenBLAS 0.3.31 running its Haswell kernel. Each cell is its pixels' exact
+mean colour in byte units and each code the bytes the decoder paints, so
+every squared distance the search and k-means compare is exact in float64,
+added in any order: no BLAS and no summation order decides an index or a
+codebook. The one BLAS call left, `spatial_entropy.entropy_map`'s
+`counts @ table`, adds whole numbers of 2**-43 units below 2**53, so every
+BLAS kernel gives the same block masses.
 """
 
 import hashlib
@@ -19,11 +19,10 @@ from granucodec.granularity import RatioTriple
 
 from conftest import make_image
 
-SMALL_SESSION_ID_HASH = 0x3BE028EEB00D0972
-# container version 4, whose CRC covers the payload: the payloads are the
-# version-3 ones, which the same encodes hashed to 4f44019d6234d098...
-CONTAINERS_SHA256 = "c2dd3f5e41c2f0badb5462b966d011daaa0987cdccff70aec9a28e9824cf2ca6"
-PIXELS_SHA256 = "9e4eab4e378fb2f8893f87dd0e6cf168bf58bc0c382ff97a942562ae0c271724"
+SMALL_SESSION_ID_HASH = 0x273DAF92421FE372
+# container version 4, with codes that are the colours the decoder paints
+CONTAINERS_SHA256 = "c107474f755c0b675e6ab09218148ed7d834e7813928c0fe0672f66ac398fb57"
+PIXELS_SHA256 = "2141581162f5a56b048b092c14ab7ca1b7ca020237aad4ddd1b30f3a575ac4fb"
 
 
 def test_golden_bytes(small_session):

@@ -94,7 +94,7 @@ class TestNormalize:
     def test_scalar_sums_normalized(self):
         # a numpy scalar has no array for an out= divide to write into
         assert imaging.normalize(np.uint8(200)) == np.float32(0.5686275)
-        assert imaging.normalize(np.uint16(4080), 16) == 1.0
+        assert imaging.normalize(np.uint16(255)) == 1.0
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_from_raw_rejects_other_dtypes(self, dtype):
@@ -168,17 +168,17 @@ class TestPad:
 
 class TestPooling:
     def test_constant_preserved(self):
-        # the mean of a cell of one byte is that byte's sample
+        # the mean of a cell of one byte is that byte
         g = np.full((8, 8, 3), 200, dtype=np.uint8)
         sums = _cell_sums(g, 4)
         assert sums.dtype == np.uint16 and np.all(sums == 16 * 200)
-        assert np.all(imaging.normalize(sums, 16) == imaging.normalize(g)[0, 0, 0])
+        assert np.all(sums / 16 == g[0, 0, 0])
 
     def test_hand_mean(self):
         g = np.array([[1, 2], [3, 4]], dtype=np.uint8)[..., None]
         assert _cell_sums(g, 2)[0, 0, 0] == 10
-        # bytes 1..4 have the mean byte 2.5, the sample -125 / 127.5
-        assert imaging.normalize(_cell_sums(g, 2), 4)[0, 0, 0] == np.float32(-125 / 127.5)
+        # bytes 1..4 have the mean byte 2.5, exact as a sum over 4 pixels
+        assert _cell_sums(g, 2)[0, 0, 0] / 4 == 2.5
 
     def test_brightest_coarse_cell_fits_16_bits(self):
         # a 16x16 block of 255s sums to 256 * 255 = 65,280, the largest sum
@@ -186,7 +186,7 @@ class TestPooling:
         s1 = _cell_sums(np.full((16, 16, 3), 255, dtype=np.uint8), 4)
         s3 = _cell_sums(_cell_sums(s1, 2), 2)
         assert s3.dtype == np.uint16 and np.all(s3 == 65_280)
-        assert np.all(imaging.normalize(s3, 256) == 1.0)
+        assert np.all(s3 / 256 == 255)
 
     def test_upsample_duplicates(self):
         g = np.array([[[1.0], [2.0]]], dtype=np.float32)  # 1x2

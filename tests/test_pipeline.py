@@ -44,10 +44,10 @@ def over_cap_container() -> tuple[bytes, vq.Codebook, vq.FrequencyTable]:
 # builder that alters one length, codeword, row or bpp fails here, not only
 # through container digests
 SESSION_TABLES_SHA256 = {
-    "huffman.lengths": "00d68e31a89f16bd230b692474a4826d47d6ac3d82aebf2cc5d7b63827d66386",
-    "huffman.codewords": "a8c48a60605889f3200a7bb93526382417c6840fc696a8937b686c7bb1b27e73",
+    "huffman.lengths": "53974983ecba840221a7d1c95c71f231743278e72d3adde0b547c22676c423b3",
+    "huffman.codewords": "caee6982304eeaac3d1b2faf3a1be583b6402f091355bc5a93064c99201eb533",
     "rate_table.ratios": "68eaa5da9ebd600b53ffabbc3bd3c0213c015f8020eaa1ce604edd9ee8c3b108",
-    "rate_table.bpp": "655e4f8036ba5b77a2e604cf04871d9303cd13d641a3c0857836a83e742357cd",
+    "rate_table.bpp": "bb1b66faa425b02b4e7015102cdf0c0bfdba12488de8bbb7e9ee15666c0bdeb0",
 }
 
 
@@ -65,11 +65,11 @@ def test_records_compare_by_identity(small_session, make):
 
 
 # SHA-256 of `rate-table`'s stdout for the `cli_env` codebook
-RATE_TABLE_CSV_SHA256 = "be2ce8d2228df4e071c192bcccc0d317b5865730ad2622912bc27a57c65cc6a9"
+RATE_TABLE_CSV_SHA256 = "39ed44b6e43dae86a5414407718db822b03b250e67992f9be95c73bada4b647a"
 
 
 def test_session_tables_pinned(session):
-    assert session.codebook.id_hash == 0x81F0AC94F2E226A7
+    assert session.codebook.id_hash == 0x07007E68D1CAA797
     # the session keeps one bpp per row of the read-only lattice, in lattice order
     assert session.rate_table.shape == (len(granularity.LATTICE),)
     assert not granularity.LATTICE.flags.writeable

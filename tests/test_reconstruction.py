@@ -91,6 +91,19 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 decode(session, gmap, streams)
 
+    def test_stream_list_not_of_three_rejected(self):
+        # zip would drop a fourth stream or read a leading extra one as the
+        # fine stream; every all-coarse map holds empty fine and medium
+        # streams, so a leading empty one would decode with no error
+        session = codes_session(np.random.default_rng(6).standard_normal((4, 3)))
+        gmap = np.full((4, 4), COARSE, dtype=np.uint8)
+        empty, coarse = np.zeros(0, np.int32), np.arange(16, dtype=np.int32) % 4
+        streams = [empty, empty, coarse]
+        assert decode(session, gmap, streams).shape == (64, 64, 3)
+        for bad in ([empty, *streams], [*streams, empty], streams[1:], []):
+            with pytest.raises(ValueError, match=f"^{len(bad)} index streams, not 3"):
+                decode(session, gmap, bad)
+
     def test_one_index_for_several_cells_rejected(self):
         # numpy would broadcast a one-index stream over every kept cell
         session = codes_session(np.random.default_rng(5).standard_normal((4, 3)))

@@ -1,11 +1,12 @@
 import itertools
-import math
 import re
+import time
 
 import numpy as np
 import pytest
 
-from granucodec import analysis, granularity, pipeline, training, vq
+from granucodec import analysis, granularity, imaging, pipeline, training, vq
+from granucodec.analysis import CELL_PIXELS
 from granucodec.bitstream import BitstreamError, frequency_counts
 from granucodec.granularity import (
     COARSE, FINE, MEDIUM, RatioTriple, masks_from_map, plan_granularity,
@@ -37,62 +38,75 @@ def assert_matches_oracle(got, want):
     assert best.tobytes() == want_best.tobytes()
 
 
+def assign(points, centers):
+    """The search of the points over the byte colours `centers`, on a fresh index."""
+    return _assign(points, vq._build_index(centers))
+
+
+def means(rng, size, lo=0, hi=255):
+    """Cell means in byte units: random multiples of 1/256 in [lo, hi]."""
+    return rng.integers(lo * 256, hi * 256 + 1, size=size) / 256
+
+
+def colours(codes):
+    """The float64 colours the decoder paints for float32 sample codes."""
+    return Codebook(np.asarray(codes, dtype=np.float32)).colours.astype(np.float64)
+
+
 def box_faces(centers):
-    """The faces of the index's boxes on each cut axis, from -1 to 1."""
-    side = vq._cached_index(centers.shape, centers.tobytes())[2].size
-    return -1 + 2 * np.arange(side + 1) / side
+    """The faces of the index's boxes on each cut axis, from 0 to 256."""
+    side = vq._build_index(centers)[3].size
+    return 256 * np.arange(side + 1) / side
 
 
 def search_case(case, rng):
-    """(points, centers) that stress the pruned search: 3-wide codes, and
-    points in [-1, 1]^3, where every cell lies."""
+    """(points, centers) that stress the pruned search: 3-wide byte colours,
+    and cell means in [0, 255]^3."""
     if case == "duplicates":
         # every center twice, and points on them: distance-0 ties
-        centers = rng.uniform(-1, 1, size=(64, 3))
+        centers = rng.integers(0, 256, size=(64, 3)).astype(np.float64)
         centers[32:] = centers[:32]
         points = centers[rng.integers(0, 64, size=300)]
-        points[::2] = np.clip(points[::2] + rng.normal(0, 0.05, size=points[::2].shape), -1, 1)
+        points[::2] = np.clip(points[::2] + means(rng, points[::2].shape, -6, 6), 0, 255)
         return points, centers
     if case == "bin_edges":
-        # with k=576 the index cuts [-1, 1]^3 into 32 boxes a side, so each
-        # multiple of 1/16 is a box face: an 8x8x8 lattice of centers 1/4
-        # apart and 64 more on faces, and points on faces, the cube's own
-        # faces included; a point on a face between two lattice centers
-        # ties them
-        lattice = np.stack(np.meshgrid(*[np.arange(-7, 8, 2) / 8] * 3, indexing="ij"), -1)
-        on_faces = rng.integers(-16, 17, size=(64, 3)) / 16
+        # with k=576 the index cuts [0, 256)^3 into 32 boxes a side, so each
+        # multiple of 8 is a box face: an 8x8x8 lattice of centers 32 apart
+        # and 64 more on faces, and points on faces, the cube's own faces
+        # included; a point on a face between two lattice centers ties them
+        lattice = np.stack(np.meshgrid(*[np.arange(16, 256, 32.0)] * 3, indexing="ij"), -1)
+        on_faces = rng.integers(0, 32, size=(64, 3)) * 8
         centers = np.concatenate([lattice.reshape(-1, 3), on_faces])
-        assert np.array_equal(box_faces(centers), np.arange(-16, 17) / 16)
-        points = rng.integers(-16, 17, size=(2000, 3)) / 16
+        assert np.array_equal(box_faces(centers), np.arange(0, 257, 8))
+        points = np.minimum(rng.integers(0, 33, size=(2000, 3)) * 8, 255).astype(np.float64)
         return points, centers
     if case == "tie_on_margin":
         # k=8 codes on the first axis, whose index cuts the cube at
-        # multiples of 1/2: the point 1/2 lies 1/4 from centers 0 and 3, and
-        # -1/2 lies 1/4 from centers 4 and 7, nearer than any other; both
-        # are on box edges, and the lower index must win each tie
+        # multiples of 64: the point 192 lies 32 from centers 0 and 3, and
+        # 64 lies 32 from centers 4 and 7, nearer than any other; both are
+        # on box faces, and the lower index must win each tie
         centers = np.zeros((8, 3))
-        centers[:, 0] = [0.75, 1, -1, 0.25, -0.25, 0, 1.5, -0.75]
-        assert np.array_equal(box_faces(centers), np.arange(-2, 3) / 2)
+        centers[:, 0] = [224, 255, 0, 160, 96, 128, 250, 32]
+        assert np.array_equal(box_faces(centers), np.arange(0, 257, 64))
         points = np.zeros((3, 3))
-        points[:, 0] = [1 / 2, -1 / 2, 1 / 32]
+        points[:, 0] = [192, 64, 132]
         return points, centers
     if case == "one_bin_and_outlier":
-        # 300 codes crowd one box and one lies past the cube's corner
-        # (1, 1, 1): points all over the cube, and near that corner, where
-        # the outlying code is the nearest
-        centers = np.concatenate([rng.normal(0, 0.01, size=(300, 3)), [[1.5] * 3]])
-        points = np.concatenate([rng.uniform(-1, 1, size=(300, 3)),
-                                 1 - rng.uniform(0, 0.2, size=(20, 3)),
-                                 rng.integers(-1, 2, size=(20, 3))])
-        return points, centers
+        # 300 codes crowd one box and one lies on the cube's corner
+        # (255, 255, 255): points all over the cube, and near that corner,
+        # where the outlying code is the nearest
+        centers = np.concatenate([rng.integers(124, 128, size=(300, 3)), [[255] * 3]])
+        points = np.concatenate([means(rng, (300, 3)), means(rng, (20, 3), 230),
+                                 255.0 * rng.integers(0, 2, size=(20, 3))])
+        return points, centers.astype(np.float64)
     if case == "outside_hull":
-        # outside the centers' hull [-1/2, 1/2]^3 in one coordinate, where
-        # box lists reach distant codes; and anywhere in the cube, mostly
-        # far outside the hull
-        centers = rng.uniform(-0.5, 0.5, size=(256, 3))
-        near = rng.uniform(-0.5, 0.5, size=(1000, 3))
-        near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([-0.55, 0.55], 1000)
-        return np.concatenate([near, rng.uniform(-1, 1, size=(200, 3))]), centers
+        # outside the centers' hull [64, 191]^3 in one coordinate, where box
+        # lists reach distant codes; and anywhere in the cube, mostly far
+        # outside the hull
+        centers = rng.integers(64, 192, size=(256, 3)).astype(np.float64)
+        near = means(rng, (1000, 3), 64, 191)
+        near[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice([57.5, 198.25], 1000)
+        return np.concatenate([near, means(rng, (200, 3))]), centers
     raise ValueError(case)
 
 
@@ -103,35 +117,35 @@ def span(a, d):
 
 
 def box_case(case, d, rng):
-    """(points, centers) in [-1, 1]^3 that span d <= 3 dimensions of it."""
-    centers = rng.uniform(-1, 1, size=(100, d))
+    """(points, centers) in [0, 255]^3 that span d <= 3 dimensions of it."""
+    centers = rng.integers(0, 256, size=(100, d)).astype(np.float64)
     if case == "duplicates":
         # every center twice, and points on them: distance-0 ties
         centers[50:] = centers[:50]
         points = centers[rng.integers(0, 100, size=400)]
-        points[::2] = np.clip(points[::2] + rng.normal(0, 0.05, size=points[::2].shape), -1, 1)
+        points[::2] = np.clip(points[::2] + means(rng, points[::2].shape, -6, 6), 0, 255)
     elif case == "ties":
-        # centers on a grid 1/8 apart, points halfway between two of them:
+        # centers on a grid 16 apart, points halfway between two of them:
         # both distances are exact and equal
-        centers = rng.integers(-8, 9, size=(60, d)) / 8
+        centers = rng.integers(0, 16, size=(60, d)) * 16.0 + 8
         pairs = rng.integers(0, 60, size=(2, 600))
         points = (centers[pairs[0]] + centers[pairs[1]]) / 2
     elif case == "faces":
-        # points on box faces, and one ulp either side of one in the cube
-        faces = box_faces(span(centers, d))
+        # points on box faces, and 1/256 either side of one in the cube
+        faces = np.minimum(box_faces(span(centers, d)), 255)
         points = faces[rng.integers(0, faces.size, size=(900, d))]
-        points[300:600] = np.maximum(np.nextafter(points[300:600], -2), -1)
-        points[600:] = np.minimum(np.nextafter(points[600:], 2), 1)
+        points[300:600] = np.maximum(points[300:600] - 1 / 256, 0)
+        points[600:] = np.minimum(points[600:] + 1 / 256, 255)
     elif case == "corners":
-        # the cube's corners, one ulp inside them, and centers near them
-        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
-        centers[:corners.shape[0]] = corners * 0.97
-        points = np.concatenate([corners, np.nextafter(corners, 0)])
+        # the cube's corners, 1/256 inside them, and centers near them
+        corners = np.array(list(itertools.product([0.0, 255.0], repeat=d)))
+        centers[:corners.shape[0]] = np.where(corners > 0, 251, 4)
+        points = np.concatenate([corners, np.where(corners > 0, 255 - 1 / 256, 1 / 256)])
     elif case == "cube_faces":
-        # one coordinate on a face of the cube, -1 or 1, the farthest a
-        # cell lies: the search clamps 1 into the last box
-        points = rng.uniform(-1, 1, size=(600, d))
-        points[np.arange(600), rng.integers(0, d, size=600)] = rng.choice([-1.0, 1.0], 600)
+        # one coordinate on a face of the cube, 0 or 255, the farthest a
+        # cell lies: 255 falls in the last box with no clamp
+        points = means(rng, (600, d))
+        points[np.arange(600), rng.integers(0, d, size=600)] = rng.choice([0.0, 255.0], 600)
     else:
         raise ValueError(case)
     return span(points, d), span(centers, d)
@@ -143,83 +157,150 @@ def cb16():
     return Codebook(rng.uniform(-1, 1, size=(16, 3)).astype(np.float32))
 
 
+def sums_of(points, count):
+    """The uint16 colour sums over `count` pixels of cell means."""
+    return np.rint(np.asarray(points, dtype=np.float64) * count).astype(np.uint16)
+
+
 class TestQuantize:
     def test_exact_match(self, cb16):
-        grid = cb16.codes[7].reshape(1, 1, 3)
-        idx = quantize(grid, cb16)
+        grid = sums_of(cb16.colours[7].reshape(1, 1, 3), 16)
+        idx = quantize(grid, cb16, 16)
         assert idx[0, 0] == 7
-        assert np.array_equal(lookup(idx, cb16), grid)
+        assert np.array_equal(lookup(idx, cb16), cb16.codes[7].reshape(1, 1, 3))
 
     def test_tie_breaks_to_lowest_index(self):
+        # samples 0 and 1 paint bytes 128 and 255; 191.5 lies 63.5 from each
         cb = Codebook(np.array([[0.0, 0, 0], [1.0, 0, 0]], dtype=np.float32))
-        idx = quantize(np.array([[[0.5, 0, 0]]], dtype=np.float32), cb)
+        idx = quantize(np.array([[[383, 256, 256]]], dtype=np.uint16), cb, 2)
         assert idx[0, 0] == 0
 
     def test_matches_brute_force_scan(self, cb16):
         rng = np.random.default_rng(1)
-        cells = rng.uniform(-1, 1, size=(6, 5, 3)).astype(np.float32)
-        idx = quantize(cells, cb16)
+        cells = rng.integers(0, 255 * 64 + 1, size=(6, 5, 3)).astype(np.uint16)
+        idx = quantize(cells, cb16, 64)
         for pos in np.ndindex(6, 5):
-            dists = [np.sum((cells[pos].astype(np.float64) - c) ** 2)
-                     for c in cb16.codes.astype(np.float64)]
+            dists = [np.sum((cells[pos] / 64 - c) ** 2) for c in colours(cb16.codes)]
             assert idx[pos] == int(np.argmin(dists))
 
     def test_never_beaten_by_other_code(self, cb16):
         rng = np.random.default_rng(2)
-        cells = rng.uniform(-1, 1, size=(10, 3)).astype(np.float32)
-        idx = quantize(cells, cb16)
-        for z, chosen in zip(cells, lookup(idx, cb16)):
+        cells = rng.integers(0, 255 * 16 + 1, size=(10, 3)).astype(np.uint16)
+        idx = quantize(cells, cb16, 16)
+        painted = colours(cb16.codes)
+        for z, chosen in zip(cells / 16, painted[idx]):
             d_chosen = np.sum((z - chosen) ** 2)
-            for c in cb16.codes:
-                assert d_chosen <= np.sum((z - c) ** 2) + 1e-12
+            for c in painted:
+                assert d_chosen <= np.sum((z - c) ** 2)
 
     def test_dim_mismatch(self, cb16):
         with pytest.raises(CodebookError):
-            quantize(np.zeros((2, 2, 4), dtype=np.float32), cb16)
+            quantize(np.zeros((2, 2, 4), dtype=np.uint16), cb16, 16)
 
     def test_matches_elementwise_oracle(self):
-        # 3,000 cells at k=1024, many of the codes outside the cube: the
-        # search must equal one elementwise block byte for byte
+        # 3,000 cells at k=1024, many of the codes clamped onto the cube's
+        # faces: the search must equal one elementwise block byte for byte
         rng = np.random.default_rng(4)
-        points = rng.uniform(-1, 1, size=(3000, 3))
-        centers = rng.standard_normal((1024, 3))
-        want = elementwise_oracle(points, centers)
-        assert_matches_oracle(_assign(points, centers), want)
+        points = means(rng, (3000, 3))
+        centers = colours(rng.standard_normal((1024, 3)))
+        assert_matches_oracle(assign(points, centers), elementwise_oracle(points, centers))
 
     @pytest.mark.parametrize("case", ["duplicates", "bin_edges", "tie_on_margin",
                                       "one_bin_and_outlier", "outside_hull"])
     def test_search_matches_oracle(self, case):
         points, centers = search_case(case, np.random.default_rng(11))
-        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+        assert_matches_oracle(assign(points, centers), elementwise_oracle(points, centers))
 
-    @pytest.mark.parametrize("value", [np.nextafter(1.0, 2), -1.5, np.nan, np.inf, -np.inf],
-                             ids=["past_1", "below_-1", "nan", "inf", "-inf"])
+    # the first two ids name the sample-scale bound the value passes: sample
+    # 1 is byte 255 and sample -1 byte 0
+    @pytest.mark.parametrize("value", [255 + 1 / 256, -1 / 256, np.nan, np.inf, -np.inf,
+                                       128 + 1 / 512],
+                             ids=["past_1", "below_-1", "nan", "inf", "-inf", "off_grid"])
     def test_points_outside_the_cube_refused(self, cb16, value):
-        # every cell is a mean of samples in [-1, 1], and the search has a box
-        # for no other point: each entry point refuses one such coordinate
-        points = np.random.default_rng(13).uniform(-1, 1, size=(40, 3))
+        # every cell mean lies in [0, 255]^3, and the search has a box for no
+        # other point; a mean of up to 256 bytes is a multiple of 1/256, which
+        # makes every distance exact, and 1/512 is not. Each entry point that
+        # takes means refuses one such coordinate
+        points = means(np.random.default_rng(13), (40, 3))
         points[17, 1] = value
-        for search in (lambda: quantize(points, cb16), lambda: kmeans_distortion(points, cb16),
+        for search in (lambda: kmeans_distortion(points, cb16),
                        lambda: train_codebook(points, k=4, iters=1)):
-            with pytest.raises(ValueError, match=r"finite and lie in \[-1, 1\]"):
+            with pytest.raises(ValueError, match=r"multiples of 1/256 in \[0, 255\]"):
                 search()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.int64])
+    def test_sums_that_are_not_unsigned_integers_refused(self, cb16, dtype):
+        # a sum is a count of byte units, never negative: unsigned only
+        sums = np.full((4, 3), 16, dtype=dtype)
+        with pytest.raises(ValueError, match=f"^{np.dtype(dtype)} cell sums: unsigned integers"):
+            quantize(sums, cb16, 16)
+
+    @pytest.mark.parametrize("count", [16, 64, 256])
+    def test_sums_above_255_per_pixel_refused(self, cb16, count):
+        sums = np.full((5, 3), 255 * count, dtype=np.uint32)
+        assert np.all(quantize(sums, cb16, count) == quantize(sums[:1], cb16, count)[0])
+        sums[2, 0] += 1
+        with pytest.raises(ValueError, match=f"unsigned integers of at most {255 * count}$"):
+            quantize(sums, cb16, count)
+
+    @pytest.mark.parametrize("count", [0, 3, 48, 512])
+    def test_pixel_count_not_a_power_of_two_to_256_refused(self, cb16, count):
+        with pytest.raises(ValueError, match="power of two up to 256"):
+            quantize(np.zeros((2, 3), dtype=np.uint16), cb16, count)
 
     @pytest.mark.parametrize("spread", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 9, 300])
     @pytest.mark.parametrize("n", [0, 1, 500])
     def test_search_matches_oracle_shapes(self, spread, k, n):
-        # codes drawn with a deviation of spread / 4: well inside the cube
-        # at 1, mostly outside it at 5
+        # random float32 codes drawn with a deviation of spread / 4 and
+        # searched through their colours: inside the cube at 1, mostly
+        # clamped onto its faces and corners at 5
         rng = np.random.default_rng(100 * spread + k + n)
-        points = rng.uniform(-1, 1, size=(n, 3))
-        centers = rng.standard_normal((k, 3)) * (spread / 4)
-        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+        points = means(rng, (n, 3))
+        centers = colours(rng.standard_normal((k, 3)) * (spread / 4))
+        assert_matches_oracle(assign(points, centers), elementwise_oracle(points, centers))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("case", ["duplicates", "ties", "faces", "corners", "cube_faces"])
     def test_box_search_matches_oracle(self, case, d):
         points, centers = box_case(case, d, np.random.default_rng(31 + d))
-        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+        assert_matches_oracle(assign(points, centers), elementwise_oracle(points, centers))
+
+    @pytest.mark.parametrize("book", ["bytes", "float32", "fixture"])
+    def test_search_equals_a_scan_of_the_painted_colours(self, session, book):
+        # quantize against a scan of all k painted colours, ties to the
+        # lowest index: random byte codes (stored as their samples), random
+        # float32 codes, many clamped, and the fixture codebook; cells at
+        # every scale, random and on the codes' own colours
+        rng = np.random.default_rng(50)
+        if book == "bytes":
+            cb = Codebook(imaging.normalize(rng.integers(0, 256, size=(700, 3))))
+        elif book == "float32":
+            cb = Codebook(rng.normal(0, 0.7, size=(700, 3)).astype(np.float32))
+        else:
+            cb = session.codebook
+        painted = cb.colours.astype(np.float64)
+        for count in CELL_PIXELS:
+            sums = np.concatenate([
+                rng.integers(0, 255 * count + 1, size=(3000, 3)),
+                sums_of(painted[rng.integers(0, cb.k, size=500)], count)]).astype(np.uint16)
+            want, _ = elementwise_oracle(sums / count, painted)
+            assert np.array_equal(quantize(sums, cb, count), want)
+
+    def test_distances_exact_in_any_coordinate_order(self, session):
+        # every coordinate is a multiple of 2**-8 below 256, so a squared
+        # distance is exact however its three terms are added: the search's
+        # distances equal those of the sum in every order of the coordinates,
+        # bit for bit, as no slack is left to absorb a rounding
+        rng = np.random.default_rng(51)
+        points = means(rng, (4000, 3))
+        centers = session.codebook.colours.astype(np.float64)
+        idx, best = assign(points, centers)
+        for order in itertools.permutations(range(3)):
+            terms = [(points[:, j] - centers[idx, j]) ** 2 for j in order]
+            assert (terms[0] + terms[1] + terms[2]).tobytes() == best.tobytes()
+            permuted = assign(points[:, list(order)], centers[:, list(order)])
+            assert np.array_equal(permuted[0], idx) and permuted[1].tobytes() == best.tobytes()
 
     @pytest.mark.parametrize("case", ["g1", "g2", "g3", "k1", "equal_codes", "one_bin_of_many"])
     def test_neighbour_lists_match_oracle(self, case):
@@ -231,15 +312,15 @@ class TestQuantize:
         rng = np.random.default_rng(21)
         if case == "one_bin_of_many":
             # every code crowds into one box, so most lists hold them all
-            centers = rng.normal(0.3, 0.01, size=(30, 3))
+            centers = np.rint(rng.normal(166, 1.3, size=(30, 3)))
         else:
             k, g = {"g1": (50, 1), "g2": (200, 2), "g3": (64, 3),
                     "k1": (1, 3), "equal_codes": (40, 3)}[case]
-            centers = span(rng.normal(0, 0.6, size=(k, g)), g)
+            centers = span(np.clip(np.rint(rng.normal(128, 77, size=(k, g))), 0, 255), g)
             if case == "equal_codes":
                 centers[:] = centers[0]
         k, d = centers.shape
-        members, starts, spread = vq._cached_index(centers.shape, centers.tobytes())
+        _, members, starts, spread = vq._build_index(centers)
         side = spread.size
         # one list per box
         assert starts.size == side ** d + 1 and starts[0] == 0 and starts[-1] == members.size
@@ -247,12 +328,12 @@ class TestQuantize:
         assert np.all((np.diff(members.astype(int)) > 0) | (np.diff(box_of) > 0))
         held = box_of * k + members  # sorted: boxes ascending, codes within each
 
-        line = -1 + 2 * np.arange(2 * side + 1) / (2 * side)
+        line = np.minimum(256 * np.arange(2 * side + 1) / (2 * side), 255)
         lattice = np.stack(np.meshgrid(*[line] * d, indexing="ij"), -1).reshape(-1, d)
-        points = np.concatenate([lattice, rng.uniform(-1, 1, size=(20_000, d))])
+        points = np.concatenate([lattice, means(rng, (20_000, d))])
         for chunk in np.array_split(points, -(-len(points) // 4096)):
             want, _ = elementwise_oracle(chunk, centers)
-            at = (chunk + 1) * (side / 2)  # exact: side is a power of two
+            at = chunk * (side / 256)  # exact: side is a power of two
             ranges = [(np.maximum(np.ceil(t) - 1, 0), np.minimum(np.floor(t), side - 1))
                       for t in at.T]
             for pick in itertools.product([0, 1], repeat=d):
@@ -267,13 +348,13 @@ class TestQuantize:
         rng = np.random.default_rng(12)
         cb = Codebook(rng.standard_normal((128, 3)).astype(np.float32))
         gmap = rng.integers(0, 3, size=(5, 6)).astype(np.uint8)
-        grids = [rng.uniform(-1, 1, size=(5 * s, 6 * s, 3)).astype(np.float32)
-                 for s in (4, 2, 1)]
+        grids = [rng.integers(0, 255 * n + 1, size=(5 * s, 6 * s, 3)).astype(np.uint16)
+                 for s, n in zip((4, 2, 1), CELL_PIXELS)]
         masks = masks_from_map(gmap)
         got = quantize_masked(grids, masks, cb)
-        for stream, grid, mask in zip(got, grids, masks):
+        for stream, grid, mask, n in zip(got, grids, masks, CELL_PIXELS):
             assert stream.dtype == np.int32 and stream.size > 0
-            assert np.array_equal(stream, quantize(grid[mask], cb))
+            assert np.array_equal(stream, quantize(grid[mask], cb, n))
 
     @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
                                       dict(target_bpp=0.10)], ids=["hirate", "lorate"])
@@ -289,9 +370,9 @@ class TestQuantize:
             masks = masks_from_map(plan_granularity(entropy_map(img, session.entropy_cfg),
                                                     ratios))
             got = quantize_masked(grids, masks, cb)
-            for stream, grid, mask in zip(got, grids, masks):
+            for stream, grid, mask, n in zip(got, grids, masks, CELL_PIXELS):
                 assert stream.dtype == np.int32
-                assert np.array_equal(stream, quantize(grid[mask], cb))
+                assert np.array_equal(stream, quantize(grid[mask], cb, n))
 
     @pytest.mark.parametrize("label", [FINE, MEDIUM, COARSE])
     def test_masked_scales_that_keep_no_cell(self, session, label):
@@ -302,25 +383,26 @@ class TestQuantize:
         for scale, (stream, grid, mask) in enumerate(zip(got, grids, masks)):
             assert stream.dtype == np.int32
             assert stream.size == (grid.shape[0] * grid.shape[1] if scale == label else 0)
-            assert np.array_equal(stream, quantize(grid[mask], session.codebook))
+            assert np.array_equal(stream, quantize(grid[mask], session.codebook,
+                                                   CELL_PIXELS[scale]))
 
     @pytest.fixture
     def cells_seen(self, monkeypatch):
         """Route `vq._assign` through a recorder of the cells per call; the
-        search refuses a cell outside [-1, 1]^3 before `_assign` runs."""
+        search refuses a cell outside [0, 255]^3 before `_assign` runs."""
         seen = []
         assign = vq._assign
 
-        def recording(points, centers):
+        def recording(points, index):
             seen.append(points.shape[0])
-            return assign(points, centers)
+            return assign(points, index)
 
         monkeypatch.setattr(vq, "_assign", recording)
         return seen
 
     def test_codec_cells_lie_in_the_cube(self, session, cells_seen):
-        # codec cells are means of samples in [-1, 1], so the search refuses
-        # none of them: hirate and lorate encodes of every image kind
+        # codec cells are sums of bytes, at most 255 per pixel, so the search
+        # refuses none of them: hirate and lorate encodes of every image kind
         for mode in (dict(ratios=RatioTriple(0.70, 0.25, 0.05)), dict(target_bpp=0.10)):
             for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
                 cells_seen.clear()
@@ -340,14 +422,14 @@ class TestQuantize:
         # need 64 MiB in one block
         rng = np.random.default_rng(5)
         cb = Codebook(rng.standard_normal((8192, 3)).astype(np.float32))
-        cells = rng.uniform(-1, 1, size=(1024, 3)).astype(np.float32)
-        assert traced_peak(quantize, cells, cb) < 8 << 20
+        cells = rng.integers(0, 255 * 16 + 1, size=(1024, 3)).astype(np.uint16)
+        assert traced_peak(quantize, cells, cb, 16) < 8 << 20
 
 
 class TestBoxIndex:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Count index builds, starting from an empty cache."""
+        """Count index builds, starting from empty caches."""
         vq._cached_index.cache_clear()
         counted = []
         build = vq._build_index
@@ -366,83 +448,118 @@ class TestBoxIndex:
         assert a.codebook is not b.codebook
         assert builds == []  # a session builds nothing
         img = make_image("photo", 64, 64, seed=3)
-        for s in (a, b, a):
-            pipeline.encode_image(s, img, ratios=RatioTriple(0.70, 0.25, 0.05))
+        containers = [pipeline.encode_image(s, img, ratios=RatioTriple(0.70, 0.25, 0.05))
+                      for s in (a, b, a)]
         assert len(builds) == 1
+        vq._cached_index.cache_clear()
+        pipeline.decode_image(b, containers[0])
+        assert len(builds) == 1  # a decoder paints and builds no index
 
     def test_last_bit_of_one_code_gets_its_own_index(self, builds):
-        # the origin is halfway between codes 0 and 1 and ties them; the
-        # second codebook clears the last bit of code 1's first coordinate,
-        # which moves it one ulp closer
+        # code 1's first sample lies next to the edge between bytes 158 and
+        # 159, and the second codebook flips its last bit across that edge.
+        # The cell 127.5 lies 31.5 from code 0's byte 96, 30.5 from 158 and
+        # 31.5 from 159, a tie that code 0 wins
         rng = np.random.default_rng(40)
-        v = np.array([0x3E800001], dtype=np.uint32).view(np.float32)[0]  # 0.25 + 1 ulp
         codes = rng.uniform(0.5, 1, size=(64, 3)).astype(np.float32)
-        codes[0], codes[1] = (-v, 0, 0), (v, 0, 0)
+        codes[0], codes[1] = (-0.25, 0, 0), (0, 0, 0)
+        codes.view(np.uint32)[1, 0] = 0x3E78F8F8  # 0.24313724, byte 158
         moved = codes.copy()
         moved.view(np.uint32)[1, 0] ^= 1
-        cells = np.concatenate([np.zeros((1, 3)), rng.uniform(-1, 1, size=(2000, 3))])
+        sums = np.concatenate([[[255, 256, 256]],
+                               rng.integers(0, 511, size=(2000, 3))]).astype(np.uint16)
         got = []
-        for book in (codes, moved):
+        for book, byte in ((codes, 158), (moved, 159)):
             cb = Codebook(book)
-            got.append(quantize(cells, cb))
-            want, _ = elementwise_oracle(cells, cb.codes.astype(np.float64))
+            assert tuple(cb.colours[:2, 0]) == (96, byte)
+            got.append(quantize(sums, cb, 2))
+            want, _ = elementwise_oracle(sums / 2, cb.colours.astype(np.float64))
             assert np.array_equal(got[-1], want)
-        assert (got[0][0], got[1][0]) == (0, 1)
+        assert (got[0][0], got[1][0]) == (1, 0)
         assert len(builds) == 2
 
     def test_cache_keeps_the_last_two(self, builds):
         rng = np.random.default_rng(41)
-        books = [rng.uniform(-1, 1, size=(8, 3)) for _ in range(3)]
-        points = rng.uniform(-1, 1, size=(50, 3))
+        books = [Codebook(rng.uniform(-1, 1, size=(8, 3)).astype(np.float32)) for _ in range(3)]
+        sums = rng.integers(0, 255 * 16 + 1, size=(50, 3)).astype(np.uint16)
         for i in [0, 1, 0, 1, 2, 1, 0]:  # the 2 evicts 0, which is built again
-            assert_matches_oracle(_assign(points, books[i]), elementwise_oracle(points, books[i]))
+            want, _ = elementwise_oracle(sums / 16, books[i].colours.astype(np.float64))
+            assert np.array_equal(quantize(sums, books[i], 16), want)
         assert len(builds) == 4 and vq._cached_index.cache_info().currsize == 2
 
     def test_shared_lists_read_only(self):
-        # every session and k-means share the lists of one set of codes:
-        # read-only as the builder returns them, not only through the cache
-        centers = np.random.default_rng(42).uniform(-1, 1, size=(32, 3))
-        for index in (vq._cached_index(centers.shape, centers.tobytes()),
-                      vq._build_index(centers)):
-            for array in index:
+        # every session and k-means share the colours and lists of one set
+        # of codes: read-only as the builders return them, not only through
+        # the caches
+        cb = Codebook(np.random.default_rng(42).uniform(-1, 1, size=(32, 3)).astype(np.float32))
+        centers = cb.colours.astype(np.float64)
+        for arrays in ([cb.colours], vq._cached_index(cb.colours.tobytes()),
+                       vq._build_index(centers)):
+            for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[0]
 
     @pytest.mark.parametrize("k", [1, 2, 300])
     def test_equal_codes_listed_once(self, k):
-        # k equal codes, the second half with -0.0 where the first has 0.0: a
-        # scan gives every tie to code 0, so each box lists code 0 alone
-        centers = np.tile([0.0, 0.25, -0.5], (k, 1))
-        centers[k // 2:, 0] = -0.0
-        members, starts, spread = vq._cached_index(centers.shape, centers.tobytes())
+        # k codes of one colour, the second half with -0.0 where the first
+        # has 0.0 and moved by 1e-6 in the others: a scan gives every tie to
+        # code 0, so each box lists code 0 alone
+        codes = np.tile(np.array([0.0, 0.25, -0.5], dtype=np.float32), (k, 1))
+        codes[k // 2:] = (-0.0, 0.25 + 1e-6, -0.5 - 1e-6)
+        cb = Codebook(codes)
+        _, members, starts, spread = vq._cached_index(cb.colours.tobytes())
         assert starts.size == spread.size ** 3 + 1
         assert np.all(np.diff(starts) == 1) and not members.any()
         rng = np.random.default_rng(43)
-        points = np.concatenate([rng.uniform(-1, 1, size=(500, 3)), centers[-1:]])
-        assert_matches_oracle(_assign(points, centers), elementwise_oracle(points, centers))
+        sums = np.concatenate([rng.integers(0, 255 * 16 + 1, size=(500, 3)),
+                               16 * cb.colours[-1:].astype(np.int64)]).astype(np.uint16)
+        assert not quantize(sums, cb, 16).any()
 
     @pytest.mark.parametrize("colours", [1, 2])
     def test_few_colour_training_lists_each_distinct_code_once(self, colours, monkeypatch):
         # k-means on one or two colours makes most of its 64 codes equal; no
         # list of any iteration holds more codes than there are distinct ones
-        vq._cached_index.cache_clear()
         seen, build = [], vq._build_index
 
         def recording(centers):
-            members, starts, spread = build(centers)
-            seen.append((np.diff(starts).max(), len(np.unique(centers, axis=0))))
-            return members, starts, spread
+            index = build(centers)
+            seen.append((np.diff(index[2]).max(), len(np.unique(centers, axis=0))))
+            return index
 
         monkeypatch.setattr(vq, "_build_index", recording)
-        colour = np.random.default_rng(44).uniform(-1, 1, size=(colours, 3))
+        colour = np.random.default_rng(44).integers(0, 256, size=(colours, 3))
         cb = train_codebook(np.repeat(colour, 100, axis=0), k=64, iters=4, seed=0)
         assert len(np.unique(cb.codes, axis=0)) == colours
         assert seen and all(longest <= distinct for longest, distinct in seen)
 
+    def test_codes_crowding_a_tiny_ball_paint_few_colours(self, builds):
+        # 65,535 distinct float32 codes within 1e-6 of the origin paint the
+        # 8 colours of {127, 128}^3, so no list holds more than those 8, the
+        # index builds in well under a second, and a 64x64 all-fine encode
+        # equals a scan of all 65,535 painted colours
+        rng = np.random.default_rng(45)
+        codes = rng.uniform(-1e-6, 1e-6, size=(65_535, 3)).astype(np.float32)
+        cb = Codebook(codes)
+        painted = cb.colours.astype(np.float64)
+        distinct = len(np.unique(painted, axis=0))
+        assert distinct == 8
+        t0 = time.perf_counter()
+        _, _, starts, _ = vq._cached_index(cb.colours.tobytes())
+        assert time.perf_counter() - t0 < 1.0 and np.diff(starts).max() <= distinct
+        img = make_image("photo", 64, 64, seed=46)
+        session = pipeline.CodecSession(cb, flat_frequencies(cb.k))
+        gmap = np.full((4, 4), FINE, dtype=np.uint8)
+        _, (fine, medium, coarse) = pipeline.quantize_streams(session, img, gmap)
+        means_ = analysis.pyramid(img)[0].reshape(-1, 3) / 16
+        want = np.concatenate([elementwise_oracle(chunk, painted)[0]
+                               for chunk in np.array_split(means_, 8)])
+        assert np.array_equal(fine, want) and medium.size == coarse.size == 0
+
     def test_build_peak_memory(self, session):
         # a build runs in steps of bounded size: at k=1024 it stays under 8 MiB
         assert session.codebook.k == 1024
-        assert traced_peak(vq._build_index, session.codebook.codes.astype(np.float64)) < 8 << 20
+        centers = session.codebook.colours.astype(np.float64)
+        assert traced_peak(vq._build_index, centers) < 8 << 20
 
 
 class TestLookup:
@@ -456,9 +573,10 @@ class TestLookup:
         assert np.array_equal(lookup(np.array([1023]), cb)[0], cb.codes[1023])
 
     def test_roundtrip_idempotent(self, cb16):
+        # a cell of one pixel painted with a code's colour finds that code
         rng = np.random.default_rng(4)
         idx = rng.integers(0, 16, size=(5, 7))
-        again = quantize(lookup(idx, cb16), cb16)
+        again = quantize(imaging.denormalize(lookup(idx, cb16)), cb16, 1)
         assert np.array_equal(again, idx)
 
     def test_out_of_range_rejected(self, cb16):
@@ -468,22 +586,29 @@ class TestLookup:
 
 class TestTraining:
     def test_k_distinct_points_fixed_point(self):
-        points = np.arange(12, dtype=np.float64).reshape(4, 3) / 16
+        points = np.arange(12, dtype=np.float64).reshape(4, 3) * 16
         cb = train_codebook(points, k=4, iters=5, seed=0)
-        assert sorted(map(tuple, cb.codes.tolist())) == sorted(map(tuple, points.tolist()))
+        assert sorted(map(tuple, cb.colours.tolist())) == sorted(map(tuple, points.tolist()))
         assert kmeans_distortion(points, cb) == 0.0
+
+    def test_codes_are_the_samples_of_their_bytes(self):
+        # every trained code is a colour, stored as the float32 samples of
+        # its bytes, which paint those bytes again
+        corpus = means(np.random.default_rng(5), (400, 3))
+        cb = train_codebook(corpus, k=16, iters=3, seed=2)
+        assert cb.codes.tobytes() == imaging.normalize(cb.colours).tobytes()
 
     def test_two_blobs(self):
         rng = np.random.default_rng(5)
-        a = rng.normal(-0.5, 0.025, size=(50, 3))
-        b = rng.normal(+0.5, 0.025, size=(50, 3))
+        a = np.rint(rng.normal(64, 3, size=(50, 3)) * 256) / 256
+        b = np.rint(rng.normal(192, 3, size=(50, 3)) * 256) / 256
         cb = train_codebook(np.vstack([a, b]), k=2, iters=10, seed=1)
-        centers = sorted(cb.codes[:, 0])
-        assert centers[0] < -0.4 and centers[1] > 0.4
+        centers = sorted(cb.colours[:, 0])
+        assert centers[0] < 77 and centers[1] > 179
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        corpus = rng.uniform(-1, 1, size=(200, 3))
+        corpus = means(rng, (200, 3))
         cb1 = train_codebook(corpus, k=16, iters=8, seed=42)
         cb2 = train_codebook(corpus, k=16, iters=8, seed=42)
         assert np.array_equal(cb1.codes, cb2.codes)
@@ -491,39 +616,52 @@ class TestTraining:
 
     def test_negative_iters_rejected(self):
         # a negative count would run no iteration and return the bare seeds
-        corpus = np.random.default_rng(6).uniform(-1, 1, size=(40, 3))
+        corpus = means(np.random.default_rng(6), (40, 3))
         with pytest.raises(ValueError, match="iters"):
             train_codebook(corpus, k=4, iters=-3, seed=0)
         assert train_codebook(corpus, k=4, iters=0, seed=0).k == 4
 
     def test_distortion_non_increasing(self):
+        # a rounded mean is the best byte centre of its cluster, so rounding
+        # keeps Lloyd's descent
         rng = np.random.default_rng(7)
-        corpus = rng.uniform(-1, 1, size=(300, 3))
+        corpus = means(rng, (300, 3))
         prev = np.inf
         for iters in (1, 3, 6, 12):
             d = kmeans_distortion(corpus, train_codebook(corpus, k=8, iters=iters, seed=9))
-            assert d <= prev + 1e-9
+            assert d <= prev
             prev = d
 
+    def test_distortion_on_the_sample_scale(self):
+        # two cells 1 and 2 bytes from their codes' colours on one axis: a
+        # squared error of 1 + 4 byte**2, each byte step 2 / 255 on the
+        # [-1, 1] sample scale the distortion is reported on
+        cb = Codebook(imaging.normalize(np.array([[10, 20, 30], [200, 100, 0]])))
+        points = np.array([[11, 20, 30], [200, 98, 0]], dtype=np.float64)
+        got = kmeans_distortion(points, cb)
+        assert got == 5 / 127.5 ** 2
+        # the same error from the samples and the float32 codes, rounded
+        assert got == pytest.approx(np.sum((points / 127.5 - 1 - cb.codes) ** 2), rel=1e-5)
+
     def test_update_matches_per_cluster_loop(self):
-        # 3000 draws from 200 points; every third center starts far away, so
-        # those clusters are empty and reseeded
+        # 3000 draws from 200 points; every third center starts on the far
+        # corner, so those clusters are empty and reseeded
         rng = np.random.default_rng(8)
-        corpus = rng.uniform(-1, 1, size=(200, 3))[rng.integers(0, 200, size=3000)]
+        corpus = means(rng, (200, 3), 0, 200)[rng.integers(0, 200, size=3000)]
         for _ in range(5):
-            centers = corpus[rng.choice(3000, size=24, replace=False)].copy()
-            centers[::3] += 1e3
-            assign, d2 = _assign(corpus, centers)
+            centers = np.rint(corpus[rng.choice(3000, size=24, replace=False)])
+            centers[::3] = 255
+            assign_, d2 = assign(corpus, centers)
             want, want_d2 = centers.copy(), d2.copy()
             for i in range(24):
-                members = assign == i
+                members = assign_ == i
                 if members.any():
-                    want[i] = corpus[members].mean(axis=0)
+                    want[i] = np.rint(corpus[members].mean(axis=0))
                 else:
                     far = int(want_d2.argmax())
-                    want[i] = corpus[far]
+                    want[i] = np.rint(corpus[far])
                     want_d2[far] = 0.0
-            _update_centers(corpus, assign, d2, centers)
+            _update_centers(corpus, assign_, d2, centers)
             assert np.array_equal(centers, want)
             assert np.array_equal(d2, want_d2)
 
@@ -634,6 +772,19 @@ class TestCodebookFile:
         assert np.array_equal(cb2.codes, cb16.codes)
         assert np.array_equal(tbl2.counts, tbl.counts)
         assert cb2.id_hash == cb16.id_hash
+
+    def test_every_byte_survives_the_file(self, tmp_path):
+        # a code is stored as the float32 samples of its bytes, and every one
+        # of the 256 bytes, in every channel, paints as itself after a save
+        # and a load: denormalize(normalize(b)) == b
+        rng = np.random.default_rng(9)
+        colours_ = np.stack([rng.permutation(256) for _ in range(3)], axis=1).astype(np.uint8)
+        path = tmp_path / "bytes.cgcb"
+        save_codebook(Codebook(imaging.normalize(colours_)), flat_frequencies(256), path)
+        cb, _ = load_codebook(path)
+        assert np.array_equal(cb.colours, colours_)
+        assert np.array_equal(imaging.denormalize(imaging.normalize(np.arange(256))),
+                              np.arange(256))
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_codes_of_other_width_refused_at_load(self, tmp_path, d):
