@@ -1,6 +1,6 @@
 """Codebook training over an image corpus.
 
-k-means runs on the mean colours of the cells of all three pyramid scales.
+k-means runs on the cells of all three pyramid scales, one unit at every scale.
 The frequency pass then counts each index that encoding would emit (entropy
 map, a plan at fixed ratios, masked quantization), plus one, so every symbol
 stays codeable. It plans without pipeline.plan_image, which takes a session,
@@ -21,12 +21,11 @@ DEFAULT_FREQ_RATIOS = granularity.RatioTriple(0.5, 0.4, 0.1)
 
 
 def _stack_cells(pyramids) -> np.ndarray:
-    return np.concatenate([grid.reshape(-1, grid.shape[-1]) * (1.0 / n) for grids in pyramids
-                           for grid, n in zip(grids, analysis.CELL_PIXELS)], axis=0)
+    return np.concatenate([g.reshape(-1, g.shape[-1]) for grids in pyramids for g in grids])
 
 
 def corpus_cells(images: list[ImagePlane]) -> np.ndarray:
-    """All pyramid cells of all images, as (n, 3) float64 mean colours in bytes."""
+    """All pyramid cells of all images, as (n, 3) uint16 cells."""
     return _stack_cells([analysis.pyramid(img) for img in images])
 
 
@@ -35,6 +34,8 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
                    freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
                    ) -> tuple[Codebook, FrequencyTable]:
     """Train a codebook and its smoothed usage-frequency table."""
+    if not images:
+        raise ValueError("no images to train a codebook on")
     if not 1 <= k <= vq.MAX_K:
         raise ValueError(f"k={k} is outside 1..{vq.MAX_K}, the codebook format's range")
     if max_samples < k:

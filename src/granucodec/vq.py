@@ -1,14 +1,14 @@
 """Codebook storage, nearest-colour quantization and k-means training.
 
 A code is the colour the decoder paints: the clamped bytes of its float32
-samples. A cell is its mean colour S / n, S its byte sums and n its pixels,
-a power of two up to 256. So every coordinate is a multiple of 2**-8 below
+samples. A cell, at every scale, is 256 times its mean colour in unsigned
+integers (`analysis.pyramid`). So every mean is a multiple of 2**-8 below
 256 and every squared distance from a cell to a code, or from a code to a
 box with integer edges, a multiple of 2**-16 below 2**18: exact in float64,
 added in any order, on every machine. The search picks the nearest colour,
 ties to the lowest index, by the bucket search of Gersho and Gray (Vector
 Quantization and Signal Compression, 1992): a cell scans the list of codes
-that can be nearest in its box of [0, 256)^3, about 4 at k=1024. k-means
+that can be nearest in its box of [0, 256)^3, about 3 at k=1024. k-means
 rounds its centres to bytes and builds new lists every iteration.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import CELL_PIXELS, FEATURES
+from .analysis import FEATURES
 from .bitstream import BitstreamError, frequency_counts
 from .imaging import HALF_RANGE, denormalize, normalize
 
@@ -31,10 +31,11 @@ CODEBOOK_VERSION = 1
 MAX_K = 0xFFFF  # the file stores k as uint16
 
 # The nearest-code search's box index (see _build_index)
-_BOXES_PER_CODE = 32  # about 4 candidates per codec cell at k=1024
+_BOXES_PER_CODE = 32  # about 3 candidates per codec cell at k=1024
 _MAX_BOX_BITS = 15  # at most 2**15 boxes
 _ENTRIES_PER_CODE = 256  # a level whose lists would hold more entries per code is not kept
 _PAIR_BLOCK = 1 << 15  # (box, code) pairs bounded in one step of a build
+_MAX_LIST = 4096  # the most codes the codec's index may list in one box
 
 
 class CodebookError(ValueError):
@@ -99,44 +100,43 @@ class FrequencyTable:
 @functools.lru_cache(maxsize=2)
 def _cached_index(colours: bytes):
     """The search index of the uint8 colours `colours` holds, built on first
-    use and kept for the last two: one build for every session of a codebook."""
-    return _build_index(np.frombuffer(colours, np.uint8).reshape(-1, FEATURES).astype(np.float64))
+    use and kept for the last two: one build for every session of a codebook.
+    Colours that crowd a list past _MAX_LIST codes give None, kept too."""
+    index = _build_index(np.frombuffer(colours, np.uint8).reshape(-1, FEATURES).astype(np.float64))
+    return index if np.diff(index[2]).max() <= _MAX_LIST else None
 
 
-def _byte_means(points) -> np.ndarray:
-    """The (n, FEATURES) cell means as float64, refused unless each is a
-    multiple of 2**-8 in [0, 255], as a mean of up to 256 bytes is (NaN is not)."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != FEATURES:
-        raise CodebookError(f"points of shape {points.shape}, not (n, {FEATURES})")
-    if not np.all((np.rint(points * 256) == points * 256) & (points >= 0) & (points <= 255)):
-        raise ValueError("cell means must be multiples of 1/256 in [0, 255]")
-    return points
+def _codec_index(cb: Codebook):
+    if (index := _cached_index(cb.colours.tobytes())) is None:
+        raise CodebookError(f"codes too crowded for the nearest-code search: "
+                            f"over {_MAX_LIST} in one box")
+    return index
 
 
-def quantize(sums: np.ndarray, cb: Codebook, count: int) -> np.ndarray:
-    """Nearest-code index of each cell, from its integer colour sums over
-    `count` pixels, shaped like `sums` without its last axis."""
-    sums = np.asarray(sums)
-    if sums.ndim == 0 or sums.shape[-1] != FEATURES:
-        raise CodebookError(f"cell sums of shape {sums.shape}, not (..., {FEATURES})")
-    if count not in (1, 2, 4, 8, 16, 32, 64, 128, 256):  # means of at most 8 fraction bits
-        raise ValueError(f"count={count}: a cell's pixels must be a power of two up to 256")
-    if sums.dtype.kind != "u" or sums.size and sums.max() > 255 * count:
-        raise ValueError(f"{sums.dtype} cell sums: unsigned integers of at most {255 * count}")
-    means = sums.reshape(-1, FEATURES) * (1.0 / count)  # exact: count is a power of two
-    idx, _ = _assign(means, _cached_index(cb.colours.tobytes()))  # ties -> lowest index
-    return idx.reshape(sums.shape[:-1])
+def _means(cells) -> np.ndarray:
+    """The (n, FEATURES) float64 mean colours, exact, of unsigned integer
+    cells that are 256 times those means, as `analysis.pyramid` gives them."""
+    cells = np.asarray(cells)
+    if cells.ndim == 0 or cells.shape[-1] != FEATURES:
+        raise CodebookError(f"cells of shape {cells.shape}, not (..., {FEATURES})")
+    if cells.dtype.kind != "u" or cells.size and cells.max() > 255 * 256:
+        raise ValueError(f"{cells.dtype} cells: unsigned integers of at most {255 * 256}")
+    return cells.reshape(-1, FEATURES) * (1.0 / 256)
+
+
+def quantize(cells: np.ndarray, cb: Codebook) -> np.ndarray:
+    """Nearest-code index of each cell, shaped like `cells` without its last axis."""
+    idx, _ = _assign(_means(cells), _codec_index(cb))  # ties -> lowest index
+    return idx.reshape(np.shape(cells)[:-1])
 
 
 def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
     """int32 index streams of the cells each scale's bool mask keeps, raster
-    order: fine, medium, coarse, from the pyramid's sums. One search covers
-    all three: a sum over n pixels times 256 / n has the same mean over 256."""
-    kept = [np.compress(mask.ravel(), grid.reshape(-1, FEATURES), axis=0) * np.uint32(256 // n)
-            for grid, mask, n in zip(grids, masks, CELL_PIXELS)]
-    return np.split(quantize(np.concatenate(kept), cb, 256),
-                    np.cumsum([len(c) for c in kept[:2]]))
+    order: fine, medium, coarse, from the pyramid's grids. One search covers
+    all three, as every scale's cells are in one unit."""
+    kept = [np.compress(mask.ravel(), grid.reshape(-1, FEATURES), axis=0)
+            for grid, mask in zip(grids, masks)]
+    return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
 
 
 def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> Codebook:
@@ -144,7 +144,7 @@ def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -
     in bytes, the seeds and every update rounded to bytes; the codes are the
     samples of the final colours. Empty clusters are re-seeded from the point
     currently farthest from its assigned center, so all k codes stay live."""
-    corpus = _byte_means(corpus)
+    corpus = _means(corpus)
     if corpus.shape[0] < k:
         raise ValueError(f"corpus size {corpus.shape[0]} smaller than k={k}")
     if iters < 0:
@@ -267,18 +267,21 @@ def _build_index(centers: np.ndarray):
     holds. So spread[b] spaces the bits of coordinate b d apart, finest bit
     first, and the box at (b_j) is the sum of spread[b_j] << (d - 1 - j).
 
-    Box B keeps code c when mindist(c, B)^2 <= min over c' of
-    maxdist(c', B)^2, B closed: if w is nearest to a point x of B, then
-    mindist(w, B)^2 <= |x - w|^2 <= |x - c'|^2 <= maxdist(c', B)^2 for every
-    c', each value exact (see the module doc).
+    Box B, closed, drops a code c of its parent's list when a code s of
+    that list is nearer than c at every point of B, and keeps the rest. A
+    code nearest to a point of B, ties to the lowest index, is never dropped,
+    nor is it in the parent, which holds that point too. s is the first code
+    of the list whose farthest point of B is nearest, so each code whose
+    nearest point of B is farther still is dropped, and so is each code s
+    shades: the codes behind s seen from a box far away. |x - s|^2 - |x - c|^2
+    is linear in x, so its largest value in B is at a corner; every value is
+    an integer below 2**20, exact.
 
     The lists are refined from the whole cube's list of distinct codes, one
-    halving of the box side at a time. A box's winners win in its parent
-    too, so filtering the parent's list keeps them; taking the min over that
-    list and not over all codes can only raise the bound. A level runs in
-    steps of at most _PAIR_BLOCK (box, code) pairs, and is given up once its
-    lists hold more than _ENTRIES_PER_CODE * k entries, which bounds the
-    build's memory; codes crowding few boxes end it early, lists still exact.
+    halving of the box side at a time. A level runs in steps of at most
+    _PAIR_BLOCK (box, code) pairs, and is given up once its lists hold more
+    than _ENTRIES_PER_CODE * k entries, which bounds the build's memory;
+    codes crowding few boxes end it early, lists still exact.
     """
     k, d = centers.shape
     fan = 1 << d
@@ -307,22 +310,30 @@ def _build_index(centers: np.ndarray):
             run_starts = starts[box:stop] - starts[box]
             code = members[starts[box]:starts[stop]]
             parent = np.repeat(np.arange(box, stop), run)
-            # bounds on (child, list entry) pairs, with one broadcast axis per
-            # coordinate: a child holds the lower or the upper half of its
+            # each pair's farthest squared distance, with one broadcast axis
+            # per coordinate: a child holds the lower or the upper half of its
             # parent's interval on each
-            min_d2 = max_d2 = 0.0
+            max_d2 = 0.0
             for j, c in enumerate(cs):
                 lo = (2 * coords[j][parent] + half) * width
-                # how far each code lies below and above the interval
-                below = lo - c[code]
-                above = c[code] - (lo + width)
                 shape = [1] * d + [-1]
                 shape[j] = 2
-                min_d2 = min_d2 + (np.maximum(np.maximum(below, above), 0.0) ** 2).reshape(shape)
-                max_d2 = max_d2 + (np.maximum(-below, -above) ** 2).reshape(shape)
-            min_d2, max_d2 = min_d2.reshape(fan, -1), max_d2.reshape(fan, -1)
-            bound = np.minimum.reduceat(max_d2, run_starts, axis=1)
-            keep = min_d2 <= np.repeat(bound, run, axis=1)
+                max_d2 = max_d2 + (np.maximum(c[code] - lo, lo + width - c[code]) ** 2).reshape(shape)
+            max_d2 = max_d2.reshape(fan, -1)
+            # s, the first code of each list whose farthest point is nearest
+            bound = np.repeat(np.minimum.reduceat(max_d2, run_starts, axis=1), run, axis=1)
+            at = np.where(max_d2 == bound, np.arange(code.size), code.size)
+            s = code[np.repeat(np.minimum.reduceat(at, run_starts, axis=1), run, axis=1)]
+            # |x - s|^2 - |x - c|^2 sums (c_j - s_j)(2 x_j - s_j - c_j) over
+            # the axes: gap, its largest value in the child, takes the upper
+            # edge x_j = lo + width where c_j > s_j and the lower one elsewhere
+            gap = 0.0
+            for j, c in enumerate(cs):
+                c_s = np.take(c, s)
+                diff = c[code] - c_s
+                lo = 2 * coords[j][parent] * width + halves[j][:, None] * width
+                gap = gap + diff * (2 * lo - c_s - c[code]) + 2 * width * np.maximum(diff, 0)
+            keep = gap >= 0
             counts.append(np.add.reduceat(keep, run_starts, axis=1, dtype=np.intp))
             for o in range(fan):
                 kept[o].append(code[keep[o]])
@@ -355,9 +366,9 @@ def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
 
 
 def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
-    """The summed squared distance of each cell mean to its nearest code's
-    colour, on the [-1, 1] sample scale: in bytes, divided by 127.5**2."""
-    _, d2 = _assign(_byte_means(corpus), _cached_index(cb.colours.tobytes()))
+    """The summed squared distance of each cell's mean colour to its nearest
+    code's colour, on the [-1, 1] sample scale: in bytes, divided by 127.5**2."""
+    _, d2 = _assign(_means(corpus), _codec_index(cb))
     return float(d2.sum()) / HALF_RANGE ** 2
 
 

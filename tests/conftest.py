@@ -97,6 +97,14 @@ def flat_frequencies(k: int) -> vq.FrequencyTable:
     return vq.FrequencyTable(np.ones(k, dtype=np.uint64))
 
 
+def crowded_cube() -> np.ndarray:
+    """The float32 samples of every colour of a 40^3 byte cube, bytes 108-147
+    on each axis: 64,000 distinct colours too dense for the search's index."""
+    axis = np.arange(108, 148)
+    return imaging.normalize(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+                             .reshape(-1, 3))
+
+
 def write_codebook(path, codes) -> None:
     """Write a `.cgcb` file of the (k, d) codes byte by byte, for any width d:
     the header, every count 1 and the codes' content hash, all valid."""

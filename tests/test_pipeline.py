@@ -18,7 +18,8 @@ from granucodec.bitstream import BitstreamError, parse_container, serialize_cont
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
 from conftest import (
-    assert_painted, flat_frequencies, make_image, make_raw, traced_peak, write_codebook,
+    assert_painted, crowded_cube, flat_frequencies, make_image, make_raw, traced_peak,
+    write_codebook,
 )
 
 
@@ -817,6 +818,19 @@ class TestCli:
                       "--out", tmp_path / "x.ppm")
         assert res.returncode == 0, res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_encode_crowded_codebook_exits_cleanly(self, cli_env, tmp_path):
+        # every colour of a 40^3 byte cube is too dense for the search's index
+        _, _, ppm = cli_env
+        crowded = tmp_path / "crowded.cgcb"
+        write_codebook(crowded, crowded_cube())
+        res = run_cli("encode", "--codebook", crowded, "--input", ppm,
+                      "--out", tmp_path / "x.cgic", "--ratios", "0.4,0.4,0.2")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "codes too crowded for the nearest-code search" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.cgic").exists()
 
     def test_decode_truncated_codebook_exits_cleanly(self, cli_env, tmp_path):
         root, cb, ppm = cli_env

@@ -40,3 +40,8 @@ def test_k_below_one_rejected(images, k):
 def test_max_samples_below_k_rejected(images, max_samples):
     with pytest.raises(ValueError, match=f"max_samples={max_samples} is below k=16"):
         training.train_codebook(images, k=16, max_samples=max_samples)
+
+
+def test_no_images_rejected():
+    with pytest.raises(ValueError, match="^no images to train a codebook on$"):
+        training.train_codebook([])

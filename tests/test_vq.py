@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from granucodec import analysis, granularity, imaging, pipeline, training, vq
-from granucodec.analysis import CELL_PIXELS
 from granucodec.bitstream import BitstreamError, frequency_counts
 from granucodec.granularity import (
     COARSE, FINE, MEDIUM, RatioTriple, masks_from_map, plan_granularity,
@@ -18,7 +17,9 @@ from granucodec.vq import (
     save_codebook, train_codebook,
 )
 
-from conftest import flat_frequencies, lookup, make_image, traced_peak, write_codebook
+from conftest import (
+    crowded_cube, flat_frequencies, lookup, make_image, make_raw, traced_peak, write_codebook,
+)
 
 
 def elementwise_oracle(points, centers):
@@ -82,12 +83,12 @@ def search_case(case, rng):
         return points, centers
     if case == "tie_on_margin":
         # k=8 codes on the first axis, whose index cuts the cube at
-        # multiples of 64: the point 192 lies 32 from centers 0 and 3, and
+        # multiples of 32: the point 192 lies 32 from centers 0 and 3, and
         # 64 lies 32 from centers 4 and 7, nearer than any other; both are
         # on box faces, and the lower index must win each tie
         centers = np.zeros((8, 3))
         centers[:, 0] = [224, 255, 0, 160, 96, 128, 250, 32]
-        assert np.array_equal(box_faces(centers), np.arange(0, 257, 64))
+        assert np.array_equal(box_faces(centers), np.arange(0, 257, 32))
         points = np.zeros((3, 3))
         points[:, 0] = [192, 64, 132]
         return points, centers
@@ -157,45 +158,45 @@ def cb16():
     return Codebook(rng.uniform(-1, 1, size=(16, 3)).astype(np.float32))
 
 
-def sums_of(points, count):
-    """The uint16 colour sums over `count` pixels of cell means."""
-    return np.rint(np.asarray(points, dtype=np.float64) * count).astype(np.uint16)
+def cells_of(means_):
+    """The uint16 cells, 256 times their mean colours, of byte means."""
+    return np.rint(np.asarray(means_, dtype=np.float64) * 256).astype(np.uint16)
 
 
 class TestQuantize:
     def test_exact_match(self, cb16):
-        grid = sums_of(cb16.colours[7].reshape(1, 1, 3), 16)
-        idx = quantize(grid, cb16, 16)
+        grid = cells_of(cb16.colours[7].reshape(1, 1, 3))
+        idx = quantize(grid, cb16)
         assert idx[0, 0] == 7
         assert np.array_equal(lookup(idx, cb16), cb16.codes[7].reshape(1, 1, 3))
 
     def test_tie_breaks_to_lowest_index(self):
         # samples 0 and 1 paint bytes 128 and 255; 191.5 lies 63.5 from each
         cb = Codebook(np.array([[0.0, 0, 0], [1.0, 0, 0]], dtype=np.float32))
-        idx = quantize(np.array([[[383, 256, 256]]], dtype=np.uint16), cb, 2)
+        idx = quantize(cells_of([[[191.5, 128, 128]]]), cb)
         assert idx[0, 0] == 0
 
     def test_matches_brute_force_scan(self, cb16):
         rng = np.random.default_rng(1)
-        cells = rng.integers(0, 255 * 64 + 1, size=(6, 5, 3)).astype(np.uint16)
-        idx = quantize(cells, cb16, 64)
+        cells = 4 * rng.integers(0, 255 * 64 + 1, size=(6, 5, 3)).astype(np.uint16)
+        idx = quantize(cells, cb16)
         for pos in np.ndindex(6, 5):
-            dists = [np.sum((cells[pos] / 64 - c) ** 2) for c in colours(cb16.codes)]
+            dists = [np.sum((cells[pos] / 256 - c) ** 2) for c in colours(cb16.codes)]
             assert idx[pos] == int(np.argmin(dists))
 
     def test_never_beaten_by_other_code(self, cb16):
         rng = np.random.default_rng(2)
-        cells = rng.integers(0, 255 * 16 + 1, size=(10, 3)).astype(np.uint16)
-        idx = quantize(cells, cb16, 16)
+        cells = 16 * rng.integers(0, 255 * 16 + 1, size=(10, 3)).astype(np.uint16)
+        idx = quantize(cells, cb16)
         painted = colours(cb16.codes)
-        for z, chosen in zip(cells / 16, painted[idx]):
+        for z, chosen in zip(cells / 256, painted[idx]):
             d_chosen = np.sum((z - chosen) ** 2)
             for c in painted:
                 assert d_chosen <= np.sum((z - c) ** 2)
 
     def test_dim_mismatch(self, cb16):
         with pytest.raises(CodebookError):
-            quantize(np.zeros((2, 2, 4), dtype=np.uint16), cb16, 16)
+            quantize(np.zeros((2, 2, 4), dtype=np.uint16), cb16)
 
     def test_matches_elementwise_oracle(self):
         # 3,000 cells at k=1024, many of the codes clamped onto the cube's
@@ -212,41 +213,55 @@ class TestQuantize:
         assert_matches_oracle(assign(points, centers), elementwise_oracle(points, centers))
 
     # the first two ids name the sample-scale bound the value passes: sample
-    # 1 is byte 255 and sample -1 byte 0
-    @pytest.mark.parametrize("value", [255 + 1 / 256, -1 / 256, np.nan, np.inf, -np.inf,
-                                       128 + 1 / 512],
-                             ids=["past_1", "below_-1", "nan", "inf", "-inf", "off_grid"])
-    def test_points_outside_the_cube_refused(self, cb16, value):
-        # every cell mean lies in [0, 255]^3, and the search has a box for no
-        # other point; a mean of up to 256 bytes is a multiple of 1/256, which
-        # makes every distance exact, and 1/512 is not. Each entry point that
-        # takes means refuses one such coordinate
-        points = means(np.random.default_rng(13), (40, 3))
-        points[17, 1] = value
-        for search in (lambda: kmeans_distortion(points, cb16),
-                       lambda: train_codebook(points, k=4, iters=1)):
-            with pytest.raises(ValueError, match=r"multiples of 1/256 in \[0, 255\]"):
+    # 1 is byte 255 and sample -1 byte 0; the float ids are means no cell
+    # holds, and the last three are cells of other types or widths
+    @pytest.mark.parametrize("value, dtype, width, message", [
+        (255 * 256 + 1, np.uint32, 3, "uint32 cells: unsigned integers of at most 65280$"),
+        (-1, np.int16, 3, "^int16 cells: unsigned"),
+        *((v, np.float64, 3, "^float64 cells: unsigned")
+          for v in (np.nan, np.inf, -np.inf, 128 * 256 + 0.5)),
+        (128 * 256, np.float32, 3, "^float32 cells: unsigned"),
+        (128 * 256, np.int64, 3, "^int64 cells: unsigned"),
+        (128 * 256, np.uint16, 4, r"^cells of shape \(40, 4\), not \(\.\.\., 3\)$"),
+    ], ids=["past_1", "below_-1", "nan", "inf", "-inf", "off_grid",
+            "float_cells", "signed_cells", "last_axis_4"])
+    def test_points_outside_the_cube_refused(self, cb16, value, dtype, width, message):
+        # every cell is 256 x a mean colour in [0, 255]^3, an unsigned
+        # integer, and the search has a box for no other point. The codec's
+        # search, k-means and the distortion refuse the same cells with the
+        # same error: a CodebookError for a width other than 3, else a
+        # ValueError that is no CodebookError
+        cells = cells_of(means(np.random.default_rng(13), (40, 3)))
+        cells = np.concatenate([cells, cells[:, :width - 3]], axis=1).astype(dtype)
+        cells[17, 1] = value
+        error = CodebookError if width != 3 else ValueError
+        for search in (lambda: quantize(cells, cb16), lambda: kmeans_distortion(cells, cb16),
+                       lambda: train_codebook(cells, k=4, iters=1)):
+            with pytest.raises(error, match=message) as refused:
                 search()
+            assert (refused.type is CodebookError) == (width != 3)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.int64])
     def test_sums_that_are_not_unsigned_integers_refused(self, cb16, dtype):
-        # a sum is a count of byte units, never negative: unsigned only
-        sums = np.full((4, 3), 16, dtype=dtype)
-        with pytest.raises(ValueError, match=f"^{np.dtype(dtype)} cell sums: unsigned integers"):
-            quantize(sums, cb16, 16)
+        # a cell is a count of 1/256 byte units, never negative: unsigned only
+        cells = np.full((4, 3), 16, dtype=dtype)
+        with pytest.raises(ValueError, match=f"^{np.dtype(dtype)} cells: unsigned integers"):
+            quantize(cells, cb16)
 
-    @pytest.mark.parametrize("count", [16, 64, 256])
-    def test_sums_above_255_per_pixel_refused(self, cb16, count):
-        sums = np.full((5, 3), 255 * count, dtype=np.uint32)
-        assert np.all(quantize(sums, cb16, count) == quantize(sums[:1], cb16, count)[0])
-        sums[2, 0] += 1
-        with pytest.raises(ValueError, match=f"unsigned integers of at most {255 * count}$"):
-            quantize(sums, cb16, count)
-
-    @pytest.mark.parametrize("count", [0, 3, 48, 512])
-    def test_pixel_count_not_a_power_of_two_to_256_refused(self, cb16, count):
-        with pytest.raises(ValueError, match="power of two up to 256"):
-            quantize(np.zeros((2, 3), dtype=np.uint16), cb16, count)
+    @pytest.mark.parametrize("pixels", [16, 64, 256])
+    def test_sums_above_255_per_pixel_refused(self, cb16, pixels):
+        # every cell of an all-255 image is 255 * 256; one more, in the grid
+        # of `pixels`-pixel cells, is refused by the one search
+        # quantize_masked runs over the three scales' grids
+        scale = {16: 0, 64: 1, 256: 2}[pixels]
+        white = imaging.from_raw(np.full((32, 32, 3), 255, dtype=np.uint8))
+        grids = [grid.copy() for grid in analysis.pyramid(white)]
+        masks = [np.ones(grid.shape[:2], dtype=bool) for grid in grids]
+        streams = np.concatenate(quantize_masked(grids, masks, cb16))
+        assert streams.size == 64 + 16 + 4 and np.all(streams == streams[0])
+        grids[scale][-1, -1, 0] += 1
+        with pytest.raises(ValueError, match=f"unsigned integers of at most {255 * 256}$"):
+            quantize_masked(grids, masks, cb16)
 
     @pytest.mark.parametrize("spread", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 9, 300])
@@ -280,12 +295,12 @@ class TestQuantize:
         else:
             cb = session.codebook
         painted = cb.colours.astype(np.float64)
-        for count in CELL_PIXELS:
-            sums = np.concatenate([
-                rng.integers(0, 255 * count + 1, size=(3000, 3)),
-                sums_of(painted[rng.integers(0, cb.k, size=500)], count)]).astype(np.uint16)
-            want, _ = elementwise_oracle(sums / count, painted)
-            assert np.array_equal(quantize(sums, cb, count), want)
+        for count in (16, 64, 256):  # a cell of `count` pixels: a multiple of 256 / count
+            cells = np.concatenate([
+                rng.integers(0, 255 * count + 1, size=(3000, 3)) * (256 // count),
+                cells_of(painted[rng.integers(0, cb.k, size=500)])]).astype(np.uint16)
+            want, _ = elementwise_oracle(cells / 256, painted)
+            assert np.array_equal(quantize(cells, cb), want)
 
     def test_distances_exact_in_any_coordinate_order(self, session):
         # every coordinate is a multiple of 2**-8 below 256, so a squared
@@ -348,13 +363,13 @@ class TestQuantize:
         rng = np.random.default_rng(12)
         cb = Codebook(rng.standard_normal((128, 3)).astype(np.float32))
         gmap = rng.integers(0, 3, size=(5, 6)).astype(np.uint8)
-        grids = [rng.integers(0, 255 * n + 1, size=(5 * s, 6 * s, 3)).astype(np.uint16)
-                 for s, n in zip((4, 2, 1), CELL_PIXELS)]
+        grids = [(rng.integers(0, 255 * n + 1, size=(5 * s, 6 * s, 3)) * (256 // n))
+                 .astype(np.uint16) for s, n in zip((4, 2, 1), (16, 64, 256))]
         masks = masks_from_map(gmap)
         got = quantize_masked(grids, masks, cb)
-        for stream, grid, mask, n in zip(got, grids, masks, CELL_PIXELS):
+        for stream, grid, mask in zip(got, grids, masks):
             assert stream.dtype == np.int32 and stream.size > 0
-            assert np.array_equal(stream, quantize(grid[mask], cb, n))
+            assert np.array_equal(stream, quantize(grid[mask], cb))
 
     @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
                                       dict(target_bpp=0.10)], ids=["hirate", "lorate"])
@@ -370,9 +385,9 @@ class TestQuantize:
             masks = masks_from_map(plan_granularity(entropy_map(img, session.entropy_cfg),
                                                     ratios))
             got = quantize_masked(grids, masks, cb)
-            for stream, grid, mask, n in zip(got, grids, masks, CELL_PIXELS):
+            for stream, grid, mask in zip(got, grids, masks):
                 assert stream.dtype == np.int32
-                assert np.array_equal(stream, quantize(grid[mask], cb, n))
+                assert np.array_equal(stream, quantize(grid[mask], cb))
 
     @pytest.mark.parametrize("label", [FINE, MEDIUM, COARSE])
     def test_masked_scales_that_keep_no_cell(self, session, label):
@@ -383,8 +398,7 @@ class TestQuantize:
         for scale, (stream, grid, mask) in enumerate(zip(got, grids, masks)):
             assert stream.dtype == np.int32
             assert stream.size == (grid.shape[0] * grid.shape[1] if scale == label else 0)
-            assert np.array_equal(stream, quantize(grid[mask], session.codebook,
-                                                   CELL_PIXELS[scale]))
+            assert np.array_equal(stream, quantize(grid[mask], session.codebook))
 
     @pytest.fixture
     def cells_seen(self, monkeypatch):
@@ -401,7 +415,7 @@ class TestQuantize:
         return seen
 
     def test_codec_cells_lie_in_the_cube(self, session, cells_seen):
-        # codec cells are sums of bytes, at most 255 per pixel, so the search
+        # codec cells are 256 x mean bytes, at most 255 * 256, so the search
         # refuses none of them: hirate and lorate encodes of every image kind
         for mode in (dict(ratios=RatioTriple(0.70, 0.25, 0.05)), dict(target_bpp=0.10)):
             for i, kind in enumerate(["noise", "gradient", "blocky", "photo", "waves"]):
@@ -422,8 +436,8 @@ class TestQuantize:
         # need 64 MiB in one block
         rng = np.random.default_rng(5)
         cb = Codebook(rng.standard_normal((8192, 3)).astype(np.float32))
-        cells = rng.integers(0, 255 * 16 + 1, size=(1024, 3)).astype(np.uint16)
-        assert traced_peak(quantize, cells, cb, 16) < 8 << 20
+        cells = 16 * rng.integers(0, 255 * 16 + 1, size=(1024, 3)).astype(np.uint16)
+        assert traced_peak(quantize, cells, cb) < 8 << 20
 
 
 class TestBoxIndex:
@@ -466,14 +480,14 @@ class TestBoxIndex:
         codes.view(np.uint32)[1, 0] = 0x3E78F8F8  # 0.24313724, byte 158
         moved = codes.copy()
         moved.view(np.uint32)[1, 0] ^= 1
-        sums = np.concatenate([[[255, 256, 256]],
-                               rng.integers(0, 511, size=(2000, 3))]).astype(np.uint16)
+        cells = 128 * np.concatenate([[[255, 256, 256]],
+                                      rng.integers(0, 511, size=(2000, 3))]).astype(np.uint16)
         got = []
         for book, byte in ((codes, 158), (moved, 159)):
             cb = Codebook(book)
             assert tuple(cb.colours[:2, 0]) == (96, byte)
-            got.append(quantize(sums, cb, 2))
-            want, _ = elementwise_oracle(sums / 2, cb.colours.astype(np.float64))
+            got.append(quantize(cells, cb))
+            want, _ = elementwise_oracle(cells / 256, cb.colours.astype(np.float64))
             assert np.array_equal(got[-1], want)
         assert (got[0][0], got[1][0]) == (1, 0)
         assert len(builds) == 2
@@ -481,10 +495,10 @@ class TestBoxIndex:
     def test_cache_keeps_the_last_two(self, builds):
         rng = np.random.default_rng(41)
         books = [Codebook(rng.uniform(-1, 1, size=(8, 3)).astype(np.float32)) for _ in range(3)]
-        sums = rng.integers(0, 255 * 16 + 1, size=(50, 3)).astype(np.uint16)
+        cells = 16 * rng.integers(0, 255 * 16 + 1, size=(50, 3)).astype(np.uint16)
         for i in [0, 1, 0, 1, 2, 1, 0]:  # the 2 evicts 0, which is built again
-            want, _ = elementwise_oracle(sums / 16, books[i].colours.astype(np.float64))
-            assert np.array_equal(quantize(sums, books[i], 16), want)
+            want, _ = elementwise_oracle(cells / 256, books[i].colours.astype(np.float64))
+            assert np.array_equal(quantize(cells, books[i]), want)
         assert len(builds) == 4 and vq._cached_index.cache_info().currsize == 2
 
     def test_shared_lists_read_only(self):
@@ -511,9 +525,9 @@ class TestBoxIndex:
         assert starts.size == spread.size ** 3 + 1
         assert np.all(np.diff(starts) == 1) and not members.any()
         rng = np.random.default_rng(43)
-        sums = np.concatenate([rng.integers(0, 255 * 16 + 1, size=(500, 3)),
-                               16 * cb.colours[-1:].astype(np.int64)]).astype(np.uint16)
-        assert not quantize(sums, cb, 16).any()
+        cells = np.concatenate([16 * rng.integers(0, 255 * 16 + 1, size=(500, 3)),
+                                cells_of(cb.colours[-1:])]).astype(np.uint16)
+        assert not quantize(cells, cb).any()
 
     @pytest.mark.parametrize("colours", [1, 2])
     def test_few_colour_training_lists_each_distinct_code_once(self, colours, monkeypatch):
@@ -528,7 +542,7 @@ class TestBoxIndex:
 
         monkeypatch.setattr(vq, "_build_index", recording)
         colour = np.random.default_rng(44).integers(0, 256, size=(colours, 3))
-        cb = train_codebook(np.repeat(colour, 100, axis=0), k=64, iters=4, seed=0)
+        cb = train_codebook(cells_of(np.repeat(colour, 100, axis=0)), k=64, iters=4, seed=0)
         assert len(np.unique(cb.codes, axis=0)) == colours
         assert seen and all(longest <= distinct for longest, distinct in seen)
 
@@ -550,10 +564,74 @@ class TestBoxIndex:
         session = pipeline.CodecSession(cb, flat_frequencies(cb.k))
         gmap = np.full((4, 4), FINE, dtype=np.uint8)
         _, (fine, medium, coarse) = pipeline.quantize_streams(session, img, gmap)
-        means_ = analysis.pyramid(img)[0].reshape(-1, 3) / 16
+        means_ = analysis.pyramid(img)[0].reshape(-1, 3) / 256
         want = np.concatenate([elementwise_oracle(chunk, painted)[0]
                                for chunk in np.array_split(means_, 8)])
         assert np.array_equal(fine, want) and medium.size == coarse.size == 0
+
+    def test_codes_too_crowded_refused_in_bounded_time(self, builds):
+        # every colour of a 40^3 byte cube: a box of side 8 inside it lists
+        # the codes within about 7 of it, 5,248 to 7,337, and every cell
+        # there would scan them all. The codec's search and the distortion
+        # refuse the codebook within seconds, after one build: the refusal
+        # is kept with the indexes
+        cb = Codebook(crowded_cube())
+        cells = cells_of(means(np.random.default_rng(47), (100, 3)))
+        for search in (lambda: quantize(cells, cb), lambda: kmeans_distortion(cells, cb)):
+            t0 = time.perf_counter()
+            with pytest.raises(CodebookError, match="^codes too crowded for the nearest-code "
+                                                    "search: over 4096 in one box$"):
+                search()
+            assert time.perf_counter() - t0 < 5.0
+        assert len(builds) == 1 and vq._cached_index.cache_info().currsize == 1
+
+    def test_random_codes_at_the_format_limit_encode(self):
+        # uniform random codes at k = 65,535 are far from crowded: the
+        # longest list holds about 90 codes, and an all-fine image encodes
+        # and decodes to the colours of the codes it sent
+        rng = np.random.default_rng(48)
+        cb = Codebook(rng.uniform(-1, 1, size=(vq.MAX_K, 3)).astype(np.float32))
+        assert np.diff(vq._cached_index(cb.colours.tobytes())[2]).max() <= 1024
+        session = pipeline.CodecSession(cb, flat_frequencies(cb.k))
+        img = make_image("photo", 128, 128, seed=49)
+        container = pipeline.encode_image(session, img, ratios=RatioTriple(1, 0, 0))
+        _, (fine, medium, coarse) = pipeline.quantize_streams(
+            session, img, np.full((8, 8), FINE, dtype=np.uint8))
+        assert fine.size == 1024 and medium.size == coarse.size == 0
+        decoded = pipeline.decode_image(session, container)
+        assert np.array_equal(decoded.pixels[::4, ::4].reshape(-1, 3), cb.colours[fine])
+
+    @pytest.mark.parametrize("colours", [1, 2])
+    def test_few_colour_corpus_trains_at_k_1024(self, colours):
+        # k-means on one or two colours makes nearly all of its 1,024 codes
+        # equal; the frequency pass searches them through the codec's index,
+        # whose lists hold only the distinct colours, so training succeeds
+        raw = np.full((128, 128, 3), 40, dtype=np.uint8)
+        raw[:, 64:] = 40 if colours == 1 else 200
+        cb, tbl = training.train_codebook([imaging.from_raw(raw)], k=1024, iters=2, seed=0)
+        assert tbl.k == cb.k == 1024
+        assert len(np.unique(cb.colours, axis=0)) == colours
+
+    def test_low_contrast_corpus_trains_above_k_1024_and_encodes(self):
+        # every pixel of a low-contrast corpus lies in [96, 159], so k=2048
+        # codes crowd a 64^3 part of the cube that every box far from it
+        # faces. Those boxes list the codes nearest them, not the whole near
+        # face of the crowd (all 2,048 codes, when a code was dropped only
+        # for being farther than another's farthest point), so the codebook
+        # trains fast, and a full-contrast all-fine image encodes and
+        # decodes to the colours of the codes sent
+        corpus = [imaging.from_raw(96 + make_raw(kind, 128, 128, seed=50 + i) // 4)
+                  for i, kind in enumerate(["noise", "gradient", "blocky", "photo"])]
+        cb, tbl = training.train_codebook(corpus, k=2048, iters=2, seed=0)
+        assert len(np.unique(cb.colours, axis=0)) == 2048
+        assert np.diff(vq._cached_index(cb.colours.tobytes())[2]).max() < 256
+        session = pipeline.CodecSession(cb, tbl)
+        img = make_image("photo", 128, 128, seed=51)
+        container = pipeline.encode_image(session, img, ratios=RatioTriple(1, 0, 0))
+        _, (fine, _, _) = pipeline.quantize_streams(
+            session, img, np.full((8, 8), FINE, dtype=np.uint8))
+        decoded = pipeline.decode_image(session, container)
+        assert np.array_equal(decoded.pixels[::4, ::4].reshape(-1, 3), cb.colours[fine])
 
     def test_build_peak_memory(self, session):
         # a build runs in steps of bounded size: at k=1024 it stays under 8 MiB
@@ -576,7 +654,7 @@ class TestLookup:
         # a cell of one pixel painted with a code's colour finds that code
         rng = np.random.default_rng(4)
         idx = rng.integers(0, 16, size=(5, 7))
-        again = quantize(imaging.denormalize(lookup(idx, cb16)), cb16, 1)
+        again = quantize(cells_of(imaging.denormalize(lookup(idx, cb16))), cb16)
         assert np.array_equal(again, idx)
 
     def test_out_of_range_rejected(self, cb16):
@@ -587,28 +665,28 @@ class TestLookup:
 class TestTraining:
     def test_k_distinct_points_fixed_point(self):
         points = np.arange(12, dtype=np.float64).reshape(4, 3) * 16
-        cb = train_codebook(points, k=4, iters=5, seed=0)
+        cb = train_codebook(cells_of(points), k=4, iters=5, seed=0)
         assert sorted(map(tuple, cb.colours.tolist())) == sorted(map(tuple, points.tolist()))
-        assert kmeans_distortion(points, cb) == 0.0
+        assert kmeans_distortion(cells_of(points), cb) == 0.0
 
     def test_codes_are_the_samples_of_their_bytes(self):
         # every trained code is a colour, stored as the float32 samples of
         # its bytes, which paint those bytes again
-        corpus = means(np.random.default_rng(5), (400, 3))
+        corpus = cells_of(means(np.random.default_rng(5), (400, 3)))
         cb = train_codebook(corpus, k=16, iters=3, seed=2)
         assert cb.codes.tobytes() == imaging.normalize(cb.colours).tobytes()
 
     def test_two_blobs(self):
         rng = np.random.default_rng(5)
-        a = np.rint(rng.normal(64, 3, size=(50, 3)) * 256) / 256
-        b = np.rint(rng.normal(192, 3, size=(50, 3)) * 256) / 256
+        a = cells_of(rng.normal(64, 3, size=(50, 3)))
+        b = cells_of(rng.normal(192, 3, size=(50, 3)))
         cb = train_codebook(np.vstack([a, b]), k=2, iters=10, seed=1)
         centers = sorted(cb.colours[:, 0])
         assert centers[0] < 77 and centers[1] > 179
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        corpus = means(rng, (200, 3))
+        corpus = cells_of(means(rng, (200, 3)))
         cb1 = train_codebook(corpus, k=16, iters=8, seed=42)
         cb2 = train_codebook(corpus, k=16, iters=8, seed=42)
         assert np.array_equal(cb1.codes, cb2.codes)
@@ -616,7 +694,7 @@ class TestTraining:
 
     def test_negative_iters_rejected(self):
         # a negative count would run no iteration and return the bare seeds
-        corpus = means(np.random.default_rng(6), (40, 3))
+        corpus = cells_of(means(np.random.default_rng(6), (40, 3)))
         with pytest.raises(ValueError, match="iters"):
             train_codebook(corpus, k=4, iters=-3, seed=0)
         assert train_codebook(corpus, k=4, iters=0, seed=0).k == 4
@@ -625,7 +703,7 @@ class TestTraining:
         # a rounded mean is the best byte centre of its cluster, so rounding
         # keeps Lloyd's descent
         rng = np.random.default_rng(7)
-        corpus = means(rng, (300, 3))
+        corpus = cells_of(means(rng, (300, 3)))
         prev = np.inf
         for iters in (1, 3, 6, 12):
             d = kmeans_distortion(corpus, train_codebook(corpus, k=8, iters=iters, seed=9))
@@ -638,7 +716,7 @@ class TestTraining:
         # [-1, 1] sample scale the distortion is reported on
         cb = Codebook(imaging.normalize(np.array([[10, 20, 30], [200, 100, 0]])))
         points = np.array([[11, 20, 30], [200, 98, 0]], dtype=np.float64)
-        got = kmeans_distortion(points, cb)
+        got = kmeans_distortion(cells_of(points), cb)
         assert got == 5 / 127.5 ** 2
         # the same error from the samples and the float32 codes, rounded
         assert got == pytest.approx(np.sum((points / 127.5 - 1 - cb.codes) ** 2), rel=1e-5)
@@ -666,8 +744,8 @@ class TestTraining:
             assert np.array_equal(d2, want_d2)
 
     def test_corpus_too_small(self):
-        with pytest.raises(ValueError):
-            train_codebook(np.zeros((3, 3)), k=8)
+        with pytest.raises(ValueError, match="corpus size 3 smaller than k=8"):
+            train_codebook(np.zeros((3, 3), dtype=np.uint16), k=8)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_seeding_draws_what_choice_draws(self, d):
