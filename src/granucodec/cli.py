@@ -90,12 +90,12 @@ def cmd_stats(args) -> None:
         "blocks": dict(zip(granularity.LABEL_NAMES, granularity.label_counts(gmap).tolist())),
         "mean_code_length": session.mean_code_len,
     }
-    _report(stats, args.json)
-    if args.entropy_csv:
+    if args.entropy_csv:  # before the report, so a failed write prints only its error
         with open(args.entropy_csv, "w") as f:
             f.write("row,col,entropy\n")
             for (row, col), h in np.ndenumerate(emap):
                 f.write(f"{row},{col},{h:.9f}\n")
+    _report(stats, args.json)
 
 
 def cmd_rate_table(args) -> None:

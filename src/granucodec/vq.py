@@ -9,7 +9,7 @@ added in any order, on every machine. The search picks the nearest colour,
 ties to the lowest index, by the bucket search of Gersho and Gray (Vector
 Quantization and Signal Compression, 1992): a cell scans the list of codes
 that can be nearest in its box of [0, 256)^3, about 3 at k=1024. k-means
-rounds its centres to bytes and builds new lists every iteration.
+searches its byte centres through `quantize`, under the codec's list bound.
 """
 
 from __future__ import annotations
@@ -106,13 +106,6 @@ def _cached_index(colours: bytes):
     return index if np.diff(index[2]).max() <= _MAX_LIST else None
 
 
-def _codec_index(cb: Codebook):
-    if (index := _cached_index(cb.colours.tobytes())) is None:
-        raise CodebookError(f"codes too crowded for the nearest-code search: "
-                            f"over {_MAX_LIST} in one box")
-    return index
-
-
 def _means(cells) -> np.ndarray:
     """The (n, FEATURES) float64 mean colours, exact, of unsigned integer
     cells that are 256 times those means, as `analysis.pyramid` gives them."""
@@ -124,10 +117,15 @@ def _means(cells) -> np.ndarray:
     return cells.reshape(-1, FEATURES) * (1.0 / 256)
 
 
-def quantize(cells: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Nearest-code index of each cell, shaped like `cells` without its last axis."""
-    idx, _ = _assign(_means(cells), _codec_index(cb))  # ties -> lowest index
-    return idx.reshape(np.shape(cells)[:-1])
+def quantize(cells: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's nearest code, ties to the lowest index, and its exact
+    squared distance in byte**2, both shaped like `cells` without its last
+    axis. Colours that crowd a list past _MAX_LIST codes are refused."""
+    if (index := _cached_index(cb.colours.tobytes())) is None:
+        raise CodebookError(f"codes too crowded for the nearest-code search: "
+                            f"over {_MAX_LIST} in one box")
+    shape = np.shape(cells)[:-1]
+    return tuple(a.reshape(shape) for a in _assign(_means(cells), index))
 
 
 def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
@@ -136,22 +134,23 @@ def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
     all three, as every scale's cells are in one unit."""
     kept = [np.compress(mask.ravel(), grid.reshape(-1, FEATURES), axis=0)
             for grid, mask in zip(grids, masks)]
-    return np.split(quantize(np.concatenate(kept), cb), np.cumsum([len(c) for c in kept[:2]]))
+    return np.split(quantize(np.concatenate(kept), cb)[0], np.cumsum([len(c) for c in kept[:2]]))
 
 
 def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> Codebook:
-    """Seeded k-means++ and a fixed number of Lloyd iterations on cell means
-    in bytes, the seeds and every update rounded to bytes; the codes are the
-    samples of the final colours. Empty clusters are re-seeded from the point
-    currently farthest from its assigned center, so all k codes stay live."""
-    corpus = _means(corpus)
-    if corpus.shape[0] < k:
-        raise ValueError(f"corpus size {corpus.shape[0]} smaller than k={k}")
+    """Seeded k-means++ and a fixed number of Lloyd iterations on cell means,
+    each searched by `quantize`, the seeds and every update rounded to bytes;
+    the codes are the samples of the final colours. An empty cluster takes
+    the point then farthest from its center, so all k codes stay live."""
+    means = _means(corpus)
+    corpus = np.reshape(corpus, means.shape)  # one cell a row, as `means` holds them
+    if means.shape[0] < k:
+        raise ValueError(f"corpus size {means.shape[0]} smaller than k={k}")
     if iters < 0:
         raise ValueError(f"iters={iters} is negative")
-    centers = np.rint(_seed_centers(corpus, k, np.random.default_rng(seed)))
+    centers = np.rint(_seed_centers(means, k, np.random.default_rng(seed)))
     for _ in range(iters):
-        _update_centers(corpus, *_assign(corpus, _build_index(centers)), centers)
+        _update_centers(means, *quantize(corpus, Codebook(normalize(centers))), centers)
     return Codebook(normalize(centers))
 
 
@@ -368,8 +367,7 @@ def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
 def kmeans_distortion(corpus: np.ndarray, cb: Codebook) -> float:
     """The summed squared distance of each cell's mean colour to its nearest
     code's colour, on the [-1, 1] sample scale: in bytes, divided by 127.5**2."""
-    _, d2 = _assign(_means(corpus), _codec_index(cb))
-    return float(d2.sum()) / HALF_RANGE ** 2
+    return float(quantize(corpus, cb)[1].sum()) / HALF_RANGE ** 2
 
 
 def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:

@@ -606,6 +606,19 @@ class TestCli:
         assert s["stream_bits"] == {"map": c.map_bits, "fine": c.index_bits[0],
                                     "medium": c.index_bits[1], "coarse": c.index_bits[2]}
 
+    def test_entropy_csv_that_cannot_be_written_prints_no_report(self, cli_env, tmp_path,
+                                                                 capsys):
+        # the CSV is written before the report: a failed write prints only
+        # its error, and no JSON report precedes it on stdout
+        from granucodec import cli
+        _, cb, ppm = cli_env
+        csv = tmp_path / "missing" / "x.csv"
+        assert cli.main(["stats", "--codebook", str(cb), "--input", str(ppm),
+                         "--ratios", "1,0,0", "--json", "--entropy-csv", str(csv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] ") and str(csv) in err
+
     def test_errors_exit_nonzero(self, cli_env, tmp_path):
         root, cb, ppm = cli_env
         res = run_cli("decode", "--codebook", cb,

@@ -166,20 +166,20 @@ def cells_of(means_):
 class TestQuantize:
     def test_exact_match(self, cb16):
         grid = cells_of(cb16.colours[7].reshape(1, 1, 3))
-        idx = quantize(grid, cb16)
-        assert idx[0, 0] == 7
+        idx, d2 = quantize(grid, cb16)
+        assert idx[0, 0] == 7 and d2[0, 0] == 0.0
         assert np.array_equal(lookup(idx, cb16), cb16.codes[7].reshape(1, 1, 3))
 
     def test_tie_breaks_to_lowest_index(self):
         # samples 0 and 1 paint bytes 128 and 255; 191.5 lies 63.5 from each
         cb = Codebook(np.array([[0.0, 0, 0], [1.0, 0, 0]], dtype=np.float32))
-        idx = quantize(cells_of([[[191.5, 128, 128]]]), cb)
-        assert idx[0, 0] == 0
+        idx, d2 = quantize(cells_of([[[191.5, 128, 128]]]), cb)
+        assert idx[0, 0] == 0 and d2[0, 0] == 63.5 ** 2
 
     def test_matches_brute_force_scan(self, cb16):
         rng = np.random.default_rng(1)
         cells = 4 * rng.integers(0, 255 * 64 + 1, size=(6, 5, 3)).astype(np.uint16)
-        idx = quantize(cells, cb16)
+        idx, _ = quantize(cells, cb16)
         for pos in np.ndindex(6, 5):
             dists = [np.sum((cells[pos] / 256 - c) ** 2) for c in colours(cb16.codes)]
             assert idx[pos] == int(np.argmin(dists))
@@ -187,7 +187,7 @@ class TestQuantize:
     def test_never_beaten_by_other_code(self, cb16):
         rng = np.random.default_rng(2)
         cells = 16 * rng.integers(0, 255 * 16 + 1, size=(10, 3)).astype(np.uint16)
-        idx = quantize(cells, cb16)
+        idx, _ = quantize(cells, cb16)
         painted = colours(cb16.codes)
         for z, chosen in zip(cells / 256, painted[idx]):
             d_chosen = np.sum((z - chosen) ** 2)
@@ -299,8 +299,7 @@ class TestQuantize:
             cells = np.concatenate([
                 rng.integers(0, 255 * count + 1, size=(3000, 3)) * (256 // count),
                 cells_of(painted[rng.integers(0, cb.k, size=500)])]).astype(np.uint16)
-            want, _ = elementwise_oracle(cells / 256, painted)
-            assert np.array_equal(quantize(cells, cb), want)
+            assert_matches_oracle(quantize(cells, cb), elementwise_oracle(cells / 256, painted))
 
     def test_distances_exact_in_any_coordinate_order(self, session):
         # every coordinate is a multiple of 2**-8 below 256, so a squared
@@ -369,7 +368,7 @@ class TestQuantize:
         got = quantize_masked(grids, masks, cb)
         for stream, grid, mask in zip(got, grids, masks):
             assert stream.dtype == np.int32 and stream.size > 0
-            assert np.array_equal(stream, quantize(grid[mask], cb))
+            assert np.array_equal(stream, quantize(grid[mask], cb)[0])
 
     @pytest.mark.parametrize("mode", [dict(ratios=RatioTriple(0.70, 0.25, 0.05)),
                                       dict(target_bpp=0.10)], ids=["hirate", "lorate"])
@@ -387,7 +386,7 @@ class TestQuantize:
             got = quantize_masked(grids, masks, cb)
             for stream, grid, mask in zip(got, grids, masks):
                 assert stream.dtype == np.int32
-                assert np.array_equal(stream, quantize(grid[mask], cb))
+                assert np.array_equal(stream, quantize(grid[mask], cb)[0])
 
     @pytest.mark.parametrize("label", [FINE, MEDIUM, COARSE])
     def test_masked_scales_that_keep_no_cell(self, session, label):
@@ -398,7 +397,7 @@ class TestQuantize:
         for scale, (stream, grid, mask) in enumerate(zip(got, grids, masks)):
             assert stream.dtype == np.int32
             assert stream.size == (grid.shape[0] * grid.shape[1] if scale == label else 0)
-            assert np.array_equal(stream, quantize(grid[mask], session.codebook))
+            assert np.array_equal(stream, quantize(grid[mask], session.codebook)[0])
 
     @pytest.fixture
     def cells_seen(self, monkeypatch):
@@ -443,7 +442,8 @@ class TestQuantize:
 class TestBoxIndex:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Count index builds, starting from empty caches."""
+        """Count index builds, starting from empty caches and leaving them
+        empty, so no refusal under a patched bound outlives the test."""
         vq._cached_index.cache_clear()
         counted = []
         build = vq._build_index
@@ -453,7 +453,8 @@ class TestBoxIndex:
             return build(centers)
 
         monkeypatch.setattr(vq, "_build_index", counting)
-        return counted
+        yield counted
+        vq._cached_index.cache_clear()
 
     def test_sessions_from_one_file_share_one_build(self, builds, session, tmp_path):
         path = tmp_path / "cb.cgcb"
@@ -487,9 +488,9 @@ class TestBoxIndex:
             cb = Codebook(book)
             assert tuple(cb.colours[:2, 0]) == (96, byte)
             got.append(quantize(cells, cb))
-            want, _ = elementwise_oracle(cells / 256, cb.colours.astype(np.float64))
-            assert np.array_equal(got[-1], want)
-        assert (got[0][0], got[1][0]) == (1, 0)
+            assert_matches_oracle(got[-1], elementwise_oracle(cells / 256,
+                                                              cb.colours.astype(np.float64)))
+        assert (got[0][0][0], got[1][0][0]) == (1, 0)
         assert len(builds) == 2
 
     def test_cache_keeps_the_last_two(self, builds):
@@ -497,8 +498,8 @@ class TestBoxIndex:
         books = [Codebook(rng.uniform(-1, 1, size=(8, 3)).astype(np.float32)) for _ in range(3)]
         cells = 16 * rng.integers(0, 255 * 16 + 1, size=(50, 3)).astype(np.uint16)
         for i in [0, 1, 0, 1, 2, 1, 0]:  # the 2 evicts 0, which is built again
-            want, _ = elementwise_oracle(cells / 256, books[i].colours.astype(np.float64))
-            assert np.array_equal(quantize(cells, books[i]), want)
+            want = elementwise_oracle(cells / 256, books[i].colours.astype(np.float64))
+            assert_matches_oracle(quantize(cells, books[i]), want)
         assert len(builds) == 4 and vq._cached_index.cache_info().currsize == 2
 
     def test_shared_lists_read_only(self):
@@ -527,7 +528,7 @@ class TestBoxIndex:
         rng = np.random.default_rng(43)
         cells = np.concatenate([16 * rng.integers(0, 255 * 16 + 1, size=(500, 3)),
                                 cells_of(cb.colours[-1:])]).astype(np.uint16)
-        assert not quantize(cells, cb).any()
+        assert not quantize(cells, cb)[0].any()
 
     @pytest.mark.parametrize("colours", [1, 2])
     def test_few_colour_training_lists_each_distinct_code_once(self, colours, monkeypatch):
@@ -584,6 +585,34 @@ class TestBoxIndex:
                 search()
             assert time.perf_counter() - t0 < 5.0
         assert len(builds) == 1 and vq._cached_index.cache_info().currsize == 1
+
+    def test_crowded_centres_refused_at_the_first_lloyd_step(self, builds, monkeypatch):
+        # k-means searches through the codec's index and its list bound, so
+        # seeds whose lists pass the bound are refused after one build, not
+        # after every Lloyd step and a build in the frequency pass
+        monkeypatch.setattr(vq, "_MAX_LIST", 1)
+        images = [make_image("photo", 64, 64, seed=52), make_image("waves", 64, 64, seed=53)]
+        with pytest.raises(CodebookError, match="^codes too crowded for the nearest-code "
+                                                "search: over 1 in one box$"):
+            training.train_codebook(images, k=32, iters=4, seed=0)
+        assert len(builds) == 1
+
+    def test_kmeans_builds_one_index_per_set_of_centres(self, builds, monkeypatch):
+        # each Lloyd step searches its centres through `quantize`; a step
+        # that repeats the centres before it reuses their cached index
+        searched, search = [], vq.quantize
+
+        def recording(cells, cb):
+            searched.append(cb.colours.tobytes())
+            return search(cells, cb)
+
+        monkeypatch.setattr(vq, "quantize", recording)
+        rng = np.random.default_rng(54)
+        corpus = cells_of(np.concatenate([rng.normal(64, 3, size=(50, 3)),
+                                          rng.normal(192, 3, size=(50, 3))]))
+        train_codebook(corpus, k=2, iters=10, seed=1)
+        assert len(searched) == 10
+        assert len(builds) == len(set(searched)) < 10
 
     def test_random_codes_at_the_format_limit_encode(self):
         # uniform random codes at k = 65,535 are far from crowded: the
@@ -654,8 +683,8 @@ class TestLookup:
         # a cell of one pixel painted with a code's colour finds that code
         rng = np.random.default_rng(4)
         idx = rng.integers(0, 16, size=(5, 7))
-        again = quantize(cells_of(imaging.denormalize(lookup(idx, cb16))), cb16)
-        assert np.array_equal(again, idx)
+        again, d2 = quantize(cells_of(imaging.denormalize(lookup(idx, cb16))), cb16)
+        assert np.array_equal(again, idx) and not d2.any()
 
     def test_out_of_range_rejected(self, cb16):
         with pytest.raises(CodebookError):
@@ -692,6 +721,12 @@ class TestTraining:
         assert np.array_equal(cb1.codes, cb2.codes)
         assert cb1.id_hash == cb2.id_hash
 
+    def test_corpus_of_any_leading_shape(self):
+        # cells in a grid train the codebook their rows train
+        grid = cells_of(means(np.random.default_rng(6), (4, 10, 3, 3))).swapaxes(1, 2)
+        assert (train_codebook(grid, k=8, iters=4, seed=3).codes.tobytes()
+                == train_codebook(grid.reshape(-1, 3), k=8, iters=4, seed=3).codes.tobytes())
+
     def test_negative_iters_rejected(self):
         # a negative count would run no iteration and return the bare seeds
         corpus = cells_of(means(np.random.default_rng(6), (40, 3)))
@@ -720,6 +755,14 @@ class TestTraining:
         assert got == 5 / 127.5 ** 2
         # the same error from the samples and the float32 codes, rounded
         assert got == pytest.approx(np.sum((points / 127.5 - 1 - cb.codes) ** 2), rel=1e-5)
+
+    def test_distortion_is_the_sum_of_the_search_distances(self, session):
+        # the distortion adds up the exact byte**2 distances `quantize` returns
+        rng = np.random.default_rng(55)
+        cells = cells_of(means(rng, (5000, 3)))
+        _, d2 = quantize(cells, session.codebook)
+        assert d2.shape == (5000,) and d2.dtype == np.float64
+        assert kmeans_distortion(cells, session.codebook) == float(d2.sum()) / 127.5 ** 2
 
     def test_update_matches_per_cluster_loop(self):
         # 3000 draws from 200 points; every third center starts on the far
