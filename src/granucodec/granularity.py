@@ -6,11 +6,13 @@ The theoretical bits-per-pixel of a ratio triple is
 
     bpp = L/256 * (16*r1 + 4*r2 + r3) + (4*r1 + r2)/256
 
-with L the mean Huffman code length over the index alphabet. Target-bpp
-lookup inverts it over one read-only lattice, `LATTICE`, the ratio simplex at
-1/100 (5,151 rows). A code's rate table is just the bpp column over those
-rows, in lattice order: the lookup needs no order, and only the `rate-table`
-command sorts the rows by bpp to print them.
+with L the mean Huffman code length over the index alphabet and 16, 4, 1
+the VQ indices a fine, medium or coarse block sends (`INDICES_PER_BLOCK`):
+a block's bits follow its index count. Target-bpp lookup inverts it over
+one read-only lattice, `LATTICE`, the ratio simplex at 1/100 (5,151 rows).
+A code's rate table is just the bpp column over those rows, in lattice
+order: the lookup needs no order, and only the `rate-table` command sorts
+the rows by bpp to print them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .imaging import nn_upsample
 
 FINE, MEDIUM, COARSE = 0, 1, 2
 LABEL_NAMES = ("fine", "medium", "coarse")  # indexed by label, in stream order
+INDICES_PER_BLOCK = (16, 4, 1)  # indexed by label: 4x4, 2x2 or 1 cell of the 16x16 block
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def masks_from_map(gmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """The bool masks of the cells each scale sends, in stream order: fine
     (H/4, W/4), medium (H/8, W/8), coarse (H/16, W/16). They are a disjoint
     cover of the fine grid: fine + up(medium, 2) + up(coarse, 4) == 1 in
-    every cell, so a fine, medium or coarse block sends 16, 4 or 1 indices."""
+    every cell, so a block sends `INDICES_PER_BLOCK[label]` indices."""
     gmap = np.asarray(gmap)
     fine, medium, coarse = (gmap == label for label in (FINE, MEDIUM, COARSE))
     if not (fine | medium | coarse).all():
@@ -79,33 +82,28 @@ def label_counts(gmap: np.ndarray) -> np.ndarray:
     return np.bincount(np.ravel(gmap), minlength=3)
 
 
-def _terms(r1, r2, r3):
-    """The rate model's terms free of L: indices per block and the mask term."""
-    return 16.0 * r1 + 4.0 * r2 + r3, (4.0 * r1 + r2) / 256.0
-
-
-def _rate(indices, mask, mean_code_len: float):
-    """The closed-form bpp from `_terms`, elementwise over floats or arrays."""
+def _bpp(r1, r2, r3, mean_code_len: float):
+    """The closed-form bpp, elementwise over floats or arrays of ratios."""
     if mean_code_len <= 0:
         raise ValueError("mean code length must be positive")
-    return mean_code_len / 256.0 * indices + mask
+    n1, n2, n3 = INDICES_PER_BLOCK
+    return mean_code_len / 256.0 * (n1 * r1 + n2 * r2 + n3 * r3) + (4.0 * r1 + r2) / 256.0
 
 
 def theoretical_bpp(ratios: RatioTriple, mean_code_len: float) -> float:
     """Closed-form bpp: index cost plus the mask-side accounting term."""
-    return _rate(*_terms(*ratios.as_tuple()), mean_code_len)
+    return _bpp(*ratios.as_tuple(), mean_code_len)
 
 
 # the ratio simplex at 1/100 in lattice order (r1, then r2, ascending)
 LATTICE = np.array([(i, j, 100 - i - j) for i in range(101)
                     for j in range(101 - i)]) / 100
 LATTICE.flags.writeable = False
-_LATTICE_TERMS = _terms(*LATTICE.T)
 
 
 def build_rate_table(mean_code_len: float) -> np.ndarray:
     """The rate model's bpp at each `LATTICE` row: a read-only (5151,) float64 column."""
-    table = _rate(*_LATTICE_TERMS, mean_code_len)
+    table = _bpp(*LATTICE.T, mean_code_len)
     table.flags.writeable = False
     return table
 

@@ -108,7 +108,7 @@ def decode_streams(session: CodecSession,
         raise BitstreamError("container was encoded with a different codebook")
     gmap = bitstream.decode_map(container)
     pos, *stops = np.cumsum([container.map_bits, *container.index_bits]).tolist()
-    counts = granularity.label_counts(gmap) * (16, 4, 1)  # indices per block
+    counts = granularity.label_counts(gmap) * granularity.INDICES_PER_BLOCK
     segments = list(zip(granularity.LABEL_NAMES, counts.tolist(), stops))
     return gmap, bitstream.prefix_decode(container.payload, pos, segments, session.huffman)
 

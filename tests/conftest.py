@@ -34,8 +34,8 @@ def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
         img += blobs[:h, :w] + amp * rng.normal(size=img.shape)
         return np.clip(img, 0, 255).astype(np.uint8)
     if kind == "blocky":
-        cell = rng.integers(0, 256, size=(h // 16, w // 16, 3))
-        img = np.repeat(np.repeat(cell, 16, 0), 16, 1).astype(np.float64)
+        cell = rng.integers(0, 256, size=(-(-h // 16), -(-w // 16), 3))
+        img = np.repeat(np.repeat(cell, 16, 0), 16, 1)[:h, :w].astype(np.float64)
         img += rng.normal(0, 8, size=img.shape)
         return np.clip(img, 0, 255).astype(np.uint8)
     if kind == "photo":
@@ -55,6 +55,25 @@ def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
             128 + 110 * np.sin(f1 * yy),
         ], axis=2)
         img += rng.normal(0, 10, size=img.shape)
+        return np.clip(img, 0, 255).astype(np.uint8)
+    if kind == "leaves":
+        # dead leaves: opaque discs of uniform random colour, radius density
+        # ∝ r^-3 on [8, 100] px, painted front to back until none is bare
+        img, bare = np.empty((h, w, 3)), np.ones((h, w), dtype=bool)
+        left, lo, hi = h * w, 8.0 ** -2, 100.0 ** -2
+        while left:
+            for cy, cx, u, *colour in rng.random((256, 6)) * (h, w, 1, 255, 255, 255):
+                r = (lo - u * (lo - hi)) ** -0.5  # inverse of the radius CDF
+                ys = slice(max(int(cy - r), 0), min(int(cy + r) + 1, h))
+                xs = slice(max(int(cx - r), 0), min(int(cx + r) + 1, w))
+                yy, xx = np.ogrid[ys, xs]
+                new = bare[ys, xs] & ((yy - cy) ** 2 + (xx - cx) ** 2 <= r * r)
+                img[ys, xs][new] = colour
+                bare[ys, xs][new] = False
+                left -= np.count_nonzero(new)
+                if not left:
+                    break
+        img += rng.normal(0, 2, size=img.shape)
         return np.clip(img, 0, 255).astype(np.uint8)
     raise ValueError(kind)
 

@@ -20,9 +20,10 @@ from granucodec.granularity import RatioTriple
 from conftest import make_image
 
 SMALL_SESSION_ID_HASH = 0x273DAF92421FE372
-# container version 4, with codes that are the colours the decoder paints
-CONTAINERS_SHA256 = "c107474f755c0b675e6ab09218148ed7d834e7813928c0fe0672f66ac398fb57"
-PIXELS_SHA256 = "2141581162f5a56b048b092c14ab7ca1b7ca020237aad4ddd1b30f3a575ac4fb"
+# container version 4, with codes that are the colours the decoder paints,
+# and a blocky image of the full 120x104 pixels
+CONTAINERS_SHA256 = "9e89a4ca4dbae7c999a1b30fe18a879dee2dfa597aee9887057a73f5501624cd"
+PIXELS_SHA256 = "70f02af5485cc6f4669a9bc3c92934c6be3503c6abf59cb9a674f5af7760c3cc"
 
 
 def test_golden_bytes(small_session):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from granucodec.granularity import (
-    COARSE, FINE, LATTICE, MEDIUM, RatioTriple, build_rate_table, label_counts,
-    masks_from_map, plan_granularity, ratios_for_target, theoretical_bpp,
+    COARSE, FINE, INDICES_PER_BLOCK, LATTICE, MEDIUM, RatioTriple, build_rate_table,
+    label_counts, masks_from_map, plan_granularity, ratios_for_target, theoretical_bpp,
 )
 from granucodec.imaging import nn_upsample
 
@@ -75,15 +75,23 @@ class TestMasks:
         assert fine.shape == (4, 4) and fine.all()
 
     def test_disjoint_cover_exhaustive_2x2(self):
-        # all 81 label assignments of a 2x2 map
+        # all 81 label assignments of a 2x2 map, all-fine and all-coarse too;
+        # each mask keeps the cells its label's blocks send (`decode_streams`
+        # reads each stream's length off the label counts)
         for labels in itertools.product((FINE, MEDIUM, COARSE), repeat=4):
-            masks = masks_from_map(np.array(labels).reshape(2, 2))
+            gmap = np.array(labels).reshape(2, 2)
+            masks = masks_from_map(gmap)
             assert np.all(cover_sum(masks) == 1)
+            assert (label_counts(gmap) * INDICES_PER_BLOCK).tolist() == \
+                [np.count_nonzero(mask) for mask in masks]
 
     def test_blockwise_constant(self):
         rng = np.random.default_rng(2)
         gmap = rng.integers(0, 3, size=(3, 5))
-        fine = masks_from_map(gmap)[0]
+        masks = masks_from_map(gmap)
+        assert (label_counts(gmap) * INDICES_PER_BLOCK).tolist() == \
+            [np.count_nonzero(mask) for mask in masks]
+        fine = masks[0]
         for by in range(3):
             for bx in range(5):
                 assert fine[by * 4:by * 4 + 4, bx * 4:bx * 4 + 4].min() \
@@ -203,7 +211,8 @@ class TestRateTable:
     @pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
     def test_matches_reference_loop(self, mean_code_len, step):
         # step 0.01 is the whole table; a coarser step checks its sub-lattice.
-        # The rows match in lattice order and, sorted stably, in bpp order.
+        # The rows match in lattice order and, sorted stably, in bpp order:
+        # each bpp is theoretical_bpp's at that row, bit for bit.
         table = on_lattice(build_rate_table(mean_code_len), step)
         kept = np.isfinite(table)
         rows = reference_rows(mean_code_len, step)
