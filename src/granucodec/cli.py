@@ -40,9 +40,10 @@ def cmd_train_codebook(args) -> None:
     if not paths:
         raise ValueError(f"no .ppm files in {args.corpus}")
     images = [imaging.load_ppm(p) for p in paths]
-    cb, tbl = training.train_codebook(
-        images, k=args.k, seed=args.seed, iters=args.iters,
-        max_samples=args.max_samples, freq_ratios=args.freq_ratios)
+    # only the flags given: the parser states no default, train_codebook does
+    knobs = {name: value for name, value in vars(args).items()
+             if name in ("k", "seed", "iters", "max_samples", "freq_ratios")}
+    cb, tbl = training.train_codebook(images, **knobs)
     vq.save_codebook(cb, tbl, args.out)
     print(f"trained k={cb.k} d={cb.d} codebook from {len(images)} images -> {args.out}")
 
@@ -146,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ratios", type=_parse_ratios, help="r1,r2,r3 (fine,medium,coarse)")
     group.add_argument("--bpp", type=float, help="target bits per pixel")
 
-    p = sub.add_parser("train-codebook", help="k-means codebook + frequency table")
+    p = sub.add_parser("train-codebook", help="k-means codebook + frequency table",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--corpus", required=True, help="directory of .ppm images")
-    p.add_argument("--k", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--max-samples", type=int, default=200_000,
-                   help="subsample cap for k-means input")
-    p.add_argument("--freq-ratios", type=_parse_ratios, default="0.5,0.4,0.1",
+    p.add_argument("--k", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--max-samples", type=int, help="subsample cap for k-means input")
+    p.add_argument("--freq-ratios", type=_parse_ratios,
                    help="granularity ratios used for the frequency pass")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_codebook)

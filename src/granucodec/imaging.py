@@ -114,16 +114,17 @@ def from_raw(raw: np.ndarray) -> ImagePlane:
 
 
 def _read_ppm_token(f, path) -> bytes:
-    # Tokens are separated by whitespace; '#' starts a comment to end of line.
+    # Tokens are separated by whitespace. As Netpbm's pm_getc reads it, '#'
+    # starts a comment that ends at '\n' or '\r' and counts as a line end,
+    # so a comment also ends the token before it.
     token = b""
     while True:
         c = f.read(1)
+        if c == b"#":
+            while c not in (b"\n", b"\r", b""):
+                c = f.read(1)
         if not c:
             raise ImageError(f"{path}: truncated PPM header")
-        if c == b"#":
-            while c not in (b"\n", b""):
-                c = f.read(1)
-            continue
         if c.isspace():
             if token:
                 return token

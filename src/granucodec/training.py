@@ -33,7 +33,7 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
                    iters: int = 25, max_samples: int = 200_000,
                    freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
                    ) -> tuple[Codebook, FrequencyTable]:
-    """Train a codebook and its smoothed usage-frequency table."""
+    """Train a codebook and its smoothed usage-frequency table. The CLI uses these defaults."""
     if not images:
         raise ValueError("no images to train a codebook on")
     if not 1 <= k <= vq.MAX_K:
@@ -43,13 +43,10 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
                          f"sample of at least k cells")
     pyramids = [analysis.pyramid(img) for img in images]
     cells = _stack_cells(pyramids)
-    if cells.shape[0] > max_samples:
+    if cells.shape[0] > max_samples:  # the sample replaces the stack, freeing it
         rng = np.random.default_rng(seed)
-        pick = rng.choice(cells.shape[0], size=max_samples, replace=False)
-        sample = cells[np.sort(pick)]
-    else:
-        sample = cells
-    cb = vq.train_codebook(sample, k=k, iters=iters, seed=seed)
+        cells = cells[np.sort(rng.choice(cells.shape[0], size=max_samples, replace=False))]
+    cb = vq.train_codebook(cells, k, iters=iters, seed=seed)
 
     counts = np.ones(k, dtype=np.uint64)
     for img, grids in zip(images, pyramids):

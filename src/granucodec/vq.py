@@ -29,6 +29,7 @@ from .imaging import HALF_RANGE, denormalize, normalize
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
 MAX_K = 0xFFFF  # the file stores k as uint16
+_HEADER = struct.Struct("<4sBHH")  # magic, version, k, d
 
 # The nearest-code search's box index (see _build_index)
 _BOXES_PER_CODE = 32  # about 3 candidates per codec cell at k=1024
@@ -137,7 +138,7 @@ def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
     return np.split(quantize(np.concatenate(kept), cb)[0], np.cumsum([len(c) for c in kept[:2]]))
 
 
-def train_codebook(corpus: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> Codebook:
+def train_codebook(corpus: np.ndarray, k: int, *, iters: int, seed: int) -> Codebook:
     """Seeded k-means++ and a fixed number of Lloyd iterations on cell means,
     each searched by `quantize`, the seeds and every update rounded to bytes;
     the codes are the samples of the final colours. An empty cluster takes
@@ -377,8 +378,7 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
     if cb.k > MAX_K:
         raise CodebookError(f"k={cb.k}: the format stores k in 16 bits (at most {MAX_K})")
     with open(path, "wb") as f:
-        f.write(CODEBOOK_MAGIC)
-        f.write(struct.pack("<BHH", CODEBOOK_VERSION, cb.k, cb.d))
+        f.write(_HEADER.pack(CODEBOOK_MAGIC, CODEBOOK_VERSION, cb.k, cb.d))
         f.write(cb.codes.astype("<f4").tobytes())
         f.write(tbl.counts.astype("<u8").tobytes())
         f.write(struct.pack("<Q", cb.id_hash))
@@ -387,14 +387,14 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
 def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
     with open(path, "rb") as f:
         data = f.read()
-    off = 4 + 5  # magic, then version, k and d
     if data[:4] != CODEBOOK_MAGIC:
         raise CodebookError(f"{path}: not a codebook file")
-    if len(data) < off:
+    if len(data) < _HEADER.size:
         raise CodebookError(f"{path}: truncated header ({len(data)} bytes)")
-    version, k, d = struct.unpack_from("<BHH", data, 4)
+    _, version, k, d = _HEADER.unpack_from(data)
     if version != CODEBOOK_VERSION:
         raise CodebookError(f"{path}: unsupported version {version}")
+    off = _HEADER.size
     need = off + 4 * k * d + 8 * k + 8
     if len(data) != need:
         raise CodebookError(f"{path}: expected {need} bytes, got {len(data)}")

@@ -181,12 +181,31 @@ def corpus():
     return desk_corpus(20, 512)
 
 
+#: The training config of the k=1024 fixture sessions.
+FIXTURE_TRAINING = dict(k=1024, seed=7, iters=10, max_samples=60_000)
+
+
 @pytest.fixture(scope="session")
 def session(corpus):
     """Codec session trained on the desk corpus (k=1024, deterministic)."""
-    cb, tbl = training.train_codebook(
-        corpus, k=1024, seed=7, iters=10, max_samples=60_000)
-    return pipeline.CodecSession(cb, tbl)
+    return pipeline.CodecSession(*training.train_codebook(corpus, **FIXTURE_TRAINING))
+
+
+def leaves_images(seeds, size: int = 512) -> list:
+    return [make_image("leaves", size, size, seed=s) for s in seeds]
+
+
+@pytest.fixture(scope="session")
+def leaves_set():
+    """Ten dead-leaves images, images with edges, to evaluate on."""
+    return leaves_images(range(500, 510))
+
+
+@pytest.fixture(scope="session")
+def leaves_session():
+    """Codec session at `session`'s config, trained on 20 dead-leaves images."""
+    return pipeline.CodecSession(
+        *training.train_codebook(leaves_images(range(100, 120)), **FIXTURE_TRAINING))
 
 
 @pytest.fixture(scope="session")

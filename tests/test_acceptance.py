@@ -247,3 +247,31 @@ def test_9_quality_monotonicity(sweep, corpus):
         assert later >= earlier
     print(f"\nACCEPTANCE 9 quality monotonicity "
           f"(mean PSNR {['%.2f' % m for m in means]} dB): PASS")
+
+
+def mean_psnr(session, images, **mode) -> float:
+    """Mean PSNR of the images through encode_image(**mode) and back."""
+    return float(np.mean([imaging.psnr(img, pipeline.decode_image(
+        session, pipeline.encode_image(session, img, **mode))) for img in images]))
+
+
+def test_9_quality_monotonicity_on_leaves(leaves_session, leaves_set):
+    # acceptance 9's check on images with edges, coded with a codebook
+    # trained on such images
+    ordered = sorted(
+        SWEEP_TRIPLES,
+        key=lambda t: gr.theoretical_bpp(RatioTriple(*t), L_PUBLISHED))
+    means = [mean_psnr(leaves_session, leaves_set, ratios=RatioTriple(*t)) for t in ordered]
+    for earlier, later in zip(means, means[1:]):
+        assert later >= earlier
+    print(f"\nACCEPTANCE 9 on leaves (mean PSNR {['%.2f' % m for m in means]} dB): PASS")
+
+
+def test_9_target_bpp_quality_monotonicity_on_leaves(leaves_session, leaves_set):
+    # a higher --bpp target never gives a worse mean image, 0.05 to 0.50 bpp
+    means = [mean_psnr(leaves_session, leaves_set, target_bpp=t / 100)
+             for t in range(5, 55, 5)]
+    for earlier, later in zip(means, means[1:]):
+        assert later >= earlier
+    print(f"\nACCEPTANCE 9 on leaves through --bpp "
+          f"(mean PSNR {['%.2f' % m for m in means]} dB): PASS")

@@ -82,3 +82,24 @@ def test_benchmark_calls(small_session, tmp_path, monkeypatch):
         theory = granularity.theoretical_bpp(back.ratios, session.mean_code_len)
         assert bpp > 0 and theory > 0
         assert imaging.psnr(img, out) > 0
+
+
+def test_training_sample_is_the_benchmark_distortion_sample(monkeypatch):
+    # the bench's train_distortion measures the codebook on the cells k-means
+    # was given, which it draws again as `_distortion` does: corpus_cells,
+    # then a seeded choice of max_samples of them, sorted
+    images = [imaging.from_raw(make_raw(kind, 64, 64, seed=1000 + i))
+              for i, kind in enumerate(("photo", "waves"))]
+    seed, max_samples = 7, 500
+    cells = training.corpus_cells(images)
+    assert cells.shape[0] > max_samples
+    train, given = vq.train_codebook, []
+
+    def capture(corpus, *args, **kwargs):
+        given.append(corpus.copy())
+        return train(corpus, *args, **kwargs)
+    monkeypatch.setattr(vq, "train_codebook", capture)
+    training.train_codebook(images, k=8, seed=seed, iters=1, max_samples=max_samples)
+    pick = np.random.default_rng(seed).choice(cells.shape[0], size=max_samples, replace=False)
+    assert len(given) == 1
+    assert np.array_equal(given[0], cells[np.sort(pick)])

@@ -43,6 +43,17 @@ class TestLoad:
             f.write(b"P6\n# comment\n2 2\n255\n" + bytes(12))
         assert load_ppm(p).true_w == 2
 
+    @pytest.mark.parametrize("header", [b"P6 1#c\n1 255\n", b"P6 1 1#c\r255\n"],
+                             ids=["comment-ends-token", "comment-ends-at-cr"])
+    def test_comment_is_a_line_end(self, tmp_path, header):
+        # as Netpbm's pm_getc reads a header: a comment ends the token before
+        # it, and a '\r' ends the comment as '\n' does
+        p = tmp_path / "c.ppm"
+        p.write_bytes(header + bytes([7, 8, 9]))
+        img = load_ppm(p)
+        assert (img.true_h, img.true_w) == (1, 1)
+        assert img.pixels[0, 0].tolist() == [7, 8, 9]
+
     @pytest.mark.parametrize("payload", [
         b"P5\n2 2\n255\n" + bytes(12),       # wrong magic
         b"P6\n2 2\n65535\n" + bytes(24),     # unsupported depth

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from granucodec import bitstream, cli, granularity, imaging, pipeline, vq
+from granucodec import bitstream, cli, granularity, imaging, pipeline, training, vq
 from granucodec.bitstream import BitstreamError, parse_container, serialize_container
 from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
 
@@ -389,7 +390,6 @@ class TestEncodeDecode:
             pipeline.CodecSession(small_session.codebook, vq.FrequencyTable(counts))
 
     def test_constant_image_exact_roundtrip(self):
-        from granucodec import training
         flat = imaging.from_raw(np.full((32, 32, 3), 90, dtype=np.uint8))
         cb, tbl = training.train_codebook([flat], k=8, iters=8, seed=0)
         session = pipeline.CodecSession(cb, tbl)
@@ -725,6 +725,30 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert res.stderr == "error: read past end of the map segment\n"
 
+    @pytest.mark.parametrize("flags, passed", [
+        ([], {}),
+        (["--k", "8", "--iters", "2"], {"k": 8, "iters": 2}),
+        (["--k", "8", "--seed", "3", "--iters", "2", "--max-samples", "900",
+          "--freq-ratios", "0.2,0.3,0.5"],
+         {"k": 8, "seed": 3, "iters": 2, "max_samples": 900,
+          "freq_ratios": RatioTriple(0.2, 0.3, 0.5)}),
+    ], ids=["no_knobs", "k_and_iters", "every_knob"])
+    def test_train_codebook_passes_only_the_flags_given(self, small_session, tmp_path,
+                                                        monkeypatch, flags, passed):
+        # the training defaults are stated once, in training.train_codebook
+        imaging.save_ppm(make_image("photo", 16, 16, seed=1), tmp_path / "a.ppm")
+        given = []
+
+        def train(images, **kwargs):
+            given.append(kwargs)
+            return small_session.codebook, small_session.frequencies
+        monkeypatch.setattr(training, "train_codebook", train)
+        out = tmp_path / "cb.cgcb"
+        assert cli.main(["train-codebook", "--corpus", str(tmp_path), *flags,
+                         "--out", str(out)]) == 0
+        assert given == [passed]
+        assert vq.load_codebook(out)[0].id_hash == small_session.codebook.id_hash
+
     def test_train_codebook_k_zero_exits_cleanly(self, cli_env, tmp_path):
         root, _, _ = cli_env
         res = run_cli("train-codebook", "--corpus", root / "corpus", "--k", 0,
@@ -891,3 +915,18 @@ def test_readme_cli_commands_parse():
                 for line in block.splitlines() if line.startswith("granucodec ")}
     assert commands == {"train-codebook", "encode", "decode", "stats",
                         "rate-table", "inspect"}
+
+
+def test_readme_train_codebook_defaults_are_the_library_defaults():
+    # README lists train-codebook's defaults; the CLI passes none, so they
+    # are the defaults of training.train_codebook's signature
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"defaults are `training\.train_codebook`'s, `([^`]*)`", readme).group(1)
+    args = cli.build_parser().parse_args(
+        ["train-codebook", "--corpus", "c", "--out", "o", *shlex.split(listed)])
+    knobs = {name: value for name, value in vars(args).items()
+             if name not in ("command", "corpus", "out", "func")}
+    defaults = {name: p.default for name, p in
+                inspect.signature(training.train_codebook).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    assert knobs == defaults

@@ -236,7 +236,7 @@ class TestQuantize:
         cells[17, 1] = value
         error = CodebookError if width != 3 else ValueError
         for search in (lambda: quantize(cells, cb16), lambda: kmeans_distortion(cells, cb16),
-                       lambda: train_codebook(cells, k=4, iters=1)):
+                       lambda: train_codebook(cells, k=4, iters=1, seed=0)):
             with pytest.raises(error, match=message) as refused:
                 search()
             assert (refused.type is CodebookError) == (width != 3)
@@ -788,7 +788,7 @@ class TestTraining:
 
     def test_corpus_too_small(self):
         with pytest.raises(ValueError, match="corpus size 3 smaller than k=8"):
-            train_codebook(np.zeros((3, 3), dtype=np.uint16), k=8)
+            train_codebook(np.zeros((3, 3), dtype=np.uint16), k=8, iters=1, seed=0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_seeding_draws_what_choice_draws(self, d):
