@@ -1,12 +1,12 @@
 """Canonical prefix coding of the payload, the .cgic container format, and
 rate measurement.
 
-The payload is one bit string: the granularity map, then the fine, medium
-and coarse index streams. One canonical prefix encoder and one decoder
-serve all four segments. The index streams use the Huffman code of the
-shared frequency table, held to `MAX_CODE_LEN` = 16 bits as in JPEG; the
-map uses `MAP_CODE`, a fixed canonical code with lengths (1, 2, 2) over
-`COARSE - label`. A canonical code depends only on its per-symbol lengths:
+The payload, laid out by `pack` and `unpack` alone, is one bit string: the
+granularity map, then the fine, medium and coarse index streams, all four coded
+by one canonical prefix encoder and one decoder. The index streams use the
+Huffman code of the shared frequency table, held to `MAX_CODE_LEN` = 16 bits as
+in JPEG; the map uses `MAP_CODE`, a fixed canonical code with lengths (1, 2, 2)
+over `COARSE - label`. A canonical code depends only on its per-symbol lengths:
 in (length, symbol) order, each codeword is the Kraft sum of the codewords
 before it, scaled to its own length. So each code holds, built once from the
 lengths alone (Moffat & Turpin 1997), the symbol and the code length of the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .granularity import COARSE, RatioTriple, label_counts
+from .granularity import COARSE, INDICES_PER_BLOCK, LABEL_NAMES, RatioTriple, label_counts
 from .imaging import BLOCK, ceil_to
 
 CONTAINER_MAGIC = b"CGIC"
@@ -295,6 +295,22 @@ def decode_map(c: Container) -> np.ndarray:
     by, bx = c.padded_h // BLOCK, c.padded_w // BLOCK
     (labels,) = prefix_decode(c.payload, 0, [("map", by * bx, c.map_bits)], MAP_CODE)
     return (COARSE - labels).astype(np.uint8).reshape(by, bx)
+
+
+def pack(true_w, true_h, codebook_hash, gmap, streams, code: HuffmanCode) -> Container:
+    """The container of a granularity map, as `COARSE - label` under `MAP_CODE`,
+    and its fine, medium and coarse index streams under `code`."""
+    payload, (map_bits, *index_bits) = prefix_encode(
+        [(COARSE - np.asarray(gmap, dtype=np.int64), MAP_CODE), *((s, code) for s in streams)])
+    return Container(true_w, true_h, codebook_hash, tuple(index_bits), map_bits, payload)
+
+
+def unpack(c: Container, code: HuffmanCode) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The granularity map and the index streams that `pack` wrote, read with `code`."""
+    gmap = decode_map(c)
+    pos, *stops = np.cumsum([c.map_bits, *c.index_bits]).tolist()
+    counts = (label_counts(gmap) * INDICES_PER_BLOCK).tolist()  # each stream's symbols
+    return gmap, prefix_decode(c.payload, pos, list(zip(LABEL_NAMES, counts, stops)), code)
 
 
 def check_size(true_w: int, true_h: int) -> None:

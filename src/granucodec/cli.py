@@ -41,8 +41,7 @@ def cmd_train_codebook(args) -> None:
         raise ValueError(f"no .ppm files in {args.corpus}")
     images = [imaging.load_ppm(p) for p in paths]
     # only the flags given: the parser states no default, train_codebook does
-    knobs = {name: value for name, value in vars(args).items()
-             if name in ("k", "seed", "iters", "max_samples", "freq_ratios")}
+    knobs = {n: v for n, v in vars(args).items() if n in ("k", "seed", "iters", "max_samples")}
     cb, tbl = training.train_codebook(images, **knobs)
     vq.save_codebook(cb, tbl, args.out)
     print(f"trained k={cb.k} d={cb.d} codebook from {len(images)} images -> {args.out}")
@@ -154,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--iters", type=int)
     p.add_argument("--max-samples", type=int, help="subsample cap for k-means input")
-    p.add_argument("--freq-ratios", type=_parse_ratios,
-                   help="granularity ratios used for the frequency pass")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_codebook)
 

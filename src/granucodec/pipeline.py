@@ -6,6 +6,7 @@ follows from them: the Huffman code, its mean length L and the rate table
 (the bpp at L of each ratio triple on the lattice), built once per table and
 shared, read-only, by every session that holds it. Encoder and decoder must
 load the same codebook file; the container header pins its content hash.
+Only `bitstream.pack` and `bitstream.unpack` know the payload's layout.
 
 A code is the colour the decoder paints (`Codebook.colours`). `reconstruct`
 runs the paper's coarse-to-fine conditional-replacement chain: the coarse
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, bitstream, granularity, vq
-from .bitstream import MAP_CODE, BitstreamError, Container, HuffmanCode
-from .granularity import COARSE, RatioTriple
+from .bitstream import BitstreamError, Container, HuffmanCode
+from .granularity import RatioTriple
 from .imaging import BLOCK, ImagePlane, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
@@ -76,12 +77,8 @@ def encode_with_map(session: CodecSession, img: ImagePlane,
     if gmap.shape != (by, bx):
         raise ValueError(f"granularity map shape {gmap.shape} != {(by, bx)}")
     _, streams = quantize_streams(session, img, gmap)
-    payload, (map_bits, *index_bits) = bitstream.prefix_encode(
-        [(COARSE - gmap.astype(np.int64), MAP_CODE), *((s, session.huffman) for s in streams)])
-    return Container(
-        true_w=img.true_w, true_h=img.true_h, codebook_hash=session.codebook.id_hash,
-        index_bits=tuple(index_bits), map_bits=map_bits, payload=payload,
-    )
+    return bitstream.pack(img.true_w, img.true_h, session.codebook.id_hash, gmap, streams,
+                          session.huffman)
 
 
 def plan_image(session: CodecSession, img: ImagePlane, ratios: RatioTriple | None = None,
@@ -106,11 +103,7 @@ def decode_streams(session: CodecSession,
     """Recover the granularity map and the three index streams."""
     if container.codebook_hash != session.codebook.id_hash:
         raise BitstreamError("container was encoded with a different codebook")
-    gmap = bitstream.decode_map(container)
-    pos, *stops = np.cumsum([container.map_bits, *container.index_bits]).tolist()
-    counts = granularity.label_counts(gmap) * granularity.INDICES_PER_BLOCK
-    segments = list(zip(granularity.LABEL_NAMES, counts.tolist(), stops))
-    return gmap, bitstream.prefix_decode(container.payload, pos, segments, session.huffman)
+    return bitstream.unpack(container, session.huffman)
 
 
 def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,

@@ -16,8 +16,8 @@ from .imaging import ImagePlane
 from .spatial_entropy import entropy_map
 from .vq import Codebook, FrequencyTable
 
-# Default allocation used while gathering usage statistics.
-DEFAULT_FREQ_RATIOS = granularity.RatioTriple(0.5, 0.4, 0.1)
+# The fixed plan of the frequency pass, which counts each index it emits.
+FREQ_RATIOS = granularity.RatioTriple(0.5, 0.4, 0.1)
 
 
 def _stack_cells(pyramids) -> np.ndarray:
@@ -30,9 +30,7 @@ def corpus_cells(images: list[ImagePlane]) -> np.ndarray:
 
 
 def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
-                   iters: int = 25, max_samples: int = 200_000,
-                   freq_ratios: granularity.RatioTriple = DEFAULT_FREQ_RATIOS,
-                   ) -> tuple[Codebook, FrequencyTable]:
+                   iters: int = 25, max_samples: int = 200_000) -> tuple[Codebook, FrequencyTable]:
     """Train a codebook and its smoothed usage-frequency table. The CLI uses these defaults."""
     if not images:
         raise ValueError("no images to train a codebook on")
@@ -50,7 +48,7 @@ def train_codebook(images: list[ImagePlane], k: int = 1024, seed: int = 0,
 
     counts = np.ones(k, dtype=np.uint64)
     for img, grids in zip(images, pyramids):
-        gmap = granularity.plan_granularity(entropy_map(img), freq_ratios)
+        gmap = granularity.plan_granularity(entropy_map(img), FREQ_RATIOS)
         masks = granularity.masks_from_map(gmap)
         for idx in vq.quantize_masked(grids, masks, cb):
             counts += np.bincount(idx, minlength=k).astype(np.uint64)

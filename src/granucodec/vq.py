@@ -310,16 +310,11 @@ def _build_index(centers: np.ndarray):
             run_starts = starts[box:stop] - starts[box]
             code = members[starts[box]:starts[stop]]
             parent = np.repeat(np.arange(box, stop), run)
-            # each pair's farthest squared distance, with one broadcast axis
-            # per coordinate: a child holds the lower or the upper half of its
-            # parent's interval on each
-            max_d2 = 0.0
-            for j, c in enumerate(cs):
-                lo = (2 * coords[j][parent] + half) * width
-                shape = [1] * d + [-1]
-                shape[j] = 2
-                max_d2 = max_d2 + (np.maximum(c[code] - lo, lo + width - c[code]) ** 2).reshape(shape)
-            max_d2 = max_d2.reshape(fan, -1)
+            # both halves' lower edges on each axis, (2, pairs); child o holds halves[j, o]
+            edges = [(2 * coords[j][parent] + half) * width for j in range(d)]
+            max_d2 = 0.0  # each pair's farthest squared distance
+            for c, lo, h in zip(cs, edges, halves):
+                max_d2 = max_d2 + (np.maximum(c[code] - lo, lo + width - c[code]) ** 2)[h]
             # s, the first code of each list whose farthest point is nearest
             bound = np.repeat(np.minimum.reduceat(max_d2, run_starts, axis=1), run, axis=1)
             at = np.where(max_d2 == bound, np.arange(code.size), code.size)
@@ -328,11 +323,10 @@ def _build_index(centers: np.ndarray):
             # the axes: gap, its largest value in the child, takes the upper
             # edge x_j = lo + width where c_j > s_j and the lower one elsewhere
             gap = 0.0
-            for j, c in enumerate(cs):
+            for c, lo, h in zip(cs, edges, halves):
                 c_s = np.take(c, s)
                 diff = c[code] - c_s
-                lo = 2 * coords[j][parent] * width + halves[j][:, None] * width
-                gap = gap + diff * (2 * lo - c_s - c[code]) + 2 * width * np.maximum(diff, 0)
+                gap = gap + diff * (2 * lo[h] - c_s - c[code]) + 2 * width * np.maximum(diff, 0)
             keep = gap >= 0
             counts.append(np.add.reduceat(keep, run_starts, axis=1, dtype=np.intp))
             for o in range(fan):
@@ -385,21 +379,24 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
 
 
 def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CODEBOOK_MAGIC:
-        raise CodebookError(f"{path}: not a codebook file")
-    if len(data) < _HEADER.size:
-        raise CodebookError(f"{path}: truncated header ({len(data)} bytes)")
-    _, version, k, d = _HEADER.unpack_from(data)
-    if version != CODEBOOK_VERSION:
-        raise CodebookError(f"{path}: unsupported version {version}")
-    off = _HEADER.size
-    need = off + 4 * k * d + 8 * k + 8
+    with open(path, "rb") as f:  # the header, then only the body it declares and one byte
+        head = f.read(_HEADER.size)
+        if head[:4] != CODEBOOK_MAGIC:
+            raise CodebookError(f"{path}: not a codebook file")
+        if len(head) < _HEADER.size:
+            raise CodebookError(f"{path}: truncated header ({len(head)} bytes)")
+        _, version, k, d = _HEADER.unpack(head)
+        if version != CODEBOOK_VERSION:
+            raise CodebookError(f"{path}: unsupported version {version}")
+        if d != FEATURES:  # before any read whose size follows from d
+            raise CodebookError(f"{path}: codebook shape ({k}, {d}), not (k >= 1, {FEATURES})")
+        need = 4 * k * d + 8 * k + 8
+        data = f.read(need + 1)
     if len(data) != need:
-        raise CodebookError(f"{path}: expected {need} bytes, got {len(data)}")
-    codes = np.frombuffer(data, dtype="<f4", count=k * d, offset=off).reshape(k, d)
-    off += 4 * k * d
+        got = "more" if len(data) > need else _HEADER.size + len(data)
+        raise CodebookError(f"{path}: expected {_HEADER.size + need} bytes, got {got}")
+    codes = np.frombuffer(data, dtype="<f4", count=k * d).reshape(k, d)
+    off = 4 * k * d
     counts = np.frombuffer(data, dtype="<u8", count=k, offset=off)
     off += 8 * k
     (stored_hash,) = struct.unpack_from("<Q", data, off)

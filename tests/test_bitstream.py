@@ -12,7 +12,9 @@ from granucodec.bitstream import (
     _huffman_lengths, build_huffman, frequency_counts, measure_rate, parse_container,
     prefix_decode, prefix_encode, serialize_container,
 )
-from granucodec.granularity import COARSE, FINE, MEDIUM, RatioTriple
+from granucodec.granularity import (
+    COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, RatioTriple, label_counts,
+)
 
 from conftest import make_image
 from test_fuzz import _bit_flips, _reseal, _resizes, _rewrite_field
@@ -817,6 +819,48 @@ class TestMapCoding:
             decoded = decode_map(bits, by, bx)
             assert np.array_equal(decoded, gmap)
             assert segment_end(bits, 0, by * bx, MAP_CODE) == len(bits)
+
+
+class TestPackUnpack:
+    """`unpack` reads back, from the serialized container, the map and the
+    three streams `pack` wrote."""
+
+    @staticmethod
+    def round_trip(w, h, gmap, code, rng):
+        counts = (label_counts(gmap) * INDICES_PER_BLOCK).tolist()
+        streams = [rng.integers(0, code.k, size=n) for n in counts]
+        c = bitstream.pack(w, h, 0x0123456789ABCDEF, gmap, streams, code)
+        c = parse_container(serialize_container(c))
+        assert (c.true_w, c.true_h, c.codebook_hash) == (w, h, 0x0123456789ABCDEF)
+        got_map, got = bitstream.unpack(c, code)
+        assert got_map.dtype == np.uint8 and np.array_equal(got_map, gmap)
+        assert [s.tolist() for s in got] == [s.tolist() for s in streams]
+        return c
+
+    def test_one_block_all_coarse(self):
+        code = build_huffman(np.arange(1, 9, dtype=np.uint64))
+        c = self.round_trip(1, 1, np.full((1, 1), COARSE, np.uint8), code,
+                            np.random.default_rng(0))
+        assert (c.map_bits, c.index_bits[:2]) == (1, (0, 0))
+
+    def test_all_fine(self):
+        code = build_huffman(np.ones(1024, dtype=np.uint64))
+        c = self.round_trip(40, 33, np.full((3, 3), FINE, np.uint8), code,
+                            np.random.default_rng(1))
+        assert c.index_bits == (9 * 16 * 10, 0, 0)
+
+    def test_random_maps(self):
+        rng = np.random.default_rng(5)
+        empty = 0
+        for _ in range(40):
+            by, bx = (int(n) for n in rng.integers(1, 7, size=2))
+            w, h = (int(rng.integers(16 * (n - 1) + 1, 16 * n + 1)) for n in (bx, by))
+            labels = rng.choice(3, size=int(rng.integers(1, 4)), replace=False)
+            gmap = rng.choice(labels, size=(by, bx)).astype(np.uint8)
+            code = build_huffman(rng.integers(1, 100, size=int(rng.integers(1, 300))))
+            c = self.round_trip(w, h, gmap, code, rng)
+            empty += 0 in c.index_bits
+        assert empty > 0
 
 
 def _container():

@@ -666,13 +666,11 @@ class TestCli:
         codes = np.eye(4, 2, dtype=np.float32)
         d2 = tmp_path / "d2.cgcb"
         write_codebook(d2, codes)
-        payload, (map_bits, idx_bits) = bitstream.prefix_encode(
-            [(np.zeros(1, np.int64), bitstream.MAP_CODE),
-             (np.zeros(1, np.int64), bitstream.build_huffman(flat.counts))])
+        empty, one = np.zeros(0, np.int64), np.zeros(1, np.int64)
         cgic = tmp_path / "d2.cgic"
-        cgic.write_bytes(serialize_container(bitstream.Container(
-            true_w=16, true_h=16, codebook_hash=vq._codes_hash(codes), index_bits=(0, 0, idx_bits),
-            map_bits=map_bits, payload=payload)))
+        cgic.write_bytes(serialize_container(bitstream.pack(
+            16, 16, vq._codes_hash(codes), np.full((1, 1), COARSE), [empty, empty, one],
+            bitstream.build_huffman(flat.counts))))
         for args in (("encode", "--input", ppm, "--out", tmp_path / "x.cgic",
                       "--bpp", "0.2"),
                      ("decode", "--input", cgic, "--out", tmp_path / "x.ppm")):
@@ -728,10 +726,8 @@ class TestCli:
     @pytest.mark.parametrize("flags, passed", [
         ([], {}),
         (["--k", "8", "--iters", "2"], {"k": 8, "iters": 2}),
-        (["--k", "8", "--seed", "3", "--iters", "2", "--max-samples", "900",
-          "--freq-ratios", "0.2,0.3,0.5"],
-         {"k": 8, "seed": 3, "iters": 2, "max_samples": 900,
-          "freq_ratios": RatioTriple(0.2, 0.3, 0.5)}),
+        (["--k", "8", "--seed", "3", "--iters", "2", "--max-samples", "900"],
+         {"k": 8, "seed": 3, "iters": 2, "max_samples": 900}),
     ], ids=["no_knobs", "k_and_iters", "every_knob"])
     def test_train_codebook_passes_only_the_flags_given(self, small_session, tmp_path,
                                                         monkeypatch, flags, passed):

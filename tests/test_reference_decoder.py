@@ -13,10 +13,8 @@ import pytest
 import reference_decoder
 from conftest import make_image
 from granucodec import analysis, pipeline, vq
-from granucodec.bitstream import (
-    MAP_CODE, Container, parse_container, prefix_encode, serialize_container,
-)
-from granucodec.granularity import COARSE, RatioTriple, masks_from_map
+from granucodec.bitstream import pack, parse_container, serialize_container
+from granucodec.granularity import RatioTriple, masks_from_map
 
 HEAD = reference_decoder.HEADER.size  # the CRC-32 follows
 
@@ -59,12 +57,8 @@ def streams_of(gmap, grids):
 
 def container(session, h, w, gmap, grids) -> bytes:
     """The container of a map and a code for every cell of every scale."""
-    payload, (map_bits, *index_bits) = prefix_encode(
-        [(COARSE - gmap.astype(np.int64), MAP_CODE),
-         *((s, session.huffman) for s in streams_of(gmap, grids))])
-    return serialize_container(Container(
-        true_w=w, true_h=h, codebook_hash=session.codebook.id_hash,
-        index_bits=tuple(index_bits), map_bits=map_bits, payload=payload))
+    return serialize_container(pack(w, h, session.codebook.id_hash, gmap,
+                                    streams_of(gmap, grids), session.huffman))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import re
+import struct
 import time
 
 import numpy as np
@@ -668,6 +670,20 @@ class TestBoxIndex:
         centers = session.codebook.colours.astype(np.float64)
         assert traced_peak(vq._build_index, centers) < 8 << 20
 
+    @pytest.mark.parametrize("k, low, high, digest", [
+        (1024, 0, 256, "9e097abe5e861eb32b30969c576be89793182c834adb74095bc454dbc2992dc0"),
+        (4096, 100, 156, "ded920bff077c062fa73327567395d4c3d8b1de0887fcf7ada7ae7d6ea783bb5"),
+    ], ids=["random_1024", "low_contrast_4096"])
+    def test_build_pinned(self, k, low, high, digest):
+        # every array of the index, dtype, shape and bytes, for seeded random
+        # colours over the cube and over bytes 100-155 on each axis: a change
+        # to how the build enumerates a box's children must keep them all
+        centers = np.random.default_rng(k).integers(low, high, (k, 3)).astype(np.float64)
+        h = hashlib.sha256()
+        for array in vq._build_index(centers):
+            h.update(array.dtype.str.encode() + str(array.shape).encode() + array.tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestLookup:
     def test_all_zero_indices(self, cb16):
@@ -818,13 +834,14 @@ class TestTraining:
 
 class TestFrequencies:
     # all-coarse leaves the fine and medium streams of every image empty
-    @pytest.mark.parametrize("ratios", [training.DEFAULT_FREQ_RATIOS, RatioTriple(0, 0, 1)],
+    @pytest.mark.parametrize("ratios", [training.FREQ_RATIOS, RatioTriple(0, 0, 1)],
                              ids=["default", "all-coarse"])
-    def test_training_counts_each_emitted_index_plus_one(self, ratios):
+    def test_training_counts_each_emitted_index_plus_one(self, ratios, monkeypatch):
         images = [make_image(kind, 32, 48, seed=80 + i)
                   for i, kind in enumerate(["photo", "noise", "blocky"])]
         k = 32
-        cb, tbl = training.train_codebook(images, k=k, seed=2, iters=2, freq_ratios=ratios)
+        monkeypatch.setattr(training, "FREQ_RATIOS", ratios)
+        cb, tbl = training.train_codebook(images, k=k, seed=2, iters=2)
         streams = [s for img in images for s in quantize_masked(
             analysis.pyramid(img),
             masks_from_map(plan_granularity(entropy_map(img), ratios)), cb)]
@@ -946,6 +963,44 @@ class TestCodebookFile:
         with pytest.raises(CodebookError):
             save_codebook(cb, flat_frequencies(k), path)
         assert not path.exists()
+
+    def test_load_reads_only_what_the_header_declares(self, tmp_path, cb16, monkeypatch):
+        # files that never end, as /dev/zero: a valid codebook followed by
+        # zeros, and a header declaring d = 65,535, whose body would take
+        # 17 GB at k = 65,535. Every read asks for a size, none goes past the
+        # declared body and one byte more, and the wider codes are refused
+        # from the header alone
+        path = tmp_path / "cb.cgcb"
+        save_codebook(cb16, flat_frequencies(16), path)
+        valid = path.read_bytes()
+        wide = b"CGCB" + struct.pack("<BHH", vq.CODEBOOK_VERSION, 0xFFFF, 0xFFFF)
+
+        class Endless:
+            def __init__(self, data):
+                self.data, self.pos, self.reads = data, 0, []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "a read of the whole file"
+                self.reads.append(size)
+                out = self.data[self.pos:self.pos + size].ljust(size, b"\0")
+                self.pos += size
+                return out
+
+        for data, bound, error in [
+            (valid, len(valid) + 1, f"expected {len(valid)} bytes, got more"),
+            (wide, len(wide), "codebook shape (65535, 65535), not (k >= 1, 3)"),
+        ]:
+            f = Endless(data)
+            monkeypatch.setattr(vq, "open", lambda p, mode: f, raising=False)
+            with pytest.raises(CodebookError, match=re.escape(f"{path}: {error}")):
+                load_codebook(path)
+            assert sum(f.reads) <= bound
 
     def test_corruption_detected(self, tmp_path, cb16):
         tbl = flat_frequencies(16)
