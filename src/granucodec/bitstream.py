@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .granularity import COARSE, INDICES_PER_BLOCK, LABEL_NAMES, RatioTriple, label_counts
-from .imaging import BLOCK, ceil_to
+from .imaging import BLOCK, ceil_to, read_bounded
 
 CONTAINER_MAGIC = b"CGIC"
 # Version 2 holds every codeword to 16 bits; a version-1 container may carry
@@ -360,6 +360,15 @@ def parse_container(data: bytes) -> Container:
         if tail:
             raise BitstreamError("nonzero padding bits")
     return c
+
+
+def read_container(path) -> Container:
+    """Parse a container file, read no further than the payload its header
+    declares and one byte: a file that never ends is refused, not read whole."""
+    with open(path, "rb") as f:
+        head = f.read(_HEADER_SIZE)  # short only at the end of the file
+        bits = sum(_HEADER.unpack_from(head.ljust(_HEADER_SIZE, b"\0"))[5:])  # 4 segments
+        return parse_container(head + read_bounded(f, (bits + 7) // 8 + 1))
 
 
 def measure_rate(c: Container) -> tuple[float, float]:

@@ -61,9 +61,7 @@ def cmd_encode(args) -> None:
 
 def cmd_decode(args) -> None:
     session = pipeline.CodecSession.from_file(args.codebook)
-    with open(args.input, "rb") as f:
-        container = bitstream.parse_container(f.read())
-    img = pipeline.decode_image(session, container)
+    img = pipeline.decode_image(session, bitstream.read_container(args.input))
     imaging.save_ppm(img, args.out)
     print(f"decoded {args.input} -> {args.out} ({img.true_w}x{img.true_h})")
 
@@ -109,8 +107,7 @@ def cmd_rate_table(args) -> None:
 
 
 def cmd_inspect(args) -> None:
-    with open(args.input, "rb") as f:
-        c = bitstream.parse_container(f.read())
+    c = bitstream.read_container(args.input)
     total, payload = bitstream.measure_rate(c)
     info = {
         "true_size": [c.true_w, c.true_h],

@@ -7,7 +7,7 @@ and the codebook file, which stores a code as the samples of its bytes:
 bit the float64 b / 255 * 2 - 1 rounded to float32, and `denormalize` maps
 samples back to bytes with rounding and a clip, giving back every byte.
 PSNR is reported on 0-255 values with peak 255, cropped to the true
-(pre-padding) dimensions.
+(pre-padding) dimensions, from the exact integer squared error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 BLOCK = 16
 
-#: Largest read load_ppm makes at once: a 2048 x 2048 image in one read.
+#: Largest read `read_bounded` makes at once: a 2048 x 2048 image in one read.
 _READ_CHUNK = 1 << 24
 
 #: Longest PPM header token accepted; 2**64 has 20 digits.
@@ -134,6 +134,16 @@ def _read_ppm_token(f, path) -> bytes:
         token += c
 
 
+def read_bounded(f, size: int) -> bytes:
+    """The next `size` bytes of f, fewer at its end, read in bounded chunks so that a
+    hostile header cannot make us allocate more memory than the input holds."""
+    chunks = []
+    while size and (chunk := f.read(min(size, _READ_CHUNK))):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
 def load_ppm(path) -> ImagePlane:
     """Read a binary (P6) PPM with maxval 255, padded."""
     with open(path, "rb") as f:
@@ -150,16 +160,10 @@ def load_ppm(path) -> ImagePlane:
             raise ImageError(f"{path}: bad dimensions {w}x{h}")
         if maxval != 255:
             raise ImageError(f"{path}: unsupported maxval {maxval} (only 255)")
-        size = w * h * 3
-        # read in bounded chunks, so a hostile header cannot make us allocate
-        # more memory than the input holds, file or pipe
-        chunks, left = [], size
-        while left and (chunk := f.read(min(left, _READ_CHUNK))):
-            chunks.append(chunk)
-            left -= len(chunk)
-        if left:
+        data = read_bounded(f, w * h * 3)
+        if len(data) != w * h * 3:
             raise ImageError(f"{path}: truncated pixel data")
-    raw = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(h, w, 3)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
     return from_raw(raw)
 
 
@@ -176,12 +180,12 @@ def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
 
 
 def psnr(a: ImagePlane, b: ImagePlane) -> float:
-    """PSNR in dB on 0-255 values over true dims; LOSSLESS if identical."""
-    if (a.true_h, a.true_w) != (b.true_h, b.true_w):
-        raise ValueError("true dimensions differ")
-    ra = a.pixels[: a.true_h, : a.true_w].astype(np.float64)
-    rb = b.pixels[: b.true_h, : b.true_w].astype(np.float64)
-    mse = np.mean((ra - rb) ** 2)
-    if mse == 0.0:
+    """PSNR in dB on 0-255 values over true dims, from int16 errors; LOSSLESS if identical."""
+    if (a.true_h, a.true_w) != (b.true_h, b.true_w) or not a.true_h * a.true_w:
+        raise ValueError("true dimensions differ or are empty")
+    d = np.subtract(a.pixels[: a.true_h, : a.true_w], b.pixels[: b.true_h, : b.true_w],
+                    dtype=np.int16)
+    sse = np.einsum("ijk,ijk->", d, d, dtype=np.int64)
+    if sse == 0:
         return LOSSLESS
-    return 10.0 * math.log10(255.0 ** 2 / mse)
+    return 10.0 * math.log10(255.0 ** 2 / (sse / d.size))

@@ -11,52 +11,72 @@ from granucodec.imaging import nn_upsample
 from granucodec.spatial_entropy import EntropyConfig, _affinity, _mass_entropy
 
 
+#: Rows make_raw draws at once: a multiple of every cell size the strip kinds
+#: use, so that each strip starts on a cell boundary
+STRIP_ROWS = 64
+
+
+def _cell_rows(grid: np.ndarray, f: int, y0: int, y1: int, w: int) -> np.ndarray:
+    """Rows y0:y1 (y0 a multiple of f) and the first w columns of the grid
+    with every cell repeated f x f."""
+    return nn_upsample(grid[y0 // f:-(-y1 // f)], f)[:y1 - y0, :w]
+
+
 def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
-    """Deterministic synthetic test image, (h, w, 3) uint8."""
+    """Deterministic synthetic test image, (h, w, 3) uint8.
+
+    Every kind but leaves draws its cell grids whole, then the image
+    STRIP_ROWS rows at a time: each strip continues the same random stream
+    and every pixel sees the same float operations as in one whole-image
+    draw, so the bytes do not depend on the strip height, and no float
+    temporary spans the image."""
     rng = np.random.default_rng(seed)
     if kind == "noise":
         # noise with spatially varying mean and amplitude, not flat iid
         h4, w4 = -(-h // 4) * 4, -(-w // 4) * 4
-        mean = np.repeat(np.repeat(rng.uniform(20, 235, (h4 // 4, w4 // 4, 3)), 4, 0), 4, 1)
-        amp = np.repeat(np.repeat(rng.uniform(5, 70, (h4 // 4, w4 // 4, 1)), 4, 0), 4, 1)
-        img = mean[:h, :w] + amp[:h, :w] * rng.normal(size=(h, w, 3))
-        return np.clip(img, 0, 255).astype(np.uint8)
-    if kind == "gradient":
-        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-        img = np.stack([
-            255 * ((a * xx / w + b * yy / h) % 1.0)
-            for a, b in rng.uniform(-3, 3, size=(3, 2))
-        ], axis=2)
+        mean = rng.uniform(20, 235, (h4 // 4, w4 // 4, 3))
+        amp = rng.uniform(5, 70, (h4 // 4, w4 // 4, 1))
+
+        def rows(y0, y1):
+            return (_cell_rows(mean, 4, y0, y1, w)
+                    + _cell_rows(amp, 4, y0, y1, w) * rng.normal(size=(y1 - y0, w, 3)))
+    elif kind == "gradient":
+        slopes = rng.uniform(-3, 3, size=(3, 2))
         h16, w16 = -(-h // 16) * 16, -(-w // 16) * 16
-        blobs = np.repeat(np.repeat(
-            rng.normal(0, 60, (h16 // 16, w16 // 16, 3)), 16, 0), 16, 1)
-        amp = 8 + 40 * rng.random(size=(h, w, 1))
-        img += blobs[:h, :w] + amp * rng.normal(size=img.shape)
-        return np.clip(img, 0, 255).astype(np.uint8)
-    if kind == "blocky":
+        blobs = rng.normal(0, 60, (h16 // 16, w16 // 16, 3))
+        amp = rng.random(size=(h, w, 1))  # whole: it comes before the noise in the stream
+
+        def rows(y0, y1):
+            yy, xx = np.mgrid[y0:y1, 0:w].astype(np.float64)
+            img = np.stack([255 * ((a * xx / w + b * yy / h) % 1.0) for a, b in slopes], axis=2)
+            return img + (_cell_rows(blobs, 16, y0, y1, w)
+                          + (8 + 40 * amp[y0:y1]) * rng.normal(size=img.shape))
+    elif kind == "blocky":
         cell = rng.integers(0, 256, size=(-(-h // 16), -(-w // 16), 3))
-        img = np.repeat(np.repeat(cell, 16, 0), 16, 1)[:h, :w].astype(np.float64)
-        img += rng.normal(0, 8, size=img.shape)
-        return np.clip(img, 0, 255).astype(np.uint8)
-    if kind == "photo":
+
+        def rows(y0, y1):
+            return _cell_rows(cell, 16, y0, y1, w) + rng.normal(0, 8, size=(y1 - y0, w, 3))
+    elif kind == "photo":
         # photographic texture stand-in: band-limited noise plus detail
         h8, w8 = -(-h // 8) * 8, -(-w // 8) * 8
         low = rng.normal(128, 55, size=(h8 // 8, w8 // 8, 3))
-        img = np.repeat(np.repeat(low, 8, 0), 8, 1)
-        mid = np.repeat(np.repeat(rng.normal(0, 25, size=(h8 // 2, w8 // 2, 3)), 2, 0), 2, 1)
-        img = (img + mid)[:h, :w] + rng.normal(0, 10, size=(h, w, 3))
-        return np.clip(img, 0, 255).astype(np.uint8)
-    if kind == "waves":
-        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+        mid = rng.normal(0, 25, size=(h8 // 2, w8 // 2, 3))
+
+        def rows(y0, y1):
+            return ((_cell_rows(low, 8, y0, y1, w) + _cell_rows(mid, 2, y0, y1, w))
+                    + rng.normal(0, 10, size=(y1 - y0, w, 3)))
+    elif kind == "waves":
         f1, f2 = 0.05 + rng.random() * 0.2, 0.05 + rng.random() * 0.2
-        img = np.stack([
-            128 + 110 * np.sin(f1 * xx + f2 * yy),
-            128 + 110 * np.cos(f2 * xx),
-            128 + 110 * np.sin(f1 * yy),
-        ], axis=2)
-        img += rng.normal(0, 10, size=img.shape)
-        return np.clip(img, 0, 255).astype(np.uint8)
-    if kind == "leaves":
+
+        def rows(y0, y1):
+            yy, xx = np.mgrid[y0:y1, 0:w].astype(np.float64)
+            img = np.stack([
+                128 + 110 * np.sin(f1 * xx + f2 * yy),
+                128 + 110 * np.cos(f2 * xx),
+                128 + 110 * np.sin(f1 * yy),
+            ], axis=2)
+            return img + rng.normal(0, 10, size=img.shape)
+    elif kind == "leaves":
         # dead leaves: opaque discs of uniform random colour, radius density
         # ∝ r^-3 on [8, 100] px, painted front to back until none is bare
         img, bare = np.empty((h, w, 3)), np.ones((h, w), dtype=bool)
@@ -75,7 +95,13 @@ def make_raw(kind: str, h: int, w: int, seed: int) -> np.ndarray:
                     break
         img += rng.normal(0, 2, size=img.shape)
         return np.clip(img, 0, 255).astype(np.uint8)
-    raise ValueError(kind)
+    else:
+        raise ValueError(kind)
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    for y0 in range(0, h, STRIP_ROWS):
+        y1 = min(y0 + STRIP_ROWS, h)
+        out[y0:y1] = np.clip(rows(y0, y1), 0, 255).astype(np.uint8)
+    return out
 
 
 def make_image(kind: str, h: int, w: int, seed: int) -> imaging.ImagePlane:

@@ -2,15 +2,16 @@ import dataclasses
 import heapq
 import itertools
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from granucodec import bitstream, pipeline, vq
+from granucodec import bitstream, imaging, pipeline, vq
 from granucodec.bitstream import (
     MAP_CODE, MAX_CODE_LEN, BitstreamError, Container, HuffmanCode, _canonical_code,
     _huffman_lengths, build_huffman, frequency_counts, measure_rate, parse_container,
-    prefix_decode, prefix_encode, serialize_container,
+    prefix_decode, prefix_encode, read_container, serialize_container,
 )
 from granucodec.granularity import (
     COARSE, FINE, INDICES_PER_BLOCK, MEDIUM, RatioTriple, label_counts,
@@ -956,6 +957,56 @@ class TestContainer:
         data[-1] |= 0x01  # 12 payload bits -> low 4 bits of last byte are pad
         with pytest.raises(BitstreamError, match="nonzero padding"):
             parse_container(_reseal(bytes(data)))
+
+    def test_read_container_reads_the_file(self, tmp_path):
+        path = tmp_path / "c.cgic"
+        path.write_bytes(serialize_container(_container()))
+        assert read_container(path) == _container()
+        for data, error in [(_reseal(path.read_bytes() + b"\0"), "payload length inconsistent"),
+                            (path.read_bytes()[:40], "container shorter than header")]:
+            path.write_bytes(data)
+            with pytest.raises(BitstreamError, match=error):
+                read_container(path)
+
+    def test_read_container_reads_only_what_the_header_declares(self, monkeypatch):
+        # files that never end, as /dev/zero: zeros alone, and a valid
+        # container followed by zeros. Every read asks for a size, and none
+        # goes past the declared payload and one byte more. A header that
+        # declares 4 x (2**32 - 1) bits, 2 GB of payload, in a file that ends
+        # after it is read in chunks, none larger than one bounded read.
+        valid = serialize_container(_container())
+        fields = struct.unpack_from("<4sB2IQ4I", valid)
+        huge = _reseal(struct.pack("<4sB2IQ4I", *fields[:5], *[2 ** 32 - 1] * 4) + bytes(4))
+
+        class File:
+            def __init__(self, data, endless):
+                self.data, self.endless, self.pos, self.reads = data, endless, 0, []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "a read of the whole file"
+                self.reads.append(size)
+                out = self.data[self.pos:self.pos + size]
+                out = out.ljust(size, b"\0") if self.endless else out
+                self.pos += len(out)
+                return out
+
+        for data, endless, bound, error in [
+            (b"", True, 41 + 1, "bad magic"),
+            (valid, True, len(valid) + 1, "CRC mismatch"),
+            (huge, False, 41 + (2 ** 34 - 4 + 7) // 8 + 1, "map bit length"),
+        ]:
+            f = File(data, endless)
+            monkeypatch.setattr(bitstream, "open", lambda p, mode: f, raising=False)
+            with pytest.raises(BitstreamError, match=error):
+                read_container("any.cgic")
+            assert sum(f.reads) <= bound
+            assert max(f.reads) <= imaging._READ_CHUNK
 
     def test_measure_rate(self):
         c = _container()

@@ -214,6 +214,13 @@ class TestPooling:
                               factor * factor * g.astype(np.uint16))
 
 
+def float_psnr(a: ImagePlane, b: ImagePlane) -> float:
+    """PSNR from the mean of float64 squared errors over the true window."""
+    ra = a.pixels[: a.true_h, : a.true_w].astype(np.float64)
+    rb = b.pixels[: b.true_h, : b.true_w].astype(np.float64)
+    return 10.0 * math.log10(255.0 ** 2 / np.mean((ra - rb) ** 2))
+
+
 class TestPsnr:
     def test_identical_is_lossless(self):
         img = from_raw(make_raw("noise", 16, 16, seed=0))
@@ -221,16 +228,37 @@ class TestPsnr:
         assert math.isinf(imaging.LOSSLESS)
 
     def test_full_range_error_is_zero_db(self):
-        a = from_raw(np.zeros((16, 16, 3), dtype=np.uint8))
-        b = from_raw(np.full((16, 16, 3), 255, dtype=np.uint8))
-        assert psnr(a, b) == pytest.approx(0.0, abs=1e-12)
+        a = from_raw(np.zeros((17, 33, 3), dtype=np.uint8))
+        b = from_raw(np.full((17, 33, 3), 255, dtype=np.uint8))
+        assert psnr(a, b) == float_psnr(a, b) == 0.0
+
+    def test_peak_memory_per_true_pixel(self):
+        # one int16 difference per sample, 6 B/px, and no float copy
+        a = from_raw(make_raw("photo", 744, 1000, seed=1))
+        b = from_raw(make_raw("photo", 744, 1000, seed=2))
+        assert traced_peak(psnr, a, b) <= 7 * 744 * 1000
+
+    @pytest.mark.parametrize("shape, true_h, true_w", [((0, 0, 3), 0, 0), ((0, 16, 3), 0, 5)])
+    def test_empty_true_window_rejected(self, shape, true_h, true_w):
+        img = ImagePlane(np.zeros(shape, dtype=np.uint8), true_h=true_h, true_w=true_w)
+        with pytest.raises(ValueError, match="empty"):
+            psnr(img, img)
 
     def test_matches_mse_oracle(self):
-        ra = make_raw("noise", 24, 24, seed=1)
-        rb = make_raw("noise", 24, 24, seed=2)
-        mse = np.mean((ra.astype(float) - rb.astype(float)) ** 2)
-        expected = 10 * math.log10(255 ** 2 / mse)
-        assert psnr(from_raw(ra), from_raw(rb)) == pytest.approx(expected, rel=1e-9)
+        # bit for bit: every squared error is an integer of at most 255**2
+        # and their sum stays below 2**53, so the float64 mean is the same
+        # exact sum over the same count, and both quotients round once. The
+        # padding, which the two images fill differently, is left out of both.
+        pairs = [(make_raw("noise", 24, 24, seed=1), make_raw("noise", 24, 24, seed=2))]
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            h, w = rng.integers(1, 70, size=2)
+            ra = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+            noise = rng.integers(-60, 61, (h, w, 3)) * (rng.random((h, w, 3)) < 0.5)
+            pairs.append((ra, np.clip(ra + noise, 0, 255).astype(np.uint8)))
+        for ra, rb in pairs:
+            a, b = from_raw(ra), from_raw(rb)
+            assert psnr(a, b) == float_psnr(a, b)
 
     def test_dim_mismatch_rejected(self):
         a = from_raw(np.zeros((16, 16, 3), dtype=np.uint8))

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -722,6 +723,24 @@ class TestCli:
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
         assert res.stderr == "error: read past end of the map segment\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("command", ["inspect", "decode"])
+    def test_container_that_never_ends_exits_cleanly(self, cli_env, tmp_path, command):
+        # the 41 zero bytes of the header declare no payload, so 42 bytes are
+        # read; a read of the whole file would fill the child's 1 GB address
+        # space (one BLAS thread keeps numpy's own reservation small) and end
+        # in a MemoryError traceback
+        _, cb, _ = cli_env
+        args = ["--input", "/dev/zero"]
+        if command == "decode":
+            args += ["--codebook", str(cb), "--out", str(tmp_path / "x.ppm")]
+        res = subprocess.run(
+            CLI + [command, *args], capture_output=True, text=True, timeout=120,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+        assert res.returncode == 1
+        assert res.stderr == "error: bad magic b'\\x00\\x00\\x00\\x00'\n"
 
     @pytest.mark.parametrize("flags, passed", [
         ([], {}),
