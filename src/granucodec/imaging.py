@@ -7,7 +7,9 @@ and the codebook file, which stores a code as the samples of its bytes:
 bit the float64 b / 255 * 2 - 1 rounded to float32, and `denormalize` maps
 samples back to bytes with rounding and a clip, giving back every byte.
 PSNR is reported on 0-255 values with peak 255, cropped to the true
-(pre-padding) dimensions, from the exact integer squared error.
+(pre-padding) dimensions, from the exact integer squared error. It and
+`save_ppm` take the true window 64 rows at a time, so neither makes a copy
+of the whole image.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ _READ_CHUNK = 1 << 24
 
 #: Longest PPM header token accepted; 2**64 has 20 digits.
 _MAX_TOKEN = 20
+
+#: Rows `save_ppm` and `psnr` take at once, so no copy spans the image.
+_STRIP_ROWS = 64
 
 #: Sentinel returned by psnr() when the two images are identical.
 LOSSLESS = math.inf
@@ -168,10 +173,13 @@ def load_ppm(path) -> ImagePlane:
 
 
 def save_ppm(img: ImagePlane, path) -> None:
-    """Write the true-dimension window as a binary PPM, maxval 255."""
+    """Write the true-dimension window as a binary PPM, maxval 255, a strip
+    of rows at a time."""
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (img.true_w, img.true_h))
-        f.write(img.pixels[: img.true_h, : img.true_w].tobytes())
+        window = img.pixels[: img.true_h, : img.true_w]
+        for y in range(0, img.true_h, _STRIP_ROWS):
+            f.write(window[y:y + _STRIP_ROWS].tobytes())
 
 
 def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -180,12 +188,18 @@ def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
 
 
 def psnr(a: ImagePlane, b: ImagePlane) -> float:
-    """PSNR in dB on 0-255 values over true dims, from int16 errors; LOSSLESS if identical."""
-    if (a.true_h, a.true_w) != (b.true_h, b.true_w) or not a.true_h * a.true_w:
+    """PSNR in dB on 0-255 values over true dims, from int16 errors taken a
+    strip of rows at a time; LOSSLESS if identical."""
+    h, w = a.true_h, a.true_w
+    if (h, w) != (b.true_h, b.true_w) or not h * w:
         raise ValueError("true dimensions differ or are empty")
-    d = np.subtract(a.pixels[: a.true_h, : a.true_w], b.pixels[: b.true_h, : b.true_w],
-                    dtype=np.int16)
-    sse = np.einsum("ijk,ijk->", d, d, dtype=np.int64)
+    d = np.empty((min(h, _STRIP_ROWS), w, 3), dtype=np.int16)
+    sse = 0  # exact: every squared error is an integer
+    for y in range(0, h, _STRIP_ROWS):
+        rows = d[:min(h - y, _STRIP_ROWS)]
+        np.subtract(a.pixels[y:y + len(rows), :w], b.pixels[y:y + len(rows), :w],
+                    out=rows, dtype=np.int16)
+        sse += int(np.einsum("ijk,ijk->", rows, rows, dtype=np.int64))
     if sse == 0:
         return LOSSLESS
-    return 10.0 * math.log10(255.0 ** 2 / (sse / d.size))
+    return 10.0 * math.log10(255.0 ** 2 / (sse / (3 * h * w)))

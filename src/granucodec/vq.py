@@ -8,7 +8,9 @@ box with integer edges, a multiple of 2**-16 below 2**18: exact in float64,
 added in any order, on every machine. The search picks the nearest colour,
 ties to the lowest index, by the bucket search of Gersho and Gray (Vector
 Quantization and Signal Compression, 1992): a cell scans the list of codes
-that can be nearest in its box of [0, 256)^3, about 3 at k=1024. k-means
+that can be nearest in its box of [0, 256)^3, about 3 at k=1024. It reads
+the integer cells as they are: a cell's box is a shift of its value, and
+its mean is made once, in the order the scan ranks the cells. k-means
 searches its byte centres through `quantize`, under the codec's list bound.
 """
 
@@ -107,15 +109,15 @@ def _cached_index(colours: bytes):
     return index if np.diff(index[2]).max() <= _MAX_LIST else None
 
 
-def _means(cells) -> np.ndarray:
-    """The (n, FEATURES) float64 mean colours, exact, of unsigned integer
-    cells that are 256 times those means, as `analysis.pyramid` gives them."""
+def _cells(cells) -> np.ndarray:
+    """The (n, FEATURES) rows of unsigned integer cells, each 256 times a
+    mean colour, as `analysis.pyramid` gives them; other cells are refused."""
     cells = np.asarray(cells)
     if cells.ndim == 0 or cells.shape[-1] != FEATURES:
         raise CodebookError(f"cells of shape {cells.shape}, not (..., {FEATURES})")
     if cells.dtype.kind != "u" or cells.size and cells.max() > 255 * 256:
         raise ValueError(f"{cells.dtype} cells: unsigned integers of at most {255 * 256}")
-    return cells.reshape(-1, FEATURES) * (1.0 / 256)
+    return cells.reshape(-1, FEATURES)
 
 
 def quantize(cells: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +128,7 @@ def quantize(cells: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
         raise CodebookError(f"codes too crowded for the nearest-code search: "
                             f"over {_MAX_LIST} in one box")
     shape = np.shape(cells)[:-1]
-    return tuple(a.reshape(shape) for a in _assign(_means(cells), index))
+    return tuple(a.reshape(shape) for a in _assign(_cells(cells), index))
 
 
 def quantize_masked(grids, masks, cb: Codebook) -> list[np.ndarray]:
@@ -143,8 +145,8 @@ def train_codebook(corpus: np.ndarray, k: int, *, iters: int, seed: int) -> Code
     each searched by `quantize`, the seeds and every update rounded to bytes;
     the codes are the samples of the final colours. An empty cluster takes
     the point then farthest from its center, so all k codes stay live."""
-    means = _means(corpus)
-    corpus = np.reshape(corpus, means.shape)  # one cell a row, as `means` holds them
+    corpus = _cells(corpus)
+    means = corpus * (1.0 / 256)  # exact: a cell is 256 times its mean
     if means.shape[0] < k:
         raise ValueError(f"corpus size {means.shape[0]} smaller than k={k}")
     if iters < 0:
@@ -205,40 +207,46 @@ def _update_centers(corpus: np.ndarray, assign: np.ndarray, d2: np.ndarray,
     np.rint(centers, out=centers)
 
 
-def _assign(points: np.ndarray, index):
-    """Nearest center of each point and its squared distance, ties to the
-    lowest index, as a scan of all k centers gives them, found by scanning
-    only the candidate list of the box each point, in [0, 255]^d, falls in.
+def _assign(cells: np.ndarray, index):
+    """Nearest center of each cell's mean colour and its squared distance,
+    ties to the lowest index, as a scan of all k centers gives them, found by
+    scanning only the candidate list of the box the mean falls in. The
+    (n, d) cells are unsigned integers, each 256 times a mean in [0, 255]^d,
+    read as they are: a box is found from the cells, and the means are made
+    once, already in rank order.
 
-    The scan runs over list positions r, not points: with the points ranked
+    The scan runs over list positions r, not cells: with the cells ranked
     by list length, those with more than r codes are a prefix, and each
     step gathers the r-th code of their lists and compares it with all of
     them at once. The best distance is kept with np.minimum and the best
     position r with an arithmetic select (a maximum of closer * r, as
     positions only grow); positions become codes once, after the loop.
     """
-    n, d = points.shape
+    n, d = cells.shape
     cs, members, starts, spread = index
-    xs = [np.ascontiguousarray(points[:, j]) for j in range(d)]
-    side = spread.size
+    # the mean's box coordinate, mean * side / 256 truncated, is the cell
+    # shifted right, exactly: the cell is 256 x the mean and side a power of two
+    shift = 16 - (spread.size.bit_length() - 1)
     flat = np.zeros(n, dtype=np.intp)
-    for j, x in enumerate(xs):
-        # x * side / 256 truncates to the box, exactly: side is a power of two
-        flat += spread[(x * (side / 256)).astype(np.intp)] << (d - 1 - j)
+    for j in range(d):
+        flat += spread[cells[:, j] >> shift] << (d - 1 - j)
 
-    # longest lists first, so the points still scanning at rank r are a
+    # longest lists first, so the cells still scanning at rank r are a
     # prefix; keyed in the smallest type, where a stable sort is a radix sort
     lengths = starts[flat + 1] - starts[flat]
     longest = lengths.max(initial=0)
     order = np.argsort((longest - lengths).astype(np.min_scalar_type(longest)), kind="stable")
     first = starts[flat[order]]
-    rank_xs = [x[order] for x in xs]
-    # list position of each point's best code so far, in the smallest type
+    scanning = n - np.cumsum(np.bincount(lengths)[:-1])  # cells with over r codes
+    del flat, lengths
+    # the ranked means, gathered straight from the cells: exact, 2**-8 a unit
+    rank_xs = [cells[:, j][order] * (1.0 / 256) for j in range(d)]
+    # list position of each cell's best code so far, in the smallest type
     best_r = np.zeros(n, dtype=np.min_scalar_type(longest))
     near_d2 = np.full(n, np.inf)
     code, dist, term, coord = np.empty(n, members.dtype), np.empty(n), np.empty(n), np.empty(n)
     closer = np.empty(n, dtype=bool)
-    for r, m in enumerate(n - np.cumsum(np.bincount(lengths)[:-1])):  # points with over r codes
+    for r, m in enumerate(scanning):
         # the r-th code of each list; every index is in range, so no take
         # needs the checked, buffered "raise" mode
         np.take(members[r:], first[:m], out=code[:m], mode="clip")
@@ -249,6 +257,7 @@ def _assign(points: np.ndarray, index):
         np.minimum(near_d2[:m], dist[:m], out=near_d2[:m])
         # positions only grow, so the largest closer one is the latest
         np.maximum(best_r[:m], closer[:m] * best_r.dtype.type(r), out=best_r[:m])
+    del rank_xs, code, dist, term, coord, closer
     first += best_r
     assign, best = np.empty(n, dtype=np.int32), np.empty_like(near_d2)
     assign[order], best[order] = members[first], near_d2

@@ -1,14 +1,22 @@
-"""Shared fixtures: synthetic desk images and a trained codec session."""
+"""Shared helpers: synthetic desk images, oracles and test codebooks.
+
+This module imports no pytest, so a program that draws the test images
+(bench/run.py) pays nothing for it. The session fixtures live in
+`session_fixtures`, registered below.
+"""
 
 import struct
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from granucodec import bitstream, granularity, imaging, pipeline, training, vq
+from granucodec import bitstream, imaging, pipeline, vq
 from granucodec.imaging import nn_upsample
 from granucodec.spatial_entropy import EntropyConfig, _affinity, _mass_entropy
+
+# not "fixtures": pytest registers its own _pytest.fixtures under that
+# plugin name, and would skip a second module of the name without a word
+pytest_plugins = ["session_fixtures"]
 
 
 #: Rows make_raw draws at once: a multiple of every cell size the strip kinds
@@ -202,43 +210,5 @@ def desk_corpus(n: int = 20, size: int = 512) -> list:
             for i in range(n)]
 
 
-@pytest.fixture(scope="session")
-def corpus():
-    return desk_corpus(20, 512)
-
-
-#: The training config of the k=1024 fixture sessions.
-FIXTURE_TRAINING = dict(k=1024, seed=7, iters=10, max_samples=60_000)
-
-
-@pytest.fixture(scope="session")
-def session(corpus):
-    """Codec session trained on the desk corpus (k=1024, deterministic)."""
-    return pipeline.CodecSession(*training.train_codebook(corpus, **FIXTURE_TRAINING))
-
-
 def leaves_images(seeds, size: int = 512) -> list:
     return [make_image("leaves", size, size, seed=s) for s in seeds]
-
-
-@pytest.fixture(scope="session")
-def leaves_set():
-    """Ten dead-leaves images, images with edges, to evaluate on."""
-    return leaves_images(range(500, 510))
-
-
-@pytest.fixture(scope="session")
-def leaves_session():
-    """Codec session at `session`'s config, trained on 20 dead-leaves images."""
-    return pipeline.CodecSession(
-        *training.train_codebook(leaves_images(range(100, 120)), **FIXTURE_TRAINING))
-
-
-@pytest.fixture(scope="session")
-def small_session():
-    """Cheap session for unit tests: small codebook, small corpus."""
-    images = [make_image(k, 64, 64, seed=s)
-              for s, k in enumerate(["noise", "blocky", "photo", "waves"])]
-    cb, tbl = training.train_codebook(images, k=32, seed=3, iters=8,
-                                      max_samples=5000)
-    return pipeline.CodecSession(cb, tbl)

@@ -7,6 +7,11 @@ operations into failures; this test makes the same calls, so such a change
 fails here instead.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from granucodec import bitstream, granularity, imaging, pipeline, spatial_entropy
@@ -103,3 +108,18 @@ def test_training_sample_is_the_benchmark_distortion_sample(monkeypatch):
     pick = np.random.default_rng(seed).choice(cells.shape[0], size=max_samples, replace=False)
     assert len(given) == 1
     assert np.array_equal(given[0], cells[np.sort(pick)])
+
+
+def test_conftest_imports_no_pytest():
+    # the benchmark imports conftest's image generators, and its peak_rss_mb
+    # would count pytest's import, about 9 MB, under every reading
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, conftest; "
+                               "print(sorted(m for m in sys.modules "
+                               "if m.split('.')[0] in ('pytest', '_pytest')))"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

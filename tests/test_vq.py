@@ -42,8 +42,12 @@ def assert_matches_oracle(got, want):
 
 
 def assign(points, centers):
-    """The search of the points over the byte colours `centers`, on a fresh index."""
-    return _assign(points, vq._build_index(centers))
+    """The search of the byte means `points` over the byte colours `centers`,
+    on a fresh index. The search takes each mean as its cell, 256 times it,
+    so every mean must be a multiple of 1/256 in [0, 255]."""
+    cells = cells_of(points)
+    assert np.array_equal(cells / 256, points)
+    return _assign(cells, vq._build_index(centers))
 
 
 def means(rng, size, lo=0, hi=255):
@@ -404,13 +408,15 @@ class TestQuantize:
     @pytest.fixture
     def cells_seen(self, monkeypatch):
         """Route `vq._assign` through a recorder of the cells per call; the
-        search refuses a cell outside [0, 255]^3 before `_assign` runs."""
+        search refuses a cell outside [0, 255]^3 before `_assign` runs, and
+        hands it the pyramid's uint16 cells, not a copy in another type."""
         seen = []
         assign = vq._assign
 
-        def recording(points, index):
-            seen.append(points.shape[0])
-            return assign(points, index)
+        def recording(cells, index):
+            assert cells.dtype == np.uint16
+            seen.append(cells.shape[0])
+            return assign(cells, index)
 
         monkeypatch.setattr(vq, "_assign", recording)
         return seen
@@ -439,6 +445,18 @@ class TestQuantize:
         cb = Codebook(rng.standard_normal((8192, 3)).astype(np.float32))
         cells = 16 * rng.integers(0, 255 * 16 + 1, size=(1024, 3)).astype(np.uint16)
         assert traced_peak(quantize, cells, cb) < 8 << 20
+
+    def test_peak_memory_per_cell(self, session):
+        # the hirate cells of a 1024^2 photo, about 50,000: the search reads
+        # the uint16 cells as they are and holds the ranked means and a few
+        # arrays of one value per cell, about 84 B, with no float copy of the
+        # cells in their own order
+        img = make_image("photo", 1024, 1024, seed=1)
+        gmap = pipeline.plan_image(session, img, RatioTriple(0.70, 0.25, 0.05))[2]
+        cells = np.concatenate([grid[mask] for grid, mask in
+                                zip(analysis.pyramid(img), masks_from_map(gmap))])
+        quantize(cells[:1], session.codebook)  # the index is built and kept outside the trace
+        assert traced_peak(quantize, cells, session.codebook) <= 100 * len(cells)
 
 
 class TestBoxIndex:
