@@ -196,6 +196,15 @@ def prefix_encode(segments) -> tuple[bytes, list[int]]:
     return words.astype(">u4").tobytes()[:sum(bits) + 7 >> 3], bits
 
 
+def _walk(steps: bytes, p: int, n: int):
+    """Bit position p, then the n positions that follow it, each `steps[p]`
+    bits on: one index and one add per symbol."""
+    yield p
+    for _ in range(n):
+        p += steps[p]
+        yield p
+
+
 def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]],
                   code: HuffmanCode) -> list[np.ndarray]:
     """Read consecutive segments of symbols from the bits of `payload`, from
@@ -223,9 +232,9 @@ def prefix_decode(payload: bytes, pos: int, segments: list[tuple[str, int, int]]
     step = np.zeros(8 * n + max_len, dtype=np.uint8)
     for r in range(8):
         step[r:8 * n:8] = np.take(window_len, three >> (24 - max_len - r) & (1 << max_len) - 1)
-    # the chain: one index and one add per symbol
-    steps, p = step.tobytes(), pos
-    chain = np.array([pos] + [p := p + steps[p] for _ in range(walk)], dtype=np.int64)
+    # the chain, filled into int64 as it is walked: 8 bytes a symbol, where a
+    # list of Python ints would take about 40
+    chain = np.fromiter(_walk(step.tobytes(), pos, walk), dtype=np.int64, count=walk + 1)
     starts, bounds = chain[:-1], np.cumsum(counts)
     # the first bad symbol raises the walk's error (limits only for the walk)
     limits = np.repeat(limits, np.diff(np.minimum(bounds, walk), prepend=0))

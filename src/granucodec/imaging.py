@@ -27,8 +27,9 @@ _READ_CHUNK = 1 << 24
 #: Longest PPM header token accepted; 2**64 has 20 digits.
 _MAX_TOKEN = 20
 
-#: Rows `save_ppm` and `psnr` take at once, so no copy spans the image.
-_STRIP_ROWS = 64
+#: Rows `save_ppm`, `psnr` and `pipeline.reconstruct` take at once, so no copy
+#: spans the image.
+STRIP_ROWS = 64
 
 #: Sentinel returned by psnr() when the two images are identical.
 LOSSLESS = math.inf
@@ -178,8 +179,8 @@ def save_ppm(img: ImagePlane, path) -> None:
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (img.true_w, img.true_h))
         window = img.pixels[: img.true_h, : img.true_w]
-        for y in range(0, img.true_h, _STRIP_ROWS):
-            f.write(window[y:y + _STRIP_ROWS].tobytes())
+        for y in range(0, img.true_h, STRIP_ROWS):
+            f.write(window[y:y + STRIP_ROWS].tobytes())
 
 
 def nn_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -193,10 +194,10 @@ def psnr(a: ImagePlane, b: ImagePlane) -> float:
     h, w = a.true_h, a.true_w
     if (h, w) != (b.true_h, b.true_w) or not h * w:
         raise ValueError("true dimensions differ or are empty")
-    d = np.empty((min(h, _STRIP_ROWS), w, 3), dtype=np.int16)
+    d = np.empty((min(h, STRIP_ROWS), w, 3), dtype=np.int16)
     sse = 0  # exact: every squared error is an integer
-    for y in range(0, h, _STRIP_ROWS):
-        rows = d[:min(h - y, _STRIP_ROWS)]
+    for y in range(0, h, STRIP_ROWS):
+        rows = d[:min(h - y, STRIP_ROWS)]
         np.subtract(a.pixels[y:y + len(rows), :w], b.pixels[y:y + len(rows), :w],
                     out=rows, dtype=np.int16)
         sse += int(np.einsum("ijk,ijk->", rows, rows, dtype=np.int64))

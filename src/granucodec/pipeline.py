@@ -13,7 +13,8 @@ runs the paper's coarse-to-fine conditional-replacement chain: the coarse
 stream's codes fill the block grid; each synthesis layer, here a
 nearest-neighbour x2 upsampler, doubles it, and the medium, then the fine
 stream replace the cells sent at their scale. Each 4x4 pixel cell is painted
-with its code's colour.
+with its code's colour, into the output plane 64 pixel rows at a time, so
+decoding holds no full-size copy beside its output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import analysis, bitstream, granularity, vq
 from .bitstream import BitstreamError, Container, HuffmanCode
 from .granularity import RatioTriple
-from .imaging import BLOCK, ImagePlane, nn_upsample
+from .imaging import BLOCK, STRIP_ROWS, ImagePlane, nn_upsample
 from .spatial_entropy import EntropyConfig, entropy_map
 from .vq import Codebook, CodebookError, FrequencyTable
 
@@ -120,8 +121,14 @@ def reconstruct(session: CodecSession, container: Container, gmap: np.ndarray,
         if idx.dtype.kind not in "iu" or idx.size and (idx.min() < 0 or idx.max() >= k):
             raise CodebookError(f"{idx.dtype} stream: indices must be integers in [0, {k})")
         codes[mask] = idx
-    return ImagePlane(nn_upsample(session.codebook.colours[codes], 4),
-                      true_h=container.true_h, true_w=container.true_w)
+    (h, w), colours = codes.shape, session.codebook.colours
+    pixels = np.empty((4 * h, 4 * w, 3), dtype=np.uint8)
+    for y in range(0, 4 * h, STRIP_ROWS):
+        # take copies a colour faster than colours[...] does; each cell row's
+        # colours then fill its 4 pixel rows
+        rows = colours.take(codes[y // 4:(y + STRIP_ROWS) // 4], axis=0).repeat(4, axis=1)
+        pixels[y:y + 4 * len(rows)].reshape(len(rows), 4, 4 * w, 3)[:] = rows[:, None]
+    return ImagePlane(pixels, true_h=container.true_h, true_w=container.true_w)
 
 
 def decode_image(session: CodecSession, container: Container) -> ImagePlane:
