@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import FEATURES
 from .bitstream import BitstreamError, frequency_counts
-from .imaging import HALF_RANGE, denormalize, normalize
+from .imaging import HALF_RANGE, denormalize, normalize, read_bounded
 
 CODEBOOK_MAGIC = b"CGCB"
 CODEBOOK_VERSION = 1
@@ -46,7 +46,7 @@ class CodebookError(ValueError):
 
 
 def _codes_hash(codes: np.ndarray) -> int:
-    digest = hashlib.sha256(np.ascontiguousarray(codes, dtype=np.float32).tobytes())
+    digest = hashlib.sha256(np.ascontiguousarray(codes, dtype=np.float32))  # no bytes copy
     return struct.unpack("<Q", digest.digest()[:8])[0]
 
 
@@ -59,7 +59,7 @@ class Codebook:
         codes = np.array(self.codes, dtype=np.float32, order="C")
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] != FEATURES:
             raise CodebookError(f"codebook shape {codes.shape}, not (k >= 1, {FEATURES})")
-        if not np.all(np.isfinite(codes)):
+        if not np.isfinite(codes).all():
             raise CodebookError("codebook contains non-finite values")
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
@@ -388,8 +388,8 @@ def save_codebook(cb: Codebook, tbl: FrequencyTable, path) -> None:
 
 
 def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
-    with open(path, "rb") as f:  # the header, then only the body it declares and one byte
-        head = f.read(_HEADER.size)
+    with open(path, "rb", buffering=0) as f:  # the header, then the declared body and one byte
+        head = read_bounded(f, _HEADER.size)
         if head[:4] != CODEBOOK_MAGIC:
             raise CodebookError(f"{path}: not a codebook file")
         if len(head) < _HEADER.size:
@@ -400,7 +400,7 @@ def load_codebook(path) -> tuple[Codebook, FrequencyTable]:
         if d != FEATURES:  # before any read whose size follows from d
             raise CodebookError(f"{path}: codebook shape ({k}, {d}), not (k >= 1, {FEATURES})")
         need = 4 * k * d + 8 * k + 8
-        data = f.read(need + 1)
+        data = read_bounded(f, need + 1)
     if len(data) != need:
         got = "more" if len(data) > need else _HEADER.size + len(data)
         raise CodebookError(f"{path}: expected {_HEADER.size + need} bytes, got {got}")

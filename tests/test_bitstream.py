@@ -474,8 +474,11 @@ class TestFrequencyCounts:
         (np.array([1.0, 2.0 ** 64]), 1, "1.8446744073709552e+19"),
         ([1, 1, 1 << 64], 2, "18446744073709551616"),
         (np.array([5, 0, 1], dtype=np.uint64), 1, "0"),
+        (np.array([3, -2], dtype=np.int64), 1, "-2"),
+        (np.array([1, 0], dtype=np.int8), 1, "0"),
+        (np.array([2, -1, 0], dtype=np.int16), 1, "-1"),  # the first bad code is named
     ], ids=["negative", "negative fraction", "fraction", "nan", "inf", "float 2^64",
-            "int 2^64", "zero"])
+            "int 2^64", "zero", "signed negative", "narrow zero", "first of two"])
     def test_bad_count_names_its_code(self, counts, at, shown):
         message = re.escape(f"code {at} has frequency count {shown}; every count must be "
                             "an integer >= 1 and below 2^64")

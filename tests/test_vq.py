@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import re
 import struct
@@ -911,6 +912,19 @@ class TestCodebookArrays:
             cb16.codes[0, 0] = 0.0
         assert cb16.id_hash == vq._codes_hash(cb16.codes)
 
+    def test_hash_ignores_the_input_layout(self, tmp_path, cb16):
+        # the hash is of the C float32 copy the Codebook keeps, which is the
+        # little-endian code bytes of the saved file, whatever array it came from
+        path = tmp_path / "cb.cgcb"
+        save_codebook(cb16, flat_frequencies(16), path)
+        stored = path.read_bytes()[vq._HEADER.size:][:cb16.codes.nbytes]
+        want = int.from_bytes(hashlib.sha256(stored).digest()[:8], "little")
+        wide = np.zeros((16, 6), dtype=np.float32)
+        wide[:, ::2] = cb16.codes
+        for codes in (np.asfortranarray(cb16.codes, dtype=np.float64),
+                      cb16.codes.astype(">f4"), wide[:, ::2]):
+            assert Codebook(codes).id_hash == cb16.id_hash == want
+
     def test_id_hash_computed_once(self, monkeypatch):
         digest, calls = vq._codes_hash, []
         monkeypatch.setattr(vq, "_codes_hash", lambda codes: calls.append(1) or digest(codes))
@@ -1015,10 +1029,23 @@ class TestCodebookFile:
             (wide, len(wide), "codebook shape (65535, 65535), not (k >= 1, 3)"),
         ]:
             f = Endless(data)
-            monkeypatch.setattr(vq, "open", lambda p, mode: f, raising=False)
+            monkeypatch.setattr(vq, "open", lambda p, *a, **kw: f, raising=False)
             with pytest.raises(CodebookError, match=re.escape(f"{path}: {error}")):
                 load_codebook(path)
             assert sum(f.reads) <= bound
+
+    def test_load_takes_short_reads(self, tmp_path, cb16, monkeypatch):
+        # the file is read unbuffered, and such a read, as from a pipe, may
+        # return fewer bytes than it asks for
+        class Trickle(io.BytesIO):
+            def read(self, size=-1):
+                return super().read(min(size, 5))
+
+        path = tmp_path / "cb.cgcb"
+        save_codebook(cb16, flat_frequencies(16), path)
+        monkeypatch.setattr(vq, "open", lambda p, *a, **kw: Trickle(path.read_bytes()),
+                            raising=False)
+        assert load_codebook(path)[0].id_hash == cb16.id_hash
 
     def test_corruption_detected(self, tmp_path, cb16):
         tbl = flat_frequencies(16)
