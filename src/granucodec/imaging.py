@@ -7,9 +7,10 @@ and the codebook file, which stores a code as the samples of its bytes:
 bit the float64 b / 255 * 2 - 1 rounded to float32, and `denormalize` maps
 samples back to bytes with rounding and a clip, giving back every byte.
 PSNR is reported on 0-255 values with peak 255, cropped to the true
-(pre-padding) dimensions, from the exact integer squared error. It and
-`save_ppm` take the true window 64 rows at a time, so neither makes a copy
-of the whole image.
+(pre-padding) dimensions, from the exact integer squared error. It,
+`save_ppm` and `load_ppm` take the true window 64 rows at a time, so none
+makes a copy of the whole image: `load_ppm` copies each strip it reads into
+the padded plane it allocates once.
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ import numpy as np
 
 BLOCK = 16
 
-#: Largest read `read_bounded` makes at once: a 2048 x 2048 image in one read.
+#: Largest read `read_bounded` makes at once, 16 MiB: more than any codebook
+#: or container section the codec reads whole.
 _READ_CHUNK = 1 << 24
 
 #: Longest PPM header token accepted; 2**64 has 20 digits.
 _MAX_TOKEN = 20
 
-#: Rows `save_ppm`, `psnr` and `pipeline.reconstruct` take at once, so no copy
-#: spans the image.
+#: Rows `load_ppm`, `save_ppm`, `psnr` and `pipeline.reconstruct` take at
+#: once, so no copy spans the image.
 STRIP_ROWS = 64
 
 #: Sentinel returned by psnr() when the two images are identical.
@@ -114,6 +116,12 @@ def from_raw(raw: np.ndarray) -> ImagePlane:
     h, w = raw.shape[:2]
     pixels = np.empty((ceil_to(h, BLOCK), ceil_to(w, BLOCK), 3), dtype=np.uint8)
     pixels[:h, :w] = raw
+    return _padded(pixels, h, w)
+
+
+def _padded(pixels: np.ndarray, h: int, w: int) -> ImagePlane:
+    """The plane whose true h x w window `pixels` holds, its padding filled in
+    place by replicating the last column and row."""
     pixels[:h, w:] = pixels[:h, w - 1:w]
     pixels[h:] = pixels[h - 1:h]
     return ImagePlane(pixels, true_h=h, true_w=w)
@@ -151,7 +159,9 @@ def read_bounded(f, size: int) -> bytes:
 
 
 def load_ppm(path) -> ImagePlane:
-    """Read a binary (P6) PPM with maxval 255, padded."""
+    """Read a binary (P6) PPM with maxval 255, padded. The padded plane is
+    allocated once and filled `STRIP_ROWS` rows at a time through one strip;
+    a header declaring more pixels than memory can hold is an ImageError."""
     with open(path, "rb") as f:
         magic = f.read(2)
         if magic != b"P6":
@@ -166,11 +176,21 @@ def load_ppm(path) -> ImagePlane:
             raise ImageError(f"{path}: bad dimensions {w}x{h}")
         if maxval != 255:
             raise ImageError(f"{path}: unsupported maxval {maxval} (only 255)")
-        data = read_bounded(f, w * h * 3)
-        if len(data) != w * h * 3:
-            raise ImageError(f"{path}: truncated pixel data")
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
-    return from_raw(raw)
+        try:
+            # untouched pages take no memory: a short file fills few of them
+            pixels = np.empty((ceil_to(h, BLOCK), ceil_to(w, BLOCK), 3), dtype=np.uint8)
+            strip = np.empty((min(h, STRIP_ROWS), w, 3), dtype=np.uint8)
+        except (MemoryError, ValueError):  # numpy's "maximum dimension exceeded"
+            raise ImageError(f"{path}: a {w}x{h} image is too large to hold") from None
+        for y in range(0, h, STRIP_ROWS):
+            rows = pixels[y:min(y + STRIP_ROWS, h)]
+            view = memoryview(strip[:len(rows)]).cast("B")
+            while view and (n := f.readinto(view)):  # a pipe may give fewer bytes
+                view = view[n:]
+            if view:
+                raise ImageError(f"{path}: truncated pixel data")
+            rows[:, :w] = strip[:len(rows)]
+    return _padded(pixels, h, w)
 
 
 def save_ppm(img: ImagePlane, path) -> None:

@@ -244,20 +244,21 @@ def _assign(cells: np.ndarray, index):
     # list position of each cell's best code so far, in the smallest type
     best_r = np.zeros(n, dtype=np.min_scalar_type(longest))
     near_d2 = np.full(n, np.inf)
-    code, dist, term, coord = np.empty(n, members.dtype), np.empty(n), np.empty(n), np.empty(n)
+    code, dist, term = np.empty(n, members.dtype), np.empty(n), np.empty(n)
     closer = np.empty(n, dtype=bool)
     for r, m in enumerate(scanning):
         # the r-th code of each list; every index is in range, so no take
         # needs the checked, buffered "raise" mode
         np.take(members[r:], first[:m], out=code[:m], mode="clip")
-        # each coordinate is gathered after the last one is used
-        _sq_dist(((x[:m], np.take(c, code[:m], out=coord[:m], mode="clip"))
-                  for x, c in zip(rank_xs, cs)), dist[:m], term[:m])
+        # each coordinate is gathered, once the last one is used, into the
+        # array _sq_dist then squares its difference in
+        _sq_dist(((x[:m], np.take(c, code[:m], out=(term if j else dist)[:m], mode="clip"))
+                  for j, (x, c) in enumerate(zip(rank_xs, cs))), dist[:m], term[:m])
         np.less(dist[:m], near_d2[:m], out=closer[:m])  # strict: the lower index keeps a tie
         np.minimum(near_d2[:m], dist[:m], out=near_d2[:m])
         # positions only grow, so the largest closer one is the latest
         np.maximum(best_r[:m], closer[:m] * best_r.dtype.type(r), out=best_r[:m])
-    del rank_xs, code, dist, term, coord, closer
+    del rank_xs, code, dist, term, closer
     first += best_r
     assign, best = np.empty(n, dtype=np.int32), np.empty_like(near_d2)
     assign[order], best[order] = members[first], near_d2
@@ -359,7 +360,8 @@ def _build_index(centers: np.ndarray):
 
 def _sq_dist(pairs, out: np.ndarray, term: np.ndarray) -> None:
     """out = the sum, in order, of (x - c)**2 over the (x, c) coordinate
-    pairs, broadcast. The search and k-means seeding share it."""
+    pairs, broadcast; c may be the array its square is made in, out for the
+    first pair and term after. The search and k-means seeding share it."""
     for j, (x, c) in enumerate(pairs):
         diff = term if j else out
         np.subtract(x, c, out=diff)

@@ -1,4 +1,10 @@
+import io
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +92,69 @@ class TestLoad:
             load_ppm(p)
         assert str(p) in str(excinfo.value)
 
+    @pytest.mark.parametrize("h, w", [(1, 1), (64, 32), (200, 48), (130, 37), (65, 1000)])
+    def test_strips_fill_the_padded_plane(self, tmp_path, h, w):
+        # rows read through one strip, with a short last strip, pad as
+        # from_raw pads, whether or not w is a multiple of 16
+        raw = make_raw("noise", h, w, seed=9)
+        p = tmp_path / "s.ppm"
+        write_ppm(p, raw)
+        img, want = load_ppm(p), from_raw(raw)
+        assert (img.true_h, img.true_w) == (h, w)
+        assert np.array_equal(img.pixels, want.pixels)
+
+    @pytest.mark.parametrize("w", [32, 37])
+    def test_load_takes_short_reads(self, monkeypatch, w):
+        # a file that returns at most 5 bytes a read, as a pipe may
+        class Trickle(io.RawIOBase):
+            def __init__(self, data):
+                self.data = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                return self.data.readinto(memoryview(b)[:5])
+
+        raw = make_raw("photo", 70, w, seed=10)
+        data = b"P6\n%d 70\n255\n" % w + raw.tobytes()
+        monkeypatch.setattr(imaging, "open", lambda *a, **kw: Trickle(data), raising=False)
+        assert np.array_equal(load_ppm("trickle.ppm").pixels, from_raw(raw).pixels)
+
+    @pytest.mark.parametrize("payload", [
+        b"P6\n1000000000 1000000000\n255\n" + bytes(12),
+        b"P6\n65535 65535\n255\n",
+        b"P6\n4096 4096\n255\n" + bytes(12),  # planes that can be allocated,
+        b"P6\n4095 4095\n255\n" + bytes(12),  # one with padding columns
+    ], ids=["1e9x1e9", "65535x65535-no-data", "4096x4096", "4095x4095"])
+    def test_header_past_the_file_stays_cheap(self, tmp_path, payload):
+        # a header declaring more pixels than the file holds is an
+        # ImageError, never a MemoryError, and its load touches no more
+        # memory than the file and one 64-row strip; measured as the child's
+        # peak RSS, as tracemalloc also counts pages never touched. A 1 GB
+        # address-space cap (one BLAS thread keeps numpy's own reservation
+        # small) refuses the 65535^2 plane
+        p = tmp_path / "hostile.ppm"
+        p.write_bytes(payload)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = ("import resource, sys\n"
+                 "from granucodec import imaging\n"
+                 "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                 "before = rss()\n"
+                 "try:\n"
+                 "    imaging.load_ppm(sys.argv[1])\n"
+                 "except imaging.ImageError:\n"
+                 "    print(rss() - before)\n")
+        res = subprocess.run(
+            [sys.executable, "-c", child, str(p)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+        assert res.returncode == 0 and res.stderr == "", res.stderr
+        grown = int(res.stdout) * 1024  # ru_maxrss is in KiB on Linux
+        # one strip of the widest plane here, and 4 MiB for a transparent huge page
+        assert grown <= len(payload) + 64 * 4096 * 3 + (4 << 20)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         raw = make_raw("noise", 37, 21, seed=5)
         p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
@@ -162,13 +231,14 @@ class TestPad:
     def test_peak_memory_per_padded_pixel(self, tmp_path, h, w):
         # the padded 8-bit plane (3 B/px) is allocated once and the bytes
         # are copied straight into it: no full-size temporary, no padded
-        # copy; load_ppm also holds the file's 3 bytes per true pixel
+        # copy; load_ppm reads the file into it through one 64-row strip,
+        # and holds no more
         raw = make_raw("photo", h, w, seed=6)
         p = tmp_path / "big.ppm"
         write_ppm(p, raw)
         padded = from_raw(raw).pixels[..., 0].size
         assert traced_peak(from_raw, raw) < 3.25 * padded
-        assert traced_peak(load_ppm, p) < 3 * h * w + 3.25 * padded
+        assert traced_peak(load_ppm, p) < 3.4 * padded
 
     def test_replicates_edge_column(self):
         raw = make_raw("noise", 16, 17, seed=1)

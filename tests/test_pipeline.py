@@ -288,11 +288,11 @@ class TestEncodeDecode:
     def test_encode_peak_memory_per_pixel_1024(self, session):
         # at the hirate ratios of a 1024^2 photo, with the search's index
         # already built: the pyramid and the nearest-code search over about
-        # 50,000 cells set the peak, 5.2 B/px
+        # 50,000 cells set the peak, 4.8 B/px
         img = make_image("photo", 1024, 1024, seed=1)
         ratios = RatioTriple(0.70, 0.25, 0.05)
         pipeline.encode_image(session, img, ratios)
-        assert traced_peak(pipeline.encode_image, session, img, ratios) <= 6 * 1024 * 1024
+        assert traced_peak(pipeline.encode_image, session, img, ratios) <= 5 * 1024 * 1024
 
     def test_container_over_pixel_cap_rejected(self):
         data, _, _ = over_cap_container()
